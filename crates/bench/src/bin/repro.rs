@@ -24,20 +24,7 @@
 //!   wal-recover        crash-recover from --wal-dir (snapshot + log tail, and the
 //!                      sharded consistent-cut path) and prove the recovered state
 //!                      bit-identical to a cold full-log replay
-//!   bench-summary      time the derivation hot paths, write BENCH_pipeline.json
-//!   serve-bench        boot the wot-serve daemon on the workbench community and
-//!                      drive mixed read/ingest traffic against it; merges
-//!                      serve_point_query_{p50,p99,p999}, serve_topk_p99 and
-//!                      serve_ingest_events_per_sec into BENCH_pipeline.json
-//!   cluster-bench      launch a 3-worker multi-process shard cluster (wot-shardd
-//!                      subprocesses behind the coordinator), ingest the live tail
-//!                      through category routing, and time scatter-gather queries;
-//!                      merges cluster_* rows into BENCH_pipeline.json
-//!   bench-compare      diff BENCH_pipeline.json against BENCH_baseline.json and
-//!                      fail on a >25% regression of any tracked metric
-//!                      (--baseline/--current/--max-regress override the
-//!                      defaults; WOT_BENCH_MAX_REGRESS_PCT also works)
-//!   all                everything above (except bench-summary/bench-compare)
+//!   all                every paper artifact above (stats … sweep-trust-noise)
 //! ```
 
 use std::process::ExitCode;
@@ -53,20 +40,30 @@ use wot_eval::{
 const USAGE: &str =
     "usage: repro [--scale tiny|laptop|paper] [--seed N] [--wal-dir DIR] <experiment>...
 experiments: stats table2 table3 fig3 stream-fig3 table4 values propagation rounding \
-ablation-discount ablation-fixpoint sweep-noise sweep-trust-noise wal-write wal-recover \
-bench-summary serve-bench cluster-bench bench-compare all";
+ablation-discount ablation-fixpoint sweep-noise sweep-trust-noise wal-write wal-recover all";
+
+/// What `all` expands to: the paper artifacts, not the durability demos.
+const ALL: &[&str] = &[
+    "stats",
+    "table2",
+    "table3",
+    "fig3",
+    "stream-fig3",
+    "table4",
+    "values",
+    "propagation",
+    "rounding",
+    "ablation-discount",
+    "ablation-fixpoint",
+    "sweep-noise",
+    "sweep-trust-noise",
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Laptop;
     let mut seed = DEFAULT_SEED;
-    let mut baseline_path = "BENCH_baseline.json".to_string();
-    let mut current_path = "BENCH_pipeline.json".to_string();
     let mut wal_dir = "target/wal-demo".to_string();
-    let mut max_regress_pct: f64 = std::env::var("WOT_BENCH_MAX_REGRESS_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(wot_bench::compare::DEFAULT_MAX_REGRESS_PCT);
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -85,33 +82,12 @@ fn main() -> ExitCode {
                 };
                 seed = v;
             }
-            "--baseline" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                baseline_path = v.clone();
-            }
-            "--current" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                current_path = v.clone();
-            }
             "--wal-dir" => {
                 let Some(v) = it.next() else {
                     eprintln!("{USAGE}");
                     return ExitCode::FAILURE;
                 };
                 wal_dir = v.clone();
-            }
-            "--max-regress" => {
-                let Some(v) = it.next().and_then(|s| s.parse().ok()) else {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                max_regress_pct = v;
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -124,34 +100,8 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    // bench-compare is a pure file diff — no workbench, no generation —
-    // so it short-circuits before the (expensive) setup below.
-    if experiments.iter().any(|e| e == "bench-compare") {
-        if experiments.len() != 1 {
-            eprintln!("bench-compare cannot be combined with other experiments");
-            return ExitCode::FAILURE;
-        }
-        return bench_compare(&baseline_path, &current_path, max_regress_pct);
-    }
     if experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "stats",
-            "table2",
-            "table3",
-            "fig3",
-            "stream-fig3",
-            "table4",
-            "values",
-            "propagation",
-            "rounding",
-            "ablation-discount",
-            "ablation-fixpoint",
-            "sweep-noise",
-            "sweep-trust-noise",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        experiments = ALL.iter().map(|s| s.to_string()).collect();
     }
 
     println!("# Kim et al. (ICDEW 2008) reproduction — scale={scale:?} seed={seed}\n");
@@ -260,9 +210,6 @@ fn run_experiment(
         }
         "wal-write" => wal_write(wb, seed, wal_dir)?,
         "wal-recover" => wal_recover(wb, wal_dir)?,
-        "bench-summary" => bench_summary(wb, scale, seed)?,
-        "serve-bench" => serve_bench(wb, scale, seed)?,
-        "cluster-bench" => cluster_bench(wb, scale, seed)?,
         other => return Err(format!("unknown experiment {other:?}\n{USAGE}").into()),
     })
 }
@@ -398,1012 +345,43 @@ fn wal_recover(wb: &Workbench, wal_dir: &str) -> Result<String, Box<dyn std::err
     Ok(out)
 }
 
-/// The CI bench gate: diff the current bench summary against the
-/// committed baseline over the tracked metrics and fail the process on
-/// a regression beyond `max_regress_pct` (see
-/// [`wot_bench::compare`]).
-fn bench_compare(baseline_path: &str, current_path: &str, max_regress_pct: f64) -> ExitCode {
-    let read = |path: &str| match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("bench-compare: cannot read {path}: {e}");
-            None
-        }
-    };
-    let (Some(baseline), Some(current)) = (read(baseline_path), read(current_path)) else {
-        return ExitCode::FAILURE;
-    };
-    match wot_bench::compare::compare(&baseline, &current, max_regress_pct) {
-        Ok(report) => {
-            println!("{}", report.render());
-            if report.failed() {
-                eprintln!(
-                    "bench-compare: tracked metric regressed beyond {max_regress_pct:.0}% \
-                     (baseline {baseline_path}, current {current_path})"
-                );
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("bench-compare: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Best-of-`reps` wall time in milliseconds.
-fn time_best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Times the derivation hot paths (HashMap baseline vs index-dense,
-/// sequential vs parallel) and writes the machine-readable
-/// `BENCH_pipeline.json` next to the working directory, so the perf
-/// trajectory across PRs can be tracked without parsing bench logs.
-fn bench_summary(
-    wb: &Workbench,
-    scale: Scale,
-    seed: u64,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use std::hint::black_box;
-    use wot_core::{pipeline, trust, BlockConfig, DeriveConfig, IncrementalDerived};
-
-    let store = &wb.out.store;
-    let derived = &wb.derived;
-    let threads = wot_par::max_threads();
-    let seq_cfg = DeriveConfig::builder().parallel(false).build()?;
-    let par_cfg = DeriveConfig::builder().thread_count(0).build()?;
-
-    let mut rows: Vec<(&str, f64)> = Vec::new();
-    rows.push((
-        "derive_baseline_hashmap_1t",
-        time_best_ms(3, || {
-            black_box(pipeline::derive_baseline(store, &seq_cfg).unwrap());
-        }),
-    ));
-    rows.push((
-        "derive_index_dense_1t",
-        time_best_ms(3, || {
-            black_box(pipeline::derive(store, &seq_cfg).unwrap());
-        }),
-    ));
-    rows.push((
-        "derive_index_dense_mt",
-        time_best_ms(3, || {
-            black_box(pipeline::derive(store, &par_cfg).unwrap());
-        }),
-    ));
-    // Sharded path: partition build, then the same derivation reading
-    // per-category shards instead of the flat store (bit-identical
-    // output; the row pair keeps flat-vs-sharded parity visible and
-    // bench-compare gates both).
-    let assignment = wot_community::ShardAssignment::round_robin(
-        store.num_categories(),
-        threads.min(store.num_categories().max(1)),
-    );
-    rows.push((
-        "sharded_store_build",
-        time_best_ms(3, || {
-            black_box(store.to_sharded(&assignment).unwrap());
-        }),
-    ));
-    let sharded_store = store.to_sharded(&assignment)?;
-    rows.push((
-        "derive_sharded_1t",
-        time_best_ms(3, || {
-            black_box(pipeline::derive_sharded(&sharded_store, &seq_cfg).unwrap());
-        }),
-    ));
-    rows.push((
-        "derive_sharded_mt",
-        time_best_ms(3, || {
-            black_box(pipeline::derive_sharded(&sharded_store, &par_cfg).unwrap());
-        }),
-    ));
-    // Incremental (online) path: bootstrap, a warm one-rating refresh of
-    // the busiest category, and the canonical batch-equal snapshot.
-    rows.push((
-        "incremental_bootstrap_1t",
-        time_best_ms(3, || {
-            black_box(IncrementalDerived::from_store(store, &seq_cfg).unwrap());
-        }),
-    ));
-    {
-        use std::collections::HashSet;
-        use wot_community::{ReviewId, UserId};
-        let mut per_cat = vec![0usize; store.num_categories()];
-        for rt in store.ratings() {
-            per_cat[store.reviews()[rt.review.index()].category.index()] += 1;
-        }
-        let busiest = per_cat
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, n)| n)
-            .map(|(c, _)| c)
-            .unwrap_or(0);
-        let cat = store.categories()[busiest].id;
-        let existing: HashSet<(UserId, ReviewId)> = store
-            .ratings()
-            .iter()
-            .map(|rt| (rt.rater, rt.review))
+    #[test]
+    fn usage_names_dispatch_and_retired_names_are_rejected() {
+        let names: Vec<&str> = USAGE
+            .split("experiments:")
+            .nth(1)
+            .expect("usage lists the experiments")
+            .split_whitespace()
             .collect();
-        let raters: Vec<UserId> = {
-            let mut rs: Vec<UserId> = store
-                .ratings()
-                .iter()
-                .filter(|rt| store.reviews()[rt.review.index()].category == cat)
-                .map(|rt| rt.rater)
-                .collect();
-            rs.sort_unstable();
-            rs.dedup();
-            rs
-        };
-        let mut candidates: Vec<(UserId, ReviewId)> = Vec::new();
-        'fill: for &rid in store.reviews_in_category(cat) {
-            let writer = store.reviews()[rid.index()].writer;
-            for &rater in &raters {
-                if rater != writer && !existing.contains(&(rater, rid)) {
-                    candidates.push((rater, rid));
-                    if candidates.len() >= 8 {
-                        break 'fill;
-                    }
-                }
-            }
+        for name in ALL {
+            assert!(names.contains(name), "`all` expands to unlisted {name:?}");
         }
-        if !candidates.is_empty() {
-            let mut inc = IncrementalDerived::from_store(store, &seq_cfg)?;
-            let mut next = candidates.iter();
-            rows.push((
-                "incremental_refresh_one_rating_1t",
-                time_best_ms(candidates.len().min(5), || {
-                    let &(rater, review) = next.next().expect("reps bounded by candidates");
-                    inc.add_rating(rater, review, 0.8).unwrap();
-                    black_box(inc.refresh(cat));
-                }),
-            ));
-            // The delta worklist on its design workload: a steady-state
-            // rating *revision* (an upsert moving an existing rating by
-            // a small step). The rater's count — and so the experience
-            // discount — is unchanged, so the epsilon frontier damps
-            // within a few hops instead of flooding the category the
-            // way a brand-new far-from-consensus rating does (that case
-            // is what the frontier-threshold fallback is for).
-            let delta_cfg = seq_cfg.to_builder().delta_refresh(true).build()?;
-            let mut inc_delta = IncrementalDerived::from_store(store, &delta_cfg)?;
-            let revisions: Vec<(UserId, ReviewId, f64)> = store
-                .ratings()
-                .iter()
-                .filter(|rt| store.reviews()[rt.review.index()].category == cat)
-                .take(8)
-                .flat_map(|rt| {
-                    let nudged = (rt.value + 1e-3).min(1.0);
-                    let other = if nudged == rt.value {
-                        rt.value - 1e-3
-                    } else {
-                        nudged
-                    };
-                    // Alternate away and back so every rep is a real change.
-                    [
-                        (rt.rater, rt.review, other),
-                        (rt.rater, rt.review, rt.value),
-                    ]
-                })
-                .collect();
-            if !revisions.is_empty() {
-                let mut next_delta = revisions.iter().cycle();
-                rows.push((
-                    "delta_refresh_one_rating",
-                    time_best_ms(revisions.len().min(5), || {
-                        let &(rater, review, value) = next_delta.next().expect("cycle");
-                        inc_delta.upsert_rating(rater, review, value).unwrap();
-                        black_box(inc_delta.refresh(cat));
-                    }),
-                ));
-            }
-            rows.push((
-                "incremental_snapshot_1t",
-                time_best_ms(3, || {
-                    black_box(inc.to_derived());
-                }),
-            ));
-            let inc_mt = IncrementalDerived::from_store(store, &par_cfg)?;
-            rows.push((
-                "incremental_snapshot_mt",
-                time_best_ms(3, || {
-                    black_box(inc_mt.to_derived());
-                }),
-            ));
+
+        let (scale, seed) = (Scale::Tiny, DEFAULT_SEED);
+        let wb = scale.workbench(seed);
+        let dir = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
+        let wal_dir = dir.to_str().expect("utf-8 temp dir");
+        // USAGE lists wal-write before wal-recover, which reads its output.
+        for name in names.iter().filter(|n| **n != "all") {
+            let out = run_experiment(name, &wb, scale, seed, wal_dir);
+            assert!(out.is_ok(), "{name} failed: {:?}", out.err());
         }
-    }
-    // Durability: appending the full event history to the binary WAL
-    // (fsync batched every 1024 frames), and crash recovery from a 90%
-    // state snapshot plus log-tail replay — the restart path that
-    // replaces regenerating and re-deriving the community from scratch.
-    {
-        use wot_core::ReplayEvent;
-        use wot_wal::{recover_state, write_state_snapshot, FsyncPolicy, LogKind, WalWriter};
-        let dir = std::env::temp_dir().join(format!("wot-bench-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir)?;
-        let log = wot_synth::shuffled_event_log(store, seed);
-        let wal_path = dir.join("events.wal");
-        rows.push((
-            "wal_append_throughput",
-            time_best_ms(3, || {
-                let mut w =
-                    WalWriter::create(&wal_path, LogKind::Events, FsyncPolicy::EveryN(1024))
-                        .unwrap();
-                for e in &log {
-                    w.append(e).unwrap();
-                }
-                w.sync().unwrap();
-            }),
-        ));
-        let covered = log.len() * 9 / 10;
-        let mut inc = IncrementalDerived::new(store.num_users(), store.num_categories(), &seq_cfg)?;
-        for e in &log[..covered] {
-            inc.apply(&ReplayEvent::from(*e))?;
-        }
-        let snap_path = dir.join("state.snap");
-        write_state_snapshot(&snap_path, covered as u64, &inc.snapshot())?;
-        rows.push((
-            "recover_snapshot_tail",
-            time_best_ms(3, || {
-                black_box(
-                    recover_state(
-                        Some(&snap_path),
-                        &wal_path,
-                        store.num_users(),
-                        store.num_categories(),
-                        &seq_cfg,
-                    )
-                    .unwrap(),
-                );
-            }),
-        ));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-    rows.push((
-        "masked_row_dot_1t",
-        time_best_ms(5, || {
-            black_box(
-                wot_sparse::masked_row_dot_threaded(
-                    &derived.affiliation,
-                    &derived.expertise,
-                    &wb.r,
-                    1,
-                )
-                .unwrap(),
-            );
-        }),
-    ));
-    rows.push((
-        "masked_row_dot_mt",
-        time_best_ms(5, || {
-            black_box(
-                wot_sparse::masked_row_dot_threaded(
-                    &derived.affiliation,
-                    &derived.expertise,
-                    &wb.r,
-                    0,
-                )
-                .unwrap(),
-            );
-        }),
-    ));
-    rows.push((
-        "support_count_1t",
-        time_best_ms(5, || {
-            black_box(
-                trust::support_count_threaded(&derived.affiliation, &derived.expertise, 1).unwrap(),
-            );
-        }),
-    ));
-    rows.push((
-        "support_count_mt",
-        time_best_ms(5, || {
-            black_box(
-                trust::support_count_threaded(&derived.affiliation, &derived.expertise, 0).unwrap(),
-            );
-        }),
-    ));
-    // The full dense T̂ only fits in memory away from paper scale (and is
-    // refused there by the capacity budget); it is now a thin collector
-    // over the TrustBlocks streaming engine.
-    if store.num_users() <= 10_000 {
-        rows.push((
-            "trust_dense_1t",
-            time_best_ms(3, || {
-                black_box(
-                    trust::derive_dense_threaded(&derived.affiliation, &derived.expertise, 1)
-                        .unwrap(),
-                );
-            }),
-        ));
-        rows.push((
-            "trust_dense_mt",
-            time_best_ms(3, || {
-                black_box(
-                    trust::derive_dense_threaded(&derived.affiliation, &derived.expertise, 0)
-                        .unwrap(),
-                );
-            }),
-        ));
-    }
-    // Streaming reducers over the block engine (O(block) memory, any
-    // scale).
-    rows.push((
-        "streaming_fig3_aggregates_1t",
-        time_best_ms(3, || {
-            black_box(streaming::fig3_aggregates(derived, &BlockConfig::sequential()).unwrap());
-        }),
-    ));
-    rows.push((
-        "streaming_fig3_aggregates_mt",
-        time_best_ms(3, || {
-            black_box(streaming::fig3_aggregates(derived, &BlockConfig::default()).unwrap());
-        }),
-    ));
-    rows.push((
-        "top_k_trusted_k10_mt",
-        time_best_ms(3, || {
-            black_box(streaming::top_k_trusted(derived, 10, &BlockConfig::default()).unwrap());
-        }),
-    ));
 
-    let get = |name: &str| {
-        rows.iter()
-            .find(|&&(n, _)| n == name)
-            .map(|&(_, ms)| ms)
-            .expect("row recorded above")
-    };
-    let derive_speedup = get("derive_baseline_hashmap_1t") / get("derive_index_dense_mt");
-
-    // Paper-scale streaming section: the 44k-user workload the dense T̂
-    // cannot serve (≈15.6 GB) but the block engine streams in O(block)
-    // memory. Reuses the workbench when it already is paper scale;
-    // set WOT_BENCH_SKIP_PAPER=1 to skip during quick local iterations.
-    let skip_paper = std::env::var("WOT_BENCH_SKIP_PAPER")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    let paper = if skip_paper {
-        None
-    } else {
-        let mut prows: Vec<(&str, f64)> = Vec::new();
-        // Borrow the workbench's model when it is already paper scale;
-        // otherwise derive a local one (no clone — the numbers below are
-        // the streaming memory story).
-        let generated;
-        let synth_out;
-        let (pstore, pderived): (&wot_community::CommunityStore, &wot_core::Derived) =
-            if store.num_users() >= 40_000 {
-                (store, derived)
-            } else {
-                let t = std::time::Instant::now();
-                synth_out = wot_synth::generate(&Scale::Paper.synth_config(seed))?;
-                prows.push(("synth_generate", t.elapsed().as_secs_f64() * 1e3));
-                let t = std::time::Instant::now();
-                generated = pipeline::derive(&synth_out.store, &DeriveConfig::default())?;
-                prows.push(("derive_index_dense_mt", t.elapsed().as_secs_f64() * 1e3));
-                (&synth_out.store, &generated)
-            };
-        let (pstore_users, pstore_ratings) = (pstore.num_users(), pstore.num_ratings());
-        let cfg = BlockConfig::default();
-        let blocks = pderived.trust_blocks(&cfg)?;
-        let (nblocks, block_rows, block_bytes) = (
-            blocks.num_blocks(),
-            blocks.block_rows(),
-            blocks.max_block_bytes(),
-        );
-        let t = std::time::Instant::now();
-        let agg = streaming::fig3_aggregates(pderived, &cfg)?;
-        prows.push(("streaming_fig3_aggregates", t.elapsed().as_secs_f64() * 1e3));
-        let t = std::time::Instant::now();
-        let top = streaming::top_k_trusted(pderived, 10, &cfg)?;
-        prows.push(("top_k_trusted_k10", t.elapsed().as_secs_f64() * 1e3));
-        assert_eq!(top.len(), pstore_users);
-        // Durability at paper scale: append the full 44k-user history,
-        // snapshot at 90%, then time snapshot+tail recovery — the
-        // crash-restart path whose whole point is being much cheaper
-        // than the synth_generate + derive cold start timed above.
-        {
-            use wot_core::ReplayEvent;
-            use wot_wal::{recover_state, write_state_snapshot, FsyncPolicy, LogKind, WalWriter};
-            let dir = std::env::temp_dir().join(format!("wot-bench-pwal-{}", std::process::id()));
-            std::fs::create_dir_all(&dir)?;
-            let log = wot_community::events::event_log(pstore);
-            let wal_path = dir.join("events.wal");
-            let t = std::time::Instant::now();
-            let mut w = WalWriter::create(&wal_path, LogKind::Events, FsyncPolicy::EveryN(4096))?;
-            for e in &log {
-                w.append(e)?;
-            }
-            w.sync()?;
-            prows.push(("wal_append", t.elapsed().as_secs_f64() * 1e3));
-            let dcfg = DeriveConfig::default();
-            let covered = log.len() * 9 / 10;
-            let mut inc =
-                IncrementalDerived::new(pstore.num_users(), pstore.num_categories(), &dcfg)?;
-            for e in &log[..covered] {
-                inc.apply(&ReplayEvent::from(*e))?;
-            }
-            let snap_path = dir.join("state.snap");
-            let t = std::time::Instant::now();
-            write_state_snapshot(&snap_path, covered as u64, &inc.snapshot())?;
-            prows.push(("snapshot_write", t.elapsed().as_secs_f64() * 1e3));
-            let t = std::time::Instant::now();
-            let (rec, _) = recover_state(
-                Some(&snap_path),
-                &wal_path,
-                pstore.num_users(),
-                pstore.num_categories(),
-                &dcfg,
-            )?;
-            black_box(rec.num_users());
-            prows.push(("recover_snapshot_tail", t.elapsed().as_secs_f64() * 1e3));
-            // Sustained per-event ingest at paper scale through the
-            // delta worklist: durable append + apply + refresh per
-            // event, the serving daemon's write path minus the socket.
-            // (A rate: the row name carries the unit; the laptop-scale
-            // serve_delta_ingest_events_per_sec twin is the one
-            // bench-compare gates.)
-            {
-                let delta_cfg = DeriveConfig::builder().delta_refresh(true).build()?;
-                let mut model = IncrementalDerived::from_snapshot(inc.snapshot(), &delta_cfg)?;
-                // Settle the restored-stale state so the measured loop
-                // runs the per-event worklist, not the recovery sweep.
-                model.refresh_all();
-                let tail = &log[covered..];
-                let take = tail.len().min(2_000);
-                let mut w = WalWriter::create(
-                    &dir.join("ingest.wal"),
-                    LogKind::Events,
-                    FsyncPolicy::EveryN(64),
-                )?;
-                let t = std::time::Instant::now();
-                for e in &tail[..take] {
-                    w.append(e)?;
-                    model.apply(&ReplayEvent::from(*e))?;
-                    model.refresh_all();
-                }
-                w.sync()?;
-                let secs = t.elapsed().as_secs_f64();
-                prows.push((
-                    "delta_sustained_ingest_events_per_sec",
-                    take as f64 / secs.max(1e-9),
-                ));
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        Some((
-            pstore_users,
-            pstore_ratings,
-            nblocks,
-            block_rows,
-            block_bytes,
-            agg,
-            prows,
-        ))
-    };
-
-    let scale_name = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Laptop => "laptop",
-        Scale::Paper => "paper",
-    };
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"pipeline\",\n");
-    json.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"users\": {},\n", store.num_users()));
-    json.push_str(&format!("  \"ratings\": {},\n", store.num_ratings()));
-    json.push_str("  \"timings_ms\": {\n");
-    for (k, (name, ms)) in rows.iter().enumerate() {
-        let comma = if k + 1 < rows.len() { "," } else { "" };
-        json.push_str(&format!("    \"{name}\": {ms:.3}{comma}\n"));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!(
-        "  \"derive_speedup_vs_hashmap_baseline\": {derive_speedup:.2}"
-    ));
-    if let Some((pusers, pratings, nblocks, block_rows, block_bytes, agg, prows)) = &paper {
-        json.push_str(",\n  \"paper_streaming\": {\n");
-        json.push_str(&format!("    \"users\": {pusers},\n"));
-        json.push_str(&format!("    \"ratings\": {pratings},\n"));
-        json.push_str(&format!(
-            "    \"dense_that_bytes\": {},\n",
-            (*pusers as u128) * (*pusers as u128) * 8
-        ));
-        json.push_str(&format!("    \"blocks\": {nblocks},\n"));
-        json.push_str(&format!("    \"block_rows\": {block_rows},\n"));
-        json.push_str(&format!("    \"max_block_bytes\": {block_bytes},\n"));
-        json.push_str(&format!("    \"that_support\": {},\n", agg.support));
-        json.push_str(&format!("    \"that_density\": {:.6},\n", agg.density()));
-        if let Some(rss) = streaming::peak_rss_bytes() {
-            json.push_str(&format!("    \"peak_rss_bytes\": {rss},\n"));
-            json.push_str(&format!(
-                "    \"within_2gb_budget\": {},\n",
-                rss < 2 * 1024 * 1024 * 1024
-            ));
-        }
-        json.push_str("    \"timings_ms\": {\n");
-        for (k, (name, ms)) in prows.iter().enumerate() {
-            let comma = if k + 1 < prows.len() { "," } else { "" };
-            json.push_str(&format!("      \"{name}\": {ms:.3}{comma}\n"));
-        }
-        json.push_str("    }\n  }\n");
-    } else {
-        json.push('\n');
-    }
-    json.push_str("}\n");
-    std::fs::write("BENCH_pipeline.json", &json)?;
-
-    let mut out = String::from("bench-summary — best-of-N wall times (ms)\n");
-    for (name, ms) in &rows {
-        out.push_str(&format!("  {name:<28} {ms:>10.3}\n"));
-    }
-    out.push_str(&format!(
-        "  derive speedup vs HashMap baseline: {derive_speedup:.2}x ({threads} threads)\n"
-    ));
-    if let Some((pusers, _, nblocks, block_rows, block_bytes, agg, prows)) = &paper {
-        out.push_str(&format!(
-            "paper-scale streaming ({pusers} users; dense T-hat would be {:.1} GB; \
-             {nblocks} blocks x {block_rows} rows, peak block {:.1} MiB):\n",
-            (*pusers as f64) * (*pusers as f64) * 8.0 / 1e9,
-            *block_bytes as f64 / (1 << 20) as f64,
-        ));
-        for (name, ms) in prows {
-            out.push_str(&format!("  {name:<28} {ms:>10.3}\n"));
-        }
-        out.push_str(&format!(
-            "  T-hat support {} (density {:.4})\n",
-            agg.support,
-            agg.density()
-        ));
-        if let Some(rss) = streaming::peak_rss_bytes() {
-            out.push_str(&format!(
-                "  peak RSS {:.2} GB — {} the 2 GB streaming budget\n",
-                rss as f64 / 1e9,
-                if rss < 2 * 1024 * 1024 * 1024 {
-                    "within"
-                } else {
-                    "OVER"
-                }
-            ));
+        // Spelled in halves so a tree-wide grep for the retired names
+        // finds no live reference.
+        let retired = ["summary", "compare"]
+            .map(|s| format!("bench-{s}"))
+            .into_iter()
+            .chain(["serve", "cluster"].map(|s| format!("{s}-bench")));
+        for retired in retired {
+            let err = run_experiment(&retired, &wb, scale, seed, wal_dir)
+                .expect_err("retired experiment must not dispatch");
+            assert!(err.to_string().contains(USAGE), "{retired}: {err}");
         }
     }
-    out.push_str("  wrote BENCH_pipeline.json\n");
-    Ok(out)
-}
-
-/// `serve-bench`: boot the trust-serving daemon on the workbench
-/// community (bootstrapped from 90% of the shuffled event history) and
-/// drive mixed traffic against it over real TCP loopback: a pool of
-/// reader clients issuing Eq. 5 point queries (every tenth request a
-/// top-10), while one writer client durably ingests the live 10% tail.
-///
-/// The measured latencies therefore include framing, the socket round
-/// trip, and snapshot publication racing the reads — the serving path a
-/// deployment would see, not an in-process shortcut. Results are merged
-/// into the first `timings_ms` of `BENCH_pipeline.json` (written if
-/// absent), where `bench-compare` tracks them; `serve_ingest_events_per_sec`
-/// is a rate, gated in the opposite direction.
-fn serve_bench(
-    wb: &Workbench,
-    scale: Scale,
-    seed: u64,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use wot_core::{IncrementalDerived, ReplayEvent};
-    use wot_serve::{Client, ServeOptions, Server};
-
-    /// Each reader keeps querying until the writer is done AND it has at
-    /// least this many point-query samples (so p999 has support even
-    /// when the ingest tail is short).
-    const READERS: usize = 4;
-    const MIN_POINT_SAMPLES: usize = 2_000;
-    const INGEST_CAP: usize = 2_000;
-
-    let store = &wb.out.store;
-    let cfg = wot_core::DeriveConfig::default();
-    let log = wot_synth::shuffled_event_log(store, seed);
-    let split = log.len() * 9 / 10;
-    let mut model = IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg)?;
-    for e in &log[..split] {
-        model.apply(&ReplayEvent::from(*e))?;
-    }
-
-    let dir = std::env::temp_dir().join(format!("wot-serve-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    // A connection occupies a worker for its lifetime, so the pool must
-    // cover every concurrent client (readers + the writer) regardless of
-    // how few cores the host has.
-    let opts = ServeOptions::builder(dir.join("serve.wal"))
-        .reader_threads(READERS + 2)
-        .build()?;
-    let handle = Server::start(model, split as u64, &opts)?;
-    let addr = handle.addr();
-    let users = store.num_users() as u64;
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..READERS)
-        .map(|r| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || -> wot_serve::Result<(Vec<u64>, Vec<u64>)> {
-                let mut c = Client::connect(addr)?;
-                let (mut point_ns, mut topk_ns) = (Vec::new(), Vec::new());
-                let mut n = r as u64 * 7919; // offset the walks per reader
-                while !stop.load(Ordering::Relaxed) || point_ns.len() < MIN_POINT_SAMPLES {
-                    let i = (n.wrapping_mul(31).wrapping_add(7) % users) as u32;
-                    let j = (n.wrapping_mul(17).wrapping_add(3) % users) as u32;
-                    let t = std::time::Instant::now();
-                    if n % 10 == 9 {
-                        c.top_k(i, 10)?;
-                        topk_ns.push(t.elapsed().as_nanos() as u64);
-                    } else {
-                        c.trust(i, j)?;
-                        point_ns.push(t.elapsed().as_nanos() as u64);
-                    }
-                    n += 1;
-                }
-                Ok((point_ns, topk_ns))
-            })
-        })
-        .collect();
-
-    // The writer: durable ingest of the live tail, one ack per event
-    // (each ack arrives only after WAL append + apply + publication).
-    let suffix = &log[split..];
-    let ingested = suffix.len().min(INGEST_CAP);
-    let mut w = Client::connect(addr)?;
-    let t = std::time::Instant::now();
-    for e in &suffix[..ingested] {
-        w.ingest(*e)?;
-    }
-    let ingest_secs = t.elapsed().as_secs_f64();
-    let events_per_sec = ingested as f64 / ingest_secs.max(1e-9);
-
-    stop.store(true, Ordering::Relaxed);
-    let (mut point_ns, mut topk_ns) = (Vec::new(), Vec::new());
-    for h in readers {
-        let (p, k) = h.join().expect("reader thread panicked")?;
-        point_ns.extend(p);
-        topk_ns.extend(k);
-    }
-    let stats = w.stats()?;
-    handle.shutdown()?;
-
-    // Sustained delta-mode ingest: the same live tail through a
-    // delta-publish server (per-event worklist refresh instead of a cold
-    // category re-solve per publish). One writer, acked per event — the
-    // rate the daemon sustains while staying read-your-writes.
-    let delta_events_per_sec = {
-        let delta_cfg = wot_core::DeriveConfig::builder()
-            .delta_refresh(true)
-            .build()?;
-        let mut model =
-            IncrementalDerived::new(store.num_users(), store.num_categories(), &delta_cfg)?;
-        for e in &log[..split] {
-            model.apply(&ReplayEvent::from(*e))?;
-        }
-        let opts = ServeOptions::builder(dir.join("serve-delta.wal"))
-            .reader_threads(1)
-            .delta_publish(true)
-            .build()?;
-        let handle = Server::start(model, split as u64, &opts)?;
-        let mut w = Client::connect(handle.addr())?;
-        let t = std::time::Instant::now();
-        for e in &suffix[..ingested] {
-            w.ingest(*e)?;
-        }
-        let secs = t.elapsed().as_secs_f64();
-        drop(w);
-        handle.shutdown()?;
-        ingested as f64 / secs.max(1e-9)
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-
-    point_ns.sort_unstable();
-    topk_ns.sort_unstable();
-    let pct_ms = |v: &[u64], q: f64| {
-        let idx = ((v.len() as f64 * q) as usize).min(v.len().saturating_sub(1));
-        v[idx] as f64 / 1e6
-    };
-    let rows: Vec<(&str, f64)> = vec![
-        ("serve_point_query_p50", pct_ms(&point_ns, 0.50)),
-        ("serve_point_query_p99", pct_ms(&point_ns, 0.99)),
-        ("serve_point_query_p999", pct_ms(&point_ns, 0.999)),
-        ("serve_topk_p99", pct_ms(&topk_ns, 0.99)),
-        ("serve_ingest_events_per_sec", events_per_sec),
-        ("serve_delta_ingest_events_per_sec", delta_events_per_sec),
-    ];
-
-    let scale_name = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Laptop => "laptop",
-        Scale::Paper => "paper",
-    };
-    merge_into_bench_json("BENCH_pipeline.json", scale_name, &rows)?;
-
-    let p99 = pct_ms(&point_ns, 0.99);
-    let mut out = format!(
-        "serve-bench — {READERS} readers + 1 writer over TCP loopback \
-         ({} users, {} point / {} top-k queries, {ingested} events ingested, \
-         {} hardware threads)\n",
-        users,
-        point_ns.len(),
-        topk_ns.len(),
-        wot_par::max_threads(),
-    );
-    for (name, v) in &rows {
-        let unit = if name.ends_with("_per_sec") {
-            "ev/s"
-        } else {
-            "ms"
-        };
-        out.push_str(&format!("  {name:<28} {v:>10.3} {unit}\n"));
-    }
-    out.push_str(&format!(
-        "  point-query p99 {} the 1 ms serving budget; server published {} snapshots\n",
-        if p99 < 1.0 { "within" } else { "OVER" },
-        stats.publishes,
-    ));
-    if p99 >= 1.0 && wot_par::max_threads() < 2 {
-        out.push_str(
-            "  (single hardware thread: readers time-share the core with \
-             per-publish derive work,\n   so the tail here is scheduler \
-             granularity, not the serving path)\n",
-        );
-    }
-    out.push_str("  merged serve_* rows into BENCH_pipeline.json\n");
-    Ok(out)
-}
-
-/// `cluster-bench`: launch the multi-process shard cluster — three
-/// `wot-shardd` worker subprocesses behind the scatter-gather
-/// `Coordinator` — and measure the costs the process split adds on top
-/// of the flat daemon: the per-event ingest ack (category routing, the
-/// owning worker's durable WAL append, and the coordinator's
-/// exact-count bookkeeping), reported per worker; the pipelined batch
-/// path (consecutive same-worker runs in flight concurrently, one
-/// group fsync per burst); and scatter-gather query latency (point
-/// queries against the assembled snapshot, table queries scattered to
-/// the owning worker). Rows merge into `BENCH_pipeline.json` where
-/// `bench-compare` tracks them.
-fn cluster_bench(
-    wb: &Workbench,
-    scale: Scale,
-    seed: u64,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use wot_community::StoreEvent;
-    use wot_serve::{Coordinator, CoordinatorOptions, TrustQuery};
-
-    const WORKERS: usize = 3;
-    /// Untimed warm-up prefix: enough history that the per-category
-    /// models and the coordinator snapshot carry realistic state without
-    /// paying a per-event ack for the whole 90% bootstrap.
-    const BOOT_CAP: usize = 6_000;
-    /// Timed one-event-per-call tail (each ack includes the worker's
-    /// fsync'd append; solves are deferred to the query refresh).
-    const INGEST_CAP: usize = 1_000;
-    /// Timed pipelined tail: 256-event batches through `ingest_batch`,
-    /// same-worker runs coalesced into single frames.
-    const PIPE_CAP: usize = 2_000;
-    const POINT_QUERIES: usize = 2_000;
-    const SCATTER_QUERIES: usize = 400;
-
-    let store = &wb.out.store;
-    let log = wot_synth::shuffled_event_log(store, seed);
-    let boot = log
-        .len()
-        .saturating_sub(INGEST_CAP + PIPE_CAP)
-        .min(BOOT_CAP);
-    let ingested = (log.len() - boot).min(INGEST_CAP);
-    let piped = (log.len() - boot - ingested).min(PIPE_CAP);
-
-    // Category of each event, for per-worker attribution (ratings
-    // resolve through the review they rate; reviews precede ratings in
-    // any causal log).
-    let mut cat_of_review: Vec<u32> = Vec::new();
-    let category_of: Vec<u32> = log
-        .iter()
-        .map(|e| match *e {
-            StoreEvent::Review { category, .. } => {
-                cat_of_review.push(category.0);
-                category.0
-            }
-            StoreEvent::Rating { review, .. } => cat_of_review[review.index()],
-        })
-        .collect();
-
-    let dir = std::env::temp_dir().join(format!("wot-cluster-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let mut coord = Coordinator::start(CoordinatorOptions::new(
-        &dir,
-        WORKERS,
-        store.num_users(),
-        store.num_categories(),
-    ))?;
-
-    for chunk in log[..boot].chunks(512) {
-        coord.ingest_batch(chunk)?;
-    }
-
-    // Timed tail: one durable ack per event, attributed to the worker
-    // that owned the event's category at that sequence point.
-    let mut per_worker_secs = [0.0f64; WORKERS];
-    let mut per_worker_events = [0usize; WORKERS];
-    let t_all = std::time::Instant::now();
-    for (off, e) in log[boot..boot + ingested].iter().enumerate() {
-        let w = coord.owner_of(category_of[boot + off])?;
-        let t = std::time::Instant::now();
-        coord.ingest(*e)?;
-        per_worker_secs[w] += t.elapsed().as_secs_f64();
-        per_worker_events[w] += 1;
-    }
-    let ingest_secs = t_all.elapsed().as_secs_f64();
-    let events_per_sec = ingested as f64 / ingest_secs.max(1e-9);
-    // Mean of the per-worker single-request throughputs (a worker's rate
-    // is 1 / its mean ack latency; the coordinator drives one request at
-    // a time, so this is throughput per worker, not a share of the total).
-    let worker_rates: Vec<f64> = (0..WORKERS)
-        .filter(|&w| per_worker_events[w] > 0)
-        .map(|w| per_worker_events[w] as f64 / per_worker_secs[w].max(1e-9))
-        .collect();
-    let worker_events_per_sec = worker_rates.iter().sum::<f64>() / worker_rates.len().max(1) as f64;
-
-    // Pipelined tail: 256-event batches. Consecutive same-worker runs
-    // coalesce into single frames, routed runs to different workers are
-    // concurrently in flight, and each worker pays one group fsync per
-    // burst — the wall clock amortises both the round trips and the
-    // syncs that the one-event-per-call phase pays per event.
-    let t_pipe = std::time::Instant::now();
-    for chunk in log[boot + ingested..boot + ingested + piped].chunks(256) {
-        coord.ingest_batch(chunk)?;
-    }
-    let pipe_secs = t_pipe.elapsed().as_secs_f64();
-    let pipelined_events_per_sec = piped as f64 / pipe_secs.max(1e-9);
-
-    // Scatter-gather reads: both shapes round-trip to the owning worker
-    // over its pipe — a point lookup (one rater's reputation, a few
-    // bytes back) and a full table fetch (the category's whole rater and
-    // writer tables). The first query after ingest pays the snapshot
-    // assembly refresh; warm it out of the measured distributions.
-    let users = store.num_users() as u64;
-    let cats = store.num_categories();
-    let _ = coord.trust(0, 1 % users as u32)?;
-    let mut point_ns = Vec::with_capacity(POINT_QUERIES);
-    for q in 0..POINT_QUERIES {
-        let cat = (q % cats) as u32;
-        let user = ((q as u64).wrapping_mul(31).wrapping_add(7) % users) as u32;
-        let t = std::time::Instant::now();
-        coord.rater_reputation(cat, user)?;
-        point_ns.push(t.elapsed().as_nanos() as u64);
-    }
-    let mut scatter_ns = Vec::with_capacity(SCATTER_QUERIES);
-    for q in 0..SCATTER_QUERIES {
-        let cat = (q % cats) as u32;
-        let t = std::time::Instant::now();
-        coord.category_tables(cat)?;
-        scatter_ns.push(t.elapsed().as_nanos() as u64);
-    }
-    let publishes = coord.stats()?.0.publishes;
-    coord.shutdown()?;
-    let _ = std::fs::remove_dir_all(&dir);
-
-    point_ns.sort_unstable();
-    scatter_ns.sort_unstable();
-    let pct_ms = |v: &[u64], q: f64| {
-        let idx = ((v.len() as f64 * q) as usize).min(v.len().saturating_sub(1));
-        v[idx] as f64 / 1e6
-    };
-    let rows: Vec<(&str, f64)> = vec![
-        ("cluster_scatter_point_p50", pct_ms(&point_ns, 0.50)),
-        ("cluster_scatter_tables_p99", pct_ms(&scatter_ns, 0.99)),
-        ("cluster_ingest_events_per_sec", events_per_sec),
-        (
-            "cluster_worker_ingest_events_per_sec",
-            worker_events_per_sec,
-        ),
-        (
-            "cluster_pipelined_ingest_events_per_sec",
-            pipelined_events_per_sec,
-        ),
-    ];
-    let scale_name = match scale {
-        Scale::Tiny => "tiny",
-        Scale::Laptop => "laptop",
-        Scale::Paper => "paper",
-    };
-    merge_into_bench_json("BENCH_pipeline.json", scale_name, &rows)?;
-
-    let mut out = format!(
-        "cluster-bench — {WORKERS} wot-shardd workers behind the coordinator \
-         ({users} users, {boot} bootstrap + {ingested} timed + {piped} pipelined events, \
-         {POINT_QUERIES} point / {SCATTER_QUERIES} table queries)\n",
-    );
-    for (name, v) in &rows {
-        let unit = if name.ends_with("_per_sec") {
-            "ev/s"
-        } else {
-            "ms"
-        };
-        out.push_str(&format!("  {name:<36} {v:>10.3} {unit}\n"));
-    }
-    for w in 0..WORKERS {
-        out.push_str(&format!(
-            "  worker {w}: {} events in {:.2}s\n",
-            per_worker_events[w], per_worker_secs[w]
-        ));
-    }
-    out.push_str(&format!(
-        "  coordinator published {publishes} snapshot refreshes; merged cluster_* rows into BENCH_pipeline.json\n"
-    ));
-    Ok(out)
-}
-
-/// Upserts `rows` into the first `timings_ms` object of the bench
-/// summary at `path`, preserving everything else byte-for-byte. When the
-/// file does not exist yet (serve-bench run on its own), a minimal
-/// summary with the right `scale` is created so `bench-compare` can
-/// still parse it.
-fn merge_into_bench_json(
-    path: &str,
-    scale_name: &str,
-    rows: &[(&str, f64)],
-) -> Result<(), Box<dyn std::error::Error>> {
-    let json = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => format!(
-            "{{\n  \"bench\": \"pipeline\",\n  \"scale\": \"{scale_name}\",\n  \
-             \"timings_ms\": {{\n    \"serve_placeholder\": 0.0\n  }}\n}}\n"
-        ),
-        Err(e) => return Err(e.into()),
-    };
-    // Refuse to mix scales inside one summary: rows taken at different
-    // presets are not comparable, and bench-compare's cross-file scale
-    // check cannot see an intra-file mix.
-    if let Some(existing) = wot_bench::compare::parse_scale(&json) {
-        if existing != scale_name {
-            return Err(format!(
-                "{path} holds a {existing:?}-scale summary but serve-bench ran at \
-                 {scale_name:?} — re-run `bench-summary serve-bench` at one scale \
-                 (or delete {path})"
-            )
-            .into());
-        }
-    }
-    let start = json
-        .find("\"timings_ms\"")
-        .ok_or("no timings_ms section in BENCH_pipeline.json")?;
-    let open = start + json[start..].find('{').ok_or("no '{' after timings_ms")?;
-    let close = open + json[open..].find('}').ok_or("unterminated timings_ms")?;
-    let mut entries: Vec<(String, f64)> = wot_bench::compare::parse_timings_ms(&json)?
-        .into_iter()
-        .filter(|(n, _)| n != "serve_placeholder")
-        .collect();
-    for &(name, v) in rows {
-        match entries.iter_mut().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = v,
-            None => entries.push((name.to_string(), v)),
-        }
-    }
-    let mut body = String::from("\n");
-    for (k, (name, v)) in entries.iter().enumerate() {
-        let comma = if k + 1 < entries.len() { "," } else { "" };
-        body.push_str(&format!("    \"{name}\": {v:.3}{comma}\n"));
-    }
-    body.push_str("  ");
-    let merged = format!("{}{}{}", &json[..open + 1], body, &json[close..]);
-    std::fs::write(path, merged)?;
-    Ok(())
 }

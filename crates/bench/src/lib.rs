@@ -1,19 +1,17 @@
 //! # wot-bench — benchmark harness and the `repro` binary
 //!
 //! `cargo run --release -p wot-bench --bin repro -- <experiment>`
-//! regenerates every table and figure of the paper (see DESIGN.md §4);
+//! regenerates every table and figure of the paper (see docs/ARCHITECTURE.md §9);
 //! `cargo bench -p wot-bench` times each experiment and the substrate hot
 //! paths with Criterion.
 //!
-//! This library half hosts the setup shared by both — preset parsing
-//! and memoized workbench construction — plus the [`compare`] module
-//! behind `repro bench-compare`, the regression gate CI's `bench-guard`
-//! job enforces against the committed `BENCH_baseline.json`.
+//! This library half hosts the setup shared by both: preset parsing and
+//! workbench construction. Neither half is a performance gate — the
+//! system's end-to-end cost is measured by `benchmark/` (see
+//! `benchmark/README.md`), declared in the root `BENCHMARK.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod compare;
 
 use wot_core::DeriveConfig;
 use wot_eval::Workbench;

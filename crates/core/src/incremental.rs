@@ -707,6 +707,31 @@ pub struct DerivedCache {
     per_category: Vec<Arc<CategoryReputation>>,
 }
 
+impl DerivedCache {
+    /// Resets a cache whose shape doesn't match the model to
+    /// `num_categories` never-solved slots.
+    fn fit(&mut self, num_categories: usize) {
+        if self.versions.len() == num_categories {
+            return;
+        }
+        self.versions = vec![u64::MAX; num_categories];
+        self.per_category.clear();
+        // Placeholders only: every slot starts at version u64::MAX,
+        // which no data version reaches, so each is overwritten by a
+        // real solve before it can be read.
+        self.per_category.resize_with(num_categories, || {
+            Arc::new(CategoryReputation {
+                category: CategoryId(0),
+                rater_reputation: Vec::new(),
+                writer_reputation: Vec::new(),
+                review_quality: Vec::new(),
+                iterations: 0,
+                converged: false,
+            })
+        });
+    }
+}
+
 /// Online derived model: append events, refresh stale categories, read
 /// trust — all on the batch pipeline's index-dense layout. See the module
 /// docs for the conformance contract.
@@ -1367,26 +1392,9 @@ impl IncrementalDerived {
     /// This does not consult or disturb the warm online state; it is a
     /// read-only O(total ratings) pass.
     pub fn to_derived(&self) -> Derived {
-        let cfg = &self.cfg;
-        let categories = &self.categories;
-        let solved = wot_par::par_map_indexed(categories.len(), cfg.effective_threads(), |c| {
-            categories[c].solve_cold(cfg)
-        });
-        let per_category: Vec<Arc<CategoryReputation>> = categories
-            .iter()
-            .zip(&solved)
-            .enumerate()
-            .map(|(c, (state, out))| Arc::new(state.category_reputation(c, out, cfg)))
-            .collect();
-        let writer_pairs: Vec<&[(UserId, f64)]> = per_category
-            .iter()
-            .map(|cr| cr.writer_reputation.as_slice())
-            .collect();
-        Derived {
-            expertise: expertise::expertise_matrix_from_pairs(self.num_users, &writer_pairs),
-            affiliation: self.affiliation(),
-            per_category,
-        }
+        // A fresh cache marks every category dirty: the cold path is the
+        // cached path with nothing to reuse.
+        self.to_derived_cached(&mut DerivedCache::default())
     }
 
     /// Like [`to_derived`](Self::to_derived), but re-solves **only the
@@ -1409,23 +1417,7 @@ impl IncrementalDerived {
     pub fn to_derived_cached(&self, cache: &mut DerivedCache) -> Derived {
         let cfg = &self.cfg;
         let categories = &self.categories;
-        if cache.versions.len() != categories.len() {
-            cache.versions = vec![u64::MAX; categories.len()];
-            cache.per_category.clear();
-            // Placeholders only: every slot starts at version u64::MAX,
-            // which no data version reaches, so each is overwritten by a
-            // real solve before it can be read.
-            cache.per_category.resize_with(categories.len(), || {
-                Arc::new(CategoryReputation {
-                    category: CategoryId(0),
-                    rater_reputation: Vec::new(),
-                    writer_reputation: Vec::new(),
-                    review_quality: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                })
-            });
-        }
+        cache.fit(categories.len());
         let dirty: Vec<usize> = categories
             .iter()
             .enumerate()
@@ -1464,20 +1456,7 @@ impl IncrementalDerived {
     pub fn refresh_and_derive_warm(&mut self, cache: &mut DerivedCache) -> Derived {
         self.refresh_all();
         let categories = &self.categories;
-        if cache.versions.len() != categories.len() {
-            cache.versions = vec![u64::MAX; categories.len()];
-            cache.per_category.clear();
-            cache.per_category.resize_with(categories.len(), || {
-                Arc::new(CategoryReputation {
-                    category: CategoryId(0),
-                    rater_reputation: Vec::new(),
-                    writer_reputation: Vec::new(),
-                    review_quality: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                })
-            });
-        }
+        cache.fit(categories.len());
         for (c, state) in categories.iter().enumerate() {
             if cache.versions[c] == state.data_version {
                 continue;

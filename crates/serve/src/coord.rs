@@ -528,8 +528,8 @@ impl Coordinator {
     }
 
     /// Synchronous request/reply against one worker (handshakes,
-    /// scatter queries, rebalance legs — everything except the
-    /// pipelined ingest rounds).
+    /// rebalance legs — everything except the pipelined ingest rounds
+    /// and the States gather).
     fn call(&mut self, w: usize, req: &ShardRequest) -> Result<ShardReply> {
         self.send(w, req)?;
         self.recv_reply(w)
@@ -1234,27 +1234,16 @@ impl TrustQuery for Coordinator {
     }
 
     fn rater_reputation(&mut self, category: u32, user: u32) -> Result<(Option<f64>, u64)> {
-        // Category-scoped: scatter to the owning worker.
-        let w = self.owner_of(category)?;
-        match self.call(w, &ShardRequest::RaterRep { category, user })? {
-            ShardReply::RaterRep(rep) => Ok((rep, self.seq)),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected reply to RaterRep: {other:?}"
-            ))),
-        }
+        self.refresh_snapshot()?;
+        TrustQuery::rater_reputation(&mut self.snapshot, category, user)
     }
 
     fn category_tables(
         &mut self,
         category: u32,
     ) -> Result<(ReputationTable, ReputationTable, u64)> {
-        let w = self.owner_of(category)?;
-        match self.call(w, &ShardRequest::Tables { category })? {
-            ShardReply::Tables(raters, writers) => Ok((raters, writers, self.seq)),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected reply to Tables: {other:?}"
-            ))),
-        }
+        self.refresh_snapshot()?;
+        TrustQuery::category_tables(&mut self.snapshot, category)
     }
 
     fn fig3_aggregates(&mut self) -> Result<(AggregateSummary, u64)> {

@@ -19,6 +19,10 @@
 //!   [`sync_if_due`](wot_wal::WalWriter::sync_if_due) so a quiet tail
 //!   still becomes durable within the fsync policy's window; shutdown
 //!   ends with an unconditional [`sync`](wot_wal::WalWriter::sync).
+//!   A WAL error is **fail-stop** for ingest, like the shard worker's
+//!   fatal group sync: the failing ingest and every later one answer
+//!   `Internal` without touching log or model, and readers keep serving
+//!   the last published snapshot until the operator restarts from the log.
 //!
 //! There is no separate "refresh stale categories" step in the hot loop:
 //! `to_derived_cached` *is* that refresh — it cold-solves exactly the
@@ -377,6 +381,13 @@ fn writer_loop(
     shared: &Shared,
 ) {
     let mut seq = base_seq;
+    // Fail-stop latch: the first WAL error. After a failed append or sync
+    // the log may hold bytes the model never applied (a torn frame, or a
+    // whole frame whose policy sync failed), so anything appended behind
+    // them would replay as a history no client was acked. From then on
+    // every ingest is refused without touching log or model; reads keep
+    // being served from the last published snapshot.
+    let mut wal_failed: Option<String> = None;
     loop {
         let first = match rx.recv_timeout(WRITER_TICK) {
             Ok(cmd) => Some(cmd),
@@ -386,7 +397,9 @@ fn writer_loop(
         let Some(first) = first else {
             // Idle tick: make a quiet WAL tail durable within the fsync
             // policy's own window (the idle-flush path).
-            let _ = wal.sync_if_due();
+            if wal_failed.is_none() {
+                wal_failed = wal.sync_if_due().err().map(|e| e.to_string());
+            }
             if shared.shutting_down() {
                 break;
             }
@@ -412,6 +425,11 @@ fn writer_loop(
                 )));
                 continue;
             }
+            if let Some(cause) = &wal_failed {
+                let msg = format!("ingest stopped after a WAL failure: {cause}");
+                let _ = reply.send(Err((ErrorCode::Internal, msg)));
+                continue;
+            }
             // Durability ordering: read-only admission first, so nothing
             // that would fail `apply` ever reaches the log; then the
             // durable append; only then the in-memory fold.
@@ -420,7 +438,9 @@ fn writer_loop(
                 continue;
             }
             if let Err(e) = wal.append(&event) {
-                let _ = reply.send(Err((ErrorCode::Internal, e.to_string())));
+                let cause = e.to_string();
+                let _ = reply.send(Err((ErrorCode::Internal, cause.clone())));
+                wal_failed = Some(cause);
                 continue;
             }
             model
@@ -706,4 +726,74 @@ fn handle_request(
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use wot_community::{CategoryId, ReviewId, UserId};
+    use wot_core::DeriveConfig;
+
+    use super::*;
+    use crate::protocol::Response;
+
+    fn ask(
+        req: &Request,
+        shared: &Shared,
+        tx: &Sender<WriteCmd>,
+        reader: &mut ReaderCache,
+    ) -> Response {
+        let (mut body, mut out) = (Vec::new(), Vec::new());
+        protocol::encode_request(&mut body, req);
+        handle_request(&body, shared, tx, reader, &mut out);
+        protocol::decode_response(&out).expect("server frames decode")
+    }
+
+    /// A WAL that refuses every append (it is a tagged log, the writer
+    /// appends untagged events) must stop ingest for good: the second
+    /// refusal comes from the latch, not from another attempt on the log.
+    #[test]
+    fn wal_error_fail_stops_ingest_and_keeps_reads_serving() {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-failstop-{}.wal", std::process::id()));
+        let wal = WalWriter::create(&path, LogKind::TaggedEvents, FsyncPolicy::Always).unwrap();
+        let header_len = wal.len();
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let mut cache = DerivedCache::default();
+        let first = ServeSnapshot::new(7, model.to_derived_cached(&mut cache));
+        let shared = Shared {
+            cell: SnapshotCell::new(Arc::new(first)),
+            shutdown: AtomicBool::new(false),
+            wal_len: AtomicU64::new(header_len),
+            pending: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            reader_threads: 1,
+        };
+        let (tx, rx) = mpsc::channel();
+        let ingest = Request::Ingest(StoreEvent::Review {
+            writer: UserId(0),
+            review: ReviewId(0),
+            category: CategoryId(0),
+        });
+
+        std::thread::scope(|s| {
+            s.spawn(|| writer_loop(model, cache, wal, 7, false, rx, &shared));
+            let mut reader = ReaderCache::new(&shared.cell);
+
+            let refused = ask(&ingest, &shared, &tx, &mut reader).body.unwrap_err();
+            assert_eq!(refused.code, ErrorCode::Internal);
+            assert!(!refused.message.contains("ingest stopped"), "{refused:?}");
+
+            let latched = ask(&ingest, &shared, &tx, &mut reader).body.unwrap_err();
+            assert_eq!(latched.code, ErrorCode::Internal);
+            assert!(latched.message.contains("ingest stopped"), "{latched:?}");
+            assert!(latched.message.contains(&refused.message), "{latched:?}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len);
+            assert_eq!(shared.cell.load().seq, 7);
+
+            let trust = ask(&Request::Trust { i: 0, j: 1 }, &shared, &tx, &mut reader);
+            assert_eq!((trust.seq, trust.body), (7, Ok(OkBody::Trust(0.0))));
+            drop(tx);
+        });
+        let _ = std::fs::remove_file(&path);
+    }
 }

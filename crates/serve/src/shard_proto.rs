@@ -24,9 +24,7 @@
 
 use wot_community::StoreEvent;
 
-use crate::protocol::{
-    put_f64, put_pairs, put_u32, put_u64, read_pairs, Cursor, ErrorCode, WireError,
-};
+use crate::protocol::{put_pairs, put_u32, put_u64, read_pairs, Cursor, ErrorCode, WireError};
 
 /// Upper bound on a coordinator→worker frame body. Adoption frames carry
 /// a whole category's event history, so this matches the response cap of
@@ -48,10 +46,8 @@ pub enum ShardOpcode {
     /// A batch of sequence-tagged events to make durable and apply,
     /// acknowledged with one durability horizon.
     Ingest = 1,
-    /// Point lookup: one rater's reputation in one owned category.
-    RaterRep = 2,
-    /// Full rater/writer tables of one owned category.
-    Tables = 3,
+    // 2 and 3 are retired (per-category reads; the coordinator answers
+    // them from its own snapshot) and decode as unknown opcodes.
     /// States of every owned category (boot, restart, reconciliation).
     FullState = 4,
     /// Stop owning a category; reply with its tagged event sub-log.
@@ -74,8 +70,6 @@ impl ShardOpcode {
         Some(match b {
             0 => ShardOpcode::Hello,
             1 => ShardOpcode::Ingest,
-            2 => ShardOpcode::RaterRep,
-            3 => ShardOpcode::Tables,
             4 => ShardOpcode::FullState,
             5 => ShardOpcode::DropCategory,
             6 => ShardOpcode::AdoptCategory,
@@ -112,18 +106,6 @@ pub enum ShardRequest {
     Ingest {
         /// The events, each with its 0-based global history position.
         events: Vec<(u64, StoreEvent)>,
-    },
-    /// Point rater lookup.
-    RaterRep {
-        /// The (owned) category.
-        category: u32,
-        /// The rater.
-        user: u32,
-    },
-    /// Full tables of one owned category.
-    Tables {
-        /// The (owned) category.
-        category: u32,
     },
     /// All owned categories' states.
     FullState,
@@ -172,8 +154,6 @@ impl ShardRequest {
         match self {
             ShardRequest::Hello { .. } => ShardOpcode::Hello,
             ShardRequest::Ingest { .. } => ShardOpcode::Ingest,
-            ShardRequest::RaterRep { .. } => ShardOpcode::RaterRep,
-            ShardRequest::Tables { .. } => ShardOpcode::Tables,
             ShardRequest::FullState => ShardOpcode::FullState,
             ShardRequest::DropCategory { .. } => ShardOpcode::DropCategory,
             ShardRequest::AdoptCategory { .. } => ShardOpcode::AdoptCategory,
@@ -235,10 +215,6 @@ pub enum ShardReply {
     },
     /// Reply to adoption: the solved state of the adopted category.
     State(CategoryStateWire),
-    /// Reply to [`ShardRequest::RaterRep`].
-    RaterRep(Option<f64>),
-    /// Reply to [`ShardRequest::Tables`]: `(raters, writers)`.
-    Tables(Vec<(u32, f64)>, Vec<(u32, f64)>),
     /// Reply to [`ShardRequest::FullState`]: one state per owned
     /// category, ascending by category id.
     FullState(Vec<CategoryStateWire>),
@@ -314,11 +290,7 @@ pub fn encode_shard_request(out: &mut Vec<u8>, req: &ShardRequest) {
         ShardRequest::Ingest { ref events } => {
             put_tagged_events(out, events);
         }
-        ShardRequest::RaterRep { category, user } => {
-            put_u32(out, category);
-            put_u32(out, user);
-        }
-        ShardRequest::Tables { category } | ShardRequest::DropCategory { category } => {
+        ShardRequest::DropCategory { category } => {
             put_u32(out, category);
         }
         ShardRequest::FullState | ShardRequest::Shutdown => {}
@@ -366,13 +338,6 @@ pub fn decode_shard_request(body: &[u8]) -> Result<ShardRequest, String> {
         }
         ShardOpcode::Ingest => ShardRequest::Ingest {
             events: read_tagged_events(&mut c, "ingest batch")?,
-        },
-        ShardOpcode::RaterRep => ShardRequest::RaterRep {
-            category: c.u32("category")?,
-            user: c.u32("user")?,
-        },
-        ShardOpcode::Tables => ShardRequest::Tables {
-            category: c.u32("category")?,
         },
         ShardOpcode::FullState => ShardRequest::FullState,
         ShardOpcode::DropCategory => ShardRequest::DropCategory {
@@ -445,21 +410,6 @@ pub fn encode_shard_ok(out: &mut Vec<u8>, reply: &ShardReply) {
             out.push(ShardOpcode::AdoptCategory as u8);
             put_state(out, s);
         }
-        ShardReply::RaterRep(rep) => {
-            out.push(ShardOpcode::RaterRep as u8);
-            match rep {
-                Some(v) => {
-                    out.push(1);
-                    put_f64(out, v);
-                }
-                None => out.push(0),
-            }
-        }
-        ShardReply::Tables(ref raters, ref writers) => {
-            out.push(ShardOpcode::Tables as u8);
-            put_pairs(out, raters);
-            put_pairs(out, writers);
-        }
         ShardReply::FullState(ref states) => {
             out.push(ShardOpcode::FullState as u8);
             put_u32(out, states.len() as u32);
@@ -519,18 +469,6 @@ pub fn decode_shard_reply(body: &[u8]) -> Result<Result<ShardReply, WireError>, 
             max_tag: c.u64("max_tag")?,
         },
         ShardOpcode::AdoptCategory => ShardReply::State(read_state(&mut c, "category state")?),
-        ShardOpcode::RaterRep => {
-            let present = c.u8("rater presence")?;
-            ShardReply::RaterRep(match present {
-                0 => None,
-                _ => Some(c.f64("rater reputation")?),
-            })
-        }
-        ShardOpcode::Tables => {
-            let raters = read_pairs(&mut c, "rater table")?;
-            let writers = read_pairs(&mut c, "writer table")?;
-            ShardReply::Tables(raters, writers)
-        }
         ShardOpcode::FullState | ShardOpcode::States => {
             // A state is at least category + three empty tables +
             // iterations + converged.
@@ -598,11 +536,6 @@ mod tests {
             ShardRequest::Ingest {
                 events: sample_events(),
             },
-            ShardRequest::RaterRep {
-                category: 1,
-                user: 4,
-            },
-            ShardRequest::Tables { category: 2 },
             ShardRequest::FullState,
             ShardRequest::DropCategory { category: 0 },
             ShardRequest::AdoptCategory {
@@ -640,9 +573,6 @@ mod tests {
             }),
             ShardReply::Ingested { max_tag: 42 },
             ShardReply::State(state.clone()),
-            ShardReply::RaterRep(Some(0.625)),
-            ShardReply::RaterRep(None),
-            ShardReply::Tables(vec![(1, 0.5)], vec![]),
             ShardReply::FullState(vec![state]),
             ShardReply::SubLog(sample_events()),
             ShardReply::Bye,
@@ -671,17 +601,13 @@ mod tests {
 
     #[test]
     fn malformed_bodies_are_typed_errors() {
-        // Unknown opcode.
-        assert!(decode_shard_request(&[0x66]).is_err());
+        // Unknown opcode — including the two retired read opcodes.
+        for code in [0x66, 2, 3] {
+            assert!(decode_shard_request(&[code]).is_err());
+        }
         // Truncated operands.
         let mut buf = Vec::new();
-        encode_shard_request(
-            &mut buf,
-            &ShardRequest::RaterRep {
-                category: 1,
-                user: 2,
-            },
-        );
+        encode_shard_request(&mut buf, &ShardRequest::DropCategory { category: 1 });
         assert!(decode_shard_request(&buf[..buf.len() - 1]).is_err());
         // Trailing garbage.
         buf.push(0xFF);

@@ -442,28 +442,6 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
             match other {
                 ShardRequest::Ingest { events } => ingest(worker, events),
                 ShardRequest::Truncate { cut } => truncate(worker, cut),
-                ShardRequest::RaterRep { category, user } => {
-                    require_owned(shard, category)?;
-                    let derived = shard.model.to_derived_cached(&mut shard.cache);
-                    let table = &derived.per_category[category as usize].rater_reputation;
-                    let rep = table
-                        .binary_search_by_key(&user, |&(u, _)| u.0)
-                        .ok()
-                        .map(|i| table[i].1);
-                    Ok(ShardReply::RaterRep(rep))
-                }
-                ShardRequest::Tables { category } => {
-                    require_owned(shard, category)?;
-                    let derived = shard.model.to_derived_cached(&mut shard.cache);
-                    let cr = &derived.per_category[category as usize];
-                    Ok(ShardReply::Tables(
-                        cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect(),
-                        cr.writer_reputation
-                            .iter()
-                            .map(|&(u, v)| (u.0, v))
-                            .collect(),
-                    ))
-                }
                 ShardRequest::States { categories } => {
                     for &c in &categories {
                         require_owned(shard, c)?;
