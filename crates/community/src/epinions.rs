@@ -264,25 +264,6 @@ pub fn load_flat(
     Ok((b.build(), report))
 }
 
-/// [`load_flat`], then partitions the validated community into
-/// per-category shards — the shard-aware ingest path for Epinions-style
-/// dumps. `num_shards` categories are dealt round-robin (subjects are
-/// interned in first-appearance order, so the assignment is stable for a
-/// given dump); use [`load_flat`] +
-/// [`CommunityStore::to_sharded`](crate::CommunityStore::to_sharded) for
-/// a custom placement.
-pub fn load_flat_sharded(
-    content_path: impl AsRef<Path>,
-    ratings_path: impl AsRef<Path>,
-    trust_path: impl AsRef<Path>,
-    options: &FlatOptions,
-    num_shards: usize,
-) -> Result<(crate::ShardedStore, FlatReport)> {
-    let (store, report) = load_flat(content_path, ratings_path, trust_path, options)?;
-    let assignment = crate::ShardAssignment::round_robin(store.num_categories(), num_shards);
-    Ok((store.to_sharded(&assignment)?, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -160,9 +160,8 @@ pub fn replay_into_store(
     Ok(b.build())
 }
 
-/// Folds a **sequence-tagged** event log (the shape shard-local WALs and
-/// [`Shard::event_log`](crate::Shard::event_log) produce) into a fresh
-/// validated store.
+/// Folds a **sequence-tagged** event log (the shape shard-local WALs
+/// hold) into a fresh validated store.
 ///
 /// This is the recovery-side twin of [`replay_into_store`]: tags must be
 /// strictly ascending — a recovered log whose tags run backwards or
@@ -187,20 +186,6 @@ pub fn replay_tagged_into_store(
     }
     let events: Vec<StoreEvent> = tagged.iter().map(|&(_, e)| e).collect();
     replay_into_store(scale, num_users, num_categories, &events)
-}
-
-/// Folds a causally valid event log straight into per-category shards —
-/// the sharded counterpart of [`replay_into_store`], with the same
-/// validation but **no flat store in the middle**. See
-/// [`ShardedStore::from_events`](crate::ShardedStore::from_events).
-pub fn replay_into_shards(
-    scale: RatingScale,
-    num_users: usize,
-    num_categories: usize,
-    events: &[StoreEvent],
-    assignment: &crate::ShardAssignment,
-) -> Result<crate::ShardedStore> {
-    crate::ShardedStore::from_events(scale, num_users, num_categories, events, assignment)
 }
 
 #[cfg(test)]

@@ -14,10 +14,9 @@
 //! * [`CommunityBuilder`] — referential-integrity-checked construction,
 //! * [`CategorySlice`] — the per-category compact projection the
 //!   reputation algorithms iterate over,
-//! * [`ShardedStore`] — the same community partitioned by category into
-//!   per-shard stores: slices project in O(shard), shards carry stable
-//!   ids, stats and mergeable event logs (the unit of distribution; see
-//!   [`shard`]),
+//! * [`ShardAssignment`] and [`shard::merge_shard_logs`] — the shard
+//!   vocabulary: which shard owns a category, and how sequence-tagged
+//!   shard logs merge back into the global history (see [`shard`]),
 //! * [`tsv`] — a greppable on-disk interchange format (one TSV per entity),
 //! * [`stats`] — dataset descriptive statistics,
 //! * matrix extraction: the direct-connection matrix `R`, the baseline
@@ -62,7 +61,7 @@ pub use error::CommunityError;
 pub use events::StoreEvent;
 pub use ids::{CategoryId, ObjectId, ReviewId, UserId};
 pub use model::{Category, Object, Rating, RatingScale, Review, TrustStatement, User};
-pub use shard::{Shard, ShardAssignment, ShardCategoryData, ShardId, ShardStats, ShardedStore};
+pub use shard::{ShardAssignment, ShardId};
 pub use slice::CategorySlice;
 pub use store::CommunityStore;
 

@@ -1,42 +1,23 @@
-//! Sharded community stores — per-category partitions as the unit of
-//! distribution.
+//! Shard vocabulary — category ownership and sequence-tagged logs.
 //!
 //! The paper's derivation is embarrassingly parallel *per category*
 //! (Section III.A computes every Step-1 quantity category-locally), so
-//! the natural scale-out unit is a **shard owning a set of categories**:
-//! all of a category's reviews and ratings live in exactly one shard,
-//! and a category's [`CategorySlice`] projects from that shard alone —
-//! O(shard) work with no allocation or scan proportional to the global
-//! tables. Shards carry stable [`ShardId`]s, per-shard [`ShardStats`],
-//! and **shard-local event logs** whose sequence tags make the global
-//! history recoverable: merging every shard's log by tag reproduces the
-//! exact canonical interleaving ([`merge_shard_logs`]), which is what
-//! lets a sharded deployment replay, audit, or re-derive without any
-//! cross-shard coordination beyond the tag order.
+//! the unit of distribution is a **shard owning a set of categories**:
+//! all of a category's reviews and ratings are routed to exactly one
+//! shard. This module is the routing vocabulary the multi-process
+//! cluster (`wot-serve`'s coordinator and the `wot-shardd` workers) and
+//! WAL recovery share — it holds no data itself:
 //!
-//! A [`ShardedStore`] holds only **derivation inputs** — users,
-//! categories, reviews, ratings. Objects (review subjects) and explicit
-//! trust statements are deliberately absent, exactly as in
-//! [`StoreEvent`]: trust is an evaluation label, never a derivation
-//! input, and object identity never reaches the fixed point. Build one
-//! from a finished [`CommunityStore`] ([`ShardedStore::from_store`], or
-//! the loader conveniences `tsv::load_sharded` / `epinions
-//! ::load_flat_sharded`) or fold an event stream directly into shards
-//! ([`ShardedStore::from_events`] /
-//! [`events::replay_into_shards`](crate::events::replay_into_shards)) —
-//! the latter never materializes the flat store at all.
-//!
-//! The conformance contract: for **any** category→shard assignment and
-//! any causal event interleaving, sharded derivation
-//! (`wot-core::pipeline::derive_sharded`) is **bit-identical** (`==` on
-//! `f64`) to flat-store derivation, for any thread count. The
-//! workspace's `tests/shard_conformance.rs` proves it property-style.
+//! * [`ShardId`] and [`ShardAssignment`] — the total map category →
+//!   shard a coordinator routes by and edits on a live rebalance.
+//! * **Sequence-tagged shard logs** — each shard's events carry their
+//!   position in the global history, and [`merge_shard_logs`] merges
+//!   them back into that exact interleaving, failing closed on logs
+//!   that cannot be cuts of one history. That is what lets a sharded
+//!   deployment replay, audit or recover without any cross-shard
+//!   coordination beyond the tag order.
 
-use crate::slice::LocalIndexer;
-use crate::{
-    Category, CategoryId, CategorySlice, CommunityError, CommunityStore, RatingScale, Result,
-    ReviewId, StoreEvent, User, UserId,
-};
+use crate::{CategoryId, CommunityError, Result, StoreEvent};
 
 /// Stable identifier of one shard. Dense (`0..num_shards`), assigned by
 /// the [`ShardAssignment`]; survives re-partitioning only if the
@@ -71,14 +52,6 @@ pub struct ShardAssignment {
 }
 
 impl ShardAssignment {
-    /// The finest partition: each category is its own shard.
-    pub fn one_per_category(num_categories: usize) -> Self {
-        Self {
-            shard_of_category: (0..num_categories).map(ShardId::from_index).collect(),
-            num_shards: num_categories,
-        }
-    }
-
     /// Categories dealt round-robin over `num_shards` shards
     /// (`num_shards` is clamped to at least 1).
     pub fn round_robin(num_categories: usize, num_shards: usize) -> Self {
@@ -87,22 +60,6 @@ impl ShardAssignment {
             shard_of_category: (0..num_categories)
                 .map(|c| ShardId::from_index(c % num_shards))
                 .collect(),
-            num_shards,
-        }
-    }
-
-    /// An explicit assignment: `shard_of_category[c]` is category `c`'s
-    /// shard. Shard ids must be dense — every id in
-    /// `0..max(shard)+1` — is *not* required to be hit, but the shard
-    /// count becomes `max + 1`, so sparse ids just produce empty shards.
-    pub fn from_shards(shard_of_category: Vec<u32>) -> Self {
-        let num_shards = shard_of_category
-            .iter()
-            .map(|&s| s as usize + 1)
-            .max()
-            .unwrap_or(0);
-        Self {
-            shard_of_category: shard_of_category.into_iter().map(ShardId).collect(),
             num_shards,
         }
     }
@@ -165,176 +122,9 @@ impl ShardAssignment {
     }
 }
 
-/// One category's data inside its shard: reviews ascending by global id,
-/// per-review ratings in global ingestion order — exactly the canonical
-/// order [`CategorySlice`] is defined over — plus the sequence tags that
-/// place every event in the global history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCategoryData {
-    /// The category this block belongs to.
-    pub category: CategoryId,
-    /// Global review ids, ascending.
-    pub reviews: Vec<ReviewId>,
-    /// Writer of each review (parallel to `reviews`).
-    pub review_writer: Vec<UserId>,
-    /// Global log position of each review event (parallel to `reviews`).
-    pub review_seq: Vec<u64>,
-    /// Ratings received per review, ingestion order (parallel to
-    /// `reviews`).
-    pub ratings_by_review: Vec<Vec<(UserId, f64)>>,
-    /// Global log position of each rating event (parallel, inner and
-    /// outer, to `ratings_by_review`).
-    pub rating_seq: Vec<Vec<u64>>,
-}
-
-impl ShardCategoryData {
-    fn empty(category: CategoryId) -> Self {
-        Self {
-            category,
-            reviews: Vec::new(),
-            review_writer: Vec::new(),
-            review_seq: Vec::new(),
-            ratings_by_review: Vec::new(),
-            rating_seq: Vec::new(),
-        }
-    }
-
-    /// Ratings in this category.
-    pub fn num_ratings(&self) -> usize {
-        self.ratings_by_review.iter().map(Vec::len).sum()
-    }
-}
-
-/// One shard: the categories it owns and their data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Shard {
-    id: ShardId,
-    cats: Vec<ShardCategoryData>,
-}
-
-impl Shard {
-    /// This shard's stable id.
-    pub fn id(&self) -> ShardId {
-        self.id
-    }
-
-    /// Per-category data blocks owned by this shard, in ascending
-    /// category-id order.
-    pub fn category_data(&self) -> &[ShardCategoryData] {
-        &self.cats
-    }
-
-    /// The categories this shard owns, ascending.
-    pub fn categories(&self) -> impl Iterator<Item = CategoryId> + '_ {
-        self.cats.iter().map(|c| c.category)
-    }
-
-    /// This shard's event log: every review and rating event it owns,
-    /// tagged with its global log position and sorted by it. Merging all
-    /// shards' logs with [`merge_shard_logs`] reproduces the global
-    /// history exactly.
-    pub fn event_log(&self) -> Vec<(u64, StoreEvent)> {
-        let mut log = Vec::new();
-        for cat in &self.cats {
-            for ((&rid, &writer), &seq) in cat
-                .reviews
-                .iter()
-                .zip(&cat.review_writer)
-                .zip(&cat.review_seq)
-            {
-                log.push((
-                    seq,
-                    StoreEvent::Review {
-                        writer,
-                        review: rid,
-                        category: cat.category,
-                    },
-                ));
-            }
-            for ((&rid, ratings), seqs) in cat
-                .reviews
-                .iter()
-                .zip(&cat.ratings_by_review)
-                .zip(&cat.rating_seq)
-            {
-                for (&(rater, value), &seq) in ratings.iter().zip(seqs) {
-                    log.push((
-                        seq,
-                        StoreEvent::Rating {
-                            rater,
-                            review: rid,
-                            value,
-                        },
-                    ));
-                }
-            }
-        }
-        log.sort_unstable_by_key(|&(seq, _)| seq);
-        log
-    }
-
-    /// Descriptive statistics of this shard.
-    pub fn stats(&self) -> ShardStats {
-        let mut writers: Vec<UserId> = self
-            .cats
-            .iter()
-            .flat_map(|c| c.review_writer.iter().copied())
-            .collect();
-        writers.sort_unstable();
-        writers.dedup();
-        let mut raters: Vec<UserId> = self
-            .cats
-            .iter()
-            .flat_map(|c| {
-                c.ratings_by_review
-                    .iter()
-                    .flat_map(|rs| rs.iter().map(|&(u, _)| u))
-            })
-            .collect();
-        raters.sort_unstable();
-        raters.dedup();
-        ShardStats {
-            shard: self.id,
-            categories: self.cats.len(),
-            reviews: self.cats.iter().map(|c| c.reviews.len()).sum(),
-            ratings: self.cats.iter().map(ShardCategoryData::num_ratings).sum(),
-            writers: writers.len(),
-            raters: raters.len(),
-        }
-    }
-}
-
-/// Descriptive statistics of one shard — the balance report a placement
-/// layer would consult.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// The shard.
-    pub shard: ShardId,
-    /// Categories owned.
-    pub categories: usize,
-    /// Reviews owned.
-    pub reviews: usize,
-    /// Ratings owned.
-    pub ratings: usize,
-    /// Distinct review writers active in the shard.
-    pub writers: usize,
-    /// Distinct raters active in the shard.
-    pub raters: usize,
-}
-
-impl std::fmt::Display for ShardStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} categories, {} reviews, {} ratings, {} writers, {} raters",
-            self.shard, self.categories, self.reviews, self.ratings, self.writers, self.raters
-        )
-    }
-}
-
-/// Merges shard-local event logs (as produced by [`Shard::event_log`] or
-/// `wot-synth`'s `sharded_event_logs`) back into one global log, ordered
-/// by the global sequence tags. The merge is deterministic regardless of
+/// Merges shard-local event logs (as produced by `wot-synth`'s
+/// `sharded_event_logs` or read back by `wot-wal`) into one global log,
+/// ordered by the global sequence tags. The merge is deterministic regardless of
 /// how the logs are listed, and it **fails closed** on logs that cannot
 /// be cuts of one history: tags must be strictly ascending within each
 /// input log ([`CommunityError::NonMonotonicSequence`]) and disjoint
@@ -366,542 +156,19 @@ pub fn merge_shard_logs(logs: &[Vec<(u64, StoreEvent)>]) -> Result<Vec<StoreEven
     Ok(merged.into_iter().map(|(_, e)| e).collect())
 }
 
-/// A community partitioned by category into per-shard stores — the
-/// derivation-input view of a [`CommunityStore`], re-laid-out so every
-/// per-category computation touches exactly one shard. See the module
-/// docs for the distribution story and the conformance contract.
-#[derive(Debug, Clone)]
-pub struct ShardedStore {
-    scale: RatingScale,
-    users: Vec<User>,
-    categories: Vec<Category>,
-    assignment: ShardAssignment,
-    shards: Vec<Shard>,
-    /// category index → (shard index, slot within the shard's `cats`).
-    slot_of_category: Vec<(u32, u32)>,
-    num_reviews: usize,
-    num_ratings: usize,
-}
-
-impl ShardedStore {
-    fn empty_shards(
-        scale: RatingScale,
-        users: Vec<User>,
-        categories: Vec<Category>,
-        assignment: ShardAssignment,
-    ) -> Result<Self> {
-        if assignment.num_categories() != categories.len() {
-            return Err(CommunityError::Parse {
-                file: "shard-assignment".into(),
-                line: 0,
-                message: format!(
-                    "assignment covers {} categories but the community has {}",
-                    assignment.num_categories(),
-                    categories.len()
-                ),
-            });
-        }
-        let mut shards: Vec<Shard> = (0..assignment.num_shards())
-            .map(|s| Shard {
-                id: ShardId::from_index(s),
-                cats: Vec::new(),
-            })
-            .collect();
-        let mut slot_of_category = Vec::with_capacity(categories.len());
-        for c in 0..categories.len() {
-            let cid = CategoryId::from_index(c);
-            let shard = assignment.shard_of(cid)?;
-            let slot = shards[shard.index()].cats.len() as u32;
-            shards[shard.index()]
-                .cats
-                .push(ShardCategoryData::empty(cid));
-            slot_of_category.push((shard.0, slot));
-        }
-        Ok(Self {
-            scale,
-            users,
-            categories,
-            assignment,
-            shards,
-            slot_of_category,
-            num_reviews: 0,
-            num_ratings: 0,
-        })
-    }
-
-    fn category_data_mut(&mut self, category: CategoryId) -> &mut ShardCategoryData {
-        let (shard, slot) = self.slot_of_category[category.index()];
-        &mut self.shards[shard as usize].cats[slot as usize]
-    }
-
-    /// Partitions a finished store into shards. One pass over the
-    /// store's reviews and ratings; object and trust records are dropped
-    /// (they are not derivation inputs — see the module docs).
-    pub fn from_store(store: &CommunityStore, assignment: &ShardAssignment) -> Result<Self> {
-        let mut sharded = Self::empty_shards(
-            store.scale().clone(),
-            store.users().to_vec(),
-            store.categories().to_vec(),
-            assignment.clone(),
-        )?;
-        // Reviews ascending by id; the canonical log position of review
-        // `r` is `r.id` (event_log emits reviews first, in id order).
-        for r in store.reviews() {
-            let data = sharded.category_data_mut(r.category);
-            data.reviews.push(r.id);
-            data.review_writer.push(r.writer);
-            data.review_seq.push(r.id.0 as u64);
-            data.ratings_by_review.push(Vec::new());
-            data.rating_seq.push(Vec::new());
-        }
-        sharded.num_reviews = store.num_reviews();
-        // Ratings in ingestion order; canonical log position of rating
-        // `k` is `num_reviews + k`.
-        let base = store.num_reviews() as u64;
-        for (k, rt) in store.ratings().iter().enumerate() {
-            let category = store.reviews()[rt.review.index()].category;
-            let data = sharded.category_data_mut(category);
-            let local = data.reviews.partition_point(|&rid| rid < rt.review);
-            debug_assert_eq!(data.reviews[local], rt.review);
-            data.ratings_by_review[local].push((rt.rater, rt.value));
-            data.rating_seq[local].push(base + k as u64);
-        }
-        sharded.num_ratings = store.num_ratings();
-        Ok(sharded)
-    }
-
-    /// Folds a causally valid event log **directly into shards** — the
-    /// true ingest-sharding path: the flat store is never materialized.
-    /// Users get synthetic handles `u0..` and categories `c0..`, exactly
-    /// like [`events::replay_into_store`](crate::events::replay_into_store),
-    /// and the same invariants are enforced: review ids dense in arrival
-    /// order, ratings after their review, no self-rating, no duplicate
-    /// (rater, review), values on `scale`. The event's position in the
-    /// log becomes its sequence tag, so [`Shard::event_log`] /
-    /// [`merge_shard_logs`] reproduce this exact interleaving.
-    pub fn from_events(
-        scale: RatingScale,
-        num_users: usize,
-        num_categories: usize,
-        events: &[StoreEvent],
-        assignment: &ShardAssignment,
-    ) -> Result<Self> {
-        let users = (0..num_users)
-            .map(|u| User {
-                id: UserId::from_index(u),
-                handle: format!("u{u}"),
-            })
-            .collect();
-        let categories = (0..num_categories)
-            .map(|c| Category {
-                id: CategoryId::from_index(c),
-                name: format!("c{c}"),
-            })
-            .collect();
-        let mut sharded = Self::empty_shards(scale, users, categories, assignment.clone())?;
-        // Global review id → (category, local index in its shard block),
-        // plus each review's rater set for duplicate detection (sorted —
-        // binary search, same trick as the incremental layer).
-        let mut review_index: Vec<(CategoryId, u32)> = Vec::new();
-        let mut raters_of_review: Vec<Vec<UserId>> = Vec::new();
-        for (k, event) in events.iter().enumerate() {
-            match *event {
-                StoreEvent::Review {
-                    writer,
-                    review,
-                    category,
-                } => {
-                    if writer.index() >= num_users {
-                        return Err(CommunityError::UnknownEntity {
-                            kind: "user",
-                            id: writer.0,
-                        });
-                    }
-                    if category.index() >= num_categories {
-                        return Err(CommunityError::UnknownEntity {
-                            kind: "category",
-                            id: category.0,
-                        });
-                    }
-                    if review.index() != review_index.len() {
-                        return Err(CommunityError::Parse {
-                            file: "event-log".into(),
-                            line: k + 1,
-                            message: format!(
-                                "review event carries id {review} but arrival rank assigns {}",
-                                review_index.len()
-                            ),
-                        });
-                    }
-                    let data = sharded.category_data_mut(category);
-                    let local = data.reviews.len() as u32;
-                    data.reviews.push(review);
-                    data.review_writer.push(writer);
-                    data.review_seq.push(k as u64);
-                    data.ratings_by_review.push(Vec::new());
-                    data.rating_seq.push(Vec::new());
-                    review_index.push((category, local));
-                    raters_of_review.push(Vec::new());
-                    sharded.num_reviews += 1;
-                }
-                StoreEvent::Rating {
-                    rater,
-                    review,
-                    value,
-                } => {
-                    if rater.index() >= num_users {
-                        return Err(CommunityError::UnknownEntity {
-                            kind: "user",
-                            id: rater.0,
-                        });
-                    }
-                    let Some(&(category, local)) = review_index.get(review.index()) else {
-                        return Err(CommunityError::UnknownEntity {
-                            kind: "review",
-                            id: review.0,
-                        });
-                    };
-                    if !sharded.scale.is_valid(value) {
-                        return Err(CommunityError::OffScaleRating { value });
-                    }
-                    let seen = &mut raters_of_review[review.index()];
-                    let at = seen.partition_point(|&u| u < rater);
-                    if seen.get(at) == Some(&rater) {
-                        return Err(CommunityError::DuplicateRating { rater, review });
-                    }
-                    let data = sharded.category_data_mut(category);
-                    if data.review_writer[local as usize] == rater {
-                        return Err(CommunityError::SelfRating {
-                            user: rater,
-                            review,
-                        });
-                    }
-                    seen.insert(at, rater);
-                    data.ratings_by_review[local as usize].push((rater, value));
-                    data.rating_seq[local as usize].push(k as u64);
-                    sharded.num_ratings += 1;
-                }
-            }
-        }
-        Ok(sharded)
-    }
-
-    // ---- entity access -------------------------------------------------
-
-    /// The community's rating scale.
-    pub fn scale(&self) -> &RatingScale {
-        &self.scale
-    }
-
-    /// All users, indexed by `UserId`.
-    pub fn users(&self) -> &[User] {
-        &self.users
-    }
-
-    /// All categories, indexed by `CategoryId`.
-    pub fn categories(&self) -> &[Category] {
-        &self.categories
-    }
-
-    /// Number of users.
-    pub fn num_users(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Number of categories.
-    pub fn num_categories(&self) -> usize {
-        self.categories.len()
-    }
-
-    /// Total reviews across shards.
-    pub fn num_reviews(&self) -> usize {
-        self.num_reviews
-    }
-
-    /// Total ratings across shards.
-    pub fn num_ratings(&self) -> usize {
-        self.num_ratings
-    }
-
-    /// The category→shard assignment this store was partitioned with.
-    pub fn assignment(&self) -> &ShardAssignment {
-        &self.assignment
-    }
-
-    // ---- shard access ---------------------------------------------------
-
-    /// Number of shards (including empty ones).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// All shards, indexed by [`ShardId`].
-    pub fn shards(&self) -> &[Shard] {
-        &self.shards
-    }
-
-    /// One shard, failing on a dangling id.
-    pub fn shard(&self, id: ShardId) -> Result<&Shard> {
-        self.shards
-            .get(id.index())
-            .ok_or(CommunityError::UnknownEntity {
-                kind: "shard",
-                id: id.0,
-            })
-    }
-
-    /// The shard owning `category`.
-    pub fn shard_of(&self, category: CategoryId) -> Result<ShardId> {
-        self.assignment.shard_of(category)
-    }
-
-    /// One category's shard-resident data, failing on a dangling id.
-    pub fn category_data(&self, category: CategoryId) -> Result<&ShardCategoryData> {
-        let &(shard, slot) =
-            self.slot_of_category
-                .get(category.index())
-                .ok_or(CommunityError::UnknownEntity {
-                    kind: "category",
-                    id: category.0,
-                })?;
-        Ok(&self.shards[shard as usize].cats[slot as usize])
-    }
-
-    /// Per-shard statistics, in shard-id order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards.iter().map(Shard::stats).collect()
-    }
-
-    /// The merged global event log (canonical sequence order) — the
-    /// concatenation-by-tag of every shard's local log.
-    pub fn event_log(&self) -> Vec<StoreEvent> {
-        let logs: Vec<Vec<(u64, StoreEvent)>> = self.shards.iter().map(Shard::event_log).collect();
-        merge_shard_logs(&logs).expect("a store's own shard logs carry valid disjoint tags")
-    }
-
-    // ---- projection ------------------------------------------------------
-
-    /// The compact per-category projection, built **from the category's
-    /// shard alone** in O(shard-category log shard-category) — no global
-    /// scatter table, no scan of any other shard. Identical (not merely
-    /// equivalent) to the flat store's
-    /// [`CommunityStore::category_slice`] for the same data.
-    pub fn category_slice(&self, category: CategoryId) -> Result<CategorySlice> {
-        let data = self.category_data(category)?;
-        let ratings: Vec<&[(UserId, f64)]> =
-            data.ratings_by_review.iter().map(Vec::as_slice).collect();
-        Ok(CategorySlice::build_from_parts(
-            category,
-            data.reviews.clone(),
-            data.review_writer.clone(),
-            &ratings,
-            LocalIndexer::Search,
-        ))
-    }
-}
-
-impl CommunityStore {
-    /// Partitions this store into per-category shards under
-    /// `assignment` — convenience for
-    /// [`ShardedStore::from_store`].
-    pub fn to_sharded(&self, assignment: &ShardAssignment) -> Result<ShardedStore> {
-        ShardedStore::from_store(self, assignment)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{event_log, replay_into_store};
-    use crate::CommunityBuilder;
-
-    /// Three users, two categories; cat0 has two reviews by u1, cat1 one
-    /// review by u2.
-    fn sample() -> CommunityStore {
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        let u0 = b.add_user("u0");
-        let u1 = b.add_user("u1");
-        let u2 = b.add_user("u2");
-        let c0 = b.add_category("c0");
-        let c1 = b.add_category("c1");
-        let o0 = b.add_object("o0", c0).unwrap();
-        let o1 = b.add_object("o1", c0).unwrap();
-        let o2 = b.add_object("o2", c1).unwrap();
-        let r0 = b.add_review(u1, o0).unwrap();
-        let r1 = b.add_review(u1, o1).unwrap();
-        let r2 = b.add_review(u2, o2).unwrap();
-        b.add_rating(u0, r0, 0.8).unwrap();
-        b.add_rating(u2, r0, 0.4).unwrap();
-        b.add_rating(u0, r1, 0.6).unwrap();
-        b.add_rating(u0, r2, 1.0).unwrap();
-        b.build()
-    }
+    use crate::{ReviewId, UserId};
 
     #[test]
     fn assignment_shapes() {
-        let a = ShardAssignment::one_per_category(3);
-        assert_eq!(a.num_shards(), 3);
-        assert_eq!(a.shard_of(CategoryId(2)).unwrap(), ShardId(2));
         let a = ShardAssignment::round_robin(5, 2);
         assert_eq!(a.num_shards(), 2);
+        assert_eq!(a.num_categories(), 5);
         assert_eq!(a.shard_of(CategoryId(4)).unwrap(), ShardId(0));
         assert!(a.shard_of(CategoryId(9)).is_err());
-        let a = ShardAssignment::from_shards(vec![1, 1]);
-        assert_eq!(a.num_shards(), 2); // shard 0 exists but is empty
         assert_eq!(ShardAssignment::round_robin(4, 0).num_shards(), 1);
-    }
-
-    #[test]
-    fn partitioning_is_exact_and_per_category() {
-        let store = sample();
-        let sharded = store
-            .to_sharded(&ShardAssignment::one_per_category(2))
-            .unwrap();
-        assert_eq!(sharded.num_shards(), 2);
-        assert_eq!(sharded.num_reviews(), 3);
-        assert_eq!(sharded.num_ratings(), 4);
-        assert_eq!(sharded.shard_of(CategoryId(1)).unwrap(), ShardId(1));
-        let d0 = sharded.category_data(CategoryId(0)).unwrap();
-        assert_eq!(d0.reviews, vec![ReviewId(0), ReviewId(1)]);
-        assert_eq!(d0.review_writer, vec![UserId(1), UserId(1)]);
-        assert_eq!(
-            d0.ratings_by_review[0],
-            vec![(UserId(0), 0.8), (UserId(2), 0.4)]
-        );
-        let d1 = sharded.category_data(CategoryId(1)).unwrap();
-        assert_eq!(d1.reviews, vec![ReviewId(2)]);
-        assert_eq!(d1.num_ratings(), 1);
-        assert!(sharded.category_data(CategoryId(9)).is_err());
-        assert!(sharded.shard(ShardId(9)).is_err());
-    }
-
-    #[test]
-    fn sharded_slices_equal_flat_slices() {
-        let store = sample();
-        for assignment in [
-            ShardAssignment::one_per_category(2),
-            ShardAssignment::round_robin(2, 1),
-            ShardAssignment::from_shards(vec![1, 0]),
-        ] {
-            let sharded = store.to_sharded(&assignment).unwrap();
-            for c in 0..2 {
-                let cid = CategoryId::from_index(c);
-                let flat = store.category_slice(cid).unwrap();
-                let shard = sharded.category_slice(cid).unwrap();
-                assert_eq!(shard.reviews, flat.reviews);
-                assert_eq!(shard.review_writer, flat.review_writer);
-                assert_eq!(shard.rater_of_local, flat.rater_of_local);
-                assert_eq!(shard.writer_of_local, flat.writer_of_local);
-                assert_eq!(shard.ratings_by_review_local, flat.ratings_by_review_local);
-                assert_eq!(shard.ratings_by_rater_local, flat.ratings_by_rater_local);
-                assert_eq!(shard.reviews_by_writer_local, flat.reviews_by_writer_local);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_logs_merge_to_canonical_log() {
-        let store = sample();
-        let sharded = store
-            .to_sharded(&ShardAssignment::round_robin(2, 2))
-            .unwrap();
-        assert_eq!(sharded.event_log(), event_log(&store));
-        // Per-shard logs are sorted by tag and disjoint.
-        let logs: Vec<_> = sharded.shards().iter().map(Shard::event_log).collect();
-        let mut tags: Vec<u64> = logs.iter().flatten().map(|&(s, _)| s).collect();
-        for log in &logs {
-            assert!(log.windows(2).all(|w| w[0].0 < w[1].0));
-        }
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), store.num_reviews() + store.num_ratings());
-    }
-
-    #[test]
-    fn from_events_matches_from_store_over_replay() {
-        let store = sample();
-        let log = event_log(&store);
-        let assignment = ShardAssignment::round_robin(2, 2);
-        let direct = ShardedStore::from_events(
-            store.scale().clone(),
-            store.num_users(),
-            store.num_categories(),
-            &log,
-            &assignment,
-        )
-        .unwrap();
-        let via_store = replay_into_store(
-            store.scale().clone(),
-            store.num_users(),
-            store.num_categories(),
-            &log,
-        )
-        .unwrap()
-        .to_sharded(&assignment)
-        .unwrap();
-        assert_eq!(direct.shards(), via_store.shards());
-        assert_eq!(direct.event_log(), via_store.event_log());
-    }
-
-    #[test]
-    fn from_events_enforces_builder_invariants() {
-        let scale = RatingScale::five_step;
-        let a1 = ShardAssignment::one_per_category(1);
-        let review = |writer: u32, review: u32| StoreEvent::Review {
-            writer: UserId(writer),
-            review: ReviewId(review),
-            category: CategoryId(0),
-        };
-        let rating = |rater: u32, rev: u32, value: f64| StoreEvent::Rating {
-            rater: UserId(rater),
-            review: ReviewId(rev),
-            value,
-        };
-        // Non-dense review id.
-        let err = ShardedStore::from_events(scale(), 2, 1, &[review(0, 5)], &a1).unwrap_err();
-        assert!(matches!(err, CommunityError::Parse { .. }));
-        // Out-of-range writer / category / rater.
-        assert!(ShardedStore::from_events(scale(), 2, 1, &[review(9, 0)], &a1).is_err());
-        let bad_cat = [StoreEvent::Review {
-            writer: UserId(0),
-            review: ReviewId(0),
-            category: CategoryId(7),
-        }];
-        assert!(ShardedStore::from_events(scale(), 2, 1, &bad_cat, &a1).is_err());
-        // Rating before its review (causality).
-        assert!(matches!(
-            ShardedStore::from_events(scale(), 2, 1, &[rating(0, 0, 0.8)], &a1).unwrap_err(),
-            CommunityError::UnknownEntity { kind: "review", .. }
-        ));
-        // Self-rating, off-scale, duplicate, out-of-range rater.
-        let base = review(0, 0);
-        assert!(matches!(
-            ShardedStore::from_events(scale(), 2, 1, &[base, rating(0, 0, 0.8)], &a1).unwrap_err(),
-            CommunityError::SelfRating { .. }
-        ));
-        assert!(matches!(
-            ShardedStore::from_events(scale(), 2, 1, &[base, rating(1, 0, 0.55)], &a1).unwrap_err(),
-            CommunityError::OffScaleRating { .. }
-        ));
-        assert!(matches!(
-            ShardedStore::from_events(
-                scale(),
-                3,
-                1,
-                &[base, rating(1, 0, 0.8), rating(1, 0, 0.6)],
-                &a1
-            )
-            .unwrap_err(),
-            CommunityError::DuplicateRating { .. }
-        ));
-        assert!(ShardedStore::from_events(scale(), 2, 1, &[base, rating(9, 0, 0.8)], &a1).is_err());
-        // A valid log works and records the interleaving as tags.
-        let ok = ShardedStore::from_events(scale(), 3, 1, &[base, rating(1, 0, 0.8)], &a1).unwrap();
-        assert_eq!(ok.num_reviews(), 1);
-        assert_eq!(ok.num_ratings(), 1);
-        let log = ok.shard(ShardId(0)).unwrap().event_log();
-        assert_eq!(log[0].0, 0);
-        assert_eq!(log[1].0, 1);
     }
 
     #[test]
@@ -948,29 +215,5 @@ mod tests {
             merge_shard_logs(&colliding).unwrap_err(),
             CommunityError::DuplicateSequence { seq: 4 }
         );
-    }
-
-    #[test]
-    fn assignment_size_mismatch_rejected() {
-        let store = sample();
-        assert!(store
-            .to_sharded(&ShardAssignment::one_per_category(3))
-            .is_err());
-    }
-
-    #[test]
-    fn stats_report_shard_balance() {
-        let store = sample();
-        let sharded = store
-            .to_sharded(&ShardAssignment::one_per_category(2))
-            .unwrap();
-        let stats = sharded.shard_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].reviews, 2);
-        assert_eq!(stats[0].ratings, 3);
-        assert_eq!(stats[0].writers, 1);
-        assert_eq!(stats[0].raters, 2);
-        assert_eq!(stats[1].reviews, 1);
-        assert!(stats[1].to_string().contains("shard1"));
     }
 }

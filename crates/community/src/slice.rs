@@ -64,52 +64,14 @@ pub struct CategorySlice {
     local_of_writer: OnceLock<HashMap<UserId, u32>>,
 }
 
-/// How [`CategorySlice::build_from_parts`] resolves global user ids to
-/// local indexes. Both strategies yield the same local numbering
-/// (ascending [`UserId`] order), so the built slice is identical either
-/// way — only the lookup cost profile differs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum LocalIndexer {
-    /// O(1) lookups through a `num_users`-sized scatter table — the flat
-    /// store's choice, where the table is amortized over a whole
-    /// derivation.
-    Scatter {
-        /// Global user-universe size (scatter-table length).
-        num_users: usize,
-    },
-    /// O(log n) binary search over the sorted local-id vectors — the
-    /// sharded store's choice, keeping slice projection O(shard) with no
-    /// allocation proportional to the global user count.
-    Search,
-}
-
-/// Resolution state built once per slice from a [`LocalIndexer`].
-enum Resolver {
-    Scatter(Vec<u32>),
-    Search,
-}
-
-impl Resolver {
-    fn build(sorted_locals: &[UserId], indexer: LocalIndexer) -> Self {
-        match indexer {
-            LocalIndexer::Scatter { num_users } => {
-                let mut slot = vec![u32::MAX; num_users];
-                for (l, &u) in sorted_locals.iter().enumerate() {
-                    slot[u.index()] = l as u32;
-                }
-                Resolver::Scatter(slot)
-            }
-            LocalIndexer::Search => Resolver::Search,
-        }
+/// `num_users`-sized scatter table: global user index → position in
+/// `sorted_locals` (`u32::MAX` for users not in it).
+fn scatter_table(sorted_locals: &[UserId], num_users: usize) -> Vec<u32> {
+    let mut slot = vec![u32::MAX; num_users];
+    for (l, &u) in sorted_locals.iter().enumerate() {
+        slot[u.index()] = l as u32;
     }
-
-    /// Local index of `u`, which must be present in `sorted_locals`.
-    fn local_of(&self, sorted_locals: &[UserId], u: UserId) -> u32 {
-        match self {
-            Resolver::Scatter(slot) => slot[u.index()],
-            Resolver::Search => sorted_locals.partition_point(|&x| x < u) as u32,
-        }
-    }
+    slot
 }
 
 impl CategorySlice {
@@ -117,7 +79,9 @@ impl CategorySlice {
         // Hot path: projected once per category per derivation, so local
         // indexes are resolved through O(1) scatter tables (user index →
         // local index) rather than per-rating hashing; the `HashMap`
-        // views are lazy and cost nothing here.
+        // views are lazy and cost nothing here. Inputs are the category's
+        // data in canonical order — reviews ascending by global id,
+        // per-review ratings in ingestion order.
         let review_ids = store.reviews_in_category(category);
         let mut reviews = Vec::with_capacity(review_ids.len());
         let mut review_writer = Vec::with_capacity(review_ids.len());
@@ -129,61 +93,33 @@ impl CategorySlice {
             .iter()
             .map(|&rid| store.ratings_of_review(rid))
             .collect();
-        Self::build_from_parts(
-            category,
-            reviews,
-            review_writer,
-            &ratings_per_review,
-            LocalIndexer::Scatter {
-                num_users: store.num_users(),
-            },
-        )
-    }
 
-    /// The one slice-projection core, shared by the flat-store path
-    /// ([`build`](Self::build)) and the sharded path
-    /// (`ShardedStore::category_slice`). Inputs are exactly a category's
-    /// data in canonical order — reviews ascending by global id,
-    /// per-review ratings in ingestion order — so both paths produce
-    /// identical slices by construction (the conformance suites assert
-    /// the downstream `Derived` with `==` on `f64`).
-    pub(crate) fn build_from_parts(
-        category: CategoryId,
-        reviews: Vec<ReviewId>,
-        review_writer: Vec<UserId>,
-        ratings_per_review: &[&[(UserId, f64)]],
-        indexer: LocalIndexer,
-    ) -> Self {
-        debug_assert_eq!(reviews.len(), review_writer.len());
-        debug_assert_eq!(reviews.len(), ratings_per_review.len());
-
-        // Writers: sorted-unique ids, then indexer-resolved locals.
+        // Writers: sorted-unique ids, then scatter-resolved locals.
         let mut writer_of_local = review_writer.clone();
         writer_of_local.sort_unstable();
         writer_of_local.dedup();
-        let writer_resolver = Resolver::build(&writer_of_local, indexer);
+        let local_of_writer = scatter_table(&writer_of_local, store.num_users());
         let mut reviews_by_writer_local = vec![Vec::new(); writer_of_local.len()];
         for (local, &w) in review_writer.iter().enumerate() {
-            reviews_by_writer_local[writer_resolver.local_of(&writer_of_local, w) as usize]
-                .push(local as u32);
+            reviews_by_writer_local[local_of_writer[w.index()] as usize].push(local as u32);
         }
 
         // Ratings, grouped by review (store order) and by rater (review
         // order within each rater).
         let mut rater_of_local: Vec<UserId> = Vec::new();
-        for ratings in ratings_per_review {
+        for ratings in &ratings_per_review {
             rater_of_local.extend(ratings.iter().map(|&(rater, _)| rater));
         }
         rater_of_local.sort_unstable();
         rater_of_local.dedup();
-        let rater_resolver = Resolver::build(&rater_of_local, indexer);
+        let local_of_rater = scatter_table(&rater_of_local, store.num_users());
         let mut rater_counts = vec![0u32; rater_of_local.len()];
         let mut ratings_by_review_local = Vec::with_capacity(reviews.len());
-        for ratings in ratings_per_review {
+        for ratings in &ratings_per_review {
             let locals: Vec<(u32, f64)> = ratings
                 .iter()
                 .map(|&(rater, value)| {
-                    let lr = rater_resolver.local_of(&rater_of_local, rater);
+                    let lr = local_of_rater[rater.index()];
                     rater_counts[lr as usize] += 1;
                     (lr, value)
                 })

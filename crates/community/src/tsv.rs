@@ -243,18 +243,6 @@ pub fn load(dir: impl AsRef<Path>) -> Result<CommunityStore> {
     Ok(b.build())
 }
 
-/// Loads a community from a TSV directory and partitions it into
-/// per-category shards under `assignment` in one pass — the shard-aware
-/// ingest path for TSV datasets. The flat store is validated first (all
-/// builder invariants), then consumed by the partitioner; only the
-/// [`ShardedStore`](crate::ShardedStore) survives.
-pub fn load_sharded(
-    dir: impl AsRef<Path>,
-    assignment: &crate::ShardAssignment,
-) -> Result<crate::ShardedStore> {
-    load(dir)?.to_sharded(assignment)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

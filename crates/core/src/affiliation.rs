@@ -15,7 +15,7 @@
 //! ratings (or no reviews) contributes 0 for that term, so pure raters and
 //! pure writers top out at 0.5.
 
-use wot_community::{CommunityStore, ShardedStore};
+use wot_community::CommunityStore;
 use wot_sparse::Dense;
 
 /// Raw per-user, per-category activity counts backing Eq. 4.
@@ -72,40 +72,6 @@ pub fn affiliation_matrix(counts: &ActivityCounts) -> Dense {
 /// Convenience: counts + assembly in one call.
 pub fn affiliation_of(store: &CommunityStore) -> Dense {
     affiliation_matrix(&activity_counts(store))
-}
-
-/// [`activity_counts`] over a sharded store: each shard contributes only
-/// its own categories' columns, so a distributed deployment computes
-/// these as per-shard partial matrices and sums them. Counts are small
-/// exact integers, so the result is bit-identical to the flat-store
-/// counts regardless of shard layout or accumulation order.
-pub fn activity_counts_sharded(store: &ShardedStore) -> ActivityCounts {
-    let u = store.num_users();
-    let c = store.num_categories();
-    let mut ratings = Dense::zeros(u, c);
-    let mut reviews = Dense::zeros(u, c);
-    for shard in store.shards() {
-        for data in shard.category_data() {
-            let j = data.category.index();
-            for &writer in &data.review_writer {
-                let i = writer.index();
-                reviews.set(i, j, reviews.get(i, j) + 1.0);
-            }
-            for received in &data.ratings_by_review {
-                for &(rater, _) in received {
-                    let i = rater.index();
-                    ratings.set(i, j, ratings.get(i, j) + 1.0);
-                }
-            }
-        }
-    }
-    ActivityCounts { ratings, reviews }
-}
-
-/// [`affiliation_of`] for a sharded store (Eq. 4 over
-/// [`activity_counts_sharded`]).
-pub fn affiliation_of_sharded(store: &ShardedStore) -> Dense {
-    affiliation_matrix(&activity_counts_sharded(store))
 }
 
 #[cfg(test)]

@@ -53,15 +53,12 @@
 //! Memory: each category holds two `num_users`-sized `u32` scatter tables
 //! (rater and writer local-index resolution) — the same tables the batch
 //! slice builder allocates transiently, kept alive here because the
-//! incremental model must resolve locals on every event. For communities
-//! with very many categories, prefer sharded stores (see ROADMAP).
+//! incremental model must resolve locals on every event.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wot_community::{
-    shard::merge_shard_logs, CategoryId, CommunityStore, ReviewId, ShardedStore, StoreEvent, UserId,
-};
+use wot_community::{CategoryId, CommunityStore, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
 use crate::pipeline::{CategoryReputation, Derived};
@@ -779,54 +776,6 @@ impl IncrementalDerived {
         }
         inc.refresh_all();
         Ok(inc)
-    }
-
-    /// Bootstraps from a **sharded** store and solves every category
-    /// once. Shards are ingested one at a time, category by category —
-    /// no global review/rating table is ever consulted, which is the
-    /// access pattern of a per-shard ingest process. The result is
-    /// bit-identical to [`from_store`](Self::from_store) over the flat
-    /// store the shards partition: per category, reviews arrive in the
-    /// same (ascending-id) order and ratings in the same grouped
-    /// ingestion order, and the Jacobi fixed point is invariant to the
-    /// local rater numbering that the arrival order induces.
-    pub fn from_sharded(store: &ShardedStore, cfg: &DeriveConfig) -> Result<Self> {
-        let mut inc = Self::new(store.num_users(), store.num_categories(), cfg)?;
-        for shard in store.shards() {
-            for data in shard.category_data() {
-                for (&review, &writer) in data.reviews.iter().zip(&data.review_writer) {
-                    inc.add_review(writer, review, data.category)?;
-                }
-                for (&review, received) in data.reviews.iter().zip(&data.ratings_by_review) {
-                    for &(rater, value) in received {
-                        inc.add_rating(rater, review, value)?;
-                    }
-                }
-            }
-        }
-        inc.refresh_all();
-        Ok(inc)
-    }
-
-    /// Folds a set of **shard-local event logs** (sequence-tagged, as
-    /// produced by [`wot_community::Shard::event_log`] or `wot-synth`'s
-    /// `sharded_event_logs`) into the canonical derived model: the logs
-    /// are merged by tag back into the one global causal history
-    /// ([`merge_shard_logs`]) and replayed — so a sharded deployment's
-    /// scattered logs reproduce exactly the model a single-process
-    /// replay of the unsharded history would, bit for bit.
-    pub fn replay_sharded(
-        num_users: usize,
-        num_categories: usize,
-        cfg: &DeriveConfig,
-        shard_logs: &[Vec<(u64, StoreEvent)>],
-    ) -> Result<Derived> {
-        let events: Vec<ReplayEvent> = merge_shard_logs(shard_logs)
-            .map_err(CoreError::Community)?
-            .into_iter()
-            .map(ReplayEvent::from)
-            .collect();
-        Self::replay(num_users, num_categories, cfg, &events)
     }
 
     /// Folds an event log into the canonical derived model — the full
@@ -1573,36 +1522,6 @@ mod tests {
     /// The gold test: stream events one at a time with refreshes in
     /// between; the canonical snapshot ends bit-for-bit where batch ends,
     /// and even the warm state agrees to tolerance.
-    #[test]
-    fn sharded_bootstrap_and_replay_match_batch() {
-        use wot_community::{Shard, ShardAssignment};
-        let store = sample_store();
-        let cfg = DeriveConfig::default();
-        let batch = pipeline::derive(&store, &cfg).unwrap();
-        for assignment in [
-            ShardAssignment::one_per_category(2),
-            ShardAssignment::round_robin(2, 1),
-        ] {
-            let sharded = store.to_sharded(&assignment).unwrap();
-            // Per-shard bootstrap: same canonical snapshot, same warm
-            // matrices, as the flat bootstrap.
-            let inc = IncrementalDerived::from_sharded(&sharded, &cfg).unwrap();
-            assert_eq!(inc.to_derived(), batch);
-            assert_eq!(inc.expertise().as_slice(), batch.expertise.as_slice());
-            assert_eq!(inc.affiliation().as_slice(), batch.affiliation.as_slice());
-            // Scattered shard logs merge and replay to the same model.
-            let logs: Vec<_> = sharded.shards().iter().map(Shard::event_log).collect();
-            let derived = IncrementalDerived::replay_sharded(
-                store.num_users(),
-                store.num_categories(),
-                &cfg,
-                &logs,
-            )
-            .unwrap();
-            assert_eq!(derived, batch);
-        }
-    }
-
     #[test]
     fn streaming_converges_to_batch_result() {
         let store = sample_store();

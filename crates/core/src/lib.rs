@@ -75,7 +75,8 @@
 //!   workspace's replay-conformance suite proves it on randomized causal
 //!   event streams at several thread counts.
 //!
-//! [`pipeline`] glues the steps together:
+//! [`pipeline::derive`] glues the steps together — the one batch entry
+//! point (`derive_baseline` is only the reference tests compare it to):
 //!
 //! ```
 //! use wot_community::{CommunityBuilder, RatingScale};

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use wot_community::{CategoryId, CategorySlice, CommunityStore, ReviewId, ShardedStore, UserId};
+use wot_community::{CategoryId, CategorySlice, CommunityStore, ReviewId, UserId};
 use wot_sparse::{Csr, Dense};
 
 use crate::{affiliation, expertise, reputation, riggs, trust, DeriveConfig, Result};
@@ -67,7 +67,8 @@ pub fn derive(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
     // worker that drew the giant category must not serialize the rest.
     let solved: Vec<Result<CategoryReputation>> =
         wot_par::par_map_indexed(categories.len(), cfg.effective_threads(), |c| {
-            derive_category(store, categories[c].id, cfg)
+            let slice = store.category_slice(categories[c].id)?;
+            Ok(solve_slice(&slice, cfg))
         });
     let per_category: Vec<Arc<CategoryReputation>> = solved
         .into_iter()
@@ -86,60 +87,8 @@ pub fn derive(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
     })
 }
 
-/// Runs Steps 1 and 2 over a **sharded** community — the same
-/// computation as [`derive()`], but every per-category unit of work
-/// reads its category's shard alone
-/// ([`ShardedStore::category_slice`]): no worker touches a global
-/// review/rating table, so the category fan-out needs no shared-table
-/// synchronization and is the shape a multi-process deployment
-/// distributes (one process per shard, results merged by category id).
-///
-/// **Conformance:** the output is bit-identical (`==` on `f64`) to
-/// [`derive()`] over the flat store the shards partition, for any
-/// category→shard assignment and any thread count —
-/// `tests/shard_conformance.rs` asserts it property-style.
-pub fn derive_sharded(store: &ShardedStore, cfg: &DeriveConfig) -> Result<Derived> {
-    cfg.validate()?;
-    let num_users = store.num_users();
-    let num_categories = store.num_categories();
-    let solved: Vec<Result<CategoryReputation>> =
-        wot_par::par_map_indexed(num_categories, cfg.effective_threads(), |c| {
-            let category = CategoryId::from_index(c);
-            let slice = store.category_slice(category)?;
-            Ok(solve_slice(&slice, cfg))
-        });
-    let per_category: Vec<Arc<CategoryReputation>> = solved
-        .into_iter()
-        .map(|r| r.map(Arc::new))
-        .collect::<Result<Vec<_>>>()?;
-    let writer_pairs: Vec<&[(UserId, f64)]> = per_category
-        .iter()
-        .map(|cr| cr.writer_reputation.as_slice())
-        .collect();
-    let e = expertise::expertise_matrix_from_pairs(num_users, &writer_pairs);
-    let a = affiliation::affiliation_of_sharded(store);
-    Ok(Derived {
-        expertise: e,
-        affiliation: a,
-        per_category,
-    })
-}
-
-/// Solves one category: slice projection, Eqs. 1–2 fixed point, Eq. 3
-/// writer aggregation — all over the slice's index-dense state.
-fn derive_category(
-    store: &CommunityStore,
-    category: CategoryId,
-    cfg: &DeriveConfig,
-) -> Result<CategoryReputation> {
-    let slice = store.category_slice(category)?;
-    Ok(solve_slice(&slice, cfg))
-}
-
-/// The per-category solve over an already-projected slice — shared by
-/// the flat ([`derive()`]) and sharded ([`derive_sharded()`]) paths, so
-/// their bit-identity reduces to their slices being identical (which the
-/// shard partitioner guarantees by construction).
+/// Solves one category over its projected slice: Eqs. 1–2 fixed point,
+/// Eq. 3 writer aggregation — all over the slice's index-dense state.
 fn solve_slice(slice: &CategorySlice, cfg: &DeriveConfig) -> CategoryReputation {
     let fixed = riggs::solve(slice, cfg);
     let writer_reputation = reputation::writer_reputation_pairs(slice, &fixed.review_quality, cfg);
@@ -373,42 +322,6 @@ mod tests {
             .unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn sharded_derive_is_bit_identical_to_flat() {
-        use wot_community::ShardAssignment;
-        let store = fixture();
-        let cfg = DeriveConfig::default();
-        let flat = derive(&store, &cfg).unwrap();
-        for assignment in [
-            ShardAssignment::one_per_category(2),
-            ShardAssignment::round_robin(2, 1),
-            ShardAssignment::from_shards(vec![1, 0]),
-        ] {
-            let sharded_store = store.to_sharded(&assignment).unwrap();
-            for threads in [1usize, 0, 3] {
-                let cfg = DeriveConfig::builder()
-                    .thread_count(threads)
-                    .build()
-                    .unwrap();
-                let sharded = derive_sharded(&sharded_store, &cfg).unwrap();
-                assert_eq!(sharded, flat, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_derive_validates_config() {
-        let store = fixture();
-        let sharded = store
-            .to_sharded(&wot_community::ShardAssignment::one_per_category(2))
-            .unwrap();
-        let cfg = DeriveConfig {
-            fixpoint_max_iters: 0,
-            ..DeriveConfig::default()
-        };
-        assert!(derive_sharded(&sharded, &cfg).is_err());
     }
 
     #[test]

@@ -1253,13 +1253,18 @@ impl TrustQuery for Coordinator {
 
     fn stats(&mut self) -> Result<(ServeStats, u64)> {
         self.refresh_snapshot()?;
+        // Bytes across the workers' WAL files; each file is quiescent
+        // here because every solicited reply has been collected.
+        let mut wal_len = 0;
+        for w in &self.workers {
+            wal_len += std::fs::metadata(&w.wal_path)?.len();
+        }
         let stats = ServeStats {
             events: self.seq,
             publishes: self.publishes,
             num_users: self.num_users_wire,
             num_categories: self.num_categories_wire,
-            // Every acked event is durable in exactly one worker log.
-            wal_len: self.seq,
+            wal_len,
             reader_threads: u32::try_from(self.workers.len()).unwrap_or(u32::MAX),
         };
         Ok((stats, self.seq))

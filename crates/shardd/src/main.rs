@@ -48,7 +48,7 @@ use std::sync::mpsc::{self, TryRecvError};
 use std::time::Duration;
 
 use wot_community::StoreEvent;
-use wot_core::{DeriveConfig, DerivedCache, IncrementalDerived};
+use wot_core::{DeriveConfig, Derived, DerivedCache, IncrementalDerived};
 use wot_serve::protocol::{read_frame, write_frame, ErrorCode, FrameRead};
 use wot_serve::shard_proto::{
     decode_shard_request, encode_shard_err, encode_shard_ok, CategoryStateWire, HelloAck,
@@ -132,16 +132,10 @@ impl Shard {
         })
     }
 
-    /// The category an event belongs to, if this worker can tell.
-    fn category_of(&self, event: &StoreEvent) -> Option<u32> {
-        match *event {
-            StoreEvent::Review { category, .. } => Some(category.0),
-            StoreEvent::Rating { review, .. } => self.review_cat.get(&review.0).copied(),
-        }
-    }
-
-    /// Applies one admitted event to the model and the bookkeeping.
-    fn apply(&mut self, tag: u64, event: StoreEvent, cat: u32) -> Result<(), String> {
+    /// The one event fold: applies `event` to the model and the review →
+    /// category map, returning the event's category (a rating's is its
+    /// review's, which admission and tag-ordered replay both put first).
+    fn fold(&mut self, event: StoreEvent) -> Result<u32, String> {
         match event {
             StoreEvent::Review {
                 writer,
@@ -152,17 +146,29 @@ impl Shard {
                     .add_review(writer, review, category)
                     .map_err(|e| e.to_string())?;
                 self.review_cat.insert(review.0, category.0);
+                Ok(category.0)
             }
             StoreEvent::Rating {
                 rater,
                 review,
                 value,
             } => {
+                let cat = *self
+                    .review_cat
+                    .get(&review.0)
+                    .ok_or_else(|| format!("rating of unknown review {review}"))?;
                 self.model
                     .add_rating(rater, review, value)
                     .map_err(|e| e.to_string())?;
+                Ok(cat)
             }
         }
+    }
+
+    /// Folds one admitted event in and records it in its category's
+    /// sub-log.
+    fn apply(&mut self, tag: u64, event: StoreEvent) -> Result<(), String> {
+        let cat = self.fold(event)?;
         self.sublogs.entry(cat).or_default().push((tag, event));
         Ok(())
     }
@@ -206,24 +212,12 @@ impl Shard {
         Ok(())
     }
 
-    /// The canonical solved state of one category (cold-solve semantics,
-    /// memoized per data version — bit-identical to a from-scratch
-    /// batch derivation of this worker's event subset).
-    fn state_of(&mut self, cat: u32) -> CategoryStateWire {
-        let derived = self.model.to_derived_cached(&mut self.cache);
-        let cr = &derived.per_category[cat as usize];
-        CategoryStateWire {
-            category: cat,
-            raters: cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect(),
-            writers: cr
-                .writer_reputation
-                .iter()
-                .map(|&(u, v)| (u.0, v))
-                .collect(),
-            qualities: cr.review_quality.iter().map(|&(r, v)| (r.0, v)).collect(),
-            iterations: cr.iterations as u64,
-            converged: cr.converged,
-        }
+    /// The canonical snapshot of this worker's event subset (cold-solve
+    /// semantics, memoized per data version — bit-identical to a
+    /// from-scratch batch derivation of it). Assembled once per request;
+    /// [`state_of`] maps the wanted categories out of it.
+    fn derived(&mut self) -> Derived {
+        self.model.to_derived_cached(&mut self.cache)
     }
 
     /// Rebuilds the model from the remaining sub-logs — the drop and
@@ -243,29 +237,26 @@ impl Shard {
             .collect();
         all.sort_by_key(|&(t, _)| t);
         for (_, event) in all {
-            match event {
-                StoreEvent::Review {
-                    writer,
-                    review,
-                    category,
-                } => {
-                    self.model
-                        .add_review(writer, review, category)
-                        .map_err(|e| e.to_string())?;
-                    self.review_cat.insert(review.0, category.0);
-                }
-                StoreEvent::Rating {
-                    rater,
-                    review,
-                    value,
-                } => {
-                    self.model
-                        .add_rating(rater, review, value)
-                        .map_err(|e| e.to_string())?;
-                }
-            }
+            self.fold(event)?;
         }
         Ok(())
+    }
+}
+
+/// One category's solved tables, in wire form.
+fn state_of(derived: &Derived, cat: u32) -> CategoryStateWire {
+    let cr = &derived.per_category[cat as usize];
+    CategoryStateWire {
+        category: cat,
+        raters: cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect(),
+        writers: cr
+            .writer_reputation
+            .iter()
+            .map(|&(u, v)| (u.0, v))
+            .collect(),
+        qualities: cr.review_quality.iter().map(|&(r, v)| (r.0, v)).collect(),
+        iterations: cr.iterations as u64,
+        converged: cr.converged,
     }
 }
 
@@ -446,12 +437,13 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
                     for &c in &categories {
                         require_owned(shard, c)?;
                     }
-                    let states = categories.into_iter().map(|c| shard.state_of(c)).collect();
+                    let derived = shard.derived();
+                    let states = categories.iter().map(|&c| state_of(&derived, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::FullState => {
-                    let cats: Vec<u32> = shard.owned.iter().copied().collect();
-                    let states = cats.into_iter().map(|c| shard.state_of(c)).collect();
+                    let derived = shard.derived();
+                    let states = shard.owned.iter().map(|&c| state_of(&derived, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::DropCategory { category } => drop_category(shard, category),
@@ -577,12 +569,8 @@ fn hello(
     mine.dedup_by_key(|e| e.0);
     let recovered = mine.len() as u64;
     for (tag, event) in mine {
-        let cat = match event {
-            StoreEvent::Review { category, .. } => category.0,
-            StoreEvent::Rating { review, .. } => log_review_cat[&review.0],
-        };
         shard
-            .apply(tag, event, cat)
+            .apply(tag, event)
             .map_err(|e| internal(format!("log replay failed at tag {tag}: {e}")))?;
     }
     worker.model = Some(shard);
@@ -603,14 +591,11 @@ fn ingest(worker: &mut Worker, events: Vec<(u64, StoreEvent)>) -> HandlerResult 
     let mut max_tag = 0;
     for (tag, event) in events {
         shard.check(&event).map_err(rejected)?;
-        let cat = shard
-            .category_of(&event)
-            .expect("admitted event has a resolvable category");
         worker
             .wal
             .append_tagged(tag, &event)
             .map_err(|e| internal(e.to_string()))?;
-        shard.apply(tag, event, cat).map_err(internal)?;
+        shard.apply(tag, event).map_err(internal)?;
         max_tag = tag;
     }
     Ok(ShardReply::Ingested { max_tag })
@@ -705,7 +690,7 @@ fn adopt_category(
     let shard = worker.model.as_mut().expect("handshake done");
     shard.owned.insert(category);
     for (tag, event) in events {
-        shard.apply(tag, event, category).map_err(internal)?;
+        shard.apply(tag, event).map_err(internal)?;
     }
-    Ok(ShardReply::State(shard.state_of(category)))
+    Ok(ShardReply::State(state_of(&shard.derived(), category)))
 }

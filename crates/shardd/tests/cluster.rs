@@ -15,7 +15,7 @@
 use std::process::Command;
 
 use wot_community::events::replay_into_store;
-use wot_community::{RatingScale, StoreEvent};
+use wot_community::{CategoryId, RatingScale, ReviewId, StoreEvent, UserId};
 use wot_core::{pipeline, DeriveConfig, Derived, DerivedCache, IncrementalDerived, ReplayEvent};
 use wot_serve::conformance::assert_backend_matches;
 use wot_serve::{Coordinator, CoordinatorOptions, ServeError, TrustQuery};
@@ -150,6 +150,37 @@ fn cluster_is_bit_identical_at_every_acked_seq() {
     let last = fx.log.len() as u64;
     assert_backend_matches(&mut coord, &replica.derived(), last);
     assert_backend_matches(&mut coord, &fx.batch_oracle(fx.log.len()), last);
+
+    // `wal_len` is bytes across the worker WAL files, not an event count.
+    let wal_bytes = || -> u64 {
+        (0..3)
+            .map(|w| dir.join(format!("worker-{w:02}.wal")))
+            .map(|path| std::fs::metadata(path).unwrap().len())
+            .sum()
+    };
+    let (before, _) = coord.stats().unwrap();
+    assert_eq!(before.events, last);
+    assert_eq!(before.wal_len, wal_bytes());
+    assert!(before.wal_len > before.events, "bytes, not events");
+    let reviews = fx
+        .log
+        .iter()
+        .filter(|e| matches!(e, StoreEvent::Review { .. }))
+        .count();
+    coord
+        .ingest(StoreEvent::Review {
+            writer: UserId(0),
+            review: ReviewId::from_index(reviews),
+            category: CategoryId(0),
+        })
+        .unwrap();
+    let (after, _) = coord.stats().unwrap();
+    assert_eq!(after.wal_len, wal_bytes());
+    assert!(
+        after.wal_len > before.wal_len,
+        "an acked event grows the WAL"
+    );
+
     coord.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

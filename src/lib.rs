@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | [`sparse`] | `wot-sparse` | COO/CSR/CSC/DOK matrices, products, masking |
 //! | [`graph`] | `wot-graph` | digraph, BFS, shortest-path DAGs, SCC |
-//! | [`community`] | `wot-community` | Epinions-like data model, TSV interchange, sharded stores |
+//! | [`community`] | `wot-community` | Epinions-like data model, TSV interchange, shard routing vocabulary |
 //! | [`synth`] | `wot-synth` | seeded synthetic community generator |
 //! | [`core`] | `wot-core` | the paper's framework (Eqs. 1–5) + metrics |
 //! | [`propagation`] | `wot-propagation` | EigenTrust, TidalTrust, Appleseed, Guha |
