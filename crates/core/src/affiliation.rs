@@ -14,6 +14,16 @@
 //! user's attention goes, not *how much* of it there is. A user with no
 //! ratings (or no reviews) contributes 0 for that term, so pure raters and
 //! pure writers top out at 0.5.
+//!
+//! Because the normalization is row-wise, one rating or review changes
+//! exactly one row of `A`. [`ActivityLedger`] keeps the counts of a live
+//! community together with a stamp of when each user's row last changed,
+//! so a publisher that already holds an `A` recomputes only the rows
+//! stamped since it last looked ([`ActivityLedger::patch`]) — through the
+//! same [`affiliation_row`] the batch [`affiliation_matrix`] runs, so a
+//! patched matrix is bit-identical to a rebuilt one.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use wot_community::CommunityStore;
 use wot_sparse::Dense;
@@ -47,24 +57,29 @@ pub fn activity_counts(store: &CommunityStore) -> ActivityCounts {
     ActivityCounts { ratings, reviews }
 }
 
+/// Eq. 4 for one user: `out[j]` from the user's rating counts and review
+/// counts per category. The one copy of the formula — batch assembly, the
+/// incremental model and the cluster coordinator all run it, which is what
+/// makes their `A` rows agree bit for bit.
+pub fn affiliation_row(ratings: &[f64], reviews: &[f64], out: &mut [f64]) {
+    debug_assert!(ratings.len() == out.len() && reviews.len() == out.len());
+    let r_max = ratings.iter().copied().fold(0.0f64, f64::max);
+    let w_max = reviews.iter().copied().fold(0.0f64, f64::max);
+    for ((o, &r), &w) in out.iter_mut().zip(ratings).zip(reviews) {
+        let r_term = if r_max > 0.0 { r / r_max } else { 0.0 };
+        let w_term = if w_max > 0.0 { w / w_max } else { 0.0 };
+        let v = (r_term + w_term) / 2.0;
+        *o = if v > 0.0 { v } else { 0.0 };
+    }
+}
+
 /// Assembles `A` from activity counts per Eq. 4.
 pub fn affiliation_matrix(counts: &ActivityCounts) -> Dense {
     let (u, c) = counts.ratings.shape();
     debug_assert_eq!(counts.reviews.shape(), (u, c));
     let mut a = Dense::zeros(u, c);
     for i in 0..u {
-        let r_row = counts.ratings.row(i);
-        let w_row = counts.reviews.row(i);
-        let r_max = r_row.iter().copied().fold(0.0f64, f64::max);
-        let w_max = w_row.iter().copied().fold(0.0f64, f64::max);
-        for j in 0..c {
-            let r_term = if r_max > 0.0 { r_row[j] / r_max } else { 0.0 };
-            let w_term = if w_max > 0.0 { w_row[j] / w_max } else { 0.0 };
-            let v = (r_term + w_term) / 2.0;
-            if v > 0.0 {
-                a.set(i, j, v);
-            }
-        }
+        affiliation_row(counts.ratings.row(i), counts.reviews.row(i), a.row_mut(i));
     }
     a
 }
@@ -72,6 +87,116 @@ pub fn affiliation_matrix(counts: &ActivityCounts) -> Dense {
 /// Convenience: counts + assembly in one call.
 pub fn affiliation_of(store: &CommunityStore) -> Dense {
     affiliation_matrix(&activity_counts(store))
+}
+
+/// Source of process-unique [`ActivityLedger`] ids. 0 is never handed out:
+/// it is what a publisher bound to no ledger yet holds.
+static NEXT_LEDGER_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_ledger_id() -> u64 {
+    // Relaxed: the id only has to be unique; it publishes no other data.
+    NEXT_LEDGER_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// The activity counts of a **live** community, with the bookkeeping an
+/// incremental publisher needs: every change to a user's counts stamps
+/// that user's row with a fresh tick of the ledger's clock, so "which rows
+/// of `A` are out of date" is a scan for stamps newer than the clock value
+/// the publisher last saw — no dirty list to keep in step, and nothing
+/// for a reader holding only `&self` to mutate.
+///
+/// Stamps and clock are meaningful for this instance only, so each ledger
+/// carries a process-unique id and a clone draws a fresh
+/// one: a publisher that finds a different id than the one it assembled
+/// from knows its matrices belong to another community and starts over.
+#[derive(Debug)]
+pub struct ActivityLedger {
+    id: u64,
+    counts: ActivityCounts,
+    /// Per user: the clock value of the last change to one of their
+    /// counts (0 = never changed, so the row is all zeros).
+    row_stamp: Vec<u64>,
+    clock: u64,
+}
+
+impl Clone for ActivityLedger {
+    fn clone(&self) -> Self {
+        Self {
+            id: next_ledger_id(),
+            counts: self.counts.clone(),
+            row_stamp: self.row_stamp.clone(),
+            clock: self.clock,
+        }
+    }
+}
+
+impl ActivityLedger {
+    /// An all-zero ledger for a community of the given shape.
+    pub fn new(num_users: usize, num_categories: usize) -> Self {
+        Self {
+            id: next_ledger_id(),
+            counts: ActivityCounts {
+                ratings: Dense::zeros(num_users, num_categories),
+                reviews: Dense::zeros(num_users, num_categories),
+            },
+            row_stamp: vec![0; num_users],
+            clock: 0,
+        }
+    }
+
+    /// This instance's process-unique id (never 0).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// `(users, categories)`.
+    pub fn shape(&self) -> (usize, usize) {
+        self.counts.ratings.shape()
+    }
+
+    fn stamp(&mut self, user: usize) {
+        self.clock += 1;
+        self.row_stamp[user] = self.clock;
+    }
+
+    /// Adds `by` to `a^r[user, category]` — `1.0` for a new rating, `-1.0`
+    /// to take one back (exact: the counts are integers held in `f64`).
+    pub fn bump_ratings(&mut self, user: usize, category: usize, by: f64) {
+        let r = &mut self.counts.ratings;
+        r.set(user, category, r.get(user, category) + by);
+        self.stamp(user);
+    }
+
+    /// Adds `by` to `a^w[user, category]`; see
+    /// [`bump_ratings`](Self::bump_ratings).
+    pub fn bump_reviews(&mut self, user: usize, category: usize, by: f64) {
+        let w = &mut self.counts.reviews;
+        w.set(user, category, w.get(user, category) + by);
+        self.stamp(user);
+    }
+
+    /// `A` built from scratch (Eq. 4 over every row).
+    pub fn affiliation(&self) -> Dense {
+        affiliation_matrix(&self.counts)
+    }
+
+    /// Brings `a` — this ledger's `A` as of clock value `seen` — up to
+    /// date by recomputing the rows stamped since, and returns the clock
+    /// value to pass next time. With `seen = 0` and an all-zero `a` this
+    /// is the full build: rows never stamped are rows of zeros.
+    pub fn patch(&self, a: &mut Dense, seen: u64) -> u64 {
+        debug_assert_eq!(a.shape(), self.shape());
+        for (i, &stamp) in self.row_stamp.iter().enumerate() {
+            if stamp > seen {
+                affiliation_row(
+                    self.counts.ratings.row(i),
+                    self.counts.reviews.row(i),
+                    a.row_mut(i),
+                );
+            }
+        }
+        self.clock
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +269,57 @@ mod tests {
         let store = b.build();
         let a = affiliation_of(&store);
         assert_eq!(a.row_sums(), vec![0.0]);
+    }
+
+    /// A patched `A` equals a rebuilt one after every kind of count
+    /// change (added, taken back, a row emptied again), and the patch
+    /// recomputes stamped rows only.
+    #[test]
+    fn ledger_patch_matches_rebuild_and_touches_stamped_rows_only() {
+        let mut ledger = ActivityLedger::new(4, 3);
+        let mut a = Dense::zeros(4, 3);
+        let mut seen = ledger.patch(&mut a, 0);
+        assert_eq!(a, ledger.affiliation());
+        let steps: [(usize, usize, f64, bool); 6] = [
+            (0, 0, 1.0, true),
+            (0, 1, 1.0, true),
+            (2, 1, 1.0, false),
+            (0, 0, 1.0, true),
+            (0, 1, -1.0, true),
+            (2, 1, -1.0, false),
+        ];
+        for (user, cat, by, rating) in steps {
+            if rating {
+                ledger.bump_ratings(user, cat, by);
+            } else {
+                ledger.bump_reviews(user, cat, by);
+            }
+            // Poison every other row: the patch must leave them alone.
+            let poisoned: Vec<usize> = (0..4).filter(|&i| i != user).collect();
+            let saved = a.clone();
+            for &i in &poisoned {
+                a.row_mut(i).fill(f64::NAN);
+            }
+            seen = ledger.patch(&mut a, seen);
+            for &i in &poisoned {
+                assert!(a.row(i).iter().all(|v| v.is_nan()), "row {i} recomputed");
+                a.row_mut(i).copy_from_slice(saved.row(i));
+            }
+            assert_eq!(a, ledger.affiliation());
+        }
+        // Nothing stamped since: nothing recomputed.
+        a.as_mut_slice().fill(f64::NAN);
+        assert_eq!(ledger.patch(&mut a, seen), seen);
+        assert!(a.as_slice().iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
+    fn ledger_clones_draw_fresh_ids() {
+        let ledger = ActivityLedger::new(2, 2);
+        let twin = ledger.clone();
+        assert_ne!(ledger.id(), 0);
+        assert_ne!(ledger.id(), twin.id());
+        assert_ne!(ActivityLedger::new(2, 2).id(), twin.id());
     }
 
     #[test]

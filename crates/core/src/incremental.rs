@@ -61,8 +61,10 @@ use std::sync::Arc;
 use wot_community::{CategoryId, CommunityStore, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
+use crate::affiliation::ActivityLedger;
+use crate::assemble::Assembler;
 use crate::pipeline::{CategoryReputation, Derived};
-use crate::{expertise, reputation, riggs, CoreError, DeriveConfig, Result};
+use crate::{reputation, riggs, CoreError, DeriveConfig, Result};
 
 /// One event of a derivation replay: the community's ingestion events
 /// ([`StoreEvent`]) plus explicit refresh markers, so a recorded log can
@@ -128,6 +130,88 @@ struct SolveOutcome {
     reputation: Vec<f64>,
     iterations: usize,
     converged: bool,
+}
+
+/// A solved category as [`CategoryState::category_reputation`] reads it:
+/// borrowed from a fresh [`SolveOutcome`] (the cold path) or from the
+/// state's own warm buffers (the warm path) — no copy either way.
+#[derive(Clone, Copy)]
+struct Solved<'a> {
+    quality: &'a [f64],
+    reputation: &'a [f64],
+    iterations: usize,
+    converged: bool,
+}
+
+impl SolveOutcome {
+    fn solved(&self) -> Solved<'_> {
+        Solved {
+            quality: &self.quality,
+            reputation: &self.reputation,
+            iterations: self.iterations,
+            converged: self.converged,
+        }
+    }
+}
+
+/// Local indexes in ascending-[`UserId`] order — the order a
+/// [`CategoryReputation`] lists its raters and writers in — kept between
+/// table builds so a build is a gather, not a sort.
+///
+/// Locals are handed out in arrival order and never removed, so the ones
+/// this order does not cover yet are exactly `len()..`: an implicit
+/// unsorted tail that costs `apply` nothing and that
+/// [`cover`](Self::cover) sorts and merges in when the next table is
+/// built. An empty order (fresh cache, restored model) is all tail.
+#[derive(Debug, Clone, Default)]
+struct SortedLocals(Vec<u32>);
+
+impl SortedLocals {
+    /// Extends the order over every local of `user_of_local`: sorts the
+    /// uncovered tail by user and merges it in, in one linear pass.
+    fn cover(&mut self, user_of_local: &[UserId]) {
+        let covered = self.0.len();
+        if covered == user_of_local.len() {
+            return;
+        }
+        let user = |l: u32| user_of_local[l as usize];
+        let mut tail: Vec<u32> = (covered as u32..user_of_local.len() as u32).collect();
+        // A user holds one local index per category, so keys are distinct
+        // and the merged order is the one a full sort by user would give.
+        tail.sort_unstable_by_key(|&l| user(l));
+        let head = std::mem::take(&mut self.0);
+        let mut merged = Vec::with_capacity(user_of_local.len());
+        let (mut h, mut t) = (0, 0);
+        while h < head.len() && t < tail.len() {
+            if user(head[h]) < user(tail[t]) {
+                merged.push(head[h]);
+                h += 1;
+            } else {
+                merged.push(tail[t]);
+                t += 1;
+            }
+        }
+        merged.extend_from_slice(&head[h..]);
+        merged.extend_from_slice(&tail[t..]);
+        self.0 = merged;
+    }
+
+    /// `(user, value)` of every local, in ascending user order. The order
+    /// must [`cover`](Self::cover) `user_of_local`.
+    fn gather(&self, user_of_local: &[UserId], value_of_local: &[f64]) -> Vec<(UserId, f64)> {
+        debug_assert_eq!(self.0.len(), user_of_local.len());
+        self.0
+            .iter()
+            .map(|&l| (user_of_local[l as usize], value_of_local[l as usize]))
+            .collect()
+    }
+}
+
+/// One category's [`SortedLocals`], raters and writers.
+#[derive(Debug, Clone, Default)]
+struct TableOrder {
+    raters: SortedLocals,
+    writers: SortedLocals,
 }
 
 /// Result of one refresh through [`CategoryState::solve_refresh`]: the
@@ -572,44 +656,47 @@ impl CategoryState {
         self.pending_seeds.clear();
     }
 
+    /// The state's own warm buffers, as of the last refresh.
+    fn warm(&self) -> Solved<'_> {
+        Solved {
+            quality: &self.quality,
+            reputation: &self.reputation,
+            iterations: self.last_iterations,
+            converged: self.last_converged,
+        }
+    }
+
     /// Assembles one category's canonical [`CategoryReputation`] from a
-    /// solve outcome — the exact shape (and sort order) batch
-    /// [`pipeline::derive`](crate::pipeline::derive) emits.
+    /// solved state — the exact shape (and user order) batch
+    /// [`pipeline::derive`](crate::pipeline::derive) emits. `order` must
+    /// cover every local rater and writer.
     fn category_reputation(
         &self,
         c: usize,
-        out: &SolveOutcome,
+        solved: Solved<'_>,
+        order: &TableOrder,
         cfg: &DeriveConfig,
     ) -> CategoryReputation {
-        let mut rater_reputation: Vec<(UserId, f64)> = self
-            .rater_of_local
-            .iter()
-            .copied()
-            .zip(out.reputation.iter().copied())
-            .collect();
-        rater_reputation.sort_by_key(|&(u, _)| u);
-        let writer_values =
-            reputation::writer_reputation_grouped(&self.reviews_by_writer_local, &out.quality, cfg);
-        let mut writer_reputation: Vec<(UserId, f64)> = self
-            .writer_of_local
-            .iter()
-            .copied()
-            .zip(writer_values)
-            .collect();
-        writer_reputation.sort_by_key(|&(u, _)| u);
+        let rater_reputation = order.raters.gather(&self.rater_of_local, solved.reputation);
+        let writer_values = reputation::writer_reputation_grouped(
+            &self.reviews_by_writer_local,
+            solved.quality,
+            cfg,
+        );
+        let writer_reputation = order.writers.gather(&self.writer_of_local, &writer_values);
         let review_quality: Vec<(ReviewId, f64)> = self
             .reviews
             .iter()
             .copied()
-            .zip(out.quality.iter().copied())
+            .zip(solved.quality.iter().copied())
             .collect();
         CategoryReputation {
             category: CategoryId::from_index(c),
             rater_reputation,
             writer_reputation,
             review_quality,
-            iterations: out.iterations,
-            converged: out.converged,
+            iterations: solved.iterations,
+            converged: solved.converged,
         }
     }
 }
@@ -672,15 +759,25 @@ pub struct IncrementalSnapshot {
     pub categories: Vec<CategorySnapshot>,
 }
 
-/// Memo state for [`IncrementalDerived::to_derived_cached`]: the last
-/// canonical per-category solve, keyed by each category's data version.
+/// Memo state for [`IncrementalDerived::to_derived_cached`]: everything
+/// the last publish computed that the next one can keep.
 ///
-/// Create one with [`DerivedCache::default`] and keep feeding it the
-/// **same** model instance — a serving daemon holds one alongside its
-/// `IncrementalDerived` and republishes snapshots cheaply after sparse
-/// write bursts. Reusing a cache across *different* model instances is
-/// not meaningful (versions are per-instance counters); a shape mismatch
-/// resets the cache, anything subtler is on the caller.
+/// * the last canonical per-category solve, keyed by each category's
+///   data version;
+/// * per category, its raters and writers in ascending-user order, so
+///   rebuilding a dirty category's tables gathers instead of sorting;
+/// * the last assembled `E` and `A` (an [`Assembler`]), patched in place:
+///   only the columns of re-solved categories and the rows of users
+///   whose counts changed are written.
+///
+/// Create one with [`DerivedCache::default`] and keep feeding it the same
+/// model — a serving daemon holds one alongside its `IncrementalDerived`
+/// and republishes snapshots cheaply after sparse write bursts. A cache
+/// is **bound to the model it last saw** by that model's process-unique
+/// instance id (drawn at construction, restore and clone): handed any
+/// other model — same shape or not — it resets itself wholesale, so a
+/// swapped, cloned or restored model starts cold rather than being
+/// served another model's versions, orders or `A` rows.
 ///
 /// Slots are `Arc`-shared with every [`Derived`] published from this
 /// cache: a clean category costs one pointer clone per publish, not a
@@ -697,35 +794,43 @@ pub struct IncrementalSnapshot {
 /// [`refresh_and_derive_warm`]: IncrementalDerived::refresh_and_derive_warm
 #[derive(Debug, Clone, Default)]
 pub struct DerivedCache {
+    /// Instance id of the model the slots belong to (0 = none yet).
+    model: u64,
     /// Data version each slot was solved at (`u64::MAX` = never).
     versions: Vec<u64>,
     /// Canonical per-category output as of `versions`, shared by pointer
     /// into every published [`Derived`].
     per_category: Vec<Arc<CategoryReputation>>,
+    /// Per category: the user order its tables are gathered in.
+    order: Vec<TableOrder>,
+    assembler: Assembler,
 }
 
 impl DerivedCache {
-    /// Resets a cache whose shape doesn't match the model to
-    /// `num_categories` never-solved slots.
-    fn fit(&mut self, num_categories: usize) {
-        if self.versions.len() == num_categories {
+    /// Binds the cache to `model`: a cache that last saw a different
+    /// instance (or none) is reset to never-solved slots.
+    fn fit(&mut self, model: &IncrementalDerived) {
+        let id = model.counts.id();
+        if self.model == id {
             return;
         }
-        self.versions = vec![u64::MAX; num_categories];
-        self.per_category.clear();
-        // Placeholders only: every slot starts at version u64::MAX,
-        // which no data version reaches, so each is overwritten by a
-        // real solve before it can be read.
-        self.per_category.resize_with(num_categories, || {
-            Arc::new(CategoryReputation {
-                category: CategoryId(0),
-                rater_reputation: Vec::new(),
-                writer_reputation: Vec::new(),
-                review_quality: Vec::new(),
-                iterations: 0,
-                converged: false,
-            })
-        });
+        let n = model.categories.len();
+        *self = DerivedCache {
+            model: id,
+            // Every slot starts at version u64::MAX, which no data
+            // version reaches, so each placeholder is overwritten by a
+            // real solve before it can be read.
+            versions: vec![u64::MAX; n],
+            per_category: CategoryReputation::empty_tables(n),
+            order: vec![TableOrder::default(); n],
+            assembler: Assembler::default(),
+        };
+    }
+
+    /// Extends category `c`'s table order over every local `state` holds.
+    fn cover(&mut self, c: usize, state: &CategoryState) {
+        self.order[c].raters.cover(&state.rater_of_local);
+        self.order[c].writers.cover(&state.writer_of_local);
     }
 }
 
@@ -739,10 +844,11 @@ pub struct IncrementalDerived {
     categories: Vec<CategoryState>,
     /// Global review id → (category, local index).
     review_index: HashMap<ReviewId, (u32, u32)>,
-    /// `a^r_ij`: rating counts per user per category.
-    rating_counts: Dense,
-    /// `a^w_ij`: review counts per user per category.
-    review_counts: Dense,
+    /// `a^r_ij` / `a^w_ij`: rating and review counts per user per
+    /// category, row-stamped on every change. Its process-unique id is
+    /// this model's instance id — what a [`DerivedCache`] binds to — and
+    /// a clone of the model draws a fresh one.
+    counts: ActivityLedger,
 }
 
 impl IncrementalDerived {
@@ -756,8 +862,7 @@ impl IncrementalDerived {
                 .map(|_| CategoryState::empty(num_users))
                 .collect(),
             review_index: HashMap::new(),
-            rating_counts: Dense::zeros(num_users, num_categories),
-            review_counts: Dense::zeros(num_users, num_categories),
+            counts: ActivityLedger::new(num_users, num_categories),
         })
     }
 
@@ -974,8 +1079,7 @@ impl IncrementalDerived {
         let Self {
             categories,
             review_index,
-            rating_counts,
-            review_counts,
+            counts,
             ..
         } = &mut inc;
         let mut total_reviews = 0usize;
@@ -1029,8 +1133,7 @@ impl IncrementalDerived {
                     return Err(corrupt(c, "review's writer index out of range"));
                 }
                 state.reviews_by_writer_local[lw as usize].push(local as u32);
-                let w = cat.writer_of_local[lw as usize].index();
-                review_counts.set(w, c, review_counts.get(w, c) + 1.0);
+                counts.bump_reviews(cat.writer_of_local[lw as usize].index(), c, 1.0);
             }
             // Rebuild ratings-by-rater from the review-grouped lists:
             // iterating reviews ascending appends each rater's entries in
@@ -1058,8 +1161,7 @@ impl IncrementalDerived {
                     }
                     stamp[lr as usize] = local as u32;
                     state.ratings_by_rater_local[lr as usize].push((local as u32, value));
-                    let r = cat.rater_of_local[lr as usize].index();
-                    rating_counts.set(r, c, rating_counts.get(r, c) + 1.0);
+                    counts.bump_ratings(cat.rater_of_local[lr as usize].index(), c, 1.0);
                     n_ratings += 1;
                 }
             }
@@ -1149,11 +1251,8 @@ impl IncrementalDerived {
         }
         let local = self.categories[category.index()].add_review(writer, review, &self.cfg);
         self.review_index.insert(review, (category.0, local));
-        self.review_counts.set(
-            writer.index(),
-            category.index(),
-            self.review_counts.get(writer.index(), category.index()) + 1.0,
-        );
+        self.counts
+            .bump_reviews(writer.index(), category.index(), 1.0);
         Ok(())
     }
 
@@ -1181,11 +1280,7 @@ impl IncrementalDerived {
             )));
         }
         state.add_rating(rater, review, local, value, &self.cfg)?;
-        self.rating_counts.set(
-            rater.index(),
-            cat as usize,
-            self.rating_counts.get(rater.index(), cat as usize) + 1.0,
-        );
+        self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
         Ok(())
     }
 
@@ -1236,11 +1331,7 @@ impl IncrementalDerived {
             }
         }
         state.add_rating(rater, review, local, value, &self.cfg)?;
-        self.rating_counts.set(
-            rater.index(),
-            cat as usize,
-            self.rating_counts.get(rater.index(), cat as usize) + 1.0,
-        );
+        self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
         Ok(false)
     }
 
@@ -1348,40 +1439,57 @@ impl IncrementalDerived {
 
     /// Like [`to_derived`](Self::to_derived), but re-solves **only the
     /// categories whose data changed** since the cache last saw them,
-    /// reusing the cached canonical [`CategoryReputation`] for the rest.
+    /// reusing the cached canonical [`CategoryReputation`] for the rest,
+    /// and patches only those categories' columns of `E` and the rows of
+    /// `A` whose counts changed.
     ///
     /// The result is bit-identical to `to_derived()` *by construction*:
     /// a cached entry was produced by the very same cold solve over the
     /// very same index tables (each category carries a monotone data
-    /// version, bumped on every mutation, that keys the cache), so
-    /// skipping the re-solve cannot change a single bit. This is what
-    /// makes frequent snapshot publication affordable for a serving
+    /// version, bumped on every mutation, that keys the cache), and a
+    /// cell of `E` or `A` the patch skips is one whose inputs did not
+    /// change, so skipping the work cannot change a single bit. This is
+    /// what makes frequent snapshot publication affordable for a serving
     /// daemon: after a burst of events touching `k` categories, a new
-    /// snapshot costs `k` cold solves instead of *all* of them.
+    /// snapshot costs `k` cold solves instead of *all* of them, and an
+    /// assembly proportional to what the burst touched.
     ///
-    /// The cache is **tied to the model instance it first saw**: feed it
-    /// snapshots of one `IncrementalDerived` only. (A cache whose shape
-    /// doesn't match is reset wholesale, so a fresh or restored model
-    /// starts cold rather than wrong.)
+    /// The cache binds itself to this model instance (see
+    /// [`DerivedCache`]): fed any other, it starts cold rather than
+    /// wrong.
     pub fn to_derived_cached(&self, cache: &mut DerivedCache) -> Derived {
+        self.tables_cached(cache);
+        cache.assembler.assemble(&self.counts, &cache.per_category)
+    }
+
+    /// The first half of [`to_derived_cached`](Self::to_derived_cached):
+    /// brings the cache's canonical per-category tables up to date and
+    /// returns them, indexed by category, **without assembling `E` or
+    /// `A`** — all a shard worker needs, since Eq. 4 spans categories it
+    /// does not own.
+    pub fn tables_cached<'c>(&self, cache: &'c mut DerivedCache) -> &'c [Arc<CategoryReputation>] {
         let cfg = &self.cfg;
         let categories = &self.categories;
-        cache.fit(categories.len());
+        cache.fit(self);
         let dirty: Vec<usize> = categories
             .iter()
             .enumerate()
             .filter_map(|(c, s)| (cache.versions[c] != s.data_version).then_some(c))
             .collect();
+        for &c in &dirty {
+            cache.cover(c, &categories[c]);
+        }
+        let order = &cache.order;
         let solved = wot_par::par_map_indexed(dirty.len(), cfg.effective_threads(), |k| {
             let c = dirty[k];
             let state = &categories[c];
-            state.category_reputation(c, &state.solve_cold(cfg), cfg)
+            state.category_reputation(c, state.solve_cold(cfg).solved(), &order[c], cfg)
         });
         for (&c, cr) in dirty.iter().zip(solved) {
             cache.per_category[c] = Arc::new(cr);
             cache.versions[c] = categories[c].data_version;
         }
-        self.assemble_from_cache(cache)
+        &cache.per_category
     }
 
     /// Refreshes every stale category (through whichever path
@@ -1390,7 +1498,8 @@ impl IncrementalDerived {
     /// category's assembly in `cache` under its data version — the delta
     /// writer's publish step: after a sparse batch, only the touched
     /// categories pay a worklist solve plus an O(category) re-assembly,
-    /// and every clean category rides its cached `Arc`.
+    /// every clean category rides its cached `Arc`, and `E` / `A` are
+    /// patched where the batch touched them.
     ///
     /// Refreshing and assembling in one call is what makes the version
     /// key sound for warm values: a category's warm state only changes
@@ -1404,38 +1513,17 @@ impl IncrementalDerived {
     /// cache exclusive to this method (see [`DerivedCache`]).
     pub fn refresh_and_derive_warm(&mut self, cache: &mut DerivedCache) -> Derived {
         self.refresh_all();
-        let categories = &self.categories;
-        cache.fit(categories.len());
-        for (c, state) in categories.iter().enumerate() {
+        cache.fit(self);
+        for (c, state) in self.categories.iter().enumerate() {
             if cache.versions[c] == state.data_version {
                 continue;
             }
-            let out = SolveOutcome {
-                quality: state.quality.clone(),
-                reputation: state.reputation.clone(),
-                iterations: state.last_iterations,
-                converged: state.last_converged,
-            };
-            cache.per_category[c] = Arc::new(state.category_reputation(c, &out, &self.cfg));
+            cache.cover(c, state);
+            let cr = state.category_reputation(c, state.warm(), &cache.order[c], &self.cfg);
+            cache.per_category[c] = Arc::new(cr);
             cache.versions[c] = state.data_version;
         }
-        self.assemble_from_cache(cache)
-    }
-
-    /// Builds the final [`Derived`] from a fully up-to-date cache; the
-    /// per-category tables are shared by `Arc` (no deep clone of clean
-    /// categories on publish).
-    fn assemble_from_cache(&self, cache: &DerivedCache) -> Derived {
-        let writer_pairs: Vec<&[(UserId, f64)]> = cache
-            .per_category
-            .iter()
-            .map(|cr| cr.writer_reputation.as_slice())
-            .collect();
-        Derived {
-            expertise: expertise::expertise_matrix_from_pairs(self.num_users, &writer_pairs),
-            affiliation: self.affiliation(),
-            per_category: cache.per_category.clone(),
-        }
+        cache.assembler.assemble(&self.counts, &cache.per_category)
     }
 
     /// Current expertise matrix `E` from the last refresh (use
@@ -1458,15 +1546,7 @@ impl IncrementalDerived {
     /// Current affiliation matrix `A` (always exact — counts are
     /// maintained eagerly).
     pub fn affiliation(&self) -> Dense {
-        crate::affiliation::affiliation_matrix(&crate::affiliation::ActivityCounts {
-            ratings: self.rating_counts.clone(),
-            reviews: self.review_counts.clone(),
-        })
-    }
-
-    /// Eq. 5 for one pair against the current state.
-    pub fn pairwise_trust(&self, i: UserId, j: UserId) -> f64 {
-        crate::trust::pairwise(&self.affiliation(), &self.expertise(), i.index(), j.index())
+        self.counts.affiliation()
     }
 
     /// Rater reputation in one category, if the user rated there.
@@ -1730,7 +1810,7 @@ mod tests {
         // Valid rating works.
         inc.add_rating(UserId(1), ReviewId(0), 0.8).unwrap();
         inc.refresh_all();
-        assert!(inc.pairwise_trust(UserId(1), UserId(0)) > 0.0);
+        assert!(crate::trust::pairwise(&inc.affiliation(), &inc.expertise(), 1, 0) > 0.0);
         assert!(inc.rater_reputation(CategoryId(0), UserId(1)).is_some());
         assert!(inc.rater_reputation(CategoryId(0), UserId(0)).is_none());
         assert!(inc.rater_reputation(CategoryId(9), UserId(0)).is_none());
@@ -2185,6 +2265,99 @@ mod tests {
         let w2 = inc.refresh_and_derive_warm(&mut warm_cache);
         assert!(Arc::ptr_eq(&w1.per_category[0], &w2.per_category[0]));
         assert!(!Arc::ptr_eq(&w1.per_category[1], &w2.per_category[1]));
+    }
+
+    /// Publish work tracks the dirty set, on both publish paths: one new
+    /// rating recomputes one row of `A`, rewrites only its category's
+    /// column of `E` and re-sorts nothing; an idle publish writes nothing
+    /// at all. The cached matrices are poisoned before each publish, so
+    /// every cell that still reads NaN afterwards was provably left alone.
+    #[test]
+    fn publish_work_tracks_the_dirty_set() {
+        let store = wot_synth::generate(&wot_synth::SynthConfig::laptop(11))
+            .unwrap()
+            .store;
+        let review = store.reviews()[0];
+        let cat = review.category.index();
+        let all_nan = |m: &Dense| m.as_slice().iter().all(|v| v.is_nan());
+        type Publish = fn(&mut IncrementalDerived, &mut DerivedCache) -> Derived;
+        let paths: [(DeriveConfig, Publish); 2] = [
+            (DeriveConfig::default(), |m, c| m.to_derived_cached(c)),
+            (delta_cfg(0.5), |m, c| m.refresh_and_derive_warm(c)),
+        ];
+        for (cfg, publish) in paths {
+            let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
+            let mut cache = DerivedCache::default();
+            let d0 = publish(&mut inc, &mut cache);
+            // A user new to the category, so the rater order grows a tail.
+            let rater = (0..store.num_users())
+                .map(UserId::from_index)
+                .find(|&u| {
+                    u != review.writer && inc.categories[cat].rater_slot[u.index()] == u32::MAX
+                })
+                .expect("someone has not rated in this category yet");
+            inc.add_rating(rater, review.id, 0.8).unwrap();
+            let state = &inc.categories[cat];
+            assert_eq!(
+                cache.order[cat].raters.0.len() + 1,
+                state.rater_of_local.len()
+            );
+            let (e, a) = cache.assembler.matrices_mut();
+            e.as_mut_slice().fill(f64::NAN);
+            a.as_mut_slice().fill(f64::NAN);
+            let d1 = publish(&mut inc, &mut cache);
+            let state = &inc.categories[cat];
+            let (fresh_e, fresh_a) = (inc.expertise(), inc.affiliation());
+            for i in 0..store.num_users() {
+                if i == rater.index() {
+                    assert_eq!(d1.affiliation.row(i), fresh_a.row(i));
+                } else {
+                    assert!(
+                        d1.affiliation.row(i).iter().all(|v| v.is_nan()),
+                        "A row {i}"
+                    );
+                }
+                for c in 0..store.num_categories() {
+                    let v = d1.expertise.get(i, c);
+                    if c == cat && state.writer_slot[i] != u32::MAX {
+                        // Warm E is the live accessor's; cold E is checked
+                        // against the batch oracle elsewhere.
+                        assert!(!v.is_nan());
+                        if cfg.delta_refresh {
+                            assert_eq!(v, fresh_e.get(i, c));
+                        }
+                    } else {
+                        assert!(v.is_nan(), "E[{i},{c}] written");
+                    }
+                }
+            }
+            for c in 0..store.num_categories() {
+                assert_eq!(
+                    Arc::ptr_eq(&d0.per_category[c], &d1.per_category[c]),
+                    c != cat,
+                    "category {c}"
+                );
+            }
+            // The tail was merged in, and the gather order is the order a
+            // fresh sort by user gives.
+            for (order, user_of_local) in [
+                (&cache.order[cat].raters, &state.rater_of_local),
+                (&cache.order[cat].writers, &state.writer_of_local),
+            ] {
+                let mut sorted: Vec<u32> = (0..user_of_local.len() as u32).collect();
+                sorted.sort_by_key(|&l| user_of_local[l as usize]);
+                assert_eq!(order.0, sorted);
+            }
+            // Nothing dirty: zero rows recomputed, zero tables installed.
+            let (e, a) = cache.assembler.matrices_mut();
+            e.as_mut_slice().fill(f64::NAN);
+            a.as_mut_slice().fill(f64::NAN);
+            let d2 = publish(&mut inc, &mut cache);
+            assert!(all_nan(&d2.expertise) && all_nan(&d2.affiliation));
+            for (x, y) in d1.per_category.iter().zip(&d2.per_category) {
+                assert!(Arc::ptr_eq(x, y));
+            }
+        }
     }
 
     /// The warm assembly agrees with the live warm accessors and stays

@@ -74,6 +74,12 @@
 //!   is bit-identical to [`pipeline::derive`] over the folded store — the
 //!   workspace's replay-conformance suite proves it on randomized causal
 //!   event streams at several thread counts.
+//! * **Patched publishes.** One rating dirties one column of `E` and one
+//!   row of `A`, so a publish patches the matrices it assembled last time
+//!   ([`assemble::Assembler`], fed by the row-stamped
+//!   [`affiliation::ActivityLedger`]) instead of rebuilding users ×
+//!   categories — the same code whether the publisher is the flat model's
+//!   [`DerivedCache`] or the cluster coordinator.
 //!
 //! [`pipeline::derive`] glues the steps together — the one batch entry
 //! point (`derive_baseline` is only the reference tests compare it to):
@@ -102,6 +108,7 @@
 #![warn(missing_docs)]
 
 pub mod affiliation;
+pub mod assemble;
 pub mod binarize;
 mod config;
 mod error;
@@ -114,6 +121,8 @@ pub mod riggs;
 pub mod trust;
 pub mod trust_blocks;
 
+pub use affiliation::ActivityLedger;
+pub use assemble::Assembler;
 pub use config::{DeriveConfig, DeriveConfigBuilder};
 pub use error::CoreError;
 pub use incremental::{

@@ -34,6 +34,28 @@ pub struct CategoryReputation {
     pub converged: bool,
 }
 
+impl CategoryReputation {
+    /// The tables of a category nothing has happened in yet.
+    pub fn empty(category: CategoryId) -> Self {
+        Self {
+            category,
+            rater_reputation: Vec::new(),
+            writer_reputation: Vec::new(),
+            review_quality: Vec::new(),
+            iterations: 0,
+            converged: true,
+        }
+    }
+
+    /// One [`empty`](Self::empty) table per category — what a publisher
+    /// holds before any solve.
+    pub fn empty_tables(num_categories: usize) -> Vec<Arc<Self>> {
+        (0..num_categories)
+            .map(|c| Arc::new(Self::empty(CategoryId::from_index(c))))
+            .collect()
+    }
+}
+
 /// The derived model: everything Steps 1–2 produce, with Step 3 exposed as
 /// methods (pairwise, masked, dense, and support-count forms).
 #[derive(Debug, Clone, PartialEq)]

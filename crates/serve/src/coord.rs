@@ -9,14 +9,15 @@
 //! whichever worker owns the category, while Eq. 4's affiliation
 //! normalizes **across all categories per user** and therefore cannot be
 //! computed by any category-subset worker. The coordinator closes that
-//! gap with exact integers: it routes every event anyway, so it keeps
-//! the per-user activity counts and assembles Eq. 4 itself — through the
-//! very same [`affiliation_matrix`] the flat pipeline uses — and builds
-//! expertise from the workers' writer tables through the very same
-//! [`expertise_matrix_from_pairs`]. The assembled [`ServeSnapshot`] is
-//! therefore **bit-identical** to the flat daemon's at every acked
-//! sequence: same tables (same solves over the same per-category event
-//! order), same assembly code, same query code.
+//! gap with exact integers: it routes every event anyway, so it feeds
+//! the per-user activity counts into the same [`ActivityLedger`] the
+//! flat model keeps, and hands that ledger plus the workers' tables to
+//! the same [`Assembler`] the flat model publishes through — Eq. 4 rows
+//! recomputed only for users whose counts moved, `E` columns rewritten
+//! only for categories whose tables were replaced. The assembled
+//! [`ServeSnapshot`] is therefore **bit-identical** to the flat daemon's
+//! at every acked sequence: same tables (same solves over the same
+//! per-category event order), same assembly code, same query code.
 //!
 //! Transparency is enforced, not assumed: the cluster conformance
 //! drills in `crates/shardd/tests` hold every answer to the offline
@@ -73,10 +74,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wot_community::{CategoryId, ReviewId, ShardAssignment, ShardId, StoreEvent, UserId};
-use wot_core::affiliation::{affiliation_matrix, ActivityCounts};
-use wot_core::expertise::expertise_matrix_from_pairs;
-use wot_core::{CategoryReputation, Derived};
-use wot_sparse::Dense;
+use wot_core::{ActivityLedger, Assembler, CategoryReputation};
 
 use crate::client::ReputationTable;
 use crate::protocol::{
@@ -319,12 +317,13 @@ pub struct Coordinator {
     /// Per global review id: raters so far, ascending (duplicate
     /// admission).
     raters_of_review: Vec<Vec<u32>>,
-    /// Exact `a^r` counts (Eq. 4 input).
-    rating_counts: Dense,
-    /// Exact `a^w` counts (Eq. 4 input).
-    review_counts: Dense,
+    /// Exact `a^r` / `a^w` counts (Eq. 4 input), row-stamped per change.
+    counts: ActivityLedger,
     /// Latest solved tables per category, as fetched from the owners.
     per_cat: Vec<Arc<CategoryReputation>>,
+    /// `E` and `A` as of the last refresh, patched where `counts` and
+    /// `per_cat` changed since.
+    assembler: Assembler,
     /// Categories dirtied since their tables were last fetched — the
     /// lazy [`ShardRequest::States`] fetch set.
     stale_cats: BTreeSet<u32>,
@@ -338,17 +337,6 @@ pub struct Coordinator {
     /// ascending tags; reconciled at that worker's restart.
     inflight: Vec<(u64, StoreEvent)>,
     inflight_worker: Option<usize>,
-}
-
-fn empty_rep(c: usize) -> Arc<CategoryReputation> {
-    Arc::new(CategoryReputation {
-        category: CategoryId::from_index(c),
-        rater_reputation: Vec::new(),
-        writer_reputation: Vec::new(),
-        review_quality: Vec::new(),
-        iterations: 0,
-        converged: true,
-    })
 }
 
 fn rep_from_wire(s: &CategoryStateWire) -> CategoryReputation {
@@ -407,18 +395,13 @@ impl Coordinator {
                 events_tx.clone(),
             )?);
         }
-        let per_cat = (0..opts.num_categories).map(empty_rep).collect();
-        let snapshot = ServeSnapshot::new(
-            0,
-            Derived {
-                expertise: Dense::zeros(opts.num_users, opts.num_categories),
-                affiliation: Dense::zeros(opts.num_users, opts.num_categories),
-                per_category: (0..opts.num_categories).map(empty_rep).collect(),
-            },
-        );
+        let counts = ActivityLedger::new(opts.num_users, opts.num_categories);
+        let per_cat = CategoryReputation::empty_tables(opts.num_categories);
+        let mut assembler = Assembler::default();
+        let snapshot = ServeSnapshot::new(0, assembler.assemble(&counts, &per_cat));
         let mut coord = Coordinator {
-            rating_counts: Dense::zeros(opts.num_users, opts.num_categories),
-            review_counts: Dense::zeros(opts.num_users, opts.num_categories),
+            counts,
+            assembler,
             opts,
             workers,
             events_rx,
@@ -654,17 +637,13 @@ impl Coordinator {
                 self.review_cat.push(cat);
                 self.review_writer.push(writer.0);
                 self.raters_of_review.push(Vec::new());
-                let (i, j) = (writer.index(), cat as usize);
-                self.review_counts
-                    .set(i, j, self.review_counts.get(i, j) + 1.0);
+                self.counts.bump_reviews(writer.index(), cat as usize, 1.0);
             }
             StoreEvent::Rating { rater, review, .. } => {
                 let raters = &mut self.raters_of_review[review.index()];
                 let at = raters.partition_point(|&r| r < rater.0);
                 raters.insert(at, rater.0);
-                let (i, j) = (rater.index(), cat as usize);
-                self.rating_counts
-                    .set(i, j, self.rating_counts.get(i, j) + 1.0);
+                self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
             }
         }
         self.seq += 1;
@@ -674,17 +653,17 @@ impl Coordinator {
 
     /// Reverses the most recent [`apply_admitted`](Self::apply_admitted)
     /// of `event` — exact, because the activity counts are integers
-    /// stored in `f64` (+1.0 then −1.0 restores the bit pattern).
-    /// Rollback must run newest-first across the aborted round.
+    /// stored in `f64` (+1.0 then −1.0 restores the bit pattern; the
+    /// ledger stamps the row both times, so an `A` assembled in between
+    /// is corrected too). Rollback must run newest-first across the
+    /// aborted round.
     fn undo_admitted(&mut self, event: &StoreEvent) {
         match *event {
             StoreEvent::Review { writer, .. } => {
                 let cat = self.review_cat.pop().expect("review to undo");
                 self.review_writer.pop();
                 self.raters_of_review.pop();
-                let (i, j) = (writer.index(), cat as usize);
-                self.review_counts
-                    .set(i, j, self.review_counts.get(i, j) - 1.0);
+                self.counts.bump_reviews(writer.index(), cat as usize, -1.0);
             }
             StoreEvent::Rating { rater, review, .. } => {
                 let cat = self.review_cat[review.index()];
@@ -692,9 +671,7 @@ impl Coordinator {
                 let at = raters.partition_point(|&r| r < rater.0);
                 debug_assert_eq!(raters.get(at), Some(&rater.0));
                 raters.remove(at);
-                let (i, j) = (rater.index(), cat as usize);
-                self.rating_counts
-                    .set(i, j, self.rating_counts.get(i, j) - 1.0);
+                self.counts.bump_ratings(rater.index(), cat as usize, -1.0);
             }
         }
         self.seq -= 1;
@@ -883,9 +860,8 @@ impl Coordinator {
     /// Re-assembles the served snapshot if events arrived since the last
     /// one: first the dirtied categories' re-solved tables are fetched
     /// from their owners (grouped per owner, pipelined across owners),
-    /// then assembly mirrors the flat pipeline exactly — worker writer
-    /// tables through [`expertise_matrix_from_pairs`], coordinator
-    /// integer counts through [`affiliation_matrix`].
+    /// then the [`Assembler`] patches them and the changed count rows
+    /// into `E` and `A` — the flat model's publish step, verbatim.
     fn refresh_snapshot(&mut self) -> Result<()> {
         if !self.dirty {
             return Ok(());
@@ -954,24 +930,8 @@ impl Coordinator {
             }
             self.stale_cats.clear();
         }
-        let writer_pairs: Vec<&[(UserId, f64)]> = self
-            .per_cat
-            .iter()
-            .map(|cr| cr.writer_reputation.as_slice())
-            .collect();
-        let expertise = expertise_matrix_from_pairs(self.opts.num_users, &writer_pairs);
-        let affiliation = affiliation_matrix(&ActivityCounts {
-            ratings: self.rating_counts.clone(),
-            reviews: self.review_counts.clone(),
-        });
-        self.snapshot = ServeSnapshot::new(
-            self.seq,
-            Derived {
-                expertise,
-                affiliation,
-                per_category: self.per_cat.clone(),
-            },
-        );
+        let derived = self.assembler.assemble(&self.counts, &self.per_cat);
+        self.snapshot = ServeSnapshot::new(self.seq, derived);
         self.publishes += 1;
         self.dirty = false;
         Ok(())

@@ -45,10 +45,11 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::mpsc::{self, TryRecvError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use wot_community::StoreEvent;
-use wot_core::{DeriveConfig, Derived, DerivedCache, IncrementalDerived};
+use wot_core::{CategoryReputation, DeriveConfig, DerivedCache, IncrementalDerived};
 use wot_serve::protocol::{read_frame, write_frame, ErrorCode, FrameRead};
 use wot_serve::shard_proto::{
     decode_shard_request, encode_shard_err, encode_shard_ok, CategoryStateWire, HelloAck,
@@ -212,23 +213,25 @@ impl Shard {
         Ok(())
     }
 
-    /// The canonical snapshot of this worker's event subset (cold-solve
-    /// semantics, memoized per data version — bit-identical to a
-    /// from-scratch batch derivation of it). Assembled once per request;
-    /// [`state_of`] maps the wanted categories out of it.
-    fn derived(&mut self) -> Derived {
-        self.model.to_derived_cached(&mut self.cache)
+    /// The canonical per-category tables of this worker's event subset
+    /// (cold-solve semantics, memoized per data version — bit-identical
+    /// to a from-scratch batch derivation of it), brought up to date once
+    /// per request; [`state_of`] maps the wanted categories out of them.
+    /// Tables only: `E` and `A` span categories this worker does not own,
+    /// so it never assembles them.
+    fn tables(&mut self) -> &[Arc<CategoryReputation>] {
+        self.model.tables_cached(&mut self.cache)
     }
 
     /// Rebuilds the model from the remaining sub-logs — the drop and
     /// truncate paths. A fresh replay (in tag order across categories)
     /// leaves the model holding *exactly* the owned events, so a later
     /// re-adoption of a dropped category can replay it back in without
-    /// collisions.
+    /// collisions. (The cache notices the new model instance and resets
+    /// itself.)
     fn rebuild(&mut self) -> Result<(), String> {
         self.model = IncrementalDerived::new(self.num_users, self.num_categories, &self.cfg)
             .map_err(|e| e.to_string())?;
-        self.cache = DerivedCache::default();
         self.review_cat.clear();
         let mut all: Vec<(u64, StoreEvent)> = self
             .sublogs
@@ -244,8 +247,8 @@ impl Shard {
 }
 
 /// One category's solved tables, in wire form.
-fn state_of(derived: &Derived, cat: u32) -> CategoryStateWire {
-    let cr = &derived.per_category[cat as usize];
+fn state_of(tables: &[Arc<CategoryReputation>], cat: u32) -> CategoryStateWire {
+    let cr = &tables[cat as usize];
     CategoryStateWire {
         category: cat,
         raters: cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect(),
@@ -437,13 +440,15 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
                     for &c in &categories {
                         require_owned(shard, c)?;
                     }
-                    let derived = shard.derived();
-                    let states = categories.iter().map(|&c| state_of(&derived, c)).collect();
+                    let tables = shard.tables();
+                    let states = categories.iter().map(|&c| state_of(tables, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::FullState => {
-                    let derived = shard.derived();
-                    let states = shard.owned.iter().map(|&c| state_of(&derived, c)).collect();
+                    // Field access, not `tables()`: `owned` is read
+                    // while the cache's slice is borrowed.
+                    let tables = shard.model.tables_cached(&mut shard.cache);
+                    let states = shard.owned.iter().map(|&c| state_of(tables, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::DropCategory { category } => drop_category(shard, category),
@@ -692,5 +697,5 @@ fn adopt_category(
     for (tag, event) in events {
         shard.apply(tag, event).map_err(internal)?;
     }
-    Ok(ShardReply::State(state_of(&shard.derived(), category)))
+    Ok(ShardReply::State(state_of(shard.tables(), category)))
 }

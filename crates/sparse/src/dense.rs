@@ -5,8 +5,8 @@ use crate::{Csr, Result, SparseError};
 /// Sized for the tall-skinny user×category blocks of the pipeline (the
 /// expertise matrix `E` and affiliation matrix `A` are ~40k×12 in the
 /// paper's dataset — a few megabytes). Not intended for user×user data;
-/// that's what [`Csr`] is for.
-#[derive(Debug, Clone, PartialEq)]
+/// that's what [`Csr`] is for. The default value is the empty 0×0 matrix.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dense {
     nrows: usize,
     ncols: usize,
