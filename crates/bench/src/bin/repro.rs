@@ -8,8 +8,8 @@
 //!   table2             rater-reputation quartiles vs Advisors
 //!   table3             writer-reputation quartiles vs Top Reviewers
 //!   fig3               density of T̂, R, T and their overlaps
-//!   stream-fig3        Fig. 3 aggregates over the FULL T̂, block-streamed
-//!                      in O(block) memory (works at --scale paper)
+//!   stream-fig3        Fig. 3 aggregates over the FULL T̂, reduced row by row
+//!                      in O(users) memory (works at --scale paper)
 //!   table4             trust validation: ours vs baseline B
 //!   values             §IV.C value analysis
 //!   propagation        §V future work: derived vs explicit WoT

@@ -65,7 +65,10 @@
 //!   collectors over the same iterator (bit-identical for any block
 //!   height and thread count). [`trust::derive_dense`] refuses
 //!   over-budget materializations with [`CoreError::Capacity`] instead
-//!   of aborting the allocator.
+//!   of aborting the allocator. A consumer that only reduces `T̂` stores
+//!   no block at all: [`trust_rows::TrustRows`] hands each row to a
+//!   visitor on the worker that computed it, and dense blocks are filled
+//!   by the same row kernel ([`trust_rows::ExpertisePanel`]).
 //! * **Streaming ingestion.** [`incremental::IncrementalDerived`] ingests review and
 //!   rating events online on the *same* index-dense layout, warm-starts
 //!   per-category refreshes through the same `riggs` sweep loop, and its
@@ -120,6 +123,7 @@ pub mod reputation;
 pub mod riggs;
 pub mod trust;
 pub mod trust_blocks;
+pub mod trust_rows;
 
 pub use affiliation::ActivityLedger;
 pub use assemble::Assembler;
@@ -131,6 +135,7 @@ pub use incremental::{
 };
 pub use pipeline::{CategoryReputation, Derived};
 pub use trust_blocks::{BlockConfig, TrustBlock, TrustBlocks};
+pub use trust_rows::TrustRows;
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -217,6 +217,13 @@ impl Derived {
         crate::TrustBlocks::dense(&self.affiliation, &self.expertise, cfg)
     }
 
+    /// Fused row scan of the full `T̂`: every row is handed to a visitor
+    /// on the worker that computed it and never stored — what
+    /// `wot-eval`'s streaming reducers run on.
+    pub fn trust_rows(&self, cfg: &crate::BlockConfig) -> Result<crate::TrustRows<'_>> {
+        crate::TrustRows::new(&self.affiliation, &self.expertise, cfg)
+    }
+
     /// Streaming row-block iterator over `T̂` restricted to `mask`'s
     /// stored coordinates.
     pub fn trust_blocks_on_mask<'a>(

@@ -10,10 +10,12 @@
 //! row trusts nobody (denominator zero ⇒ 0 by definition here).
 //!
 //! The full U×U matrix is dense in principle (Fig. 3's point is exactly
-//! that `T̂` is *much* denser than the explicit web of trust), so four
+//! that `T̂` is *much* denser than the explicit web of trust), so several
 //! evaluation shapes are provided:
 //!
 //! * [`pairwise`] — one `(i, j)` entry, O(C);
+//! * [`row`] — one whole row read straight off `E`, O(U·C), one
+//!   denominator for the row;
 //! * [`derive_masked`] — values on a sparse candidate pattern (the
 //!   evaluation region of Table 4), O(nnz·C);
 //! * [`derive_dense`] — the full matrix for small communities, O(U²·C),
@@ -23,6 +25,9 @@
 //!   shape: a streaming iterator over row-blocks of `T̂` in O(block)
 //!   memory, of which the masked and dense collectors here are thin,
 //!   bit-identical specializations;
+//! * [`TrustRows`](crate::trust_rows::TrustRows) — the full `T̂` handed
+//!   row by row to a visitor and never stored, for analyses that only
+//!   reduce it;
 //! * [`support_count`] — the *number* of non-zero entries of the full `T̂`
 //!   without materializing it (Fig. 3's density), via category-overlap
 //!   bitmask counting, O(U + U·distinct-masks) for C ≤ 64.
@@ -74,6 +79,26 @@ pub fn pairwise(affiliation: &Dense, expertise: &Dense, i: usize, j: usize) -> f
         return 0.0;
     }
     wot_sparse::dot(a_row, e_row) / den
+}
+
+/// Eq. 5 for one whole row: `T̂_ij` for `j = 0, 1, …, U-1`, each
+/// bit-identical to [`pairwise`] — with the denominator computed once
+/// for the row instead of once per cell — or `None` for a user with no
+/// affiliation mass, whose whole row is zero. Reads `E` as it is stored,
+/// so a caller that wants a single row (the serving daemon's top-k)
+/// prepares nothing.
+pub fn row<'a>(
+    affiliation: &'a Dense,
+    expertise: &'a Dense,
+    i: usize,
+) -> Option<impl Iterator<Item = f64> + 'a> {
+    let a_row = affiliation.row(i);
+    let den: f64 = a_row.iter().sum();
+    // A positive mass means at least one category, so the chunks are rows.
+    (den > 0.0).then(|| {
+        let e_rows = expertise.as_slice().chunks_exact(a_row.len());
+        e_rows.map(move |e_row| wot_sparse::dot(a_row, e_row) / den)
+    })
 }
 
 /// Eq. 5 on every coordinate of `mask` (values of `mask` are ignored; its
@@ -140,8 +165,8 @@ pub fn derive_dense_threaded(
 /// Fails with [`CoreError::Capacity`] — instead of attempting a doomed
 /// `U² × 8` byte allocation — when the output would exceed
 /// `budget_bytes`; callers at that scale should stream row-blocks via
-/// [`TrustBlocks`] (`wot-eval`'s streaming reducers consume them in
-/// O(block) memory).
+/// [`TrustBlocks`], or reduce rows in place as `wot-eval`'s streaming
+/// reducers do.
 pub fn derive_dense_budgeted(
     affiliation: &Dense,
     expertise: &Dense,

@@ -1,4 +1,5 @@
-//! Blocked / streaming evaluation of the derived-trust matrix (Eq. 5).
+//! Row-blocks of the derived-trust matrix (Eq. 5), for callers that want
+//! the values themselves.
 //!
 //! ```text
 //! T̂_ij = Σ_c A_ic·E_jc / Σ_c A_ic                        (5)
@@ -6,19 +7,21 @@
 //!
 //! The full pairwise view `T̂` is *dense by design* — Fig. 3's point is that
 //! derived trust connects almost every pair — so materializing it at the
-//! paper's 44k users needs `44_197² × 8 B ≈ 15.6 GB`. [`TrustBlocks`] is
-//! the paper-scale answer: an iterator that yields **row-blocks** of `T̂`
-//! (configurable height, dense or restricted to a sparse mask) computed
-//! straight from the index-dense `A`/`E` matrices of
-//! [`Derived`](crate::Derived), holding only **one block at a time** —
-//! O(`block_rows × U`) transient memory instead of O(`U²`).
+//! paper's 44k users needs `44_197² × 8 B ≈ 15.6 GB`. [`TrustBlocks`]
+//! yields it a **row-block** at a time (configurable height, dense or
+//! restricted to a sparse mask), computed straight from the index-dense
+//! `A`/`E` matrices of [`Derived`](crate::Derived) and holding only **one
+//! block at a time** — O(`block_rows × U`) transient memory instead of
+//! O(`U²`).
 //!
-//! Downstream consumers reduce each block and drop it: `wot-eval`'s
-//! streaming reducers (`top_k_trusted`, per-user histograms, the Fig. 3
-//! aggregates) run the 44k-user analyses in well under 2 GB. The batch
-//! collectors [`trust::derive_dense`](crate::trust::derive_dense) and
-//! [`trust::derive_masked`](crate::trust::derive_masked) are thin loops
-//! over this same iterator, so there is exactly one Eq. 5 kernel.
+//! This is the collector, not the analysis path: the batch forms
+//! [`trust::derive_dense`](crate::trust::derive_dense) and
+//! [`trust::derive_masked`](crate::trust::derive_masked) are one block
+//! spanning every row. A consumer that only *reduces* `T̂` (`wot-eval`'s
+//! Fig. 3 aggregates and top-k) never stores a block: it visits rows
+//! inside [`TrustRows`](crate::trust_rows::TrustRows)' fan-out. Dense
+//! blocks and that scan fill their rows with the same kernel,
+//! [`ExpertisePanel::fill`], so there is exactly one dense Eq. 5 kernel.
 //!
 //! ## Parallelism and determinism
 //!
@@ -34,6 +37,7 @@
 
 use wot_sparse::{Csr, Dense};
 
+use crate::trust_rows::ExpertisePanel;
 use crate::{CoreError, Result};
 
 /// Below this many output cells a block's row loop stays on the calling
@@ -48,12 +52,13 @@ pub const DEFAULT_BLOCK_BYTES: usize = 32 << 20;
 /// Tunables of a [`TrustBlocks`] scan.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BlockConfig {
-    /// Rows of `T̂` per yielded block; `0` (the default) = auto-size so
-    /// one block's value buffer is ≈ [`DEFAULT_BLOCK_BYTES`].
+    /// Rows of `T̂` per yielded block — or per chunk a worker of the
+    /// fused row scan claims; `0` (the default) = auto-size so one
+    /// block's value buffer is ≈ [`DEFAULT_BLOCK_BYTES`].
     pub block_rows: usize,
-    /// Worker threads per block (`0`, the default, = auto: small blocks
-    /// stay on the calling thread, large ones use all hardware threads;
-    /// explicit counts are honoured as given, `1` = fully sequential).
+    /// Worker threads (`0`, the default, = auto: small jobs stay on the
+    /// calling thread, large ones use all hardware threads; explicit
+    /// counts are honoured as given, `1` = fully sequential).
     pub threads: usize,
 }
 
@@ -78,30 +83,40 @@ impl BlockConfig {
 #[derive(Debug)]
 pub struct TrustBlocks<'a> {
     affiliation: &'a Dense,
-    expertise: &'a Dense,
-    /// `Some` = masked mode (pattern borrowed from the caller's mask).
-    mask: Option<&'a Csr>,
-    /// Masked mode: `1 / Σ_c A_ic` per row (`0.0` for inactive rows),
-    /// the exact factor the batch collector applies via `scale_rows`.
-    inv_mass: Vec<f64>,
+    mode: Mode<'a>,
     block_rows: usize,
     threads: usize,
     next_row: usize,
+}
+
+#[derive(Debug)]
+enum Mode<'a> {
+    Dense {
+        panel: ExpertisePanel,
+    },
+    Masked {
+        expertise: &'a Dense,
+        /// Pattern borrowed from the caller's mask.
+        mask: &'a Csr,
+        /// `1 / Σ_c A_ic` per row (`0.0` for inactive rows), the exact
+        /// factor the batch collector applies via `scale_rows`.
+        inv_mass: Vec<f64>,
+    },
 }
 
 impl<'a> TrustBlocks<'a> {
     /// Blocked scan of the **full** `T̂` — every cell of every row, Eq. 5's
     /// `T̂_ij = Σ_c A_ic·E_jc / Σ_c A_ic` with rows of zeros for users with
     /// no affiliation mass.
-    pub fn dense(affiliation: &'a Dense, expertise: &'a Dense, cfg: &BlockConfig) -> Result<Self> {
-        Self::validate_shapes(affiliation, expertise)?;
+    pub fn dense(affiliation: &'a Dense, expertise: &Dense, cfg: &BlockConfig) -> Result<Self> {
+        validate_shapes(affiliation, expertise)?;
         let u = affiliation.nrows();
         Ok(Self {
             affiliation,
-            expertise,
-            mask: None,
-            inv_mass: Vec::new(),
-            block_rows: resolve_block_rows(cfg.block_rows, u.max(1)).min(u.max(1)),
+            mode: Mode::Dense {
+                panel: ExpertisePanel::new(expertise),
+            },
+            block_rows: resolve_block_rows(cfg.block_rows, u, u),
             threads: cfg.threads,
             next_row: 0,
         })
@@ -117,7 +132,7 @@ impl<'a> TrustBlocks<'a> {
         mask: &'a Csr,
         cfg: &BlockConfig,
     ) -> Result<Self> {
-        Self::validate_shapes(affiliation, expertise)?;
+        validate_shapes(affiliation, expertise)?;
         let u = affiliation.nrows();
         if mask.shape() != (u, u) {
             return Err(CoreError::Shape(format!(
@@ -132,33 +147,19 @@ impl<'a> TrustBlocks<'a> {
             .collect();
         // Auto height targets the *average* stored entries per row, so a
         // sparse mask gets proportionally taller blocks than a dense scan.
-        let avg_row_nnz = (mask.nnz() / u.max(1)).max(1);
-        let block_rows = if cfg.block_rows == 0 {
-            resolve_block_rows(0, avg_row_nnz)
-        } else {
-            cfg.block_rows
-        }
-        .min(u.max(1));
+        let avg_row_nnz = mask.nnz() / u.max(1);
+        let block_rows = resolve_block_rows(cfg.block_rows, avg_row_nnz, u);
         Ok(Self {
             affiliation,
-            expertise,
-            mask: Some(mask),
-            inv_mass,
+            mode: Mode::Masked {
+                expertise,
+                mask,
+                inv_mass,
+            },
             block_rows,
             threads: cfg.threads,
             next_row: 0,
         })
-    }
-
-    fn validate_shapes(affiliation: &Dense, expertise: &Dense) -> Result<()> {
-        if affiliation.shape() != expertise.shape() {
-            return Err(CoreError::Shape(format!(
-                "affiliation {:?} vs expertise {:?}",
-                affiliation.shape(),
-                expertise.shape()
-            )));
-        }
-        Ok(())
     }
 
     /// Number of users `U` — `T̂` is `U×U`.
@@ -180,9 +181,9 @@ impl<'a> TrustBlocks<'a> {
     /// in bytes — the O(block) memory bound the streaming analyses rely
     /// on (plus the consumer's own reducer state).
     pub fn max_block_bytes(&self) -> usize {
-        let rows_per_block = match self.mask {
-            None => self.block_rows * self.num_users(),
-            Some(mask) => {
+        let rows_per_block = match &self.mode {
+            Mode::Dense { .. } => self.block_rows * self.num_users(),
+            Mode::Masked { mask, .. } => {
                 let row_ptr = mask.row_ptr();
                 let u = self.num_users();
                 (0..u)
@@ -199,24 +200,21 @@ impl<'a> TrustBlocks<'a> {
     }
 
     /// Computes the dense value buffer for rows `rows`.
-    fn fill_dense(&self, rows: std::ops::Range<usize>) -> Vec<f64> {
+    fn fill_dense(&self, panel: &ExpertisePanel, rows: std::ops::Range<usize>) -> Vec<f64> {
         let u = self.num_users();
         let len = rows.len();
         let mut values = vec![0.0f64; len * u];
         let fill = |sub: std::ops::Range<usize>, chunk: &mut [f64]| {
-            for i in sub.clone() {
-                let a_row = self.affiliation.row(i);
-                let den: f64 = a_row.iter().sum();
-                if den <= 0.0 {
-                    continue;
-                }
-                let out_row = &mut chunk[(i - sub.start) * u..(i - sub.start + 1) * u];
-                for (j, out_cell) in out_row.iter_mut().enumerate() {
-                    *out_cell = wot_sparse::dot(a_row, self.expertise.row(j)) / den;
+            let mut buf = panel.row_buffer();
+            for (i, out_row) in sub.zip(chunk.chunks_exact_mut(u.max(1))) {
+                if let Some(vals) = panel.fill(self.affiliation.row(i), &mut buf) {
+                    for (&j, &v) in panel.writers().iter().zip(vals) {
+                        out_row[j as usize] = v;
+                    }
                 }
             }
         };
-        let threads = self.effective_threads(len * u);
+        let threads = auto_threads(self.threads, len * u);
         if threads <= 1 {
             fill(rows, &mut values);
         } else {
@@ -235,31 +233,31 @@ impl<'a> TrustBlocks<'a> {
     }
 
     /// Computes the masked value buffer for rows `rows` of `mask`.
-    fn fill_masked(&self, mask: &Csr, rows: std::ops::Range<usize>) -> Vec<f64> {
+    fn fill_masked(
+        &self,
+        expertise: &Dense,
+        mask: &Csr,
+        inv_mass: &[f64],
+        rows: std::ops::Range<usize>,
+    ) -> Vec<f64> {
         let row_ptr = mask.row_ptr();
         let base = row_ptr[rows.start];
         let nnz = row_ptr[rows.end] - base;
         let mut values = vec![0.0f64; nnz];
         let fill = |sub: std::ops::Range<usize>, chunk: &mut [f64]| {
-            wot_sparse::masked_row_dot_block(
-                self.affiliation,
-                self.expertise,
-                mask,
-                sub.clone(),
-                chunk,
-            )
-            .expect("shapes validated at construction");
+            wot_sparse::masked_row_dot_block(self.affiliation, expertise, mask, sub.clone(), chunk)
+                .expect("shapes validated at construction");
             // Same per-entry factor (and the same `numerator × inv` op)
             // as the batch collector's `scale_rows`.
             let sub_base = row_ptr[sub.start];
             for i in sub {
-                let inv = self.inv_mass[i];
+                let inv = inv_mass[i];
                 for k in row_ptr[i]..row_ptr[i + 1] {
                     chunk[k - sub_base] *= inv;
                 }
             }
         };
-        let threads = self.effective_threads(nnz);
+        let threads = auto_threads(self.threads, nnz);
         if threads <= 1 {
             fill(rows, &mut values);
         } else {
@@ -279,21 +277,6 @@ impl<'a> TrustBlocks<'a> {
         }
         values
     }
-
-    /// Worker threads for a block of `cells` output slots (mirrors the
-    /// batch kernels: explicit counts are authoritative, auto mode keeps
-    /// small blocks sequential).
-    fn effective_threads(&self, cells: usize) -> usize {
-        if self.threads == 0 {
-            if cells < PAR_CELLS_THRESHOLD {
-                1
-            } else {
-                wot_par::max_threads()
-            }
-        } else {
-            self.threads
-        }
-    }
 }
 
 impl<'a> Iterator for TrustBlocks<'a> {
@@ -306,18 +289,22 @@ impl<'a> Iterator for TrustBlocks<'a> {
         }
         let rows = self.next_row..(self.next_row + self.block_rows).min(u);
         self.next_row = rows.end;
-        let kind = match self.mask {
-            None => BlockKind::Dense {
-                values: self.fill_dense(rows.clone()),
+        let kind = match &self.mode {
+            Mode::Dense { panel } => BlockKind::Dense {
+                values: self.fill_dense(panel, rows.clone()),
             },
-            Some(mask) => {
+            Mode::Masked {
+                expertise,
+                mask,
+                inv_mass,
+            } => {
                 let row_ptr = mask.row_ptr();
                 let base = row_ptr[rows.start];
                 let end = row_ptr[rows.end];
                 BlockKind::Masked {
                     row_ptr: &row_ptr[rows.start..=rows.end],
                     col_idx: &mask.col_indices()[base..end],
-                    values: self.fill_masked(mask, rows.clone()),
+                    values: self.fill_masked(expertise, mask, inv_mass, rows.clone()),
                 }
             }
         };
@@ -455,14 +442,37 @@ impl TrustBlock<'_> {
     }
 }
 
-/// Resolves an auto block height against the per-row value footprint
-/// (`row_width` stored entries per row on average).
-fn resolve_block_rows(requested: usize, row_width: usize) -> usize {
-    if requested > 0 {
+pub(crate) fn validate_shapes(affiliation: &Dense, expertise: &Dense) -> Result<()> {
+    if affiliation.shape() != expertise.shape() {
+        return Err(CoreError::Shape(format!(
+            "affiliation {:?} vs expertise {:?}",
+            affiliation.shape(),
+            expertise.shape()
+        )));
+    }
+    Ok(())
+}
+
+/// Worker threads for a job of `cells` output slots: explicit counts are
+/// authoritative, auto mode (`0`) keeps small jobs sequential.
+pub(crate) fn auto_threads(requested: usize, cells: usize) -> usize {
+    match requested {
+        0 if cells < PAR_CELLS_THRESHOLD => 1,
+        0 => wot_par::max_threads(),
+        n => n,
+    }
+}
+
+/// Rows per block: the request, or in auto mode (`0`) as many as fit
+/// [`DEFAULT_BLOCK_BYTES`] at `row_width` stored entries per row on
+/// average — never more than the `users` rows there are, never zero.
+pub(crate) fn resolve_block_rows(requested: usize, row_width: usize, users: usize) -> usize {
+    let rows = if requested > 0 {
         requested
     } else {
-        (DEFAULT_BLOCK_BYTES / (std::mem::size_of::<f64>() * row_width.max(1))).max(1)
-    }
+        DEFAULT_BLOCK_BYTES / (std::mem::size_of::<f64>() * row_width.max(1))
+    };
+    rows.clamp(1, users.max(1))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`quartiles`] | Table 2 (rater reputation vs Advisors), Table 3 (writer reputation vs Top Reviewers) |
 //! | [`density`] | Fig. 3 (density of `T̂`, `R`, `T` and their overlaps) |
-//! | [`streaming`] | Fig. 3 and top-k analyses over the *full* `T̂`, block-streamed in O(block) memory (paper scale) |
+//! | [`streaming`] | Fig. 3 and top-k analyses over the *full* `T̂`, reduced row by row inside the Eq. 5 scan in O(users) memory (paper scale) |
 //! | [`validation`] | Table 4 (recall / precision in `R` / non-trust→trust rate, ours vs baseline `B`) |
 //! | [`values`] | §IV.C value analysis (scores in `R−T` vs `T∩R`) |
 //! | [`propagation_cmp`] | §V future work (propagation over derived vs explicit web of trust) |

@@ -2,24 +2,24 @@
 //!
 //! Fig. 3-style analyses need *every* pair `(i, j)` of Eq. 5, but the
 //! dense `T̂` at the paper's 44k users is a ~15.6 GB allocation. The
-//! reducers here consume [`wot_core::TrustBlocks`] row-block by row-block
-//! — O(block) transient memory plus O(U) reducer state — so the full
-//! pairwise analyses run at paper scale inside a 2 GB budget:
+//! reducers here are row visitors of [`wot_core::TrustRows`]: each row is
+//! reduced on the worker that computed it, out of that worker's one row
+//! buffer, so a scan holds a copy of `E`, one row per worker and O(U)
+//! reducer state — no block of `T̂` ever exists:
 //!
 //! * [`fig3_aggregates`] — global Fig. 3 aggregates: support (non-zero
 //!   count, cross-checkable against the bitmask
 //!   [`support_count`](wot_core::trust::support_count)), density, value
 //!   sum / mean / max, per-user out-support, and a value histogram;
 //! * [`top_k_trusted`] — each user's `k` most-trusted peers (the
-//!   recommendation surface a trust-aware recommender serves);
-//! * [`per_user_histograms`] — per-user distribution of outgoing trust
-//!   values.
+//!   recommendation surface a trust-aware recommender serves).
 //!
 //! Every reducer folds **per row**: a row of `T̂` is never split across
 //! workers and row results are combined in ascending row order, so all
-//! outputs are bit-identical for any block height and any thread count
+//! outputs are bit-identical for any chunk height and any thread count
 //! (proven by the workspace's `block_streaming` suite).
 
+use wot_core::trust_rows::top_k_of_row;
 use wot_core::{BlockConfig, Derived};
 
 use crate::report::{f3, Table};
@@ -43,11 +43,12 @@ pub struct Fig3Aggregates {
     /// `histogram[b]` counts `v` with `b/N < v ≤ (b+1)/N` for `N` bins
     /// (values above 1 clamp into the last bin).
     pub histogram: Vec<u64>,
-    /// Blocks the scan yielded.
+    /// Row chunks the scan's workers claimed.
     pub blocks: usize,
-    /// Resolved rows per block.
+    /// Resolved rows per chunk.
     pub block_rows: usize,
-    /// Largest transient block buffer of the scan, in bytes.
+    /// Transient bytes the scan allocated: the transposed copy of `E`
+    /// plus one row buffer per worker (no block of `T̂` is ever stored).
     pub max_block_bytes: usize,
 }
 
@@ -75,7 +76,7 @@ impl Fig3Aggregates {
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(
             format!(
-                "Fig. 3 (streaming) — full T-hat over {0}x{0} users, O(block) memory",
+                "Fig. 3 (streaming) — full T-hat over {0}x{0} users, O(users) memory",
                 self.users
             ),
             &["quantity", "value"],
@@ -88,11 +89,11 @@ impl Fig3Aggregates {
         t.push_row(vec!["mean positive trust".into(), f3(self.mean_positive())]);
         t.push_row(vec!["max trust".into(), f3(self.max)]);
         t.push_row(vec![
-            "blocks × rows/block".into(),
+            "row chunks × rows/chunk".into(),
             format!("{} × {}", self.blocks, self.block_rows),
         ]);
         t.push_row(vec![
-            "peak block buffer".into(),
+            "scan buffers (E panel + a row per worker)".into(),
             format!("{:.1} MiB", self.max_block_bytes as f64 / (1 << 20) as f64),
         ]);
         for (b, &n) in self.histogram.iter().enumerate() {
@@ -113,61 +114,96 @@ impl Fig3Aggregates {
 /// Histogram bins used by [`fig3_aggregates`].
 pub const FIG3_HIST_BINS: usize = 10;
 
-/// Streams the full `T̂` once and reduces it to [`Fig3Aggregates`].
+/// The bin of `v > 0` among `nbins` uniform bins over `(0, 1]`:
+/// `ceil(v · nbins) - 1`, values above 1 clamped into the last bin.
 ///
-/// Memory: one block buffer (≈ [`wot_core::trust_blocks::DEFAULT_BLOCK_BYTES`]
-/// in auto mode) plus the O(U) `row_support` vector — at the paper's 44k
-/// users, tens of megabytes instead of the ~15.6 GB dense matrix.
+/// `f64::ceil` is a libm call per cell on a baseline x86-64 build (no
+/// SSE4.1), which was a third of the fused Fig. 3 scan; truncate-and-bump
+/// is the same function for every positive `x` (capped first, so the
+/// bump cannot overflow).
+fn bin_of(v: f64, nbins: usize) -> usize {
+    let x = (v * nbins as f64).min(nbins as f64);
+    let t = x as usize;
+    let ceil = if (t as f64) < x { t + 1 } else { t };
+    ceil.max(1) - 1
+}
+
+/// What one row chunk of the Fig. 3 scan reduces to.
+struct Fig3Chunk {
+    /// Per row of the chunk, ascending.
+    row_support: Vec<u32>,
+    row_sum: Vec<f64>,
+    max: f64,
+    histogram: [u64; FIG3_HIST_BINS],
+}
+
+/// Scans the full `T̂` once and reduces it to [`Fig3Aggregates`].
+///
+/// Memory: [`Fig3Aggregates::max_block_bytes`] of scan buffers plus the
+/// O(U) per-row results — at the paper's 44k users, a few megabytes
+/// instead of the ~15.6 GB dense matrix.
 pub fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fig3Aggregates> {
-    let blocks = derived.trust_blocks(cfg)?;
-    let users = blocks.num_users();
-    let block_rows = blocks.block_rows();
-    let max_block_bytes = blocks.max_block_bytes();
+    let scan = derived.trust_rows(cfg)?;
+    let chunks = scan.fold_chunks(
+        |rows| Fig3Chunk {
+            row_support: Vec::with_capacity(rows.len()),
+            row_sum: Vec::with_capacity(rows.len()),
+            max: 0.0,
+            histogram: [0; FIG3_HIST_BINS],
+        },
+        |chunk, _i, _cols, vals| {
+            let mut row_sum = 0.0;
+            let mut row_support = 0u32;
+            for &v in vals {
+                if v > 0.0 {
+                    row_support += 1;
+                    row_sum += v;
+                    if v > chunk.max {
+                        chunk.max = v;
+                    }
+                    chunk.histogram[bin_of(v, FIG3_HIST_BINS)] += 1;
+                }
+            }
+            chunk.row_support.push(row_support);
+            chunk.row_sum.push(row_sum);
+        },
+    );
+    let users = scan.num_users();
     let mut agg = Fig3Aggregates {
         users,
         support: 0,
         sum: 0.0,
         max: 0.0,
-        row_support: vec![0u32; users],
+        row_support: Vec::with_capacity(users),
         histogram: vec![0u64; FIG3_HIST_BINS],
-        blocks: 0,
-        block_rows,
-        max_block_bytes,
+        blocks: chunks.len(),
+        block_rows: scan.chunk_rows(),
+        max_block_bytes: scan.transient_bytes(),
     };
-    for block in blocks {
-        agg.blocks += 1;
-        for i in block.rows() {
-            let row = block.dense_row(i).expect("dense scan yields dense blocks");
-            // Per-row fold, rows combined in ascending order: the f64
-            // summation order is fixed regardless of blocks/threads.
-            let mut row_sum = 0.0;
-            let mut row_support = 0u32;
-            for &v in row {
-                if v > 0.0 {
-                    row_support += 1;
-                    row_sum += v;
-                    if v > agg.max {
-                        agg.max = v;
-                    }
-                    let bin =
-                        ((v * FIG3_HIST_BINS as f64).ceil() as usize).clamp(1, FIG3_HIST_BINS) - 1;
-                    agg.histogram[bin] += 1;
-                }
-            }
-            agg.row_support[i] = row_support;
-            agg.support += row_support as u64;
+    // Row sums combine in ascending row order whatever the chunking and
+    // whichever worker produced them: the f64 fold has one order.
+    for chunk in chunks {
+        for row_sum in chunk.row_sum {
             agg.sum += row_sum;
+        }
+        agg.support += chunk.row_support.iter().map(|&s| s as u64).sum::<u64>();
+        agg.row_support.extend(chunk.row_support);
+        agg.max = agg.max.max(chunk.max);
+        for (total, n) in agg.histogram.iter_mut().zip(chunk.histogram) {
+            *total += n;
         }
     }
     Ok(agg)
 }
 
-/// Each user's `k` most-trusted peers, streamed in O(block + U·k) memory.
+/// Each user's `k` most-trusted peers, in O(U·k) memory beyond the scan's
+/// buffers.
 ///
 /// Returns, per user `i`, up to `k` pairs `(j, T̂_ij)` with `v > 0` and
 /// `j ≠ i` (self-trust is not a recommendation), sorted by descending
 /// trust with ascending `j` breaking ties — a deterministic order for
-/// any block height or thread count.
+/// any chunk height or thread count, from the reducer the serving daemon
+/// answers with ([`top_k_of_row`]).
 pub fn top_k_trusted(
     derived: &Derived,
     k: usize,
@@ -178,80 +214,14 @@ pub fn top_k_trusted(
             "top_k_trusted needs k ≥ 1".into(),
         ));
     }
-    let blocks = derived.trust_blocks(cfg)?;
-    let users = blocks.num_users();
-    let mut top: Vec<Vec<(usize, f64)>> = vec![Vec::new(); users];
-    for block in blocks {
-        for i in block.rows() {
-            let row = block.dense_row(i).expect("dense scan yields dense blocks");
-            let best = &mut top[i];
-            for (j, &v) in row.iter().enumerate() {
-                if v <= 0.0 || j == i {
-                    continue;
-                }
-                // `best` is kept sorted: highest trust first, ties by
-                // ascending j. A candidate must beat the current worst
-                // (or fill a free slot) to enter.
-                if best.len() == k {
-                    let &(wj, wv) = best.last().expect("k ≥ 1");
-                    if v < wv || (v == wv && j > wj) {
-                        continue;
-                    }
-                    best.pop();
-                }
-                let pos = best.partition_point(|&(bj, bv)| bv > v || (bv == v && bj < j));
-                best.insert(pos, (j, v));
-            }
-        }
-    }
-    Ok(top)
-}
-
-/// Per-user histograms of outgoing trust values, streamed in
-/// O(block + U·bins) memory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerUserHistograms {
-    /// Bins over `(0, 1]` (uniform width `1/nbins`).
-    pub nbins: usize,
-    /// Row-major `U × nbins` counts: `counts[i * nbins + b]` is how many
-    /// of user `i`'s outgoing entries fall in bin `b`.
-    pub counts: Vec<u64>,
-}
-
-impl PerUserHistograms {
-    /// User `i`'s histogram row.
-    pub fn row(&self, i: usize) -> &[u64] {
-        &self.counts[i * self.nbins..(i + 1) * self.nbins]
-    }
-}
-
-/// Streams the full `T̂` and bins each user's positive outgoing values.
-pub fn per_user_histograms(
-    derived: &Derived,
-    nbins: usize,
-    cfg: &BlockConfig,
-) -> Result<PerUserHistograms> {
-    if nbins == 0 {
-        return Err(EvalError::InvalidParameter(
-            "per_user_histograms needs nbins ≥ 1".into(),
-        ));
-    }
-    let blocks = derived.trust_blocks(cfg)?;
-    let users = blocks.num_users();
-    let mut counts = vec![0u64; users * nbins];
-    for block in blocks {
-        for i in block.rows() {
-            let row = block.dense_row(i).expect("dense scan yields dense blocks");
-            let hist = &mut counts[i * nbins..(i + 1) * nbins];
-            for &v in row {
-                if v > 0.0 {
-                    let bin = ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1;
-                    hist[bin] += 1;
-                }
-            }
-        }
-    }
-    Ok(PerUserHistograms { nbins, counts })
+    let chunks = derived.trust_rows(cfg)?.fold_chunks(
+        |rows| Vec::with_capacity(rows.len()),
+        |lists, i, cols, vals| {
+            let cells = cols.iter().zip(vals).map(|(&j, &v)| (j as usize, v));
+            lists.push(top_k_of_row(i, k, cells));
+        },
+    );
+    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or
@@ -351,17 +321,35 @@ mod tests {
     }
 
     #[test]
-    fn per_user_histograms_partition_support() {
-        let wb = bench();
-        let hists = per_user_histograms(&wb.derived, 4, &BlockConfig::default()).unwrap();
-        let agg = fig3_aggregates(&wb.derived, &BlockConfig::default()).unwrap();
-        let u = wb.derived.num_users();
-        for i in 0..u {
-            assert_eq!(
-                hists.row(i).iter().sum::<u64>(),
-                agg.row_support[i] as u64,
-                "user {i}"
-            );
+    fn bin_of_is_the_ceil_form() {
+        let ceil_form =
+            |v: f64, nbins: usize| ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1;
+        for nbins in [1usize, 4, FIG3_HIST_BINS, 64] {
+            let n = nbins as f64;
+            // Exact bin edges and their neighbours on both sides.
+            let mut values: Vec<f64> = (0..=2 * nbins)
+                .map(|b| b as f64 / n)
+                .flat_map(|e| [e, e.next_down(), e.next_up()])
+                .collect();
+            // The smallest positive values, values past 1, and a sweep.
+            values.extend([
+                f64::MIN_POSITIVE,
+                5e-324,
+                1e-300,
+                1.0,
+                1.5,
+                7.25,
+                1e9,
+                1e300,
+            ]);
+            values.extend((1..=10_000).map(|s| s as f64 / 9_973.0));
+            for v in values.into_iter().filter(|&v| v > 0.0) {
+                assert_eq!(
+                    bin_of(v, nbins),
+                    ceil_form(v, nbins),
+                    "v={v:e} nbins={nbins}"
+                );
+            }
         }
     }
 
@@ -369,7 +357,6 @@ mod tests {
     fn parameter_validation() {
         let wb = bench();
         assert!(top_k_trusted(&wb.derived, 0, &BlockConfig::default()).is_err());
-        assert!(per_user_histograms(&wb.derived, 0, &BlockConfig::default()).is_err());
     }
 
     #[test]
@@ -379,7 +366,7 @@ mod tests {
             .unwrap()
             .to_table()
             .to_string();
-        for needle in ["support", "density", "peak block buffer", "values in"] {
+        for needle in ["support", "density", "scan buffers", "values in"] {
             assert!(s.contains(needle), "missing {needle} in:\n{s}");
         }
     }

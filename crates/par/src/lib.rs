@@ -9,6 +9,8 @@
 //! * [`par_map_indexed`] — dynamically-scheduled map over `0..n`
 //!   (work-stealing via an atomic counter; good for skewed work like
 //!   per-category fixed points), results in index order;
+//!   [`par_map_indexed_with`] adds worker-local scratch (the Eq. 5 row
+//!   scans keep one row buffer per worker);
 //! * [`par_ranges`] — statically-split map over contiguous ranges of
 //!   `0..n` (good for uniform row loops and reductions);
 //! * [`par_chunks_mut`] — statically-split mutation of a buffer along
@@ -58,22 +60,38 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    par_map_indexed_with(n, threads, || (), |(), i| f(i))
+}
+
+/// [`par_map_indexed`] with **worker-local scratch**: every worker calls
+/// `init` once and hands the value to each `f(&mut scratch, i)` it runs
+/// (a reusable buffer, say). Results must not depend on what earlier
+/// items left in the scratch — which items share one is a scheduling
+/// accident.
+pub fn par_map_indexed_with<W, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize) -> T + Sync,
+{
     let threads = resolve_threads(threads).min(n.max(1));
     if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        let mut scratch = init();
+        return (0..n).map(|i| f(&mut scratch, i)).collect();
     }
     let counter = AtomicUsize::new(0);
     let mut indexed: Vec<(usize, T)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    let mut scratch = init();
                     let mut out = Vec::new();
                     loop {
                         let i = counter.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        out.push((i, f(i)));
+                        out.push((i, f(&mut scratch, i)));
                     }
                     out
                 })
@@ -219,6 +237,30 @@ mod tests {
             }
         }
         assert!(par_map_indexed(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn map_indexed_with_builds_one_scratch_per_worker() {
+        for &threads in &[1usize, 3, 0] {
+            let inits = AtomicUsize::new(0);
+            let out = par_map_indexed_with(
+                50,
+                threads,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::<usize>::new()
+                },
+                |scratch, i| {
+                    scratch.clear();
+                    scratch.extend(0..=i);
+                    scratch.iter().sum::<usize>()
+                },
+            );
+            let want: Vec<usize> = (0..50).map(|i| i * (i + 1) / 2).collect();
+            assert_eq!(out, want);
+            let workers = inits.load(Ordering::Relaxed);
+            assert!(workers >= 1 && workers <= resolve_threads(threads).min(50));
+        }
     }
 
     #[test]

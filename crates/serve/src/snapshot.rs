@@ -11,16 +11,20 @@
 //! when its last reader drops it — classic RCU shape, built from safe
 //! parts because the workspace forbids `unsafe`).
 //!
-//! Every accessor reproduces its offline counterpart **bit-identically**:
-//! [`ServeSnapshot::trust`] *is* [`wot_core::trust::pairwise`], and
-//! [`ServeSnapshot::top_k`] runs the exact insertion logic of
-//! `wot_eval::streaming::top_k_trusted` over per-pair Eq. 5 values (the
-//! block engine's dense rows are bit-equal to `pairwise`, proven in
-//! `wot-core`'s block tests, so the two routes cannot diverge).
+//! Every accessor reproduces its offline counterpart **bit-identically**
+//! by calling the same code: [`ServeSnapshot::trust`] *is*
+//! [`wot_core::trust::pairwise`], and [`ServeSnapshot::top_k`] feeds one
+//! row of Eq. 5 ([`wot_core::trust::row`], read straight off `E` — a
+//! snapshot carries no scan state and a publish prepares none) to
+//! [`top_k_of_row`], the reducer `wot_eval::streaming::top_k_trusted`
+//! runs on every row of its scan. The scan's panel kernel and the
+//! single-row kernel are pinned `==` to `pairwise` in `wot-core`'s
+//! `trust_rows` tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use wot_core::trust_rows::top_k_of_row;
 use wot_core::{trust, BlockConfig, Derived};
 use wot_eval::streaming;
 
@@ -77,29 +81,8 @@ impl ServeSnapshot {
     /// `k = 0` yields an empty list (the server rejects it upstream, in
     /// agreement with the streaming reducer's `k ≥ 1` contract).
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(usize, f64)> {
-        let mut best: Vec<(usize, f64)> = Vec::new();
-        if k == 0 {
-            return best;
-        }
-        for j in 0..self.num_users() {
-            let v = self.trust(i, j);
-            if v <= 0.0 || j == i {
-                continue;
-            }
-            // Mirrors the streaming reducer: `best` stays sorted highest
-            // trust first, ties by ascending j; a candidate must beat the
-            // current worst (or fill a free slot) to enter.
-            if best.len() == k {
-                let &(wj, wv) = best.last().expect("k ≥ 1");
-                if v < wv || (v == wv && j > wj) {
-                    continue;
-                }
-                best.pop();
-            }
-            let pos = best.partition_point(|&(bj, bv)| bv > v || (bv == v && bj < j));
-            best.insert(pos, (j, v));
-        }
-        best
+        trust::row(&self.derived.affiliation, &self.derived.expertise, i)
+            .map_or_else(Vec::new, |row| top_k_of_row(i, k, row.enumerate()))
     }
 
     /// Scalar Fig. 3 summary of the full `T̂`, computed once per snapshot
@@ -222,13 +205,18 @@ mod tests {
     /// The serving top-k must be **bit-identical** to the streaming
     /// reducer — same members, same order, same f64 bits — because the
     /// conformance contract compares served answers to the offline
-    /// oracle with `==`.
+    /// oracle with `==`. Checked for every user, from a threaded,
+    /// multi-chunk scan.
     #[test]
     fn top_k_is_bit_identical_to_streaming_reducer() {
         let snap = snapshot();
+        let cfg = BlockConfig {
+            block_rows: 7,
+            threads: 2,
+        };
         for k in [1usize, 3, 7, 1000] {
-            let oracle =
-                streaming::top_k_trusted(&snap.derived, k, &BlockConfig::sequential()).unwrap();
+            let oracle = streaming::top_k_trusted(&snap.derived, k, &cfg).unwrap();
+            assert_eq!(oracle.len(), snap.num_users());
             for (i, want) in oracle.iter().enumerate() {
                 let got = snap.top_k(i, k);
                 assert_eq!(got.len(), want.len(), "user {i}, k={k}");

@@ -26,6 +26,7 @@
 /// result equals [`dot_scalar`] (`==`; the one representational nuance
 /// is a `-0.0` that `sum()`'s folding can surface where the tree's
 /// `+0.0` seed cannot — numerically identical).
+#[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
     let n = a.len().min(b.len());

@@ -1,9 +1,9 @@
 //! Block-streaming conformance: the `TrustBlocks` engine must reproduce
 //! the batch Eq. 5 collectors **bit for bit** — `==` on `f64`, not
 //! approximate comparison — for any block height and any thread count,
-//! and the streaming reducers built on it must agree with dense
-//! references at laptop scale while fitting paper scale in O(block)
-//! memory.
+//! and the streaming reducers (row visitors of the same kernel) must
+//! agree with dense references at laptop scale while fitting paper scale
+//! in O(users) memory.
 //!
 //! The paper-scale run (44k users — the dense `T̂` would be ~15.6 GB) is
 //! `#[ignore]`d by default and exercised by its own CI leg:
@@ -185,7 +185,8 @@ fn paper_scale_streaming_fits_2gb_budget() {
         Err(CoreError::Capacity { .. })
     ));
 
-    // …while the streaming path serves the same analyses in O(block).
+    // …while the streaming path serves the same analyses: blocks for a
+    // caller that wants values, no block at all for the reducers.
     let cfg = BlockConfig::default();
     let blocks = wb.derived.trust_blocks(&cfg).unwrap();
     assert!(
@@ -197,6 +198,12 @@ fn paper_scale_streaming_fits_2gb_budget() {
     let agg = streaming::fig3_aggregates(&wb.derived, &cfg).unwrap();
     let fig3_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(agg.users, users);
+    assert!(
+        agg.max_block_bytes < 16 << 20,
+        "the fused scan holds a copy of E and a row per worker, never a \
+         block of T-hat; it allocated {} bytes",
+        agg.max_block_bytes
+    );
     assert_eq!(agg.support, wb.derived.trust_support_count().unwrap());
     assert!(agg.density() > 0.1, "T̂ is dense in spirit at paper scale");
 
@@ -209,9 +216,10 @@ fn paper_scale_streaming_fits_2gb_budget() {
     let rss = streaming::peak_rss_bytes().expect("Linux /proc available in CI");
     println!(
         "paper-scale streaming: users={users} support={} density={:.4} \
-         fig3={fig3_ms:.0}ms top_k={topk_ms:.0}ms peak_rss={:.2}GB",
+         fig3={fig3_ms:.0}ms top_k={topk_ms:.0}ms scan_buffers={:.1}MiB peak_rss={:.2}GB",
         agg.support,
         agg.density(),
+        agg.max_block_bytes as f64 / (1 << 20) as f64,
         rss as f64 / 1e9
     );
     assert!(
