@@ -14,6 +14,9 @@
 //! * [`CommunityBuilder`] — referential-integrity-checked construction,
 //! * [`CategorySlice`] — the per-category compact projection the
 //!   reputation algorithms iterate over,
+//! * [`Incidence`] — the arena a slice (and `wot-core`'s online model)
+//!   keeps its grouped ratings in: one contiguous buffer per direction,
+//!   appended in place (see [`incidence`]),
 //! * [`ShardAssignment`] and [`shard::merge_shard_logs`] — the shard
 //!   vocabulary: which shard owns a category, and how sequence-tagged
 //!   shard logs merge back into the global history (see [`shard`]),
@@ -49,6 +52,7 @@ pub mod epinions;
 mod error;
 pub mod events;
 mod ids;
+pub mod incidence;
 mod model;
 pub mod shard;
 mod slice;
@@ -60,6 +64,7 @@ pub use builder::CommunityBuilder;
 pub use error::CommunityError;
 pub use events::StoreEvent;
 pub use ids::{CategoryId, ObjectId, ReviewId, UserId};
+pub use incidence::Incidence;
 pub use model::{Category, Object, Rating, RatingScale, Review, TrustStatement, User};
 pub use shard::{ShardAssignment, ShardId};
 pub use slice::CategorySlice;

@@ -1,7 +1,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::{CategoryId, CommunityStore, ReviewId, UserId};
+use crate::{CategoryId, CommunityStore, Incidence, ReviewId, UserId};
 
 /// Compact per-category projection — the unit of work for the reputation
 /// algorithms.
@@ -12,10 +12,11 @@ use crate::{CategoryId, CommunityStore, ReviewId, UserId};
 /// reputation of review writer should be calculated for each category").
 /// A `CategorySlice` renumbers the category's reviews `0..num_reviews`,
 /// its raters `0..num_raters` and its writers `0..num_writers`, and
-/// pre-groups its ratings both by review and by rater, so the fixed-point
-/// iteration runs entirely over dense local indexes — flat `Vec<f64>`
-/// state instead of `HashMap<UserId, f64>` lookups in the Eq. 1/Eq. 2
-/// inner loops.
+/// pre-groups its ratings both by review and by rater — each direction in
+/// one [`Incidence`] arena, filled exactly — so the fixed-point iteration
+/// runs entirely over dense local indexes and contiguous memory: flat
+/// `Vec<f64>` state instead of `HashMap<UserId, f64>` lookups in the
+/// Eq. 1/Eq. 2 inner loops.
 ///
 /// Local rater/writer indexes are assigned in ascending [`UserId`] order,
 /// so iterating `0..num_raters()` visits raters deterministically and
@@ -43,11 +44,11 @@ pub struct CategorySlice {
     /// Global user id of each local rater index (ascending).
     pub rater_of_local: Vec<UserId>,
     /// Ratings received, per local review index: `(local rater index,
-    /// value)` — drives the Eq. 1 sweep.
-    pub ratings_by_review_local: Vec<Vec<(u32, f64)>>,
+    /// value)` in ingestion order — drives the Eq. 1 sweep.
+    pub ratings_by_review_local: Incidence,
     /// Ratings given, per local rater index: `(local review index,
-    /// value)` — drives the Eq. 2 sweep.
-    pub ratings_by_rater_local: Vec<Vec<(u32, f64)>>,
+    /// value)`, ascending by local review — drives the Eq. 2 sweep.
+    pub ratings_by_rater_local: Incidence,
     /// Global user id of each local writer index (ascending).
     pub writer_of_local: Vec<UserId>,
     /// Local review indexes written, per local writer index — drives Eq. 3.
@@ -105,7 +106,9 @@ impl CategorySlice {
         }
 
         // Ratings, grouped by review (store order) and by rater (review
-        // order within each rater).
+        // order within each rater) — both arenas built exactly, with no
+        // per-node allocation: the first collected review by review, the
+        // second its transpose (count, prefix-sum, scatter).
         let mut rater_of_local: Vec<UserId> = Vec::new();
         for ratings in &ratings_per_review {
             rater_of_local.extend(ratings.iter().map(|&(rater, _)| rater));
@@ -113,28 +116,15 @@ impl CategorySlice {
         rater_of_local.sort_unstable();
         rater_of_local.dedup();
         let local_of_rater = scatter_table(&rater_of_local, store.num_users());
-        let mut rater_counts = vec![0u32; rater_of_local.len()];
-        let mut ratings_by_review_local = Vec::with_capacity(reviews.len());
-        for ratings in &ratings_per_review {
-            let locals: Vec<(u32, f64)> = ratings
-                .iter()
-                .map(|&(rater, value)| {
-                    let lr = local_of_rater[rater.index()];
-                    rater_counts[lr as usize] += 1;
-                    (lr, value)
-                })
-                .collect();
-            ratings_by_review_local.push(locals);
-        }
-        let mut ratings_by_rater_local: Vec<Vec<(u32, f64)>> = rater_counts
+        let ratings_by_review_local: Incidence = ratings_per_review
             .iter()
-            .map(|&c| Vec::with_capacity(c as usize))
+            .map(|ratings| {
+                ratings
+                    .iter()
+                    .map(|&(rater, value)| (local_of_rater[rater.index()], value))
+            })
             .collect();
-        for (local, ratings) in ratings_by_review_local.iter().enumerate() {
-            for &(lr, value) in ratings {
-                ratings_by_rater_local[lr as usize].push((local as u32, value));
-            }
-        }
+        let ratings_by_rater_local = ratings_by_review_local.transposed(rater_of_local.len());
 
         Self {
             category,
@@ -168,9 +158,9 @@ impl CategorySlice {
         self.writer_of_local.len()
     }
 
-    /// Total ratings in the category.
+    /// Total ratings in the category. O(1).
     pub fn num_ratings(&self) -> usize {
-        self.ratings_by_review_local.iter().map(Vec::len).sum()
+        self.ratings_by_review_local.num_edges()
     }
 
     /// Ratings received, per local review index: `(rater, value)`.
@@ -180,12 +170,11 @@ impl CategorySlice {
     /// materialized on first access.
     pub fn ratings_by_review(&self) -> &Vec<Vec<(UserId, f64)>> {
         self.ratings_by_review.get_or_init(|| {
-            self.ratings_by_review_local
-                .iter()
-                .map(|ratings| {
-                    ratings
-                        .iter()
-                        .map(|&(lr, value)| (self.rater_of_local[lr as usize], value))
+            (0..self.num_reviews())
+                .map(|j| {
+                    self.ratings_by_review_local
+                        .pairs(j)
+                        .map(|(lr, value)| (self.rater_of_local[lr as usize], value))
                         .collect()
                 })
                 .collect()
@@ -202,8 +191,8 @@ impl CategorySlice {
         self.ratings_by_rater.get_or_init(|| {
             self.rater_of_local
                 .iter()
-                .zip(&self.ratings_by_rater_local)
-                .map(|(&u, v)| (u, v.clone()))
+                .enumerate()
+                .map(|(l, &u)| (u, self.ratings_by_rater_local.pairs(l).collect()))
                 .collect()
         })
     }
@@ -319,11 +308,21 @@ mod tests {
         assert_eq!(slice.local_of_rater()[&UserId(0)], 0);
         assert_eq!(slice.local_of_rater()[&UserId(2)], 1);
         // Review 0 is rated by u0 (0.8) and u2 (0.4) → locals 0 and 1.
-        assert_eq!(slice.ratings_by_review_local[0], vec![(0, 0.8), (1, 0.4)]);
-        assert_eq!(slice.ratings_by_review_local[1], vec![(0, 0.6)]);
+        let pairs = |arena: &Incidence, i| arena.pairs(i).collect::<Vec<_>>();
+        assert_eq!(
+            pairs(&slice.ratings_by_review_local, 0),
+            vec![(0, 0.8), (1, 0.4)]
+        );
+        assert_eq!(pairs(&slice.ratings_by_review_local, 1), vec![(0, 0.6)]);
         // Local rater 0 (= u0) mirrors ratings_by_rater()[&u0].
-        assert_eq!(slice.ratings_by_rater_local[0], vec![(0, 0.8), (1, 0.6)]);
-        assert_eq!(slice.ratings_by_rater_local[1], vec![(0, 0.4)]);
+        assert_eq!(
+            pairs(&slice.ratings_by_rater_local, 0),
+            vec![(0, 0.8), (1, 0.6)]
+        );
+        assert_eq!(pairs(&slice.ratings_by_rater_local, 1), vec![(0, 0.4)]);
+        // Built exactly: no slack, no dead space.
+        assert_eq!(slice.ratings_by_review_local.num_slots(), 3);
+        assert_eq!(slice.ratings_by_rater_local.num_slots(), 3);
         // Writers: only u1 active.
         assert_eq!(slice.writer_of_local, vec![UserId(1)]);
         assert_eq!(slice.local_of_writer()[&UserId(1)], 0);
@@ -339,7 +338,7 @@ mod tests {
             assert_eq!(slice.writer_of_local.len(), slice.num_writers());
             for (l, &u) in slice.rater_of_local.iter().enumerate() {
                 assert_eq!(
-                    slice.ratings_by_rater_local[l],
+                    slice.ratings_by_rater_local.pairs(l).collect::<Vec<_>>(),
                     slice.ratings_by_rater()[&u]
                 );
             }
@@ -350,9 +349,9 @@ mod tests {
                 );
             }
             for (j, ratings) in slice.ratings_by_review().iter().enumerate() {
-                let locals = &slice.ratings_by_review_local[j];
+                let locals = slice.ratings_by_review_local.pairs(j);
                 assert_eq!(ratings.len(), locals.len());
-                for (&(u, v), &(l, lv)) in ratings.iter().zip(locals) {
+                for (&(u, v), (l, lv)) in ratings.iter().zip(locals) {
                     assert_eq!(slice.rater_of_local[l as usize], u);
                     assert_eq!(v, lv);
                 }

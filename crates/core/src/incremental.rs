@@ -3,18 +3,20 @@
 //!
 //! A deployed community ingests ratings continuously; re-running the whole
 //! batch pipeline per event is wasteful. [`IncrementalDerived`] keeps the
-//! per-category fixed-point state alive — and since PR 2 that state *is*
-//! the batch layout: flat `Vec<f64>` quality/reputation buffers plus the
-//! grouped local-index incidence arrays (`ratings_by_review_local`,
-//! `ratings_by_rater_local`, `reviews_by_writer_local`) that
-//! [`riggs`](crate::riggs#)'s one and only sweep loop consumes. There is no
-//! `HashMap` in the fixed-point state and no second solver:
+//! per-category fixed-point state alive — and that state *is* the batch
+//! layout: flat `Vec<f64>` quality/reputation buffers plus the grouped
+//! local-index incidence (`ratings_by_review_local` and
+//! `ratings_by_rater_local`, each one [`Incidence`] arena — the type a
+//! batch `CategorySlice` holds — and `reviews_by_writer_local`) that
+//! [`riggs`](crate::riggs#)'s one and only sweep loop walks in place.
+//! There is no `HashMap` in the fixed-point state, no second solver and
+//! no copy of the ratings made for a solve:
 //!
 //! * [`add_review`](IncrementalDerived::add_review) /
 //!   [`add_rating`](IncrementalDerived::add_rating) grow the local index
 //!   tables in place — O(1) scatter-table lookups (user index → local
-//!   index), amortized O(1) appends — and mark only their category
-//!   **stale**;
+//!   index), amortized O(1) appends into the arenas' per-node slack — and
+//!   mark only their category **stale**;
 //! * [`refresh`](IncrementalDerived::refresh) re-solves one stale category
 //!   through the shared solver, **warm-starting** from the previous
 //!   reputations — after a single rating the fixed point typically
@@ -39,16 +41,18 @@
 //! ## Why the snapshot is bit-identical *by construction*
 //!
 //! The batch `CategorySlice` and this module's `CategoryState` maintain
-//! the same three grouped arrays, in the same element order: ratings per
+//! the same three groupings, in the same element order: ratings per
 //! review in ingestion order (which is exactly how `CommunityStore` groups
 //! them), ratings per rater in ascending local-review order (enforced here
 //! by sorted insertion), reviews per writer in ascending local-review
-//! order (automatic, appends only). Both paths flatten through
-//! `riggs::FlatIncidence` and iterate `riggs::solve_warm` — identical
-//! summation order means identical floating-point bits, identical sweep
-//! counts and identical convergence flags, not just values "within
-//! tolerance". The paper itself is batch-only; this module is the natural
-//! production extension, with the conformance suite as its contract.
+//! order (automatic, appends only). Both hand their arenas to
+//! `riggs::solve_warm`; where a node's edges physically sit (exactly
+//! packed in a slice, relocated or compacted here) never changes their
+//! order — identical summation order means identical floating-point
+//! bits, identical sweep counts and identical convergence flags, not just
+//! values "within tolerance". The paper itself is batch-only; this module
+//! is the natural production extension, with the conformance suite as its
+//! contract.
 //!
 //! Memory: each category holds two `num_users`-sized `u32` scatter tables
 //! (rater and writer local-index resolution) — the same tables the batch
@@ -58,7 +62,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use wot_community::{CategoryId, CommunityStore, ReviewId, StoreEvent, UserId};
+use wot_community::{CategoryId, CommunityStore, Incidence, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
 use crate::affiliation::ActivityLedger;
@@ -124,7 +128,7 @@ impl From<StoreEvent> for ReplayEvent {
     }
 }
 
-/// Result of re-solving one category.
+/// Result of cold-solving one category into fresh buffers.
 struct SolveOutcome {
     quality: Vec<f64>,
     reputation: Vec<f64>,
@@ -214,20 +218,127 @@ struct TableOrder {
     writers: SortedLocals,
 }
 
-/// Result of one refresh through [`CategoryState::solve_refresh`]: the
-/// new warm state plus what the solver actually did — which path ran,
-/// and which nodes it recomputed (the worklist's coverage proof).
+/// What one [`CategoryState::refresh`] did to the warm state it solved in
+/// place — which path ran and how far. Which nodes it recomputed (the
+/// worklist's coverage proof) stays in the state's [`DeltaScratch`] until
+/// the next refresh; [`CategoryState::visited`] lists them on request.
+#[derive(Clone, Copy)]
 struct RefreshOutcome {
-    out: SolveOutcome,
+    iterations: usize,
+    converged: bool,
     /// The worklist was abandoned for the full warm sweep (frontier over
     /// the configured threshold, or a restored-stale category whose seeds
     /// were not persisted).
     fell_back: bool,
-    /// Local review indexes the solver recomputed (all of them for a full
-    /// sweep). Superset of the reviews whose value changed.
-    visited_reviews: Vec<u32>,
-    /// Local rater indexes the solver recomputed.
-    visited_raters: Vec<u32>,
+    /// A full sweep ran, so every node was recomputed.
+    swept_all: bool,
+}
+
+/// A set of local node indexes as a bitmap: O(1) duplicate-free insert,
+/// members read back in ascending order, and small enough (one bit per
+/// node — 3.5 KB for a paper-scale category's raters) that emptying it is
+/// a memset and probing it stays in L1.
+#[derive(Debug, Clone, Default)]
+struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    /// Empties the set and sizes it for nodes `0..n`.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.len = 0;
+    }
+
+    #[inline]
+    fn insert(&mut self, i: u32) {
+        let word = &mut self.words[i as usize / 64];
+        let bit = 1u64 << (i % 64);
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Removes every member, handing each to `visit` in ascending order.
+    #[inline]
+    fn drain(&mut self, mut visit: impl FnMut(usize)) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        self.len = 0;
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    i
+                })
+            })
+        })
+    }
+}
+
+#[cfg(test)]
+mod node_set_tests {
+    use super::NodeSet;
+
+    #[test]
+    fn members_come_back_once_and_ascending_across_word_boundaries() {
+        let mut set = NodeSet::default();
+        set.reset(130);
+        for i in [129, 0, 64, 63, 64, 0, 65] {
+            set.insert(i);
+        }
+        assert_eq!(set.len, 5);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 63, 64, 65, 129]);
+        let mut drained = Vec::new();
+        set.drain(|i| drained.push(i));
+        assert_eq!(drained, [0, 63, 64, 65, 129]);
+        assert_eq!((set.len, set.iter().count()), (0, 0));
+        // A reset empties whatever is left and follows the category's size.
+        set.insert(7);
+        set.reset(200);
+        assert_eq!((set.len, set.iter().count()), (0, 0));
+        set.insert(199);
+        assert_eq!(set.iter().collect::<Vec<_>>(), [199]);
+    }
+}
+
+/// The delta worklist's working memory, kept per category so a refresh
+/// allocates nothing. It carries nothing from one refresh to the next:
+/// [`begin`](Self::begin) empties all four sets, whatever the last
+/// refresh left in them (an abandoned frontier, its visit marks).
+#[derive(Debug, Clone, Default)]
+struct DeltaScratch {
+    /// Reviews / raters queued for recomputation. A set, so the worklist
+    /// is duplicate-free; drained in ascending order, so a pass walks the
+    /// arenas front to back instead of in discovery order.
+    rev_frontier: NodeSet,
+    rat_frontier: NodeSet,
+    /// Reviews / raters the current (or last) refresh recomputed.
+    rev_seen: NodeSet,
+    rat_seen: NodeSet,
+}
+
+impl DeltaScratch {
+    /// Empties the scratch and sizes it for a category of `n_rev` reviews
+    /// and `n_rat` raters.
+    fn begin(&mut self, n_rev: usize, n_rat: usize) {
+        self.rev_frontier.reset(n_rev);
+        self.rat_frontier.reset(n_rat);
+        self.rev_seen.reset(n_rev);
+        self.rat_seen.reset(n_rat);
+    }
 }
 
 /// What one traced refresh did — the worklist's audit trail, exposed by
@@ -253,7 +364,8 @@ pub struct DeltaReport {
 
 /// Growable per-category fixed-point state — the incremental analogue of
 /// [`wot_community::CategorySlice`], carrying the same index-dense grouped
-/// arrays plus persistent scatter tables for O(1) local-index resolution.
+/// incidence plus persistent scatter tables for O(1) local-index
+/// resolution.
 #[derive(Debug, Clone)]
 struct CategoryState {
     /// Global review ids, by local index (arrival order).
@@ -262,7 +374,7 @@ struct CategoryState {
     review_writer_local: Vec<u32>,
     /// Ratings received per local review: `(local rater, value)`,
     /// ingestion order.
-    ratings_by_review_local: Vec<Vec<(u32, f64)>>,
+    ratings_by_review_local: Incidence,
     /// Global user id of each local rater (arrival order).
     rater_of_local: Vec<UserId>,
     /// user index → local rater index (`u32::MAX` = not a rater here).
@@ -270,7 +382,10 @@ struct CategoryState {
     /// Ratings given per local rater: `(local review, value)`, kept
     /// sorted by local review index — the batch slice's ordering, which
     /// is what makes the canonical snapshot bit-identical.
-    ratings_by_rater_local: Vec<Vec<(u32, f64)>>,
+    ratings_by_rater_local: Incidence,
+    /// `discount(n_i)` per local rater, kept current by `add_rating` so no
+    /// solve, sweep or worklist visit recomputes it.
+    rater_discount: Vec<f64>,
     /// Global user id of each local writer (arrival order).
     writer_of_local: Vec<UserId>,
     /// user index → local writer index (`u32::MAX` = not a writer here).
@@ -281,8 +396,6 @@ struct CategoryState {
     quality: Vec<f64>,
     /// Current rater reputations, by local rater (warm-start state).
     reputation: Vec<f64>,
-    /// Total ratings ingested.
-    num_ratings: usize,
     /// Whether data changed since the last refresh.
     stale: bool,
     /// Monotone counter bumped on every mutation — the invalidation key
@@ -304,6 +417,8 @@ struct CategoryState {
     last_iterations: usize,
     /// Convergence flag of the last refresh.
     last_converged: bool,
+    /// The delta worklist's reusable working memory.
+    scratch: DeltaScratch,
 }
 
 impl CategoryState {
@@ -311,23 +426,36 @@ impl CategoryState {
         Self {
             reviews: Vec::new(),
             review_writer_local: Vec::new(),
-            ratings_by_review_local: Vec::new(),
+            ratings_by_review_local: Incidence::new(),
             rater_of_local: Vec::new(),
             rater_slot: vec![u32::MAX; num_users],
-            ratings_by_rater_local: Vec::new(),
+            ratings_by_rater_local: Incidence::new(),
+            rater_discount: Vec::new(),
             writer_of_local: Vec::new(),
             writer_slot: vec![u32::MAX; num_users],
             reviews_by_writer_local: Vec::new(),
             quality: Vec::new(),
             reputation: Vec::new(),
-            num_ratings: 0,
             stale: false,
             data_version: 0,
             pending_seeds: Vec::new(),
             needs_full: false,
             last_iterations: 0,
             last_converged: true,
+            scratch: DeltaScratch::default(),
         }
+    }
+
+    /// Total ratings ingested. O(1).
+    fn num_ratings(&self) -> usize {
+        self.ratings_by_review_local.num_edges()
+    }
+
+    /// Where local review `local` sits in rater `lr`'s ascending list:
+    /// `Ok(position)` if they rated it, `Err(insertion point)` if not.
+    fn find_rating(&self, lr: u32, local: u32) -> std::result::Result<usize, usize> {
+        let (reviews, _) = self.ratings_by_rater_local.node(lr as usize);
+        reviews.binary_search(&local)
     }
 
     /// Appends a review; returns its local index.
@@ -345,7 +473,7 @@ impl CategoryState {
         };
         self.reviews.push(review);
         self.review_writer_local.push(lw);
-        self.ratings_by_review_local.push(Vec::new());
+        self.ratings_by_review_local.push_node();
         self.reviews_by_writer_local[lw as usize].push(local);
         self.quality.push(cfg.unrated_review_quality);
         self.stale = true;
@@ -368,7 +496,8 @@ impl CategoryState {
                 let lr = self.rater_of_local.len() as u32;
                 self.rater_slot[rater.index()] = lr;
                 self.rater_of_local.push(rater);
-                self.ratings_by_rater_local.push(Vec::new());
+                self.ratings_by_rater_local.push_node();
+                self.rater_discount.push(cfg.discount(0));
                 // New raters enter at the configured initial reputation so
                 // their ratings carry weight before their first refresh.
                 self.reputation.push(cfg.initial_rater_reputation);
@@ -376,87 +505,80 @@ impl CategoryState {
             }
             lr => lr,
         };
-        let given = &mut self.ratings_by_rater_local[lr as usize];
         // Sorted insertion by local review index: keeps this rater's
         // list in the batch slice's order (and makes duplicate detection
         // a binary search). Raters mostly rate recent reviews, so the
         // insertion point is usually the end.
-        let at = given.partition_point(|&(l, _)| l < local);
-        if given.get(at).is_some_and(|&(l, _)| l == local) {
+        let Err(at) = self.find_rating(lr, local) else {
             return Err(CoreError::Shape(format!(
                 "user {rater} already rated review {review}"
             )));
-        }
-        given.insert(at, (local, value));
-        self.ratings_by_review_local[local as usize].push((lr, value));
-        self.num_ratings += 1;
+        };
+        let given = &mut self.ratings_by_rater_local;
+        given.insert(lr as usize, at, local, value);
+        self.rater_discount[lr as usize] = cfg.discount(given.degree(lr as usize));
+        self.ratings_by_review_local.push(local as usize, lr, value);
         self.stale = true;
         self.data_version += 1;
         self.pending_seeds.push((lr, local));
         Ok(())
     }
 
-    /// Revises an **existing** rating in place in both grouped mirrors.
-    /// The caller has already verified the `(rater, review)` pair exists;
-    /// counts are untouched (a revision is not a new rating).
-    fn revise_rating(&mut self, lr: u32, local: u32, value: f64) {
-        let given = &mut self.ratings_by_rater_local[lr as usize];
-        let at = given.partition_point(|&(l, _)| l < local);
-        debug_assert!(given[at].0 == local, "revise_rating on a missing pair");
-        given[at].1 = value;
-        let slot = self.ratings_by_review_local[local as usize]
-            .iter_mut()
-            .find(|&&mut (r, _)| r == lr)
+    /// Revises an **existing** rating in place in both grouped mirrors —
+    /// rater `lr`'s entry at position `at` (from
+    /// [`find_rating`](Self::find_rating)) and its twin under the review.
+    /// Counts are untouched (a revision is not a new rating).
+    fn revise_rating(&mut self, lr: u32, at: usize, value: f64) {
+        let local = self.ratings_by_rater_local.node(lr as usize).0[at];
+        self.ratings_by_rater_local
+            .set_value(lr as usize, at, value);
+        let (raters, _) = self.ratings_by_review_local.node(local as usize);
+        let slot = raters
+            .iter()
+            .position(|&r| r == lr)
             .expect("review-grouped mirror out of sync with rater-grouped list");
-        slot.1 = value;
+        self.ratings_by_review_local
+            .set_value(local as usize, slot, value);
         self.stale = true;
         self.data_version += 1;
         self.pending_seeds.push((lr, local));
     }
 
-    /// Re-solves the category **warm**, starting from the current
-    /// reputations. Categories with no ratings have nothing to iterate —
-    /// every review takes [`DeriveConfig::unrated_review_quality`]
-    /// directly and zero sweeps are reported (no phantom convergence
-    /// work).
-    fn solve_warm(&self, cfg: &DeriveConfig) -> SolveOutcome {
-        if self.num_ratings == 0 {
-            return SolveOutcome {
-                quality: vec![cfg.unrated_review_quality; self.reviews.len()],
-                reputation: self.reputation.clone(),
-                iterations: 0,
-                converged: true,
-            };
+    /// Re-solves the category **warm** and in place, starting from the
+    /// current reputations; returns `(sweeps, converged)`. Categories with
+    /// no ratings have nothing to iterate — every review takes
+    /// [`DeriveConfig::unrated_review_quality`] directly and zero sweeps
+    /// are reported (no phantom convergence work).
+    fn solve_warm(&mut self, cfg: &DeriveConfig) -> (usize, bool) {
+        if self.num_ratings() == 0 {
+            self.quality.fill(cfg.unrated_review_quality);
+            return (0, true);
         }
-        let flat = riggs::FlatIncidence::from_grouped(
+        riggs::solve_warm(
             &self.ratings_by_review_local,
             &self.ratings_by_rater_local,
+            &self.rater_discount,
             cfg,
-        );
-        let mut quality = self.quality.clone();
-        let mut reputation = self.reputation.clone();
-        let (iterations, converged) = riggs::solve_warm(&flat, cfg, &mut quality, &mut reputation);
-        SolveOutcome {
-            quality,
-            reputation,
-            iterations,
-            converged,
-        }
+            &mut self.quality,
+            &mut self.reputation,
+        )
     }
 
-    /// Re-solves the category **cold** — exactly the batch
-    /// [`riggs::solve`] computation over the in-place index tables, bit
-    /// for bit (same flat incidence, same sweep loop, same initial
-    /// state).
+    /// Re-solves the category **cold** into fresh buffers — exactly the
+    /// batch [`riggs::solve`] computation over the in-place arenas, bit
+    /// for bit (same per-node order, same sweep loop, same initial
+    /// state). Leaves the warm state alone.
     fn solve_cold(&self, cfg: &DeriveConfig) -> SolveOutcome {
-        let flat = riggs::FlatIncidence::from_grouped(
-            &self.ratings_by_review_local,
-            &self.ratings_by_rater_local,
-            cfg,
-        );
         let mut quality = vec![cfg.unrated_review_quality; self.reviews.len()];
         let mut reputation = vec![cfg.initial_rater_reputation; self.rater_of_local.len()];
-        let (iterations, converged) = riggs::solve_warm(&flat, cfg, &mut quality, &mut reputation);
+        let (iterations, converged) = riggs::solve_warm(
+            &self.ratings_by_review_local,
+            &self.ratings_by_rater_local,
+            &self.rater_discount,
+            cfg,
+            &mut quality,
+            &mut reputation,
+        );
         SolveOutcome {
             quality,
             reputation,
@@ -465,27 +587,32 @@ impl CategoryState {
         }
     }
 
-    /// Re-solves the category through whichever path
+    /// Re-solves the category in place through whichever path
     /// [`DeriveConfig::delta_refresh`] selects — the delta worklist or the
-    /// full warm sweep — and reports what was done. Read-only (the commit
-    /// happens in [`commit_refresh`](Self::commit_refresh)) so
-    /// `refresh_all` can fan categories out over worker threads.
-    fn solve_refresh(&self, cfg: &DeriveConfig) -> RefreshOutcome {
-        if cfg.delta_refresh && !self.needs_full {
+    /// full warm sweep — clears the staleness bookkeeping (seeds
+    /// included) and reports what was done.
+    fn refresh(&mut self, cfg: &DeriveConfig) -> RefreshOutcome {
+        let outcome = if cfg.delta_refresh && !self.needs_full {
             self.solve_delta(cfg)
         } else {
-            let out = self.solve_warm(cfg);
+            let (iterations, converged) = self.solve_warm(cfg);
             RefreshOutcome {
-                visited_reviews: (0..self.reviews.len() as u32).collect(),
-                visited_raters: (0..self.rater_of_local.len() as u32).collect(),
+                iterations,
+                converged,
                 // `fell_back` means a worklist was abandoned; a full sweep
                 // that was never a worklist only counts as a fallback when
                 // delta mode asked for one and couldn't run it (restored
                 // stale state with unknown seeds).
                 fell_back: cfg.delta_refresh && self.needs_full,
-                out,
+                swept_all: true,
             }
-        }
+        };
+        self.last_iterations = outcome.iterations;
+        self.last_converged = outcome.converged;
+        self.stale = false;
+        self.needs_full = false;
+        self.pending_seeds.clear();
+        outcome
     }
 
     /// The **delta worklist solver**: starts from the pending seeds (the
@@ -500,59 +627,59 @@ impl CategoryState {
     /// state — the result is a valid warm state either way.
     ///
     /// Per-node arithmetic is [`riggs::quality_one`] /
-    /// [`riggs::reputation_one`] — the same summation order as the dense
-    /// sweep's slots, so a node recomputed here lands on the same bits the
-    /// full sweep would give it from the same inputs. The canonical cold
-    /// snapshot ([`IncrementalDerived::to_derived`]) never reads this warm
-    /// state, which is how delta mode keeps the bit-identical-to-batch
-    /// contract untouched.
-    fn solve_delta(&self, cfg: &DeriveConfig) -> RefreshOutcome {
+    /// [`riggs::reputation_one`] over the node's arena slices — the calls
+    /// the dense sweep makes, over the memory it reads — so a node
+    /// recomputed here lands on the same bits the full sweep would give it
+    /// from the same inputs, and a fallback costs its sweeps and nothing
+    /// else. The canonical cold snapshot
+    /// ([`IncrementalDerived::to_derived`]) never reads this warm state,
+    /// which is how delta mode keeps the bit-identical-to-batch contract
+    /// untouched.
+    fn solve_delta(&mut self, cfg: &DeriveConfig) -> RefreshOutcome {
         let n_rev = self.reviews.len();
         let n_rat = self.rater_of_local.len();
+        self.scratch.begin(n_rev, n_rat);
         // Mirror `solve_warm`'s unrated-only early return: nothing to
-        // iterate, no phantom sweeps.
-        if self.num_ratings == 0 {
+        // iterate, no phantom sweeps, no node visited.
+        if self.num_ratings() == 0 {
+            self.quality.fill(cfg.unrated_review_quality);
             return RefreshOutcome {
-                out: SolveOutcome {
-                    quality: vec![cfg.unrated_review_quality; n_rev],
-                    reputation: self.reputation.clone(),
-                    iterations: 0,
-                    converged: true,
-                },
+                iterations: 0,
+                converged: true,
                 fell_back: false,
-                visited_reviews: Vec::new(),
-                visited_raters: Vec::new(),
+                swept_all: false,
             };
         }
-        let mut quality = self.quality.clone();
-        let mut reputation = self.reputation.clone();
-        // Frontier membership flags keep the worklists duplicate-free;
-        // visited flags accumulate the audit trail across sweeps.
-        let mut rev_in = vec![false; n_rev];
-        let mut rat_in = vec![false; n_rat];
-        let mut visited_rev = vec![false; n_rev];
-        let mut visited_rat = vec![false; n_rat];
-        let mut rev_frontier: Vec<u32> = Vec::new();
-        let mut rat_frontier: Vec<u32> = Vec::new();
-        for &(lr, local) in &self.pending_seeds {
-            if !rev_in[local as usize] {
-                rev_in[local as usize] = true;
-                rev_frontier.push(local);
-            }
+        let Self {
+            ratings_by_review_local: by_review,
+            ratings_by_rater_local: by_rater,
+            rater_discount,
+            quality,
+            reputation,
+            pending_seeds,
+            scratch,
+            ..
+        } = self;
+        let DeltaScratch {
+            rev_frontier,
+            rat_frontier,
+            rev_seen,
+            rat_seen,
+        } = scratch;
+        for &(lr, local) in pending_seeds.iter() {
+            rev_frontier.insert(local);
             // The seed rater must recompute even if its review's quality
             // holds still: the rating changed the rater's own n, discount
             // and deviation terms directly.
-            if !rat_in[lr as usize] {
-                rat_in[lr as usize] = true;
-                rat_frontier.push(lr);
-            }
+            rat_frontier.insert(lr);
         }
         let total = (n_rev + n_rat) as f64;
         let mut sweeps = 0usize;
         let mut converged = false;
         let mut fell_back = false;
         loop {
-            if rev_frontier.is_empty() && rat_frontier.is_empty() {
+            let active = rev_frontier.len + rat_frontier.len;
+            if active == 0 {
                 converged = true;
                 break;
             }
@@ -560,8 +687,7 @@ impl CategoryState {
             // strict `>` gives the boundary semantics (threshold 0 always
             // falls back on any non-empty frontier; threshold 1 never
             // does, the frontier cannot exceed the whole category).
-            let active = (rev_frontier.len() + rat_frontier.len()) as f64;
-            if active > cfg.delta_frontier_threshold * total {
+            if active as f64 > cfg.delta_frontier_threshold * total {
                 fell_back = true;
                 break;
             }
@@ -569,91 +695,79 @@ impl CategoryState {
                 break;
             }
             sweeps += 1;
+            // Both half-sweeps are Jacobi steps — a node reads only the
+            // other side's values — so the order a frontier is drained in
+            // changes no value and no next frontier, only the memory
+            // access pattern.
+            //
             // Eq. 1 half-sweep: recompute dirty reviews; a quality move
             // beyond tolerance dirties every rater of that review.
-            for &j in &rev_frontier {
-                rev_in[j as usize] = false;
-                visited_rev[j as usize] = true;
-                let received = &self.ratings_by_review_local[j as usize];
-                let q = riggs::quality_one(received, &reputation, cfg);
-                let moved = (q - quality[j as usize]).abs() > cfg.fixpoint_tolerance;
-                quality[j as usize] = q;
+            rev_frontier.drain(|j| {
+                rev_seen.insert(j as u32);
+                let (raters, values) = by_review.node(j);
+                let q = riggs::quality_one(raters, values, reputation, cfg);
+                let moved = (q - quality[j]).abs() > cfg.fixpoint_tolerance;
+                quality[j] = q;
                 if moved {
-                    for &(lr, _) in received {
-                        if !rat_in[lr as usize] {
-                            rat_in[lr as usize] = true;
-                            rat_frontier.push(lr);
-                        }
+                    for &lr in raters {
+                        rat_frontier.insert(lr);
                     }
                 }
-            }
-            rev_frontier.clear();
+            });
             // Eq. 2 half-sweep: recompute dirty raters; a reputation move
             // beyond tolerance dirties every review they rated, for the
             // next pass.
-            for &i in &rat_frontier {
-                rat_in[i as usize] = false;
-                visited_rat[i as usize] = true;
-                let given = &self.ratings_by_rater_local[i as usize];
-                let rep = riggs::reputation_one(given, &quality, cfg.discount(given.len()));
-                let moved = (rep - reputation[i as usize]).abs() > cfg.fixpoint_tolerance;
-                reputation[i as usize] = rep;
+            rat_frontier.drain(|i| {
+                rat_seen.insert(i as u32);
+                let (reviews, values) = by_rater.node(i);
+                let rep = riggs::reputation_one(reviews, values, quality, rater_discount[i]);
+                let moved = (rep - reputation[i]).abs() > cfg.fixpoint_tolerance;
+                reputation[i] = rep;
                 if moved {
-                    for &(j, _) in given {
-                        if !rev_in[j as usize] {
-                            rev_in[j as usize] = true;
-                            rev_frontier.push(j);
-                        }
+                    for &j in reviews {
+                        rev_frontier.insert(j);
                     }
                 }
-            }
-            rat_frontier.clear();
+            });
         }
         let mut iterations = sweeps;
         if fell_back {
             // Finish with the one shared dense sweep loop, warm from the
-            // partially advanced state; every node counts as visited.
-            let flat = riggs::FlatIncidence::from_grouped(
-                &self.ratings_by_review_local,
-                &self.ratings_by_rater_local,
+            // partially advanced state, over the same arenas.
+            let (it, conv) = riggs::solve_warm(
+                by_review,
+                by_rater,
+                rater_discount,
                 cfg,
-            );
-            let (it, conv) = riggs::solve_warm(&flat, cfg, &mut quality, &mut reputation);
-            iterations += it;
-            converged = conv;
-            visited_rev.iter_mut().for_each(|v| *v = true);
-            visited_rat.iter_mut().for_each(|v| *v = true);
-        }
-        let collect = |flags: &[bool]| -> Vec<u32> {
-            flags
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &v)| v.then_some(i as u32))
-                .collect()
-        };
-        RefreshOutcome {
-            out: SolveOutcome {
                 quality,
                 reputation,
-                iterations,
-                converged,
-            },
+            );
+            iterations += it;
+            converged = conv;
+        }
+        RefreshOutcome {
+            iterations,
+            converged,
             fell_back,
-            visited_reviews: collect(&visited_rev),
-            visited_raters: collect(&visited_rat),
+            swept_all: fell_back,
         }
     }
 
-    /// Installs a refresh result as the new warm state and clears the
-    /// staleness bookkeeping (seeds included).
-    fn commit_refresh(&mut self, out: SolveOutcome) {
-        self.last_iterations = out.iterations;
-        self.last_converged = out.converged;
-        self.quality = out.quality;
-        self.reputation = out.reputation;
-        self.stale = false;
-        self.needs_full = false;
-        self.pending_seeds.clear();
+    /// The nodes the refresh that returned `outcome` recomputed, as
+    /// global ids in ascending local order: every node after a full
+    /// sweep, the marked ones after a worklist. Valid until the next
+    /// refresh.
+    fn visited(&self, outcome: RefreshOutcome) -> (Vec<ReviewId>, Vec<UserId>) {
+        if outcome.swept_all {
+            return (self.reviews.clone(), self.rater_of_local.clone());
+        }
+        let DeltaScratch {
+            rev_seen, rat_seen, ..
+        } = &self.scratch;
+        (
+            rev_seen.iter().map(|j| self.reviews[j]).collect(),
+            rat_seen.iter().map(|i| self.rater_of_local[i]).collect(),
+        )
     }
 
     /// The state's own warm buffers, as of the last refresh.
@@ -1019,9 +1133,7 @@ impl IncrementalDerived {
                     .copied()
                     .filter(|&lr| lr != u32::MAX)
                 {
-                    let given = &state.ratings_by_rater_local[lr as usize];
-                    let at = given.partition_point(|&(l, _)| l < local);
-                    if given.get(at).is_some_and(|&(l, _)| l == local) {
+                    if state.find_rating(lr, local).is_ok() {
                         return Err(CoreError::Shape(format!(
                             "user {rater} already rated review {review}"
                         )));
@@ -1043,12 +1155,17 @@ impl IncrementalDerived {
                 .map(|s| CategorySnapshot {
                     reviews: s.reviews.clone(),
                     review_writer_local: s.review_writer_local.clone(),
-                    ratings_by_review_local: s.ratings_by_review_local.clone(),
+                    // The image keeps the grouped `Vec<Vec>` shape (and
+                    // with it the WAL codec's bytes); the arena is how
+                    // the live model stores it, not what it persists.
+                    ratings_by_review_local: (0..s.reviews.len())
+                        .map(|j| s.ratings_by_review_local.pairs(j).collect())
+                        .collect(),
                     rater_of_local: s.rater_of_local.clone(),
                     writer_of_local: s.writer_of_local.clone(),
                     quality: s.quality.clone(),
                     reputation: s.reputation.clone(),
-                    num_ratings: s.num_ratings,
+                    num_ratings: s.num_ratings(),
                     stale: s.stale,
                 })
                 .collect(),
@@ -1135,13 +1252,9 @@ impl IncrementalDerived {
                 state.reviews_by_writer_local[lw as usize].push(local as u32);
                 counts.bump_reviews(cat.writer_of_local[lw as usize].index(), c, 1.0);
             }
-            // Rebuild ratings-by-rater from the review-grouped lists:
-            // iterating reviews ascending appends each rater's entries in
-            // ascending local-review order — the exact sorted order
-            // `CategoryState::add_rating` maintains. Stamps catch a rater
+            // Validate the review-grouped lists. Stamps catch a rater
             // appearing twice on one review; writers rating themselves are
             // rejected as the live path would.
-            state.ratings_by_rater_local = vec![Vec::new(); n_raters];
             let mut stamp = vec![u32::MAX; n_raters];
             let mut n_ratings = 0usize;
             for (local, received) in cat.ratings_by_review_local.iter().enumerate() {
@@ -1160,7 +1273,6 @@ impl IncrementalDerived {
                         return Err(corrupt(c, "writer rates their own review"));
                     }
                     stamp[lr as usize] = local as u32;
-                    state.ratings_by_rater_local[lr as usize].push((local as u32, value));
                     counts.bump_ratings(cat.rater_of_local[lr as usize].index(), c, 1.0);
                     n_ratings += 1;
                 }
@@ -1168,8 +1280,23 @@ impl IncrementalDerived {
             if n_ratings != cat.num_ratings {
                 return Err(corrupt(c, "rating count does not match the grouped lists"));
             }
+            // Both arenas, built exactly. Transposing the review-grouped
+            // lists appends each rater's entries in ascending local-review
+            // order — the exact sorted order `CategoryState::add_rating`
+            // maintains.
+            state.ratings_by_review_local = cat
+                .ratings_by_review_local
+                .iter()
+                .map(|received| received.iter().copied())
+                .collect();
+            state.ratings_by_rater_local = state.ratings_by_review_local.transposed(n_raters);
+            state.rater_discount = riggs::rater_discounts(&state.ratings_by_rater_local, cfg);
             // Raters with no ratings at all never arise from events.
-            if state.ratings_by_rater_local.iter().any(Vec::is_empty) {
+            if state
+                .ratings_by_rater_local
+                .iter()
+                .any(|(reviews, _)| reviews.is_empty())
+            {
                 return Err(corrupt(
                     c,
                     "rater arrival list names a user with no ratings",
@@ -1187,12 +1314,10 @@ impl IncrementalDerived {
             total_reviews += n_reviews;
             state.reviews = cat.reviews;
             state.review_writer_local = cat.review_writer_local;
-            state.ratings_by_review_local = cat.ratings_by_review_local;
             state.rater_of_local = cat.rater_of_local;
             state.writer_of_local = cat.writer_of_local;
             state.quality = cat.quality;
             state.reputation = cat.reputation;
-            state.num_ratings = cat.num_ratings;
             state.stale = cat.stale;
             // The events that made a snapshotted category stale are not in
             // the image, so a delta refresh would have no seeds to work
@@ -1323,10 +1448,8 @@ impl IncrementalDerived {
             .copied()
             .filter(|&lr| lr != u32::MAX)
         {
-            let given = &state.ratings_by_rater_local[lr as usize];
-            let at = given.partition_point(|&(l, _)| l < local);
-            if given.get(at).is_some_and(|&(l, _)| l == local) {
-                state.revise_rating(lr, local, value);
+            if let Ok(at) = state.find_rating(lr, local) {
+                state.revise_rating(lr, at, value);
                 return Ok(true);
             }
         }
@@ -1349,10 +1472,8 @@ impl IncrementalDerived {
     pub fn refresh(&mut self, category: CategoryId) -> (usize, bool) {
         match self.categories.get_mut(category.index()) {
             Some(state) if state.stale => {
-                let r = state.solve_refresh(&self.cfg);
-                let (iters, conv) = (r.out.iterations, r.out.converged);
-                state.commit_refresh(r.out);
-                (iters, conv)
+                let r = state.refresh(&self.cfg);
+                (r.iterations, r.converged)
             }
             _ => (0, true),
         }
@@ -1366,24 +1487,15 @@ impl IncrementalDerived {
     pub fn refresh_traced(&mut self, category: CategoryId) -> DeltaReport {
         match self.categories.get_mut(category.index()) {
             Some(state) if state.stale => {
-                let r = state.solve_refresh(&self.cfg);
-                let report = DeltaReport {
-                    sweeps: r.out.iterations,
-                    converged: r.out.converged,
+                let r = state.refresh(&self.cfg);
+                let (visited_reviews, visited_raters) = state.visited(r);
+                DeltaReport {
+                    sweeps: r.iterations,
+                    converged: r.converged,
                     fell_back: r.fell_back,
-                    visited_reviews: r
-                        .visited_reviews
-                        .iter()
-                        .map(|&j| state.reviews[j as usize])
-                        .collect(),
-                    visited_raters: r
-                        .visited_raters
-                        .iter()
-                        .map(|&i| state.rater_of_local[i as usize])
-                        .collect(),
-                };
-                state.commit_refresh(r.out);
-                report
+                    visited_reviews,
+                    visited_raters,
+                }
             }
             _ => DeltaReport {
                 sweeps: 0,
@@ -1395,12 +1507,19 @@ impl IncrementalDerived {
         }
     }
 
-    /// Re-solves every stale category, fanning out over
+    /// Re-solves every stale category in place, fanning out over up to
     /// [`DeriveConfig::effective_threads`] `wot-par` workers (stale
     /// categories are independent fixed points, so the refreshed state is
     /// identical for every thread count — delta worklists included, since
     /// each runs wholly inside its category). Returns total sweeps
     /// executed.
+    ///
+    /// Each worker owns a contiguous run of categories `&mut`, cut so the
+    /// runs carry near-equal shares of the stale categories' ratings: a
+    /// solve advances the warm buffers and reuses the worklist scratch
+    /// where they live, which a fan-out over `&self` could not. One stale
+    /// category — the per-event case — is one run, solved on the calling
+    /// thread.
     pub fn refresh_all(&mut self) -> usize {
         let stale: Vec<usize> = self
             .categories
@@ -1408,17 +1527,27 @@ impl IncrementalDerived {
             .enumerate()
             .filter_map(|(c, s)| s.stale.then_some(c))
             .collect();
-        let cfg = &self.cfg;
-        let categories = &self.categories;
-        let outcomes = wot_par::par_map_indexed(stale.len(), cfg.effective_threads(), |k| {
-            categories[stale[k]].solve_refresh(cfg).out
-        });
-        let mut total = 0;
-        for (&c, out) in stale.iter().zip(outcomes) {
-            total += out.iterations;
-            self.categories[c].commit_refresh(out);
+        if stale.is_empty() {
+            return 0;
         }
-        total
+        let cfg = &self.cfg;
+        let mut cum = Vec::with_capacity(self.categories.len() + 1);
+        cum.push(0);
+        for s in &self.categories {
+            let weight = if s.stale { s.num_ratings() + 1 } else { 0 };
+            cum.push(cum[cum.len() - 1] + weight);
+        }
+        let runs = cfg.effective_threads().min(stale.len());
+        let boundaries = wot_par::weighted_boundaries(&cum, runs);
+        wot_par::par_chunks_mut(&mut self.categories, &boundaries, |_, run| {
+            for state in run.iter_mut().filter(|s| s.stale) {
+                state.refresh(cfg);
+            }
+        });
+        stale
+            .iter()
+            .map(|&c| self.categories[c].last_iterations)
+            .sum()
     }
 
     /// The canonical batch-equal snapshot: cold-solves every category from
@@ -1779,7 +1908,10 @@ mod tests {
         assert!(inc.add_rating(UserId(1), ReviewId(0), 0.4).is_err());
         inc.add_rating(UserId(1), ReviewId(1), 0.4).unwrap();
         assert_eq!(
-            inc.categories[0].ratings_by_rater_local[0],
+            inc.categories[0]
+                .ratings_by_rater_local
+                .pairs(0)
+                .collect::<Vec<_>>(),
             vec![(0, 0.6), (1, 0.4), (2, 0.8)]
         );
     }
@@ -2187,10 +2319,10 @@ mod tests {
             let rt = store.ratings()[0];
             let cat = store.reviews()[rt.review.index()].category;
             let a_before = inc.affiliation();
-            let n_before = inc.categories[cat.index()].num_ratings;
+            let n_before = inc.categories[cat.index()].num_ratings();
             // Replacing reports true and changes no counts.
             assert!(inc.upsert_rating(rt.rater, rt.review, 0.2).unwrap());
-            assert_eq!(inc.categories[cat.index()].num_ratings, n_before);
+            assert_eq!(inc.categories[cat.index()].num_ratings(), n_before);
             assert_eq!(inc.affiliation().as_slice(), a_before.as_slice());
             inc.refresh_all();
             // A rebuild that ingested 0.2 for that pair from the start
@@ -2214,9 +2346,9 @@ mod tests {
             // (cat2, writer x) has only been rated by a — w is new.
             let lone = ReviewId(3);
             let cat2 = store.reviews()[lone.index()].category;
-            let m_before = inc.categories[cat2.index()].num_ratings;
+            let m_before = inc.categories[cat2.index()].num_ratings();
             assert!(!inc.upsert_rating(UserId(1), lone, 0.9).unwrap());
-            assert_eq!(inc.categories[cat2.index()].num_ratings, m_before + 1);
+            assert_eq!(inc.categories[cat2.index()].num_ratings(), m_before + 1);
             // Validation still applies.
             let writer = store.reviews()[rt.review.index()].writer;
             assert!(inc.upsert_rating(writer, rt.review, 0.5).is_err());

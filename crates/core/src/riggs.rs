@@ -21,15 +21,21 @@
 //! ([`CategorySlice::rater_of_local`] and friends): reputation lives in a
 //! flat `Vec<f64>` indexed by local rater, and every rating carries a
 //! pre-resolved local rater index, so the innermost loops are pure
-//! array arithmetic with no hashing. On Epinions-scale categories this is
-//! the difference between a memory-bound hash walk and a cache-friendly
-//! linear scan (see `wot-bench`'s `bench_pipeline`). The original
+//! array arithmetic with no hashing. The ratings themselves live in two
+//! [`Incidence`] arenas — grouped by review for Eq. 1, by rater for
+//! Eq. 2, each one contiguous `u32` index buffer and one `f64` value
+//! buffer — which the batch slice fills exactly and the incremental model
+//! appends into in place; the sweeps and the delta worklist walk that
+//! memory directly, so nothing is flattened or copied before a solve. On
+//! Epinions-scale categories this is the difference between a
+//! memory-bound hash walk and a cache-friendly linear scan (see
+//! `wot-bench`'s `bench_pipeline`). The original
 //! `HashMap`-keyed formulation is preserved in [`reference`](mod@reference) and proven
 //! bit-identical by `wot-core`'s property tests — both iterate the same
 //! Jacobi sweeps in the same arithmetic order, so even floating-point
 //! rounding agrees.
 
-use wot_community::{CategorySlice, UserId};
+use wot_community::{CategorySlice, Incidence, UserId};
 
 use crate::DeriveConfig;
 
@@ -72,122 +78,50 @@ impl RiggsResult {
     }
 }
 
-/// Flattened, struct-of-arrays view of one category's rating incidence —
-/// the working set of the sweeps. Built once per solve (O(nnz)), amortized
-/// over the dozens of Jacobi sweeps that follow; the per-sweep loops then
-/// walk three contiguous arrays with zero pointer chasing.
-///
-/// Both the batch path ([`from_slice`](Self::from_slice)) and the
-/// incremental path ([`from_grouped`](Self::from_grouped), fed by
-/// [`IncrementalDerived`](crate::IncrementalDerived)'s in-place index
-/// tables) flatten into this same shape, so there is exactly one solver.
-pub(crate) struct FlatIncidence {
-    /// Ratings grouped by review: `rev_ptr[j]..rev_ptr[j + 1]` indexes the
-    /// two arrays below.
-    rev_ptr: Vec<usize>,
-    rev_rater: Vec<u32>,
-    rev_value: Vec<f64>,
-    /// Ratings grouped by rater, same encoding.
-    rater_ptr: Vec<usize>,
-    rater_review: Vec<u32>,
-    rater_value: Vec<f64>,
-    /// `discount(n_i)` per local rater, hoisted out of the sweep loop.
-    rater_discount: Vec<f64>,
+/// `discount(n_i)` of every rater of a rater-grouped incidence — hoisted
+/// out of the sweeps: computed once per batch solve and per restore, then
+/// kept current per rating by the incremental model.
+pub(crate) fn rater_discounts(by_rater: &Incidence, cfg: &DeriveConfig) -> Vec<f64> {
+    by_rater
+        .iter()
+        .map(|(reviews, _)| cfg.discount(reviews.len()))
+        .collect()
 }
 
-impl FlatIncidence {
-    /// Flattens a batch [`CategorySlice`]'s grouped mirrors.
-    pub(crate) fn from_slice(slice: &CategorySlice, cfg: &DeriveConfig) -> Self {
-        Self::from_grouped(
-            &slice.ratings_by_review_local,
-            &slice.ratings_by_rater_local,
-            cfg,
-        )
-    }
-
-    /// Flattens grouped incidence arrays: `by_review[j]` holds the
-    /// `(local rater, value)` ratings of local review `j` (store order),
-    /// `by_rater[i]` the `(local review, value)` ratings of local rater
-    /// `i` (ascending local review index). The incremental model maintains
-    /// exactly these arrays in place, so both entry points feed the same
-    /// sweeps with the same summation order — the root of the pipeline's
-    /// bit-identical replay guarantee.
-    pub(crate) fn from_grouped(
-        by_review: &[Vec<(u32, f64)>],
-        by_rater: &[Vec<(u32, f64)>],
-        cfg: &DeriveConfig,
-    ) -> Self {
-        let nnz = by_review.iter().map(Vec::len).sum();
-        let mut rev_ptr = Vec::with_capacity(by_review.len() + 1);
-        let mut rev_rater = Vec::with_capacity(nnz);
-        let mut rev_value = Vec::with_capacity(nnz);
-        rev_ptr.push(0);
-        for ratings in by_review {
-            for &(rater, value) in ratings {
-                rev_rater.push(rater);
-                rev_value.push(value);
-            }
-            rev_ptr.push(rev_rater.len());
-        }
-        let mut rater_ptr = Vec::with_capacity(by_rater.len() + 1);
-        let mut rater_review = Vec::with_capacity(nnz);
-        let mut rater_value = Vec::with_capacity(nnz);
-        let mut rater_discount = Vec::with_capacity(by_rater.len());
-        rater_ptr.push(0);
-        for ratings in by_rater {
-            for &(review, value) in ratings {
-                rater_review.push(review);
-                rater_value.push(value);
-            }
-            rater_ptr.push(rater_review.len());
-            rater_discount.push(cfg.discount(ratings.len()));
-        }
-        Self {
-            rev_ptr,
-            rev_rater,
-            rev_value,
-            rater_ptr,
-            rater_review,
-            rater_value,
-            rater_discount,
-        }
-    }
-
-    /// Number of reviews covered.
-    pub(crate) fn num_reviews(&self) -> usize {
-        self.rev_ptr.len() - 1
-    }
-
-    /// Number of raters covered.
-    pub(crate) fn num_raters(&self) -> usize {
-        self.rater_ptr.len() - 1
-    }
-}
-
-/// Iterates the Eqs. 1–2 fixed point over a flat incidence, starting from
-/// whatever `quality`/`reputation` already hold — cold when the caller
+/// Iterates the Eqs. 1–2 fixed point over a category's two incidence
+/// arenas — `by_review` holds each local review's `(local rater, value)`
+/// ratings in ingestion order, `by_rater` each local rater's `(local
+/// review, value)` ratings ascending by local review, `rater_discount`
+/// each rater's `discount(n_i)` ([`rater_discounts`]) — starting from
+/// whatever `quality`/`reputation` already hold: cold when the caller
 /// seeds them with [`DeriveConfig::unrated_review_quality`] /
 /// [`DeriveConfig::initial_rater_reputation`], warm when they carry a
 /// previous solution. Returns `(sweeps, converged)`.
 ///
-/// This is the *only* sweep loop in the workspace: batch [`solve`], the
-/// incremental model's warm [`refresh`](crate::IncrementalDerived::refresh)
-/// and its canonical [`to_derived`](crate::IncrementalDerived::to_derived)
-/// snapshot all run this exact code.
+/// This is the *only* sweep loop in the workspace, over the *only*
+/// layout: batch [`solve`] reads a [`CategorySlice`]'s arenas, the
+/// incremental model's warm [`refresh`](crate::IncrementalDerived::refresh),
+/// its delta fallback and its canonical
+/// [`to_derived`](crate::IncrementalDerived::to_derived) snapshot read the
+/// arenas it appends into — the same memory, the same per-node order, the
+/// root of the pipeline's bit-identical replay guarantee.
 pub(crate) fn solve_warm(
-    flat: &FlatIncidence,
+    by_review: &Incidence,
+    by_rater: &Incidence,
+    rater_discount: &[f64],
     cfg: &DeriveConfig,
     quality: &mut [f64],
     reputation: &mut [f64],
 ) -> (usize, bool) {
-    debug_assert_eq!(quality.len(), flat.num_reviews());
-    debug_assert_eq!(reputation.len(), flat.num_raters());
+    debug_assert_eq!(quality.len(), by_review.num_nodes());
+    debug_assert_eq!(reputation.len(), by_rater.num_nodes());
+    debug_assert_eq!(rater_discount.len(), by_rater.num_nodes());
     let mut iterations = 0;
     let mut converged = false;
     while iterations < cfg.fixpoint_max_iters {
         iterations += 1;
-        update_quality(flat, reputation, cfg, quality);
-        let delta = update_reputation(flat, quality, reputation);
+        update_quality(by_review, reputation, cfg, quality);
+        let delta = update_reputation(by_rater, rater_discount, quality, reputation);
         if delta <= cfg.fixpoint_tolerance {
             converged = true;
             break;
@@ -210,10 +144,17 @@ pub(crate) fn solve_warm(
 /// Eq. 3's writer aggregation
 /// ([`reputation`](crate::reputation::writer_reputation_pairs)).
 pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResult {
-    let flat = FlatIncidence::from_slice(slice, cfg);
+    let rater_discount = rater_discounts(&slice.ratings_by_rater_local, cfg);
     let mut reputation = vec![cfg.initial_rater_reputation; slice.num_raters()];
     let mut quality = vec![cfg.unrated_review_quality; slice.num_reviews()];
-    let (iterations, converged) = solve_warm(&flat, cfg, &mut quality, &mut reputation);
+    let (iterations, converged) = solve_warm(
+        &slice.ratings_by_review_local,
+        &slice.ratings_by_rater_local,
+        &rater_discount,
+        cfg,
+        &mut quality,
+        &mut reputation,
+    );
     RiggsResult {
         review_quality: quality,
         rater_reputation: reputation,
@@ -223,74 +164,60 @@ pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResult {
 }
 
 /// One Eq. 1 sweep: recompute every review's quality from current
-/// reputations (indexed by local rater). Falls back to the unweighted mean
-/// when the reputation mass of a review's raters is zero (e.g. all its
-/// raters have fully divergent histories), so ratings are never silently
-/// discarded.
+/// reputations (indexed by local rater) — [`quality_one`] per node.
 fn update_quality(
-    flat: &FlatIncidence,
+    by_review: &Incidence,
     reputation: &[f64],
     cfg: &DeriveConfig,
     quality: &mut [f64],
 ) {
-    for (j, q) in quality.iter_mut().enumerate() {
-        let (lo, hi) = (flat.rev_ptr[j], flat.rev_ptr[j + 1]);
-        if lo == hi {
-            *q = cfg.unrated_review_quality;
-            continue;
-        }
-        let raters = &flat.rev_rater[lo..hi];
-        let values = &flat.rev_value[lo..hi];
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (&rater, &value) in raters.iter().zip(values) {
-            let w = reputation[rater as usize];
-            num += w * value;
-            den += w;
-        }
-        *q = if den > 0.0 {
-            num / den
-        } else {
-            values.iter().sum::<f64>() / values.len() as f64
-        };
+    for (q, (raters, values)) in quality.iter_mut().zip(by_review.iter()) {
+        *q = quality_one(raters, values, reputation, cfg);
     }
 }
 
 /// One Eq. 2 sweep: recompute every rater's reputation from current
-/// qualities. Returns the largest absolute reputation change.
-fn update_reputation(flat: &FlatIncidence, quality: &[f64], reputation: &mut [f64]) -> f64 {
+/// qualities — [`reputation_one`] per node. Returns the largest absolute
+/// reputation change.
+fn update_reputation(
+    by_rater: &Incidence,
+    rater_discount: &[f64],
+    quality: &[f64],
+    reputation: &mut [f64],
+) -> f64 {
     let mut max_delta = 0.0f64;
-    for (i, rep) in reputation.iter_mut().enumerate() {
-        let (lo, hi) = (flat.rater_ptr[i], flat.rater_ptr[i + 1]);
-        let n = hi - lo;
-        debug_assert!(n > 0, "rater entry with no ratings");
-        let reviews = &flat.rater_review[lo..hi];
-        let values = &flat.rater_value[lo..hi];
-        let mad: f64 = reviews
-            .iter()
-            .zip(values)
-            .map(|(&local, &value)| (value - quality[local as usize]).abs())
-            .sum::<f64>()
-            / n as f64;
-        let new = (1.0 - mad).max(0.0) * flat.rater_discount[i];
+    for ((rep, (reviews, values)), &discount) in reputation
+        .iter_mut()
+        .zip(by_rater.iter())
+        .zip(rater_discount)
+    {
+        let new = reputation_one(reviews, values, quality, discount);
         let old = std::mem::replace(rep, new);
         max_delta = max_delta.max((new - old).abs());
     }
     max_delta
 }
 
-/// Eq. 1 for **one review** from its grouped `(local rater, value)`
-/// ratings, in their stored (ingestion) order — the same arithmetic, in
-/// the same summation order, as one slot of [`update_quality`], so the
-/// delta worklist solver and the dense sweeps cannot disagree on a node
-/// they both recompute.
-pub(crate) fn quality_one(ratings: &[(u32, f64)], reputation: &[f64], cfg: &DeriveConfig) -> f64 {
-    if ratings.is_empty() {
+/// Eq. 1 for **one review** from its ratings — parallel `(local rater,
+/// value)` slices in stored (ingestion) order. The dense sweep
+/// ([`update_quality`]) and the delta worklist both call this, so they
+/// cannot disagree on a node they both recompute. Falls back to the
+/// unweighted mean when the reputation mass of the review's raters is zero
+/// (e.g. all its raters have fully divergent histories), so ratings are
+/// never silently discarded.
+#[inline]
+pub(crate) fn quality_one(
+    raters: &[u32],
+    values: &[f64],
+    reputation: &[f64],
+    cfg: &DeriveConfig,
+) -> f64 {
+    if raters.is_empty() {
         return cfg.unrated_review_quality;
     }
     let mut num = 0.0;
     let mut den = 0.0;
-    for &(rater, value) in ratings {
+    for (&rater, &value) in raters.iter().zip(values) {
         let w = reputation[rater as usize];
         num += w * value;
         den += w;
@@ -298,19 +225,27 @@ pub(crate) fn quality_one(ratings: &[(u32, f64)], reputation: &[f64], cfg: &Deri
     if den > 0.0 {
         num / den
     } else {
-        ratings.iter().map(|&(_, v)| v).sum::<f64>() / ratings.len() as f64
+        values.iter().sum::<f64>() / values.len() as f64
     }
 }
 
-/// Eq. 2 for **one rater** from their grouped `(local review, value)`
-/// ratings (ascending local review index) and pre-computed experience
-/// discount — one slot of [`update_reputation`], same order, same bits.
-pub(crate) fn reputation_one(ratings: &[(u32, f64)], quality: &[f64], discount: f64) -> f64 {
-    let n = ratings.len();
+/// Eq. 2 for **one rater** from their ratings — parallel `(local review,
+/// value)` slices ascending by local review — and pre-computed experience
+/// discount. One slot of [`update_reputation`]; the delta worklist calls
+/// it too.
+#[inline]
+pub(crate) fn reputation_one(
+    reviews: &[u32],
+    values: &[f64],
+    quality: &[f64],
+    discount: f64,
+) -> f64 {
+    let n = reviews.len();
     debug_assert!(n > 0, "rater entry with no ratings");
-    let mad: f64 = ratings
+    let mad: f64 = reviews
         .iter()
-        .map(|&(local, value)| (value - quality[local as usize]).abs())
+        .zip(values)
+        .map(|(&local, &value)| (value - quality[local as usize]).abs())
         .sum::<f64>()
         / n as f64;
     (1.0 - mad).max(0.0) * discount
