@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use wot_bench::{Scale, DEFAULT_SEED};
 use wot_core::{pipeline, trust, DeriveConfig};
-use wot_sparse::masked_row_dot_threaded;
+use wot_sparse::masked_row_dot;
 
 fn scale_name(scale: Scale) -> &'static str {
     match scale {
@@ -49,7 +49,7 @@ fn bench(c: &mut Criterion) {
 
         group.bench_function("masked_row_dot/seq", |b| {
             b.iter(|| {
-                masked_row_dot_threaded(
+                masked_row_dot(
                     black_box(&derived.affiliation),
                     black_box(&derived.expertise),
                     black_box(&r),
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function("masked_row_dot/par", |b| {
             b.iter(|| {
-                masked_row_dot_threaded(
+                masked_row_dot(
                     black_box(&derived.affiliation),
                     black_box(&derived.expertise),
                     black_box(&r),
@@ -72,7 +72,7 @@ fn bench(c: &mut Criterion) {
 
         group.bench_function("support_count/seq", |b| {
             b.iter(|| {
-                trust::support_count_threaded(
+                trust::support_count(
                     black_box(&derived.affiliation),
                     black_box(&derived.expertise),
                     1,
@@ -82,7 +82,7 @@ fn bench(c: &mut Criterion) {
         });
         group.bench_function("support_count/par", |b| {
             b.iter(|| {
-                trust::support_count_threaded(
+                trust::support_count(
                     black_box(&derived.affiliation),
                     black_box(&derived.expertise),
                     0,
@@ -95,7 +95,7 @@ fn bench(c: &mut Criterion) {
         if store.num_users() <= 10_000 {
             group.bench_function("trust_dense/seq", |b| {
                 b.iter(|| {
-                    trust::derive_dense_threaded(
+                    trust::derive_dense(
                         black_box(&derived.affiliation),
                         black_box(&derived.expertise),
                         1,
@@ -105,7 +105,7 @@ fn bench(c: &mut Criterion) {
             });
             group.bench_function("trust_dense/par", |b| {
                 b.iter(|| {
-                    trust::derive_dense_threaded(
+                    trust::derive_dense(
                         black_box(&derived.affiliation),
                         black_box(&derived.expertise),
                         0,

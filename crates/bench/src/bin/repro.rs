@@ -10,6 +10,8 @@
 //!   fig3               density of T̂, R, T and their overlaps
 //!   stream-fig3        Fig. 3 aggregates over the FULL T̂, reduced row by row
 //!                      in O(users) memory (works at --scale paper)
+//!   stream-topk        every user's top-10 most-trusted peers over the FULL T̂:
+//!                      scan time, share of cells computed, spot check
 //!   table4             trust validation: ours vs baseline B
 //!   values             §IV.C value analysis
 //!   propagation        §V future work: derived vs explicit WoT
@@ -39,7 +41,7 @@ use wot_eval::{
 
 const USAGE: &str =
     "usage: repro [--scale tiny|laptop|paper] [--seed N] [--wal-dir DIR] <experiment>...
-experiments: stats table2 table3 fig3 stream-fig3 table4 values propagation rounding \
+experiments: stats table2 table3 fig3 stream-fig3 stream-topk table4 values propagation rounding \
 ablation-discount ablation-fixpoint sweep-noise sweep-trust-noise wal-write wal-recover all";
 
 /// What `all` expands to: the paper artifacts, not the durability demos.
@@ -49,6 +51,7 @@ const ALL: &[&str] = &[
     "table3",
     "fig3",
     "stream-fig3",
+    "stream-topk",
     "table4",
     "values",
     "propagation",
@@ -166,6 +169,29 @@ fn run_experiment(
                 }
             ));
             out
+        }
+        "stream-topk" => {
+            const K: usize = 10;
+            const CHECKED: usize = 64;
+            let t = std::time::Instant::now();
+            let scan = wb
+                .derived
+                .trust_top_k(K, &wot_core::BlockConfig::default())?;
+            let scan_time = t.elapsed();
+            // The pruned scan against the kernel that computes whole rows.
+            let mismatched = streaming::top_k_mismatches(&wb.derived, &scan.lists, K, CHECKED);
+            format!(
+                "top-{K} of {} users: scan [{scan_time:.1?}], {} of {} cells computed ({:.1} %), \
+                 {} users with a full list\n\
+                 top-{K} cross-check: {} rows vs the single-row kernel — {}\n",
+                scan.lists.len(),
+                scan.cells_computed,
+                scan.cells_full,
+                scan.computed_share() * 100.0,
+                scan.lists.iter().filter(|l| l.len() == K).count(),
+                CHECKED.min(scan.lists.len()),
+                if mismatched == 0 { "ok" } else { "MISMATCH" }
+            )
         }
         "table4" => validation::table4(wb)?.to_table().to_string(),
         "values" => values::value_report(wb)?.to_table().to_string(),

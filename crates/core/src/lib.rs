@@ -49,9 +49,10 @@
 //!   [`pipeline::derive`] fans them out across worker threads
 //!   ([`DeriveConfig::parallel`] / [`DeriveConfig::threads`]) with dynamic
 //!   scheduling (category sizes are heavily skewed). The Eq. 5 kernels
-//!   are row-parallel: [`trust::derive_masked_threaded`] splits the mask
-//!   by non-zero count, [`trust::derive_dense_threaded`] by row blocks,
-//!   and [`trust::support_count_threaded`] reduces integer partials.
+//!   are row-parallel and take their thread count as an argument:
+//!   [`trust::derive_masked`] splits the mask by non-zero count,
+//!   [`trust::derive_dense`] by row blocks, and
+//!   [`trust::support_count`] reduces integer partials.
 //! * **Determinism.** Parallel output is **bit-identical** to sequential
 //!   output for every kernel and any thread count — Jacobi sweeps are
 //!   order-independent, every worker writes a disjoint output range from
@@ -68,7 +69,11 @@
 //!   of aborting the allocator. A consumer that only reduces `T̂` stores
 //!   no block at all: [`trust_rows::TrustRows`] hands each row to a
 //!   visitor on the worker that computed it, and dense blocks are filled
-//!   by the same row kernel ([`trust_rows::ExpertisePanel`]).
+//!   by the same row kernel ([`trust_rows::ExpertisePanel`]). The
+//!   all-users top-k ([`TrustRows::top_k`]) does not even compute most
+//!   cells: it visits the writers in descending order of `max_c E_jc`,
+//!   an upper bound on every `T̂_ij`, and leaves a row once that bound
+//!   is below the row's k-th best.
 //! * **Streaming ingestion.** [`incremental::IncrementalDerived`] ingests review and
 //!   rating events online on the *same* index-dense layout, warm-starts
 //!   per-category refreshes through the same `riggs` sweep loop, and its
@@ -135,7 +140,7 @@ pub use incremental::{
 };
 pub use pipeline::{CategoryReputation, Derived};
 pub use trust_blocks::{BlockConfig, TrustBlock, TrustBlocks};
-pub use trust_rows::TrustRows;
+pub use trust_rows::{TopK, TrustRows};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

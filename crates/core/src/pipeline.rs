@@ -199,7 +199,7 @@ impl Derived {
 
     /// Eq. 5 on a sparse candidate pattern.
     pub fn trust_on_mask(&self, mask: &Csr) -> Result<Csr> {
-        trust::derive_masked(&self.affiliation, &self.expertise, mask)
+        trust::derive_masked(&self.affiliation, &self.expertise, mask, 0)
     }
 
     /// Eq. 5 as a full dense U×U matrix (small communities only: refused
@@ -207,7 +207,7 @@ impl Derived {
     /// [`trust::dense_budget_bytes`] — stream [`Self::trust_blocks`]
     /// instead).
     pub fn trust_dense(&self) -> Result<Dense> {
-        trust::derive_dense(&self.affiliation, &self.expertise)
+        trust::derive_dense(&self.affiliation, &self.expertise, 0)
     }
 
     /// Streaming row-block iterator over the full `T̂` (Eq. 5) in
@@ -224,6 +224,13 @@ impl Derived {
         crate::TrustRows::new(&self.affiliation, &self.expertise, cfg)
     }
 
+    /// Every user's `k` most-trusted peers, by the bound-ordered scan
+    /// that skips the cells which cannot enter a list
+    /// ([`TrustRows::top_k`](crate::TrustRows::top_k)).
+    pub fn trust_top_k(&self, k: usize, cfg: &crate::BlockConfig) -> Result<crate::TopK> {
+        crate::TrustRows::top_k(&self.affiliation, &self.expertise, k, cfg)
+    }
+
     /// Streaming row-block iterator over `T̂` restricted to `mask`'s
     /// stored coordinates.
     pub fn trust_blocks_on_mask<'a>(
@@ -236,7 +243,7 @@ impl Derived {
 
     /// Non-zero count of the full `T̂` without materializing it (Fig. 3).
     pub fn trust_support_count(&self) -> Result<u64> {
-        trust::support_count(&self.affiliation, &self.expertise)
+        trust::support_count(&self.affiliation, &self.expertise, 0)
     }
 
     /// Rater reputations of one category as a dense lookup

@@ -35,11 +35,10 @@
 //! Every multi-entry form is row-parallel: rows of `T̂` are independent
 //! (each reads the shared `A`/`E` matrices and writes its own output
 //! range), so they split across worker threads with bit-identical
-//! results for any thread count. Each function has a `*_threaded`
-//! variant taking an explicit count (`0` = auto, `1` = sequential).
-//! Explicit counts are honoured as given; in auto mode a size cutoff
-//! keeps small problems on the calling thread and large ones fan out to
-//! all hardware threads.
+//! results for any thread count. Each takes the count as `threads`
+//! (`0` = auto, `1` = sequential): explicit counts are honoured as
+//! given; in auto mode a size cutoff keeps small problems on the calling
+//! thread and large ones fan out to all hardware threads.
 
 use std::collections::HashMap;
 
@@ -107,12 +106,7 @@ pub fn row<'a>(
 /// A thin collector over [`TrustBlocks::masked`]: the streaming engine
 /// computes row-blocks, this function assembles them onto the mask's
 /// pattern. Output is bit-identical for any thread count or block height.
-pub fn derive_masked(affiliation: &Dense, expertise: &Dense, mask: &Csr) -> Result<Csr> {
-    derive_masked_threaded(affiliation, expertise, mask, 0)
-}
-
-/// [`derive_masked`] with an explicit worker-thread count.
-pub fn derive_masked_threaded(
+pub fn derive_masked(
     affiliation: &Dense,
     expertise: &Dense,
     mask: &Csr,
@@ -147,20 +141,11 @@ pub fn derive_masked_threaded(
 /// budget ([`dense_budget_bytes`]): at the paper's 44k users the result
 /// would occupy ~15.6 GB, so instead of aborting the allocator this
 /// returns [`CoreError::Capacity`] pointing at the streaming engine.
-pub fn derive_dense(affiliation: &Dense, expertise: &Dense) -> Result<Dense> {
-    derive_dense_threaded(affiliation, expertise, 0)
-}
-
-/// [`derive_dense`] with an explicit worker-thread count.
-pub fn derive_dense_threaded(
-    affiliation: &Dense,
-    expertise: &Dense,
-    threads: usize,
-) -> Result<Dense> {
+pub fn derive_dense(affiliation: &Dense, expertise: &Dense, threads: usize) -> Result<Dense> {
     derive_dense_budgeted(affiliation, expertise, threads, dense_budget_bytes())
 }
 
-/// [`derive_dense`] with an explicit worker-thread count and byte budget.
+/// [`derive_dense`] with an explicit byte budget.
 ///
 /// Fails with [`CoreError::Capacity`] — instead of attempting a doomed
 /// `U² × 8` byte allocation — when the output would exceed
@@ -188,7 +173,7 @@ pub fn derive_dense_budgeted(
             budget_bytes,
         });
     }
-    // One block spanning every row (see `derive_masked_threaded`): the
+    // One block spanning every row (see `derive_masked`): the
     // buffer is the budgeted U×U allocation itself and moves into the
     // output without a copy.
     let cfg = BlockConfig {
@@ -210,16 +195,7 @@ pub fn derive_dense_budgeted(
 /// `T̂_ij > 0` iff some category holds both `A_ic > 0` and `E_jc > 0`, so
 /// the count only depends on each user's *support bitmask* over categories.
 /// Supports up to 64 categories.
-pub fn support_count(affiliation: &Dense, expertise: &Dense) -> Result<u64> {
-    support_count_threaded(affiliation, expertise, 0)
-}
-
-/// [`support_count`] with an explicit worker-thread count.
-pub fn support_count_threaded(
-    affiliation: &Dense,
-    expertise: &Dense,
-    threads: usize,
-) -> Result<u64> {
+pub fn support_count(affiliation: &Dense, expertise: &Dense, threads: usize) -> Result<u64> {
     let c = affiliation.ncols();
     if c != expertise.ncols() {
         return Err(CoreError::Shape(
@@ -315,7 +291,7 @@ mod tests {
         let (a, e) = small();
         let mask =
             Csr::from_triplets(3, 3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)]).unwrap();
-        let t = derive_masked(&a, &e, &mask).unwrap();
+        let t = derive_masked(&a, &e, &mask, 0).unwrap();
         assert_eq!(t.nnz(), mask.nnz());
         for (i, j, v) in t.iter() {
             assert!((v - pairwise(&a, &e, i, j)).abs() < 1e-12, "({i},{j})");
@@ -325,7 +301,7 @@ mod tests {
     #[test]
     fn dense_matches_pairwise() {
         let (a, e) = small();
-        let t = derive_dense(&a, &e).unwrap();
+        let t = derive_dense(&a, &e, 0).unwrap();
         for i in 0..3 {
             for j in 0..3 {
                 assert!((t.get(i, j) - pairwise(&a, &e, i, j)).abs() < 1e-12);
@@ -336,7 +312,7 @@ mod tests {
     #[test]
     fn trust_stays_in_unit_range() {
         let (a, e) = small();
-        let t = derive_dense(&a, &e).unwrap();
+        let t = derive_dense(&a, &e, 0).unwrap();
         for &v in t.as_slice() {
             assert!((0.0..=1.0).contains(&v));
         }
@@ -345,19 +321,19 @@ mod tests {
     #[test]
     fn support_count_matches_dense_support() {
         let (a, e) = small();
-        let t = derive_dense(&a, &e).unwrap();
+        let t = derive_dense(&a, &e, 0).unwrap();
         let brute = t.as_slice().iter().filter(|&&v| v > 0.0).count() as u64;
-        assert_eq!(support_count(&a, &e).unwrap(), brute);
+        assert_eq!(support_count(&a, &e, 0).unwrap(), brute);
     }
 
     #[test]
     fn support_count_rejects_too_many_categories() {
         let a = Dense::zeros(1, 65);
         let e = Dense::zeros(1, 65);
-        assert!(support_count(&a, &e).is_err());
+        assert!(support_count(&a, &e, 0).is_err());
         let a = Dense::zeros(1, 2);
         let e = Dense::zeros(1, 3);
-        assert!(support_count(&a, &e).is_err());
+        assert!(support_count(&a, &e, 0).is_err());
     }
 
     /// A deterministic pseudo-random instance big enough to cross the
@@ -389,9 +365,9 @@ mod tests {
     #[test]
     fn threaded_dense_matches_sequential_bitwise() {
         let (a, e) = large();
-        let seq = derive_dense_threaded(&a, &e, 1).unwrap();
+        let seq = derive_dense(&a, &e, 1).unwrap();
         for threads in [0usize, 2, 5] {
-            let par = derive_dense_threaded(&a, &e, threads).unwrap();
+            let par = derive_dense(&a, &e, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -399,8 +375,8 @@ mod tests {
     #[test]
     fn threaded_support_count_matches_sequential() {
         let (a, e) = large();
-        let seq = support_count_threaded(&a, &e, 1).unwrap();
-        let brute = derive_dense(&a, &e)
+        let seq = support_count(&a, &e, 1).unwrap();
+        let brute = derive_dense(&a, &e, 0)
             .unwrap()
             .as_slice()
             .iter()
@@ -408,7 +384,7 @@ mod tests {
             .count() as u64;
         assert_eq!(seq, brute);
         for threads in [0usize, 2, 5] {
-            assert_eq!(support_count_threaded(&a, &e, threads).unwrap(), seq);
+            assert_eq!(support_count(&a, &e, threads).unwrap(), seq);
         }
     }
 
@@ -425,9 +401,9 @@ mod tests {
             }
         }
         let mask = Csr::from_triplets(u, u, triplets).unwrap();
-        let seq = derive_masked_threaded(&a, &e, &mask, 1).unwrap();
+        let seq = derive_masked(&a, &e, &mask, 1).unwrap();
         for threads in [0usize, 2, 5] {
-            let par = derive_masked_threaded(&a, &e, &mask, threads).unwrap();
+            let par = derive_masked(&a, &e, &mask, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -436,9 +412,9 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = Dense::zeros(2, 2);
         let e = Dense::zeros(3, 2);
-        assert!(derive_dense(&a, &e).is_err());
+        assert!(derive_dense(&a, &e, 0).is_err());
         let mask = Csr::empty(2, 3);
-        assert!(derive_masked(&a, &e, &mask).is_err());
+        assert!(derive_masked(&a, &e, &mask, 0).is_err());
     }
 
     #[test]

@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn dense_blocks_concatenate_to_derive_dense() {
         let (a, e) = instance(157, 5);
-        let full = trust::derive_dense(&a, &e).unwrap();
+        let full = trust::derive_dense(&a, &e, 0).unwrap();
         for block_rows in [1usize, 7, 64, 500] {
             for threads in [1usize, 3, 0] {
                 let cfg = BlockConfig {
@@ -544,7 +544,7 @@ mod tests {
             }
         }
         let mask = Csr::from_triplets(120, 120, triplets).unwrap();
-        let full = trust::derive_masked(&a, &e, &mask).unwrap();
+        let full = trust::derive_masked(&a, &e, &mask, 0).unwrap();
         for block_rows in [1usize, 11, 64, 0] {
             for threads in [1usize, 4, 0] {
                 let cfg = BlockConfig {

@@ -25,6 +25,43 @@
 //! ever materialised; [`TrustBlocks`](crate::TrustBlocks) is the
 //! collector for callers that want the values themselves.
 //!
+//! ## Two column orders
+//!
+//! [`ExpertisePanel::new`] keeps the writer columns in ascending user
+//! order — what [`TrustRows::fold_chunks`] promises its visitors (the
+//! Fig. 3 reducer folds its `f64` row sums in that order) and what dense
+//! blocks scatter from. [`ExpertisePanel::ranked`] sorts them by
+//! descending `b_j = max_c E_jc` instead. Eq. 5 is a convex combination
+//! of `E_j`'s entries whenever `A_i ≥ 0`, so `T̂_ij ≤ b_j` for every `i`,
+//! and [`TrustRows::top_k`] walks a row's tiles in that order and stops
+//! at the first tile whose bound is below the row's current `k`-th best:
+//! nothing further along can enter the list. Only *which* cells are
+//! computed changes; every computed cell is the same arithmetic as
+//! [`ExpertisePanel::fill`]'s.
+//!
+//! The bound has to dominate the **computed** value, which rounding can
+//! lift a few ulps over `b_j`. Rounding is monotone and, for `A_i ≥ 0`,
+//! so is every operation of the kernel in the entries of `E_j`; the
+//! computed `T̂_ij` is therefore at most what the kernel computes for a
+//! column whose every entry is `b_j`. In that column each product and
+//! each of the at most `C - 1` inexact additions above it errs by a
+//! factor `≤ 1 + u` (`u = 2⁻⁵³`), the denominator's `C - 1` additions by
+//! `≥ 1 - u` each, the division by `≤ 1 + u`:
+//!
+//! ```text
+//! fl(T̂_ij) ≤ b_j · (1+u)^(C+1) / (1-u)^(C-1) ≤ b_j / (1-u)^(2C) ≤ b_j · (1 + 2Cε),   ε = 2u
+//! ```
+//!
+//! for any summation tree. The stored bound is `b_j · (1 + (2C+4)ε)` —
+//! one `ε` pays for rounding that product, the rest is slack — and the
+//! walk compares with a strict `<`, so a tile that could still tie the
+//! `k`-th value is evaluated. The factor model needs every product to
+//! stay a normal number: the bound is taken from `max(b_j, 10⁻¹⁵⁰)`
+//! (`+∞` above `10¹⁵⁰`), and a row qualifies for the walk only if each
+//! of its entries is `0` or inside `[10⁻¹⁵⁰, 10¹⁵⁰]` — which also rules
+//! out the negative entry that would break the convexity argument. Any
+//! other row is filled whole and reduced as before.
+//!
 //! ## Determinism
 //!
 //! A row never splits across workers, every chunk folds its rows in
@@ -48,23 +85,69 @@ const TILE: usize = 4;
 /// of the Eq. 5 row kernel. See the [module docs](self).
 #[derive(Debug)]
 pub struct ExpertisePanel {
-    /// Ascending indices of the users whose `E` row has a non-zero entry.
+    /// The users whose `E` row has a non-zero entry, in column order:
+    /// ascending ([`new`](Self::new)) or by descending bound
+    /// ([`ranked`](Self::ranked)).
     writers: Vec<u32>,
     /// Tiles of `TILE` writers, category-major inside a tile:
     /// `data[(t * ncat + c) * TILE + l] = E[writers[t * TILE + l]][c]`,
     /// the last tile zero-padded. The kernel reads it front to back.
     data: Vec<f64>,
     ncat: usize,
+    /// Ranked panels only: per tile, an upper bound on every cell any
+    /// row with entries in `{0} ∪ [A_MIN, A_MAX]` computes in this tile
+    /// or a later one (non-increasing). Empty for an ascending panel.
+    tile_bounds: Vec<f64>,
+}
+
+/// The magnitudes between which every product of the bound's error model
+/// is a normal number (see the [module docs](self)): `A_MIN²` is above
+/// the smallest normal `f64`, `C · A_MAX²` below the largest.
+const A_MIN: f64 = 1e-150;
+const A_MAX: f64 = 1e150;
+
+/// Indices of the users whose `E` row has a non-zero entry, ascending.
+fn writer_rows(expertise: &Dense) -> impl Iterator<Item = u32> + '_ {
+    (0..expertise.nrows())
+        .filter(|&j| expertise.row(j).iter().any(|&v| v != 0.0))
+        .map(|j| j as u32)
 }
 
 impl ExpertisePanel {
-    /// Transposes the writer rows of `expertise`.
+    /// Transposes the writer rows of `expertise`, columns in ascending
+    /// user order.
     pub fn new(expertise: &Dense) -> Self {
-        let ncat = expertise.ncols();
-        let writers: Vec<u32> = (0..expertise.nrows())
-            .filter(|&j| expertise.row(j).iter().any(|&v| v != 0.0))
-            .map(|j| j as u32)
+        Self::with_columns(expertise, writer_rows(expertise).collect(), Vec::new())
+    }
+
+    /// Transposes the writer rows of `expertise`, columns sorted by
+    /// descending `b_j = max_c E_jc` (ascending `j` on ties), and keeps
+    /// one rounding-safe bound per tile — the order
+    /// [`TrustRows::top_k`] prunes in. See the [module docs](self).
+    pub fn ranked(expertise: &Dense) -> Self {
+        let mut ranked: Vec<(f64, u32)> = writer_rows(expertise)
+            .map(|j| {
+                let row = expertise.row(j as usize);
+                (row.iter().copied().fold(f64::NEG_INFINITY, f64::max), j)
+            })
             .collect();
+        ranked.sort_unstable_by(|x, y| y.0.total_cmp(&x.0).then(x.1.cmp(&y.1)));
+        let margin = 1.0 + (2 * expertise.ncols() + 4) as f64 * f64::EPSILON;
+        // A tile's first column has its largest `b_j`.
+        let tile_bounds = ranked
+            .chunks(TILE)
+            .map(|tile| match tile[0].0 {
+                b if b <= 0.0 => 0.0,
+                b if b <= A_MAX => b.max(A_MIN) * margin,
+                _ => f64::INFINITY,
+            })
+            .collect();
+        let writers = ranked.into_iter().map(|(_, j)| j).collect();
+        Self::with_columns(expertise, writers, tile_bounds)
+    }
+
+    fn with_columns(expertise: &Dense, writers: Vec<u32>, tile_bounds: Vec<f64>) -> Self {
+        let ncat = expertise.ncols();
         let mut data = vec![0.0f64; writers.len().next_multiple_of(TILE) * ncat];
         for (w, &j) in writers.iter().enumerate() {
             let (t, l) = (w / TILE, w % TILE);
@@ -76,11 +159,12 @@ impl ExpertisePanel {
             writers,
             data,
             ncat,
+            tile_bounds,
         }
     }
 
-    /// The columns of `T̂` the panel computes, ascending; every other
-    /// column is exactly `0.0` in every row.
+    /// The columns of `T̂` the panel computes, in panel order; every
+    /// other column is exactly `0.0` in every row.
     pub fn writers(&self) -> &[u32] {
         &self.writers
     }
@@ -97,7 +181,9 @@ impl ExpertisePanel {
 
     /// Heap bytes of the panel.
     pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(&self.data[..]) + std::mem::size_of_val(&self.writers[..])
+        std::mem::size_of_val(&self.data[..])
+            + std::mem::size_of_val(&self.writers[..])
+            + std::mem::size_of_val(&self.tile_bounds[..])
     }
 
     /// One row of `T̂`: writes `T̂_ij` for `j = writers()[w]` to `buf[w]`
@@ -141,6 +227,89 @@ impl ExpertisePanel {
         }
         Some(&buf[..self.writers.len()])
     }
+
+    /// Row `i`'s [`top_k_of_row`] (`k ≥ 1`) and the number of cells
+    /// computed for it, on a [`ranked`](Self::ranked) panel: tiles are
+    /// visited in bound order until the next bound is below the `k`-th
+    /// best held. `None` for a user with no affiliation mass. A row the
+    /// bound does not cover (see the [module docs](self)) is filled whole
+    /// into `buf`.
+    fn top_k(
+        &self,
+        i: usize,
+        a_row: &[f64],
+        k: usize,
+        buf: &mut [f64],
+    ) -> Option<(Vec<(usize, f64)>, usize)> {
+        assert_eq!(
+            self.tile_bounds.len() * TILE,
+            self.padded_len(),
+            "a ranked panel"
+        );
+        if !a_row
+            .iter()
+            .all(|&a| a == 0.0 || (A_MIN..=A_MAX).contains(&a))
+        {
+            let vals = self.fill(a_row, buf)?;
+            let cells = self.writers.iter().zip(vals);
+            let cells = cells.map(|(&j, &v)| (j as usize, v));
+            return Some((top_k_of_row(i, k, cells), vals.len()));
+        }
+        assert_eq!(a_row.len(), self.ncat, "affiliation row width");
+        let den: f64 = a_row.iter().sum();
+        if den <= 0.0 {
+            return None;
+        }
+        let (a_body, a_tail) = a_row.split_at(self.ncat / 4 * 4);
+        let tiles = self.data.chunks_exact(self.ncat * TILE);
+        let mut best: Vec<(usize, f64)> = Vec::with_capacity(k.min(self.writers.len()));
+        let mut computed = 0;
+        for ((tile, cols), &bound) in tiles.zip(self.writers.chunks(TILE)).zip(&self.tile_bounds) {
+            // Strict: a cell that ties the k-th value can still displace
+            // it through a smaller column index.
+            if best.len() == k && bound < best[k - 1].1 {
+                break;
+            }
+            let vals = tile_cells(a_body, a_tail, tile, den);
+            for (&j, v) in cols.iter().zip(vals) {
+                offer(&mut best, i, k, j as usize, v);
+            }
+            computed += cols.len();
+        }
+        Some((best, computed))
+    }
+}
+
+/// One tile of [`ExpertisePanel::fill`]: the same operations in the same
+/// order, so the values are the same bits. A copy rather than a shared
+/// body because `fill` calling this per tile slows the full-row kernel
+/// by a fifth (`docs/ARCHITECTURE.md` § 4 has the A/B);
+/// `panel_single_row_and_pairwise_are_bit_identical` pins both to
+/// [`trust::pairwise`](crate::trust::pairwise).
+#[inline]
+fn tile_cells(a_body: &[f64], a_tail: &[f64], tile: &[f64], den: f64) -> [f64; TILE] {
+    let (body, tail) = tile.split_at(a_body.len() * TILE);
+    let mut s = [[0.0f64; TILE]; 4];
+    for (a4, e4) in a_body.chunks_exact(4).zip(body.chunks_exact(4 * TILE)) {
+        for ((acc, &a), e) in s.iter_mut().zip(a4).zip(e4.chunks_exact(TILE)) {
+            for (x, &e) in acc.iter_mut().zip(e) {
+                *x += a * e;
+            }
+        }
+    }
+    let mut out = [0.0f64; TILE];
+    for (l, x) in out.iter_mut().enumerate() {
+        *x = (s[0][l] + s[1][l]) + (s[2][l] + s[3][l]);
+    }
+    for (&a, e) in a_tail.iter().zip(tail.chunks_exact(TILE)) {
+        for (x, &e) in out.iter_mut().zip(e) {
+            *x += a * e;
+        }
+    }
+    for x in out.iter_mut() {
+        *x /= den;
+    }
+    out
 }
 
 /// Row `i`'s `k` most-trusted peers among `cells` (`(j, T̂_ij)` in any
@@ -158,22 +327,67 @@ pub fn top_k_of_row(
         return best;
     }
     for (j, v) in cells {
-        if v <= 0.0 || j == i {
-            continue;
-        }
-        // `best` stays sorted; a candidate must beat the current worst
-        // (or fill a free slot) to enter.
-        if best.len() == k {
-            let &(wj, wv) = best.last().expect("k ≥ 1");
-            if v < wv || (v == wv && j > wj) {
-                continue;
-            }
-            best.pop();
-        }
-        let pos = best.partition_point(|&(bj, bv)| bv > v || (bv == v && bj < j));
-        best.insert(pos, (j, v));
+        offer(&mut best, i, k, j, v);
     }
     best
+}
+
+/// [`top_k_of_row`] of row `i` from the single-row kernel
+/// ([`trust::row`](crate::trust::row)): every cell of the row, nothing
+/// prepared. What the serving daemon answers with, and the oracle
+/// [`TrustRows::top_k`] is held to.
+pub fn top_k_single_row(
+    affiliation: &Dense,
+    expertise: &Dense,
+    i: usize,
+    k: usize,
+) -> Vec<(usize, f64)> {
+    crate::trust::row(affiliation, expertise, i)
+        .map_or_else(Vec::new, |row| top_k_of_row(i, k, row.enumerate()))
+}
+
+/// Offers cell `(j, v)` of row `i` to `best`, the sorted list of at most
+/// `k ≥ 1` entries [`top_k_of_row`] builds.
+#[inline]
+fn offer(best: &mut Vec<(usize, f64)>, i: usize, k: usize, j: usize, v: f64) {
+    if v <= 0.0 || j == i {
+        return;
+    }
+    // `best` stays sorted; a candidate must beat the current worst (or
+    // fill a free slot) to enter.
+    if best.len() == k {
+        let &(wj, wv) = best.last().expect("k ≥ 1");
+        if v < wv || (v == wv && j > wj) {
+            return;
+        }
+        best.pop();
+    }
+    let pos = best.partition_point(|&(bj, bv)| bv > v || (bv == v && bj < j));
+    best.insert(pos, (j, v));
+}
+
+/// What [`TrustRows::top_k`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopK {
+    /// Per user `i`, [`top_k_of_row`] of row `i` of `T̂`.
+    pub lists: Vec<Vec<(usize, f64)>>,
+    /// Cells of `T̂` the scan evaluated.
+    pub cells_computed: u64,
+    /// Cells a full-row scan evaluates: the writer columns of every row
+    /// with affiliation mass.
+    pub cells_full: u64,
+}
+
+impl TopK {
+    /// `cells_computed / cells_full` — `1.0` when nothing was pruned
+    /// (or there was nothing to compute).
+    pub fn computed_share(&self) -> f64 {
+        if self.cells_full == 0 {
+            1.0
+        } else {
+            self.cells_computed as f64 / self.cells_full as f64
+        }
+    }
 }
 
 /// The fused scan of the full `T̂`: every row computed once, handed to a
@@ -192,15 +406,77 @@ impl<'a> TrustRows<'a> {
     /// the unit a worker claims, the block [`TrustBlocks`](crate::TrustBlocks)
     /// would have yielded — and `cfg.threads` the worker count.
     pub fn new(affiliation: &'a Dense, expertise: &Dense, cfg: &BlockConfig) -> Result<Self> {
+        Self::with_panel(affiliation, expertise, cfg, ExpertisePanel::new)
+    }
+
+    fn with_panel(
+        affiliation: &'a Dense,
+        expertise: &Dense,
+        cfg: &BlockConfig,
+        panel: fn(&Dense) -> ExpertisePanel,
+    ) -> Result<Self> {
         validate_shapes(affiliation, expertise)?;
         let u = affiliation.nrows();
         let chunk_rows = resolve_block_rows(cfg.block_rows, u, u);
         Ok(Self {
             affiliation,
-            panel: ExpertisePanel::new(expertise),
+            panel: panel(expertise),
             chunk_rows,
             workers: auto_threads(cfg.threads, u * u).min(u.div_ceil(chunk_rows).max(1)),
         })
+    }
+
+    /// Every user's `k` most-trusted peers ([`top_k_of_row`] of every row
+    /// of `T̂`) without computing every cell: the scan runs on a
+    /// [ranked](ExpertisePanel::ranked) panel and leaves a row as soon as
+    /// no remaining column can enter its list. Row chunks are claimed by
+    /// `cfg.threads` workers exactly as in [`fold_chunks`](Self::fold_chunks);
+    /// the lists are the same for any chunk height and thread count.
+    pub fn top_k(
+        affiliation: &'a Dense,
+        expertise: &Dense,
+        k: usize,
+        cfg: &BlockConfig,
+    ) -> Result<TopK> {
+        let scan = Self::with_panel(affiliation, expertise, cfg, ExpertisePanel::ranked)?;
+        let u = scan.num_users();
+        let mut top = TopK {
+            lists: Vec::with_capacity(u),
+            cells_computed: 0,
+            cells_full: 0,
+        };
+        if k == 0 {
+            top.lists.resize(u, Vec::new());
+            return Ok(top);
+        }
+        let width = scan.panel.writers().len() as u64;
+        let chunks = wot_par::par_map_indexed_with(
+            scan.num_chunks(),
+            scan.workers,
+            || scan.panel.row_buffer(),
+            |buf, chunk| {
+                let rows = scan.chunk(chunk);
+                let mut lists = Vec::with_capacity(rows.len());
+                let (mut computed, mut full) = (0u64, 0u64);
+                for i in rows {
+                    match scan.panel.top_k(i, affiliation.row(i), k, buf) {
+                        Some((list, cells)) => {
+                            lists.push(list);
+                            computed += cells as u64;
+                            full += width;
+                        }
+                        None => lists.push(Vec::new()),
+                    }
+                }
+                (lists, computed, full)
+            },
+        );
+        for (lists, computed, full) in chunks {
+            top.lists.extend(lists);
+            top.cells_computed += computed;
+            top.cells_full += full;
+        }
+        Ok(top)
     }
 
     /// Number of users `U` — `T̂` is `U×U`.
@@ -218,6 +494,11 @@ impl<'a> TrustRows<'a> {
         self.num_users().div_ceil(self.chunk_rows)
     }
 
+    /// The rows of chunk `chunk`.
+    fn chunk(&self, chunk: usize) -> Range<usize> {
+        chunk * self.chunk_rows..((chunk + 1) * self.chunk_rows).min(self.num_users())
+    }
+
     /// Transient heap bytes of one scan: the `E` panel plus one row
     /// buffer per worker (reducer state is the visitor's own).
     pub fn transient_bytes(&self) -> usize {
@@ -226,8 +507,9 @@ impl<'a> TrustRows<'a> {
 
     /// Scans every row. Each chunk starts from `init(rows)` and folds its
     /// rows in ascending order through `visit(state, i, cols, vals)`,
-    /// where `vals[w] = T̂[i][cols[w]]` and every column not in `cols` is
-    /// exactly zero (a user with no affiliation mass gets empty slices).
+    /// where `vals[w] = T̂[i][cols[w]]`, `cols` is ascending and every
+    /// column not in it is exactly zero (a user with no affiliation mass
+    /// gets empty slices).
     /// Returns the chunk states in ascending row order.
     pub fn fold_chunks<S, I, V>(&self, init: I, visit: V) -> Vec<S>
     where
@@ -235,13 +517,12 @@ impl<'a> TrustRows<'a> {
         I: Fn(Range<usize>) -> S + Sync,
         V: Fn(&mut S, usize, &[u32], &[f64]) + Sync,
     {
-        let u = self.num_users();
         wot_par::par_map_indexed_with(
             self.num_chunks(),
             self.workers,
             || self.panel.row_buffer(),
             |buf, chunk| {
-                let rows = chunk * self.chunk_rows..((chunk + 1) * self.chunk_rows).min(u);
+                let rows = self.chunk(chunk);
                 let mut state = init(rows.clone());
                 for i in rows {
                     match self.panel.fill(self.affiliation.row(i), buf) {
@@ -286,13 +567,28 @@ mod tests {
         (a, e)
     }
 
-    /// Row `i` three ways: the panel kernel scattered to full width, the
-    /// single-row kernel, and `pairwise` cell by cell.
+    fn bits(list: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        list.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+    }
+
+    /// Row `i` four ways: the panel kernel scattered to full width, the
+    /// single-row kernel, `pairwise` cell by cell, and the ranked panel's
+    /// walk with a `k` no row can fill — it never prunes, so every cell
+    /// of the row goes through `tile_cells`.
     fn assert_row_kernels_agree(a: &Dense, e: &Dense) {
         let u = a.nrows();
         let panel = ExpertisePanel::new(e);
+        let ranked = ExpertisePanel::ranked(e);
         let mut buf = panel.row_buffer();
         for i in 0..u {
+            let exact = (0..u).map(|j| (j, trust::pairwise(a, e, i, j)));
+            match ranked.top_k(i, a.row(i), u + 1, &mut buf) {
+                Some((list, computed)) => {
+                    assert_eq!(computed, ranked.writers().len());
+                    assert_eq!(bits(&list), bits(&top_k_of_row(i, u + 1, exact)));
+                }
+                None => assert!(a.row(i).iter().sum::<f64>() <= 0.0),
+            }
             let mut from_panel = vec![0.0f64; u];
             if let Some(vals) = panel.fill(a.row(i), &mut buf) {
                 assert_eq!(vals.len(), panel.writers().len());
@@ -370,6 +666,97 @@ mod tests {
                 }
             }
             assert_eq!(next, 41);
+        }
+    }
+
+    /// The shapes the bound must survive: constant `E` rows (a computed
+    /// cell equals or rounds past `b_j`), quantised rows (exact ties) and
+    /// one-hot `A` rows (`T̂_ij = E_jc`).
+    fn tied_instance(u: usize, c: usize) -> (Dense, Dense) {
+        let (mut a, mut e) = instance(u, c);
+        for j in 0..u {
+            match j % 4 {
+                0 => (0..c).for_each(|k| e.set(j, k, (j % 7 + 1) as f64 / 7.1)),
+                1 => (0..c).for_each(|k| e.set(j, k, ((j + k) % 3) as f64 / 2.0)),
+                _ => {}
+            }
+            if j % 5 == 2 {
+                (0..c).for_each(|k| a.set(j, k, if k == j % c { 0.3 } else { 0.0 }));
+            }
+        }
+        (a, e)
+    }
+
+    #[test]
+    fn ranked_panel_sorts_by_bound_and_bounds_dominate_computed_cells() {
+        for c in [1usize, 3, 5, 12] {
+            let (a, e) = tied_instance(61, c);
+            let panel = ExpertisePanel::ranked(&e);
+            let mut sorted = panel.writers().to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, ExpertisePanel::new(&e).writers(), "same columns");
+            let b = |j: u32| e.row(j as usize).iter().copied().fold(f64::MIN, f64::max);
+            for w in panel.writers().windows(2) {
+                assert!(b(w[0]) > b(w[1]) || (b(w[0]) == b(w[1]) && w[0] < w[1]));
+            }
+            assert_eq!(panel.tile_bounds.len() * TILE, panel.padded_len());
+            assert!(panel.tile_bounds.windows(2).all(|w| w[0] >= w[1]));
+            let mut buf = panel.row_buffer();
+            let mut at_bound = 0;
+            for i in 0..61 {
+                let Some(vals) = panel.fill(a.row(i), &mut buf) else {
+                    continue;
+                };
+                for (w, (&v, &j)) in vals.iter().zip(panel.writers()).enumerate() {
+                    assert!(v <= panel.tile_bounds[w / TILE], "cell ({i},{j})");
+                    at_bound += usize::from(v >= b(j));
+                }
+            }
+            assert!(at_bound > 0, "some cell reaches its column's max");
+        }
+    }
+
+    #[test]
+    fn top_k_scan_prunes_and_equals_full_rows() {
+        let (mut a, e) = tied_instance(97, 5);
+        // A row the bound does not cover is still answered — in full.
+        a.set(3, 1, -0.25);
+        a.set(3, 2, 0.75);
+        let width = ExpertisePanel::new(&e).writers().len() as u64;
+        let active = (0..97).filter(|&i| a.row(i).iter().sum::<f64>() > 0.0);
+        let full = active.count() as u64 * width;
+        for k in [0usize, 1, 4, 10, 200] {
+            let mut computed = None;
+            for (block_rows, threads) in [(1usize, 1usize), (7, 3), (0, 0)] {
+                let cfg = BlockConfig {
+                    block_rows,
+                    threads,
+                };
+                let scan = TrustRows::top_k(&a, &e, k, &cfg).unwrap();
+                assert_eq!(scan.lists.len(), 97);
+                for (i, list) in scan.lists.iter().enumerate() {
+                    assert_eq!(
+                        bits(list),
+                        bits(&top_k_single_row(&a, &e, i, k)),
+                        "k={k} row {i}"
+                    );
+                }
+                assert_eq!(scan.cells_full, if k == 0 { 0 } else { full });
+                assert_eq!(
+                    *computed.get_or_insert(scan.cells_computed),
+                    scan.cells_computed
+                );
+            }
+            let computed = computed.unwrap();
+            match k {
+                0 => assert_eq!(computed, 0),
+                200 => assert_eq!(computed, full, "no row can fill 200 slots"),
+                // At least the uncovered row is computed whole.
+                _ => assert!(
+                    (width..full * 2 / 3).contains(&computed),
+                    "k={k}: {computed} of {full}"
+                ),
+            }
         }
     }
 

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use wot_community::{CategoryId, CommunityBuilder, CommunityStore, ObjectId, RatingScale, UserId};
-use wot_core::{binarize, metrics, pipeline, riggs, DeriveConfig};
-use wot_sparse::Csr;
+use wot_core::trust_rows::top_k_single_row;
+use wot_core::{binarize, metrics, pipeline, riggs, BlockConfig, DeriveConfig, TrustRows};
+use wot_sparse::{Csr, Dense};
 
 /// Random valid community: a handful of users, categories, objects,
 /// reviews and ratings (invalid combinations silently skipped).
@@ -59,8 +60,77 @@ fn community() -> impl Strategy<Value = CommunityStore> {
         })
 }
 
+/// Random `A`/`E` for the bound-ordered top-k scan, each row one of the
+/// shapes that stress the bound: all zero, continuous, quantised to four
+/// levels (exact ties), constant (`T̂_ij` equals, or rounds past, the
+/// column's `max_c E_jc`) or one-hot (`T̂_ij = E_jc`). User and writer
+/// counts are rarely a multiple of the kernel's tile width; one instance
+/// in three gets a negative `A` entry, which the bound does not cover.
+fn scan_matrices() -> impl Strategy<Value = (Dense, Dense)> {
+    (1usize..40, 1usize..14)
+        .prop_flat_map(|(u, c)| {
+            let row = || (0u8..5, proptest::collection::vec(0u32..1000, c..c + 1));
+            (
+                proptest::collection::vec(row(), u..u + 1),
+                proptest::collection::vec(row(), u..u + 1),
+                0u8..3,
+            )
+        })
+        .prop_map(|(a_rows, e_rows, negative)| {
+            let (u, c) = (a_rows.len(), a_rows[0].1.len());
+            let fill = |rows: Vec<(u8, Vec<u32>)>| {
+                let mut m = Dense::zeros(u, c);
+                for (i, (kind, raw)) in rows.into_iter().enumerate() {
+                    for (k, &r) in raw.iter().enumerate() {
+                        let v = match kind {
+                            0 => 0.0,
+                            1 if r % 4 == 0 => 0.0,
+                            1 => r as f64 / 997.0,
+                            2 => (r % 4) as f64 / 4.0,
+                            3 => (raw[0] % 9 + 1) as f64 / 9.7,
+                            _ if k == raw[0] as usize % c => (raw[0] % 9 + 1) as f64 / 9.7,
+                            _ => 0.0,
+                        };
+                        m.set(i, k, v);
+                    }
+                }
+                m
+            };
+            let (mut a, e) = (fill(a_rows), fill(e_rows));
+            if negative == 0 && c >= 2 {
+                a.set(0, 0, -0.125);
+                a.set(0, c - 1, 1.0);
+            }
+            (a, e)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The pruned top-k scan returns, for every row, exactly the list a
+    /// full row yields — same users, same bits — for any `k`, chunk
+    /// height and thread count, including `k` beyond a row's positive
+    /// cells, ties at the `k`-th value and rows it must compute whole.
+    #[test]
+    fn pruned_top_k_equals_full_row_top_k(
+        (a, e) in scan_matrices(),
+        k in 0usize..5,
+        block_rows in 0usize..9,
+        threads in 1usize..4,
+    ) {
+        let k = [1usize, 2, 3, 10, 100][k];
+        let scan = TrustRows::top_k(&a, &e, k, &BlockConfig { block_rows, threads }).unwrap();
+        prop_assert_eq!(scan.lists.len(), a.nrows());
+        prop_assert!(scan.cells_computed <= scan.cells_full);
+        for (i, list) in scan.lists.iter().enumerate() {
+            let want = top_k_single_row(&a, &e, i, k);
+            prop_assert_eq!(list.len(), want.len());
+            for (got, want) in list.iter().zip(&want) {
+                prop_assert_eq!((got.0, got.1.to_bits()), (want.0, want.1.to_bits()));
+            }
+        }
+    }
 
     /// Every derived quantity respects its paper-mandated range:
     /// qualities, reputations, affiliations and trust all in [0, 1].

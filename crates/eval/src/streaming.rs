@@ -12,14 +12,16 @@
 //!   [`support_count`](wot_core::trust::support_count)), density, value
 //!   sum / mean / max, per-user out-support, and a value histogram;
 //! * [`top_k_trusted`] — each user's `k` most-trusted peers (the
-//!   recommendation surface a trust-aware recommender serves).
+//!   recommendation surface a trust-aware recommender serves), from
+//!   [`TrustRows::top_k`](wot_core::TrustRows::top_k)'s bound-ordered
+//!   scan, which computes only the cells that can enter a list.
 //!
 //! Every reducer folds **per row**: a row of `T̂` is never split across
 //! workers and row results are combined in ascending row order, so all
 //! outputs are bit-identical for any chunk height and any thread count
 //! (proven by the workspace's `block_streaming` suite).
 
-use wot_core::trust_rows::top_k_of_row;
+use wot_core::trust_rows::top_k_single_row;
 use wot_core::{BlockConfig, Derived};
 
 use crate::report::{f3, Table};
@@ -203,7 +205,8 @@ pub fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fig3Aggre
 /// `j ≠ i` (self-trust is not a recommendation), sorted by descending
 /// trust with ascending `j` breaking ties — a deterministic order for
 /// any chunk height or thread count, from the reducer the serving daemon
-/// answers with ([`top_k_of_row`]).
+/// answers with ([`top_k_of_row`](wot_core::trust_rows::top_k_of_row)).
+/// [`Derived::trust_top_k`] is the same scan with its cell counts.
 pub fn top_k_trusted(
     derived: &Derived,
     k: usize,
@@ -214,14 +217,25 @@ pub fn top_k_trusted(
             "top_k_trusted needs k ≥ 1".into(),
         ));
     }
-    let chunks = derived.trust_rows(cfg)?.fold_chunks(
-        |rows| Vec::with_capacity(rows.len()),
-        |lists, i, cols, vals| {
-            let cells = cols.iter().zip(vals).map(|(&j, &v)| (j as usize, v));
-            lists.push(top_k_of_row(i, k, cells));
-        },
-    );
-    Ok(chunks.into_iter().flatten().collect())
+    Ok(derived.trust_top_k(k, cfg)?.lists)
+}
+
+/// Holds `sample` evenly spaced rows of a top-`k` scan's `lists` to the
+/// single-row kernel ([`top_k_single_row`] computes every cell of the
+/// row) and returns how many differ — in a user or, the listed values
+/// being positive, a bit. The live conformance check of the pruned scan
+/// at scales where checking every row would cost the full scan it avoids.
+pub fn top_k_mismatches(
+    derived: &Derived,
+    lists: &[Vec<(usize, f64)>],
+    k: usize,
+    sample: usize,
+) -> usize {
+    let sample = sample.min(lists.len());
+    (0..sample)
+        .map(|s| s * lists.len() / sample)
+        .filter(|&i| lists[i] != top_k_single_row(&derived.affiliation, &derived.expertise, i, k))
+        .count()
 }
 
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or

@@ -59,13 +59,17 @@ impl TrustIngest for Client {
     }
 
     fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
+        // The current seq is the daemon's to say: this connection may
+        // not have seen a response yet.
+        let Some((&last, init)) = events.split_last() else {
+            return self.ping();
+        };
         // The wire has no batch frame; the daemon's writer batches
         // behind its own publish cycle.
-        let mut seq = self.last_seq();
-        for &e in events {
-            seq = Client::ingest(self, e)?;
+        for &e in init {
+            Client::ingest(self, e)?;
         }
-        Ok(seq)
+        Client::ingest(self, last)
     }
 }
 

@@ -13,18 +13,18 @@
 //!
 //! Every accessor reproduces its offline counterpart **bit-identically**
 //! by calling the same code: [`ServeSnapshot::trust`] *is*
-//! [`wot_core::trust::pairwise`], and [`ServeSnapshot::top_k`] feeds one
-//! row of Eq. 5 ([`wot_core::trust::row`], read straight off `E` — a
-//! snapshot carries no scan state and a publish prepares none) to
-//! [`top_k_of_row`], the reducer `wot_eval::streaming::top_k_trusted`
-//! runs on every row of its scan. The scan's panel kernel and the
-//! single-row kernel are pinned `==` to `pairwise` in `wot-core`'s
-//! `trust_rows` tests.
+//! [`wot_core::trust::pairwise`], and [`ServeSnapshot::top_k`] is
+//! [`top_k_single_row`]: one row of Eq. 5 ([`wot_core::trust::row`], read
+//! straight off `E` — a snapshot carries no scan state and a publish
+//! prepares none) fed to `top_k_of_row`, the reducer
+//! `wot_eval::streaming::top_k_trusted` runs on the cells its scan
+//! computes. The scan's panel kernels and the single-row kernel are
+//! pinned `==` to `pairwise` in `wot-core`'s `trust_rows` tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-use wot_core::trust_rows::top_k_of_row;
+use wot_core::trust_rows::top_k_single_row;
 use wot_core::{trust, BlockConfig, Derived};
 use wot_eval::streaming;
 
@@ -81,8 +81,7 @@ impl ServeSnapshot {
     /// `k = 0` yields an empty list (the server rejects it upstream, in
     /// agreement with the streaming reducer's `k ≥ 1` contract).
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(usize, f64)> {
-        trust::row(&self.derived.affiliation, &self.derived.expertise, i)
-            .map_or_else(Vec::new, |row| top_k_of_row(i, k, row.enumerate()))
+        top_k_single_row(&self.derived.affiliation, &self.derived.expertise, i, k)
     }
 
     /// Scalar Fig. 3 summary of the full `T̂`, computed once per snapshot

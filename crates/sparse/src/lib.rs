@@ -69,7 +69,7 @@ pub use csr::Csr;
 pub use dense::Dense;
 pub use dok::Dok;
 pub use error::SparseError;
-pub use ops::{masked_row_dot, masked_row_dot_block, masked_row_dot_threaded};
+pub use ops::{masked_row_dot, masked_row_dot_block};
 pub use stats::{MatrixSummary, Quantiles};
 pub use vector::{
     argmax, dot, dot_scalar, l1_norm, l1_normalize, l2_norm, linf_distance, max, mean, min, sum,

@@ -27,17 +27,10 @@ const PAR_NNZ_THRESHOLD: usize = 1 << 13;
 /// dimension — categories, in the paper); `mask` must be
 /// `a.nrows() × b.nrows()`.
 ///
-/// Uses all available hardware threads for large masks (small ones stay
-/// on the calling thread); see [`masked_row_dot_threaded`] to pin the
-/// worker count.
-pub fn masked_row_dot(a: &Dense, b: &Dense, mask: &Csr) -> Result<Csr> {
-    masked_row_dot_threaded(a, b, mask, 0)
-}
-
-/// [`masked_row_dot`] with an explicit worker-thread count
-/// (`0` = auto — size cutoff then all hardware threads; explicit counts
-/// are honoured as given, `1` = fully sequential).
-pub fn masked_row_dot_threaded(a: &Dense, b: &Dense, mask: &Csr, threads: usize) -> Result<Csr> {
+/// `threads` is the worker count: `0` = auto (small masks stay on the
+/// calling thread, large ones use all hardware threads), explicit counts
+/// are honoured as given, `1` = fully sequential.
+pub fn masked_row_dot(a: &Dense, b: &Dense, mask: &Csr, threads: usize) -> Result<Csr> {
     if a.ncols() != b.ncols() {
         return Err(SparseError::ShapeMismatch {
             left: a.shape(),
@@ -162,7 +155,7 @@ mod tests {
         let a = Dense::from_rows(&[&[1.0, 0.0], &[0.5, 0.5]]).unwrap();
         let b = Dense::from_rows(&[&[0.2, 0.8], &[1.0, 1.0], &[0.0, 0.0]]).unwrap();
         let mask = Csr::from_triplets(2, 3, [(0, 0, 1.0), (0, 2, 1.0), (1, 1, 1.0)]).unwrap();
-        let out = masked_row_dot(&a, &b, &mask).unwrap();
+        let out = masked_row_dot(&a, &b, &mask, 0).unwrap();
         assert_eq!(out.get(0, 0), Some(0.2)); // 1*0.2 + 0*0.8
         assert_eq!(out.get(0, 2), Some(0.0)); // kept: pattern preserved even if 0
         assert_eq!(out.get(1, 1), Some(1.0)); // 0.5+0.5
@@ -175,11 +168,11 @@ mod tests {
         let a = Dense::zeros(2, 2);
         let b = Dense::zeros(3, 3);
         let mask = Csr::empty(2, 3);
-        assert!(masked_row_dot(&a, &b, &mask).is_err());
+        assert!(masked_row_dot(&a, &b, &mask, 0).is_err());
         let b2 = Dense::zeros(3, 2);
         let bad_mask = Csr::empty(3, 3);
-        assert!(masked_row_dot(&a, &b2, &bad_mask).is_err());
-        assert!(masked_row_dot(&a, &b2, &mask).is_ok());
+        assert!(masked_row_dot(&a, &b2, &bad_mask, 0).is_err());
+        assert!(masked_row_dot(&a, &b2, &mask, 0).is_ok());
     }
 
     /// Builds a deterministic pseudo-random instance big enough to cross
@@ -215,9 +208,9 @@ mod tests {
             mask.nnz() >= PAR_NNZ_THRESHOLD,
             "instance must exercise the parallel path"
         );
-        let seq = masked_row_dot_threaded(&a, &b, &mask, 1).unwrap();
+        let seq = masked_row_dot(&a, &b, &mask, 1).unwrap();
         for threads in [0usize, 2, 3, 8] {
-            let par = masked_row_dot_threaded(&a, &b, &mask, threads).unwrap();
+            let par = masked_row_dot(&a, &b, &mask, threads).unwrap();
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -225,7 +218,7 @@ mod tests {
     #[test]
     fn block_scan_concatenates_to_full_product() {
         let (a, b, mask) = large_instance();
-        let full = masked_row_dot_threaded(&a, &b, &mask, 1).unwrap();
+        let full = masked_row_dot(&a, &b, &mask, 1).unwrap();
         for block_rows in [1usize, 13, 64, 1000] {
             let mut flat: Vec<f64> = Vec::new();
             let row_ptr = mask.row_ptr();
@@ -262,7 +255,7 @@ mod tests {
     #[test]
     fn output_pattern_is_masks_pattern() {
         let (a, b, mask) = large_instance();
-        let out = masked_row_dot(&a, &b, &mask).unwrap();
+        let out = masked_row_dot(&a, &b, &mask, 0).unwrap();
         assert_eq!(out.row_ptr(), mask.row_ptr());
         assert_eq!(out.col_indices(), mask.col_indices());
         // Spot-check values against the naive definition.

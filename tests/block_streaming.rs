@@ -120,6 +120,37 @@ fn top_k_is_invariant_to_block_height_and_threads() {
     )
     .unwrap();
     assert_eq!(reference, other);
+    // The scan skips the cells that cannot enter a list; every list must
+    // still be the one a full row yields, bit for bit.
+    for k in [1usize, 10, 100] {
+        let scan = wb
+            .derived
+            .trust_top_k(
+                k,
+                &BlockConfig {
+                    block_rows: 61,
+                    threads: 3,
+                },
+            )
+            .unwrap();
+        let users = wb.derived.num_users();
+        assert_eq!(scan.lists.len(), users);
+        assert_eq!(
+            streaming::top_k_mismatches(&wb.derived, &scan.lists, k, users),
+            0,
+            "k={k}: every row against the single-row kernel"
+        );
+        assert!(scan.cells_computed <= scan.cells_full);
+        if k == 10 {
+            assert_eq!(scan.lists, reference);
+            assert!(
+                scan.computed_share() < 0.5,
+                "the top-10 scan prunes: computed {} of {} cells",
+                scan.cells_computed,
+                scan.cells_full
+            );
+        }
+    }
     // Spot-check the ordering contract on the busiest user.
     let busiest = reference
         .iter()
@@ -208,17 +239,38 @@ fn paper_scale_streaming_fits_2gb_budget() {
     assert!(agg.density() > 0.1, "T̂ is dense in spirit at paper scale");
 
     let t = std::time::Instant::now();
-    let top = streaming::top_k_trusted(&wb.derived, 10, &cfg).unwrap();
+    let scan = wb.derived.trust_top_k(10, &cfg).unwrap();
     let topk_ms = t.elapsed().as_secs_f64() * 1e3;
+    let topk_share = scan.computed_share();
+    let top = scan.lists;
     assert_eq!(top.len(), users);
     assert!(top.iter().any(|l| l.len() == 10));
+    assert_eq!(
+        top,
+        streaming::top_k_trusted(&wb.derived, 10, &cfg).unwrap(),
+        "the streaming entry point is this scan"
+    );
+    // Without the bound the scan is back to computing every cell.
+    assert!(
+        topk_share < 0.25,
+        "top-10 scan computed {:.1} % of the cells",
+        topk_share * 100.0
+    );
+    let checked = 64;
+    assert_eq!(
+        streaming::top_k_mismatches(&wb.derived, &top, 10, checked),
+        0,
+        "{checked} evenly spaced rows against the single-row kernel"
+    );
 
     let rss = streaming::peak_rss_bytes().expect("Linux /proc available in CI");
     println!(
         "paper-scale streaming: users={users} support={} density={:.4} \
-         fig3={fig3_ms:.0}ms top_k={topk_ms:.0}ms scan_buffers={:.1}MiB peak_rss={:.2}GB",
+         fig3={fig3_ms:.0}ms top_k={topk_ms:.0}ms top_k_cells={:.1}% \
+         top_k_rows_checked={checked} scan_buffers={:.1}MiB peak_rss={:.2}GB",
         agg.support,
         agg.density(),
+        topk_share * 100.0,
         agg.max_block_bytes as f64 / (1 << 20) as f64,
         rss as f64 / 1e9
     );

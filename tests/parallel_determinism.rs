@@ -68,24 +68,18 @@ fn threaded_trust_kernels_are_bit_identical() {
     let derived = pipeline::derive(&store, &DeriveConfig::default()).unwrap();
     let r = store.direct_connection_matrix();
 
-    let masked_seq =
-        trust::derive_masked_threaded(&derived.affiliation, &derived.expertise, &r, 1).unwrap();
-    let dense_seq =
-        trust::derive_dense_threaded(&derived.affiliation, &derived.expertise, 1).unwrap();
-    let count_seq =
-        trust::support_count_threaded(&derived.affiliation, &derived.expertise, 1).unwrap();
+    let masked_seq = trust::derive_masked(&derived.affiliation, &derived.expertise, &r, 1).unwrap();
+    let dense_seq = trust::derive_dense(&derived.affiliation, &derived.expertise, 1).unwrap();
+    let count_seq = trust::support_count(&derived.affiliation, &derived.expertise, 1).unwrap();
 
     for threads in [0usize, 2, 5] {
         let masked =
-            trust::derive_masked_threaded(&derived.affiliation, &derived.expertise, &r, threads)
-                .unwrap();
+            trust::derive_masked(&derived.affiliation, &derived.expertise, &r, threads).unwrap();
         assert_eq!(masked, masked_seq, "masked, threads={threads}");
-        let dense = trust::derive_dense_threaded(&derived.affiliation, &derived.expertise, threads)
-            .unwrap();
+        let dense = trust::derive_dense(&derived.affiliation, &derived.expertise, threads).unwrap();
         assert_eq!(dense, dense_seq, "dense, threads={threads}");
         let count =
-            trust::support_count_threaded(&derived.affiliation, &derived.expertise, threads)
-                .unwrap();
+            trust::support_count(&derived.affiliation, &derived.expertise, threads).unwrap();
         assert_eq!(count, count_seq, "support, threads={threads}");
     }
 }
@@ -96,16 +90,11 @@ fn masked_row_dot_parallel_is_bit_identical() {
     let derived = pipeline::derive(&store, &DeriveConfig::default()).unwrap();
     let r = store.direct_connection_matrix();
     let seq =
-        webtrust::sparse::masked_row_dot_threaded(&derived.affiliation, &derived.expertise, &r, 1)
-            .unwrap();
+        webtrust::sparse::masked_row_dot(&derived.affiliation, &derived.expertise, &r, 1).unwrap();
     for threads in [0usize, 2, 4] {
-        let par = webtrust::sparse::masked_row_dot_threaded(
-            &derived.affiliation,
-            &derived.expertise,
-            &r,
-            threads,
-        )
-        .unwrap();
+        let par =
+            webtrust::sparse::masked_row_dot(&derived.affiliation, &derived.expertise, &r, threads)
+                .unwrap();
         assert_eq!(par, seq, "threads={threads}");
     }
 }

@@ -13,7 +13,7 @@ use webtrust::core::{DeriveConfig, IncrementalDerived, ReplayEvent};
 use webtrust::serve::protocol::{
     self, ErrorCode, FrameRead, OkBody, Opcode, Request, MAX_REQUEST_LEN, MAX_RESPONSE_LEN,
 };
-use webtrust::serve::{ServeOptions, Server, ServerHandle};
+use webtrust::serve::{Client, ServeOptions, Server, ServerHandle, TrustIngest};
 use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
 
 struct Rig {
@@ -21,6 +21,8 @@ struct Rig {
     dir: std::path::PathBuf,
     users: u32,
     categories: u32,
+    /// Events the daemon was started on.
+    base_seq: u64,
 }
 
 impl Rig {
@@ -47,6 +49,7 @@ impl Rig {
             dir,
             users: store.num_users() as u32,
             categories: store.num_categories() as u32,
+            base_seq: log.len() as u64,
         }
     }
 
@@ -85,6 +88,21 @@ fn encode(req: &Request) -> Vec<u8> {
     let mut body = Vec::new();
     protocol::encode_request(&mut body, req);
     body
+}
+
+/// An empty batch acks with the daemon's current seq even on a
+/// connection that has not yet seen a response — not with the client's
+/// initial `last_seq` of 0.
+#[test]
+fn empty_batch_on_a_fresh_connection_acks_the_current_seq() {
+    let rig = Rig::boot("empty-batch");
+    let mut fresh = Client::connect(rig.handle.addr()).unwrap();
+    assert_eq!(fresh.last_seq(), 0, "no response seen yet");
+    let acked = fresh.ingest_batch(&[]).unwrap();
+    assert!(rig.base_seq > 0, "the rig boots past seq 0");
+    assert_eq!(acked, rig.base_seq);
+    assert_eq!(acked, fresh.ping().unwrap());
+    rig.finish();
 }
 
 /// Malformed bodies — unknown opcodes, truncated operands, trailing
