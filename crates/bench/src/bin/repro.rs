@@ -28,16 +28,61 @@
 //!                      bit-identical to a cold full-log replay
 //!   all                every paper artifact above (stats … sweep-trust-noise)
 //! ```
+//!
+//! `repro` measures nothing: the system's end-to-end cost is measured by
+//! `benchmark/` (see `benchmark/README.md`), declared in the root
+//! `BENCHMARK.json`.
 
 use std::process::ExitCode;
 
-use wot_bench::{Scale, DEFAULT_SEED};
 use wot_community::stats::CommunityStats;
 use wot_core::DeriveConfig;
 use wot_eval::{
     density, propagation_cmp, quartiles, rounding_cmp, streaming, sweep, validation, values,
     Workbench,
 };
+use wot_synth::SynthConfig;
+
+/// Dataset scale selector.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scale {
+    /// ~200 users — milliseconds; CI-friendly.
+    Tiny,
+    /// ~4,000 users — seconds; the default.
+    Laptop,
+    /// ~44,197 users — the paper's population; minutes end to end.
+    Paper,
+}
+
+impl Scale {
+    /// Parses `tiny` / `laptop` / `paper`.
+    fn parse(s: &str) -> Option<Scale> {
+        match s {
+            "tiny" => Some(Scale::Tiny),
+            "laptop" => Some(Scale::Laptop),
+            "paper" => Some(Scale::Paper),
+            _ => None,
+        }
+    }
+
+    /// The generator configuration at this scale.
+    fn synth_config(self, seed: u64) -> SynthConfig {
+        match self {
+            Scale::Tiny => SynthConfig::tiny(seed),
+            Scale::Laptop => SynthConfig::laptop(seed),
+            Scale::Paper => SynthConfig::paper_scale(seed),
+        }
+    }
+
+    /// Builds the workbench (generation + derivation) at this scale.
+    fn workbench(self, seed: u64) -> Workbench {
+        Workbench::new(&self.synth_config(seed), &DeriveConfig::default())
+            .expect("preset configurations are valid")
+    }
+}
+
+/// The default seed, so published numbers are reproducible verbatim.
+const DEFAULT_SEED: u64 = 20080407; // ICDEW 2008 opened April 7, 2008.
 
 const USAGE: &str =
     "usage: repro [--scale tiny|laptop|paper] [--seed N] [--wal-dir DIR] <experiment>...
@@ -153,11 +198,11 @@ fn run_experiment(
             .to_string(),
         "fig3" => density::density_report(wb)?.to_table().to_string(),
         "stream-fig3" => {
-            let agg = streaming::fig3_aggregates(&wb.derived, &wot_core::BlockConfig::default())?;
+            let agg = wb.derived.trust_fig3(&wot_core::BlockConfig::default())?;
             // The streaming scan and the bitmask counter must agree on
             // the support — a live conformance check at any scale.
             let bitmask = wb.derived.trust_support_count()?;
-            let mut out = agg.to_table().to_string();
+            let mut out = streaming::fig3_table(&agg).to_string();
             out.push_str(&format!(
                 "\nsupport cross-check: streaming {} vs bitmask {} — {}\n",
                 agg.support,
@@ -374,6 +419,20 @@ fn wal_recover(wb: &Workbench, wal_dir: &str) -> Result<String, Box<dyn std::err
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_scales() {
+        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
+        assert_eq!(Scale::parse("laptop"), Some(Scale::Laptop));
+        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
+        assert_eq!(Scale::parse("huge"), None);
+    }
+
+    #[test]
+    fn tiny_workbench_builds() {
+        let wb = Scale::Tiny.workbench(1);
+        assert!(wb.out.store.num_users() > 0);
+    }
 
     #[test]
     fn usage_names_dispatch_and_retired_names_are_rejected() {

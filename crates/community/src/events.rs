@@ -160,34 +160,6 @@ pub fn replay_into_store(
     Ok(b.build())
 }
 
-/// Folds a **sequence-tagged** event log (the shape shard-local WALs
-/// hold) into a fresh validated store.
-///
-/// This is the recovery-side twin of [`replay_into_store`]: tags must be
-/// strictly ascending — a recovered log whose tags run backwards or
-/// repeat is corrupt, and the corruption surfaces as a typed
-/// [`CommunityError::NonMonotonicSequence`], never a panic or a
-/// debug-assert. The tag *values* need not be contiguous (a log tail cut
-/// by a snapshot starts mid-history), only ordered.
-pub fn replay_tagged_into_store(
-    scale: RatingScale,
-    num_users: usize,
-    num_categories: usize,
-    tagged: &[(u64, StoreEvent)],
-) -> Result<CommunityStore> {
-    for w in tagged.windows(2) {
-        if w[1].0 <= w[0].0 {
-            return Err(CommunityError::NonMonotonicSequence {
-                shard: 0,
-                prev: w[0].0,
-                seq: w[1].0,
-            });
-        }
-    }
-    let events: Vec<StoreEvent> = tagged.iter().map(|&(_, e)| e).collect();
-    replay_into_store(scale, num_users, num_categories, &events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,56 +234,6 @@ mod tests {
         }];
         let err = replay_into_store(RatingScale::five_step(), 2, 1, &events).unwrap_err();
         assert!(matches!(err, CommunityError::Parse { ref file, .. } if file == "event-log"));
-    }
-
-    /// Regression: every corruption a WAL recovery can surface through
-    /// the replay path must come back as a typed `Err` — out-of-order
-    /// sequence tags included — never a panic or debug-assert.
-    #[test]
-    fn tagged_replay_rejects_out_of_order_tags() {
-        let store = sample();
-        let tagged: Vec<(u64, StoreEvent)> = event_log(&store)
-            .into_iter()
-            .enumerate()
-            .map(|(k, e)| (k as u64, e))
-            .collect();
-        // The well-formed tagged log folds exactly like the plain one.
-        let ok = replay_tagged_into_store(
-            store.scale().clone(),
-            store.num_users(),
-            store.num_categories(),
-            &tagged,
-        )
-        .unwrap();
-        assert_eq!(ok.num_ratings(), store.num_ratings());
-        // Gaps are fine (a snapshot-cut tail starts mid-history)…
-        let mut gapped = tagged.clone();
-        for (k, t) in gapped.iter_mut().enumerate() {
-            t.0 = 10 * k as u64 + 3;
-        }
-        assert!(replay_tagged_into_store(
-            store.scale().clone(),
-            store.num_users(),
-            store.num_categories(),
-            &gapped,
-        )
-        .is_ok());
-        // …but a tag running backwards or repeating is corruption.
-        for bad_seq in [0u64, 1] {
-            let mut corrupt = tagged.clone();
-            corrupt[2].0 = bad_seq;
-            let err = replay_tagged_into_store(
-                store.scale().clone(),
-                store.num_users(),
-                store.num_categories(),
-                &corrupt,
-            )
-            .unwrap_err();
-            assert!(matches!(
-                err,
-                CommunityError::NonMonotonicSequence { prev: 1, seq, .. } if seq == bad_seq
-            ));
-        }
     }
 
     #[test]

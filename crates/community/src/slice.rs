@@ -11,7 +11,7 @@ use crate::{CategoryId, CommunityStore, Incidence, ReviewId, UserId};
 /// "the reputation of review rater, the quality of review and the
 /// reputation of review writer should be calculated for each category").
 /// A `CategorySlice` renumbers the category's reviews `0..num_reviews`,
-/// its raters `0..num_raters` and its writers `0..num_writers`, and
+/// its raters `0..num_raters` and its writers (`writer_of_local`), and
 /// pre-groups its ratings both by review and by rater — each direction in
 /// one [`Incidence`] arena, filled exactly — so the fixed-point iteration
 /// runs entirely over dense local indexes and contiguous memory: flat
@@ -153,11 +153,6 @@ impl CategorySlice {
         self.rater_of_local.len()
     }
 
-    /// Number of distinct writers active in the category.
-    pub fn num_writers(&self) -> usize {
-        self.writer_of_local.len()
-    }
-
     /// Total ratings in the category. O(1).
     pub fn num_ratings(&self) -> usize {
         self.ratings_by_review_local.num_edges()
@@ -284,7 +279,7 @@ mod tests {
         assert_eq!(slice.num_reviews(), 2);
         assert_eq!(slice.num_ratings(), 3);
         assert_eq!(slice.num_raters(), 2);
-        assert_eq!(slice.num_writers(), 1);
+        assert_eq!(slice.writer_of_local.len(), 1);
         // Local review 0 is global review 0, written by u1.
         assert_eq!(slice.reviews, vec![ReviewId(0), ReviewId(1)]);
         assert_eq!(slice.review_writer, vec![UserId(1), UserId(1)]);
@@ -335,7 +330,6 @@ mod tests {
         for c in 0..2 {
             let slice = s.category_slice(CategoryId(c)).unwrap();
             assert_eq!(slice.rater_of_local.len(), slice.num_raters());
-            assert_eq!(slice.writer_of_local.len(), slice.num_writers());
             for (l, &u) in slice.rater_of_local.iter().enumerate() {
                 assert_eq!(
                     slice.ratings_by_rater_local.pairs(l).collect::<Vec<_>>(),

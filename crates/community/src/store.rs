@@ -180,11 +180,6 @@ impl CommunityStore {
         self.users.iter().find(|u| u.handle == handle)
     }
 
-    /// Finds a category by name.
-    pub fn category_by_name(&self, name: &str) -> Option<&Category> {
-        self.categories.iter().find(|c| c.name == name)
-    }
-
     // ---- relationship access --------------------------------------------
 
     /// Reviews written by `writer`.
@@ -286,11 +281,7 @@ impl CommunityStore {
 
     /// Projects the community onto a subset of categories: keeps every user
     /// and category record (ids stay stable) but drops objects, reviews and
-    /// ratings outside `keep`. Trust statements are preserved — the paper
-    /// keeps "trust data related to Video & DVD" by keeping trust among the
-    /// category's participants; apply
-    /// [`restrict_trust_to_active`](Self::restrict_trust_to_active)
-    /// afterwards for that refinement.
+    /// ratings outside `keep`. Trust statements are preserved.
     pub fn project_categories(&self, keep: &[CategoryId]) -> CommunityStore {
         let keep_set: std::collections::HashSet<CategoryId> = keep.iter().copied().collect();
         let mut kept_objects = Vec::new();
@@ -339,28 +330,6 @@ impl CommunityStore {
             kept_reviews,
             kept_ratings,
             self.trust.clone(),
-        )
-    }
-
-    /// Drops trust statements whose source or target is not an active user
-    /// (no review written, no rating given) — mirroring the paper's "retain
-    /// only the … trust data related to \[the\] category".
-    pub fn restrict_trust_to_active(&self) -> CommunityStore {
-        let active: std::collections::HashSet<UserId> = self.active_users().into_iter().collect();
-        let trust = self
-            .trust
-            .iter()
-            .filter(|t| active.contains(&t.source) && active.contains(&t.target))
-            .copied()
-            .collect();
-        CommunityStore::from_parts(
-            self.scale.clone(),
-            self.users.clone(),
-            self.categories.clone(),
-            self.objects.clone(),
-            self.reviews.clone(),
-            self.ratings.clone(),
-            trust,
         )
     }
 }
@@ -415,8 +384,6 @@ mod tests {
         );
         assert_eq!(s.ratings_by_rater(UserId(0)).len(), 2);
         assert_eq!(s.user_by_handle("u2").unwrap().id, UserId(2));
-        assert_eq!(s.category_by_name("c1").unwrap().id, CategoryId(1));
-        assert!(s.category_by_name("nope").is_none());
     }
 
     #[test]
@@ -484,22 +451,5 @@ mod tests {
         assert_eq!(p.reviews()[0].writer, UserId(1));
         // Re-indexed object ids stay dense.
         assert_eq!(p.objects()[0].id, ObjectId(0));
-    }
-
-    #[test]
-    fn restrict_trust_to_active_drops_lurker_edges() {
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        let writer = b.add_user("writer");
-        let rater = b.add_user("rater");
-        let lurker = b.add_user("lurker");
-        let c = b.add_category("c");
-        let o = b.add_object("o", c).unwrap();
-        let r = b.add_review(writer, o).unwrap();
-        b.add_rating(rater, r, 0.6).unwrap();
-        b.add_trust(lurker, writer).unwrap();
-        b.add_trust(rater, writer).unwrap();
-        let s = b.build().restrict_trust_to_active();
-        assert_eq!(s.num_trust(), 1);
-        assert_eq!(s.trust_statements()[0].source, rater);
     }
 }

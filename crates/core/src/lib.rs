@@ -41,10 +41,8 @@
 //!   lookups inside the fixed point. One sweep costs O(ratings in the
 //!   category); slice projection costs O(reviews + ratings) once, via
 //!   O(1) scatter tables. The pre-optimization `HashMap` formulation is
-//!   preserved ([`riggs::reference`], [`pipeline::derive_baseline`]) and
-//!   proven bit-identical by property tests; `wot-bench`'s
-//!   `bench_pipeline` measures the gap (≥2× end-to-end on one thread at
-//!   `laptop` scale, ~4× on the solver alone).
+//!   preserved ([`riggs::reference`], [`pipeline::derive_baseline`]) as
+//!   the reference the property tests prove it bit-identical to.
 //! * **Data parallelism.** Categories are independent, so
 //!   [`pipeline::derive`] fans them out across worker threads
 //!   ([`DeriveConfig::parallel`] / [`DeriveConfig::threads`]) with dynamic
@@ -73,7 +71,8 @@
 //!   all-users top-k ([`TrustRows::top_k`]) does not even compute most
 //!   cells: it visits the writers in descending order of `max_c E_jc`,
 //!   an upper bound on every `T̂_ij`, and leaves a row once that bound
-//!   is below the row's k-th best.
+//!   is below the row's k-th best. The Fig. 3 aggregates
+//!   ([`Derived::trust_fig3`]) are a row visitor of the same scan.
 //! * **Streaming ingestion.** [`incremental::IncrementalDerived`] ingests review and
 //!   rating events online on the *same* index-dense layout, warm-starts
 //!   per-category refreshes through the same `riggs` sweep loop, and its
@@ -140,7 +139,7 @@ pub use incremental::{
 };
 pub use pipeline::{CategoryReputation, Derived};
 pub use trust_blocks::{BlockConfig, TrustBlock, TrustBlocks};
-pub use trust_rows::{TopK, TrustRows};
+pub use trust_rows::{Fig3Aggregates, TopK, TrustRows};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

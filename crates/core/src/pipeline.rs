@@ -135,9 +135,9 @@ fn solve_slice(slice: &CategorySlice, cfg: &DeriveConfig) -> CategoryReputation 
 /// categories, with `HashMap`-keyed fixed-point state
 /// ([`riggs::reference`]).
 ///
-/// Kept as the baseline the index-dense pipeline is validated against
-/// (bit-identical output, asserted by the workspace's property and
-/// round-trip tests) and benchmarked against (`bench_pipeline`).
+/// Kept as the reference the index-dense pipeline is validated against:
+/// bit-identical output, asserted by the workspace's property and
+/// determinism tests.
 pub fn derive_baseline(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
     cfg.validate()?;
     let num_users = store.num_users();
@@ -219,7 +219,7 @@ impl Derived {
 
     /// Fused row scan of the full `T̂`: every row is handed to a visitor
     /// on the worker that computed it and never stored — what
-    /// `wot-eval`'s streaming reducers run on.
+    /// [`Self::trust_fig3`] runs on.
     pub fn trust_rows(&self, cfg: &crate::BlockConfig) -> Result<crate::TrustRows<'_>> {
         crate::TrustRows::new(&self.affiliation, &self.expertise, cfg)
     }
@@ -229,6 +229,12 @@ impl Derived {
     /// ([`TrustRows::top_k`](crate::TrustRows::top_k)).
     pub fn trust_top_k(&self, k: usize, cfg: &crate::BlockConfig) -> Result<crate::TopK> {
         crate::TrustRows::top_k(&self.affiliation, &self.expertise, k, cfg)
+    }
+
+    /// The Fig. 3 aggregates of the full `T̂`, reduced row by row inside
+    /// the fused scan ([`Self::trust_rows`]) in O(users) memory.
+    pub fn trust_fig3(&self, cfg: &crate::BlockConfig) -> Result<crate::Fig3Aggregates> {
+        crate::trust_rows::fig3_aggregates(self, cfg)
     }
 
     /// Streaming row-block iterator over `T̂` restricted to `mask`'s
@@ -244,18 +250,6 @@ impl Derived {
     /// Non-zero count of the full `T̂` without materializing it (Fig. 3).
     pub fn trust_support_count(&self) -> Result<u64> {
         trust::support_count(&self.affiliation, &self.expertise, 0)
-    }
-
-    /// Rater reputations of one category as a dense lookup
-    /// (user index → reputation, 0.0 = not active), for quartile analyses.
-    pub fn rater_reputation_of(&self, category: CategoryId) -> Vec<f64> {
-        let mut v = vec![0.0; self.num_users()];
-        if let Some(cr) = self.per_category.get(category.index()) {
-            for &(u, rep) in &cr.rater_reputation {
-                v[u.index()] = rep;
-            }
-        }
-        v
     }
 }
 
@@ -323,19 +317,6 @@ mod tests {
         }
         let brute = dense.as_slice().iter().filter(|&&v| v > 0.0).count() as u64;
         assert_eq!(d.trust_support_count().unwrap(), brute);
-    }
-
-    #[test]
-    fn rater_reputation_lookup() {
-        let store = fixture();
-        let d = derive(&store, &DeriveConfig::default()).unwrap();
-        let movies = d.rater_reputation_of(CategoryId(0));
-        assert!(movies[0] > 0.0); // u0 rated in movies
-        assert_eq!(movies[1], 0.0);
-        assert_eq!(movies[2], 0.0);
-        // Out-of-range category yields all zeros rather than panicking.
-        let none = d.rater_reputation_of(CategoryId(9));
-        assert!(none.iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -28,8 +28,7 @@
 //! appends into in place; the sweeps and the delta worklist walk that
 //! memory directly, so nothing is flattened or copied before a solve. On
 //! Epinions-scale categories this is the difference between a
-//! memory-bound hash walk and a cache-friendly linear scan (see
-//! `wot-bench`'s `bench_pipeline`). The original
+//! memory-bound hash walk and a cache-friendly linear scan. The original
 //! `HashMap`-keyed formulation is preserved in [`reference`](mod@reference) and proven
 //! bit-identical by `wot-core`'s property tests — both iterate the same
 //! Jacobi sweeps in the same arithmetic order, so even floating-point
@@ -254,8 +253,7 @@ pub(crate) fn reputation_one(
 /// The original `HashMap`-keyed formulation of the fixed point.
 ///
 /// Kept as the equivalence baseline: `wot-core`'s property tests assert
-/// the index-dense [`solve`] reproduces this solver's output bit-for-bit,
-/// and `wot-bench`'s `bench_pipeline` measures the speedup against it.
+/// the index-dense [`solve`] reproduces this solver's output bit-for-bit.
 pub mod reference {
     use std::collections::HashMap;
 

@@ -67,15 +67,24 @@
 //! A row never splits across workers, every chunk folds its rows in
 //! ascending order into its own state, and the states come back in
 //! ascending chunk order. A reducer that keeps per-row results per row
-//! and combines them in that order (as `wot-eval`'s do, including their
-//! `f64` sums) is bit-identical for any chunk height and thread count.
+//! and combines them in that order (as the Fig. 3 reducer does, including
+//! its `f64` sums) is bit-identical for any chunk height and thread count.
+//!
+//! ## Two reducers
+//!
+//! [`TrustRows::top_k`] is the all-users top-`k` above.
+//! [`Derived::trust_fig3`] is the Fig. 3 reducer: support, density, value
+//! sum / mean / max, per-user out-support and a value histogram of the
+//! full `T̂`, folded row by row by a [`TrustRows::fold_chunks`] visitor. The
+//! support cross-checks against the bitmask
+//! [`support_count`](crate::trust::support_count).
 
 use std::ops::Range;
 
 use wot_sparse::Dense;
 
 use crate::trust_blocks::{auto_threads, resolve_block_rows, validate_shapes, BlockConfig};
-use crate::Result;
+use crate::{Derived, Result};
 
 /// Columns per kernel tile: 4 accumulators × 4 columns fill the eight
 /// SSE2 registers a baseline x86-64 build has to spare.
@@ -536,6 +545,141 @@ impl<'a> TrustRows<'a> {
     }
 }
 
+/// Global aggregates of the full `T̂` — the streaming Fig. 3 numbers
+/// ([`Derived::trust_fig3`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fig3Aggregates {
+    /// Number of users `U` (`T̂` is `U×U`).
+    pub users: usize,
+    /// Strictly positive entries of `T̂` (its support, as in Fig. 3).
+    pub support: u64,
+    /// Sum of all entries (row sums folded in ascending row order).
+    pub sum: f64,
+    /// Largest entry.
+    pub max: f64,
+    /// Strictly positive entries per row — user `i`'s derived
+    /// out-degree.
+    pub row_support: Vec<u32>,
+    /// Histogram of positive values over `(0, 1]`:
+    /// `histogram[b]` counts `v` with `b/N < v ≤ (b+1)/N` for `N` bins
+    /// (values above 1 clamp into the last bin).
+    pub histogram: Vec<u64>,
+    /// Row chunks the scan's workers claimed.
+    pub blocks: usize,
+    /// Resolved rows per chunk.
+    pub block_rows: usize,
+    /// Transient bytes the scan allocated: the transposed copy of `E`
+    /// plus one row buffer per worker (no block of `T̂` is ever stored).
+    pub max_block_bytes: usize,
+}
+
+impl Fig3Aggregates {
+    /// Support density over `U²` — Fig. 3's headline number for `T̂`.
+    pub fn density(&self) -> f64 {
+        let cells = (self.users as f64) * (self.users as f64);
+        if cells > 0.0 {
+            self.support as f64 / cells
+        } else {
+            0.0
+        }
+    }
+
+    /// Mean of the strictly positive entries.
+    pub fn mean_positive(&self) -> f64 {
+        if self.support == 0 {
+            0.0
+        } else {
+            self.sum / self.support as f64
+        }
+    }
+}
+
+/// Histogram bins of [`Fig3Aggregates::histogram`].
+const FIG3_HIST_BINS: usize = 10;
+
+/// The bin of `v > 0` among `nbins` uniform bins over `(0, 1]`:
+/// `ceil(v · nbins) - 1`, values above 1 clamped into the last bin.
+///
+/// `f64::ceil` is a libm call per cell on a baseline x86-64 build (no
+/// SSE4.1), which was a third of the fused Fig. 3 scan; truncate-and-bump
+/// is the same function for every positive `x` (capped first, so the
+/// bump cannot overflow).
+fn bin_of(v: f64, nbins: usize) -> usize {
+    let x = (v * nbins as f64).min(nbins as f64);
+    let t = x as usize;
+    let ceil = if (t as f64) < x { t + 1 } else { t };
+    ceil.max(1) - 1
+}
+
+/// What one row chunk of the Fig. 3 scan reduces to.
+struct Fig3Chunk {
+    /// Per row of the chunk, ascending.
+    row_support: Vec<u32>,
+    row_sum: Vec<f64>,
+    max: f64,
+    histogram: [u64; FIG3_HIST_BINS],
+}
+
+/// Scans the full `T̂` once and reduces it to [`Fig3Aggregates`]; what
+/// [`Derived::trust_fig3`] runs.
+///
+/// Memory: [`Fig3Aggregates::max_block_bytes`] of scan buffers plus the
+/// O(U) per-row results — at the paper's 44k users, a few megabytes
+/// instead of the ~15.6 GB dense matrix.
+pub(crate) fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fig3Aggregates> {
+    let scan = derived.trust_rows(cfg)?;
+    let chunks = scan.fold_chunks(
+        |rows| Fig3Chunk {
+            row_support: Vec::with_capacity(rows.len()),
+            row_sum: Vec::with_capacity(rows.len()),
+            max: 0.0,
+            histogram: [0; FIG3_HIST_BINS],
+        },
+        |chunk, _i, _cols, vals| {
+            let mut row_sum = 0.0;
+            let mut row_support = 0u32;
+            for &v in vals {
+                if v > 0.0 {
+                    row_support += 1;
+                    row_sum += v;
+                    if v > chunk.max {
+                        chunk.max = v;
+                    }
+                    chunk.histogram[bin_of(v, FIG3_HIST_BINS)] += 1;
+                }
+            }
+            chunk.row_support.push(row_support);
+            chunk.row_sum.push(row_sum);
+        },
+    );
+    let users = scan.num_users();
+    let mut agg = Fig3Aggregates {
+        users,
+        support: 0,
+        sum: 0.0,
+        max: 0.0,
+        row_support: Vec::with_capacity(users),
+        histogram: vec![0u64; FIG3_HIST_BINS],
+        blocks: chunks.len(),
+        block_rows: scan.chunk_rows(),
+        max_block_bytes: scan.transient_bytes(),
+    };
+    // Row sums combine in ascending row order whatever the chunking and
+    // whichever worker produced them: the f64 fold has one order.
+    for chunk in chunks {
+        for row_sum in chunk.row_sum {
+            agg.sum += row_sum;
+        }
+        agg.support += chunk.row_support.iter().map(|&s| s as u64).sum::<u64>();
+        agg.row_support.extend(chunk.row_support);
+        agg.max = agg.max.max(chunk.max);
+        for (total, n) in agg.histogram.iter_mut().zip(chunk.histogram) {
+            *total += n;
+        }
+    }
+    Ok(agg)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,5 +914,102 @@ mod tests {
         assert_eq!(top_rev, top);
         assert!(top_k_of_row(1, 0, cells.iter().copied()).is_empty());
         assert_eq!(top_k_of_row(9, 100, cells.iter().copied()).len(), 5);
+    }
+
+    /// The tiny preset, derived — what the Fig. 3 tests scan.
+    struct Bench {
+        derived: Derived,
+    }
+
+    fn bench() -> Bench {
+        let out = wot_synth::generate(&wot_synth::SynthConfig::tiny(31)).unwrap();
+        let derived = crate::pipeline::derive(&out.store, &crate::DeriveConfig::default()).unwrap();
+        Bench { derived }
+    }
+
+    #[test]
+    fn aggregates_match_dense_reference() {
+        let wb = bench();
+        let dense = wb.derived.trust_dense().unwrap();
+        let agg = fig3_aggregates(&wb.derived, &BlockConfig::sequential()).unwrap();
+        let u = wb.derived.num_users();
+        // Reference fold in the exact same per-row order.
+        let mut support = 0u64;
+        let mut sum = 0.0;
+        let mut max = 0.0f64;
+        for i in 0..u {
+            let mut row_sum = 0.0;
+            let mut row_support = 0u32;
+            for &v in dense.row(i) {
+                if v > 0.0 {
+                    row_support += 1;
+                    row_sum += v;
+                    max = max.max(v);
+                }
+            }
+            assert_eq!(agg.row_support[i], row_support, "row {i}");
+            support += row_support as u64;
+            sum += row_sum;
+        }
+        assert_eq!(agg.support, support);
+        assert_eq!(agg.sum, sum);
+        assert_eq!(agg.max, max);
+        // Cross-check against the bitmask counter of Fig. 3.
+        assert_eq!(agg.support, wb.derived.trust_support_count().unwrap());
+        // The histogram partitions the support.
+        assert_eq!(agg.histogram.iter().sum::<u64>(), agg.support);
+        assert!(agg.density() > 0.0 && agg.density() <= 1.0);
+        assert!(agg.mean_positive() > 0.0 && agg.mean_positive() <= agg.max);
+    }
+
+    #[test]
+    fn aggregates_invariant_to_blocks_and_threads() {
+        let wb = bench();
+        let reference = fig3_aggregates(&wb.derived, &BlockConfig::sequential()).unwrap();
+        for (block_rows, threads) in [(1usize, 1usize), (7, 2), (64, 0), (0, 3)] {
+            let cfg = BlockConfig {
+                block_rows,
+                threads,
+            };
+            let agg = fig3_aggregates(&wb.derived, &cfg).unwrap();
+            assert_eq!(agg.support, reference.support);
+            assert_eq!(agg.sum, reference.sum, "bit-identical sum");
+            assert_eq!(agg.max, reference.max);
+            assert_eq!(agg.row_support, reference.row_support);
+            assert_eq!(agg.histogram, reference.histogram);
+        }
+    }
+
+    #[test]
+    fn bin_of_is_the_ceil_form() {
+        let ceil_form =
+            |v: f64, nbins: usize| ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1;
+        for nbins in [1usize, 4, FIG3_HIST_BINS, 64] {
+            let n = nbins as f64;
+            // Exact bin edges and their neighbours on both sides.
+            let mut values: Vec<f64> = (0..=2 * nbins)
+                .map(|b| b as f64 / n)
+                .flat_map(|e| [e, e.next_down(), e.next_up()])
+                .collect();
+            // The smallest positive values, values past 1, and a sweep.
+            values.extend([
+                f64::MIN_POSITIVE,
+                5e-324,
+                1e-300,
+                1.0,
+                1.5,
+                7.25,
+                1e9,
+                1e300,
+            ]);
+            values.extend((1..=10_000).map(|s| s as f64 / 9_973.0));
+            for v in values.into_iter().filter(|&v| v > 0.0) {
+                assert_eq!(
+                    bin_of(v, nbins),
+                    ceil_form(v, nbins),
+                    "v={v:e} nbins={nbins}"
+                );
+            }
+        }
     }
 }

@@ -94,35 +94,11 @@ impl DiGraph {
         &self.fwd
     }
 
-    /// The reverse adjacency matrix (transpose of the forward one).
-    pub fn reverse_adjacency(&self) -> &Csr {
-        &self.rev
-    }
-
     /// A copy with every edge reversed.
     pub fn reversed(&self) -> DiGraph {
         DiGraph {
             fwd: self.rev.clone(),
             rev: self.fwd.clone(),
-        }
-    }
-
-    /// Keeps only edges whose weight satisfies `pred`, preserving nodes.
-    pub fn filter_edges(&self, pred: impl Fn(usize, usize, f64) -> bool) -> DiGraph {
-        let fwd = self.fwd.filter(&pred);
-        let rev = fwd.transpose();
-        DiGraph { fwd, rev }
-    }
-
-    /// Validates that `u` is a node id of this graph.
-    pub fn check_node(&self, u: usize) -> Result<()> {
-        if u >= self.node_count() {
-            Err(GraphError::NodeOutOfBounds {
-                node: u,
-                node_count: self.node_count(),
-            })
-        } else {
-            Ok(())
         }
     }
 }
@@ -194,21 +170,5 @@ mod tests {
         assert!(g.has_edge(3, 1));
         assert!(!g.has_edge(1, 3));
         assert_eq!(g.in_degree(0), 2);
-    }
-
-    #[test]
-    fn filter_edges_by_weight() {
-        let g = diamond().filter_edges(|_, _, w| w >= 0.5);
-        assert_eq!(g.edge_count(), 3);
-        assert!(!g.has_edge(2, 3));
-        // Reverse adjacency stays consistent.
-        assert_eq!(g.in_degree(3), 1);
-    }
-
-    #[test]
-    fn check_node_bounds() {
-        let g = diamond();
-        assert!(g.check_node(3).is_ok());
-        assert!(g.check_node(4).is_err());
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! * [`DiGraph`] — compressed adjacency (forward and reverse) built from an
 //!   edge list or a [`wot_sparse::Csr`] trust matrix,
-//! * [`traversal`] — BFS orders/depths and weak reachability,
+//! * [`traversal`] — BFS depths, reachability and weak components,
 //! * [`paths`] — bounded hop-limited shortest paths (TidalTrust operates on
 //!   shortest trust paths from a source),
 //! * [`scc`] — Tarjan strongly connected components (iterative),

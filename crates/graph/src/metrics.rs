@@ -86,19 +86,6 @@ pub fn out_degree_histogram(g: &DiGraph) -> Vec<usize> {
     hist
 }
 
-/// In-degree histogram: `hist[d]` = number of nodes with in-degree `d`.
-pub fn in_degree_histogram(g: &DiGraph) -> Vec<usize> {
-    let mut hist = Vec::new();
-    for u in 0..g.node_count() {
-        let d = g.in_degree(u);
-        if d >= hist.len() {
-            hist.resize(d + 1, 0);
-        }
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,8 +115,6 @@ mod tests {
         let g = DiGraph::from_edges(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]).unwrap();
         let h = out_degree_histogram(&g);
         assert_eq!(h, vec![2, 1, 1]); // two sinks(2,3), one deg-1(1), one deg-2(0)
-        let hi = in_degree_histogram(&g);
-        assert_eq!(hi, vec![2, 1, 1]); // 0 and 3 have 0 in; 1 has 1; 2 has 2
     }
 
     #[test]

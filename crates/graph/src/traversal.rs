@@ -1,4 +1,4 @@
-//! Breadth-first and depth-first traversal over [`DiGraph`].
+//! Breadth-first traversal and weak components over [`DiGraph`].
 
 use std::collections::VecDeque;
 
@@ -41,58 +41,6 @@ pub fn reachable_from(g: &DiGraph, source: usize) -> Vec<usize> {
         .enumerate()
         .filter_map(|(i, d)| d.map(|_| i))
         .collect()
-}
-
-/// BFS visit order from `source` (deterministic: neighbors explored in
-/// ascending node-id order).
-pub fn bfs_order(g: &DiGraph, source: usize) -> Vec<usize> {
-    let mut order = Vec::new();
-    if source >= g.node_count() {
-        return order;
-    }
-    let mut seen = vec![false; g.node_count()];
-    seen[source] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        let (ns, _) = g.out_neighbors(u);
-        for &v in ns {
-            let v = v as usize;
-            if !seen[v] {
-                seen[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
-/// Iterative post-order DFS from `source` along forward edges.
-pub fn dfs_postorder(g: &DiGraph, source: usize) -> Vec<usize> {
-    let mut order = Vec::new();
-    if source >= g.node_count() {
-        return order;
-    }
-    let mut seen = vec![false; g.node_count()];
-    // Stack of (node, next-neighbor-index).
-    let mut stack: Vec<(usize, usize)> = vec![(source, 0)];
-    seen[source] = true;
-    while let Some(&mut (u, ref mut idx)) = stack.last_mut() {
-        let (ns, _) = g.out_neighbors(u);
-        if *idx < ns.len() {
-            let v = ns[*idx] as usize;
-            *idx += 1;
-            if !seen[v] {
-                seen[v] = true;
-                stack.push((v, 0));
-            }
-        } else {
-            order.push(u);
-            stack.pop();
-        }
-    }
-    order
 }
 
 /// Weakly connected components: treats every edge as undirected and returns
@@ -154,8 +102,6 @@ mod tests {
     fn bfs_out_of_range_source() {
         let g = chain_and_island();
         assert!(bfs_depths(&g, 99, None).iter().all(|d| d.is_none()));
-        assert!(bfs_order(&g, 99).is_empty());
-        assert!(dfs_postorder(&g, 99).is_empty());
     }
 
     #[test]
@@ -163,19 +109,6 @@ mod tests {
         let g = chain_and_island();
         assert_eq!(reachable_from(&g, 1), vec![1, 2, 3]);
         assert_eq!(reachable_from(&g, 4), vec![4]);
-    }
-
-    #[test]
-    fn bfs_order_deterministic() {
-        let g =
-            DiGraph::from_edges(4, [(0, 2, 1.0), (0, 1, 1.0), (1, 3, 1.0), (2, 3, 1.0)]).unwrap();
-        assert_eq!(bfs_order(&g, 0), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn dfs_postorder_chain() {
-        let g = chain_and_island();
-        assert_eq!(dfs_postorder(&g, 0), vec![3, 2, 1, 0]);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 
 use wot_community::StoreEvent;
 use wot_core::{trust, BlockConfig, Derived};
-use wot_eval::streaming;
 
 use crate::{TrustIngest, TrustQuery};
 
@@ -37,8 +36,11 @@ pub fn assert_backend_matches<B: TrustQuery>(backend: &mut B, oracle: &Derived, 
             assert_eq!(got.to_bits(), want.to_bits(), "trust({i},{j})");
         }
     }
-    // Top-k against the streaming reducer.
-    let top = streaming::top_k_trusted(oracle, 5, &BlockConfig::sequential()).unwrap();
+    // Top-k against the all-users scan.
+    let top = oracle
+        .trust_top_k(5, &BlockConfig::sequential())
+        .unwrap()
+        .lists;
     for i in (0..users).step_by(13) {
         let (got, seq) = backend.top_k(i as u32, 5).unwrap();
         assert_eq!(seq, want_seq, "top-k({i}) served at wrong seq");
@@ -79,7 +81,7 @@ pub fn assert_backend_matches<B: TrustQuery>(backend: &mut B, oracle: &Derived, 
         }
     }
     // Fig. 3 aggregates against the streaming reducer.
-    let want = streaming::fig3_aggregates(oracle, &BlockConfig::sequential()).unwrap();
+    let want = oracle.trust_fig3(&BlockConfig::sequential()).unwrap();
     let (got, seq) = backend.fig3_aggregates().unwrap();
     assert_eq!(seq, want_seq, "aggregates served at wrong seq");
     assert_eq!(got.users, want.users as u64);

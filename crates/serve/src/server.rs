@@ -69,9 +69,12 @@ pub struct ServeOptions {
     /// number of *concurrent clients* — on a small host the auto-sized
     /// pool can be 1, which serves exactly one connection at a time.
     pub reader_threads: usize,
-    /// Where the server's WAL lives. Created (truncated) on start: the
-    /// server owns a fresh log for its lifetime, and a restart replays
-    /// the previous log into the bootstrap model *before* starting.
+    /// Where the server's WAL lives. Created on start: the server owns a
+    /// fresh log for its lifetime, and a restart replays the previous log
+    /// into the bootstrap model *before* starting, on a new path.
+    /// [`Server::start`] refuses a path that already holds a non-empty
+    /// file with [`ServeError::Config`] and leaves that file untouched —
+    /// it may hold acked events.
     pub wal_path: PathBuf,
     /// Durability policy for ingest appends.
     pub fsync: FsyncPolicy,
@@ -154,21 +157,19 @@ impl ServeOptionsBuilder {
     /// Validates and produces the options.
     pub fn build(self) -> Result<ServeOptions> {
         if self.addr.is_empty() {
-            return Err(ServeError::Protocol(
-                "bind address must not be empty".into(),
-            ));
+            return Err(ServeError::Config("bind address must not be empty".into()));
         }
         if self.wal_path.as_os_str().is_empty() {
-            return Err(ServeError::Protocol("WAL path must not be empty".into()));
+            return Err(ServeError::Config("WAL path must not be empty".into()));
         }
         match self.fsync {
             FsyncPolicy::EveryN(0) => {
-                return Err(ServeError::Protocol(
+                return Err(ServeError::Config(
                     "FsyncPolicy::EveryN(0) is ambiguous; use Always".into(),
                 ))
             }
             FsyncPolicy::EveryMs(0) => {
-                return Err(ServeError::Protocol(
+                return Err(ServeError::Config(
                     "FsyncPolicy::EveryMs(0) is ambiguous; use Always".into(),
                 ))
             }
@@ -237,11 +238,20 @@ impl Server {
     /// empty community); served snapshot seqs continue from there. The
     /// first snapshot is derived and published before `start` returns,
     /// so the server never serves an empty placeholder.
+    ///
+    /// Refuses with [`ServeError::Config`] if `opts.wal_path` already
+    /// holds a non-empty file (see [`ServeOptions::wal_path`]).
     pub fn start(
         model: IncrementalDerived,
         base_seq: u64,
         opts: &ServeOptions,
     ) -> Result<ServerHandle> {
+        if std::fs::metadata(&opts.wal_path).is_ok_and(|m| m.is_file() && m.len() > 0) {
+            return Err(ServeError::Config(format!(
+                "WAL path {} already holds a log; start on a fresh path",
+                opts.wal_path.display()
+            )));
+        }
         let wal = WalWriter::create(&opts.wal_path, LogKind::Events, opts.fsync)?;
         let mut model = model;
         let mut cache = DerivedCache::default();
@@ -795,5 +805,47 @@ mod tests {
             drop(tx);
         });
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log of acked events at `wal_path` is refused, byte for byte
+    /// intact, instead of being truncated to a fresh header.
+    #[test]
+    fn start_refuses_an_existing_log_and_leaves_it_intact() {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-existing-{}.wal", std::process::id()));
+        let mut wal = WalWriter::create(&path, LogKind::Events, FsyncPolicy::Always).unwrap();
+        for r in 0..3 {
+            wal.append(&StoreEvent::Review {
+                writer: UserId(0),
+                review: ReviewId(r),
+                category: CategoryId(0),
+            })
+            .unwrap();
+        }
+        drop(wal);
+        let before = std::fs::read(&path).unwrap();
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        match Server::start(model, 3, &ServeOptions::local(&path)) {
+            Err(ServeError::Config(m)) => assert!(m.contains(&*path.to_string_lossy()), "{m}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("started over an existing log"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn builder_reports_invalid_options_as_config_errors() {
+        let bad = [
+            ServeOptions::builder("x.wal").addr(""),
+            ServeOptions::builder(""),
+            ServeOptions::builder("x.wal").fsync(FsyncPolicy::EveryN(0)),
+            ServeOptions::builder("x.wal").fsync(FsyncPolicy::EveryMs(0)),
+        ];
+        for b in bad {
+            let err = b.clone().build().unwrap_err();
+            assert!(matches!(err, ServeError::Config(_)), "{b:?}: {err:?}");
+        }
+        assert!(ServeOptions::builder("x.wal").build().is_ok());
     }
 }

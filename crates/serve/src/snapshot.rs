@@ -17,8 +17,7 @@
 //! [`top_k_single_row`]: one row of Eq. 5 ([`wot_core::trust::row`], read
 //! straight off `E` — a snapshot carries no scan state and a publish
 //! prepares none) fed to `top_k_of_row`, the reducer
-//! `wot_eval::streaming::top_k_trusted` runs on the cells its scan
-//! computes. The scan's panel kernels and the single-row kernel are
+//! [`Derived::trust_top_k`] runs on the cells its scan computes. The scan's panel kernels and the single-row kernel are
 //! pinned `==` to `pairwise` in `wot-core`'s `trust_rows` tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +25,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use wot_core::trust_rows::top_k_single_row;
 use wot_core::{trust, BlockConfig, Derived};
-use wot_eval::streaming;
 
 use crate::protocol::AggregateSummary;
 
@@ -76,7 +74,7 @@ impl ServeSnapshot {
     /// User `i`'s `k` most-trusted peers: positive trust only, self
     /// excluded, descending trust with ascending `j` breaking ties —
     /// element-for-element and bit-for-bit what
-    /// `wot_eval::streaming::top_k_trusted` returns for row `i`.
+    /// [`Derived::trust_top_k`] lists for row `i`.
     ///
     /// `k = 0` yields an empty list (the server rejects it upstream, in
     /// agreement with the streaming reducer's `k ≥ 1` contract).
@@ -85,11 +83,13 @@ impl ServeSnapshot {
     }
 
     /// Scalar Fig. 3 summary of the full `T̂`, computed once per snapshot
-    /// via the streaming reducer and memoized.
+    /// by [`Derived::trust_fig3`] and memoized.
     pub fn aggregates(&self) -> std::result::Result<&AggregateSummary, String> {
         self.aggregates
             .get_or_init(|| {
-                let agg = streaming::fig3_aggregates(&self.derived, &BlockConfig::default())
+                let agg = self
+                    .derived
+                    .trust_fig3(&BlockConfig::default())
                     .map_err(|e| e.to_string())?;
                 Ok(AggregateSummary {
                     users: agg.users as u64,
@@ -190,15 +190,18 @@ impl ReaderCache {
 
 #[cfg(test)]
 mod tests {
-    use wot_core::DeriveConfig;
-    use wot_eval::Workbench;
+    use wot_core::{pipeline, DeriveConfig};
     use wot_synth::SynthConfig;
 
     use super::*;
 
+    fn derive_tiny(seed: u64) -> Derived {
+        let out = wot_synth::generate(&SynthConfig::tiny(seed)).unwrap();
+        pipeline::derive(&out.store, &DeriveConfig::default()).unwrap()
+    }
+
     fn snapshot() -> ServeSnapshot {
-        let wb = Workbench::new(&SynthConfig::tiny(31), &DeriveConfig::default()).unwrap();
-        ServeSnapshot::new(0, wb.derived)
+        ServeSnapshot::new(0, derive_tiny(31))
     }
 
     /// The serving top-k must be **bit-identical** to the streaming
@@ -214,7 +217,7 @@ mod tests {
             threads: 2,
         };
         for k in [1usize, 3, 7, 1000] {
-            let oracle = streaming::top_k_trusted(&snap.derived, k, &cfg).unwrap();
+            let oracle = snap.derived.trust_top_k(k, &cfg).unwrap().lists;
             assert_eq!(oracle.len(), snap.num_users());
             for (i, want) in oracle.iter().enumerate() {
                 let got = snap.top_k(i, k);
@@ -231,7 +234,7 @@ mod tests {
     #[test]
     fn aggregates_memo_matches_streaming_reducer() {
         let snap = snapshot();
-        let want = streaming::fig3_aggregates(&snap.derived, &BlockConfig::sequential()).unwrap();
+        let want = snap.derived.trust_fig3(&BlockConfig::sequential()).unwrap();
         let got = snap.aggregates().unwrap();
         assert_eq!(got.users, want.users as u64);
         assert_eq!(got.support, want.support);
@@ -254,8 +257,7 @@ mod tests {
         // No publication: the cached Arc is returned as-is.
         assert!(std::ptr::eq(s0, Arc::as_ptr(cache.current(&cell))));
         // Publish a successor; the cache picks it up on the next call.
-        let wb = Workbench::new(&SynthConfig::tiny(31), &DeriveConfig::default()).unwrap();
-        cell.publish(Arc::new(ServeSnapshot::new(users, wb.derived)));
+        cell.publish(Arc::new(ServeSnapshot::new(users, derive_tiny(31))));
         assert_eq!(cell.version(), 1);
         let s1 = cache.current(&cell);
         assert_eq!(s1.seq, users);
@@ -271,9 +273,7 @@ mod tests {
         let cell = Arc::new(SnapshotCell::new(Arc::new(snap)));
         let pinned = cell.load();
         for gen in 1..=3u64 {
-            let wb =
-                Workbench::new(&SynthConfig::tiny(31 + gen), &DeriveConfig::default()).unwrap();
-            cell.publish(Arc::new(ServeSnapshot::new(gen, wb.derived)));
+            cell.publish(Arc::new(ServeSnapshot::new(gen, derive_tiny(31 + gen))));
         }
         // The pinned snapshot still answers from its own state.
         assert_eq!(pinned.seq, 0);

@@ -3,12 +3,11 @@ use crate::{Result, SparseError};
 /// Coordinate-format (triplet) sparse matrix.
 ///
 /// `Coo` is the assembly format: pushing an entry is O(1) and duplicate
-/// coordinates are permitted (they are summed when converting to [`Csr`] or
-/// [`Csc`]). It is the interchange point between generators, stores and the
-/// compressed formats.
+/// coordinates are permitted (they are summed when converting to [`Csr`]).
+/// It is the interchange point between generators, stores and the
+/// compressed format.
 ///
 /// [`Csr`]: crate::Csr
-/// [`Csc`]: crate::Csc
 #[derive(Debug, Clone, PartialEq)]
 pub struct Coo {
     nrows: usize,
@@ -89,11 +88,6 @@ impl Coo {
         (self.nrows, self.ncols)
     }
 
-    /// Number of stored entries *including* duplicates.
-    pub fn raw_len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Returns `true` if no entries are stored.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -143,7 +137,6 @@ mod tests {
         let coo = Coo::new(3, 4);
         assert_eq!(coo.shape(), (3, 4));
         assert!(coo.is_empty());
-        assert_eq!(coo.raw_len(), 0);
     }
 
     #[test]

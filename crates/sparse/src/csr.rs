@@ -1,4 +1,4 @@
-use crate::{Coo, Csc, Result, SparseError};
+use crate::{Coo, Result, SparseError};
 
 /// Compressed sparse row matrix — the workhorse consumption format.
 ///
@@ -235,11 +235,6 @@ impl Csr {
             coo.push(i, j, v).expect("csr invariant: indices in bounds");
         }
         coo
-    }
-
-    /// Converts to compressed sparse column format.
-    pub fn to_csc(&self) -> Csc {
-        Csc::from_csr(self)
     }
 
     /// Transposed copy, still in CSR.

@@ -23,15 +23,6 @@ impl Dense {
         }
     }
 
-    /// Matrix filled with `value`.
-    pub fn filled(nrows: usize, ncols: usize, value: f64) -> Self {
-        Self {
-            nrows,
-            ncols,
-            data: vec![value; nrows * ncols],
-        }
-    }
-
     /// Builds from a row-major data vector.
     pub fn from_vec(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != nrows * ncols {
@@ -78,8 +69,7 @@ impl Dense {
     /// Value at `(i, j)`.
     ///
     /// # Panics
-    /// Panics if out of bounds (dense access is an internal hot path; use
-    /// [`Dense::checked_get`] on untrusted indices).
+    /// Panics if out of bounds.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(
@@ -87,15 +77,6 @@ impl Dense {
             "dense index out of bounds"
         );
         self.data[i * self.ncols + j]
-    }
-
-    /// Bounds-checked read.
-    pub fn checked_get(&self, i: usize, j: usize) -> Option<f64> {
-        if i < self.nrows && j < self.ncols {
-            Some(self.data[i * self.ncols + j])
-        } else {
-            None
-        }
     }
 
     /// Sets the value at `(i, j)`.
@@ -146,13 +127,6 @@ impl Dense {
             }
         }
         s
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f64) -> f64) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Dense × dense product (small matrices only — O(n·m·k)).
@@ -228,13 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_get_handles_out_of_bounds() {
-        let m = Dense::zeros(2, 2);
-        assert_eq!(m.checked_get(0, 0), Some(0.0));
-        assert_eq!(m.checked_get(2, 0), None);
-    }
-
-    #[test]
     fn sums() {
         let m = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(m.row_sums(), vec![3.0, 7.0]);
@@ -262,12 +229,5 @@ mod tests {
         let csr = m.to_csr();
         assert_eq!(csr.nnz(), 1);
         assert_eq!(csr.get(0, 1), Some(2.0));
-    }
-
-    #[test]
-    fn map_inplace_applies() {
-        let mut m = Dense::filled(2, 2, 2.0);
-        m.map_inplace(|v| v * v);
-        assert_eq!(m.get(1, 1), 4.0);
     }
 }

@@ -11,7 +11,7 @@
 //!   direct-connection matrix `R`, a derived trust matrix `T̂` restricted to
 //!   an evaluation region) — tens of thousands of rows, hundreds of
 //!   thousands of non-zeros. These live in [`Coo`] while being assembled and
-//!   in [`Csr`]/[`Csc`] while being consumed.
+//!   in [`Csr`] while being consumed.
 //! * **Tall-skinny user×category matrices** (the expertise matrix `E` and
 //!   affiliation matrix `A` — 12 sub-categories in the paper). These fit
 //!   comfortably in a [`Dense`] matrix.
@@ -24,9 +24,7 @@
 //! | Type | Use it for |
 //! |---|---|
 //! | [`Coo`] | incremental assembly, triplet interchange |
-//! | [`Dok`] | random-access assembly with duplicate overwrite |
 //! | [`Csr`] | row-sliced consumption, products, masking |
-//! | [`Csc`] | column-sliced consumption (transpose-free column scans) |
 //! | [`Dense`] | small dense blocks (user×category) |
 //!
 //! All formats use `u32` column/row indices internally (a community of
@@ -54,22 +52,18 @@
 #![warn(missing_docs)]
 
 mod coo;
-mod csc;
 mod csr;
 mod dense;
-mod dok;
 mod error;
 mod ops;
 mod stats;
 mod vector;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::Dense;
-pub use dok::Dok;
 pub use error::SparseError;
-pub use ops::{masked_row_dot, masked_row_dot_block};
+pub use ops::masked_row_dot_block;
 pub use stats::{MatrixSummary, Quantiles};
 pub use vector::{
     argmax, dot, dot_scalar, l1_norm, l1_normalize, l2_norm, linf_distance, max, mean, min, sum,

@@ -8,7 +8,7 @@
 /// shorter length wins (callers validate shapes at the matrix level).
 ///
 /// This is the inner kernel of every Eq. 5 form (`pairwise`,
-/// `masked_row_dot`, the `TrustBlocks` streaming engine), always over
+/// `masked_row_dot_block`, the `TrustBlocks` streaming engine), always over
 /// the category dimension (`C ≤ 64` in practice), so it is unrolled
 /// SIMD-style: **four independent f64 accumulators** over the
 /// `chunks_exact(4)` body — breaking the sequential add dependency so

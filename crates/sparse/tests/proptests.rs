@@ -152,13 +152,6 @@ proptest! {
         }
     }
 
-    /// CSR <-> CSC round-trip is lossless.
-    #[test]
-    fn csc_roundtrip((r, c, ts) in matrix_input()) {
-        let m = Csr::from_triplets(r, c, ts).unwrap();
-        prop_assert_eq!(m.to_csc().to_csr(), m);
-    }
-
     /// row_top_fraction never selects more than row_nnz entries and selects
     /// at least one when fraction > 0 and the row is non-empty.
     #[test]

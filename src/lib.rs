@@ -89,10 +89,7 @@
 //! // The same Eq. 5 view streams as row-blocks for paper-scale
 //! // communities where the dense U×U matrix would not fit in memory.
 //! use webtrust::core::BlockConfig;
-//! let agg = webtrust::eval::streaming::fig3_aggregates(
-//!     &derived,
-//!     &BlockConfig::default(),
-//! ).unwrap();
+//! let agg = derived.trust_fig3(&BlockConfig::default()).unwrap();
 //! assert_eq!(agg.support, derived.trust_support_count().unwrap());
 //! ```
 //!

@@ -83,18 +83,3 @@ fn threaded_trust_kernels_are_bit_identical() {
         assert_eq!(count, count_seq, "support, threads={threads}");
     }
 }
-
-#[test]
-fn masked_row_dot_parallel_is_bit_identical() {
-    let store = tiny_store();
-    let derived = pipeline::derive(&store, &DeriveConfig::default()).unwrap();
-    let r = store.direct_connection_matrix();
-    let seq =
-        webtrust::sparse::masked_row_dot(&derived.affiliation, &derived.expertise, &r, 1).unwrap();
-    for threads in [0usize, 2, 4] {
-        let par =
-            webtrust::sparse::masked_row_dot(&derived.affiliation, &derived.expertise, &r, threads)
-                .unwrap();
-        assert_eq!(par, seq, "threads={threads}");
-    }
-}
