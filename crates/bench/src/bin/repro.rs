@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of Kim et al. (ICDEW 2008).
 //!
 //! ```text
-//! repro [--scale tiny|laptop|paper] [--seed N] [--wal-dir DIR] <experiment>...
+//! repro [--scale tiny|laptop|paper] [--seed N] <experiment>...
 //!
 //! experiments:
 //!   stats              dataset summary (the paper's §IV.A numbers)
@@ -20,12 +20,6 @@
 //!   ablation-fixpoint  A2: fixed-point iteration budget
 //!   sweep-noise        A3: rating-noise sweep
 //!   sweep-trust-noise  A3b: trust-mechanism noise sweep (crossover)
-//!   wal-write          write the community's event history durably: binary WAL,
-//!                      per-shard logs, a 90% state snapshot, a derived snapshot
-//!                      (into --wal-dir, default target/wal-demo)
-//!   wal-recover        crash-recover from --wal-dir (snapshot + log tail, and the
-//!                      sharded consistent-cut path) and prove the recovered state
-//!                      bit-identical to a cold full-log replay
 //!   all                every paper artifact above (stats … sweep-trust-noise)
 //! ```
 //!
@@ -84,12 +78,11 @@ impl Scale {
 /// The default seed, so published numbers are reproducible verbatim.
 const DEFAULT_SEED: u64 = 20080407; // ICDEW 2008 opened April 7, 2008.
 
-const USAGE: &str =
-    "usage: repro [--scale tiny|laptop|paper] [--seed N] [--wal-dir DIR] <experiment>...
+const USAGE: &str = "usage: repro [--scale tiny|laptop|paper] [--seed N] <experiment>...
 experiments: stats table2 table3 fig3 stream-fig3 stream-topk table4 values propagation rounding \
-ablation-discount ablation-fixpoint sweep-noise sweep-trust-noise wal-write wal-recover all";
+ablation-discount ablation-fixpoint sweep-noise sweep-trust-noise all";
 
-/// What `all` expands to: the paper artifacts, not the durability demos.
+/// What `all` expands to: every experiment.
 const ALL: &[&str] = &[
     "stats",
     "table2",
@@ -111,7 +104,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Laptop;
     let mut seed = DEFAULT_SEED;
-    let mut wal_dir = "target/wal-demo".to_string();
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -129,13 +121,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 seed = v;
-            }
-            "--wal-dir" => {
-                let Some(v) = it.next() else {
-                    eprintln!("{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                wal_dir = v.clone();
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -166,7 +151,7 @@ fn main() -> ExitCode {
 
     for exp in &experiments {
         let t = std::time::Instant::now();
-        let result = run_experiment(exp, &wb, scale, seed, &wal_dir);
+        let result = run_experiment(exp, &wb, scale, seed);
         match result {
             Ok(output) => {
                 println!("{output}");
@@ -186,7 +171,6 @@ fn run_experiment(
     wb: &Workbench,
     scale: Scale,
     seed: u64,
-    wal_dir: &str,
 ) -> Result<String, Box<dyn std::error::Error>> {
     Ok(match exp {
         "stats" => CommunityStats::of(&wb.out.store).to_string(),
@@ -279,141 +263,8 @@ fn run_experiment(
             table.title = "A3b — trust-mechanism noise sweep (x = rewired fraction)".into();
             table.to_string()
         }
-        "wal-write" => wal_write(wb, seed, wal_dir)?,
-        "wal-recover" => wal_recover(wb, wal_dir)?,
         other => return Err(format!("unknown experiment {other:?}\n{USAGE}").into()),
     })
-}
-
-/// `wal-write`: persist the workbench community's event history into
-/// `wal_dir` in every durable shape the crate supports — one global
-/// binary WAL, per-shard sequence-tagged logs, a state snapshot at 90%
-/// of the history, and a derived-model snapshot — so `wal-recover` can
-/// demonstrate crash recovery against them.
-fn wal_write(
-    wb: &Workbench,
-    seed: u64,
-    wal_dir: &str,
-) -> Result<String, Box<dyn std::error::Error>> {
-    use wot_core::{IncrementalDerived, ReplayEvent};
-    use wot_wal::{write_derived_snapshot, write_shard_logs, write_state_snapshot};
-    use wot_wal::{FsyncPolicy, LogKind, WalWriter};
-
-    let store = &wb.out.store;
-    let dir = std::path::Path::new(wal_dir);
-    std::fs::create_dir_all(dir)?;
-    let log = wot_synth::shuffled_event_log(store, seed);
-
-    // The global WAL, fsync batched every 1024 appends.
-    let wal_path = dir.join("events.wal");
-    let t = std::time::Instant::now();
-    let mut w = WalWriter::create(&wal_path, LogKind::Events, FsyncPolicy::EveryN(1024))?;
-    for e in &log {
-        w.append(e)?;
-    }
-    w.sync()?;
-    let wal_ms = t.elapsed().as_secs_f64() * 1e3;
-    let wal_bytes = w.len();
-
-    // Per-shard tagged logs of the same history.
-    let shards = wot_par::max_threads().min(store.num_categories().max(1));
-    let assignment = wot_community::ShardAssignment::round_robin(store.num_categories(), shards);
-    let shard_logs = wot_synth::sharded_event_logs(store, &assignment, seed);
-    let shard_dir = dir.join("shards");
-    write_shard_logs(&shard_dir, &shard_logs, FsyncPolicy::EveryN(1024))?;
-
-    // State snapshot at 90% of the history + derived snapshot at 100%.
-    let cfg = wot_core::DeriveConfig::default();
-    let covered = log.len() * 9 / 10;
-    let mut inc = IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg)?;
-    for e in &log[..covered] {
-        inc.apply(&ReplayEvent::from(*e))?;
-    }
-    let snap_path = dir.join("state.snap");
-    let t = std::time::Instant::now();
-    write_state_snapshot(&snap_path, covered as u64, &inc.snapshot())?;
-    let snap_ms = t.elapsed().as_secs_f64() * 1e3;
-    for e in &log[covered..] {
-        inc.apply(&ReplayEvent::from(*e))?;
-    }
-    write_derived_snapshot(&dir.join("derived.snap"), &inc.to_derived())?;
-
-    Ok(format!(
-        "wal-write — durable history in {wal_dir}\n\
-         \x20 events appended            {:>10}  ({:.1} ms, {:.2} MiB)\n\
-         \x20 shard logs                 {:>10}  (shards/shard-NNNN.wal)\n\
-         \x20 state snapshot covers      {:>10}  of {} events ({:.1} ms)\n\
-         \x20 derived snapshot           {:>10}\n",
-        log.len(),
-        wal_ms,
-        wal_bytes as f64 / (1 << 20) as f64,
-        shards,
-        covered,
-        log.len(),
-        snap_ms,
-        "written",
-    ))
-}
-
-/// `wal-recover`: crash-recover from what `wal-write` left behind and
-/// prove every recovery path lands on the same bits — snapshot + tail
-/// vs. cold full-log replay vs. the sharded consistent-cut merge vs.
-/// the cached derived snapshot.
-fn wal_recover(wb: &Workbench, wal_dir: &str) -> Result<String, Box<dyn std::error::Error>> {
-    use wot_wal::{read_derived_snapshot, read_log, recover_sharded_events, recover_state};
-
-    let store = &wb.out.store;
-    let cfg = wot_core::DeriveConfig::default();
-    let dir = std::path::Path::new(wal_dir);
-    let wal_path = dir.join("events.wal");
-    let snap_path = dir.join("state.snap");
-    let (num_users, num_categories) = (store.num_users(), store.num_categories());
-
-    let t = std::time::Instant::now();
-    let (warm, report) =
-        recover_state(Some(&snap_path), &wal_path, num_users, num_categories, &cfg)?;
-    let warm_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let t = std::time::Instant::now();
-    let (cold, _) = recover_state(None, &wal_path, num_users, num_categories, &cfg)?;
-    let cold_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    let warm_derived = warm.to_derived();
-    let identical = warm_derived == cold.to_derived();
-
-    let t = std::time::Instant::now();
-    let sharded = recover_sharded_events(&dir.join("shards"))?;
-    let shard_ms = t.elapsed().as_secs_f64() * 1e3;
-    let global = read_log(&wal_path)?;
-    let shards_match = sharded.events == global.events;
-
-    let derived_match = read_derived_snapshot(&dir.join("derived.snap"))? == warm_derived;
-
-    let verdict = |ok: bool| if ok { "ok" } else { "MISMATCH" };
-    let out = format!(
-        "wal-recover — crash recovery from {wal_dir}\n\
-         \x20 snapshot + tail replay       {warm_ms:>9.1} ms  \
-         (snapshot covers {}, tail {} of {} events)\n\
-         \x20 cold full-log replay         {cold_ms:>9.1} ms\n\
-         \x20 sharded consistent-cut merge {shard_ms:>9.1} ms  \
-         ({} events, {} torn shards, {} dropped)\n\
-         \x20 warm == cold (bitwise)       {}\n\
-         \x20 sharded merge == global log  {}\n\
-         \x20 derived snapshot == warm     {}\n",
-        report.snapshot_covered,
-        report.tail_events,
-        report.log_events,
-        sharded.events.len(),
-        sharded.torn_shards.len(),
-        sharded.dropped_events,
-        verdict(identical),
-        verdict(shards_match),
-        verdict(derived_match),
-    );
-    if !(identical && shards_match && derived_match) {
-        return Err(format!("recovery conformance failed:\n{out}").into());
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -448,23 +299,20 @@ mod tests {
 
         let (scale, seed) = (Scale::Tiny, DEFAULT_SEED);
         let wb = scale.workbench(seed);
-        let dir = std::env::temp_dir().join(format!("repro-cli-{}", std::process::id()));
-        let wal_dir = dir.to_str().expect("utf-8 temp dir");
-        // USAGE lists wal-write before wal-recover, which reads its output.
         for name in names.iter().filter(|n| **n != "all") {
-            let out = run_experiment(name, &wb, scale, seed, wal_dir);
+            let out = run_experiment(name, &wb, scale, seed);
             assert!(out.is_ok(), "{name} failed: {:?}", out.err());
         }
-        let _ = std::fs::remove_dir_all(&dir);
 
         // Spelled in halves so a tree-wide grep for the retired names
         // finds no live reference.
         let retired = ["summary", "compare"]
             .map(|s| format!("bench-{s}"))
             .into_iter()
-            .chain(["serve", "cluster"].map(|s| format!("{s}-bench")));
+            .chain(["serve", "cluster"].map(|s| format!("{s}-bench")))
+            .chain(["write", "recover"].map(|s| format!("wal-{s}")));
         for retired in retired {
-            let err = run_experiment(&retired, &wb, scale, seed, wal_dir)
+            let err = run_experiment(&retired, &wb, scale, seed)
                 .expect_err("retired experiment must not dispatch");
             assert!(err.to_string().contains(USAGE), "{retired}: {err}");
         }

@@ -5,8 +5,8 @@
 //! the unit of distribution is a **shard owning a set of categories**:
 //! all of a category's reviews and ratings are routed to exactly one
 //! shard. This module is the routing vocabulary the multi-process
-//! cluster (`wot-serve`'s coordinator and the `wot-shardd` workers) and
-//! WAL recovery share — it holds no data itself:
+//! cluster (`wot-serve`'s coordinator and the `wot-shardd` workers)
+//! shares — it holds no data itself:
 //!
 //! * [`ShardId`] and [`ShardAssignment`] — the total map category →
 //!   shard a coordinator routes by and edits on a live rebalance.
@@ -14,7 +14,7 @@
 //!   position in the global history, and [`merge_shard_logs`] merges
 //!   them back into that exact interleaving, failing closed on logs
 //!   that cannot be cuts of one history. That is what lets a sharded
-//!   deployment replay, audit or recover without any cross-shard
+//!   deployment be replayed or audited without any cross-shard
 //!   coordination beyond the tag order.
 
 use crate::{CategoryId, CommunityError, Result, StoreEvent};
@@ -122,18 +122,18 @@ impl ShardAssignment {
     }
 }
 
-/// Merges shard-local event logs (as produced by `wot-synth`'s
-/// `sharded_event_logs` or read back by `wot-wal`) into one global log,
-/// ordered by the global sequence tags. The merge is deterministic regardless of
+/// Merges shard-local event logs (such as the workers' tagged logs read
+/// back by `wot-wal`) into one global log, ordered by the global
+/// sequence tags. The merge is deterministic regardless of
 /// how the logs are listed, and it **fails closed** on logs that cannot
 /// be cuts of one history: tags must be strictly ascending within each
 /// input log ([`CommunityError::NonMonotonicSequence`]) and disjoint
 /// across logs ([`CommunityError::DuplicateSequence`]). Empty logs — and
 /// an empty set of logs — merge to an empty history.
 ///
-/// This is the trust boundary WAL recovery crosses: shard logs read back
-/// from disk may be corrupt, and a corrupt interleaving must surface as
-/// a typed `Err`, never as a silently wrong merge order.
+/// Shard logs read back from disk may be corrupt, and a corrupt
+/// interleaving must surface as a typed `Err`, never as a silently wrong
+/// merge order.
 pub fn merge_shard_logs(logs: &[Vec<(u64, StoreEvent)>]) -> Result<Vec<StoreEvent>> {
     for (shard, log) in logs.iter().enumerate() {
         for w in log.windows(2) {

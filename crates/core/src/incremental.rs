@@ -1345,6 +1345,11 @@ impl IncrementalDerived {
         self.categories.len()
     }
 
+    /// The category of a registered review (`None` for an unknown one).
+    pub fn review_category(&self, review: ReviewId) -> Option<CategoryId> {
+        self.review_index.get(&review).map(|&(c, _)| CategoryId(c))
+    }
+
     /// Whether any category has unrefreshed data.
     pub fn is_stale(&self) -> bool {
         self.categories.iter().any(|c| c.stale)

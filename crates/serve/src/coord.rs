@@ -98,8 +98,11 @@ const MAX_BATCH_RUN: usize = 256;
 pub struct CoordinatorOptions {
     /// Path to the `wot-shardd` worker binary.
     pub worker_bin: PathBuf,
-    /// Directory for the per-worker tagged WALs (`worker-NN.wal`).
-    /// Created if absent; existing logs are replayed (restart).
+    /// Directory for the per-worker tagged WALs (`worker-NN.wal`),
+    /// created if absent. The coordinator's global history lives in
+    /// memory only, so [`Coordinator::start`] refuses a directory where a
+    /// worker log already holds events; a worker restart
+    /// ([`Coordinator::restart_worker`]) is what replays a log.
     pub wal_dir: PathBuf,
     /// Worker process count (clamped to at least 1).
     pub num_workers: usize,
@@ -150,6 +153,11 @@ pub fn default_worker_bin() -> PathBuf {
         dir.pop();
     }
     dir.join("wot-shardd")
+}
+
+/// Worker `w`'s tagged log in `dir`.
+fn worker_wal(dir: &Path, w: usize) -> PathBuf {
+    dir.join(format!("worker-{w:02}.wal"))
 }
 
 /// What a worker's reader thread saw on its reply stream.
@@ -358,15 +366,16 @@ fn rejected(msg: String) -> ServeError {
 }
 
 impl Coordinator {
-    /// Boots the cluster: spawns the workers, hands each its categories,
-    /// and replays any existing worker logs (cold start and restart are
-    /// the same code path). The initial assignment deals categories
-    /// round-robin; [`rebalance`](Self::rebalance) moves them live.
+    /// Boots the cluster: spawns the workers and hands each its
+    /// categories. The initial assignment deals categories round-robin;
+    /// [`rebalance`](Self::rebalance) moves them live.
     ///
     /// A fresh coordinator starts at seq 0 — its global metadata is
-    /// in-memory, so a coordinator-level restart rebuilds by re-ingesting
-    /// (worker-level crash recovery, the drilled path, goes through
-    /// [`restart_worker`](Self::restart_worker)).
+    /// in-memory, so there is no coordinator-level restart: before
+    /// spawning anything, `start` refuses with [`ServeError::Config`],
+    /// naming the first `worker-NN.wal` that already holds events, and
+    /// leaves every file intact. Worker-level crash recovery, the drilled
+    /// path, goes through [`restart_worker`](Self::restart_worker).
     pub fn start(opts: CoordinatorOptions) -> Result<Coordinator> {
         let num_workers = opts.num_workers.max(1);
         let num_users_wire = u32::try_from(opts.num_users).map_err(|_| {
@@ -381,12 +390,22 @@ impl Coordinator {
                 opts.num_categories
             ))
         })?;
+        for w in 0..num_workers {
+            let wal_path = worker_wal(&opts.wal_dir, w);
+            if wal_path.exists() && !wot_wal::read_tagged_log(&wal_path)?.events.is_empty() {
+                return Err(ServeError::Config(format!(
+                    "{} already holds events; a coordinator cannot restart over existing \
+                     worker logs",
+                    wal_path.display()
+                )));
+            }
+        }
         std::fs::create_dir_all(&opts.wal_dir)?;
         let assignment = ShardAssignment::round_robin(opts.num_categories, num_workers);
         let (events_tx, events_rx) = mpsc::channel();
         let mut workers = Vec::with_capacity(num_workers);
         for w in 0..num_workers {
-            let wal_path = opts.wal_dir.join(format!("worker-{w:02}.wal"));
+            let wal_path = worker_wal(&opts.wal_dir, w);
             workers.push(WorkerHandle::spawn(
                 &opts.worker_bin,
                 &wal_path,
@@ -1228,5 +1247,58 @@ impl TrustQuery for Coordinator {
             reader_threads: u32::try_from(self.workers.len()).unwrap_or(u32::MAX),
         };
         Ok((stats, self.seq))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use wot_wal::{FsyncPolicy, LogKind, WalWriter};
+
+    use super::*;
+
+    /// A worker log holding a tag cannot be reconciled with a fresh
+    /// coordinator at seq 0: `start` refuses before spawning anything
+    /// (the worker binary here does not exist) and touches no file.
+    #[test]
+    fn start_refuses_a_worker_log_that_holds_events() {
+        let dir = std::env::temp_dir().join(format!("wot-coord-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        WalWriter::create(
+            &worker_wal(&dir, 0),
+            LogKind::TaggedEvents,
+            FsyncPolicy::Always,
+        )
+        .unwrap();
+        let mut w = WalWriter::create(
+            &worker_wal(&dir, 1),
+            LogKind::TaggedEvents,
+            FsyncPolicy::Always,
+        )
+        .unwrap();
+        w.append_tagged(
+            0,
+            &StoreEvent::Review {
+                writer: UserId(0),
+                review: ReviewId(0),
+                category: CategoryId(1),
+            },
+        )
+        .unwrap();
+        drop(w);
+        let before: Vec<Vec<u8>> = (0..2)
+            .map(|w| std::fs::read(worker_wal(&dir, w)).unwrap())
+            .collect();
+        let mut opts = CoordinatorOptions::new(&dir, 2, 4, 2);
+        opts.worker_bin = dir.join("no-such-worker");
+        match Coordinator::start(opts) {
+            Err(ServeError::Config(m)) => assert!(m.contains("worker-01.wal"), "{m}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("started over a worker log that holds events"),
+        }
+        for (w, bytes) in before.iter().enumerate() {
+            assert_eq!(&std::fs::read(worker_wal(&dir, w)).unwrap(), bytes);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

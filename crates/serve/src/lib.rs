@@ -3,8 +3,9 @@
 //!
 //! The batch pipeline answers "what does the community's derived web of
 //! trust look like *now*" — this crate keeps answering it while the
-//! community keeps growing. One writer thread owns the incremental model
-//! and the WAL; every mutation follows the durability ordering
+//! community keeps growing. One writer thread owns a [`ShardEngine`] —
+//! the incremental model plus the WAL — and every mutation follows the
+//! engine's durability ordering
 //!
 //! ```text
 //! check (read-only admission) → WAL append → apply → publish → ack
@@ -12,7 +13,9 @@
 //!
 //! so an acknowledged event is in the log before it is in the model, and
 //! nothing that fails validation ever reaches the log (a poisoned log
-//! would make recovery replay fail). After each ingest batch the writer
+//! would make recovery replay fail). The `wot-shardd` worker runs the
+//! same engine behind its pipe, and both recover by reopening their log
+//! ([`ShardEngine::open`]). After each ingest batch the writer
 //! re-derives only the categories the batch dirtied
 //! ([`wot_core::IncrementalDerived::to_derived_cached`]) and publishes
 //! the result as an immutable [`ServeSnapshot`] behind a
@@ -34,6 +37,7 @@
 pub mod client;
 pub mod conformance;
 pub mod coord;
+pub mod engine;
 pub mod protocol;
 pub mod query;
 pub mod server;
@@ -42,6 +46,7 @@ pub mod snapshot;
 
 pub use client::{Client, ReputationTable};
 pub use coord::{Coordinator, CoordinatorOptions};
+pub use engine::ShardEngine;
 pub use protocol::{
     AggregateSummary, ErrorCode, OkBody, Opcode, Request, Response, ServeStats, WireError,
 };

@@ -10,19 +10,20 @@
 //!   published snapshot ([`ReaderCache`]: one atomic load per request in
 //!   steady state). A connection occupies its worker until it closes, so
 //!   size `reader_threads` to the expected concurrent connections.
-//! * **Writer** — the only thread that touches the model or the WAL.
-//!   Drains ingest commands in small batches; per event runs
-//!   `check → WAL append → apply`; per batch re-derives the dirtied
-//!   categories ([`to_derived_cached`]), publishes the new snapshot, and
-//!   only then acks — so a client that saw its ingest acknowledged will
-//!   read its own write. Idle ticks run the WAL's
-//!   [`sync_if_due`](wot_wal::WalWriter::sync_if_due) so a quiet tail
-//!   still becomes durable within the fsync policy's window; shutdown
-//!   ends with an unconditional [`sync`](wot_wal::WalWriter::sync).
-//!   A WAL error is **fail-stop** for ingest, like the shard worker's
-//!   fatal group sync: the failing ingest and every later one answer
-//!   `Internal` without touching log or model, and readers keep serving
-//!   the last published snapshot until the operator restarts from the log.
+//! * **Writer** — the only thread that touches the model or the WAL,
+//!   both owned by a [`ShardEngine`]. Drains ingest commands in small
+//!   batches; per event the engine runs `check → WAL append → apply`;
+//!   per batch the writer re-derives the dirtied categories
+//!   ([`to_derived_cached`]), publishes the new snapshot, and only then
+//!   acks — so a client that saw its ingest acknowledged will read its
+//!   own write. Idle ticks run the engine's
+//!   [`sync_if_due`](ShardEngine::sync_if_due) so a quiet tail still
+//!   becomes durable within the fsync policy's window; shutdown ends
+//!   with a [`sync`](ShardEngine::sync). A WAL error is **fail-stop**
+//!   for ingest (the engine's latch): the failing ingest and every later
+//!   one answer `Internal` without touching log or model, and readers
+//!   keep serving the last published snapshot until the operator
+//!   restarts on the log.
 //!
 //! There is no separate "refresh stale categories" step in the hot loop:
 //! `to_derived_cached` *is* that refresh — it cold-solves exactly the
@@ -48,9 +49,10 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use wot_community::StoreEvent;
-use wot_core::{DerivedCache, IncrementalDerived, ReplayEvent};
-use wot_wal::{FsyncPolicy, LogKind, WalWriter};
+use wot_core::IncrementalDerived;
+use wot_wal::{FsyncPolicy, LogKind};
 
+use crate::engine::{Refusal, ShardEngine};
 use crate::protocol::{
     self, ErrorCode, FrameRead, OkBody, Opcode, Request, ServeStats, MAX_REQUEST_LEN,
 };
@@ -69,12 +71,10 @@ pub struct ServeOptions {
     /// number of *concurrent clients* — on a small host the auto-sized
     /// pool can be 1, which serves exactly one connection at a time.
     pub reader_threads: usize,
-    /// Where the server's WAL lives. Created on start: the server owns a
-    /// fresh log for its lifetime, and a restart replays the previous log
-    /// into the bootstrap model *before* starting, on a new path.
-    /// [`Server::start`] refuses a path that already holds a non-empty
-    /// file with [`ServeError::Config`] and leaves that file untouched —
-    /// it may hold acked events.
+    /// The server's WAL file: created on start when absent, otherwise
+    /// recovered — [`Server::start`] replays it onto the bootstrap model,
+    /// so a restart is a start on the same path with the same bootstrap
+    /// model. The log holds only the events ingested after that model.
     pub wal_path: PathBuf,
     /// Durability policy for ingest appends.
     pub fsync: FsyncPolicy,
@@ -204,7 +204,7 @@ enum WriteCmd {
     /// after publication, or a typed refusal.
     Ingest {
         event: StoreEvent,
-        reply: SyncSender<std::result::Result<u64, (ErrorCode, String)>>,
+        reply: SyncSender<std::result::Result<u64, Refusal>>,
     },
     /// Wake the writer so it notices the shutdown flag.
     Wake,
@@ -235,38 +235,46 @@ impl Server {
     /// Boots a server over a bootstrap model.
     ///
     /// `model` holds `base_seq` events of history already (0 for an
-    /// empty community); served snapshot seqs continue from there. The
-    /// first snapshot is derived and published before `start` returns,
-    /// so the server never serves an empty placeholder.
-    ///
-    /// Refuses with [`ServeError::Config`] if `opts.wal_path` already
-    /// holds a non-empty file (see [`ServeOptions::wal_path`]).
+    /// empty community). When `opts.wal_path` holds a log, the server
+    /// recovers it: the torn tail a crash may have left is truncated, the
+    /// log's `n` events are replayed onto `model` through the same
+    /// admission check ingest runs, and served seqs continue from
+    /// `base_seq + n`. A log that does not fit — the wrong
+    /// [`LogKind`], a CRC-corrupt frame ([`ServeError::Wal`]), or an
+    /// event the model refuses ([`ServeError::Config`]) — is refused and
+    /// left byte-identical. The first snapshot is derived and published
+    /// before `start` returns, so the server never serves an empty
+    /// placeholder.
     pub fn start(
         model: IncrementalDerived,
         base_seq: u64,
         opts: &ServeOptions,
     ) -> Result<ServerHandle> {
-        if std::fs::metadata(&opts.wal_path).is_ok_and(|m| m.is_file() && m.len() > 0) {
-            return Err(ServeError::Config(format!(
-                "WAL path {} already holds a log; start on a fresh path",
-                opts.wal_path.display()
-            )));
-        }
-        let wal = WalWriter::create(&opts.wal_path, LogKind::Events, opts.fsync)?;
-        let mut model = model;
-        let mut cache = DerivedCache::default();
+        // Bind first: a start that fails on the address leaves no file.
+        let listener = TcpListener::bind(&opts.addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let path = &opts.wal_path;
+        let (mut engine, replayed) =
+            ShardEngine::open(path, LogKind::Events, opts.fsync, model, |model, log| {
+                for (k, (_, event)) in log.iter().enumerate() {
+                    ShardEngine::fold(model, event, admission).map_err(|reason| {
+                        ServeError::Config(format!(
+                            "WAL {} does not fit the bootstrap model at event {k}: {reason}",
+                            path.display()
+                        ))
+                    })?;
+                }
+                Ok(log.len() as u64)
+            })?;
+        let seq = base_seq + replayed;
         let delta_publish = opts.delta_publish;
-        let derived = if delta_publish {
-            model.refresh_and_derive_warm(&mut cache)
-        } else {
-            model.to_derived_cached(&mut cache)
-        };
-        let first = ServeSnapshot::new(base_seq, derived);
+        let first = ServeSnapshot::new(seq, engine.derive(delta_publish));
         let reader_threads = wot_par::resolve_threads(opts.reader_threads).max(1);
         let shared = Arc::new(Shared {
             cell: SnapshotCell::new(Arc::new(first)),
             shutdown: AtomicBool::new(false),
-            wal_len: AtomicU64::new(wal.len()),
+            wal_len: AtomicU64::new(engine.wal_len()),
             pending: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             reader_threads,
@@ -274,25 +282,11 @@ impl Server {
 
         let (write_tx, write_rx) = mpsc::channel::<WriteCmd>();
 
-        let listener = TcpListener::bind(&opts.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
         let writer_join = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("wot-serve-writer".into())
-                .spawn(move || {
-                    writer_loop(
-                        model,
-                        cache,
-                        wal,
-                        base_seq,
-                        delta_publish,
-                        write_rx,
-                        &shared,
-                    )
-                })
+                .spawn(move || writer_loop(engine, seq, delta_publish, write_rx, &shared))
                 .map_err(ServeError::Io)?
         };
 
@@ -381,23 +375,18 @@ impl Drop for ServerHandle {
 // Writer thread
 // ---------------------------------------------------------------------
 
+/// The flat daemon's admission: the model's own read-only check.
+fn admission(model: &IncrementalDerived, event: &StoreEvent) -> std::result::Result<(), String> {
+    model.check_event(event).map_err(|e| e.to_string())
+}
+
 fn writer_loop(
-    mut model: IncrementalDerived,
-    mut cache: DerivedCache,
-    mut wal: WalWriter,
-    base_seq: u64,
+    mut engine: ShardEngine,
+    mut seq: u64,
     delta_publish: bool,
     rx: Receiver<WriteCmd>,
     shared: &Shared,
 ) {
-    let mut seq = base_seq;
-    // Fail-stop latch: the first WAL error. After a failed append or sync
-    // the log may hold bytes the model never applied (a torn frame, or a
-    // whole frame whose policy sync failed), so anything appended behind
-    // them would replay as a history no client was acked. From then on
-    // every ingest is refused without touching log or model; reads keep
-    // being served from the last published snapshot.
-    let mut wal_failed: Option<String> = None;
     loop {
         let first = match rx.recv_timeout(WRITER_TICK) {
             Ok(cmd) => Some(cmd),
@@ -407,9 +396,7 @@ fn writer_loop(
         let Some(first) = first else {
             // Idle tick: make a quiet WAL tail durable within the fsync
             // policy's own window (the idle-flush path).
-            if wal_failed.is_none() {
-                wal_failed = wal.sync_if_due().err().map(|e| e.to_string());
-            }
+            engine.sync_if_due();
             if shared.shutting_down() {
                 break;
             }
@@ -423,7 +410,6 @@ fn writer_loop(
             }
         }
         let mut acks = Vec::new();
-        let mut applied = false;
         for cmd in batch {
             let WriteCmd::Ingest { event, reply } = cmd else {
                 continue;
@@ -435,44 +421,24 @@ fn writer_loop(
                 )));
                 continue;
             }
-            if let Some(cause) = &wal_failed {
-                let msg = format!("ingest stopped after a WAL failure: {cause}");
-                let _ = reply.send(Err((ErrorCode::Internal, msg)));
-                continue;
+            match engine.admit(seq, event, admission) {
+                Ok(_) => {
+                    seq += 1;
+                    acks.push(reply);
+                }
+                Err(refusal) => {
+                    let _ = reply.send(Err(refusal));
+                }
             }
-            // Durability ordering: read-only admission first, so nothing
-            // that would fail `apply` ever reaches the log; then the
-            // durable append; only then the in-memory fold.
-            if let Err(e) = model.check_event(&event) {
-                let _ = reply.send(Err((ErrorCode::Rejected, e.to_string())));
-                continue;
-            }
-            if let Err(e) = wal.append(&event) {
-                let cause = e.to_string();
-                let _ = reply.send(Err((ErrorCode::Internal, cause.clone())));
-                wal_failed = Some(cause);
-                continue;
-            }
-            model
-                .apply(&ReplayEvent::from(event))
-                .expect("checked event must apply");
-            seq += 1;
-            applied = true;
-            acks.push(reply);
         }
-        if applied {
+        if !acks.is_empty() {
             // Re-derive only the categories this batch dirtied, publish,
             // then ack: an acknowledged writer immediately reads its own
             // write from the new snapshot. Delta mode serves the warm
             // solver state instead of re-solving cold.
-            let derived = if delta_publish {
-                model.refresh_and_derive_warm(&mut cache)
-            } else {
-                model.to_derived_cached(&mut cache)
-            };
-            let snap = ServeSnapshot::new(seq, derived);
+            let snap = ServeSnapshot::new(seq, engine.derive(delta_publish));
             shared.cell.publish(Arc::new(snap));
-            shared.wal_len.store(wal.len(), Ordering::Relaxed);
+            shared.wal_len.store(engine.wal_len(), Ordering::Relaxed);
             for reply in acks {
                 let _ = reply.send(Ok(seq));
             }
@@ -482,7 +448,7 @@ fn writer_loop(
         }
     }
     // Graceful exit: whatever the policy left unsynced becomes durable.
-    let _ = wal.sync();
+    let _ = engine.sync();
 }
 
 // ---------------------------------------------------------------------
@@ -758,18 +724,17 @@ mod tests {
         protocol::decode_response(&out).expect("server frames decode")
     }
 
-    /// A WAL that refuses every append (it is a tagged log, the writer
-    /// appends untagged events) must stop ingest for good: the second
-    /// refusal comes from the latch, not from another attempt on the log.
+    /// A WAL that refuses every append must stop ingest for good: the
+    /// second refusal comes from the engine's latch, not from another
+    /// attempt on the log.
     #[test]
     fn wal_error_fail_stops_ingest_and_keeps_reads_serving() {
         let path =
             std::env::temp_dir().join(format!("wot-serve-failstop-{}.wal", std::process::id()));
-        let wal = WalWriter::create(&path, LogKind::TaggedEvents, FsyncPolicy::Always).unwrap();
-        let header_len = wal.len();
         let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
-        let mut cache = DerivedCache::default();
-        let first = ServeSnapshot::new(7, model.to_derived_cached(&mut cache));
+        let mut engine = crate::engine::failing_engine(&path, model);
+        let header_len = engine.wal_len();
+        let first = ServeSnapshot::new(7, engine.derive(false));
         let shared = Shared {
             cell: SnapshotCell::new(Arc::new(first)),
             shutdown: AtomicBool::new(false),
@@ -786,7 +751,7 @@ mod tests {
         });
 
         std::thread::scope(|s| {
-            s.spawn(|| writer_loop(model, cache, wal, 7, false, rx, &shared));
+            s.spawn(|| writer_loop(engine, 7, false, rx, &shared));
             let mut reader = ReaderCache::new(&shared.cell);
 
             let refused = ask(&ingest, &shared, &tx, &mut reader).body.unwrap_err();
@@ -807,13 +772,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A log of acked events at `wal_path` is refused, byte for byte
-    /// intact, instead of being truncated to a fresh header.
+    /// A log the bootstrap model cannot take — here a restart handed the
+    /// model that already holds the log's events — is refused, byte for
+    /// byte intact, rather than replayed into a wrong history.
     #[test]
     fn start_refuses_an_existing_log_and_leaves_it_intact() {
         let path =
             std::env::temp_dir().join(format!("wot-serve-existing-{}.wal", std::process::id()));
-        let mut wal = WalWriter::create(&path, LogKind::Events, FsyncPolicy::Always).unwrap();
+        let mut wal =
+            wot_wal::WalWriter::create(&path, LogKind::Events, FsyncPolicy::Always).unwrap();
         for r in 0..3 {
             wal.append(&StoreEvent::Review {
                 writer: UserId(0),
@@ -824,13 +791,38 @@ mod tests {
         }
         drop(wal);
         let before = std::fs::read(&path).unwrap();
-        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let mut model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        for r in 0..3 {
+            model
+                .add_review(UserId(0), ReviewId(r), CategoryId(0))
+                .unwrap();
+        }
         match Server::start(model, 3, &ServeOptions::local(&path)) {
             Err(ServeError::Config(m)) => assert!(m.contains(&*path.to_string_lossy()), "{m}"),
             Err(e) => panic!("wrong error: {e}"),
-            Ok(_) => panic!("started over an existing log"),
+            Ok(_) => panic!("replayed a log the model already holds"),
         }
         assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A start that fails on its address leaves nothing behind that would
+    /// block the retry on the same WAL path.
+    #[test]
+    fn a_failed_bind_leaves_the_wal_path_startable() {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-rebind-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let opts = ServeOptions::builder(&path)
+            .addr(taken.local_addr().unwrap().to_string())
+            .build()
+            .unwrap();
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        assert!(Server::start(model.clone(), 3, &opts).is_err());
+        let server = Server::start(model, 3, &ServeOptions::local(&path)).unwrap();
+        assert_eq!(server.shared.cell.load().seq, 3);
+        server.shutdown().unwrap();
         let _ = std::fs::remove_file(&path);
     }
 

@@ -17,45 +17,53 @@
 //! normalization) are the coordinator's job; the worker never computes
 //! them.
 //!
-//! Durability contract, mirroring the flat daemon's writer:
+//! The durable ingest is the flat daemon's own state machine, a
+//! [`ShardEngine`] over a tagged log:
 //!
 //! ```text
 //! check (read-only admission) → WAL append → apply → …group fsync… → reply
 //! ```
 //!
-//! A dedicated thread reads stdin so the main loop can drain every
-//! frame already queued (up to [`GROUP_MAX`]) per wake and cover the
-//! whole group with **one** fsync before any of the group's replies is
-//! written — an acknowledged event is durable before it is visible, at
-//! a fraction of a per-event sync's cost. A failed group sync is fatal
-//! (the worker exits without acknowledging; recovery replays the log).
-//! Nothing that fails admission ever poisons the log.
+//! This file is the transport around it: framing, group draining,
+//! category ownership, per-category sub-logs and rebalance. A dedicated
+//! thread reads stdin so the main loop can drain every frame already
+//! queued (up to [`GROUP_MAX`]) per wake and cover the whole group with
+//! **one** engine sync before any of the group's replies is written — an
+//! acknowledged event is durable before it is visible, at a fraction of
+//! a per-event sync's cost. A failed group sync is fatal (the worker
+//! exits without acknowledging; recovery replays the log); a failed
+//! append trips the engine's fail-stop latch, so nothing is ever
+//! appended behind a torn frame. Nothing that fails admission ever
+//! poisons the log.
 //!
-//! After `kill -9`, a restarted worker replays its log — filtered to
-//! the categories the coordinator's handshake says it owns,
+//! The log is opened at the handshake, which fixes the model's shape.
+//! After `kill -9`, the restarted worker's [`ShardEngine::open`] replays
+//! the log — filtered to the categories the handshake says it owns,
 //! deduplicated by tag, in tag order — and reports the highest durable
 //! tag so the coordinator can reconcile events that became durable
 //! right before the crash but were never acknowledged. The handshake's
 //! `cut` makes the reconciliation physical: entries tagged at or past
-//! it are rewritten out of the WAL before replay, so an orphan tag can
-//! never collide with a future event.
+//! it are rewritten out of the WAL, so an orphan tag can never collide
+//! with a future event.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use wot_community::StoreEvent;
-use wot_core::{CategoryReputation, DeriveConfig, DerivedCache, IncrementalDerived};
+use wot_core::{CategoryReputation, DeriveConfig, IncrementalDerived};
+use wot_serve::engine::Refusal;
 use wot_serve::protocol::{read_frame, write_frame, ErrorCode, FrameRead};
 use wot_serve::shard_proto::{
     decode_shard_request, encode_shard_err, encode_shard_ok, CategoryStateWire, HelloAck,
     ShardReply, ShardRequest, MAX_SHARD_FRAME_LEN, NO_TAG,
 };
-use wot_wal::{read_tagged_log, FsyncPolicy, LogKind, WalWriter};
+use wot_serve::{ServeError, ShardEngine};
+use wot_wal::{FsyncPolicy, LogKind};
 
 /// Most frames folded into one wake's processing group — one fsync and
 /// one output flush cover the whole group.
@@ -66,7 +74,7 @@ fn main() -> ExitCode {
         eprintln!("usage: wot-shardd --wal <path>");
         return ExitCode::from(2);
     };
-    match run(&wal_path) {
+    match run(wal_path) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("wot-shardd: {e}");
@@ -88,139 +96,79 @@ fn parse_args() -> Option<PathBuf> {
     wal
 }
 
-/// Worker state; `model` exists only after the handshake fixed the
-/// community shape.
+/// Worker state; `shard` exists only after the handshake fixed the
+/// community shape and opened the log.
 struct Worker {
-    wal: WalWriter,
-    /// The raw replayed log, held until the handshake tells us which
-    /// categories to fold in.
-    raw_log: Vec<(u64, StoreEvent)>,
-    model: Option<Shard>,
+    wal_path: PathBuf,
+    shard: Option<Shard>,
     /// Fault injection ([`ShardRequest::Stall`]): sleep this long before
     /// handling each subsequent request.
     stall: Option<Duration>,
 }
 
-/// The post-handshake shard: model plus ownership bookkeeping.
+/// The post-handshake shard: the engine plus ownership bookkeeping.
 struct Shard {
-    cfg: DeriveConfig,
-    num_users: usize,
-    num_categories: usize,
-    model: IncrementalDerived,
-    cache: DerivedCache,
+    engine: ShardEngine,
     owned: BTreeSet<u32>,
     /// Per owned category: its tagged event sub-log, in tag order —
     /// what a `DropCategory` ships to the next owner.
     sublogs: BTreeMap<u32, Vec<(u64, StoreEvent)>>,
-    /// Review id → category, for every review this worker has applied.
-    review_cat: HashMap<u32, u32>,
+}
+
+/// Read-only admission for this worker's category subset. Reviews can't
+/// go through the model's `check_event` (its dense-rank rule is global,
+/// and this worker only holds a category subset), so they get the
+/// equivalent subset-safe checks; ratings use the model's own admission.
+fn check(
+    owned: &BTreeSet<u32>,
+    model: &IncrementalDerived,
+    event: &StoreEvent,
+) -> Result<(), String> {
+    match *event {
+        StoreEvent::Review {
+            writer,
+            review,
+            category,
+        } => {
+            if writer.index() >= model.num_users() {
+                return Err(format!(
+                    "writer {writer} out of bounds for {} users",
+                    model.num_users()
+                ));
+            }
+            if category.index() >= model.num_categories() {
+                return Err(format!(
+                    "category {category} out of bounds for {} categories",
+                    model.num_categories()
+                ));
+            }
+            if !owned.contains(&category.0) {
+                return Err(format!("category {category} is not owned by this worker"));
+            }
+            if model.review_category(review).is_some() {
+                return Err(format!("review {review} already registered"));
+            }
+            Ok(())
+        }
+        // Ownership is implied: the rated review is known to the model,
+        // and the model only holds owned categories.
+        StoreEvent::Rating { .. } => model.check_event(event).map_err(|e| e.to_string()),
+    }
+}
+
+fn new_model(num_users: usize, num_categories: usize) -> Result<IncrementalDerived, Refusal> {
+    IncrementalDerived::new(num_users, num_categories, &DeriveConfig::default())
+        .map_err(|e| internal(e.to_string()))
 }
 
 impl Shard {
-    fn new(num_users: usize, num_categories: usize, owned: &[u32]) -> Result<Shard, String> {
-        let cfg = DeriveConfig::default();
-        let model =
-            IncrementalDerived::new(num_users, num_categories, &cfg).map_err(|e| e.to_string())?;
-        Ok(Shard {
-            cfg,
-            num_users,
-            num_categories,
-            model,
-            cache: DerivedCache::default(),
-            owned: owned.iter().copied().collect(),
-            sublogs: owned.iter().map(|&c| (c, Vec::new())).collect(),
-            review_cat: HashMap::new(),
-        })
-    }
-
-    /// The one event fold: applies `event` to the model and the review →
-    /// category map, returning the event's category (a rating's is its
-    /// review's, which admission and tag-ordered replay both put first).
-    fn fold(&mut self, event: StoreEvent) -> Result<u32, String> {
-        match event {
-            StoreEvent::Review {
-                writer,
-                review,
-                category,
-            } => {
-                self.model
-                    .add_review(writer, review, category)
-                    .map_err(|e| e.to_string())?;
-                self.review_cat.insert(review.0, category.0);
-                Ok(category.0)
-            }
-            StoreEvent::Rating {
-                rater,
-                review,
-                value,
-            } => {
-                let cat = *self
-                    .review_cat
-                    .get(&review.0)
-                    .ok_or_else(|| format!("rating of unknown review {review}"))?;
-                self.model
-                    .add_rating(rater, review, value)
-                    .map_err(|e| e.to_string())?;
-                Ok(cat)
-            }
-        }
-    }
-
-    /// Folds one admitted event in and records it in its category's
-    /// sub-log.
-    fn apply(&mut self, tag: u64, event: StoreEvent) -> Result<(), String> {
-        let cat = self.fold(event)?;
-        self.sublogs.entry(cat).or_default().push((tag, event));
+    /// Ingests one event through the engine and records it in its
+    /// category's sub-log.
+    fn admit(&mut self, tag: u64, event: StoreEvent) -> Result<(), Refusal> {
+        let owned = &self.owned;
+        let cat = self.engine.admit(tag, event, |m, e| check(owned, m, e))?;
+        self.sublogs.entry(cat.0).or_default().push((tag, event));
         Ok(())
-    }
-
-    /// Read-only admission for an ingest. Reviews can't go through the
-    /// model's `check_event` (its dense-rank rule is global, and this
-    /// worker only holds a category subset), so they get the equivalent
-    /// subset-safe checks; ratings use the model's own admission.
-    fn check(&self, event: &StoreEvent) -> Result<(), String> {
-        match *event {
-            StoreEvent::Review {
-                writer,
-                review,
-                category,
-            } => {
-                if writer.index() >= self.num_users {
-                    return Err(format!(
-                        "writer {writer} out of bounds for {} users",
-                        self.num_users
-                    ));
-                }
-                if category.index() >= self.num_categories {
-                    return Err(format!(
-                        "category {category} out of bounds for {} categories",
-                        self.num_categories
-                    ));
-                }
-                if !self.owned.contains(&category.0) {
-                    return Err(format!("category {category} is not owned by this worker"));
-                }
-                if self.review_cat.contains_key(&review.0) {
-                    return Err(format!("review {review} already registered"));
-                }
-            }
-            StoreEvent::Rating { .. } => {
-                self.model.check_event(event).map_err(|e| e.to_string())?;
-                // Ownership is implied: the rated review is known to the
-                // model, and the model only holds owned categories.
-            }
-        }
-        Ok(())
-    }
-
-    /// The canonical per-category tables of this worker's event subset
-    /// (cold-solve semantics, memoized per data version — bit-identical
-    /// to a from-scratch batch derivation of it), brought up to date once
-    /// per request; [`state_of`] maps the wanted categories out of them.
-    /// Tables only: `E` and `A` span categories this worker does not own,
-    /// so it never assembles them.
-    fn tables(&mut self) -> &[Arc<CategoryReputation>] {
-        self.model.tables_cached(&mut self.cache)
     }
 
     /// Rebuilds the model from the remaining sub-logs — the drop and
@@ -229,18 +177,34 @@ impl Shard {
     /// re-adoption of a dropped category can replay it back in without
     /// collisions. (The cache notices the new model instance and resets
     /// itself.)
-    fn rebuild(&mut self) -> Result<(), String> {
-        self.model = IncrementalDerived::new(self.num_users, self.num_categories, &self.cfg)
-            .map_err(|e| e.to_string())?;
-        self.review_cat.clear();
+    fn rebuild(&mut self) -> Result<(), Refusal> {
+        let model = self.engine.model();
+        let fresh = new_model(model.num_users(), model.num_categories())?;
         let mut all: Vec<(u64, StoreEvent)> = self
             .sublogs
             .values()
             .flat_map(|v| v.iter().copied())
             .collect();
         all.sort_by_key(|&(t, _)| t);
-        for (_, event) in all {
-            self.fold(event)?;
+        let owned = &self.owned;
+        self.engine
+            .rebuild(fresh, all.into_iter().map(|(_, e)| e), |m, e| {
+                check(owned, m, e)
+            })
+            .map_err(internal)
+    }
+
+    fn require_owned(&self, category: u32) -> Result<(), Refusal> {
+        if category as usize >= self.engine.model().num_categories() {
+            return Err((
+                ErrorCode::OutOfRange,
+                format!("category {category} out of range"),
+            ));
+        }
+        if !self.owned.contains(&category) {
+            return Err(bad(format!(
+                "category {category} is not owned by this worker"
+            )));
         }
         Ok(())
     }
@@ -270,24 +234,10 @@ enum Inbound {
     TooLarge { len: u32 },
 }
 
-fn run(wal_path: &Path) -> io::Result<()> {
-    // The caller (this worker's main loop) owns durability: one sync per
-    // processing group, before any of the group's replies.
-    let (wal, raw_log) = if wal_path.exists() {
-        let recovered = read_tagged_log(wal_path)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let (wal, _torn) = WalWriter::open_append(wal_path, FsyncPolicy::Manual)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        (wal, recovered.events)
-    } else {
-        let wal = WalWriter::create(wal_path, LogKind::TaggedEvents, FsyncPolicy::Manual)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        (wal, Vec::new())
-    };
+fn run(wal_path: PathBuf) -> io::Result<()> {
     let mut worker = Worker {
-        wal,
-        raw_log,
-        model: None,
+        wal_path,
+        shard: None,
         stall: None,
     };
     // A dedicated reader thread turns stdin into a queue the main loop
@@ -377,9 +327,9 @@ fn run(wal_path: &Path) -> io::Result<()> {
         // the group staged. A failed sync is fatal — the model has
         // already applied what the log may not hold, so the only safe
         // exit is without acks, leaving recovery to the replay.
-        if worker.wal.unsynced() > 0 {
-            worker
-                .wal
+        if let Some(shard) = worker.shard.as_mut() {
+            shard
+                .engine
                 .sync()
                 .map_err(|e| io::Error::other(e.to_string()))?;
         }
@@ -393,17 +343,13 @@ fn run(wal_path: &Path) -> io::Result<()> {
     }
 }
 
-type HandlerResult = Result<ShardReply, (ErrorCode, String)>;
+type HandlerResult = Result<ShardReply, Refusal>;
 
-fn rejected(msg: String) -> (ErrorCode, String) {
-    (ErrorCode::Rejected, msg)
-}
-
-fn bad(msg: String) -> (ErrorCode, String) {
+fn bad(msg: String) -> Refusal {
     (ErrorCode::BadRequest, msg)
 }
 
-fn internal(msg: String) -> (ErrorCode, String) {
+fn internal(msg: String) -> Refusal {
     (ErrorCode::Internal, msg)
 }
 
@@ -422,7 +368,9 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
             &owned,
         ),
         ShardRequest::Shutdown => {
-            worker.wal.sync().map_err(|e| internal(e.to_string()))?;
+            if let Some(shard) = worker.shard.as_mut() {
+                shard.engine.sync().map_err(|e| internal(e.to_string()))?;
+            }
             Ok(ShardReply::Bye)
         }
         ShardRequest::Stall { millis } => {
@@ -430,30 +378,28 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
             Ok(ShardReply::Ack)
         }
         other => {
-            let Some(shard) = worker.model.as_mut() else {
+            let Some(shard) = worker.shard.as_mut() else {
                 return Err(bad("request before handshake".into()));
             };
             match other {
-                ShardRequest::Ingest { events } => ingest(worker, events),
-                ShardRequest::Truncate { cut } => truncate(worker, cut),
+                ShardRequest::Ingest { events } => ingest(shard, events),
+                ShardRequest::Truncate { cut } => truncate(shard, cut),
                 ShardRequest::States { categories } => {
                     for &c in &categories {
-                        require_owned(shard, c)?;
+                        shard.require_owned(c)?;
                     }
-                    let tables = shard.tables();
+                    let tables = shard.engine.tables();
                     let states = categories.iter().map(|&c| state_of(tables, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::FullState => {
-                    // Field access, not `tables()`: `owned` is read
-                    // while the cache's slice is borrowed.
-                    let tables = shard.model.tables_cached(&mut shard.cache);
+                    let tables = shard.engine.tables();
                     let states = shard.owned.iter().map(|&c| state_of(tables, c)).collect();
                     Ok(ShardReply::FullState(states))
                 }
                 ShardRequest::DropCategory { category } => drop_category(shard, category),
                 ShardRequest::AdoptCategory { category, events } => {
-                    adopt_category(worker, category, events)
+                    adopt_category(shard, category, events)
                 }
                 ShardRequest::Hello { .. }
                 | ShardRequest::Shutdown
@@ -465,69 +411,10 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
     }
 }
 
-fn require_owned(shard: &Shard, category: u32) -> Result<(), (ErrorCode, String)> {
-    if category as usize >= shard.num_categories {
-        return Err((
-            ErrorCode::OutOfRange,
-            format!("category {category} out of range"),
-        ));
-    }
-    if !shard.owned.contains(&category) {
-        return Err(bad(format!(
-            "category {category} is not owned by this worker"
-        )));
-    }
-    Ok(())
-}
-
-/// Physically rewrites the WAL keeping only entries tagged below `cut`
-/// (tmp file + sync + rename, then reopen), so no orphan tag survives
-/// on disk. Returns how many entries were dropped.
-fn truncate_wal(worker: &mut Worker, cut: u64) -> Result<u64, String> {
-    worker.wal.sync().map_err(|e| e.to_string())?;
-    let path = worker.wal.path().to_path_buf();
-    let recovered = read_tagged_log(&path).map_err(|e| e.to_string())?;
-    let total = recovered.events.len();
-    let keep: Vec<(u64, StoreEvent)> = recovered
-        .events
-        .into_iter()
-        .filter(|&(t, _)| t < cut)
-        .collect();
-    let dropped = (total - keep.len()) as u64;
-    if dropped == 0 {
-        return Ok(0);
-    }
-    let tmp = path.with_extension("rewrite");
-    {
-        let mut w = WalWriter::create(&tmp, LogKind::TaggedEvents, FsyncPolicy::Manual)
-            .map_err(|e| e.to_string())?;
-        for &(t, ref e) in &keep {
-            w.append_tagged(t, e).map_err(|e| e.to_string())?;
-        }
-        w.sync().map_err(|e| e.to_string())?;
-    }
-    std::fs::rename(&tmp, &path).map_err(|e| e.to_string())?;
-    // The rename itself must be durable: without a directory fsync a
-    // power loss can resurrect the old inode (undoing the truncate) and
-    // lose every event fsynced to the new inode since — acked events
-    // gone. Same atomic-replace sequence as the wal crate's snapshots.
-    let dir = path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .unwrap_or_else(|| Path::new("."));
-    std::fs::File::open(dir)
-        .and_then(|d| d.sync_all())
-        .map_err(|e| format!("syncing {} after WAL rewrite: {e}", dir.display()))?;
-    let (wal, _torn) =
-        WalWriter::open_append(&path, FsyncPolicy::Manual).map_err(|e| e.to_string())?;
-    worker.wal = wal;
-    Ok(dropped)
-}
-
-/// The handshake: truncate orphan tags if the coordinator named a cut,
-/// fix the community shape, fold the replayed log in (filtered to the
-/// owned categories, deduplicated by tag, in tag order), and report
-/// what the durable log holds.
+/// The handshake: fix the community shape, open the log and fold it in
+/// (entries below `cut`, filtered to the owned categories, deduplicated
+/// by tag, in tag order), rewrite orphan tags at or past `cut` out of
+/// the log, and report what the durable log holds.
 fn hello(
     worker: &mut Worker,
     num_users: usize,
@@ -535,72 +422,87 @@ fn hello(
     cut: u64,
     owned: &[u32],
 ) -> HandlerResult {
+    if worker.shard.is_some() {
+        return Err(bad("handshake already done".into()));
+    }
     if owned.iter().any(|&c| c as usize >= num_categories) {
         return Err(bad("owned category out of range".into()));
     }
-    if cut != NO_TAG && worker.raw_log.iter().any(|&(t, _)| t >= cut) {
-        truncate_wal(worker, cut).map_err(internal)?;
-        worker.raw_log.retain(|&(t, _)| t < cut);
-    }
-    let mut shard = Shard::new(num_users, num_categories, owned).map_err(internal)?;
-    // The log may hold Review events for categories we no longer own
-    // (dropped since): they still resolve rating → category routing.
-    let mut log_review_cat: HashMap<u32, u32> = HashMap::new();
-    for &(_, event) in &worker.raw_log {
-        if let StoreEvent::Review {
-            review, category, ..
-        } = event
-        {
-            log_review_cat.insert(review.0, category.0);
-        }
-    }
-    let max_tag = worker.raw_log.iter().map(|&(t, _)| t).max();
-    let mut mine: Vec<(u64, StoreEvent)> = worker
-        .raw_log
-        .iter()
-        .copied()
-        .filter(|(_, e)| {
-            let cat = match *e {
-                StoreEvent::Review { category, .. } => Some(category.0),
-                StoreEvent::Rating { review, .. } => log_review_cat.get(&review.0).copied(),
-            };
-            cat.is_some_and(|c| shard.owned.contains(&c))
-        })
-        .collect();
-    // Tag order is global ingest order; a stable sort plus tag-dedup
-    // collapses the drop-then-readopt case (the adoption re-appended
-    // events the log already had).
-    mine.sort_by_key(|&(t, _)| t);
-    mine.dedup_by_key(|e| e.0);
-    let recovered = mine.len() as u64;
-    for (tag, event) in mine {
+    let owned: BTreeSet<u32> = owned.iter().copied().collect();
+    let mut sublogs: BTreeMap<u32, Vec<(u64, StoreEvent)>> =
+        owned.iter().map(|&c| (c, Vec::new())).collect();
+    let model = new_model(num_users, num_categories)?;
+    let (engine, (recovered, max_tag, orphans)) = ShardEngine::open(
+        &worker.wal_path,
+        LogKind::TaggedEvents,
+        // The main loop owns durability: one sync per processing group,
+        // before any of the group's replies.
+        FsyncPolicy::Manual,
+        model,
+        |model, mut log| {
+            let orphans = log.iter().any(|&(t, _)| t >= cut);
+            log.retain(|&(t, _)| t < cut);
+            // Tag order is global ingest order; a stable sort plus
+            // tag-dedup collapses the drop-then-readopt case (the
+            // adoption re-appended events the log already had).
+            log.sort_by_key(|&(t, _)| t);
+            log.dedup_by_key(|e| e.0);
+            let max_tag = log.last().map_or(NO_TAG, |&(t, _)| t);
+            // The log may hold reviews of categories no longer owned
+            // (dropped since): they still resolve rating → category.
+            let mut category_of: HashMap<u32, u32> = HashMap::new();
+            let mut recovered = 0u64;
+            for (tag, event) in log {
+                let cat = match event {
+                    StoreEvent::Review {
+                        review, category, ..
+                    } => {
+                        category_of.insert(review.0, category.0);
+                        category.0
+                    }
+                    StoreEvent::Rating { review, .. } => match category_of.get(&review.0) {
+                        Some(&c) => c,
+                        None => continue,
+                    },
+                };
+                if !owned.contains(&cat) {
+                    continue;
+                }
+                ShardEngine::fold(model, &event, |m, e| check(&owned, m, e)).map_err(|e| {
+                    ServeError::Protocol(format!("log replay failed at tag {tag}: {e}"))
+                })?;
+                sublogs.entry(cat).or_default().push((tag, event));
+                recovered += 1;
+            }
+            Ok((recovered, max_tag, orphans))
+        },
+    )
+    .map_err(|e| internal(e.to_string()))?;
+    let mut shard = Shard {
+        engine,
+        owned,
+        sublogs,
+    };
+    if orphans {
         shard
-            .apply(tag, event)
-            .map_err(|e| internal(format!("log replay failed at tag {tag}: {e}")))?;
+            .engine
+            .rewrite_below(cut)
+            .map_err(|e| internal(e.to_string()))?;
     }
-    worker.model = Some(shard);
-    Ok(ShardReply::Hello(HelloAck {
-        recovered,
-        max_tag: max_tag.unwrap_or(NO_TAG),
-    }))
+    worker.shard = Some(shard);
+    Ok(ShardReply::Hello(HelloAck { recovered, max_tag }))
 }
 
 /// One batched run of tagged events: admit, append, and apply each in
 /// order, acking the run's durability horizon. The actual fsync is the
 /// main loop's group sync — it lands before this reply is written.
-fn ingest(worker: &mut Worker, events: Vec<(u64, StoreEvent)>) -> HandlerResult {
+fn ingest(shard: &mut Shard, events: Vec<(u64, StoreEvent)>) -> HandlerResult {
     if events.is_empty() {
         return Err(bad("empty ingest batch".into()));
     }
-    let shard = worker.model.as_mut().expect("handshake done");
     let mut max_tag = 0;
     for (tag, event) in events {
-        shard.check(&event).map_err(rejected)?;
-        worker
-            .wal
-            .append_tagged(tag, &event)
-            .map_err(|e| internal(e.to_string()))?;
-        shard.apply(tag, event).map_err(internal)?;
+        shard.admit(tag, event)?;
         max_tag = tag;
     }
     Ok(ShardReply::Ingested { max_tag })
@@ -608,20 +510,18 @@ fn ingest(worker: &mut Worker, events: Vec<(u64, StoreEvent)>) -> HandlerResult 
 
 /// Rolls this worker back to a coordinator-named cut: entries tagged at
 /// or past it leave the model (sub-log filter + rebuild) and the disk
-/// (physical rewrite). The coordinator queues this behind a failed
-/// round's in-flight ingests, so FIFO ordering makes the rollback
+/// (the engine's atomic rewrite). The coordinator queues this behind a
+/// failed round's in-flight ingests, so FIFO ordering makes the rollback
 /// total.
-fn truncate(worker: &mut Worker, cut: u64) -> HandlerResult {
-    {
-        let shard = worker.model.as_mut().expect("handshake done");
-        for log in shard.sublogs.values_mut() {
-            log.retain(|&(t, _)| t < cut);
-        }
-        shard.rebuild().map_err(internal)?;
-        // Dropped reviews must stop routing ratings; rebuild() rebuilt
-        // review_cat from the surviving sub-logs already.
+fn truncate(shard: &mut Shard, cut: u64) -> HandlerResult {
+    for log in shard.sublogs.values_mut() {
+        log.retain(|&(t, _)| t < cut);
     }
-    let dropped = truncate_wal(worker, cut).map_err(internal)?;
+    shard.rebuild()?;
+    let dropped = shard
+        .engine
+        .rewrite_below(cut)
+        .map_err(|e| internal(e.to_string()))?;
     Ok(ShardReply::Truncated { dropped })
 }
 
@@ -629,23 +529,23 @@ fn truncate(worker: &mut Worker, cut: u64) -> HandlerResult {
 /// without it. The WAL keeps the old entries — replay filtering at the
 /// next handshake ignores them.
 fn drop_category(shard: &mut Shard, category: u32) -> HandlerResult {
-    require_owned(shard, category)?;
+    shard.require_owned(category)?;
     shard.owned.remove(&category);
     let events = shard.sublogs.remove(&category).unwrap_or_default();
-    shard.rebuild().map_err(internal)?;
+    shard.rebuild()?;
     Ok(ShardReply::SubLog(events))
 }
 
-/// Starts owning a category: make its history durable locally, apply it
-/// in tag order, and reply with the re-solved state (which the
-/// coordinator holds bit-identical against the previous owner's).
+/// Starts owning a category: ingest its history in tag order (the main
+/// loop's group sync makes it durable before the reply), and reply with
+/// the re-solved state (which the coordinator holds bit-identical
+/// against the previous owner's).
 fn adopt_category(
-    worker: &mut Worker,
+    shard: &mut Shard,
     category: u32,
     events: Vec<(u64, StoreEvent)>,
 ) -> HandlerResult {
-    let shard = worker.model.as_mut().expect("handshake done");
-    if category as usize >= shard.num_categories {
+    if category as usize >= shard.engine.model().num_categories() {
         return Err((
             ErrorCode::OutOfRange,
             format!("category {category} out of range"),
@@ -685,17 +585,9 @@ fn adopt_category(
             }
         }
     }
-    for &(tag, ref event) in &events {
-        worker
-            .wal
-            .append_tagged(tag, event)
-            .map_err(|e| internal(e.to_string()))?;
-    }
-    worker.wal.sync().map_err(|e| internal(e.to_string()))?;
-    let shard = worker.model.as_mut().expect("handshake done");
     shard.owned.insert(category);
     for (tag, event) in events {
-        shard.apply(tag, event).map_err(internal)?;
+        shard.admit(tag, event)?;
     }
-    Ok(ShardReply::State(state_of(shard.tables(), category)))
+    Ok(ShardReply::State(state_of(shard.engine.tables(), category)))
 }

@@ -17,7 +17,7 @@
 //!
 //! [`CommunityBuilder`]: wot_community::CommunityBuilder
 
-use wot_community::{CategoryId, CommunityStore, ReviewId, ShardAssignment, StoreEvent};
+use wot_community::{CommunityStore, ReviewId, StoreEvent};
 
 use crate::rng::Xoshiro256pp;
 
@@ -79,61 +79,10 @@ pub fn shuffled_event_log(store: &CommunityStore, seed: u64) -> Vec<StoreEvent> 
     log
 }
 
-/// [`shuffled_event_log`] with each event tagged by its log position —
-/// the sequence-tagged shape shard-local logs and the `wot-wal` durable
-/// log carry, so a synthetic history can be written straight to disk and
-/// recovered through the tag-validating replay paths.
-pub fn tagged_event_log(store: &CommunityStore, seed: u64) -> Vec<(u64, StoreEvent)> {
-    shuffled_event_log(store, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(k, e)| (k as u64, e))
-        .collect()
-}
-
-/// Emits a seeded random causal interleaving of the store's history
-/// **already cut into shard-local logs**: shard `s` receives exactly the
-/// events of its categories, each tagged with its position in the global
-/// shuffled log, so
-/// [`merge_shard_logs`](wot_community::shard::merge_shard_logs)
-/// reconstructs [`shuffled_event_log`]`(store, seed)` verbatim. This is
-/// the generator-side half of the sharded ingest story: a simulated
-/// deployment where every shard observes only its own traffic, yet the
-/// global history — and therefore the derived model — is fully
-/// recoverable.
-///
-/// The returned vector has one (possibly empty) log per shard, indexed
-/// by [`ShardId`](wot_community::ShardId).
-pub fn sharded_event_logs(
-    store: &CommunityStore,
-    assignment: &ShardAssignment,
-    seed: u64,
-) -> Vec<Vec<(u64, StoreEvent)>> {
-    let log = shuffled_event_log(store, seed);
-    let mut logs: Vec<Vec<(u64, StoreEvent)>> = vec![Vec::new(); assignment.num_shards()];
-    // Category of each renumbered review id, filled as review events
-    // stream by (a rating's shard is its review's category's shard).
-    let mut category_of: Vec<CategoryId> = Vec::with_capacity(store.num_reviews());
-    for (seq, event) in log.into_iter().enumerate() {
-        let category = match event {
-            StoreEvent::Review { category, .. } => {
-                category_of.push(category);
-                category
-            }
-            StoreEvent::Rating { review, .. } => category_of[review.index()],
-        };
-        let shard = assignment
-            .shard_of(category)
-            .expect("assignment covers the store's categories");
-        logs[shard.index()].push((seq as u64, event));
-    }
-    logs
-}
-
 #[cfg(test)]
 mod tests {
     use wot_community::events::replay_into_store;
-    use wot_community::shard::merge_shard_logs;
+    use wot_community::CategoryId;
 
     use super::*;
     use crate::{generate, SynthConfig};
@@ -160,37 +109,6 @@ mod tests {
         // Determinism: same seed, same log; different seed, different log.
         assert_eq!(log, shuffled_event_log(&store, 99));
         assert_ne!(log, shuffled_event_log(&store, 100));
-    }
-
-    #[test]
-    fn sharded_logs_partition_and_merge_to_the_shuffled_log() {
-        let store = generate(&SynthConfig::tiny(21)).unwrap().store;
-        for shards in [1usize, 2, 5] {
-            let assignment = ShardAssignment::round_robin(store.num_categories(), shards);
-            let logs = sharded_event_logs(&store, &assignment, 77);
-            assert_eq!(logs.len(), assignment.num_shards());
-            // Every shard's log holds only its categories' events (a
-            // rating belongs to its review's category), tags ascending.
-            let global = shuffled_event_log(&store, 77);
-            let mut category_of = Vec::new();
-            for e in &global {
-                if let StoreEvent::Review { category, .. } = *e {
-                    category_of.push(category);
-                }
-            }
-            for (s, log) in logs.iter().enumerate() {
-                assert!(log.windows(2).all(|w| w[0].0 < w[1].0));
-                for &(_, e) in log {
-                    let cat = match e {
-                        StoreEvent::Review { category, .. } => category,
-                        StoreEvent::Rating { review, .. } => category_of[review.index()],
-                    };
-                    assert_eq!(assignment.shard_of(cat).unwrap().index(), s);
-                }
-            }
-            // And the merge reproduces the exact global interleaving.
-            assert_eq!(merge_shard_logs(&logs).unwrap(), global);
-        }
     }
 
     #[test]

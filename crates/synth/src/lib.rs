@@ -60,7 +60,7 @@ mod output;
 pub mod rng;
 
 pub use config::{SynthConfig, SynthConfigError};
-pub use events::{sharded_event_logs, shuffled_event_log, tagged_event_log};
+pub use events::shuffled_event_log;
 pub use generator::{generate, generate_with_threads};
 pub use latent::UserFactors;
 pub use output::{GroundTruth, SynthOutput};

@@ -1,17 +1,16 @@
-//! Binary encodings of the workspace's durable values.
+//! Binary encoding of the log's events.
 //!
 //! Everything is little-endian and length-prefixed; `f64`s travel as
 //! their IEEE-754 bit patterns (`to_bits`/`from_bits`), so a value
 //! round-trips **bit**-identically — the recovery conformance contract
-//! compares with `==` on `f64`, and these codecs must never be the
-//! place identity dies. Decoders return a `String` reason on failure;
+//! compares with `==` on `f64`, and this codec must never be the place
+//! identity dies. Decoders return a `String` reason on failure;
 //! frame-level callers wrap it into [`WalError::Decode`] with the
 //! frame's byte offset.
 //!
 //! [`WalError::Decode`]: crate::WalError::Decode
 
 use wot_community::{CategoryId, ReviewId, StoreEvent, UserId};
-use wot_core::{CategorySnapshot, IncrementalSnapshot};
 
 /// Event payload tag for [`StoreEvent::Review`].
 const TAG_REVIEW: u8 = 0;
@@ -22,26 +21,26 @@ const TAG_RATING: u8 = 1;
 // Primitive writers/readers
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
 /// A bounds-checked little-endian reader over a decoded frame payload.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
     }
 
@@ -57,37 +56,23 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u8(&mut self, what: &str) -> Result<u8, String> {
+    fn u8(&mut self, what: &str) -> Result<u8, String> {
         Ok(self.take(1, what)?[0])
     }
 
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, String> {
+    fn u32(&mut self, what: &str) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64, String> {
+    fn u64(&mut self, what: &str) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
-    pub(crate) fn f64(&mut self, what: &str) -> Result<f64, String> {
+    fn f64(&mut self, what: &str) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    /// A `u64` length prefix, validated against what the remaining
-    /// bytes could possibly hold (`min_elem_bytes` per element) so a
-    /// corrupt length cannot trigger an absurd allocation.
-    pub(crate) fn len(&mut self, min_elem_bytes: usize, what: &str) -> Result<usize, String> {
-        let n = self.u64(what)?;
-        let cap = (self.buf.len() - self.pos) / min_elem_bytes.max(1);
-        if n as usize > cap {
-            return Err(format!(
-                "implausible length {n} for {what}: at most {cap} elements fit in the payload"
-            ));
-        }
-        Ok(n as usize)
-    }
-
-    pub(crate) fn finish(&self, what: &str) -> Result<(), String> {
+    fn finish(&self, what: &str) -> Result<(), String> {
         if self.pos != self.buf.len() {
             return Err(format!(
                 "{} trailing bytes after {what}",
@@ -173,224 +158,6 @@ pub(crate) fn decode_tagged_event(payload: &[u8]) -> Result<(u64, StoreEvent), S
     Ok((seq, e))
 }
 
-// ---------------------------------------------------------------------
-// Incremental state snapshot
-// ---------------------------------------------------------------------
-
-fn put_u32_slice<T: Copy, F: Fn(T) -> u32>(out: &mut Vec<u8>, xs: &[T], f: F) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u32(out, f(x));
-    }
-}
-
-fn put_f64_slice(out: &mut Vec<u8>, xs: &[f64]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_f64(out, x);
-    }
-}
-
-/// Encodes the restorable image of an `IncrementalDerived` (see
-/// `wot_core::IncrementalSnapshot`): the arrival-order-bearing arrays
-/// and the warm `f64` state, per category. Everything derivable is
-/// rebuilt — and revalidated — by `IncrementalDerived::from_snapshot`.
-pub(crate) fn encode_incremental(out: &mut Vec<u8>, snap: &IncrementalSnapshot) {
-    put_u64(out, snap.num_users as u64);
-    put_u64(out, snap.categories.len() as u64);
-    for cat in &snap.categories {
-        put_u32_slice(out, &cat.reviews, |r| r.0);
-        put_u32_slice(out, &cat.review_writer_local, |w| w);
-        put_u64(out, cat.ratings_by_review_local.len() as u64);
-        for ratings in &cat.ratings_by_review_local {
-            put_u64(out, ratings.len() as u64);
-            for &(rater_local, value) in ratings {
-                put_u32(out, rater_local);
-                put_f64(out, value);
-            }
-        }
-        put_u32_slice(out, &cat.rater_of_local, |u| u.0);
-        put_u32_slice(out, &cat.writer_of_local, |u| u.0);
-        put_f64_slice(out, &cat.quality);
-        put_f64_slice(out, &cat.reputation);
-        put_u64(out, cat.num_ratings as u64);
-        out.push(cat.stale as u8);
-    }
-}
-
-fn read_u32_vec<T, F: Fn(u32) -> T>(
-    c: &mut Cursor<'_>,
-    what: &str,
-    f: F,
-) -> Result<Vec<T>, String> {
-    let n = c.len(4, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(f(c.u32(what)?));
-    }
-    Ok(v)
-}
-
-fn read_f64_vec(c: &mut Cursor<'_>, what: &str) -> Result<Vec<f64>, String> {
-    let n = c.len(8, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(c.f64(what)?);
-    }
-    Ok(v)
-}
-
-/// Decodes an incremental state snapshot payload.
-pub(crate) fn decode_incremental(payload: &[u8]) -> Result<IncrementalSnapshot, String> {
-    let mut c = Cursor::new(payload);
-    let num_users = c.u64("num_users")? as usize;
-    let num_categories = c.len(1, "category count")?;
-    let mut categories = Vec::with_capacity(num_categories);
-    for _ in 0..num_categories {
-        let reviews = read_u32_vec(&mut c, "reviews", ReviewId)?;
-        let review_writer_local = read_u32_vec(&mut c, "review_writer_local", |w| w)?;
-        let num_reviews = c.len(8, "ratings_by_review_local")?;
-        let mut ratings_by_review_local = Vec::with_capacity(num_reviews);
-        for _ in 0..num_reviews {
-            let n = c.len(12, "ratings of review")?;
-            let mut ratings = Vec::with_capacity(n);
-            for _ in 0..n {
-                let rater_local = c.u32("rater_local")?;
-                let value = c.f64("rating value")?;
-                ratings.push((rater_local, value));
-            }
-            ratings_by_review_local.push(ratings);
-        }
-        let rater_of_local = read_u32_vec(&mut c, "rater_of_local", UserId)?;
-        let writer_of_local = read_u32_vec(&mut c, "writer_of_local", UserId)?;
-        let quality = read_f64_vec(&mut c, "quality")?;
-        let reputation = read_f64_vec(&mut c, "reputation")?;
-        let num_ratings = c.u64("num_ratings")? as usize;
-        let stale = match c.u8("stale flag")? {
-            0 => false,
-            1 => true,
-            b => return Err(format!("stale flag must be 0 or 1, got {b}")),
-        };
-        categories.push(CategorySnapshot {
-            reviews,
-            review_writer_local,
-            ratings_by_review_local,
-            rater_of_local,
-            writer_of_local,
-            quality,
-            reputation,
-            num_ratings,
-            stale,
-        });
-    }
-    c.finish("incremental snapshot")?;
-    Ok(IncrementalSnapshot {
-        num_users,
-        categories,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Derived-model snapshot
-// ---------------------------------------------------------------------
-
-use wot_core::{CategoryReputation, Derived};
-use wot_sparse::Dense;
-
-fn put_dense(out: &mut Vec<u8>, m: &Dense) {
-    put_u64(out, m.nrows() as u64);
-    put_u64(out, m.ncols() as u64);
-    for &x in m.as_slice() {
-        put_f64(out, x);
-    }
-}
-
-fn read_dense(c: &mut Cursor<'_>, what: &str) -> Result<Dense, String> {
-    let rows = c.u64(what)? as usize;
-    let cols = c.u64(what)? as usize;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| format!("{what}: {rows}x{cols} overflows"))?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(c.f64(what)?);
-    }
-    Dense::from_vec(rows, cols, data).map_err(|e| format!("{what}: {e}"))
-}
-
-fn put_pairs<T: Copy, F: Fn(T) -> u32>(out: &mut Vec<u8>, xs: &[(T, f64)], f: F) {
-    put_u64(out, xs.len() as u64);
-    for &(id, v) in xs {
-        put_u32(out, f(id));
-        put_f64(out, v);
-    }
-}
-
-fn read_pairs<T, F: Fn(u32) -> T>(
-    c: &mut Cursor<'_>,
-    what: &str,
-    f: F,
-) -> Result<Vec<(T, f64)>, String> {
-    let n = c.len(12, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = c.u32(what)?;
-        let value = c.f64(what)?;
-        v.push((f(id), value));
-    }
-    Ok(v)
-}
-
-/// Encodes a full derived model (`E`, `A`, per-category reputations).
-pub(crate) fn encode_derived(out: &mut Vec<u8>, d: &Derived) {
-    put_dense(out, &d.expertise);
-    put_dense(out, &d.affiliation);
-    put_u64(out, d.per_category.len() as u64);
-    for cr in &d.per_category {
-        put_u32(out, cr.category.0);
-        put_pairs(out, &cr.rater_reputation, |u: UserId| u.0);
-        put_pairs(out, &cr.writer_reputation, |u: UserId| u.0);
-        put_pairs(out, &cr.review_quality, |r: ReviewId| r.0);
-        put_u64(out, cr.iterations as u64);
-        out.push(cr.converged as u8);
-    }
-}
-
-/// Decodes a derived-model snapshot payload.
-pub(crate) fn decode_derived(payload: &[u8]) -> Result<Derived, String> {
-    let mut c = Cursor::new(payload);
-    let expertise = read_dense(&mut c, "expertise")?;
-    let affiliation = read_dense(&mut c, "affiliation")?;
-    let n = c.len(1, "per-category count")?;
-    let mut per_category = Vec::with_capacity(n);
-    for _ in 0..n {
-        let category = CategoryId(c.u32("category id")?);
-        let rater_reputation = read_pairs(&mut c, "rater reputation", UserId)?;
-        let writer_reputation = read_pairs(&mut c, "writer reputation", UserId)?;
-        let review_quality = read_pairs(&mut c, "review quality", ReviewId)?;
-        let iterations = c.u64("iterations")? as usize;
-        let converged = match c.u8("converged flag")? {
-            0 => false,
-            1 => true,
-            b => return Err(format!("converged flag must be 0 or 1, got {b}")),
-        };
-        per_category.push(std::sync::Arc::new(CategoryReputation {
-            category,
-            rater_reputation,
-            writer_reputation,
-            review_quality,
-            iterations,
-            converged,
-        }));
-    }
-    c.finish("derived snapshot")?;
-    Ok(Derived {
-        expertise,
-        affiliation,
-        per_category,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,83 +216,5 @@ mod tests {
         assert!(decode_event(&bad)
             .unwrap_err()
             .contains("unknown event tag"));
-    }
-
-    #[test]
-    fn incremental_snapshot_round_trips() {
-        let snap = IncrementalSnapshot {
-            num_users: 5,
-            categories: vec![
-                CategorySnapshot {
-                    reviews: vec![ReviewId(0), ReviewId(2)],
-                    review_writer_local: vec![0, 1],
-                    ratings_by_review_local: vec![vec![(0, 0.5), (1, 1.0)], vec![]],
-                    rater_of_local: vec![UserId(3), UserId(4)],
-                    writer_of_local: vec![UserId(0), UserId(1)],
-                    quality: vec![0.5, 0.25],
-                    reputation: vec![0.5, 0.5],
-                    num_ratings: 2,
-                    stale: true,
-                },
-                CategorySnapshot {
-                    reviews: vec![],
-                    review_writer_local: vec![],
-                    ratings_by_review_local: vec![],
-                    rater_of_local: vec![],
-                    writer_of_local: vec![],
-                    quality: vec![],
-                    reputation: vec![],
-                    num_ratings: 0,
-                    stale: false,
-                },
-            ],
-        };
-        let mut buf = Vec::new();
-        encode_incremental(&mut buf, &snap);
-        let back = decode_incremental(&buf).unwrap();
-        assert_eq!(back.num_users, 5);
-        assert_eq!(back.categories.len(), 2);
-        assert_eq!(back.categories[0].reviews, snap.categories[0].reviews);
-        assert_eq!(
-            back.categories[0].ratings_by_review_local,
-            snap.categories[0].ratings_by_review_local
-        );
-        assert!(back.categories[0].stale);
-        assert!(!back.categories[1].stale);
-        // A flipped stale byte is a decode error, not a silent bool.
-        let stale_at = buf.len() - 1;
-        buf[stale_at] = 7;
-        assert!(decode_incremental(&buf).unwrap_err().contains("stale flag"));
-    }
-
-    #[test]
-    fn derived_round_trips_bit_identically() {
-        let d = Derived {
-            expertise: Dense::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]).unwrap(),
-            affiliation: Dense::from_vec(2, 2, vec![1.0, 0.0, 0.5, 0.5]).unwrap(),
-            per_category: vec![std::sync::Arc::new(CategoryReputation {
-                category: CategoryId(0),
-                rater_reputation: vec![(UserId(1), 0.6)],
-                writer_reputation: vec![(UserId(0), 0.7)],
-                review_quality: vec![(ReviewId(0), 0.8)],
-                iterations: 12,
-                converged: true,
-            })],
-        };
-        let mut buf = Vec::new();
-        encode_derived(&mut buf, &d);
-        assert_eq!(decode_derived(&buf).unwrap(), d);
-    }
-
-    #[test]
-    fn implausible_lengths_fail_without_allocating() {
-        // A payload claiming u64::MAX categories must be rejected by the
-        // plausibility check, not die trying to reserve memory.
-        let mut buf = Vec::new();
-        put_u64(&mut buf, 3); // num_users
-        put_u64(&mut buf, u64::MAX); // category count
-        assert!(decode_incremental(&buf)
-            .unwrap_err()
-            .contains("implausible length"));
     }
 }

@@ -1,8 +1,8 @@
-//! The 16-byte file header shared by logs and snapshots.
+//! The 16-byte log file header.
 //!
 //! ```text
-//! 0..8   magic (b"WOTWAL01" / b"WOTSNP01" — trailing digits = version)
-//! 8      kind byte (interpretation depends on the magic)
+//! 0..8   magic (b"WOTWAL01" — trailing digits = version)
+//! 8      kind byte (untagged or sequence-tagged events)
 //! 9..12  reserved, must be zero
 //! 12..16 CRC32 of bytes 0..12, little-endian
 //! ```
@@ -25,8 +25,6 @@ pub(crate) const HEADER_LEN: usize = 16;
 pub(crate) const FRAME_HEADER_LEN: usize = 8;
 /// Magic for event logs, version 01.
 pub(crate) const MAGIC_WAL: [u8; 8] = *b"WOTWAL01";
-/// Magic for snapshots, version 01.
-pub(crate) const MAGIC_SNAP: [u8; 8] = *b"WOTSNP01";
 
 /// Builds the header for a file of the given magic and kind.
 pub(crate) fn header_bytes(magic: [u8; 8], kind: u8) -> [u8; HEADER_LEN] {
@@ -80,9 +78,9 @@ mod tests {
         let p = Path::new("x.wal");
         let h = header_bytes(MAGIC_WAL, 1);
         assert_eq!(parse_header(&h, MAGIC_WAL, p).unwrap(), 1);
-        // Wrong magic family.
+        // Another format version.
         assert!(matches!(
-            parse_header(&h, MAGIC_SNAP, p),
+            parse_header(&h, *b"WOTWAL02", p),
             Err(WalError::BadHeader { .. })
         ));
         // Any flipped bit in the covered prefix breaks the header crc.

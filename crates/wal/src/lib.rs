@@ -1,34 +1,32 @@
-//! # wot-wal — durable event log with crash-consistent recovery
+//! # wot-wal — durable event log
 //!
 //! The incremental pipeline (`wot-core`'s `IncrementalDerived`) folds a
 //! community's event stream into the paper's derived model online. This
 //! crate makes that stream **durable**: events are appended to a binary
-//! write-ahead log as they arrive, periodic snapshots bound replay time,
-//! and recovery reconstructs — *bit-identically* — the exact state a
-//! process held before it died.
+//! write-ahead log as they arrive, and reading the log back returns
+//! exactly the events whose appends completed. The serving layer's
+//! `ShardEngine` (`wot-serve`) is the one owner of a live log: it
+//! replays an existing log onto its bootstrap model on open and appends
+//! behind its admission check. Recovery is a cold replay of the whole
+//! log — there are no checkpoints.
 //!
 //! ## On-disk format
 //!
-//! Every file starts with a 16-byte header:
+//! Every log starts with a 16-byte header:
 //!
 //! ```text
 //! offset  size  field
-//! 0       8     magic: b"WOTWAL01" (logs) or b"WOTSNP01" (snapshots);
-//!               the trailing digits version the format
-//! 8       1     kind: log  0 = untagged events, 1 = sequence-tagged
-//!               events; snapshot 0 = incremental state, 1 = derived model
+//! 0       8     magic: b"WOTWAL01" (the trailing digits version the format)
+//! 8       1     kind: 0 = untagged events, 1 = sequence-tagged events
 //! 9       3     reserved (zero)
 //! 12      4     CRC32 (IEEE) of bytes 0..12, little-endian
 //! ```
 //!
-//! A log body is a run of self-checking **frames**:
+//! The body is a run of self-checking **frames**:
 //!
 //! ```text
 //! len: u32 LE | crc32(payload): u32 LE | payload (len bytes)
 //! ```
-//!
-//! A snapshot body is a single frame with a u64 length (snapshots are
-//! large; logs cap single events far below 4 GiB).
 //!
 //! ## Failure semantics — torn tails vs. corruption
 //!
@@ -48,15 +46,10 @@
 //!   every downstream derivation. Readers **fail closed** with a typed
 //!   [`WalError::CrcMismatch`] naming the byte offset.
 //!
-//! ## Recovery
-//!
-//! [`recover::recover_state`] = newest snapshot (if any) + log-tail
-//! replay. The restored `IncrementalDerived` is proven bit-identical
-//! (`==` on every `f64`) to a cold replay of the full log — the same
-//! conformance contract the replay/shard suites enforce — so durability
-//! adds zero numeric drift. `tests/crash_recovery.rs` at the workspace
-//! root drives the fault-injection proof: truncation at every byte
-//! boundary of the tail record, flipped body bytes, kill-mid-append.
+//! `tests/crash_recovery.rs` at the workspace root drives the
+//! fault-injection proof: truncation at every byte boundary of the tail
+//! record, flipped body bytes, kill-mid-append, and a daemon restarted
+//! on its own torn log.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,8 +58,6 @@ pub mod codec;
 mod crc32;
 mod format;
 pub mod reader;
-pub mod recover;
-pub mod snapshot;
 pub mod writer;
 
 use std::fmt;
@@ -74,23 +65,16 @@ use std::path::Path;
 
 pub use codec::{decode_event, encode_event};
 pub use reader::{read_log, read_tagged_log, RecoveredLog, TornTail};
-pub use recover::{
-    read_shard_logs, recover_sharded_events, recover_state, write_shard_logs, RecoveryReport,
-    ShardRecovery,
-};
-pub use snapshot::{
-    read_derived_snapshot, read_state_snapshot, write_derived_snapshot, write_state_snapshot,
-};
 pub use writer::{FsyncPolicy, LogKind, WalWriter};
 
-/// Errors raised while writing, reading, or recovering durable state.
+/// Errors raised while writing or reading a log.
 ///
 /// I/O failures are flattened to `(path, message)` so the error stays
 /// `Clone + PartialEq` — recovery tests assert on exact error values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalError {
-    /// An operating-system I/O failure (open, read, write, fsync,
-    /// rename), with the path it happened on.
+    /// An operating-system I/O failure (open, read, write, fsync), with
+    /// the path it happened on.
     Io {
         /// The file or directory involved.
         path: String,
@@ -98,7 +82,7 @@ pub enum WalError {
         message: String,
     },
     /// The 16-byte file header was missing, unrecognized, or failed its
-    /// own CRC — the file is not a (current-version) WAL or snapshot.
+    /// own CRC — the file is not a (current-version) WAL.
     BadHeader {
         /// The offending file.
         path: String,
@@ -135,26 +119,6 @@ pub enum WalError {
         /// What failed to decode.
         reason: String,
     },
-    /// A snapshot claims to cover more events than the log holds —
-    /// the snapshot and log are not from the same history (or the log
-    /// lost a durable suffix some other way).
-    SnapshotAheadOfLog {
-        /// Events the snapshot covers.
-        covered: u64,
-        /// Events actually recoverable from the log.
-        log_len: u64,
-    },
-    /// After a consistent cut across shard logs, the surviving tags were
-    /// not the dense prefix `0..n` — an interior event is missing, so
-    /// the shard set cannot be merged into a causal history.
-    ShardGap {
-        /// The first missing sequence tag.
-        missing_seq: u64,
-    },
-    /// Propagated from the community layer (replay/merge validation).
-    Community(wot_community::CommunityError),
-    /// Propagated from the derivation core (config/restore validation).
-    Core(wot_core::CoreError),
 }
 
 impl fmt::Display for WalError {
@@ -184,33 +148,11 @@ impl fmt::Display for WalError {
             WalError::Decode { offset, reason } => {
                 write!(f, "undecodable frame at offset {offset}: {reason}")
             }
-            WalError::SnapshotAheadOfLog { covered, log_len } => write!(
-                f,
-                "snapshot covers {covered} events but the log holds only {log_len}"
-            ),
-            WalError::ShardGap { missing_seq } => write!(
-                f,
-                "shard logs have a gap: sequence tag {missing_seq} is missing below the cut"
-            ),
-            WalError::Community(e) => write!(f, "community error: {e}"),
-            WalError::Core(e) => write!(f, "core error: {e}"),
         }
     }
 }
 
 impl std::error::Error for WalError {}
-
-impl From<wot_community::CommunityError> for WalError {
-    fn from(e: wot_community::CommunityError) -> Self {
-        WalError::Community(e)
-    }
-}
-
-impl From<wot_core::CoreError> for WalError {
-    fn from(e: wot_core::CoreError) -> Self {
-        WalError::Core(e)
-    }
-}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, WalError>;
@@ -237,11 +179,11 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("offset 16"), "{s}");
         assert!(s.contains("0xdeadbeef"), "{s}");
-        let t = WalError::SnapshotAheadOfLog {
-            covered: 9,
-            log_len: 4,
+        let t = WalError::FrameTooLarge {
+            payload_len: 9 << 32,
+            max_len: u32::MAX as u64,
         }
         .to_string();
-        assert!(t.contains('9') && t.contains('4'), "{t}");
+        assert!(t.contains(&(9u64 << 32).to_string()), "{t}");
     }
 }

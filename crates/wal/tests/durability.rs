@@ -1,20 +1,17 @@
-//! Crate-level durability tests: log round-trips, torn-tail handling,
-//! snapshot atomicity, and single/sharded recovery on synthetic
-//! communities. The exhaustive fault-injection matrix (every-byte
-//! truncation sweeps, bit flips, kill-mid-append) lives at the
+//! Crate-level durability tests: log round-trips, reopening for append,
+//! and torn-tail handling on synthetic communities. The exhaustive
+//! fault-injection matrix (every-byte truncation sweeps, bit flips,
+//! kill-mid-append, a daemon restarted on its own torn log) lives at the
 //! workspace root in `tests/crash_recovery.rs`; this file proves the
 //! crate's own contracts in isolation.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use wot_community::events::event_log;
-use wot_community::{ShardAssignment, StoreEvent};
+use wot_community::StoreEvent;
 use wot_core::{DeriveConfig, IncrementalDerived, ReplayEvent};
-use wot_synth::{generate, sharded_event_logs, shuffled_event_log, SynthConfig};
-use wot_wal::{
-    read_log, read_state_snapshot, read_tagged_log, recover_sharded_events, recover_state,
-    write_shard_logs, write_state_snapshot, FsyncPolicy, LogKind, WalError, WalWriter,
-};
+use wot_synth::{generate, shuffled_event_log, SynthConfig};
+use wot_wal::{read_log, read_tagged_log, FsyncPolicy, LogKind, WalError, WalWriter};
 
 /// A self-cleaning scratch directory, unique per test.
 struct TempDir(PathBuf);
@@ -25,10 +22,6 @@ impl TempDir {
         let _ = std::fs::remove_dir_all(&p);
         std::fs::create_dir_all(&p).unwrap();
         TempDir(p)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
     }
 
     fn file(&self, name: &str) -> PathBuf {
@@ -165,140 +158,6 @@ fn torn_tail_is_reported_and_truncated_but_corruption_fails_closed() {
 }
 
 #[test]
-fn recovery_with_and_without_snapshot_is_bit_identical_to_cold_replay() {
-    let dir = TempDir::new("recover");
-    let (num_users, num_categories, log) = tiny_log(4);
-    let cfg = DeriveConfig::default();
-    let path = dir.file("events.wal");
-    let snap_path = dir.file("state.snap");
-
-    let mut w = WalWriter::create(&path, LogKind::Events, FsyncPolicy::EveryN(128)).unwrap();
-    let mut live = IncrementalDerived::new(num_users, num_categories, &cfg).unwrap();
-    let snap_at = log.len() * 2 / 3;
-    for (k, e) in log.iter().enumerate() {
-        w.append(e).unwrap();
-        live.apply(&ReplayEvent::from(*e)).unwrap();
-        if k + 1 == snap_at {
-            write_state_snapshot(&snap_path, (k + 1) as u64, &live.snapshot()).unwrap();
-        }
-    }
-    w.sync().unwrap();
-
-    // Cold replay (no snapshot).
-    let (cold, report) = recover_state(None, &path, num_users, num_categories, &cfg).unwrap();
-    assert!(!report.used_snapshot);
-    assert_eq!(report.tail_events, log.len() as u64);
-    assert_eq!(cold.to_derived(), live.to_derived());
-
-    // Snapshot + tail replay: same bits, shorter tail.
-    let (warm, report) =
-        recover_state(Some(&snap_path), &path, num_users, num_categories, &cfg).unwrap();
-    assert!(report.used_snapshot);
-    assert_eq!(report.snapshot_covered, snap_at as u64);
-    assert_eq!(report.tail_events, (log.len() - snap_at) as u64);
-    assert_eq!(warm.to_derived(), cold.to_derived());
-
-    // A snapshot claiming more events than the log holds is typed.
-    write_state_snapshot(&snap_path, log.len() as u64 + 7, &live.snapshot()).unwrap();
-    assert!(matches!(
-        recover_state(Some(&snap_path), &path, num_users, num_categories, &cfg),
-        Err(WalError::SnapshotAheadOfLog { covered, log_len })
-            if covered == log.len() as u64 + 7 && log_len == log.len() as u64
-    ));
-}
-
-#[test]
-fn snapshot_writes_are_atomic_under_an_injected_pre_rename_crash() {
-    let dir = TempDir::new("atomic");
-    let (num_users, num_categories, log) = tiny_log(5);
-    let cfg = DeriveConfig::default();
-    let snap_path = dir.file("state.snap");
-
-    let mut live = IncrementalDerived::new(num_users, num_categories, &cfg).unwrap();
-    let half = log.len() / 2;
-    for e in &log[..half] {
-        live.apply(&ReplayEvent::from(*e)).unwrap();
-    }
-    write_state_snapshot(&snap_path, half as u64, &live.snapshot()).unwrap();
-    let published = std::fs::read(&snap_path).unwrap();
-
-    // Crash between temp-file write and rename: the published snapshot
-    // must be byte-identical to before, with the orphan temp visible.
-    for e in &log[half..] {
-        live.apply(&ReplayEvent::from(*e)).unwrap();
-    }
-    wot_wal::snapshot::fail_before_rename(true);
-    let err = write_state_snapshot(&snap_path, log.len() as u64, &live.snapshot()).unwrap_err();
-    assert!(matches!(err, WalError::Io { .. }), "{err:?}");
-    assert_eq!(std::fs::read(&snap_path).unwrap(), published);
-    assert!(snap_path.with_extension("tmp").exists());
-    let (covered, _) = read_state_snapshot(&snap_path).unwrap();
-    assert_eq!(covered, half as u64);
-
-    // The failpoint self-resets: the retry publishes the new snapshot.
-    write_state_snapshot(&snap_path, log.len() as u64, &live.snapshot()).unwrap();
-    let (covered, image) = read_state_snapshot(&snap_path).unwrap();
-    assert_eq!(covered, log.len() as u64);
-    let restored = IncrementalDerived::from_snapshot(image, &cfg).unwrap();
-    assert_eq!(restored.to_derived(), live.to_derived());
-}
-
-#[test]
-fn sharded_logs_recover_to_a_consistent_cut() {
-    let dir = TempDir::new("shards");
-    let store = generate(&SynthConfig::tiny(6)).unwrap().store;
-    let assignment = ShardAssignment::round_robin(store.num_categories(), 3);
-    let logs = sharded_event_logs(&store, &assignment, 66);
-    let global = shuffled_event_log(&store, 66);
-
-    // Clean recovery: the whole history, no cut.
-    let paths = write_shard_logs(dir.path(), &logs, FsyncPolicy::EveryN(256)).unwrap();
-    assert_eq!(paths.len(), logs.len());
-    let rec = recover_sharded_events(dir.path()).unwrap();
-    assert_eq!(rec.events, global);
-    assert!(rec.torn_shards.is_empty());
-    assert_eq!(rec.dropped_events, 0);
-    assert_eq!(rec.last_kept_seq, Some(global.len() as u64 - 1));
-
-    // Tear one shard's tail: the cut drops every shard's events above
-    // the torn shard's last durable tag, and what survives is exactly
-    // the global prefix up to the cut.
-    let victim = logs
-        .iter()
-        .position(|l| l.len() >= 2)
-        .expect("some shard has two events");
-    let bytes = std::fs::read(&paths[victim]).unwrap();
-    std::fs::write(&paths[victim], &bytes[..bytes.len() - 3]).unwrap();
-    let rec = recover_sharded_events(dir.path()).unwrap();
-    assert_eq!(rec.torn_shards, vec![victim]);
-    let cut = rec.last_kept_seq.unwrap();
-    assert_eq!(cut, logs[victim][logs[victim].len() - 2].0);
-    assert_eq!(rec.events, global[..=cut as usize]);
-    // Tags above the cut number `global.len() - 1 - cut`; one of them
-    // (the victim's torn record) was never durable, the rest were
-    // durable-but-dropped by the cut.
-    assert_eq!(rec.dropped_events as usize, global.len() - 2 - cut as usize);
-}
-
-#[test]
-fn interior_gaps_across_shards_fail_closed() {
-    let dir = TempDir::new("gap");
-    let e = StoreEvent::Review {
-        writer: wot_community::UserId(0),
-        review: wot_community::ReviewId(0),
-        category: wot_community::CategoryId(0),
-    };
-    // Untorn logs whose union of tags is {0, 2}: tag 1 is missing from
-    // the durable history, which torn tails alone can never produce.
-    let logs = vec![vec![(0u64, e), (2u64, e)], Vec::new()];
-    write_shard_logs(dir.path(), &logs, FsyncPolicy::Always).unwrap();
-    assert!(matches!(
-        recover_sharded_events(dir.path()),
-        Err(WalError::ShardGap { missing_seq: 1 })
-    ));
-}
-
-#[test]
 fn canonical_store_log_survives_the_wal() {
     // The store's own canonical event log — not just synth shuffles —
     // round-trips and folds back to the same derived model.
@@ -312,8 +171,12 @@ fn canonical_store_log_survives_the_wal() {
         w.append(e).unwrap();
     }
     w.sync().unwrap();
-    let (rec, _) =
-        recover_state(None, &path, store.num_users(), store.num_categories(), &cfg).unwrap();
+    let back = read_log(&path).unwrap().events;
+    assert_eq!(back, log);
+    let replayed: Vec<ReplayEvent> = back.into_iter().map(ReplayEvent::from).collect();
+    let rec =
+        IncrementalDerived::replay(store.num_users(), store.num_categories(), &cfg, &replayed)
+            .unwrap();
     let batch = wot_core::pipeline::derive(&store, &cfg).unwrap();
-    assert_eq!(rec.to_derived(), batch);
+    assert_eq!(rec, batch);
 }

@@ -29,8 +29,8 @@
 //! | [`propagation`] | `wot-propagation` | EigenTrust, TidalTrust, Appleseed, Guha |
 //! | [`eval`] | `wot-eval` | Table 2/3/4, Fig. 3, §IV.C, §V, ablations |
 //! | [`par`] | `wot-par` | scoped-thread data parallelism (deterministic) |
-//! | [`wal`] | `wot-wal` | durable event log, snapshots, crash recovery |
-//! | [`serve`] | `wot-serve` | trust-serving daemon: lock-free snapshot reads, durable ingest |
+//! | [`wal`] | `wot-wal` | durable event log: CRC frames, torn-tail truncation |
+//! | [`serve`] | `wot-serve` | shard engine (durable ingest + recovery), trust-serving daemon, coordinator |
 //!
 //! ## Quickstart
 //!

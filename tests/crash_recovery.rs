@@ -11,11 +11,11 @@
 //!    anywhere must surface as a typed [`WalError::CrcMismatch`] naming
 //!    the frame's byte offset — silently folding damaged history into
 //!    the trust model is the one unforgivable outcome.
-//! 3. **Recovery is bit-identical.** Snapshot + tail replay must land
-//!    on `f64`-exact equality with a cold full-log replay *and* with
-//!    the batch pipeline, at every thread count — the same conformance
-//!    oracle `tests/replay_conformance.rs` uses, extended across a
-//!    simulated process death.
+//! 3. **No acked event is lost across a restart.** A daemon started on
+//!    its own log — torn tail and all — comes back at exactly the acked
+//!    sequence, serving answers bit-identical (`==` on `f64`) to the
+//!    batch pipeline on that prefix, and a log that does not fit is
+//!    refused untouched.
 //!
 //! [`WalError::CrcMismatch`]: webtrust::wal::WalError::CrcMismatch
 
@@ -24,11 +24,10 @@ use std::path::{Path, PathBuf};
 use webtrust::community::events::replay_into_store;
 use webtrust::community::StoreEvent;
 use webtrust::core::{pipeline, DeriveConfig, IncrementalDerived, ReplayEvent};
+use webtrust::serve::conformance::assert_backend_matches;
+use webtrust::serve::{Client, ServeError, ServeOptions, Server, ShardEngine};
 use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
-use webtrust::wal::{
-    read_log, recover_state, write_state_snapshot, FsyncPolicy, LogKind, RecoveredLog, WalError,
-    WalWriter,
-};
+use webtrust::wal::{read_log, FsyncPolicy, LogKind, RecoveredLog, WalError, WalWriter};
 
 /// A self-cleaning scratch directory, unique per test.
 struct TempDir(PathBuf);
@@ -201,64 +200,6 @@ fn kill_mid_append_reopens_truncates_and_continues() {
 }
 
 #[test]
-fn snapshot_resumed_recovery_is_bit_identical_at_every_thread_count() {
-    let dir = TempDir::new("conform");
-    let store = generate(&SynthConfig::tiny(34)).unwrap().store;
-    let log = shuffled_event_log(&store, 11);
-    let path = dir.file("events.wal");
-    write_wal(&path, &log);
-
-    for threads in [1usize, 2, 4] {
-        let cfg = DeriveConfig::builder().threads(threads).build().unwrap();
-        // The batch oracle: fold the log into a store, derive it whole.
-        let replayed = replay_into_store(
-            store.scale().clone(),
-            store.num_users(),
-            store.num_categories(),
-            &log,
-        )
-        .unwrap();
-        let batch = pipeline::derive(&replayed, &cfg).unwrap();
-
-        // Cold recovery (full-log replay) hits the oracle's bits.
-        let (cold, report) =
-            recover_state(None, &path, store.num_users(), store.num_categories(), &cfg).unwrap();
-        assert!(!report.used_snapshot);
-        assert_eq!(cold.to_derived(), batch, "{threads} threads, cold");
-
-        // Snapshots taken at several prefixes, each resumed and
-        // replayed to the end: same bits again.
-        for cut_num in 1..=3usize {
-            let covered = log.len() * cut_num / 4;
-            let mut live =
-                IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
-            for e in &log[..covered] {
-                live.apply(&ReplayEvent::from(*e)).unwrap();
-            }
-            let snap_path = dir.file(&format!("t{threads}-c{cut_num}.snap"));
-            write_state_snapshot(&snap_path, covered as u64, &live.snapshot()).unwrap();
-
-            let (warm, report) = recover_state(
-                Some(&snap_path),
-                &path,
-                store.num_users(),
-                store.num_categories(),
-                &cfg,
-            )
-            .unwrap();
-            assert!(report.used_snapshot);
-            assert_eq!(report.snapshot_covered, covered as u64);
-            assert_eq!(report.tail_events, (log.len() - covered) as u64);
-            assert_eq!(
-                warm.to_derived(),
-                batch,
-                "{threads} threads, snapshot at {covered}"
-            );
-        }
-    }
-}
-
-#[test]
 fn recovery_survives_combined_damage_without_panicking() {
     // Truncation + flips layered on the same file: whatever the bytes,
     // recovery must return a `Result` — the absence of a panic anywhere
@@ -291,12 +232,126 @@ fn recovery_survives_combined_damage_without_panicking() {
         std::fs::write(&chaos_path, &bytes).unwrap();
         // Both the raw read and full recovery: typed results only.
         let _ = read_log(&chaos_path);
-        let _ = recover_state(
-            None,
+        let model =
+            IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+        let _ = ShardEngine::open(
             &chaos_path,
-            store.num_users(),
-            store.num_categories(),
-            &cfg,
+            LogKind::Events,
+            FsyncPolicy::Manual,
+            model,
+            |model, log| {
+                for (_, e) in &log {
+                    ShardEngine::fold(model, e, |m, e| m.check_event(e).map_err(|e| e.to_string()))
+                        .map_err(ServeError::Protocol)?;
+                }
+                Ok(())
+            },
         );
     }
+}
+
+#[test]
+fn start_on_an_existing_log_never_loses_an_acked_event() {
+    let dir = TempDir::new("restart");
+    let store = generate(&SynthConfig::tiny(36)).unwrap().store;
+    let log = shuffled_event_log(&store, 13);
+    let cfg = DeriveConfig::default();
+    let base = log.len() / 2;
+    let acked = base + (log.len() - base) / 2;
+    let bootstrap = || {
+        let mut m =
+            IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+        for e in &log[..base] {
+            m.apply(&ReplayEvent::from(*e)).unwrap();
+        }
+        m
+    };
+    let oracle = |n: usize| {
+        let replayed = replay_into_store(
+            store.scale().clone(),
+            store.num_users(),
+            store.num_categories(),
+            &log[..n],
+        )
+        .unwrap();
+        pipeline::derive(&replayed, &cfg).unwrap()
+    };
+    let path = dir.file("events.wal");
+    let opts = ServeOptions::builder(&path)
+        .fsync(FsyncPolicy::Always)
+        .build()
+        .unwrap();
+
+    // Ingest, shut down, and tear a partial frame onto the log's tail.
+    let server = Server::start(bootstrap(), base as u64, &opts).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    for &e in &log[base..acked] {
+        client.ingest(e).unwrap();
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    let clean_len = std::fs::metadata(&path).unwrap().len();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.extend_from_slice(&[17, 0, 0, 0, 0xAB, 0xCD]);
+    std::fs::write(&path, &bytes).unwrap();
+
+    // The restart on the same path, from the same bootstrap model, is at
+    // the acked seq and bit-identical to the batch pipeline there.
+    let server = Server::start(bootstrap(), base as u64, &opts).unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len);
+    let mut client = Client::connect(server.addr()).unwrap();
+    assert_eq!(client.ping().unwrap(), acked as u64);
+    assert_backend_matches(&mut client, &oracle(acked), acked as u64);
+    for &e in &log[acked..] {
+        client.ingest(e).unwrap();
+    }
+    assert_eq!(client.ping().unwrap(), log.len() as u64);
+    drop(client);
+    server.shutdown().unwrap();
+    assert_eq!(read_log(&path).unwrap().events, log[base..]);
+
+    // A log that does not fit is refused, byte-identical.
+    let refuse = |path: &Path, bytes: &[u8], model: IncrementalDerived| {
+        std::fs::write(path, bytes).unwrap();
+        let opts = ServeOptions::local(path);
+        let err = match Server::start(model, base as u64, &opts) {
+            Err(e) => e,
+            Ok(_) => panic!("started over a log that does not fit"),
+        };
+        assert_eq!(std::fs::read(path).unwrap(), bytes);
+        err
+    };
+    let good = std::fs::read(&path).unwrap();
+    // The wrong kind: a tagged log of the same events.
+    let tagged = dir.file("tagged.wal");
+    let mut w = WalWriter::create(&tagged, LogKind::TaggedEvents, FsyncPolicy::Manual).unwrap();
+    for (k, e) in log[base..].iter().enumerate() {
+        w.append_tagged(k as u64, e).unwrap();
+    }
+    w.sync().unwrap();
+    drop(w);
+    let tagged_bytes = std::fs::read(&tagged).unwrap();
+    let err = refuse(&dir.file("kind.wal"), &tagged_bytes, bootstrap());
+    assert!(
+        matches!(err, ServeError::Wal(WalError::BadHeader { .. })),
+        "{err}"
+    );
+    // A flipped payload bit in the first frame.
+    let mut flipped = good.clone();
+    flipped[16 + 8] ^= 0x01;
+    let err = refuse(&dir.file("crc.wal"), &flipped, bootstrap());
+    assert!(
+        matches!(
+            err,
+            ServeError::Wal(WalError::CrcMismatch { offset: 16, .. })
+        ),
+        "{err}"
+    );
+    // Events the model refuses: this bootstrap already holds them.
+    let mut ahead = bootstrap();
+    for e in &log[base..] {
+        ahead.apply(&ReplayEvent::from(*e)).unwrap();
+    }
+    let err = refuse(&dir.file("model.wal"), &good, ahead);
+    assert!(matches!(err, ServeError::Config(_)), "{err}");
 }
