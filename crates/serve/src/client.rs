@@ -20,6 +20,11 @@ use crate::{Result, ServeError};
 /// A reputation table: `(user id, reputation)` pairs in ascending id.
 pub type ReputationTable = Vec<(u32, f64)>;
 
+/// A well-formed answer to a different question than the one asked.
+pub(crate) fn unexpected(got: &OkBody, wanted: &str) -> ServeError {
+    ServeError::Protocol(format!("expected a {wanted} response, got {got:?}"))
+}
+
 /// A blocking connection to a serving daemon.
 pub struct Client {
     stream: TcpStream,
@@ -75,15 +80,11 @@ impl Client {
         resp.body.map_err(ServeError::Remote)
     }
 
-    fn unexpected(got: &OkBody, wanted: &str) -> ServeError {
-        ServeError::Protocol(format!("expected a {wanted} response, got {got:?}"))
-    }
-
     /// Liveness probe; returns the current snapshot sequence.
     pub fn ping(&mut self) -> Result<u64> {
         match self.call(&Request::Ping)? {
             OkBody::Empty(Opcode::Ping) => Ok(self.last_seq),
-            other => Err(Self::unexpected(&other, "ping")),
+            other => Err(unexpected(&other, "ping")),
         }
     }
 
@@ -92,7 +93,7 @@ impl Client {
     pub fn trust(&mut self, i: u32, j: u32) -> Result<f64> {
         match self.call(&Request::Trust { i, j })? {
             OkBody::Trust(v) => Ok(v),
-            other => Err(Self::unexpected(&other, "trust")),
+            other => Err(unexpected(&other, "trust")),
         }
     }
 
@@ -101,7 +102,7 @@ impl Client {
     pub fn top_k(&mut self, user: u32, k: u32) -> Result<Vec<(u32, f64)>> {
         match self.call(&Request::TopK { user, k })? {
             OkBody::TopK(pairs) => Ok(pairs),
-            other => Err(Self::unexpected(&other, "top-k")),
+            other => Err(unexpected(&other, "top-k")),
         }
     }
 
@@ -110,7 +111,7 @@ impl Client {
     pub fn rater_reputation(&mut self, category: u32, user: u32) -> Result<Option<f64>> {
         match self.call(&Request::RaterReputation { category, user })? {
             OkBody::RaterReputation(v) => Ok(v),
-            other => Err(Self::unexpected(&other, "rater-reputation")),
+            other => Err(unexpected(&other, "rater-reputation")),
         }
     }
 
@@ -122,7 +123,7 @@ impl Client {
     ) -> Result<(ReputationTable, ReputationTable)> {
         match self.call(&Request::CategoryReputations { category })? {
             OkBody::CategoryReputations { raters, writers } => Ok((raters, writers)),
-            other => Err(Self::unexpected(&other, "category-reputations")),
+            other => Err(unexpected(&other, "category-reputations")),
         }
     }
 
@@ -130,7 +131,7 @@ impl Client {
     pub fn aggregates(&mut self) -> Result<AggregateSummary> {
         match self.call(&Request::Aggregates)? {
             OkBody::Aggregates(a) => Ok(a),
-            other => Err(Self::unexpected(&other, "aggregates")),
+            other => Err(unexpected(&other, "aggregates")),
         }
     }
 
@@ -140,7 +141,7 @@ impl Client {
     pub fn ingest(&mut self, event: StoreEvent) -> Result<u64> {
         match self.call(&Request::Ingest(event))? {
             OkBody::Empty(Opcode::Ingest) => Ok(self.last_seq),
-            other => Err(Self::unexpected(&other, "ingest")),
+            other => Err(unexpected(&other, "ingest")),
         }
     }
 
@@ -148,7 +149,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<ServeStats> {
         match self.call(&Request::Stats)? {
             OkBody::Stats(s) => Ok(s),
-            other => Err(Self::unexpected(&other, "stats")),
+            other => Err(unexpected(&other, "stats")),
         }
     }
 
@@ -157,7 +158,7 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<()> {
         match self.call(&Request::Shutdown)? {
             OkBody::Empty(Opcode::Shutdown) => Ok(()),
-            other => Err(Self::unexpected(&other, "shutdown")),
+            other => Err(unexpected(&other, "shutdown")),
         }
     }
 }

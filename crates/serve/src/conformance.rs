@@ -18,7 +18,8 @@
 use wot_community::StoreEvent;
 use wot_core::{trust, BlockConfig, Derived};
 
-use crate::{TrustIngest, TrustQuery};
+use crate::protocol::ErrorCode::{self, BadRequest, OutOfRange};
+use crate::{ServeError, TrustIngest, TrustQuery};
 
 /// Drives every [`TrustQuery`] method across a deterministic sample of
 /// the oracle's users and categories and asserts bitwise equality,
@@ -98,6 +99,35 @@ pub fn assert_backend_matches<B: TrustQuery>(backend: &mut B, oracle: &Derived, 
         oracle.per_category.len(),
         "stats.num_categories"
     );
+}
+
+/// Holds a backend of `users` × `categories` to the daemon's refusals of
+/// invalid reads (`tests/serve_protocol.rs` pins them on the wire): each
+/// is a [`ServeError::Remote`] with the daemon's [`ErrorCode`].
+pub fn assert_refuses_invalid_reads<B: TrustQuery>(backend: &mut B, users: u32, categories: u32) {
+    let (u, c) = (users, categories);
+    expect_refusal("trust(users, 0)", OutOfRange, backend.trust(u, 0));
+    expect_refusal("trust(0, MAX)", OutOfRange, backend.trust(0, u32::MAX));
+    expect_refusal("top_k(users, 5)", OutOfRange, backend.top_k(u, 5));
+    expect_refusal("top_k(0, 0)", BadRequest, backend.top_k(0, 0));
+    expect_refusal(
+        "rater(categories, 0)",
+        OutOfRange,
+        backend.rater_reputation(c, 0),
+    );
+    expect_refusal(
+        "rater(0, users)",
+        OutOfRange,
+        backend.rater_reputation(0, u),
+    );
+    expect_refusal("tables(categories)", OutOfRange, backend.category_tables(c));
+}
+
+fn expect_refusal<T: std::fmt::Debug>(read: &str, code: ErrorCode, got: crate::Result<T>) {
+    match got {
+        Err(ServeError::Remote(e)) => assert_eq!(e.code, code, "{read}: {}", e.message),
+        other => panic!("{read}: expected a typed {code:?} refusal, got {other:?}"),
+    }
 }
 
 /// Drives a [`TrustIngest`] + [`TrustQuery`] backend through the event

@@ -73,7 +73,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wot_community::{CategoryId, ReviewId, ShardAssignment, ShardId, StoreEvent, UserId};
+use wot_community::{CategoryId, ShardAssignment, ShardId, StoreEvent};
 use wot_core::{ActivityLedger, Assembler, CategoryReputation};
 
 use crate::client::ReputationTable;
@@ -82,8 +82,7 @@ use crate::protocol::{
 };
 use crate::query::{TrustIngest, TrustQuery};
 use crate::shard_proto::{
-    decode_shard_reply, encode_shard_request, CategoryStateWire, ShardReply, ShardRequest,
-    MAX_SHARD_FRAME_LEN, NO_TAG,
+    decode_shard_reply, encode_shard_request, ShardReply, ShardRequest, MAX_SHARD_FRAME_LEN, NO_TAG,
 };
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
@@ -347,17 +346,6 @@ pub struct Coordinator {
     inflight_worker: Option<usize>,
 }
 
-fn rep_from_wire(s: &CategoryStateWire) -> CategoryReputation {
-    CategoryReputation {
-        category: CategoryId(s.category),
-        rater_reputation: s.raters.iter().map(|&(u, v)| (UserId(u), v)).collect(),
-        writer_reputation: s.writers.iter().map(|&(u, v)| (UserId(u), v)).collect(),
-        review_quality: s.qualities.iter().map(|&(r, v)| (ReviewId(r), v)).collect(),
-        iterations: s.iterations as usize,
-        converged: s.converged,
-    }
-}
-
 fn rejected(msg: String) -> ServeError {
     ServeError::Remote(WireError {
         code: ErrorCode::Rejected,
@@ -543,17 +531,11 @@ impl Coordinator {
     /// orphan tags ≥ cut before replay (the restart path, after
     /// in-flight reconciliation fixed the acked prefix).
     fn hello_worker(&mut self, w: usize, cut: u64) -> Result<()> {
-        let owned: Vec<u32> = self
-            .assignment
-            .categories_of(ShardId::from_index(w))
-            .into_iter()
-            .map(|c| c.0)
-            .collect();
         let req = ShardRequest::Hello {
             num_users: self.num_users_wire,
             num_categories: self.num_categories_wire,
             cut,
-            owned,
+            owned: self.categories_of(w),
         };
         match self.call(w, &req)? {
             ShardReply::Hello(ack) => {
@@ -573,6 +555,15 @@ impl Coordinator {
                 "unexpected reply to Hello: {other:?}"
             ))),
         }
+    }
+
+    /// The categories worker `w` owns, ascending.
+    fn categories_of(&self, w: usize) -> Vec<u32> {
+        self.assignment
+            .categories_of(ShardId::from_index(w))
+            .into_iter()
+            .map(|c| c.0)
+            .collect()
     }
 
     /// The category an event belongs to, per the global review index.
@@ -912,17 +903,18 @@ impl Coordinator {
             }
             // Gather — and on failure, *drain*. Every outstanding
             // request must be answered (or its worker quarantined by
-            // the deadline) before this function returns: a FullState
+            // the deadline) before this function returns: a States reply
             // left unconsumed in a healthy worker's stream would be
             // popped later as the answer to a different request,
             // permanently desyncing positional correlation. Mirrors
             // abort_round's pending-ack drain.
             for (w, _) in &groups[..sent] {
                 match self.recv_reply(*w) {
-                    Ok(ShardReply::FullState(states)) => {
+                    Ok(ShardReply::States(states)) => {
                         if failed.is_none() {
-                            for s in &states {
-                                self.per_cat[s.category as usize] = Arc::new(rep_from_wire(s));
+                            for s in states {
+                                let c = s.category.index();
+                                self.per_cat[c] = s;
                             }
                         }
                     }
@@ -1023,7 +1015,12 @@ impl Coordinator {
             let parked = std::mem::take(&mut self.inflight);
             self.inflight_worker = None;
             if !parked.is_empty() {
-                let durable = self.peek_tags(&wal_path)?;
+                // The process that wrote the log is reaped: it is quiescent.
+                let durable: BTreeSet<u64> = wot_wal::read_tagged_log(&wal_path)?
+                    .events
+                    .iter()
+                    .map(|&(t, _)| t)
+                    .collect();
                 for (tag, event) in parked {
                     // Adoption must extend the acked prefix
                     // contiguously; the first lost tag (or an event
@@ -1052,27 +1049,21 @@ impl Coordinator {
         self.hello_worker(w, self.seq)?;
         // Refresh every owned category's tables from the recovered
         // worker (bit-identical re-solves over the replayed log).
-        match self.call(w, &ShardRequest::FullState)? {
-            ShardReply::FullState(states) => {
-                for s in &states {
-                    self.per_cat[s.category as usize] = Arc::new(rep_from_wire(s));
-                    self.stale_cats.remove(&s.category);
+        let categories = self.categories_of(w);
+        match self.call(w, &ShardRequest::States { categories })? {
+            ShardReply::States(states) => {
+                for s in states {
+                    let c = s.category.index();
+                    self.stale_cats.remove(&s.category.0);
+                    self.per_cat[c] = s;
                 }
                 self.dirty = true;
                 Ok(())
             }
             other => Err(ServeError::Protocol(format!(
-                "unexpected reply to FullState: {other:?}"
+                "unexpected reply to States: {other:?}"
             ))),
         }
-    }
-
-    /// Reads a dead worker's durable tag set by probing its log file
-    /// directly — the process that wrote it has been reaped, so the
-    /// file is quiescent.
-    fn peek_tags(&self, wal_path: &Path) -> Result<BTreeSet<u64>> {
-        let recovered = wot_wal::read_tagged_log(wal_path)?;
-        Ok(recovered.events.iter().map(|&(t, _)| t).collect())
     }
 
     /// Moves a category to another worker **live**: the source replays
@@ -1082,6 +1073,10 @@ impl Coordinator {
     /// move). The re-solved tables must be bit-identical to the tables
     /// the source holds — same events, same order, same solver — and
     /// the coordinator verifies that before switching routes.
+    ///
+    /// A target that refuses or misses the deadline fails the move, and
+    /// the sub-log goes back to the source. A source that refuses it back
+    /// is quarantined: its restart re-owns the category from its log.
     pub fn rebalance(&mut self, category: u32, to: usize) -> Result<()> {
         if category as usize >= self.opts.num_categories {
             return Err(ServeError::Protocol(format!(
@@ -1107,15 +1102,21 @@ impl Coordinator {
                 )))
             }
         };
-        let state = match self.call(to, &ShardRequest::AdoptCategory { category, events })? {
-            ShardReply::State(state) => state,
-            other => {
-                return Err(ServeError::Protocol(format!(
-                    "unexpected reply to AdoptCategory: {other:?}"
-                )))
+        let adopt = ShardRequest::AdoptCategory { category, events };
+        let adopted = match self.call(to, &adopt) {
+            Ok(ShardReply::States(mut states)) if states.len() == 1 => states.remove(0),
+            refused => {
+                if !matches!(self.call(from, &adopt), Ok(ShardReply::States(_))) {
+                    self.workers[from].poisoned = true;
+                }
+                return Err(match refused {
+                    Err(e) => e,
+                    Ok(other) => {
+                        self.gone(to, format!("unexpected reply to AdoptCategory: {other:?}"))
+                    }
+                });
             }
         };
-        let adopted = rep_from_wire(&state);
         let held = &*self.per_cat[category as usize];
         // Bitwise on the tables (the served quantities); solve metadata
         // like iteration counts is not compared because a never-active
@@ -1239,12 +1240,10 @@ impl TrustQuery for Coordinator {
             wal_len += std::fs::metadata(&w.wal_path)?.len();
         }
         let stats = ServeStats {
-            events: self.seq,
             publishes: self.publishes,
-            num_users: self.num_users_wire,
-            num_categories: self.num_categories_wire,
             wal_len,
             reader_threads: u32::try_from(self.workers.len()).unwrap_or(u32::MAX),
+            ..self.snapshot.stats()
         };
         Ok((stats, self.seq))
     }
@@ -1252,6 +1251,7 @@ impl TrustQuery for Coordinator {
 
 #[cfg(test)]
 mod tests {
+    use wot_community::{ReviewId, UserId};
     use wot_wal::{FsyncPolicy, LogKind, WalWriter};
 
     use super::*;

@@ -13,9 +13,10 @@
 //! recovery on open, and the atomic log rewrite a worker's rollback
 //! needs. Only the engine appends to a live log. Its callers are
 //! transports: the flat daemon drains a channel and publishes
-//! snapshots, the worker drains stdin frames and keeps per-category
-//! sub-logs. Each passes its own admission check — the flat daemon the
-//! model's [`check_event`](IncrementalDerived::check_event), the worker
+//! snapshots, the worker drains stdin frames and rebuilds its model from
+//! the log it [reads back](ShardEngine::read_back) whenever the model
+//! must drop history. Each passes its own admission check — the flat
+//! daemon the model's [`check_event`](IncrementalDerived::check_event), the worker
 //! a subset-safe variant — and the engine runs it both before every
 //! append and over every recovered event.
 //!
@@ -170,7 +171,8 @@ impl ShardEngine {
 
     /// Replaces the model with `model` folded over `events` — for a
     /// caller that drops history the log keeps (the worker's category
-    /// drop and rollback). The old model stays if a fold fails.
+    /// drop, refused adoption and rollback). The old model stays if a
+    /// fold fails. (The cache notices the new model and resets itself.)
     pub fn rebuild(
         &mut self,
         mut model: IncrementalDerived,
@@ -197,10 +199,17 @@ impl ShardEngine {
         result
     }
 
+    /// Every complete entry of the log, tagged, in file order: the sync
+    /// makes each append so far readable, then the file is read back.
+    /// A failed sync trips the latch.
+    pub fn read_back(&mut self) -> Result<Vec<(u64, StoreEvent)>> {
+        self.sync()?;
+        read_events(self.wal.path(), self.kind)
+    }
+
     fn rewrite(&mut self, cut: u64) -> Result<u64> {
-        self.wal.sync()?;
+        let mut log = self.read_back()?;
         let path = self.wal.path().to_path_buf();
-        let mut log = read_events(&path, self.kind)?;
         let total = log.len();
         log.retain(|&(t, _)| t < cut);
         let dropped = (total - log.len()) as u64;

@@ -363,21 +363,27 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub(crate) fn put_pairs(out: &mut Vec<u8>, pairs: &[(u32, f64)]) {
+/// One `(id, value)` table: a count, then `id: u32 | value: f64 bits`
+/// rows; `id` maps the row's id type to its wire `u32`.
+pub(crate) fn put_pairs<I: Copy>(out: &mut Vec<u8>, pairs: &[(I, f64)], id: impl Fn(I) -> u32) {
     put_u32(out, pairs.len() as u32);
-    for &(id, v) in pairs {
-        put_u32(out, id);
+    for &(i, v) in pairs {
+        put_u32(out, id(i));
         put_f64(out, v);
     }
 }
 
-pub(crate) fn read_pairs(c: &mut Cursor<'_>, what: &str) -> Result<Vec<(u32, f64)>, String> {
+pub(crate) fn read_pairs<I>(
+    c: &mut Cursor<'_>,
+    what: &str,
+    id: impl Fn(u32) -> I,
+) -> Result<Vec<(I, f64)>, String> {
     let n = c.count(12, what)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        let id = c.u32(what)?;
+        let i = id(c.u32(what)?);
         let value = c.f64(what)?;
-        v.push((id, value));
+        v.push((i, value));
     }
     Ok(v)
 }
@@ -465,7 +471,7 @@ pub fn encode_ok(out: &mut Vec<u8>, seq: u64, body: &OkBody) {
     match body {
         OkBody::Empty(_) => {}
         OkBody::Trust(v) => put_f64(out, *v),
-        OkBody::TopK(pairs) => put_pairs(out, pairs),
+        OkBody::TopK(pairs) => put_pairs(out, pairs, |j| j),
         OkBody::RaterReputation(v) => match v {
             Some(v) => {
                 out.push(1);
@@ -474,8 +480,8 @@ pub fn encode_ok(out: &mut Vec<u8>, seq: u64, body: &OkBody) {
             None => out.push(0),
         },
         OkBody::CategoryReputations { raters, writers } => {
-            put_pairs(out, raters);
-            put_pairs(out, writers);
+            put_pairs(out, raters, |u| u);
+            put_pairs(out, writers, |u| u);
         }
         OkBody::Aggregates(a) => {
             put_u64(out, a.users);
@@ -539,15 +545,15 @@ pub fn decode_response(body: &[u8]) -> Result<Response, String> {
     let ok = match opcode {
         Opcode::Ping | Opcode::Ingest | Opcode::Shutdown => OkBody::Empty(opcode),
         Opcode::Trust => OkBody::Trust(c.f64("trust value")?),
-        Opcode::TopK => OkBody::TopK(read_pairs(&mut c, "top-k pairs")?),
+        Opcode::TopK => OkBody::TopK(read_pairs(&mut c, "top-k pairs", |j| j)?),
         Opcode::RaterReputation => OkBody::RaterReputation(match c.u8("presence flag")? {
             0 => None,
             1 => Some(c.f64("reputation")?),
             b => return Err(format!("presence flag must be 0 or 1, got {b}")),
         }),
         Opcode::CategoryReputations => OkBody::CategoryReputations {
-            raters: read_pairs(&mut c, "rater table")?,
-            writers: read_pairs(&mut c, "writer table")?,
+            raters: read_pairs(&mut c, "rater table", |u| u)?,
+            writers: read_pairs(&mut c, "writer table", |u| u)?,
         },
         Opcode::Aggregates => {
             let users = c.u64("users")?;

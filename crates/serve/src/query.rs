@@ -16,8 +16,8 @@
 
 use wot_community::StoreEvent;
 
-use crate::client::{Client, ReputationTable};
-use crate::protocol::{AggregateSummary, ServeStats};
+use crate::client::{unexpected, Client, ReputationTable};
+use crate::protocol::{AggregateSummary, OkBody, Request, ServeStats};
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
 
@@ -106,81 +106,57 @@ pub trait TrustQuery {
     fn stats(&mut self) -> Result<(ServeStats, u64)>;
 }
 
+/// The daemon's read path without the socket: every method is
+/// [`ServeSnapshot::answer`], refusing as [`ServeError::Remote`].
 impl TrustQuery for ServeSnapshot {
     fn trust(&mut self, i: u32, j: u32) -> Result<(f64, u64)> {
-        let (u, s) = (self.num_users(), self.seq);
-        if i as usize >= u || j as usize >= u {
-            return Err(ServeError::Protocol(format!(
-                "user pair ({i},{j}) out of range for {u} users"
-            )));
+        match ask(self, Request::Trust { i, j })? {
+            OkBody::Trust(v) => Ok((v, self.seq)),
+            other => Err(unexpected(&other, "trust")),
         }
-        Ok((ServeSnapshot::trust(self, i as usize, j as usize), s))
     }
 
     fn top_k(&mut self, user: u32, k: u32) -> Result<(Vec<(u32, f64)>, u64)> {
-        if user as usize >= self.num_users() {
-            return Err(ServeError::Protocol(format!(
-                "user {user} out of range for {} users",
-                self.num_users()
-            )));
+        match ask(self, Request::TopK { user, k })? {
+            OkBody::TopK(top) => Ok((top, self.seq)),
+            other => Err(unexpected(&other, "top-k")),
         }
-        let top = ServeSnapshot::top_k(self, user as usize, k as usize)
-            .into_iter()
-            .map(|(j, v)| (j as u32, v))
-            .collect();
-        Ok((top, self.seq))
     }
 
     fn rater_reputation(&mut self, category: u32, user: u32) -> Result<(Option<f64>, u64)> {
-        let cr = self
-            .derived
-            .per_category
-            .get(category as usize)
-            .ok_or_else(|| ServeError::Protocol(format!("category {category} out of range")))?;
-        let rep = cr
-            .rater_reputation
-            .binary_search_by_key(&user, |&(u, _)| u.0)
-            .ok()
-            .map(|at| cr.rater_reputation[at].1);
-        Ok((rep, self.seq))
+        match ask(self, Request::RaterReputation { category, user })? {
+            OkBody::RaterReputation(v) => Ok((v, self.seq)),
+            other => Err(unexpected(&other, "rater-reputation")),
+        }
     }
 
     fn category_tables(
         &mut self,
         category: u32,
     ) -> Result<(ReputationTable, ReputationTable, u64)> {
-        let cr = self
-            .derived
-            .per_category
-            .get(category as usize)
-            .ok_or_else(|| ServeError::Protocol(format!("category {category} out of range")))?;
-        let raters = cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect();
-        let writers = cr
-            .writer_reputation
-            .iter()
-            .map(|&(u, v)| (u.0, v))
-            .collect();
-        Ok((raters, writers, self.seq))
+        match ask(self, Request::CategoryReputations { category })? {
+            OkBody::CategoryReputations { raters, writers } => Ok((raters, writers, self.seq)),
+            other => Err(unexpected(&other, "category-reputations")),
+        }
     }
 
     fn fig3_aggregates(&mut self) -> Result<(AggregateSummary, u64)> {
-        let agg = ServeSnapshot::aggregates(self)
-            .map_err(ServeError::Protocol)?
-            .clone();
-        Ok((agg, self.seq))
+        match ask(self, Request::Aggregates)? {
+            OkBody::Aggregates(agg) => Ok((agg, self.seq)),
+            other => Err(unexpected(&other, "aggregates")),
+        }
     }
 
     fn stats(&mut self) -> Result<(ServeStats, u64)> {
-        let stats = ServeStats {
-            events: self.seq,
-            publishes: 0,
-            num_users: self.num_users() as u32,
-            num_categories: self.num_categories() as u32,
-            wal_len: 0,
-            reader_threads: 0,
-        };
-        Ok((stats, self.seq))
+        match ask(self, Request::Stats)? {
+            OkBody::Stats(stats) => Ok((stats, self.seq)),
+            other => Err(unexpected(&other, "stats")),
+        }
     }
+}
+
+fn ask(snapshot: &ServeSnapshot, req: Request) -> Result<OkBody> {
+    snapshot.answer(&req).map_err(ServeError::Remote)
 }
 
 impl TrustQuery for Client {
@@ -259,6 +235,12 @@ mod tests {
         assert!(TrustQuery::top_k(&mut s, 99, 3).is_err());
         assert!(TrustQuery::rater_reputation(&mut s, 9, 0).is_err());
         assert!(TrustQuery::category_tables(&mut s, 9).is_err());
+    }
+
+    /// The in-process backend refuses exactly as the daemon does.
+    #[test]
+    fn snapshot_refuses_invalid_reads_like_the_daemon() {
+        crate::conformance::assert_refuses_invalid_reads(&mut tiny_snapshot(), 4, 1);
     }
 
     #[test]

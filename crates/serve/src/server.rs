@@ -571,90 +571,18 @@ fn handle_request(
         }
     };
     let opcode = req.opcode();
-    let users = snap.num_users();
-    let categories = snap.num_categories();
     let refuse = |out: &mut Vec<u8>, code: ErrorCode, msg: String| {
         protocol::encode_err(out, snap.seq, opcode, code, &msg);
     };
     match req {
-        Request::Ping => protocol::encode_ok(out, snap.seq, &OkBody::Empty(Opcode::Ping)),
-        Request::Trust { i, j } => {
-            if i as usize >= users || j as usize >= users {
-                refuse(
-                    out,
-                    ErrorCode::OutOfRange,
-                    format!("pair ({i}, {j}) out of range for {users} users"),
-                );
-            } else {
-                let v = snap.trust(i as usize, j as usize);
-                protocol::encode_ok(out, snap.seq, &OkBody::Trust(v));
-            }
-        }
-        Request::TopK { user, k } => {
-            if user as usize >= users {
-                refuse(
-                    out,
-                    ErrorCode::OutOfRange,
-                    format!("user {user} out of range for {users} users"),
-                );
-            } else if k == 0 {
-                refuse(out, ErrorCode::BadRequest, "top-k needs k ≥ 1".into());
-            } else {
-                let top = snap.top_k(user as usize, k as usize);
-                let pairs = top.into_iter().map(|(j, v)| (j as u32, v)).collect();
-                protocol::encode_ok(out, snap.seq, &OkBody::TopK(pairs));
-            }
-        }
-        Request::RaterReputation { category, user } => {
-            if category as usize >= categories {
-                refuse(
-                    out,
-                    ErrorCode::OutOfRange,
-                    format!("category {category} out of range for {categories} categories"),
-                );
-            } else if user as usize >= users {
-                refuse(
-                    out,
-                    ErrorCode::OutOfRange,
-                    format!("user {user} out of range for {users} users"),
-                );
-            } else {
-                // Rater tables are sorted by user id (the cached derive
-                // produces them that way), so membership is a binary
-                // search.
-                let table = &snap.derived.per_category[category as usize].rater_reputation;
-                let v = table
-                    .binary_search_by_key(&user, |&(u, _)| u.0)
-                    .ok()
-                    .map(|idx| table[idx].1);
-                protocol::encode_ok(out, snap.seq, &OkBody::RaterReputation(v));
-            }
-        }
-        Request::CategoryReputations { category } => {
-            if category as usize >= categories {
-                refuse(
-                    out,
-                    ErrorCode::OutOfRange,
-                    format!("category {category} out of range for {categories} categories"),
-                );
-            } else {
-                let cr = &snap.derived.per_category[category as usize];
-                let raters = cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect();
-                let writers = cr
-                    .writer_reputation
-                    .iter()
-                    .map(|&(u, v)| (u.0, v))
-                    .collect();
-                protocol::encode_ok(
-                    out,
-                    snap.seq,
-                    &OkBody::CategoryReputations { raters, writers },
-                );
-            }
-        }
-        Request::Aggregates => match snap.aggregates() {
-            Ok(agg) => protocol::encode_ok(out, snap.seq, &OkBody::Aggregates(agg.clone())),
-            Err(e) => refuse(out, ErrorCode::Internal, e),
+        Request::Ping
+        | Request::Trust { .. }
+        | Request::TopK { .. }
+        | Request::RaterReputation { .. }
+        | Request::CategoryReputations { .. }
+        | Request::Aggregates => match snap.answer(&req) {
+            Ok(body) => protocol::encode_ok(out, snap.seq, &body),
+            Err(e) => refuse(out, e.code, e.message),
         },
         Request::Ingest(event) => {
             if shared.shutting_down() {
@@ -684,12 +612,10 @@ fn handle_request(
         }
         Request::Stats => {
             let stats = ServeStats {
-                events: snap.seq,
                 publishes: shared.cell.version(),
-                num_users: users as u32,
-                num_categories: categories as u32,
                 wal_len: shared.wal_len.load(Ordering::Relaxed),
                 reader_threads: shared.reader_threads as u32,
+                ..snap.stats()
             };
             protocol::encode_ok(out, snap.seq, &OkBody::Stats(stats));
         }
@@ -822,6 +748,22 @@ mod tests {
         assert!(Server::start(model.clone(), 3, &opts).is_err());
         let server = Server::start(model, 3, &ServeOptions::local(&path)).unwrap();
         assert_eq!(server.shared.cell.load().seq, 3);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The daemon refuses invalid reads with the codes every other
+    /// backend is held to.
+    #[test]
+    fn a_client_refuses_invalid_reads_like_every_backend() {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-refusals-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let server = Server::start(model, 0, &ServeOptions::local(&path)).unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        crate::conformance::assert_refuses_invalid_reads(&mut client, 4, 1);
+        drop(client);
         server.shutdown().unwrap();
         let _ = std::fs::remove_file(&path);
     }

@@ -8,7 +8,9 @@
 //! state* — sequence-tagged events in, per-category reputation tables
 //! out. Framing, integer endianness (little), and `f64`-as-bits
 //! transport are identical to [`crate::protocol`], so one codec audit
-//! covers both.
+//! covers both. A table travels as the [`CategoryReputation`] the
+//! worker's engine solved: the codec writes it straight from the
+//! worker's shared copy and reads it into one the coordinator shares.
 //!
 //! Every request produces exactly one reply, in request order, but the
 //! transport is **pipelined**: the coordinator may have many frames in
@@ -22,7 +24,10 @@
 //! parses cleanly) — the frame-abuse tests in `crates/shardd/tests`
 //! hold the worker to that.
 
-use wot_community::StoreEvent;
+use std::sync::Arc;
+
+use wot_community::{CategoryId, ReviewId, StoreEvent, UserId};
+use wot_core::CategoryReputation;
 
 use crate::protocol::{put_pairs, put_u32, put_u64, read_pairs, Cursor, ErrorCode, WireError};
 
@@ -47,16 +52,17 @@ pub enum ShardOpcode {
     /// acknowledged with one durability horizon.
     Ingest = 1,
     // 2 and 3 are retired (per-category reads; the coordinator answers
-    // them from its own snapshot) and decode as unknown opcodes.
-    /// States of every owned category (boot, restart, reconciliation).
-    FullState = 4,
+    // them from its own snapshot), as is 4 (every owned category's
+    // state; a restart asks `States` for its assignment). All three
+    // decode as unknown opcodes.
     /// Stop owning a category; reply with its tagged event sub-log.
     DropCategory = 5,
     /// Start owning a category, seeded with its tagged event history.
     AdoptCategory = 6,
     /// Flush and exit after replying.
     Shutdown = 7,
-    /// States of an explicit category subset (lazy snapshot refresh).
+    /// States of an explicit category subset (lazy snapshot refresh,
+    /// restart).
     States = 8,
     /// Roll durable state back to a sequence cut (pipeline abort).
     Truncate = 9,
@@ -70,7 +76,6 @@ impl ShardOpcode {
         Some(match b {
             0 => ShardOpcode::Hello,
             1 => ShardOpcode::Ingest,
-            4 => ShardOpcode::FullState,
             5 => ShardOpcode::DropCategory,
             6 => ShardOpcode::AdoptCategory,
             7 => ShardOpcode::Shutdown,
@@ -107,8 +112,6 @@ pub enum ShardRequest {
         /// The events, each with its 0-based global history position.
         events: Vec<(u64, StoreEvent)>,
     },
-    /// All owned categories' states.
-    FullState,
     /// Hand a category off; the reply carries its tagged sub-log.
     DropCategory {
         /// The category to stop owning.
@@ -125,7 +128,8 @@ pub enum ShardRequest {
     Shutdown,
     /// The solved states of an explicit (owned) category subset — the
     /// coordinator's lazy snapshot refresh fetches only what ingest
-    /// dirtied since the last publish.
+    /// dirtied since the last publish, a restart everything the worker
+    /// owns.
     States {
         /// The categories wanted, ascending.
         categories: Vec<u32>,
@@ -154,7 +158,6 @@ impl ShardRequest {
         match self {
             ShardRequest::Hello { .. } => ShardOpcode::Hello,
             ShardRequest::Ingest { .. } => ShardOpcode::Ingest,
-            ShardRequest::FullState => ShardOpcode::FullState,
             ShardRequest::DropCategory { .. } => ShardOpcode::DropCategory,
             ShardRequest::AdoptCategory { .. } => ShardOpcode::AdoptCategory,
             ShardRequest::Shutdown => ShardOpcode::Shutdown,
@@ -165,34 +168,9 @@ impl ShardRequest {
     }
 }
 
-/// One category's solved Step-1 state, as moved worker → coordinator.
-///
-/// Mirrors [`wot_core::pipeline::CategoryReputation`] field for field;
-/// the coordinator re-wraps it and the values are bit-identical to what
-/// a flat daemon would have solved, because they *are* the same solve
-/// over the same per-category event order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CategoryStateWire {
-    /// The category this state belongs to.
-    pub category: u32,
-    /// Rater reputations, ascending user id.
-    pub raters: Vec<(u32, f64)>,
-    /// Writer reputations, ascending user id.
-    pub writers: Vec<(u32, f64)>,
-    /// Converged review qualities, ascending review id.
-    pub qualities: Vec<(u32, f64)>,
-    /// Fixed-point sweeps of the last solve.
-    pub iterations: u64,
-    /// Whether the last solve met tolerance.
-    pub converged: bool,
-}
-
 /// Handshake acknowledgment: what the worker's durable log held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HelloAck {
-    /// Events recovered from the WAL into the model (after filtering to
-    /// the owned categories and deduplicating re-appended adoptions).
-    pub recovered: u64,
     /// Highest durable sequence tag in the log, or [`NO_TAG`]. This is
     /// what lets the coordinator reconcile an event that became durable
     /// right before a crash but was never acknowledged.
@@ -213,11 +191,10 @@ pub enum ShardReply {
         /// Highest tag the batch made durable.
         max_tag: u64,
     },
-    /// Reply to adoption: the solved state of the adopted category.
-    State(CategoryStateWire),
-    /// Reply to [`ShardRequest::FullState`]: one state per owned
-    /// category, ascending by category id.
-    FullState(Vec<CategoryStateWire>),
+    /// Reply to [`ShardRequest::States`] (one table per asked category,
+    /// in order) and to [`ShardRequest::AdoptCategory`] (the adopted
+    /// one's): the flat daemon's own solve over the same event order.
+    States(Vec<Arc<CategoryReputation>>),
     /// Reply to [`ShardRequest::DropCategory`]: the category's tagged
     /// sub-log, ascending by tag.
     SubLog(Vec<(u64, StoreEvent)>),
@@ -293,7 +270,7 @@ pub fn encode_shard_request(out: &mut Vec<u8>, req: &ShardRequest) {
         ShardRequest::DropCategory { category } => {
             put_u32(out, category);
         }
-        ShardRequest::FullState | ShardRequest::Shutdown => {}
+        ShardRequest::Shutdown => {}
         ShardRequest::AdoptCategory {
             category,
             ref events,
@@ -339,7 +316,6 @@ pub fn decode_shard_request(body: &[u8]) -> Result<ShardRequest, String> {
         ShardOpcode::Ingest => ShardRequest::Ingest {
             events: read_tagged_events(&mut c, "ingest batch")?,
         },
-        ShardOpcode::FullState => ShardRequest::FullState,
         ShardOpcode::DropCategory => ShardRequest::DropCategory {
             category: c.u32("category")?,
         },
@@ -373,22 +349,22 @@ pub fn decode_shard_request(body: &[u8]) -> Result<ShardRequest, String> {
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
-fn put_state(out: &mut Vec<u8>, s: &CategoryStateWire) {
-    put_u32(out, s.category);
-    put_pairs(out, &s.raters);
-    put_pairs(out, &s.writers);
-    put_pairs(out, &s.qualities);
-    put_u64(out, s.iterations);
+fn put_state(out: &mut Vec<u8>, s: &CategoryReputation) {
+    put_u32(out, s.category.0);
+    put_pairs(out, &s.rater_reputation, |u: UserId| u.0);
+    put_pairs(out, &s.writer_reputation, |u: UserId| u.0);
+    put_pairs(out, &s.review_quality, |r: ReviewId| r.0);
+    put_u64(out, s.iterations as u64);
     out.push(u8::from(s.converged));
 }
 
-fn read_state(c: &mut Cursor<'_>, what: &str) -> Result<CategoryStateWire, String> {
-    Ok(CategoryStateWire {
-        category: c.u32(what)?,
-        raters: read_pairs(c, what)?,
-        writers: read_pairs(c, what)?,
-        qualities: read_pairs(c, what)?,
-        iterations: c.u64(what)?,
+fn read_state(c: &mut Cursor<'_>, what: &str) -> Result<CategoryReputation, String> {
+    Ok(CategoryReputation {
+        category: CategoryId(c.u32(what)?),
+        rater_reputation: read_pairs(c, what, UserId)?,
+        writer_reputation: read_pairs(c, what, UserId)?,
+        review_quality: read_pairs(c, what, ReviewId)?,
+        iterations: c.u64(what)? as usize,
         converged: c.u8(what)? != 0,
     })
 }
@@ -399,19 +375,14 @@ pub fn encode_shard_ok(out: &mut Vec<u8>, reply: &ShardReply) {
     match *reply {
         ShardReply::Hello(ack) => {
             out.push(ShardOpcode::Hello as u8);
-            put_u64(out, ack.recovered);
             put_u64(out, ack.max_tag);
         }
         ShardReply::Ingested { max_tag } => {
             out.push(ShardOpcode::Ingest as u8);
             put_u64(out, max_tag);
         }
-        ShardReply::State(ref s) => {
-            out.push(ShardOpcode::AdoptCategory as u8);
-            put_state(out, s);
-        }
-        ShardReply::FullState(ref states) => {
-            out.push(ShardOpcode::FullState as u8);
+        ShardReply::States(ref states) => {
+            out.push(ShardOpcode::States as u8);
             put_u32(out, states.len() as u32);
             for s in states {
                 put_state(out, s);
@@ -462,23 +433,23 @@ pub fn decode_shard_reply(body: &[u8]) -> Result<Result<ShardReply, WireError>, 
     };
     let reply = match op {
         ShardOpcode::Hello => ShardReply::Hello(HelloAck {
-            recovered: c.u64("recovered")?,
             max_tag: c.u64("max_tag")?,
         }),
         ShardOpcode::Ingest => ShardReply::Ingested {
             max_tag: c.u64("max_tag")?,
         },
-        ShardOpcode::AdoptCategory => ShardReply::State(read_state(&mut c, "category state")?),
-        ShardOpcode::FullState | ShardOpcode::States => {
+        ShardOpcode::States => {
             // A state is at least category + three empty tables +
             // iterations + converged.
             let n = c.count(25, "state count")?;
             let mut states = Vec::with_capacity(n);
             for _ in 0..n {
-                states.push(read_state(&mut c, "category state")?);
+                states.push(Arc::new(read_state(&mut c, "category state")?));
             }
-            ShardReply::FullState(states)
+            ShardReply::States(states)
         }
+        // Adoption answers with a `States` reply.
+        ShardOpcode::AdoptCategory => return Err(format!("no reply carries opcode {code:#04x}")),
         ShardOpcode::DropCategory => {
             ShardReply::SubLog(read_tagged_events(&mut c, "dropped sub-log")?)
         }
@@ -495,7 +466,7 @@ pub fn decode_shard_reply(body: &[u8]) -> Result<Result<ShardReply, WireError>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wot_community::{CategoryId, ReviewId, UserId};
+    use crate::protocol::put_f64;
 
     fn sample_events() -> Vec<(u64, StoreEvent)> {
         vec![
@@ -536,7 +507,6 @@ mod tests {
             ShardRequest::Ingest {
                 events: sample_events(),
             },
-            ShardRequest::FullState,
             ShardRequest::DropCategory { category: 0 },
             ShardRequest::AdoptCategory {
                 category: 0,
@@ -558,22 +528,19 @@ mod tests {
 
     #[test]
     fn replies_roundtrip() {
-        let state = CategoryStateWire {
-            category: 1,
-            raters: vec![(4, 0.5)],
-            writers: vec![(7, 0.25)],
-            qualities: vec![(2, 0.75)],
+        let state = Arc::new(CategoryReputation {
+            category: CategoryId(1),
+            rater_reputation: vec![(UserId(4), 0.5)],
+            writer_reputation: vec![(UserId(7), 0.25)],
+            review_quality: vec![(ReviewId(2), f64::from_bits(0x3FC5_5555_5555_5555))],
             iterations: 6,
             converged: true,
-        };
+        });
         let replies = vec![
-            ShardReply::Hello(HelloAck {
-                recovered: 5,
-                max_tag: 9,
-            }),
+            ShardReply::Hello(HelloAck { max_tag: 9 }),
             ShardReply::Ingested { max_tag: 42 },
-            ShardReply::State(state.clone()),
-            ShardReply::FullState(vec![state]),
+            ShardReply::States(vec![]),
+            ShardReply::States(vec![state.clone(), state]),
             ShardReply::SubLog(sample_events()),
             ShardReply::Bye,
             ShardReply::Truncated { dropped: 3 },
@@ -590,6 +557,35 @@ mod tests {
         }
     }
 
+    /// A table's bytes are the layout the wire has always carried:
+    /// category, three `(id, f64 bits)` tables, iterations, converged.
+    #[test]
+    fn a_state_is_written_field_by_field() {
+        let state = CategoryReputation {
+            category: CategoryId(3),
+            rater_reputation: vec![(UserId(4), 0.5)],
+            writer_reputation: vec![],
+            review_quality: vec![(ReviewId(2), 0.75)],
+            iterations: 6,
+            converged: true,
+        };
+        let mut want = vec![STATUS_OK, ShardOpcode::States as u8];
+        put_u32(&mut want, 1);
+        put_u32(&mut want, 3);
+        put_u32(&mut want, 1);
+        put_u32(&mut want, 4);
+        put_f64(&mut want, 0.5);
+        put_u32(&mut want, 0);
+        put_u32(&mut want, 1);
+        put_u32(&mut want, 2);
+        put_f64(&mut want, 0.75);
+        put_u64(&mut want, 6);
+        want.push(1);
+        let mut got = Vec::new();
+        encode_shard_ok(&mut got, &ShardReply::States(vec![Arc::new(state)]));
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn error_reply_roundtrips() {
         let mut buf = Vec::new();
@@ -601,10 +597,12 @@ mod tests {
 
     #[test]
     fn malformed_bodies_are_typed_errors() {
-        // Unknown opcode — including the two retired read opcodes.
-        for code in [0x66, 2, 3] {
+        // Unknown opcode — including the three retired state opcodes.
+        for code in [0x66, 2, 3, 4] {
             assert!(decode_shard_request(&[code]).is_err());
         }
+        // No reply carries the adoption opcode.
+        assert!(decode_shard_reply(&[STATUS_OK, ShardOpcode::AdoptCategory as u8]).is_err());
         // Truncated operands.
         let mut buf = Vec::new();
         encode_shard_request(&mut buf, &ShardRequest::DropCategory { category: 1 });

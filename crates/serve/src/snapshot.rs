@@ -19,14 +19,21 @@
 //! prepares none) fed to `top_k_of_row`, the reducer
 //! [`Derived::trust_top_k`] runs on the cells its scan computes. The scan's panel kernels and the single-row kernel are
 //! pinned `==` to `pairwise` in `wot-core`'s `trust_rows` tests.
+//!
+//! [`ServeSnapshot::answer`] is the one read path over them: the daemon
+//! runs it per request, and every [`TrustQuery`](crate::TrustQuery)
+//! backend behind the trait, so all answer and refuse alike.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
+use wot_community::UserId;
 use wot_core::trust_rows::top_k_single_row;
 use wot_core::{trust, BlockConfig, Derived};
 
-use crate::protocol::AggregateSummary;
+use crate::protocol::{
+    AggregateSummary, ErrorCode, OkBody, Opcode, Request, ServeStats, WireError,
+};
 
 /// One immutable published state: the canonical derived model as of a
 /// known event prefix.
@@ -76,8 +83,8 @@ impl ServeSnapshot {
     /// element-for-element and bit-for-bit what
     /// [`Derived::trust_top_k`] lists for row `i`.
     ///
-    /// `k = 0` yields an empty list (the server rejects it upstream, in
-    /// agreement with the streaming reducer's `k ≥ 1` contract).
+    /// `k = 0` yields an empty list ([`answer`](Self::answer) refuses
+    /// it, in agreement with the streaming reducer's `k ≥ 1` contract).
     pub fn top_k(&self, i: usize, k: usize) -> Vec<(usize, f64)> {
         top_k_single_row(&self.derived.affiliation, &self.derived.expertise, i, k)
     }
@@ -102,6 +109,85 @@ impl ServeSnapshot {
             .as_ref()
             .map_err(|e| e.clone())
     }
+
+    /// What this snapshot can say about its deployment: the event count
+    /// and the community shape; the counters of a live server are zero.
+    pub fn stats(&self) -> ServeStats {
+        ServeStats {
+            events: self.seq,
+            publishes: 0,
+            num_users: self.num_users() as u32,
+            num_categories: self.num_categories() as u32,
+            wal_len: 0,
+            reader_threads: 0,
+        }
+    }
+
+    /// Answers one read request from this snapshot. A user or category
+    /// outside the community is [`ErrorCode::OutOfRange`]; a top-k of
+    /// `k = 0`, and `Ingest` or `Shutdown` (not reads), are
+    /// [`ErrorCode::BadRequest`]; a failed Fig. 3 scan is
+    /// [`ErrorCode::Internal`].
+    pub fn answer(&self, req: &Request) -> Result<OkBody, WireError> {
+        use ErrorCode::{BadRequest, OutOfRange};
+        let (users, categories) = (self.num_users(), self.num_categories());
+        let user = |u: u32| match u as usize {
+            u if u < users => Ok(u),
+            _ => refuse(
+                OutOfRange,
+                format!("user {u} out of range for {users} users"),
+            ),
+        };
+        let category = |c: u32| match self.derived.per_category.get(c as usize) {
+            Some(cr) => Ok(cr),
+            None => refuse(
+                OutOfRange,
+                format!("category {c} out of range for {categories} categories"),
+            ),
+        };
+        Ok(match *req {
+            Request::Ping => OkBody::Empty(Opcode::Ping),
+            Request::Trust { i, j } => OkBody::Trust(self.trust(user(i)?, user(j)?)),
+            Request::TopK { user: u, k } => {
+                let u = user(u)?;
+                if k == 0 {
+                    return refuse(BadRequest, "top-k needs k ≥ 1".into());
+                }
+                let top = self.top_k(u, k as usize);
+                OkBody::TopK(top.into_iter().map(|(j, v)| (j as u32, v)).collect())
+            }
+            Request::RaterReputation {
+                category: c,
+                user: u,
+            } => {
+                let table = &category(c)?.rater_reputation;
+                user(u)?;
+                // Rater tables are sorted by user id.
+                let at = table.binary_search_by_key(&u, |&(x, _)| x.0);
+                OkBody::RaterReputation(at.ok().map(|at| table[at].1))
+            }
+            Request::CategoryReputations { category: c } => {
+                let cr = category(c)?;
+                let rows = |t: &[(UserId, f64)]| t.iter().map(|&(u, v)| (u.0, v)).collect();
+                OkBody::CategoryReputations {
+                    raters: rows(&cr.rater_reputation),
+                    writers: rows(&cr.writer_reputation),
+                }
+            }
+            Request::Aggregates => match self.aggregates() {
+                Ok(agg) => OkBody::Aggregates(agg.clone()),
+                Err(e) => return refuse(ErrorCode::Internal, e),
+            },
+            Request::Stats => OkBody::Stats(self.stats()),
+            Request::Ingest(_) | Request::Shutdown => {
+                return refuse(BadRequest, format!("{:?} is not a read", req.opcode()))
+            }
+        })
+    }
+}
+
+fn refuse<T>(code: ErrorCode, message: String) -> Result<T, WireError> {
+    Err(WireError { code, message })
 }
 
 /// The publication point: an atomic version counter plus the current

@@ -1,12 +1,14 @@
 //! `wot-shardd` — one shard worker process.
 //!
-//! A worker owns a subset of categories *end-to-end*: their
-//! sequence-tagged local WAL, their [`IncrementalDerived`] model, their
-//! per-category solves. It speaks the coordinator's length-prefixed
-//! request/reply protocol ([`wot_serve::shard_proto`]) over
-//! stdin/stdout, answering every request in arrival order — so the
-//! coordinator can pipeline frames at it and still correlate replies
-//! positionally.
+//! A worker is its engine, its log and its ownership set: a
+//! [`ShardEngine`] over one sequence-tagged WAL, whose model holds
+//! exactly the owned categories' events and solves their tables. It
+//! keeps no second copy of either: the log is its only history, and a
+//! table leaves as the engine's own `Arc<CategoryReputation>`. It speaks
+//! the coordinator's length-prefixed protocol
+//! ([`wot_serve::shard_proto`]) over stdin/stdout, answering every
+//! request in arrival order — so the coordinator can pipeline frames at
+//! it and still correlate replies positionally.
 //!
 //! The paper's math makes this partition exact, not approximate: every
 //! Step-1 quantity (Eq. 1/2 reputations, review qualities, the
@@ -25,7 +27,7 @@
 //! ```
 //!
 //! This file is the transport around it: framing, group draining,
-//! category ownership, per-category sub-logs and rebalance. A dedicated
+//! category ownership and rebalance. A dedicated
 //! thread reads stdin so the main loop can drain every frame already
 //! queued (up to [`GROUP_MAX`]) per wake and cover the whole group with
 //! **one** engine sync before any of the group's replies is written — an
@@ -36,17 +38,22 @@
 //! appended behind a torn frame. Nothing that fails admission ever
 //! poisons the log.
 //!
-//! The log is opened at the handshake, which fixes the model's shape.
-//! After `kill -9`, the restarted worker's [`ShardEngine::open`] replays
-//! the log — filtered to the categories the handshake says it owns,
-//! deduplicated by tag, in tag order — and reports the highest durable
-//! tag so the coordinator can reconcile events that became durable
-//! right before the crash but were never acknowledged. The handshake's
-//! `cut` makes the reconciliation physical: entries tagged at or past
-//! it are rewritten out of the WAL, so an orphan tag can never collide
-//! with a future event.
+//! Every time the model must lose history, one path rebuilds it:
+//! [`owned_part`] of the log (entries below a cut, in tag order,
+//! deduplicated by tag, restricted to the owned categories) folded onto
+//! a fresh model — inside [`ShardEngine::open`] at the handshake, and
+//! through [`Shard::reload`] after a `Truncate`, a `DropCategory` or a
+//! refused adoption. A `DropCategory` reply is the same function with
+//! the dropped category as the owned set.
+//!
+//! The handshake opens the log, since it fixes the model's shape, and
+//! reports the highest durable tag, so after `kill -9` the coordinator
+//! can reconcile events that became durable right before the crash but
+//! were never acknowledged. Its `cut` makes the reconciliation physical:
+//! entries tagged at or past it are rewritten out of the WAL, so an
+//! orphan tag can never collide with a future event.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -55,12 +62,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wot_community::StoreEvent;
-use wot_core::{CategoryReputation, DeriveConfig, IncrementalDerived};
+use wot_core::{DeriveConfig, IncrementalDerived};
 use wot_serve::engine::Refusal;
 use wot_serve::protocol::{read_frame, write_frame, ErrorCode, FrameRead};
 use wot_serve::shard_proto::{
-    decode_shard_request, encode_shard_err, encode_shard_ok, CategoryStateWire, HelloAck,
-    ShardReply, ShardRequest, MAX_SHARD_FRAME_LEN, NO_TAG,
+    decode_shard_request, encode_shard_err, encode_shard_ok, HelloAck, ShardReply, ShardRequest,
+    MAX_SHARD_FRAME_LEN, NO_TAG,
 };
 use wot_serve::{ServeError, ShardEngine};
 use wot_wal::{FsyncPolicy, LogKind};
@@ -106,13 +113,41 @@ struct Worker {
     stall: Option<Duration>,
 }
 
-/// The post-handshake shard: the engine plus ownership bookkeeping.
+/// The post-handshake shard: the engine and the categories it owns.
 struct Shard {
     engine: ShardEngine,
     owned: BTreeSet<u32>,
-    /// Per owned category: its tagged event sub-log, in tag order —
-    /// what a `DropCategory` ships to the next owner.
-    sublogs: BTreeMap<u32, Vec<(u64, StoreEvent)>>,
+}
+
+/// The owned part of a tagged log: the entries tagged below `cut`, in
+/// tag order with duplicate tags collapsed (a re-adoption re-appends
+/// events the log already holds), restricted to the `owned` categories.
+/// A rating's category is resolved from the log's own review events,
+/// which the log keeps even for categories dropped since.
+fn owned_part(
+    log: &[(u64, StoreEvent)],
+    cut: u64,
+    owned: &BTreeSet<u32>,
+) -> Vec<(u64, StoreEvent)> {
+    let mut part: Vec<(u64, StoreEvent)> = log.iter().filter(|e| e.0 < cut).copied().collect();
+    // Tag order is global ingest order; the sort is stable, so the
+    // dedup keeps each tag's first copy.
+    part.sort_by_key(|&(t, _)| t);
+    part.dedup_by_key(|e| e.0);
+    let mut category_of: HashMap<u32, u32> = HashMap::new();
+    part.retain(|&(_, event)| {
+        let cat = match event {
+            StoreEvent::Review {
+                review, category, ..
+            } => {
+                category_of.insert(review.0, category.0);
+                Some(category.0)
+            }
+            StoreEvent::Rating { review, .. } => category_of.get(&review.0).copied(),
+        };
+        cat.is_some_and(|c| owned.contains(&c))
+    });
+    part
 }
 
 /// Read-only admission for this worker's category subset. Reviews can't
@@ -162,36 +197,45 @@ fn new_model(num_users: usize, num_categories: usize) -> Result<IncrementalDeriv
 }
 
 impl Shard {
-    /// Ingests one event through the engine and records it in its
-    /// category's sub-log.
+    /// Ingests one event through the engine.
     fn admit(&mut self, tag: u64, event: StoreEvent) -> Result<(), Refusal> {
         let owned = &self.owned;
-        let cat = self.engine.admit(tag, event, |m, e| check(owned, m, e))?;
-        self.sublogs.entry(cat.0).or_default().push((tag, event));
+        self.engine.admit(tag, event, |m, e| check(owned, m, e))?;
         Ok(())
     }
 
-    /// Rebuilds the model from the remaining sub-logs — the drop and
-    /// truncate paths. A fresh replay (in tag order across categories)
-    /// leaves the model holding *exactly* the owned events, so a later
-    /// re-adoption of a dropped category can replay it back in without
-    /// collisions. (The cache notices the new model instance and resets
-    /// itself.)
-    fn rebuild(&mut self) -> Result<(), Refusal> {
+    /// Rebuilds the model from the log after the owned set or the log
+    /// shrank: the log read back, its [`owned_part`] folded onto a fresh
+    /// model. The model then holds *exactly* the owned events, so a
+    /// later re-adoption of a dropped category replays back in without
+    /// collisions. Returns the log it read.
+    fn reload(&mut self) -> Result<Vec<(u64, StoreEvent)>, Refusal> {
+        let log = self
+            .engine
+            .read_back()
+            .map_err(|e| internal(e.to_string()))?;
         let model = self.engine.model();
         let fresh = new_model(model.num_users(), model.num_categories())?;
-        let mut all: Vec<(u64, StoreEvent)> = self
-            .sublogs
-            .values()
-            .flat_map(|v| v.iter().copied())
-            .collect();
-        all.sort_by_key(|&(t, _)| t);
         let owned = &self.owned;
+        let events = owned_part(&log, NO_TAG, owned).into_iter().map(|(_, e)| e);
         self.engine
-            .rebuild(fresh, all.into_iter().map(|(_, e)| e), |m, e| {
-                check(owned, m, e)
-            })
-            .map_err(internal)
+            .rebuild(fresh, events, |m, e| check(owned, m, e))
+            .map_err(internal)?;
+        Ok(log)
+    }
+
+    /// The solved tables of `categories`, each owned, in the asked order.
+    fn states(&mut self, categories: &[u32]) -> HandlerResult {
+        for &c in categories {
+            self.require_owned(c)?;
+        }
+        let tables = self.engine.tables();
+        Ok(ShardReply::States(
+            categories
+                .iter()
+                .map(|&c| Arc::clone(&tables[c as usize]))
+                .collect(),
+        ))
     }
 
     fn require_owned(&self, category: u32) -> Result<(), Refusal> {
@@ -207,23 +251,6 @@ impl Shard {
             )));
         }
         Ok(())
-    }
-}
-
-/// One category's solved tables, in wire form.
-fn state_of(tables: &[Arc<CategoryReputation>], cat: u32) -> CategoryStateWire {
-    let cr = &tables[cat as usize];
-    CategoryStateWire {
-        category: cat,
-        raters: cr.rater_reputation.iter().map(|&(u, v)| (u.0, v)).collect(),
-        writers: cr
-            .writer_reputation
-            .iter()
-            .map(|&(u, v)| (u.0, v))
-            .collect(),
-        qualities: cr.review_quality.iter().map(|&(r, v)| (r.0, v)).collect(),
-        iterations: cr.iterations as u64,
-        converged: cr.converged,
     }
 }
 
@@ -384,19 +411,7 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
             match other {
                 ShardRequest::Ingest { events } => ingest(shard, events),
                 ShardRequest::Truncate { cut } => truncate(shard, cut),
-                ShardRequest::States { categories } => {
-                    for &c in &categories {
-                        shard.require_owned(c)?;
-                    }
-                    let tables = shard.engine.tables();
-                    let states = categories.iter().map(|&c| state_of(tables, c)).collect();
-                    Ok(ShardReply::FullState(states))
-                }
-                ShardRequest::FullState => {
-                    let tables = shard.engine.tables();
-                    let states = shard.owned.iter().map(|&c| state_of(tables, c)).collect();
-                    Ok(ShardReply::FullState(states))
-                }
+                ShardRequest::States { categories } => shard.states(&categories),
                 ShardRequest::DropCategory { category } => drop_category(shard, category),
                 ShardRequest::AdoptCategory { category, events } => {
                     adopt_category(shard, category, events)
@@ -411,10 +426,9 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
     }
 }
 
-/// The handshake: fix the community shape, open the log and fold it in
-/// (entries below `cut`, filtered to the owned categories, deduplicated
-/// by tag, in tag order), rewrite orphan tags at or past `cut` out of
-/// the log, and report what the durable log holds.
+/// The handshake: fix the community shape, open the log and fold its
+/// [`owned_part`] below `cut` in, rewrite orphan tags at or past `cut`
+/// out of the log, and report the highest tag the durable log holds.
 fn hello(
     worker: &mut Worker,
     num_users: usize,
@@ -429,60 +443,27 @@ fn hello(
         return Err(bad("owned category out of range".into()));
     }
     let owned: BTreeSet<u32> = owned.iter().copied().collect();
-    let mut sublogs: BTreeMap<u32, Vec<(u64, StoreEvent)>> =
-        owned.iter().map(|&c| (c, Vec::new())).collect();
     let model = new_model(num_users, num_categories)?;
-    let (engine, (recovered, max_tag, orphans)) = ShardEngine::open(
+    let (engine, (max_tag, orphans)) = ShardEngine::open(
         &worker.wal_path,
         LogKind::TaggedEvents,
         // The main loop owns durability: one sync per processing group,
         // before any of the group's replies.
         FsyncPolicy::Manual,
         model,
-        |model, mut log| {
+        |model, log| {
             let orphans = log.iter().any(|&(t, _)| t >= cut);
-            log.retain(|&(t, _)| t < cut);
-            // Tag order is global ingest order; a stable sort plus
-            // tag-dedup collapses the drop-then-readopt case (the
-            // adoption re-appended events the log already had).
-            log.sort_by_key(|&(t, _)| t);
-            log.dedup_by_key(|e| e.0);
-            let max_tag = log.last().map_or(NO_TAG, |&(t, _)| t);
-            // The log may hold reviews of categories no longer owned
-            // (dropped since): they still resolve rating → category.
-            let mut category_of: HashMap<u32, u32> = HashMap::new();
-            let mut recovered = 0u64;
-            for (tag, event) in log {
-                let cat = match event {
-                    StoreEvent::Review {
-                        review, category, ..
-                    } => {
-                        category_of.insert(review.0, category.0);
-                        category.0
-                    }
-                    StoreEvent::Rating { review, .. } => match category_of.get(&review.0) {
-                        Some(&c) => c,
-                        None => continue,
-                    },
-                };
-                if !owned.contains(&cat) {
-                    continue;
-                }
+            let max_tag = log.iter().map(|&(t, _)| t).filter(|&t| t < cut).max();
+            for (tag, event) in owned_part(&log, cut, &owned) {
                 ShardEngine::fold(model, &event, |m, e| check(&owned, m, e)).map_err(|e| {
                     ServeError::Protocol(format!("log replay failed at tag {tag}: {e}"))
                 })?;
-                sublogs.entry(cat).or_default().push((tag, event));
-                recovered += 1;
             }
-            Ok((recovered, max_tag, orphans))
+            Ok((max_tag.unwrap_or(NO_TAG), orphans))
         },
     )
     .map_err(|e| internal(e.to_string()))?;
-    let mut shard = Shard {
-        engine,
-        owned,
-        sublogs,
-    };
+    let mut shard = Shard { engine, owned };
     if orphans {
         shard
             .engine
@@ -490,7 +471,7 @@ fn hello(
             .map_err(|e| internal(e.to_string()))?;
     }
     worker.shard = Some(shard);
-    Ok(ShardReply::Hello(HelloAck { recovered, max_tag }))
+    Ok(ShardReply::Hello(HelloAck { max_tag }))
 }
 
 /// One batched run of tagged events: admit, append, and apply each in
@@ -509,37 +490,39 @@ fn ingest(shard: &mut Shard, events: Vec<(u64, StoreEvent)>) -> HandlerResult {
 }
 
 /// Rolls this worker back to a coordinator-named cut: entries tagged at
-/// or past it leave the model (sub-log filter + rebuild) and the disk
-/// (the engine's atomic rewrite). The coordinator queues this behind a
-/// failed round's in-flight ingests, so FIFO ordering makes the rollback
-/// total.
+/// or past it leave the disk (the engine's atomic rewrite), then the
+/// model (a reload from the rewritten log). The coordinator queues this
+/// behind a failed round's in-flight ingests, so FIFO ordering makes the
+/// rollback total.
 fn truncate(shard: &mut Shard, cut: u64) -> HandlerResult {
-    for log in shard.sublogs.values_mut() {
-        log.retain(|&(t, _)| t < cut);
-    }
-    shard.rebuild()?;
     let dropped = shard
         .engine
         .rewrite_below(cut)
         .map_err(|e| internal(e.to_string()))?;
+    shard.reload()?;
     Ok(ShardReply::Truncated { dropped })
 }
 
-/// Stops owning a category: ship its sub-log out and rebuild the model
-/// without it. The WAL keeps the old entries — replay filtering at the
-/// next handshake ignores them.
+/// Stops owning a category: reload the model without it and ship the
+/// category's part of the same log out. The WAL keeps the entries —
+/// [`owned_part`] ignores them from now on.
 fn drop_category(shard: &mut Shard, category: u32) -> HandlerResult {
     shard.require_owned(category)?;
     shard.owned.remove(&category);
-    let events = shard.sublogs.remove(&category).unwrap_or_default();
-    shard.rebuild()?;
-    Ok(ShardReply::SubLog(events))
+    let log = shard.reload()?;
+    Ok(ShardReply::SubLog(owned_part(
+        &log,
+        NO_TAG,
+        &BTreeSet::from([category]),
+    )))
 }
 
 /// Starts owning a category: ingest its history in tag order (the main
 /// loop's group sync makes it durable before the reply), and reply with
 /// the re-solved state (which the coordinator holds bit-identical
-/// against the previous owner's).
+/// against the previous owner's). A history the model refuses part-way
+/// leaves the category unowned: the reload drops whatever of it was
+/// applied, and a later adoption starts clean.
 fn adopt_category(
     shard: &mut Shard,
     category: u32,
@@ -587,7 +570,11 @@ fn adopt_category(
     }
     shard.owned.insert(category);
     for (tag, event) in events {
-        shard.admit(tag, event)?;
+        if let Err(refusal) = shard.admit(tag, event) {
+            shard.owned.remove(&category);
+            shard.reload()?;
+            return Err(refusal);
+        }
     }
-    Ok(ShardReply::State(state_of(shard.engine.tables(), category)))
+    shard.states(&[category])
 }

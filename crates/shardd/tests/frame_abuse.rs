@@ -126,6 +126,16 @@ fn unknown_opcode_is_a_typed_error() {
 }
 
 #[test]
+fn retired_opcodes_are_typed_errors() {
+    let mut rig = Rig::boot("retired");
+    hello(&mut rig);
+    for code in [2u8, 3, 4] {
+        expect_err(rig.roundtrip(&[code]), ErrorCode::BadRequest);
+    }
+    rig.finish();
+}
+
+#[test]
 fn truncated_body_is_a_typed_error() {
     let mut rig = Rig::boot("trunc");
     // A Hello cut off after num_users.
@@ -147,7 +157,7 @@ fn truncated_body_is_a_typed_error() {
 fn trailing_garbage_is_a_typed_error() {
     let mut rig = Rig::boot("trailing");
     let mut body = Vec::new();
-    encode_shard_request(&mut body, &ShardRequest::FullState);
+    encode_shard_request(&mut body, &ShardRequest::States { categories: vec![] });
     body.extend_from_slice(&[0xde, 0xad]);
     expect_err(rig.roundtrip(&body), ErrorCode::BadRequest);
     rig.finish();
@@ -169,7 +179,7 @@ fn implausible_adopt_count_is_a_typed_error() {
 fn request_before_handshake_is_a_typed_error() {
     let mut rig = Rig::boot("nohello");
     let mut body = Vec::new();
-    encode_shard_request(&mut body, &ShardRequest::FullState);
+    encode_shard_request(&mut body, &ShardRequest::States { categories: vec![] });
     let msg = expect_err(rig.roundtrip(&body), ErrorCode::BadRequest);
     assert!(msg.contains("handshake"), "{msg}");
     rig.finish();
