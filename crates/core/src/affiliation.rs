@@ -41,20 +41,20 @@ pub struct ActivityCounts {
 pub fn activity_counts(store: &CommunityStore) -> ActivityCounts {
     let u = store.num_users();
     let c = store.num_categories();
-    let mut ratings = Dense::zeros(u, c);
-    let mut reviews = Dense::zeros(u, c);
+    let mut ratings = vec![0.0; u * c];
+    let mut reviews = vec![0.0; u * c];
     for review in store.reviews() {
-        let i = review.writer.index();
-        let j = review.category.index();
-        reviews.set(i, j, reviews.get(i, j) + 1.0);
+        reviews[review.writer.index() * c + review.category.index()] += 1.0;
     }
     for rating in store.ratings() {
         let review = &store.reviews()[rating.review.index()];
-        let i = rating.rater.index();
-        let j = review.category.index();
-        ratings.set(i, j, ratings.get(i, j) + 1.0);
+        ratings[rating.rater.index() * c + review.category.index()] += 1.0;
     }
-    ActivityCounts { ratings, reviews }
+    let dense = |data| Dense::from_vec(u, c, data).expect("shape matches the buffer");
+    ActivityCounts {
+        ratings: dense(ratings),
+        reviews: dense(reviews),
+    }
 }
 
 /// Eq. 4 for one user: `out[j]` from the user's rating counts and review
@@ -78,8 +78,10 @@ pub fn affiliation_matrix(counts: &ActivityCounts) -> Dense {
     let (u, c) = counts.ratings.shape();
     debug_assert_eq!(counts.reviews.shape(), (u, c));
     let mut a = Dense::zeros(u, c);
-    for i in 0..u {
-        affiliation_row(counts.ratings.row(i), counts.reviews.row(i), a.row_mut(i));
+    if c > 0 {
+        for (i, out) in a.as_mut_slice().chunks_exact_mut(c).enumerate() {
+            affiliation_row(counts.ratings.row(i), counts.reviews.row(i), out);
+        }
     }
     a
 }
@@ -184,14 +186,23 @@ impl ActivityLedger {
     /// date by recomputing the rows stamped since, and returns the clock
     /// value to pass next time. With `seen = 0` and an all-zero `a` this
     /// is the full build: rows never stamped are rows of zeros.
+    ///
+    /// Nothing stamped since `seen` means `a` is not written at all, so a
+    /// matrix that shares its buffer with a published copy is not copied
+    /// (see [`Dense`]); otherwise it is taken for writing once.
     pub fn patch(&self, a: &mut Dense, seen: u64) -> u64 {
         debug_assert_eq!(a.shape(), self.shape());
-        for (i, &stamp) in self.row_stamp.iter().enumerate() {
+        let Some(first) = self.row_stamp.iter().position(|&stamp| stamp > seen) else {
+            return self.clock;
+        };
+        let c = self.shape().1;
+        let rows = a.as_mut_slice();
+        for (i, &stamp) in self.row_stamp.iter().enumerate().skip(first) {
             if stamp > seen {
                 affiliation_row(
                     self.counts.ratings.row(i),
                     self.counts.reviews.row(i),
-                    a.row_mut(i),
+                    &mut rows[i * c..(i + 1) * c],
                 );
             }
         }

@@ -21,6 +21,22 @@
 //! empty. There is no second, from-scratch path to keep in agreement —
 //! the batch pipeline's `affiliation_matrix` / `expertise_matrix_from_pairs`
 //! stay as the independent oracle the conformance suites compare against.
+//!
+//! ## Two slots, and no copy on publish
+//!
+//! A published [`Derived`] must never change, yet the assembler keeps
+//! patching. The matrices are copy-on-write [`Dense`] values, so a publish
+//! hands out pointer copies, and a patch that finds its buffer still
+//! shared copies it before the first write. To keep that copy off the
+//! common path the assembler keeps **two slots** and alternates: publish
+//! `N + 1` patches the slot last published at `N − 1` — the columns whose
+//! table changed since that slot's publish and the rows stamped since —
+//! while snapshot `N` stays current and untouched. Once every reader has
+//! let go of snapshot `N − 1`, that slot's buffers are unshared and the
+//! patch writes in place; a reader still pinning it costs one copy, as
+//! every publish did before, and nothing is ever written under a reader.
+//! The two slots replace the old cached copy plus its published copy, so
+//! no more matrices are alive than before.
 
 use std::sync::Arc;
 
@@ -29,16 +45,9 @@ use wot_sparse::Dense;
 use crate::affiliation::ActivityLedger;
 use crate::pipeline::{CategoryReputation, Derived};
 
-/// The last assembled `E` and `A`, and what they were assembled from.
-/// Used by [`IncrementalDerived`](crate::IncrementalDerived)'s publishes
-/// (inside its [`DerivedCache`](crate::DerivedCache)) and by the cluster
-/// coordinator, which feeds it the tables its workers solved.
-///
-/// Bound to one [`ActivityLedger`] by the ledger's id: handed a different
-/// ledger — another model, a clone, a restored image — it starts over
-/// from zeros instead of serving the previous community's rows.
+/// One assembled `E` and `A`, and what they were assembled from.
 #[derive(Debug, Clone, Default)]
-pub struct Assembler {
+struct Slot {
     /// Id of the ledger the matrices belong to (0 = none yet).
     ledger: u64,
     expertise: Dense,
@@ -49,11 +58,68 @@ pub struct Assembler {
     installed: Vec<Arc<CategoryReputation>>,
 }
 
+impl Slot {
+    /// Everything dirty: zeros, no row seen, every column's table empty.
+    fn fresh(counts: &ActivityLedger) -> Self {
+        let (users, categories) = counts.shape();
+        Slot {
+            ledger: counts.id(),
+            expertise: Dense::zeros(users, categories),
+            affiliation: Dense::zeros(users, categories),
+            rows_seen: 0,
+            installed: CategoryReputation::empty_tables(categories),
+        }
+    }
+
+    /// Clear-then-write every column whose table was replaced, and
+    /// recompute every row stamped since the last patch. A clean matrix
+    /// is not taken for writing, so a shared one is not copied.
+    fn patch(&mut self, counts: &ActivityLedger, tables: &[Arc<CategoryReputation>]) {
+        let stride = tables.len();
+        for (c, (held, table)) in self.installed.iter_mut().zip(tables).enumerate() {
+            if Arc::ptr_eq(held, table) {
+                continue;
+            }
+            // Once per replaced column, not per cell (see `Dense`).
+            let e = self.expertise.as_mut_slice();
+            for &(u, _) in &held.writer_reputation {
+                e[u.index() * stride + c] = 0.0;
+            }
+            for &(u, rep) in &table.writer_reputation {
+                e[u.index() * stride + c] = rep;
+            }
+            *held = Arc::clone(table);
+        }
+        self.rows_seen = counts.patch(&mut self.affiliation, self.rows_seen);
+    }
+}
+
+/// The last two assembled `E` and `A`, and what each was assembled from.
+/// Used by [`IncrementalDerived`](crate::IncrementalDerived)'s publishes
+/// (inside its [`DerivedCache`](crate::DerivedCache)) and by the cluster
+/// coordinator, which feeds it the tables its workers solved.
+///
+/// Each [`assemble`](Self::assemble) patches the slot the publish before
+/// last used and returns pointer copies of its matrices; see the module
+/// docs for why two slots, and what a reader still pinning an old
+/// snapshot costs.
+///
+/// Bound to one [`ActivityLedger`] by the ledger's id: handed a different
+/// ledger — another model, a clone, a restored image — it starts over
+/// from zeros instead of serving the previous community's rows.
+#[derive(Debug, Clone, Default)]
+pub struct Assembler {
+    slots: [Slot; 2],
+    /// The slot the next assembly patches.
+    next: usize,
+}
+
 impl Assembler {
     /// Brings `E` up to date with `tables` (one per category, compared by
     /// pointer with what each column was last written from) and `A` with
     /// `counts`, and returns the assembled model — bit-identical to
-    /// building both matrices from scratch.
+    /// building both matrices from scratch. Copies no matrix unless a
+    /// reader still holds the one this slot published last.
     ///
     /// # Panics
     /// If `tables` does not hold one table per category of `counts`.
@@ -62,42 +128,36 @@ impl Assembler {
         counts: &ActivityLedger,
         tables: &[Arc<CategoryReputation>],
     ) -> Derived {
-        let (users, categories) = counts.shape();
-        assert_eq!(tables.len(), categories, "one table per category");
-        if self.ledger != counts.id() {
-            *self = Assembler {
-                ledger: counts.id(),
-                expertise: Dense::zeros(users, categories),
-                affiliation: Dense::zeros(users, categories),
-                rows_seen: 0,
-                installed: CategoryReputation::empty_tables(categories),
+        assert_eq!(tables.len(), counts.shape().1, "one table per category");
+        let k = self.next;
+        self.next ^= 1;
+        if self.slots[k].ledger != counts.id() {
+            // A slot bound to another ledger starts from its twin when
+            // the twin already holds this ledger (a pointer copy, written
+            // apart on the first patch), and from zeros otherwise.
+            let twin = &self.slots[k ^ 1];
+            self.slots[k] = if twin.ledger == counts.id() {
+                twin.clone()
+            } else {
+                Slot::fresh(counts)
             };
         }
-        for (c, (held, table)) in self.installed.iter_mut().zip(tables).enumerate() {
-            if Arc::ptr_eq(held, table) {
-                continue;
-            }
-            for &(u, _) in &held.writer_reputation {
-                self.expertise.set(u.index(), c, 0.0);
-            }
-            for &(u, rep) in &table.writer_reputation {
-                self.expertise.set(u.index(), c, rep);
-            }
-            *held = Arc::clone(table);
-        }
-        self.rows_seen = counts.patch(&mut self.affiliation, self.rows_seen);
+        let slot = &mut self.slots[k];
+        slot.patch(counts, tables);
         Derived {
-            expertise: self.expertise.clone(),
-            affiliation: self.affiliation.clone(),
+            expertise: slot.expertise.clone(),
+            affiliation: slot.affiliation.clone(),
             per_category: tables.to_vec(),
         }
     }
 
-    /// Test hook: the cached `(E, A)`, writable, so a test can poison them
-    /// and see which cells an assembly leaves alone.
+    /// Test hook: both slots' `(E, A)`, writable, so a test can poison
+    /// them and see which cells an assembly leaves alone.
     #[cfg(test)]
-    pub(crate) fn matrices_mut(&mut self) -> (&mut Dense, &mut Dense) {
-        (&mut self.expertise, &mut self.affiliation)
+    pub(crate) fn matrices_mut(&mut self) -> impl Iterator<Item = (&mut Dense, &mut Dense)> {
+        self.slots
+            .iter_mut()
+            .map(|s| (&mut s.expertise, &mut s.affiliation))
     }
 }
 
@@ -113,6 +173,13 @@ mod tests {
             writer_reputation: writers.iter().map(|&(u, v)| (UserId(u), v)).collect(),
             ..CategoryReputation::empty(CategoryId::from_index(c))
         })
+    }
+
+    fn poison(asm: &mut Assembler) {
+        for (e, a) in asm.matrices_mut() {
+            e.as_mut_slice().fill(f64::NAN);
+            a.as_mut_slice().fill(f64::NAN);
+        }
     }
 
     fn fresh(counts: &ActivityLedger, tables: &[Arc<CategoryReputation>]) -> Derived {
@@ -135,14 +202,16 @@ mod tests {
         counts.bump_reviews(1, 1, 1.0);
         let mut tables = vec![table(0, &[(1, 0.5)]), table(1, &[(1, 0.25), (2, 0.75)])];
         let mut asm = Assembler::default();
-        asm.assemble(&counts, &tables);
-        // Nothing changed: nothing is written.
-        let (e, a) = asm.matrices_mut();
-        e.as_mut_slice().fill(f64::NAN);
-        a.as_mut_slice().fill(f64::NAN);
+        let first = asm.assemble(&counts, &tables);
+        // Nothing changed: nothing is written. (The second slot starts
+        // from the first, so the poison reaches it too.)
+        poison(&mut asm);
         let idle = asm.assemble(&counts, &tables);
         assert!(idle.expertise.as_slice().iter().all(|v| v.is_nan()));
         assert!(idle.affiliation.as_slice().iter().all(|v| v.is_nan()));
+        // …and the first publish kept its values: the poison was written
+        // apart from it.
+        assert_eq!(first, fresh(&counts, &tables));
         // User 2 rates in category 1 and category 1's table is replaced:
         // row 2 of A, and column 1 of E at the old and new writers.
         counts.bump_ratings(2, 1, 1.0);

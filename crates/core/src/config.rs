@@ -45,14 +45,17 @@ pub struct DeriveConfig {
     ///
     /// [`IncrementalDerived::refresh`]: crate::IncrementalDerived::refresh
     pub delta_refresh: bool,
-    /// Fallback heuristic for the delta solver: when the active frontier
-    /// (dirty reviews + dirty raters about to be recomputed) exceeds this
-    /// fraction of the category's nodes, abandon the worklist and run the
-    /// full warm sweep instead (a wide frontier means the worklist's
-    /// bookkeeping costs more than the dense loop it avoids). Boundary
-    /// semantics: `0.0` always falls back (any non-empty frontier exceeds
-    /// zero), `1.0` never does (the frontier cannot exceed the whole
-    /// category). Must be in `[0, 1]`.
+    /// Push or pull, per pass of the delta solver: when the active
+    /// frontier (dirty reviews + dirty raters about to be recomputed)
+    /// exceeds this fraction of the category's nodes, the pass is dense —
+    /// every review, then every rater, as the full warm sweep does it —
+    /// and otherwise it drains the worklist (a wide frontier means the
+    /// worklist's bookkeeping costs more than the dense loop it avoids).
+    /// Each pass decides from its own frontier; none is abandoned.
+    /// Boundary semantics: at `0.0` every pass is dense, which is the full
+    /// warm sweep bit for bit (any non-empty frontier exceeds zero); at
+    /// `1.0` none is (the frontier cannot exceed the whole category).
+    /// Must be in `[0, 1]`.
     pub delta_frontier_threshold: f64,
 }
 
@@ -212,8 +215,8 @@ impl DeriveConfigBuilder {
         self
     }
 
-    /// Frontier fraction above which the delta solver falls back to the
-    /// full warm sweep (must be in `[0, 1]`).
+    /// Frontier fraction above which a pass of the delta solver is dense
+    /// (must be in `[0, 1]`).
     pub fn delta_frontier_threshold(mut self, t: f64) -> Self {
         self.cfg.delta_frontier_threshold = t;
         self
@@ -309,7 +312,7 @@ mod tests {
             ..DeriveConfig::default()
         };
         assert!(c.validate().is_err());
-        // Both boundary values are legal (0 = always fall back, 1 = never).
+        // Both boundary values are legal (0 = every pass dense, 1 = none).
         for t in [0.0, 1.0] {
             let c = DeriveConfig {
                 delta_frontier_threshold: t,

@@ -14,26 +14,28 @@ use wot_sparse::Dense;
 /// (categories indexed densely, as in
 /// [`CommunityStore::categories`](wot_community::CommunityStore::categories)).
 pub fn expertise_matrix(num_users: usize, per_category: &[HashMap<UserId, f64>]) -> Dense {
-    let mut e = Dense::zeros(num_users, per_category.len());
+    let ncols = per_category.len();
+    let mut e = vec![0.0; num_users * ncols];
     for (c, writers) in per_category.iter().enumerate() {
         for (&u, &rep) in writers {
-            e.set(u.index(), c, rep);
+            e[u.index() * ncols + c] = rep;
         }
     }
-    e
+    Dense::from_vec(num_users, ncols, e).expect("shape matches the buffer")
 }
 
 /// Assembles `E` from per-category `(writer, reputation)` pair lists — the
 /// index-dense pipeline's native output shape (see
 /// [`writer_reputation_pairs`](crate::reputation::writer_reputation_pairs)).
 pub fn expertise_matrix_from_pairs(num_users: usize, per_category: &[&[(UserId, f64)]]) -> Dense {
-    let mut e = Dense::zeros(num_users, per_category.len());
+    let ncols = per_category.len();
+    let mut e = vec![0.0; num_users * ncols];
     for (c, writers) in per_category.iter().enumerate() {
         for &(u, rep) in *writers {
-            e.set(u.index(), c, rep);
+            e[u.index() * ncols + c] = rep;
         }
     }
-    e
+    Dense::from_vec(num_users, ncols, e).expect("shape matches the buffer")
 }
 
 #[cfg(test)]

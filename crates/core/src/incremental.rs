@@ -219,19 +219,16 @@ struct TableOrder {
 }
 
 /// What one [`CategoryState::refresh`] did to the warm state it solved in
-/// place — which path ran and how far. Which nodes it recomputed (the
-/// worklist's coverage proof) stays in the state's [`DeltaScratch`] until
-/// the next refresh; [`CategoryState::visited`] lists them on request.
+/// place — what kind of passes ran and how many. Which nodes it
+/// recomputed (the worklist's coverage proof) stays in the state's
+/// [`DeltaScratch`] until the next refresh; [`CategoryState::visited`]
+/// lists them on request.
 #[derive(Clone, Copy)]
 struct RefreshOutcome {
     iterations: usize,
     converged: bool,
-    /// The worklist was abandoned for the full warm sweep (frontier over
-    /// the configured threshold, or a restored-stale category whose seeds
-    /// were not persisted).
-    fell_back: bool,
-    /// A full sweep ran, so every node was recomputed.
-    swept_all: bool,
+    /// At least one dense pass ran, so every node was recomputed.
+    dense: bool,
 }
 
 /// A set of local node indexes as a bitmap: O(1) duplicate-free insert,
@@ -317,7 +314,8 @@ mod node_set_tests {
 /// The delta worklist's working memory, kept per category so a refresh
 /// allocates nothing. It carries nothing from one refresh to the next:
 /// [`begin`](Self::begin) empties all four sets, whatever the last
-/// refresh left in them (an abandoned frontier, its visit marks).
+/// refresh left in them (a frontier cut off by the iteration cap, its
+/// visit marks).
 #[derive(Debug, Clone, Default)]
 struct DeltaScratch {
     /// Reviews / raters queued for recomputation. A set, so the worklist
@@ -346,15 +344,16 @@ impl DeltaScratch {
 /// left stale (every node whose value moved must appear here).
 #[derive(Debug, Clone)]
 pub struct DeltaReport {
-    /// Sweeps executed (worklist passes, plus full-sweep iterations if
-    /// the solver fell back).
+    /// Passes executed, worklist and dense alike.
     pub sweeps: usize,
     /// Whether the tolerance was met before the iteration cap.
     pub converged: bool,
-    /// Whether the delta solver abandoned the worklist for the full warm
-    /// sweep. Always `false` when [`DeriveConfig::delta_refresh`] is off
-    /// (there was no worklist to abandon) and when the category had
-    /// nothing to refresh.
+    /// Whether at least one pass was dense — every review, then every
+    /// rater — so the visited lists hold the whole category. The delta
+    /// solver runs a dense pass whenever the frontier exceeds
+    /// [`DeriveConfig::delta_frontier_threshold`]; the full warm sweep
+    /// (delta refresh off, or a category restored stale) is dense
+    /// throughout. `false` when the category had nothing to iterate.
     pub fell_back: bool,
     /// Reviews the solver recomputed, as global ids.
     pub visited_reviews: Vec<ReviewId>,
@@ -588,7 +587,7 @@ impl CategoryState {
     }
 
     /// Re-solves the category in place through whichever path
-    /// [`DeriveConfig::delta_refresh`] selects — the delta worklist or the
+    /// [`DeriveConfig::delta_refresh`] selects — the delta solve or the
     /// full warm sweep — clears the staleness bookkeeping (seeds
     /// included) and reports what was done.
     fn refresh(&mut self, cfg: &DeriveConfig) -> RefreshOutcome {
@@ -599,12 +598,7 @@ impl CategoryState {
             RefreshOutcome {
                 iterations,
                 converged,
-                // `fell_back` means a worklist was abandoned; a full sweep
-                // that was never a worklist only counts as a fallback when
-                // delta mode asked for one and couldn't run it (restored
-                // stale state with unknown seeds).
-                fell_back: cfg.delta_refresh && self.needs_full,
-                swept_all: true,
+                dense: iterations > 0,
             }
         };
         self.last_iterations = outcome.iterations;
@@ -615,26 +609,37 @@ impl CategoryState {
         outcome
     }
 
-    /// The **delta worklist solver**: starts from the pending seeds (the
-    /// one review and one rater each new or revised rating touches) and
+    /// The **delta solver**: starts from the pending seeds (the one
+    /// review and one rater each new or revised rating touches) and
     /// propagates Eq. 1 / Eq. 2 recomputations through the bipartite
-    /// incidence structure only while a node moves by more than
-    /// [`DeriveConfig::fixpoint_tolerance`]. Before every pass the active
-    /// frontier is measured against
-    /// [`DeriveConfig::delta_frontier_threshold`]; a frontier wider than
-    /// that fraction of the category abandons the worklist and finishes
-    /// with the full warm sweep from the current (partially advanced)
-    /// state — the result is a valid warm state either way.
+    /// incidence only while a node moves by more than
+    /// [`DeriveConfig::fixpoint_tolerance`]. Each pass picks its own kind
+    /// from its own frontier (push or pull, as in Beamer et al.'s
+    /// direction-optimising search):
+    ///
+    /// * frontier wider than [`DeriveConfig::delta_frontier_threshold`] ×
+    ///   (reviews + raters): a **dense pass** — every review, then every
+    ///   rater, through [`riggs::dense_pass`], the pass the full warm
+    ///   sweep runs; the reviews of every rater that moved past the
+    ///   tolerance are the next frontier;
+    /// * otherwise a **worklist pass** that drains the frontiers.
+    ///
+    /// Nothing is abandoned: the next pass reads the frontier the last one
+    /// left. Converged means the frontier is empty, which after a dense
+    /// pass is exactly the full sweep's test (the largest rater move is
+    /// within the tolerance), and the iteration cap counts every pass.
+    /// Both half-steps are Jacobi — a node reads only the other side's
+    /// values — so which nodes a pass visits, and in what order, changes
+    /// no value a recomputed node lands on. At threshold 0 every pass is
+    /// dense, which is the full warm sweep bit for bit, sweep count
+    /// included; at 1 no pass is.
     ///
     /// Per-node arithmetic is [`riggs::quality_one`] /
     /// [`riggs::reputation_one`] over the node's arena slices — the calls
-    /// the dense sweep makes, over the memory it reads — so a node
-    /// recomputed here lands on the same bits the full sweep would give it
-    /// from the same inputs, and a fallback costs its sweeps and nothing
-    /// else. The canonical cold snapshot
-    /// ([`IncrementalDerived::to_derived`]) never reads this warm state,
-    /// which is how delta mode keeps the bit-identical-to-batch contract
-    /// untouched.
+    /// the dense pass makes, over the memory it reads. The canonical cold
+    /// snapshot ([`IncrementalDerived::to_derived`]) never reads this warm
+    /// state, which is how delta mode keeps the bit-identical-to-batch
+    /// contract untouched.
     fn solve_delta(&mut self, cfg: &DeriveConfig) -> RefreshOutcome {
         let n_rev = self.reviews.len();
         let n_rat = self.rater_of_local.len();
@@ -646,8 +651,7 @@ impl CategoryState {
             return RefreshOutcome {
                 iterations: 0,
                 converged: true,
-                fell_back: false,
-                swept_all: false,
+                dense: false,
             };
         }
         let Self {
@@ -676,30 +680,42 @@ impl CategoryState {
         let total = (n_rev + n_rat) as f64;
         let mut sweeps = 0usize;
         let mut converged = false;
-        let mut fell_back = false;
+        let mut dense = false;
         loop {
             let active = rev_frontier.len + rat_frontier.len;
             if active == 0 {
                 converged = true;
                 break;
             }
-            // Fallback heuristic, checked on the work *about* to run:
-            // strict `>` gives the boundary semantics (threshold 0 always
-            // falls back on any non-empty frontier; threshold 1 never
-            // does, the frontier cannot exceed the whole category).
-            if active as f64 > cfg.delta_frontier_threshold * total {
-                fell_back = true;
-                break;
-            }
             if sweeps >= cfg.fixpoint_max_iters {
                 break;
             }
             sweeps += 1;
-            // Both half-sweeps are Jacobi steps — a node reads only the
-            // other side's values — so the order a frontier is drained in
-            // changes no value and no next frontier, only the memory
-            // access pattern.
-            //
+            // Strict `>` gives the endpoints: at 0 any non-empty frontier
+            // runs dense, at 1 none does (a frontier is at most the whole
+            // category).
+            if active as f64 > cfg.delta_frontier_threshold * total {
+                dense = true;
+                // The pass recomputes every node, so the frontier it
+                // replaces is spent; the next one is the reviews of the
+                // raters that moved.
+                rev_frontier.reset(n_rev);
+                rat_frontier.reset(n_rat);
+                riggs::dense_pass(
+                    by_review,
+                    by_rater,
+                    rater_discount,
+                    cfg,
+                    quality,
+                    reputation,
+                    |reviews| {
+                        for &j in reviews {
+                            rev_frontier.insert(j);
+                        }
+                    },
+                );
+                continue;
+            }
             // Eq. 1 half-sweep: recompute dirty reviews; a quality move
             // beyond tolerance dirties every rater of that review.
             rev_frontier.drain(|j| {
@@ -730,35 +746,19 @@ impl CategoryState {
                 }
             });
         }
-        let mut iterations = sweeps;
-        if fell_back {
-            // Finish with the one shared dense sweep loop, warm from the
-            // partially advanced state, over the same arenas.
-            let (it, conv) = riggs::solve_warm(
-                by_review,
-                by_rater,
-                rater_discount,
-                cfg,
-                quality,
-                reputation,
-            );
-            iterations += it;
-            converged = conv;
-        }
         RefreshOutcome {
-            iterations,
+            iterations: sweeps,
             converged,
-            fell_back,
-            swept_all: fell_back,
+            dense,
         }
     }
 
     /// The nodes the refresh that returned `outcome` recomputed, as
-    /// global ids in ascending local order: every node after a full
-    /// sweep, the marked ones after a worklist. Valid until the next
-    /// refresh.
+    /// global ids in ascending local order: every node once a dense pass
+    /// ran, the marked ones after worklist passes only. Valid until the
+    /// next refresh.
     fn visited(&self, outcome: RefreshOutcome) -> (Vec<ReviewId>, Vec<UserId>) {
-        if outcome.swept_all {
+        if outcome.dense {
             return (self.reviews.clone(), self.rater_of_local.clone());
         }
         let DeltaScratch {
@@ -880,9 +880,10 @@ pub struct IncrementalSnapshot {
 ///   data version;
 /// * per category, its raters and writers in ascending-user order, so
 ///   rebuilding a dirty category's tables gathers instead of sorting;
-/// * the last assembled `E` and `A` (an [`Assembler`]), patched in place:
-///   only the columns of re-solved categories and the rows of users
-///   whose counts changed are written.
+/// * the last two assembled `E` and `A` (an [`Assembler`]), patched in
+///   place: only the columns of re-solved categories and the rows of
+///   users whose counts changed are written, and a published `Derived`
+///   shares them by pointer.
 ///
 /// Create one with [`DerivedCache::default`] and keep feeding it the same
 /// model — a serving daemon holds one alongside its `IncrementalDerived`
@@ -1469,11 +1470,11 @@ impl IncrementalDerived {
     /// ratings to iterate (unrated reviews are assigned their quality
     /// directly — no phantom sweeps are reported).
     ///
-    /// With [`DeriveConfig::delta_refresh`] on, the solve runs the delta
-    /// worklist (seeded by the ratings since the last refresh) and falls
-    /// back to the full warm sweep past the configured frontier fraction;
-    /// off (the default), it is the full warm sweep — the oracle the
-    /// delta path is proven against.
+    /// With [`DeriveConfig::delta_refresh`] on, the solve is the delta
+    /// solve (seeded by the ratings since the last refresh), whose passes
+    /// are dense while the frontier is wider than the configured fraction
+    /// and drain the worklist otherwise; off (the default), it is the
+    /// full warm sweep — the oracle the delta path is proven against.
     pub fn refresh(&mut self, category: CategoryId) -> (usize, bool) {
         match self.categories.get_mut(category.index()) {
             Some(state) if state.stale => {
@@ -1497,7 +1498,7 @@ impl IncrementalDerived {
                 DeltaReport {
                     sweeps: r.iterations,
                     converged: r.converged,
-                    fell_back: r.fell_back,
+                    fell_back: r.dense,
                     visited_reviews,
                     visited_raters,
                 }
@@ -2252,25 +2253,35 @@ mod tests {
         assert_eq!(delta.to_derived(), batch);
     }
 
-    /// Frontier-threshold boundary semantics: 0 always abandons the
-    /// worklist for the full sweep, 1 never does.
+    /// Frontier-threshold boundary semantics: at 0 every pass is dense —
+    /// the full warm sweep, same bits, same sweep count — and at 1 none
+    /// is.
     #[test]
     fn delta_frontier_boundary_semantics() {
         let store = sample_store();
         for (threshold, expect_fallback) in [(0.0, true), (1.0, false)] {
             let cfg = delta_cfg(threshold);
             let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
+            let mut full =
+                IncrementalDerived::from_store(&store, &DeriveConfig::default()).unwrap();
             let rt = store.ratings()[0];
             // A revision seeds the worklist without touching counts.
             assert!(inc.upsert_rating(rt.rater, rt.review, 0.55).unwrap());
+            assert!(full.upsert_rating(rt.rater, rt.review, 0.55).unwrap());
             let cat = store.reviews()[rt.review.index()].category;
             let report = inc.refresh_traced(cat);
             assert_eq!(report.fell_back, expect_fallback, "threshold {threshold}");
             if expect_fallback {
-                // The full sweep recomputed every node of the category.
+                // Dense passes recomputed every node of the category…
                 let state = &inc.categories[cat.index()];
                 assert_eq!(report.visited_reviews.len(), state.reviews.len());
                 assert_eq!(report.visited_raters.len(), state.rater_of_local.len());
+                // …and are the full warm sweep, pass for pass.
+                let (sweeps, converged) = full.refresh(cat);
+                assert_eq!((report.sweeps, report.converged), (sweeps, converged));
+                let twin = &full.categories[cat.index()];
+                assert_eq!(state.quality, twin.quality);
+                assert_eq!(state.reputation, twin.reputation);
             }
             assert!(!inc.categories[cat.index()].stale);
             assert!(inc.categories[cat.index()].pending_seeds.is_empty());
@@ -2417,6 +2428,12 @@ mod tests {
         let review = store.reviews()[0];
         let cat = review.category.index();
         let all_nan = |m: &Dense| m.as_slice().iter().all(|v| v.is_nan());
+        let poison = |cache: &mut DerivedCache| {
+            for (e, a) in cache.assembler.matrices_mut() {
+                e.as_mut_slice().fill(f64::NAN);
+                a.as_mut_slice().fill(f64::NAN);
+            }
+        };
         type Publish = fn(&mut IncrementalDerived, &mut DerivedCache) -> Derived;
         let paths: [(DeriveConfig, Publish); 2] = [
             (DeriveConfig::default(), |m, c| m.to_derived_cached(c)),
@@ -2439,9 +2456,7 @@ mod tests {
                 cache.order[cat].raters.0.len() + 1,
                 state.rater_of_local.len()
             );
-            let (e, a) = cache.assembler.matrices_mut();
-            e.as_mut_slice().fill(f64::NAN);
-            a.as_mut_slice().fill(f64::NAN);
+            poison(&mut cache);
             let d1 = publish(&mut inc, &mut cache);
             let state = &inc.categories[cat];
             let (fresh_e, fresh_a) = (inc.expertise(), inc.affiliation());
@@ -2486,14 +2501,21 @@ mod tests {
                 assert_eq!(order.0, sorted);
             }
             // Nothing dirty: zero rows recomputed, zero tables installed.
-            let (e, a) = cache.assembler.matrices_mut();
-            e.as_mut_slice().fill(f64::NAN);
-            a.as_mut_slice().fill(f64::NAN);
-            let d2 = publish(&mut inc, &mut cache);
-            assert!(all_nan(&d2.expertise) && all_nan(&d2.affiliation));
-            for (x, y) in d1.per_category.iter().zip(&d2.per_category) {
-                assert!(Arc::ptr_eq(x, y));
+            // The assembler's other slot last published before the rating,
+            // so one publish catches it up; after that neither slot has
+            // anything to write.
+            publish(&mut inc, &mut cache);
+            poison(&mut cache);
+            for _ in 0..2 {
+                let d2 = publish(&mut inc, &mut cache);
+                assert!(all_nan(&d2.expertise) && all_nan(&d2.affiliation));
+                for (x, y) in d1.per_category.iter().zip(&d2.per_category) {
+                    assert!(Arc::ptr_eq(x, y));
+                }
             }
+            // Every publish kept its own values while the slots moved on.
+            assert!(!all_nan(&d1.expertise) && !all_nan(&d1.affiliation));
+            assert!(d0.expertise.as_slice().iter().all(|v| !v.is_nan()));
         }
     }
 

@@ -97,10 +97,11 @@ pub(crate) fn rater_discounts(by_rater: &Incidence, cfg: &DeriveConfig) -> Vec<f
 /// [`DeriveConfig::initial_rater_reputation`], warm when they carry a
 /// previous solution. Returns `(sweeps, converged)`.
 ///
-/// This is the *only* sweep loop in the workspace, over the *only*
-/// layout: batch [`solve`] reads a [`CategorySlice`]'s arenas, the
-/// incremental model's warm [`refresh`](crate::IncrementalDerived::refresh),
-/// its delta fallback and its canonical
+/// Its passes are [`dense_pass`], the *only* whole-category pass in the
+/// workspace, over the *only* layout: batch [`solve`] reads a
+/// [`CategorySlice`]'s arenas, the incremental model's warm
+/// [`refresh`](crate::IncrementalDerived::refresh), the dense passes of
+/// its delta solve and its canonical
 /// [`to_derived`](crate::IncrementalDerived::to_derived) snapshot read the
 /// arenas it appends into — the same memory, the same per-node order, the
 /// root of the pipeline's bit-identical replay guarantee.
@@ -119,14 +120,53 @@ pub(crate) fn solve_warm(
     let mut converged = false;
     while iterations < cfg.fixpoint_max_iters {
         iterations += 1;
-        update_quality(by_review, reputation, cfg, quality);
-        let delta = update_reputation(by_rater, rater_discount, quality, reputation);
+        let delta = dense_pass(
+            by_review,
+            by_rater,
+            rater_discount,
+            cfg,
+            quality,
+            reputation,
+            |_| {},
+        );
         if delta <= cfg.fixpoint_tolerance {
             converged = true;
             break;
         }
     }
     (iterations, converged)
+}
+
+/// One Jacobi pass over the whole category: an Eq. 1 sweep of every
+/// review, then an Eq. 2 sweep of every rater. Hands `moved` the reviews
+/// of each rater whose reputation moved by more than
+/// [`DeriveConfig::fixpoint_tolerance`] — the delta solve's next frontier
+/// — and returns the largest reputation move, so "no rater moved past the
+/// tolerance" and "the largest move is within it" are one test.
+pub(crate) fn dense_pass(
+    by_review: &Incidence,
+    by_rater: &Incidence,
+    rater_discount: &[f64],
+    cfg: &DeriveConfig,
+    quality: &mut [f64],
+    reputation: &mut [f64],
+    mut moved: impl FnMut(&[u32]),
+) -> f64 {
+    update_quality(by_review, reputation, cfg, quality);
+    let mut max_delta = 0.0f64;
+    for ((rep, (reviews, values)), &discount) in reputation
+        .iter_mut()
+        .zip(by_rater.iter())
+        .zip(rater_discount)
+    {
+        let new = reputation_one(reviews, values, quality, discount);
+        let step = (new - std::mem::replace(rep, new)).abs();
+        if step > cfg.fixpoint_tolerance {
+            moved(reviews);
+        }
+        max_delta = max_delta.max(step);
+    }
+    max_delta
 }
 
 /// Solves the Eq. 1 ⇄ Eq. 2 fixed point on one category slice over
@@ -175,28 +215,6 @@ fn update_quality(
     }
 }
 
-/// One Eq. 2 sweep: recompute every rater's reputation from current
-/// qualities — [`reputation_one`] per node. Returns the largest absolute
-/// reputation change.
-fn update_reputation(
-    by_rater: &Incidence,
-    rater_discount: &[f64],
-    quality: &[f64],
-    reputation: &mut [f64],
-) -> f64 {
-    let mut max_delta = 0.0f64;
-    for ((rep, (reviews, values)), &discount) in reputation
-        .iter_mut()
-        .zip(by_rater.iter())
-        .zip(rater_discount)
-    {
-        let new = reputation_one(reviews, values, quality, discount);
-        let old = std::mem::replace(rep, new);
-        max_delta = max_delta.max((new - old).abs());
-    }
-    max_delta
-}
-
 /// Eq. 1 for **one review** from its ratings — parallel `(local rater,
 /// value)` slices in stored (ingestion) order. The dense sweep
 /// ([`update_quality`]) and the delta worklist both call this, so they
@@ -230,8 +248,8 @@ pub(crate) fn quality_one(
 
 /// Eq. 2 for **one rater** from their ratings — parallel `(local review,
 /// value)` slices ascending by local review — and pre-computed experience
-/// discount. One slot of [`update_reputation`]; the delta worklist calls
-/// it too.
+/// discount. One slot of [`dense_pass`]'s Eq. 2 sweep; the delta worklist
+/// calls it too.
 #[inline]
 pub(crate) fn reputation_one(
     reviews: &[u32],

@@ -188,3 +188,79 @@ fn replaced_table_with_fewer_writers_shrinks_the_column() {
     tables[0] = table(0, &[(0, 0.1), (1, 0.65)]);
     check(assembler.assemble(&counts, &tables), &counts, &tables);
 }
+
+/// `E` and `A` of a publish, as bits.
+fn matrix_bits(d: &Derived) -> Vec<u64> {
+    d.expertise
+        .as_slice()
+        .iter()
+        .chain(d.affiliation.as_slice())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A published `Derived` never changes while the cache that made it
+    /// moves on. The assembler hands out its matrices by pointer and
+    /// patches them again two publishes later, so a publish still held
+    /// then must have been copied before the write, not written through.
+    /// Up to three publishes at a time are held, each for a random number
+    /// of later publishes (some for many), on all three publish paths;
+    /// each one's bits are recorded when it is published and checked when
+    /// it is let go. Every publish, held or not, still equals a
+    /// fresh-cache publish of the same model.
+    #[test]
+    fn held_publishes_never_change(
+        seed in 0u64..1_000_000,
+        bursts in proptest::collection::vec(1usize..200, 20..36),
+        holds in proptest::collection::vec(0usize..14, 36..37),
+    ) {
+        let store = generate(&SynthConfig::tiny(seed)).unwrap().store;
+        let log = shuffled_event_log(&store, seed ^ 0x401d);
+        for (path, cfg, publish) in paths() {
+            let mut model =
+                IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+            let mut cache = DerivedCache::default();
+            // (publish, its bits when published, publishes left to hold it)
+            let mut held: Vec<(Derived, Vec<u64>, usize, String)> = Vec::new();
+            let mut done = 0;
+            for (k, (&burst, &hold)) in bursts.iter().zip(&holds).enumerate() {
+                let end = (done + burst).min(log.len());
+                apply_all(&mut model, &log[done..end]);
+                done = end;
+                // A burst, then (every third time) an idle republish: both
+                // kinds of publish find held snapshots in either slot.
+                for idle in [false, true] {
+                    if idle && k % 3 != 0 {
+                        continue;
+                    }
+                    let at = format!("{path}: seed {seed}, publish {k} at event {done}, idle {idle}");
+                    let d = publish(&mut model, &mut cache);
+                    let fresh = publish(&mut model.clone(), &mut DerivedCache::default());
+                    prop_assert!(
+                        same_bits(&d.expertise, &fresh.expertise)
+                            && same_bits(&d.affiliation, &fresh.affiliation)
+                            && d == fresh,
+                        "{}: differs from a fresh-cache publish", at
+                    );
+                    for (old, bits, left, when) in held.iter_mut() {
+                        *left = left.saturating_sub(1);
+                        if *left == 0 {
+                            prop_assert!(matrix_bits(old) == *bits, "{} changed by {}", when, at);
+                        }
+                    }
+                    held.retain(|&(_, _, left, _)| left > 0);
+                    if hold > 0 && held.len() < 3 {
+                        let bits = matrix_bits(&d);
+                        held.push((d, bits, hold, at));
+                    }
+                }
+            }
+            for (old, bits, _, when) in &held {
+                prop_assert!(matrix_bits(old) == *bits, "{} changed by the end", when);
+            }
+        }
+    }
+}

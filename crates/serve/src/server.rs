@@ -435,13 +435,16 @@ fn writer_loop(
             // Re-derive only the categories this batch dirtied, publish,
             // then ack: an acknowledged writer immediately reads its own
             // write from the new snapshot. Delta mode serves the warm
-            // solver state instead of re-solving cold.
+            // solver state instead of re-solving cold. The retired
+            // snapshot is dropped after the acks, so freeing it (when no
+            // reader pins it) delays no ack.
             let snap = ServeSnapshot::new(seq, engine.derive(delta_publish));
-            shared.cell.publish(Arc::new(snap));
+            let retired = shared.cell.publish(Arc::new(snap));
             shared.wal_len.store(engine.wal_len(), Ordering::Relaxed);
             for reply in acks {
                 let _ = reply.send(Ok(seq));
             }
+            drop(retired);
         }
         if shared.shutting_down() {
             break;

@@ -215,15 +215,23 @@ impl SnapshotCell {
         }
     }
 
-    /// Atomically replaces the current snapshot. The version bump is
-    /// `Release` so a reader that observes the new version also observes
-    /// the new slot contents.
-    pub fn publish(&self, snapshot: Arc<ServeSnapshot>) {
-        {
-            let mut slot = self.slot.write().expect("snapshot slot poisoned");
-            *slot = snapshot;
-        }
+    /// Atomically replaces the current snapshot and returns the one it
+    /// replaced. The version bump is `Release` so a reader that observes
+    /// the new version also observes the new slot contents.
+    ///
+    /// The lock covers the pointer swap only: the retired snapshot is
+    /// handed back instead of dropped under it, so when this was its last
+    /// reference, freeing its matrices runs after the lock is released —
+    /// and wherever the caller drops it (the daemon's writer, after it
+    /// has sent the acks).
+    pub fn publish(&self, snapshot: Arc<ServeSnapshot>) -> Arc<ServeSnapshot> {
+        // The guard is a temporary of this statement: released here.
+        let retired = std::mem::replace(
+            &mut *self.slot.write().expect("snapshot slot poisoned"),
+            snapshot,
+        );
         self.version.fetch_add(1, Ordering::Release);
+        retired
     }
 
     /// Publications so far.
@@ -343,11 +351,32 @@ mod tests {
         // No publication: the cached Arc is returned as-is.
         assert!(std::ptr::eq(s0, Arc::as_ptr(cache.current(&cell))));
         // Publish a successor; the cache picks it up on the next call.
-        cell.publish(Arc::new(ServeSnapshot::new(users, derive_tiny(31))));
+        let retired = cell.publish(Arc::new(ServeSnapshot::new(users, derive_tiny(31))));
+        assert!(std::ptr::eq(s0, Arc::as_ptr(&retired)));
         assert_eq!(cell.version(), 1);
         let s1 = cache.current(&cell);
         assert_eq!(s1.seq, users);
         assert!(!std::ptr::eq(s0, Arc::as_ptr(s1)));
+    }
+
+    /// `publish` hands back exactly the snapshot it replaced, each time,
+    /// so the caller decides where the last reference is dropped.
+    #[test]
+    fn publish_returns_the_previously_published_snapshot() {
+        let first = Arc::new(snapshot());
+        let cell = SnapshotCell::new(Arc::clone(&first));
+        let second = Arc::new(ServeSnapshot::new(1, derive_tiny(32)));
+        let retired = cell.publish(Arc::clone(&second));
+        assert!(Arc::ptr_eq(&retired, &first));
+        drop(retired);
+        // The cell no longer holds the retired one: ours is the last
+        // reference.
+        assert_eq!(Arc::strong_count(&first), 1);
+        let retired = cell.publish(Arc::new(ServeSnapshot::new(2, derive_tiny(33))));
+        assert!(Arc::ptr_eq(&retired, &second));
+        drop(retired);
+        assert_eq!(Arc::strong_count(&second), 1);
+        assert_eq!(cell.load().seq, 2);
     }
 
     /// Readers holding an old snapshot keep it alive and coherent while

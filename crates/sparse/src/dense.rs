@@ -1,16 +1,28 @@
+use std::sync::Arc;
+
 use crate::{Csr, Result, SparseError};
 
-/// Row-major dense matrix.
+/// Row-major dense matrix with copy-on-write storage.
 ///
 /// Sized for the tall-skinny user×category blocks of the pipeline (the
 /// expertise matrix `E` and affiliation matrix `A` are ~40k×12 in the
 /// paper's dataset — a few megabytes). Not intended for user×user data;
 /// that's what [`Csr`] is for. The default value is the empty 0×0 matrix.
+///
+/// The values sit behind an `Arc`, so `clone` is a pointer copy and the
+/// clones share one buffer. Every mutator ([`set`](Self::set),
+/// [`row_mut`](Self::row_mut), [`as_mut_slice`](Self::as_mut_slice))
+/// goes through [`Arc::make_mut`]: a matrix that shares its buffer copies
+/// it before its first write, and an unshared one is written in place. A
+/// clone therefore never sees another clone's writes — which is what lets
+/// a publisher hand out a clone of the matrices it keeps patching. Each
+/// mutator call costs two atomic operations, so hot loops take
+/// `as_mut_slice` once rather than calling `set` per cell.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dense {
     nrows: usize,
     ncols: usize,
-    data: Vec<f64>,
+    data: Arc<Vec<f64>>,
 }
 
 impl Dense {
@@ -19,11 +31,11 @@ impl Dense {
         Self {
             nrows,
             ncols,
-            data: vec![0.0; nrows * ncols],
+            data: Arc::new(vec![0.0; nrows * ncols]),
         }
     }
 
-    /// Builds from a row-major data vector.
+    /// Builds from a row-major data vector, adopting its buffer (no copy).
     pub fn from_vec(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
         if data.len() != nrows * ncols {
             return Err(SparseError::VectorLengthMismatch {
@@ -31,7 +43,11 @@ impl Dense {
                 actual: data.len(),
             });
         }
-        Ok(Self { nrows, ncols, data })
+        Ok(Self {
+            nrows,
+            ncols,
+            data: Arc::new(data),
+        })
     }
 
     /// Builds from nested row slices (mostly for tests and fixtures).
@@ -48,7 +64,7 @@ impl Dense {
             }
             data.extend_from_slice(r);
         }
-        Ok(Self { nrows, ncols, data })
+        Self::from_vec(nrows, ncols, data)
     }
 
     /// Number of rows.
@@ -89,7 +105,8 @@ impl Dense {
             i < self.nrows && j < self.ncols,
             "dense index out of bounds"
         );
-        self.data[i * self.ncols + j] = value;
+        let ncols = self.ncols;
+        Arc::make_mut(&mut self.data)[i * ncols + j] = value;
     }
 
     /// Row `i` as a slice.
@@ -97,9 +114,10 @@ impl Dense {
         &self.data[i * self.ncols..(i + 1) * self.ncols]
     }
 
-    /// Mutable row `i`.
+    /// Mutable row `i` (copies a shared buffer first; see [`Dense`]).
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.ncols..(i + 1) * self.ncols]
+        let ncols = self.ncols;
+        &mut Arc::make_mut(&mut self.data)[i * ncols..(i + 1) * ncols]
     }
 
     /// Underlying row-major data.
@@ -108,9 +126,10 @@ impl Dense {
     }
 
     /// Mutable underlying row-major data (for bulk fills; row `i` occupies
-    /// `i * ncols..(i + 1) * ncols`).
+    /// `i * ncols..(i + 1) * ncols`). Copies a shared buffer first (see
+    /// [`Dense`]); take it once per loop, not once per cell.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
     /// Per-row sums.
@@ -138,7 +157,7 @@ impl Dense {
                 op: "dense matmul",
             });
         }
-        let mut out = Dense::zeros(self.nrows, other.ncols);
+        let mut out = vec![0.0; self.nrows * other.ncols];
         for i in 0..self.nrows {
             for k in 0..self.ncols {
                 let a = self.get(i, k);
@@ -146,22 +165,22 @@ impl Dense {
                     continue;
                 }
                 for j in 0..other.ncols {
-                    out.data[i * other.ncols + j] += a * other.get(k, j);
+                    out[i * other.ncols + j] += a * other.get(k, j);
                 }
             }
         }
-        Ok(out)
+        Dense::from_vec(self.nrows, other.ncols, out)
     }
 
     /// Transposed copy.
     pub fn transpose(&self) -> Dense {
-        let mut out = Dense::zeros(self.ncols, self.nrows);
+        let mut out = vec![0.0; self.nrows * self.ncols];
         for i in 0..self.nrows {
             for j in 0..self.ncols {
-                out.set(j, i, self.get(i, j));
+                out[j * self.nrows + i] = self.get(i, j);
             }
         }
-        out
+        Dense::from_vec(self.ncols, self.nrows, out).expect("transposed shape holds every value")
     }
 
     /// Converts to CSR, storing every non-zero element.
@@ -221,6 +240,60 @@ mod tests {
         let m = Dense::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(2, 1), 6.0);
+    }
+
+    fn bits(m: &Dense) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A clone shares the buffer until one side writes; every mutator
+    /// copies first, so the other side keeps its bits.
+    #[test]
+    fn clones_never_see_each_others_writes() {
+        let original = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let before = bits(&original);
+        type Mutate = fn(&mut Dense);
+        let mutators: [(&str, Mutate); 3] = [
+            ("set", |m| m.set(1, 0, -1.0)),
+            ("row_mut", |m| m.row_mut(0).fill(f64::NAN)),
+            ("as_mut_slice", |m| m.as_mut_slice()[3] = 0.5),
+        ];
+        for (what, mutate) in mutators {
+            let mut copy = original.clone();
+            assert_eq!(
+                copy.as_slice().as_ptr(),
+                original.as_slice().as_ptr(),
+                "{what}: clone copied"
+            );
+            mutate(&mut copy);
+            assert_ne!(bits(&copy), before, "{what}: write lost");
+            assert_eq!(bits(&original), before, "{what}: original changed");
+            assert_ne!(copy.as_slice().as_ptr(), original.as_slice().as_ptr());
+        }
+    }
+
+    /// An unshared matrix is written in place, through every mutator.
+    #[test]
+    fn unshared_writes_keep_the_buffer() {
+        let mut m = Dense::zeros(3, 2);
+        let at = m.as_slice().as_ptr();
+        m.set(2, 1, 1.0);
+        m.row_mut(0).fill(2.0);
+        m.as_mut_slice()[1] = 3.0;
+        assert_eq!(m.as_slice().as_ptr(), at);
+        assert_eq!(m.as_slice(), &[2.0, 3.0, 0.0, 0.0, 0.0, 1.0]);
+        // A clone that has been dropped no longer forces a copy.
+        drop(m.clone());
+        m.set(0, 0, 4.0);
+        assert_eq!(m.as_slice().as_ptr(), at);
+    }
+
+    #[test]
+    fn from_vec_adopts_the_buffer() {
+        let data = vec![1.0; 6];
+        let at = data.as_ptr();
+        let m = Dense::from_vec(2, 3, data).unwrap();
+        assert_eq!(m.as_slice().as_ptr(), at);
     }
 
     #[test]
