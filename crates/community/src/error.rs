@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{ObjectId, ReviewId, UserId};
+use crate::{ObjectId, Rejection, ReviewId, UserId};
 
 /// Errors raised while building, loading, or querying a community.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,11 +104,15 @@ impl fmt::Display for CommunityError {
                 f,
                 "user {writer} already reviewed object {object} (one review per object)"
             ),
-            CommunityError::DuplicateRating { rater, review } => {
-                write!(f, "user {rater} already rated review {review}")
+            &CommunityError::DuplicateRating { rater, review } => {
+                fmt::Display::fmt(&Rejection::AlreadyRated { rater, review }, f)
             }
-            CommunityError::SelfRating { user, review } => {
-                write!(f, "user {user} cannot rate their own review {review}")
+            &CommunityError::SelfRating { user, review } => {
+                let rejection = Rejection::SelfRating {
+                    rater: user,
+                    review,
+                };
+                fmt::Display::fmt(&rejection, f)
             }
             CommunityError::SelfTrust(u) => write!(f, "user {u} cannot trust themselves"),
             CommunityError::DuplicateTrust { source, target } => {

@@ -86,6 +86,127 @@ impl StoreEvent {
     }
 }
 
+/// Why an ingest path refused a [`StoreEvent`]: one variant per rule of
+/// the rating data model, in the order the rules are checked. `wot-core`'s
+/// `admission::admit` is the one place the rules are decided; the type
+/// lives here, beside the event, so that the batch builder's refusals of
+/// the same rules ([`CommunityError::DuplicateRating`],
+/// [`CommunityError::SelfRating`], [`replay_into_store`]'s id check) print
+/// the same words.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Rejection {
+    /// A review's writer is not a user of the community.
+    WriterOutOfRange {
+        /// The writer.
+        writer: UserId,
+        /// The community's user count.
+        users: usize,
+    },
+    /// A review's category is not a category of the community.
+    CategoryOutOfRange {
+        /// The category.
+        category: CategoryId,
+        /// The community's category count.
+        categories: usize,
+    },
+    /// A state that sees every review got a review whose id is not the
+    /// next one (ids are dense in arrival order).
+    NotNextReviewId {
+        /// The id the event carries.
+        review: ReviewId,
+        /// The id its arrival rank assigns.
+        next: ReviewId,
+    },
+    /// A state that holds a subset of the reviews got a review whose id
+    /// is not above every id it holds.
+    NotAboveHeldReviews {
+        /// The id the event carries.
+        review: ReviewId,
+        /// The highest id the state holds.
+        last: ReviewId,
+    },
+    /// A history adopted into a state names a review the state already
+    /// holds.
+    AlreadyHeld {
+        /// The review.
+        review: ReviewId,
+    },
+    /// A rating's rater is not a user of the community.
+    RaterOutOfRange {
+        /// The rater.
+        rater: UserId,
+        /// The community's user count.
+        users: usize,
+    },
+    /// A rating's value is not a number in `[0, 1]`.
+    ValueOutOfRange {
+        /// The value.
+        value: f64,
+    },
+    /// A rating names a review the state does not hold.
+    UnknownReview {
+        /// The review.
+        review: ReviewId,
+    },
+    /// A user rated their own review.
+    SelfRating {
+        /// The user.
+        rater: UserId,
+        /// Their review.
+        review: ReviewId,
+    },
+    /// A user rated a review a second time.
+    AlreadyRated {
+        /// The user.
+        rater: UserId,
+        /// The review they rated before.
+        review: ReviewId,
+    },
+}
+
+impl std::fmt::Display for Rejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Rejection::WriterOutOfRange { writer, users } => {
+                write!(f, "writer {writer} out of bounds for {users} users")
+            }
+            Rejection::CategoryOutOfRange {
+                category,
+                categories,
+            } => write!(
+                f,
+                "category {category} out of bounds for {categories} categories"
+            ),
+            Rejection::NotNextReviewId { review, next } => write!(
+                f,
+                "review event carries id {review} but arrival rank assigns {next}"
+            ),
+            Rejection::NotAboveHeldReviews { review, last } => {
+                write!(
+                    f,
+                    "review {review} is not above the last held review {last}"
+                )
+            }
+            Rejection::AlreadyHeld { review } => write!(f, "review {review} is already held"),
+            Rejection::RaterOutOfRange { rater, users } => {
+                write!(f, "rater {rater} out of bounds for {users} users")
+            }
+            Rejection::ValueOutOfRange { value } => {
+                write!(f, "rating value {value} must be within [0, 1]")
+            }
+            Rejection::UnknownReview { review } => write!(f, "unknown review {review}"),
+            Rejection::SelfRating { rater, review } => {
+                write!(f, "user {rater} cannot rate their own review {review}")
+            }
+            Rejection::AlreadyRated { rater, review } => {
+                write!(f, "user {rater} already rated review {review}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Rejection {}
+
 /// Serializes a store into its canonical event log: every review in id
 /// order, then every rating in insertion order. Folding the result with
 /// [`replay_into_store`] reproduces the store's reviews and ratings
@@ -144,9 +265,11 @@ pub fn replay_into_store(
                     return Err(CommunityError::Parse {
                         file: "event-log".into(),
                         line: k + 1,
-                        message: format!(
-                            "review event carries id {review} but arrival rank assigns {assigned}"
-                        ),
+                        message: Rejection::NotNextReviewId {
+                            review,
+                            next: assigned,
+                        }
+                        .to_string(),
                     });
                 }
             }

@@ -62,7 +62,7 @@ pub mod tsv;
 
 pub use builder::CommunityBuilder;
 pub use error::CommunityError;
-pub use events::StoreEvent;
+pub use events::{Rejection, StoreEvent};
 pub use ids::{CategoryId, ObjectId, ReviewId, UserId};
 pub use incidence::Incidence;
 pub use model::{Category, Object, Rating, RatingScale, Review, TrustStatement, User};

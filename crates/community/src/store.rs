@@ -298,11 +298,12 @@ impl CommunityStore {
             }
         }
         let mut kept_reviews = Vec::new();
-        let mut review_map: HashMap<ReviewId, ReviewId> = HashMap::new();
+        // Review ids are dense, so the old id indexes the map.
+        let mut review_map: Vec<Option<ReviewId>> = vec![None; self.reviews.len()];
         for r in &self.reviews {
             if let Some(&new_obj) = object_map.get(&r.object) {
                 let new_id = ReviewId::from_index(kept_reviews.len());
-                review_map.insert(r.id, new_id);
+                review_map[r.id.index()] = Some(new_id);
                 kept_reviews.push(Review {
                     id: new_id,
                     writer: r.writer,
@@ -315,7 +316,7 @@ impl CommunityStore {
             .ratings
             .iter()
             .filter_map(|rt| {
-                review_map.get(&rt.review).map(|&new_rev| Rating {
+                review_map[rt.review.index()].map(|new_rev| Rating {
                     rater: rt.rater,
                     review: new_rev,
                     value: rt.value,

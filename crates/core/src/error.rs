@@ -15,6 +15,9 @@ pub enum CoreError {
         /// The budget it was checked against.
         budget_bytes: usize,
     },
+    /// An ingest event broke a rule of the rating data model (see
+    /// [`admission`](crate::admission)).
+    Rejected(wot_community::Rejection),
     /// Propagated from the community layer.
     Community(wot_community::CommunityError),
     /// Propagated from the sparse-matrix layer.
@@ -35,6 +38,7 @@ impl fmt::Display for CoreError {
                  {budget_bytes}-byte budget; stream row-blocks with trust_blocks::TrustBlocks \
                  instead (or raise WOT_TRUST_DENSE_BUDGET_BYTES)"
             ),
+            CoreError::Rejected(r) => write!(f, "{r}"),
             CoreError::Community(e) => write!(f, "community error: {e}"),
             CoreError::Sparse(e) => write!(f, "sparse error: {e}"),
         }
@@ -44,10 +48,17 @@ impl fmt::Display for CoreError {
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            CoreError::Rejected(r) => Some(r),
             CoreError::Community(e) => Some(e),
             CoreError::Sparse(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<wot_community::Rejection> for CoreError {
+    fn from(r: wot_community::Rejection) -> Self {
+        CoreError::Rejected(r)
     }
 }
 

@@ -12,11 +12,14 @@
 //! There is no `HashMap` in the fixed-point state, no second solver and
 //! no copy of the ratings made for a solve:
 //!
-//! * [`add_review`](IncrementalDerived::add_review) /
-//!   [`add_rating`](IncrementalDerived::add_rating) grow the local index
-//!   tables in place — O(1) scatter-table lookups (user index → local
-//!   index), amortized O(1) appends into the arenas' per-node slack — and
-//!   mark only their category **stale**;
+//! * [`ingest`](IncrementalDerived::ingest) (and the
+//!   [`add_review`](IncrementalDerived::add_review) /
+//!   [`add_rating`](IncrementalDerived::add_rating) shorthands) admits
+//!   the event through [`admission::admit`] — the one rule every ingest
+//!   path applies, over the model's [`ReviewTable`] — and only then grows
+//!   the local index tables in place — O(1) scatter-table lookups (user
+//!   index → local index), amortized O(1) appends into the arenas'
+//!   per-node slack — marking only its category **stale**;
 //! * [`refresh`](IncrementalDerived::refresh) re-solves one stale category
 //!   through the shared solver, **warm-starting** from the previous
 //!   reputations — after a single rating the fixed point typically
@@ -59,12 +62,12 @@
 //! slice builder allocates transiently, kept alive here because the
 //! incremental model must resolve locals on every event.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use wot_community::{CategoryId, CommunityStore, Incidence, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
+use crate::admission::{self, AdmissionView, IdRule, Rejection, ReviewRow, ReviewTable};
 use crate::affiliation::ActivityLedger;
 use crate::assemble::Assembler;
 use crate::pipeline::{CategoryReputation, Derived};
@@ -166,7 +169,7 @@ impl SolveOutcome {
 /// this order does not cover yet are exactly `len()..`: an implicit
 /// unsorted tail that costs `apply` nothing and that
 /// [`cover`](Self::cover) sorts and merges in when the next table is
-/// built. An empty order (fresh cache, restored model) is all tail.
+/// built. An empty order (a fresh cache) is all tail.
 #[derive(Debug, Clone, Default)]
 struct SortedLocals(Vec<u32>);
 
@@ -352,8 +355,8 @@ pub struct DeltaReport {
     /// rater — so the visited lists hold the whole category. The delta
     /// solver runs a dense pass whenever the frontier exceeds
     /// [`DeriveConfig::delta_frontier_threshold`]; the full warm sweep
-    /// (delta refresh off, or a category restored stale) is dense
-    /// throughout. `false` when the category had nothing to iterate.
+    /// (delta refresh off) is dense throughout. `false` when the category
+    /// had nothing to iterate.
     pub fell_back: bool,
     /// Reviews the solver recomputed, as global ids.
     pub visited_reviews: Vec<ReviewId>,
@@ -369,8 +372,6 @@ pub struct DeltaReport {
 struct CategoryState {
     /// Global review ids, by local index (arrival order).
     reviews: Vec<ReviewId>,
-    /// Local writer index of each local review.
-    review_writer_local: Vec<u32>,
     /// Ratings received per local review: `(local rater, value)`,
     /// ingestion order.
     ratings_by_review_local: Incidence,
@@ -398,8 +399,7 @@ struct CategoryState {
     /// Whether data changed since the last refresh.
     stale: bool,
     /// Monotone counter bumped on every mutation — the invalidation key
-    /// for [`DerivedCache`]. Not part of the durable snapshot (a restored
-    /// model simply starts a fresh cache).
+    /// for [`DerivedCache`].
     data_version: u64,
     /// Worklist seeds for the delta solver: the `(local rater, local
     /// review)` endpoints of every rating added or revised since the last
@@ -407,11 +407,6 @@ struct CategoryState {
     /// seed nothing (an unrated review's quality is exact at insert and
     /// influences no rater).
     pending_seeds: Vec<(u32, u32)>,
-    /// Forces the next refresh to run the full warm sweep even in delta
-    /// mode — set when a category is restored stale from a snapshot (the
-    /// seeds that made it stale were not persisted, so a worklist would
-    /// silently skip them).
-    needs_full: bool,
     /// Sweep count of the last refresh (for warm snapshot assembly).
     last_iterations: usize,
     /// Convergence flag of the last refresh.
@@ -424,7 +419,6 @@ impl CategoryState {
     fn empty(num_users: usize) -> Self {
         Self {
             reviews: Vec::new(),
-            review_writer_local: Vec::new(),
             ratings_by_review_local: Incidence::new(),
             rater_of_local: Vec::new(),
             rater_slot: vec![u32::MAX; num_users],
@@ -438,7 +432,6 @@ impl CategoryState {
             stale: false,
             data_version: 0,
             pending_seeds: Vec::new(),
-            needs_full: false,
             last_iterations: 0,
             last_converged: true,
             scratch: DeltaScratch::default(),
@@ -448,6 +441,17 @@ impl CategoryState {
     /// Total ratings ingested. O(1).
     fn num_ratings(&self) -> usize {
         self.ratings_by_review_local.num_edges()
+    }
+
+    /// Re-packs both arenas exactly (no slack, no relocated nodes, same
+    /// per-node order) and empties the worklist scratch.
+    fn compact(&mut self) {
+        let packed = |arena: &Incidence| -> Incidence {
+            (0..arena.num_nodes()).map(|i| arena.pairs(i)).collect()
+        };
+        self.ratings_by_review_local = packed(&self.ratings_by_review_local);
+        self.ratings_by_rater_local = packed(&self.ratings_by_rater_local);
+        self.scratch = DeltaScratch::default();
     }
 
     /// Where local review `local` sits in rater `lr`'s ascending list:
@@ -471,7 +475,6 @@ impl CategoryState {
             lw => lw,
         };
         self.reviews.push(review);
-        self.review_writer_local.push(lw);
         self.ratings_by_review_local.push_node();
         self.reviews_by_writer_local[lw as usize].push(local);
         self.quality.push(cfg.unrated_review_quality);
@@ -480,16 +483,13 @@ impl CategoryState {
         local
     }
 
-    /// Appends a rating of local review `local` by `rater`. Fails on a
-    /// duplicate (rater, review) pair.
-    fn add_rating(
-        &mut self,
-        rater: UserId,
-        review: ReviewId,
-        local: u32,
-        value: f64,
-        cfg: &DeriveConfig,
-    ) -> Result<()> {
+    /// The local index of `rater`, if they rated in this category.
+    fn rater_local(&self, rater: UserId) -> Option<u32> {
+        Some(self.rater_slot[rater.index()]).filter(|&lr| lr != u32::MAX)
+    }
+
+    /// Appends an admitted rating of local review `local` by `rater`.
+    fn add_rating(&mut self, rater: UserId, local: u32, value: f64, cfg: &DeriveConfig) {
         let lr = match self.rater_slot[rater.index()] {
             u32::MAX => {
                 let lr = self.rater_of_local.len() as u32;
@@ -505,14 +505,12 @@ impl CategoryState {
             lr => lr,
         };
         // Sorted insertion by local review index: keeps this rater's
-        // list in the batch slice's order (and makes duplicate detection
+        // list in the batch slice's order (and makes the duplicate probe
         // a binary search). Raters mostly rate recent reviews, so the
         // insertion point is usually the end.
-        let Err(at) = self.find_rating(lr, local) else {
-            return Err(CoreError::Shape(format!(
-                "user {rater} already rated review {review}"
-            )));
-        };
+        let at = self
+            .find_rating(lr, local)
+            .expect_err("an admitted rating is new");
         let given = &mut self.ratings_by_rater_local;
         given.insert(lr as usize, at, local, value);
         self.rater_discount[lr as usize] = cfg.discount(given.degree(lr as usize));
@@ -520,7 +518,6 @@ impl CategoryState {
         self.stale = true;
         self.data_version += 1;
         self.pending_seeds.push((lr, local));
-        Ok(())
     }
 
     /// Revises an **existing** rating in place in both grouped mirrors —
@@ -591,7 +588,7 @@ impl CategoryState {
     /// full warm sweep — clears the staleness bookkeeping (seeds
     /// included) and reports what was done.
     fn refresh(&mut self, cfg: &DeriveConfig) -> RefreshOutcome {
-        let outcome = if cfg.delta_refresh && !self.needs_full {
+        let outcome = if cfg.delta_refresh {
             self.solve_delta(cfg)
         } else {
             let (iterations, converged) = self.solve_warm(cfg);
@@ -604,7 +601,6 @@ impl CategoryState {
         self.last_iterations = outcome.iterations;
         self.last_converged = outcome.converged;
         self.stale = false;
-        self.needs_full = false;
         self.pending_seeds.clear();
         outcome
     }
@@ -815,64 +811,6 @@ impl CategoryState {
     }
 }
 
-/// One category's state in an [`IncrementalSnapshot`] — the minimal set
-/// of arrays from which the live per-category state is reconstructed
-/// **exactly**.
-///
-/// Only arrival-order-bearing data and the warm `f64` state are carried:
-/// the per-rater grouped ratings, the per-writer review lists, and both
-/// scatter tables are derivable (bit-for-bit, because the live structures
-/// are themselves maintained in the derived order) and are rebuilt on
-/// restore. Everything here is plain old data so any byte-level codec can
-/// persist it; validation happens in
-/// [`IncrementalDerived::from_snapshot`], which fails closed on state
-/// that no event sequence could have produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CategorySnapshot {
-    /// Global review ids, by local index (arrival order).
-    pub reviews: Vec<ReviewId>,
-    /// Local writer index of each local review.
-    pub review_writer_local: Vec<u32>,
-    /// Ratings received per local review: `(local rater, value)` in
-    /// ingestion order.
-    pub ratings_by_review_local: Vec<Vec<(u32, f64)>>,
-    /// Global user id of each local rater (arrival order — this ordering
-    /// is load-bearing: it fixes the summation order of the fixed point,
-    /// and with it the output bits).
-    pub rater_of_local: Vec<UserId>,
-    /// Global user id of each local writer (arrival order).
-    pub writer_of_local: Vec<UserId>,
-    /// Review-quality estimates as of the last refresh.
-    pub quality: Vec<f64>,
-    /// Warm rater reputations, by local rater.
-    pub reputation: Vec<f64>,
-    /// Total ratings ingested (an integrity cross-check on restore).
-    pub num_ratings: usize,
-    /// Whether data changed since the last refresh.
-    pub stale: bool,
-}
-
-/// A complete, restorable image of an [`IncrementalDerived`] — what a
-/// durability layer (e.g. the `wot-wal` crate) persists so recovery is
-/// *snapshot + log-tail replay* instead of full-history replay.
-///
-/// [`IncrementalDerived::snapshot`] and
-/// [`IncrementalDerived::from_snapshot`] round-trip the model **exactly**:
-/// the restored instance is state-equal to the one snapshotted (same
-/// index tables, same warm `f64` bits, same staleness), so applying the
-/// same log tail to either yields bit-identical [`Derived`] output. The
-/// [`DeriveConfig`] is *not* part of the image — like
-/// [`replay`](IncrementalDerived::replay), restore takes the config from
-/// the caller, and the bit-identity contract assumes it matches the one
-/// the snapshot was built under.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IncrementalSnapshot {
-    /// Community user count (fixed over the model's lifetime).
-    pub num_users: usize,
-    /// Per-category state, indexed by `CategoryId`.
-    pub categories: Vec<CategorySnapshot>,
-}
-
 /// Memo state for [`IncrementalDerived::to_derived_cached`]: everything
 /// the last publish computed that the next one can keep.
 ///
@@ -889,9 +827,9 @@ pub struct IncrementalSnapshot {
 /// model — a serving daemon holds one alongside its `IncrementalDerived`
 /// and republishes snapshots cheaply after sparse write bursts. A cache
 /// is **bound to the model it last saw** by that model's process-unique
-/// instance id (drawn at construction, restore and clone): handed any
-/// other model — same shape or not — it resets itself wholesale, so a
-/// swapped, cloned or restored model starts cold rather than being
+/// instance id (drawn at construction and clone): handed any other
+/// model — same shape or not — it resets itself wholesale, so a swapped
+/// or cloned model starts cold rather than being
 /// served another model's versions, orders or `A` rows.
 ///
 /// Slots are `Arc`-shared with every [`Derived`] published from this
@@ -957,8 +895,10 @@ pub struct IncrementalDerived {
     cfg: DeriveConfig,
     num_users: usize,
     categories: Vec<CategoryState>,
-    /// Global review id → (category, local index).
-    review_index: HashMap<ReviewId, (u32, u32)>,
+    /// Every registered review's category, writer and local index.
+    reviews: ReviewTable,
+    /// The review ids events may carry next.
+    ids: IdRule,
     /// `a^r_ij` / `a^w_ij`: rating and review counts per user per
     /// category, row-stamped on every change. Its process-unique id is
     /// this model's instance id — what a [`DerivedCache`] binds to — and
@@ -966,8 +906,51 @@ pub struct IncrementalDerived {
     counts: ActivityLedger,
 }
 
+/// The model as [`admission::admit`] reads it, under one id rule.
+struct View<'a> {
+    model: &'a IncrementalDerived,
+    ids: IdRule,
+}
+
+impl AdmissionView for View<'_> {
+    fn num_users(&self) -> usize {
+        self.model.num_users
+    }
+
+    fn reviews(&self) -> &ReviewTable {
+        &self.model.reviews
+    }
+
+    fn id_rule(&self) -> IdRule {
+        self.ids
+    }
+
+    /// Answered from the rater's sorted list in the review's category.
+    fn has_rated(&self, rater: UserId, _: ReviewId, row: ReviewRow) -> bool {
+        let state = &self.model.categories[row.category.index()];
+        state
+            .rater_local(rater)
+            .is_some_and(|lr| state.find_rating(lr, row.local).is_ok())
+    }
+}
+
+/// One category's warm state as of its last refresh, by local index.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct WarmState {
+    /// Global id of each local review.
+    pub reviews: Vec<ReviewId>,
+    /// Global id of each local rater.
+    pub raters: Vec<UserId>,
+    /// Review qualities.
+    pub quality: Vec<f64>,
+    /// Rater reputations.
+    pub reputation: Vec<f64>,
+}
+
 impl IncrementalDerived {
-    /// Starts from an empty community of known size.
+    /// Starts from an empty community of known size. Its events follow
+    /// [`IdRule::Dense`]; see [`with_id_rule`](Self::with_id_rule).
     pub fn new(num_users: usize, num_categories: usize, cfg: &DeriveConfig) -> Result<Self> {
         cfg.validate()?;
         Ok(Self {
@@ -976,9 +959,18 @@ impl IncrementalDerived {
             categories: (0..num_categories)
                 .map(|_| CategoryState::empty(num_users))
                 .collect(),
-            review_index: HashMap::new(),
+            reviews: ReviewTable::new(num_categories),
+            ids: IdRule::Dense,
             counts: ActivityLedger::new(num_users, num_categories),
         })
+    }
+
+    /// The same model, admitting review events under `ids`: a shard
+    /// worker's model holds a subset of the reviews
+    /// ([`IdRule::Subset`]).
+    pub fn with_id_rule(mut self, ids: IdRule) -> Self {
+        self.ids = ids;
+        self
     }
 
     /// Bootstraps from an existing store and solves every category once.
@@ -1027,313 +1019,124 @@ impl IncrementalDerived {
         Ok(inc.to_derived())
     }
 
-    /// Applies one replay event. Unlike raw
-    /// [`add_review`](Self::add_review) (which accepts arbitrary external
-    /// review ids), the replay contract requires ids dense in arrival
-    /// order, and a violation is rejected here — silently accepting one
-    /// would void the bit-identical-to-batch guarantee without a
-    /// diagnostic.
+    /// Applies one replay event. Store events go through
+    /// [`ingest`](Self::ingest), so under the default [`IdRule::Dense`] a
+    /// review id that is not the review's arrival rank is rejected here —
+    /// silently accepting one would void the bit-identical-to-batch
+    /// guarantee without a diagnostic.
     pub fn apply(&mut self, event: &ReplayEvent) -> Result<()> {
-        match *event {
+        let event = match *event {
             ReplayEvent::Review {
                 writer,
                 review,
                 category,
-            } => {
-                let rank = self.review_index.len();
-                if review.index() != rank {
-                    return Err(CoreError::Shape(format!(
-                        "replayed review event carries id {review} but arrival rank assigns {rank}"
-                    )));
-                }
-                self.add_review(writer, review, category)
-            }
+            } => StoreEvent::Review {
+                writer,
+                review,
+                category,
+            },
             ReplayEvent::Rating {
                 rater,
                 review,
                 value,
-            } => self.add_rating(rater, review, value),
+            } => StoreEvent::Rating {
+                rater,
+                review,
+                value,
+            },
             ReplayEvent::Refresh { category } => {
                 self.refresh(category);
-                Ok(())
+                return Ok(());
             }
             ReplayEvent::RefreshAll => {
                 self.refresh_all();
-                Ok(())
+                return Ok(());
             }
-        }
+        };
+        self.ingest(&event).map(drop)
     }
 
     /// Read-only admission check: would [`apply`](Self::apply) accept
-    /// this event right now? Mirrors every validation `apply` performs —
-    /// bounds, dense review ids, known review, value range, self-rating,
-    /// duplicate (rater, review) — **without mutating anything**.
+    /// this event right now? It is [`admit`](Self::admit) with the
+    /// refusal as a [`CoreError::Rejected`].
     ///
     /// This exists for write-ahead logging: a durable ingest path must
     /// reject a bad event *before* appending it to the log (an appended
     /// event that then fails to apply would poison every future replay
-    /// of that log), and `apply`'s validation is only observable by
-    /// letting it mutate. After `check_event` returns `Ok`, the matching
+    /// of that log). After `check_event` returns `Ok`, the matching
     /// `apply` on the unchanged model is guaranteed to succeed.
     pub fn check_event(&self, event: &StoreEvent) -> Result<()> {
+        self.admit(event).map(drop).map_err(CoreError::Rejected)
+    }
+
+    /// [`admission::admit`] over this model under its [`IdRule`]: the
+    /// event's category if [`ingest`](Self::ingest) would take it, the
+    /// rule it breaks if not. Changes nothing.
+    pub fn admit(&self, event: &StoreEvent) -> std::result::Result<CategoryId, Rejection> {
+        self.admit_under(event, self.ids)
+    }
+
+    /// Admits `event` and applies it; returns its category. Amortized
+    /// O(1) (a rating also pays a binary search of its rater's list);
+    /// marks the category stale.
+    pub fn ingest(&mut self, event: &StoreEvent) -> Result<CategoryId> {
+        self.ingest_under(event, self.ids)
+    }
+
+    fn admit_under(
+        &self,
+        event: &StoreEvent,
+        ids: IdRule,
+    ) -> std::result::Result<CategoryId, Rejection> {
+        admission::admit(&View { model: self, ids }, event)
+    }
+
+    fn ingest_under(&mut self, event: &StoreEvent, ids: IdRule) -> Result<CategoryId> {
+        let category = self.admit_under(event, ids)?;
+        let c = category.index();
         match *event {
-            StoreEvent::Review {
-                writer,
-                review,
-                category,
-            } => {
-                if writer.index() >= self.num_users {
-                    return Err(CoreError::Shape(format!(
-                        "writer {writer} out of bounds for {} users",
-                        self.num_users
-                    )));
-                }
-                if category.index() >= self.categories.len() {
-                    return Err(CoreError::Shape(format!(
-                        "category {category} out of bounds for {} categories",
-                        self.categories.len()
-                    )));
-                }
-                let rank = self.review_index.len();
-                if review.index() != rank {
-                    return Err(CoreError::Shape(format!(
-                        "review event carries id {review} but arrival rank assigns {rank}"
-                    )));
-                }
-                Ok(())
+            StoreEvent::Review { writer, review, .. } => {
+                let local = self.reviews.push(review, category, writer);
+                let state_local = self.categories[c].add_review(writer, review, &self.cfg);
+                debug_assert_eq!(local, state_local);
+                self.counts.bump_reviews(writer.index(), c, 1.0);
             }
             StoreEvent::Rating {
                 rater,
                 review,
                 value,
             } => {
-                if rater.index() >= self.num_users {
-                    return Err(CoreError::Shape(format!(
-                        "rater {rater} out of bounds for {} users",
-                        self.num_users
-                    )));
-                }
-                if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                    return Err(CoreError::Shape(format!(
-                        "rating value {value} must be within [0, 1]"
-                    )));
-                }
-                let Some(&(cat, local)) = self.review_index.get(&review) else {
-                    return Err(CoreError::Shape(format!("unknown review {review}")));
-                };
-                let state = &self.categories[cat as usize];
-                let lw = state.review_writer_local[local as usize];
-                if state.writer_of_local[lw as usize] == rater {
-                    return Err(CoreError::Shape(format!(
-                        "user {rater} cannot rate their own review {review}"
-                    )));
-                }
-                if let Some(lr) = state
-                    .rater_slot
-                    .get(rater.index())
-                    .copied()
-                    .filter(|&lr| lr != u32::MAX)
-                {
-                    if state.find_rating(lr, local).is_ok() {
-                        return Err(CoreError::Shape(format!(
-                            "user {rater} already rated review {review}"
-                        )));
-                    }
-                }
-                Ok(())
+                let row = self.reviews.get(review).expect("an admitted review");
+                self.categories[c].add_rating(rater, row.local, value, &self.cfg);
+                self.counts.bump_ratings(rater.index(), c, 1.0);
             }
         }
+        Ok(category)
     }
 
-    /// Captures the restorable image of the current state — see
-    /// [`IncrementalSnapshot`]. Read-only; O(total state).
-    pub fn snapshot(&self) -> IncrementalSnapshot {
-        IncrementalSnapshot {
-            num_users: self.num_users,
-            categories: self
-                .categories
-                .iter()
-                .map(|s| CategorySnapshot {
-                    reviews: s.reviews.clone(),
-                    review_writer_local: s.review_writer_local.clone(),
-                    // The image keeps the grouped `Vec<Vec>` shape (and
-                    // with it the WAL codec's bytes); the arena is how
-                    // the live model stores it, not what it persists.
-                    ratings_by_review_local: (0..s.reviews.len())
-                        .map(|j| s.ratings_by_review_local.pairs(j).collect())
-                        .collect(),
-                    rater_of_local: s.rater_of_local.clone(),
-                    writer_of_local: s.writer_of_local.clone(),
-                    quality: s.quality.clone(),
-                    reputation: s.reputation.clone(),
-                    num_ratings: s.num_ratings(),
-                    stale: s.stale,
-                })
-                .collect(),
+    /// The same state with exactly packed arenas and an empty worklist
+    /// scratch — a twin for tests that hold the physical layout to have
+    /// no effect on any answer. Like a clone, it draws a fresh instance
+    /// id.
+    pub fn compacted(&self) -> Self {
+        let mut twin = self.clone();
+        for state in &mut twin.categories {
+            state.compact();
         }
+        twin
     }
 
-    /// Reconstructs a model from a snapshot, **failing closed**: every
-    /// invariant an event sequence would have established is re-checked,
-    /// and a snapshot that violates any of them (truncated arrays,
-    /// dangling local indexes, duplicate users or review ids, non-finite
-    /// warm state, self-ratings, rating-count mismatches) is rejected
-    /// with a typed [`CoreError::Shape`] rather than materialized into a
-    /// silently wrong model.
-    ///
-    /// On success the result is state-equal to the snapshotted instance:
-    /// replaying a log tail on it and calling
-    /// [`to_derived`](Self::to_derived) is bit-identical to a cold replay
-    /// of the full log (given the same `cfg` — see
-    /// [`IncrementalSnapshot`]).
-    pub fn from_snapshot(snap: IncrementalSnapshot, cfg: &DeriveConfig) -> Result<Self> {
-        cfg.validate()?;
-        let num_users = snap.num_users;
-        let num_categories = snap.categories.len();
-        let corrupt = |c: usize, what: &str| -> CoreError {
-            CoreError::Shape(format!("snapshot category {c}: {what}"))
-        };
-        let mut inc = Self::new(num_users, num_categories, cfg)?;
-        let Self {
-            categories,
-            review_index,
-            counts,
-            ..
-        } = &mut inc;
-        let mut total_reviews = 0usize;
-        for (c, cat) in snap.categories.into_iter().enumerate() {
-            let n_reviews = cat.reviews.len();
-            let n_raters = cat.rater_of_local.len();
-            let n_writers = cat.writer_of_local.len();
-            if cat.review_writer_local.len() != n_reviews
-                || cat.ratings_by_review_local.len() != n_reviews
-                || cat.quality.len() != n_reviews
-            {
-                return Err(corrupt(c, "per-review arrays disagree on length"));
-            }
-            if cat.reputation.len() != n_raters {
-                return Err(corrupt(c, "reputation length != rater count"));
-            }
-            if cat
-                .quality
-                .iter()
-                .chain(&cat.reputation)
-                .any(|v| !v.is_finite())
-            {
-                return Err(corrupt(c, "non-finite warm state"));
-            }
-            let state = &mut categories[c];
-            // Rebuild the scatter tables; a duplicate or out-of-range user
-            // in either arrival list is state no event stream produces.
-            for (lw, &u) in cat.writer_of_local.iter().enumerate() {
-                if u.index() >= num_users {
-                    return Err(corrupt(c, "writer user id out of range"));
-                }
-                if state.writer_slot[u.index()] != u32::MAX {
-                    return Err(corrupt(c, "duplicate user in writer arrival list"));
-                }
-                state.writer_slot[u.index()] = lw as u32;
-            }
-            for (lr, &u) in cat.rater_of_local.iter().enumerate() {
-                if u.index() >= num_users {
-                    return Err(corrupt(c, "rater user id out of range"));
-                }
-                if state.rater_slot[u.index()] != u32::MAX {
-                    return Err(corrupt(c, "duplicate user in rater arrival list"));
-                }
-                state.rater_slot[u.index()] = lr as u32;
-            }
-            // Rebuild reviews-by-writer (ascending local review — exactly
-            // the order live appends produce) and the review counts.
-            state.reviews_by_writer_local = vec![Vec::new(); n_writers];
-            for (local, &lw) in cat.review_writer_local.iter().enumerate() {
-                if lw as usize >= n_writers {
-                    return Err(corrupt(c, "review's writer index out of range"));
-                }
-                state.reviews_by_writer_local[lw as usize].push(local as u32);
-                counts.bump_reviews(cat.writer_of_local[lw as usize].index(), c, 1.0);
-            }
-            // Validate the review-grouped lists. Stamps catch a rater
-            // appearing twice on one review; writers rating themselves are
-            // rejected as the live path would.
-            let mut stamp = vec![u32::MAX; n_raters];
-            let mut n_ratings = 0usize;
-            for (local, received) in cat.ratings_by_review_local.iter().enumerate() {
-                let writer = cat.writer_of_local[cat.review_writer_local[local] as usize];
-                for &(lr, value) in received {
-                    if lr as usize >= n_raters {
-                        return Err(corrupt(c, "rating's rater index out of range"));
-                    }
-                    if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                        return Err(corrupt(c, "rating value outside [0, 1]"));
-                    }
-                    if stamp[lr as usize] == local as u32 {
-                        return Err(corrupt(c, "duplicate (rater, review) pair"));
-                    }
-                    if cat.rater_of_local[lr as usize] == writer {
-                        return Err(corrupt(c, "writer rates their own review"));
-                    }
-                    stamp[lr as usize] = local as u32;
-                    counts.bump_ratings(cat.rater_of_local[lr as usize].index(), c, 1.0);
-                    n_ratings += 1;
-                }
-            }
-            if n_ratings != cat.num_ratings {
-                return Err(corrupt(c, "rating count does not match the grouped lists"));
-            }
-            // Both arenas, built exactly. Transposing the review-grouped
-            // lists appends each rater's entries in ascending local-review
-            // order — the exact sorted order `CategoryState::add_rating`
-            // maintains.
-            state.ratings_by_review_local = cat
-                .ratings_by_review_local
-                .iter()
-                .map(|received| received.iter().copied())
-                .collect();
-            state.ratings_by_rater_local = state.ratings_by_review_local.transposed(n_raters);
-            state.rater_discount = riggs::rater_discounts(&state.ratings_by_rater_local, cfg);
-            // Raters with no ratings at all never arise from events.
-            if state
-                .ratings_by_rater_local
-                .iter()
-                .any(|(reviews, _)| reviews.is_empty())
-            {
-                return Err(corrupt(
-                    c,
-                    "rater arrival list names a user with no ratings",
-                ));
-            }
-            // Register the global review ids; duplicates across (or
-            // within) categories are corruption.
-            for (local, &rid) in cat.reviews.iter().enumerate() {
-                if review_index.insert(rid, (c as u32, local as u32)).is_some() {
-                    return Err(CoreError::Shape(format!(
-                        "snapshot: review {rid} appears twice"
-                    )));
-                }
-            }
-            total_reviews += n_reviews;
-            state.reviews = cat.reviews;
-            state.review_writer_local = cat.review_writer_local;
-            state.rater_of_local = cat.rater_of_local;
-            state.writer_of_local = cat.writer_of_local;
-            state.quality = cat.quality;
-            state.reputation = cat.reputation;
-            state.stale = cat.stale;
-            // The events that made a snapshotted category stale are not in
-            // the image, so a delta refresh would have no seeds to work
-            // from: force the restored category's next refresh through the
-            // full warm sweep.
-            state.needs_full = cat.stale;
-        }
-        // Dense review ids (unique + all below the total) keep the replay
-        // contract intact, so a recovered tail folds on top seamlessly.
-        if review_index.keys().any(|r| r.index() >= total_reviews) {
-            return Err(CoreError::Shape(
-                "snapshot: review ids are not dense in 0..num_reviews".into(),
-            ));
-        }
-        Ok(inc)
+    /// One category's warm state as of its last refresh (`None` out of
+    /// range). A window for tests; not part of the API.
+    #[doc(hidden)]
+    pub fn warm_state(&self, category: CategoryId) -> Option<WarmState> {
+        let state = self.categories.get(category.index())?;
+        Some(WarmState {
+            reviews: state.reviews.clone(),
+            raters: state.rater_of_local.clone(),
+            quality: state.quality.clone(),
+            reputation: state.reputation.clone(),
+        })
     }
 
     /// Number of users.
@@ -1346,73 +1149,36 @@ impl IncrementalDerived {
         self.categories.len()
     }
 
-    /// The category of a registered review (`None` for an unknown one).
-    pub fn review_category(&self, review: ReviewId) -> Option<CategoryId> {
-        self.review_index.get(&review).map(|&(c, _)| CategoryId(c))
-    }
-
     /// Whether any category has unrefreshed data.
     pub fn is_stale(&self) -> bool {
         self.categories.iter().any(|c| c.stale)
     }
 
-    /// Registers a new review. Amortized O(1); marks the category stale.
+    /// Registers a new review — the raw streaming API: any id above the
+    /// registered ones is taken ([`IdRule::Subset`]), whatever the
+    /// model's own rule. Amortized O(1); marks the category stale.
     pub fn add_review(
         &mut self,
         writer: UserId,
         review: ReviewId,
         category: CategoryId,
     ) -> Result<()> {
-        if writer.index() >= self.num_users {
-            return Err(CoreError::Shape(format!(
-                "writer {writer} out of bounds for {} users",
-                self.num_users
-            )));
-        }
-        if category.index() >= self.categories.len() {
-            return Err(CoreError::Shape(format!(
-                "category {category} out of bounds for {} categories",
-                self.categories.len()
-            )));
-        }
-        if self.review_index.contains_key(&review) {
-            return Err(CoreError::Shape(format!(
-                "review {review} already registered"
-            )));
-        }
-        let local = self.categories[category.index()].add_review(writer, review, &self.cfg);
-        self.review_index.insert(review, (category.0, local));
-        self.counts
-            .bump_reviews(writer.index(), category.index(), 1.0);
-        Ok(())
+        let event = StoreEvent::Review {
+            writer,
+            review,
+            category,
+        };
+        self.ingest_under(&event, IdRule::Subset).map(drop)
     }
 
     /// Registers a new rating. Amortized O(1); marks the category stale.
     pub fn add_rating(&mut self, rater: UserId, review: ReviewId, value: f64) -> Result<()> {
-        if rater.index() >= self.num_users {
-            return Err(CoreError::Shape(format!(
-                "rater {rater} out of bounds for {} users",
-                self.num_users
-            )));
-        }
-        if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-            return Err(CoreError::Shape(format!(
-                "rating value {value} must be within [0, 1]"
-            )));
-        }
-        let Some(&(cat, local)) = self.review_index.get(&review) else {
-            return Err(CoreError::Shape(format!("unknown review {review}")));
+        let event = StoreEvent::Rating {
+            rater,
+            review,
+            value,
         };
-        let state = &mut self.categories[cat as usize];
-        let lw = state.review_writer_local[local as usize];
-        if state.writer_of_local[lw as usize] == rater {
-            return Err(CoreError::Shape(format!(
-                "user {rater} cannot rate their own review {review}"
-            )));
-        }
-        state.add_rating(rater, review, local, value, &self.cfg)?;
-        self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
-        Ok(())
+        self.ingest(&event).map(drop)
     }
 
     /// Adds the rating if the `(rater, review)` pair is new, or **revises
@@ -1421,47 +1187,30 @@ impl IncrementalDerived {
     /// [`CommunityBuilder::upsert_rating`](wot_community::CommunityBuilder::upsert_rating),
     /// with the same return convention: `Ok(true)` when an existing
     /// rating was replaced, `Ok(false)` when this was a first rating.
+    /// Every other refusal of [`admit`](Self::admit) is returned.
     ///
     /// A revision changes no counts (`a^r` and the rater's `n` are about
     /// *how many* ratings exist, and that did not change) but does
     /// perturb the fixed point, so the category goes stale and the pair
     /// seeds the delta worklist exactly like a fresh rating.
     pub fn upsert_rating(&mut self, rater: UserId, review: ReviewId, value: f64) -> Result<bool> {
-        if rater.index() >= self.num_users {
-            return Err(CoreError::Shape(format!(
-                "rater {rater} out of bounds for {} users",
-                self.num_users
-            )));
-        }
-        if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-            return Err(CoreError::Shape(format!(
-                "rating value {value} must be within [0, 1]"
-            )));
-        }
-        let Some(&(cat, local)) = self.review_index.get(&review) else {
-            return Err(CoreError::Shape(format!("unknown review {review}")));
+        let event = StoreEvent::Rating {
+            rater,
+            review,
+            value,
         };
-        let state = &mut self.categories[cat as usize];
-        let lw = state.review_writer_local[local as usize];
-        if state.writer_of_local[lw as usize] == rater {
-            return Err(CoreError::Shape(format!(
-                "user {rater} cannot rate their own review {review}"
-            )));
-        }
-        if let Some(lr) = state
-            .rater_slot
-            .get(rater.index())
-            .copied()
-            .filter(|&lr| lr != u32::MAX)
-        {
-            if let Ok(at) = state.find_rating(lr, local) {
+        match self.admit(&event) {
+            Err(Rejection::AlreadyRated { .. }) => {
+                let row = self.reviews.get(review).expect("a rated review");
+                let state = &mut self.categories[row.category.index()];
+                let lr = state.rater_local(rater).expect("a rater who rated");
+                let at = state.find_rating(lr, row.local).expect("a given rating");
                 state.revise_rating(lr, at, value);
-                return Ok(true);
+                Ok(true)
             }
+            Err(refusal) => Err(CoreError::Rejected(refusal)),
+            Ok(_) => self.ingest(&event).map(|_| false),
         }
-        state.add_rating(rater, review, local, value, &self.cfg)?;
-        self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
-        Ok(false)
     }
 
     /// Re-solves one category if stale, warm-starting from the previous
@@ -1793,7 +1542,7 @@ mod tests {
             .copied()
             .find(|&u| u != review.writer && !rated.contains(&u))
             .expect("some established rater has not rated review 0");
-        let local = inc.review_index[&review.id].1 as usize;
+        let local = inc.reviews.get(review.id).unwrap().local as usize;
         let value = inc.categories[cat.index()].quality[local].clamp(0.0, 1.0);
         inc.add_rating(rater, review.id, value).unwrap();
         let cold = inc.categories[cat.index()].solve_cold(&cfg);
@@ -1968,7 +1717,13 @@ mod tests {
             inc.check_event(e).unwrap();
             inc.apply(&ReplayEvent::from(*e)).unwrap();
         }
-        let image = inc.snapshot();
+        let image = |m: &IncrementalDerived| {
+            let warm: Vec<_> = (0..m.num_categories())
+                .map(|c| m.warm_state(CategoryId::from_index(c)))
+                .collect();
+            (warm, m.is_stale(), m.to_derived())
+        };
+        let before = image(&inc);
         let next_id = ReviewId(store.num_reviews() as u32);
         let bad = [
             // Non-dense review id (replay contract).
@@ -2026,7 +1781,7 @@ mod tests {
             })
             .is_err());
         // All those checks left no trace.
-        assert_eq!(inc.snapshot(), image);
+        assert_eq!(image(&inc), before);
         // And an admitted event still applies.
         let good = StoreEvent::Review {
             writer: UserId(0),
@@ -2035,144 +1790,6 @@ mod tests {
         };
         inc.check_event(&good).unwrap();
         inc.apply(&ReplayEvent::from(good)).unwrap();
-    }
-
-    /// Snapshot → restore is state-exact: the restored model refreshes,
-    /// snapshots and derives exactly like the original, and applying the
-    /// same tail events to both stays bit-identical.
-    #[test]
-    fn snapshot_restore_roundtrip_is_state_exact() {
-        let store = sample_store();
-        let cfg = DeriveConfig::default();
-        let log = wot_community::events::event_log(&store);
-        // Fold a prefix, leave a category stale on purpose.
-        let mut inc =
-            IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
-        let cut = log.len() - 2;
-        for e in &log[..cut] {
-            inc.apply(&ReplayEvent::from(*e)).unwrap();
-        }
-        inc.refresh(CategoryId(0));
-        let snap = inc.snapshot();
-        let mut restored = IncrementalDerived::from_snapshot(snap.clone(), &cfg).unwrap();
-        // The image itself round-trips…
-        assert_eq!(restored.snapshot(), snap);
-        assert_eq!(restored.is_stale(), inc.is_stale());
-        assert_eq!(restored.expertise().as_slice(), inc.expertise().as_slice());
-        assert_eq!(
-            restored.affiliation().as_slice(),
-            inc.affiliation().as_slice()
-        );
-        assert_eq!(restored.to_derived(), inc.to_derived());
-        // …and stays on the original's trajectory through the tail.
-        for e in &log[cut..] {
-            inc.apply(&ReplayEvent::from(*e)).unwrap();
-            restored.apply(&ReplayEvent::from(*e)).unwrap();
-        }
-        inc.refresh_all();
-        restored.refresh_all();
-        assert_eq!(restored.snapshot(), inc.snapshot());
-        let batch = pipeline::derive(&store, &cfg).unwrap();
-        assert_eq!(restored.to_derived(), batch);
-    }
-
-    /// Corrupted snapshots are rejected with typed errors — never
-    /// restored into a silently wrong model.
-    #[test]
-    fn corrupt_snapshots_fail_closed() {
-        let store = sample_store();
-        let cfg = DeriveConfig::default();
-        let inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
-        let good = inc.snapshot();
-        assert!(IncrementalDerived::from_snapshot(good.clone(), &cfg).is_ok());
-        type Corruption = Box<dyn Fn(&mut IncrementalSnapshot)>;
-        let cases: Vec<(&str, Corruption)> = vec![
-            (
-                "truncated quality",
-                Box::new(|s| {
-                    s.categories[0].quality.pop();
-                }),
-            ),
-            (
-                "truncated reputation",
-                Box::new(|s| {
-                    s.categories[0].reputation.pop();
-                }),
-            ),
-            (
-                "nan warm state",
-                Box::new(|s| s.categories[0].quality[0] = f64::NAN),
-            ),
-            (
-                "rater index out of range",
-                Box::new(|s| {
-                    s.categories[0].ratings_by_review_local[0][0].0 = 999;
-                }),
-            ),
-            (
-                "off-scale rating",
-                Box::new(|s| {
-                    s.categories[0].ratings_by_review_local[0][0].1 = 1.5;
-                }),
-            ),
-            (
-                "duplicate (rater, review)",
-                Box::new(|s| {
-                    let first = s.categories[0].ratings_by_review_local[0][0];
-                    s.categories[0].ratings_by_review_local[0].push(first);
-                    s.categories[0].num_ratings += 1;
-                }),
-            ),
-            (
-                "rating count mismatch",
-                Box::new(|s| s.categories[0].num_ratings += 1),
-            ),
-            (
-                "duplicate rater arrival",
-                Box::new(|s| {
-                    let u = s.categories[0].rater_of_local[0];
-                    s.categories[0].rater_of_local.push(u);
-                    s.categories[0].reputation.push(1.0);
-                }),
-            ),
-            (
-                "writer user out of range",
-                Box::new(|s| {
-                    s.categories[0].writer_of_local[0] = UserId(9_999);
-                }),
-            ),
-            (
-                "self-rating",
-                Box::new(|s| {
-                    // Make rater 0 the writer of review 0.
-                    let lw = s.categories[0].review_writer_local[0] as usize;
-                    let rater = s.categories[0].rater_of_local[0];
-                    s.categories[0].writer_of_local[lw] = rater;
-                }),
-            ),
-            (
-                "duplicate review id",
-                Box::new(|s| {
-                    let rid = s.categories[0].reviews[0];
-                    s.categories[1].reviews[0] = rid;
-                }),
-            ),
-            (
-                "non-dense review ids",
-                Box::new(|s| {
-                    s.categories[0].reviews[0] = ReviewId(40_000);
-                }),
-            ),
-        ];
-        for (what, mutate) in cases {
-            let mut bad = good.clone();
-            mutate(&mut bad);
-            let err = IncrementalDerived::from_snapshot(bad, &cfg);
-            assert!(
-                matches!(err, Err(CoreError::Shape(_))),
-                "{what}: expected Shape error, got {err:?}"
-            );
-        }
     }
 
     #[test]
@@ -2545,36 +2162,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A category restored stale from a snapshot lost its worklist seeds,
-    /// so delta mode must route its next refresh through the full sweep —
-    /// and end exactly where the original (never-snapshotted) model ends.
-    #[test]
-    fn restored_stale_category_forces_full_sweep_in_delta_mode() {
-        let store = sample_store();
-        let cfg = delta_cfg(1.0);
-        let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
-        let rt = store.ratings()[0];
-        let cat = store.reviews()[rt.review.index()].category;
-        assert!(inc.upsert_rating(rt.rater, rt.review, 0.35).unwrap());
-        // Restore from a snapshot taken while stale: seeds are gone.
-        let mut restored = IncrementalDerived::from_snapshot(inc.snapshot(), &cfg).unwrap();
-        assert!(restored.categories[cat.index()].pending_seeds.is_empty());
-        let report = restored.refresh_traced(cat);
-        assert!(report.fell_back, "restored stale category must full-sweep");
-        // The full sweep lands on the same warm state the live model's
-        // own full sweep would (both warm-start from identical state).
-        let mut live_full =
-            IncrementalDerived::from_snapshot(inc.snapshot(), &DeriveConfig::default()).unwrap();
-        live_full.refresh(cat);
-        assert_eq!(
-            restored.categories[cat.index()].quality,
-            live_full.categories[cat.index()].quality
-        );
-        assert_eq!(
-            restored.categories[cat.index()].reputation,
-            live_full.categories[cat.index()].reputation
-        );
     }
 }

@@ -114,6 +114,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod admission;
 pub mod affiliation;
 pub mod assemble;
 pub mod binarize;
@@ -133,10 +134,7 @@ pub use affiliation::ActivityLedger;
 pub use assemble::Assembler;
 pub use config::{DeriveConfig, DeriveConfigBuilder};
 pub use error::CoreError;
-pub use incremental::{
-    CategorySnapshot, DeltaReport, DerivedCache, IncrementalDerived, IncrementalSnapshot,
-    ReplayEvent,
-};
+pub use incremental::{DeltaReport, DerivedCache, IncrementalDerived, ReplayEvent};
 pub use pipeline::{CategoryReputation, Derived};
 pub use trust_blocks::{BlockConfig, TrustBlock, TrustBlocks};
 pub use trust_rows::{Fig3Aggregates, TopK, TrustRows};

@@ -2,16 +2,15 @@
 //! left in the delta worklist's scratch, cannot change an answer.
 //!
 //! A live model that bootstrapped by appending (relocated nodes, slack,
-//! several compactions) and then refreshed once per event (a scratch with
-//! old epoch stamps, and frontiers abandoned mid-worklist by fallbacks) is
-//! twinned through `snapshot()` → `from_snapshot`: same state, exactly
-//! packed arenas, untouched scratch. Fed the same events, the two must
-//! agree bit for bit on every warm value and on everything
-//! `refresh_traced` reports — sweep counts, the fallback decision and the
-//! visited sets — at every event.
+//! several compactions) and then refreshed once per event (a scratch
+//! holding the last refresh's frontiers and visit marks) is twinned
+//! through `compacted()`: same state, exactly packed arenas, fresh
+//! scratch. Fed the same events, the two must agree bit for bit on every
+//! warm value and on everything `refresh_traced` reports — sweep counts,
+//! whether a dense pass ran, and the visited sets — at every event.
 
 use wot_community::{CategoryId, StoreEvent};
-use wot_core::{DeriveConfig, IncrementalDerived, IncrementalSnapshot, ReplayEvent};
+use wot_core::{DeriveConfig, IncrementalDerived, ReplayEvent};
 use wot_synth::{generate, shuffled_event_log, SynthConfig};
 
 /// Events the live model refreshes through before it is twinned.
@@ -19,8 +18,9 @@ const WARM_UP: usize = 300;
 /// Events both models are then held equal over.
 const COMPARED: usize = 200;
 
-fn assert_same_warm_bits(live: &IncrementalSnapshot, twin: &IncrementalSnapshot, event: usize) {
-    for (c, (x, y)) in live.categories.iter().zip(&twin.categories).enumerate() {
+fn assert_same_warm_bits(live: &IncrementalDerived, twin: &IncrementalDerived, event: usize) {
+    for c in (0..live.num_categories()).map(CategoryId::from_index) {
+        let (x, y) = (live.warm_state(c).unwrap(), twin.warm_state(c).unwrap());
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(
             bits(&x.quality),
@@ -32,9 +32,10 @@ fn assert_same_warm_bits(live: &IncrementalSnapshot, twin: &IncrementalSnapshot,
             bits(&y.reputation),
             "event {event}: category {c} reputation"
         );
+        // The ids the values belong to.
+        assert_eq!(x, y, "event {event}: category {c}");
     }
-    // Everything else the image carries, ratings included.
-    assert_eq!(live, twin, "event {event}");
+    assert_eq!(live.is_stale(), twin.is_stale(), "event {event}");
 }
 
 #[test]
@@ -75,7 +76,7 @@ fn arena_layout_and_scratch_residue_never_change_an_answer() {
     );
     assert!(!live.is_stale());
 
-    let mut twin = IncrementalDerived::from_snapshot(live.snapshot(), &cfg).unwrap();
+    let mut twin = live.compacted();
     let (mut fallbacks, mut worklists) = (0, 0);
     let from = tail + WARM_UP;
     for (k, (e, &cat)) in log[from..].iter().zip(&categories[from..]).enumerate() {
@@ -87,7 +88,7 @@ fn arena_layout_and_scratch_residue_never_change_an_answer() {
         assert_eq!(a.fell_back, b.fell_back, "event {k}: fell_back");
         assert_eq!(a.visited_reviews, b.visited_reviews, "event {k}: reviews");
         assert_eq!(a.visited_raters, b.visited_raters, "event {k}: raters");
-        assert_same_warm_bits(&live.snapshot(), &twin.snapshot(), k);
+        assert_same_warm_bits(&live, &twin, k);
         if a.fell_back {
             fallbacks += 1;
         } else if a.sweeps > 0 {

@@ -5,7 +5,7 @@
 //! tables and the user order they are gathered in, and a publish rewrites
 //! only what the events since the last one dirtied. These properties hold
 //! that shortcut to two oracles, with `==` on every `f64`, on all three
-//! publish paths, through a restore and a model swap on the same cache:
+//! publish paths, through a clone and a model swap on the same cache:
 //! the same publish on a fresh cache, where everything is dirty; and —
 //! because that one runs the same assembly code — the batch pipeline's
 //! from-scratch builders, which know nothing of stamps or patches.
@@ -95,14 +95,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random causal streams, publishes after random-size bursts on one
-    /// long-lived cache; mid-stream the model is restored from its own
-    /// snapshot, and a different model of the same shape takes a turn on
+    /// long-lived cache; mid-stream the model is replaced by its own
+    /// clone, and a different model of the same shape takes a turn on
     /// the same cache (both must reset it through the instance id).
     #[test]
     fn patched_publish_equals_fresh_publish(
         seed in 0u64..1_000_000,
         bursts in proptest::collection::vec(1usize..260, 24..40),
-        restore_at in 2usize..12,
+        clone_at in 2usize..12,
         swap_at in 2usize..12,
     ) {
         let store = generate(&SynthConfig::tiny(seed)).unwrap().store;
@@ -123,9 +123,9 @@ proptest! {
                 publish_checked(&mut model, &mut cache, publish, &at);
                 // An idle republish patches nothing and still agrees.
                 publish_checked(&mut model, &mut cache, publish, &format!("{at}, idle"));
-                if k == restore_at {
-                    model = IncrementalDerived::from_snapshot(model.snapshot(), &cfg).unwrap();
-                    publish_checked(&mut model, &mut cache, publish, &format!("{at}, restored"));
+                if k == clone_at {
+                    model = model.clone();
+                    publish_checked(&mut model, &mut cache, publish, &format!("{at}, cloned"));
                 }
                 if k == swap_at {
                     // Same shape, different history: a prefix of another

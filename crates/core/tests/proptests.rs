@@ -370,12 +370,12 @@ proptest! {
         let mut inc = wot_core::IncrementalDerived::from_store(&store, &cfg).unwrap();
         let rt = store.ratings()[pick % store.ratings().len()];
         let cat = store.reviews()[rt.review.index()].category;
-        let before = inc.snapshot().categories[cat.index()].clone();
+        let before = inc.warm_state(cat).unwrap();
         let value = [0.2, 0.4, 0.6, 0.8, 1.0][lvl as usize];
         prop_assert!(inc.upsert_rating(rt.rater, rt.review, value).unwrap());
         let report = inc.refresh_traced(cat);
         prop_assert!(!report.fell_back);
-        let after = &inc.snapshot().categories[cat.index()];
+        let after = &inc.warm_state(cat).unwrap();
         for (j, (x, y)) in before.quality.iter().zip(&after.quality).enumerate() {
             if x.to_bits() != y.to_bits() {
                 prop_assert!(
@@ -387,8 +387,8 @@ proptest! {
         for (i, (x, y)) in before.reputation.iter().zip(&after.reputation).enumerate() {
             if x.to_bits() != y.to_bits() {
                 prop_assert!(
-                    report.visited_raters.contains(&after.rater_of_local[i]),
-                    "rater {} moved unvisited", after.rater_of_local[i]
+                    report.visited_raters.contains(&after.raters[i]),
+                    "rater {} moved unvisited", after.raters[i]
                 );
             }
         }

@@ -15,10 +15,10 @@
 //! cluster drills in `crates/shardd/tests/` — share one definition of
 //! correctness instead of drifting copies.
 
-use wot_community::StoreEvent;
-use wot_core::{trust, BlockConfig, Derived};
+use wot_community::{CategoryId, ReviewId, StoreEvent, UserId};
+use wot_core::{trust, BlockConfig, DeriveConfig, Derived, IncrementalDerived};
 
-use crate::protocol::ErrorCode::{self, BadRequest, OutOfRange};
+use crate::protocol::ErrorCode::{self, BadRequest, OutOfRange, Rejected};
 use crate::{ServeError, TrustIngest, TrustQuery};
 
 /// Drives every [`TrustQuery`] method across a deterministic sample of
@@ -123,6 +123,61 @@ pub fn assert_refuses_invalid_reads<B: TrustQuery>(backend: &mut B, users: u32, 
     expect_refusal("tables(categories)", OutOfRange, backend.category_tables(c));
 }
 
+/// Users of the community [`assert_refuses_invalid_ingests`] runs on.
+pub const REFUSAL_USERS: usize = 4;
+/// Categories of the community [`assert_refuses_invalid_ingests`] runs
+/// on.
+pub const REFUSAL_CATEGORIES: usize = 2;
+
+/// Holds a fresh, empty backend of [`REFUSAL_USERS`] ×
+/// [`REFUSAL_CATEGORIES`] that sees every review to the one admission
+/// rule: after review 0 (user 0, category 0) and user 1's rating of it,
+/// one invalid event per rule must each be a [`ServeError::Remote`] with
+/// [`ErrorCode::Rejected`] and the words of its
+/// [`Rejection`](wot_core::admission::Rejection), and leave seq at 2.
+pub fn assert_refuses_invalid_ingests<B: TrustIngest>(backend: &mut B) {
+    let review = |writer, review, category| StoreEvent::Review {
+        writer: UserId(writer),
+        review: ReviewId(review),
+        category: CategoryId(category),
+    };
+    let rating = |rater, review, value| StoreEvent::Rating {
+        rater: UserId(rater),
+        review: ReviewId(review),
+        value,
+    };
+    let base = [review(0, 0, 0), rating(1, 0, 0.5)];
+    assert_eq!(backend.ingest_batch(&base).unwrap(), 2);
+    let mut reference =
+        IncrementalDerived::new(REFUSAL_USERS, REFUSAL_CATEGORIES, &DeriveConfig::default())
+            .unwrap();
+    for event in &base {
+        reference.ingest(event).unwrap();
+    }
+    let cases = [
+        review(4, 1, 0),
+        review(0, 1, 2),
+        rating(4, 0, 0.5),
+        review(0, 2, 0),
+        rating(2, 0, 1.5),
+        rating(2, 0, f64::NAN),
+        rating(2, 1, 0.5),
+        rating(0, 0, 0.5),
+        rating(1, 0, 0.5),
+    ];
+    for event in cases {
+        let why = reference.admit(&event).unwrap_err();
+        match backend.ingest(event) {
+            Err(ServeError::Remote(e)) => {
+                assert_eq!(e.code, Rejected, "{event:?}: {}", e.message);
+                assert_eq!(e.message, why.to_string(), "{event:?}");
+            }
+            other => panic!("{event:?}: expected a typed Rejected refusal, got {other:?}"),
+        }
+        assert_eq!(backend.ingest_batch(&[]).unwrap(), 2, "{event:?} moved seq");
+    }
+}
+
 fn expect_refusal<T: std::fmt::Debug>(read: &str, code: ErrorCode, got: crate::Result<T>) {
     match got {
         Err(ServeError::Remote(e)) => assert_eq!(e.code, code, "{read}: {}", e.message),
@@ -175,8 +230,29 @@ pub fn assert_pipelined_ingest_matches<B, F>(
 mod tests {
     use super::*;
     use crate::snapshot::ServeSnapshot;
-    use wot_community::{CommunityBuilder, RatingScale, UserId};
-    use wot_core::{pipeline, DeriveConfig};
+    use crate::{Client, ServeOptions, Server};
+    use wot_community::{CommunityBuilder, RatingScale};
+    use wot_core::pipeline;
+
+    /// The flat daemon, over the wire, refuses each invalid ingest with
+    /// the rule's own words.
+    #[test]
+    fn the_daemon_refuses_invalid_ingests() {
+        let path = std::env::temp_dir().join(format!(
+            "wot-conformance-refusals-{}.wal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let model =
+            IncrementalDerived::new(REFUSAL_USERS, REFUSAL_CATEGORIES, &DeriveConfig::default())
+                .unwrap();
+        let server = Server::start(model, 0, &ServeOptions::local(&path)).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        assert_refuses_invalid_ingests(&mut client);
+        drop(client);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
 
     #[test]
     fn in_process_snapshot_passes_its_own_oracle() {

@@ -73,7 +73,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wot_community::{CategoryId, ShardAssignment, ShardId, StoreEvent};
+use wot_community::{CategoryId, ReviewId, ShardAssignment, ShardId, StoreEvent, UserId};
+use wot_core::admission::{self, AdmissionView, IdRule, ReviewRow, ReviewTable};
 use wot_core::{ActivityLedger, Assembler, CategoryReputation};
 
 use crate::client::ReputationTable;
@@ -317,13 +318,8 @@ pub struct Coordinator {
     /// Validated wire-width copies of the community shape.
     num_users_wire: u32,
     num_categories_wire: u32,
-    /// Per global review id: its category (routing key for ratings).
-    review_cat: Vec<u32>,
-    /// Per global review id: its writer (self-rating admission).
-    review_writer: Vec<u32>,
-    /// Per global review id: raters so far, ascending (duplicate
-    /// admission).
-    raters_of_review: Vec<Vec<u32>>,
+    /// What admission reads of the acked history.
+    history: History,
     /// Exact `a^r` / `a^w` counts (Eq. 4 input), row-stamped per change.
     counts: ActivityLedger,
     /// Latest solved tables per category, as fetched from the owners.
@@ -346,11 +342,33 @@ pub struct Coordinator {
     inflight_worker: Option<usize>,
 }
 
-fn rejected(msg: String) -> ServeError {
-    ServeError::Remote(WireError {
-        code: ErrorCode::Rejected,
-        message: msg,
-    })
+/// What admission reads of the acked history: every review (the routing
+/// key of its ratings) and, per review, its raters so far, ascending.
+struct History {
+    num_users: usize,
+    reviews: ReviewTable,
+    raters_of_review: Vec<Vec<u32>>,
+}
+
+impl AdmissionView for History {
+    fn num_users(&self) -> usize {
+        self.num_users
+    }
+
+    fn reviews(&self) -> &ReviewTable {
+        &self.reviews
+    }
+
+    /// The coordinator routes every event, so it sees every review.
+    fn id_rule(&self) -> IdRule {
+        IdRule::Dense
+    }
+
+    fn has_rated(&self, rater: UserId, review: ReviewId, _: ReviewRow) -> bool {
+        self.raters_of_review[review.index()]
+            .binary_search(&rater.0)
+            .is_ok()
+    }
 }
 
 impl Coordinator {
@@ -403,6 +421,11 @@ impl Coordinator {
             )?);
         }
         let counts = ActivityLedger::new(opts.num_users, opts.num_categories);
+        let history = History {
+            num_users: opts.num_users,
+            reviews: ReviewTable::new(opts.num_categories),
+            raters_of_review: Vec::new(),
+        };
         let per_cat = CategoryReputation::empty_tables(opts.num_categories);
         let mut assembler = Assembler::default();
         let snapshot = ServeSnapshot::new(0, assembler.assemble(&counts, &per_cat));
@@ -416,9 +439,7 @@ impl Coordinator {
             assignment,
             num_users_wire,
             num_categories_wire,
-            review_cat: Vec::new(),
-            review_writer: Vec::new(),
-            raters_of_review: Vec::new(),
+            history,
             per_cat,
             stale_cats: BTreeSet::new(),
             seq: 0,
@@ -566,91 +587,21 @@ impl Coordinator {
             .collect()
     }
 
-    /// The category an event belongs to, per the global review index.
-    fn category_of(&self, event: &StoreEvent) -> Result<u32> {
-        match *event {
-            StoreEvent::Review { category, .. } => Ok(category.0),
-            StoreEvent::Rating { review, .. } => self
-                .review_cat
-                .get(review.index())
-                .copied()
-                .ok_or_else(|| rejected(format!("unknown review {review}"))),
-        }
-    }
-
-    /// Read-only admission: exactly the checks the flat daemon's
-    /// `IncrementalDerived::check_event` applies, over the coordinator's
-    /// global metadata.
-    fn check_event(&self, event: &StoreEvent) -> Result<()> {
-        let (u, c) = (self.opts.num_users, self.opts.num_categories);
+    /// Folds an admitted event into the global metadata.
+    fn apply_admitted(&mut self, event: &StoreEvent, cat: u32) {
+        let raters_of_review = &mut self.history.raters_of_review;
         match *event {
             StoreEvent::Review {
                 writer,
                 review,
                 category,
             } => {
-                if writer.index() >= u {
-                    return Err(rejected(format!(
-                        "writer {writer} out of bounds for {u} users"
-                    )));
-                }
-                if category.index() >= c {
-                    return Err(rejected(format!(
-                        "category {category} out of bounds for {c} categories"
-                    )));
-                }
-                let rank = self.review_cat.len();
-                if review.index() != rank {
-                    return Err(rejected(format!(
-                        "review event carries id {review} but arrival rank assigns {rank}"
-                    )));
-                }
-            }
-            StoreEvent::Rating {
-                rater,
-                review,
-                value,
-            } => {
-                if rater.index() >= u {
-                    return Err(rejected(format!(
-                        "rater {rater} out of bounds for {u} users"
-                    )));
-                }
-                if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-                    return Err(rejected(format!(
-                        "rating value {value} must be within [0, 1]"
-                    )));
-                }
-                let Some(&writer) = self.review_writer.get(review.index()) else {
-                    return Err(rejected(format!("unknown review {review}")));
-                };
-                if writer == rater.0 {
-                    return Err(rejected(format!(
-                        "user {rater} cannot rate their own review {review}"
-                    )));
-                }
-                let raters = &self.raters_of_review[review.index()];
-                if raters.binary_search(&rater.0).is_ok() {
-                    return Err(rejected(format!(
-                        "user {rater} already rated review {review}"
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds an admitted event into the global metadata.
-    fn apply_admitted(&mut self, event: &StoreEvent, cat: u32) {
-        match *event {
-            StoreEvent::Review { writer, .. } => {
-                self.review_cat.push(cat);
-                self.review_writer.push(writer.0);
-                self.raters_of_review.push(Vec::new());
+                self.history.reviews.push(review, category, writer);
+                raters_of_review.push(Vec::new());
                 self.counts.bump_reviews(writer.index(), cat as usize, 1.0);
             }
             StoreEvent::Rating { rater, review, .. } => {
-                let raters = &mut self.raters_of_review[review.index()];
+                let raters = &mut raters_of_review[review.index()];
                 let at = raters.partition_point(|&r| r < rater.0);
                 raters.insert(at, rater.0);
                 self.counts.bump_ratings(rater.index(), cat as usize, 1.0);
@@ -668,20 +619,22 @@ impl Coordinator {
     /// is corrected too). Rollback must run newest-first across the
     /// aborted round.
     fn undo_admitted(&mut self, event: &StoreEvent) {
+        let history = &mut self.history;
         match *event {
             StoreEvent::Review { writer, .. } => {
-                let cat = self.review_cat.pop().expect("review to undo");
-                self.review_writer.pop();
-                self.raters_of_review.pop();
-                self.counts.bump_reviews(writer.index(), cat as usize, -1.0);
+                let row = history.reviews.pop().expect("review to undo");
+                history.raters_of_review.pop();
+                let c = row.category.index();
+                self.counts.bump_reviews(writer.index(), c, -1.0);
             }
             StoreEvent::Rating { rater, review, .. } => {
-                let cat = self.review_cat[review.index()];
-                let raters = &mut self.raters_of_review[review.index()];
+                let row = history.reviews.get(review).expect("rated review to undo");
+                let raters = &mut history.raters_of_review[review.index()];
                 let at = raters.partition_point(|&r| r < rater.0);
                 debug_assert_eq!(raters.get(at), Some(&rater.0));
                 raters.remove(at);
-                self.counts.bump_ratings(rater.index(), cat as usize, -1.0);
+                let c = row.category.index();
+                self.counts.bump_ratings(rater.index(), c, -1.0);
             }
         }
         self.seq -= 1;
@@ -715,13 +668,13 @@ impl Coordinator {
         let mut runs: Vec<(usize, Vec<(u64, StoreEvent)>)> = Vec::new();
         let mut rejection: Option<ServeError> = None;
         for &event in events {
-            let cat = match self
-                .check_event(&event)
-                .and_then(|()| self.category_of(&event))
-            {
-                Ok(c) => c,
-                Err(e) => {
-                    rejection = Some(e);
+            let cat = match admission::admit(&self.history, &event) {
+                Ok(c) => c.0,
+                Err(why) => {
+                    rejection = Some(ServeError::Remote(WireError {
+                        code: ErrorCode::Rejected,
+                        message: why.to_string(),
+                    }));
                     break;
                 }
             };
@@ -1029,10 +982,10 @@ impl Coordinator {
                     if tag != self.seq || !durable.contains(&tag) {
                         break;
                     }
-                    let Ok(cat) = self.category_of(&event) else {
+                    let Ok(cat) = admission::admit(&self.history, &event) else {
                         break;
                     };
-                    self.apply_admitted(&event, cat);
+                    self.apply_admitted(&event, cat.0);
                 }
             }
         }

@@ -15,10 +15,12 @@
 //! transports: the flat daemon drains a channel and publishes
 //! snapshots, the worker drains stdin frames and rebuilds its model from
 //! the log it [reads back](ShardEngine::read_back) whenever the model
-//! must drop history. Each passes its own admission check — the flat
-//! daemon the model's [`check_event`](IncrementalDerived::check_event), the worker
-//! a subset-safe variant — and the engine runs it both before every
-//! append and over every recovered event.
+//! must drop history. Admission is the model's own
+//! ([`IncrementalDerived::admit`], `wot-core`'s one admission rule under
+//! the model's [`IdRule`](wot_core::admission::IdRule): dense ids on the
+//! flat daemon, a subset on a worker), and the engine runs it before
+//! every append and over every recovered event. The worker's one check
+//! of its own, category ownership, runs around the engine's.
 //!
 //! **Fail-stop.** After a failed append or sync the log may hold bytes
 //! the model never applied (a torn frame, or a whole frame whose policy
@@ -42,6 +44,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use wot_community::{CategoryId, StoreEvent};
+use wot_core::admission::Rejection;
 use wot_core::{CategoryReputation, Derived, DerivedCache, IncrementalDerived};
 use wot_wal::{read_log, read_tagged_log, FsyncPolicy, LogKind, WalError, WalWriter};
 
@@ -106,22 +109,24 @@ impl ShardEngine {
         Ok((engine, recovered))
     }
 
-    /// Admission then apply, without the log: how recovered events and
-    /// rebuilds reach a model. Returns the event's category.
+    /// Admission, `gate` (a caller's check on top of it), then apply,
+    /// without the log: how recovered events reach a model. Returns the
+    /// event's category; a refusal comes back as its message.
     pub fn fold(
         model: &mut IncrementalDerived,
         event: &StoreEvent,
-        check: impl FnOnce(&IncrementalDerived, &StoreEvent) -> std::result::Result<(), String>,
+        gate: impl FnOnce(&IncrementalDerived, &StoreEvent) -> std::result::Result<(), String>,
     ) -> std::result::Result<CategoryId, String> {
-        check(model, event)?;
-        apply(model, event).map_err(|e| e.to_string())
+        model.admit(event).map_err(|r| r.to_string())?;
+        gate(model, event)?;
+        model.ingest(event).map_err(|e| e.to_string())
     }
 
-    /// Ingests one event: `check` (read-only), then the append — tagged
-    /// with `tag` in a [`LogKind::TaggedEvents`] log — then the apply.
-    /// Returns the event's category.
+    /// Ingests one event: the model's admission (read-only), then the
+    /// append — tagged with `tag` in a [`LogKind::TaggedEvents`] log —
+    /// then the apply. Returns the event's category.
     ///
-    /// A failed check is [`ErrorCode::Rejected`] and changes nothing. A
+    /// A refusal is [`ErrorCode::Rejected`] and changes nothing. A
     /// failed append is [`ErrorCode::Internal`] and trips the fail-stop
     /// latch, after which every admit is refused with the same code.
     /// The append is durable only once the fsync policy or
@@ -131,7 +136,6 @@ impl ShardEngine {
         &mut self,
         tag: u64,
         event: StoreEvent,
-        check: impl FnOnce(&IncrementalDerived, &StoreEvent) -> std::result::Result<(), String>,
     ) -> std::result::Result<CategoryId, Refusal> {
         if let Some(cause) = &self.failed {
             return Err((
@@ -139,11 +143,15 @@ impl ShardEngine {
                 format!("ingest stopped after a WAL failure: {cause}"),
             ));
         }
-        check(&self.model, &event).map_err(|e| (ErrorCode::Rejected, e))?;
+        let refused = |r: Rejection| (ErrorCode::Rejected, r.to_string());
+        let category = self.model.admit(&event).map_err(refused)?;
         if let Err(e) = append(&mut self.wal, self.kind, tag, &event) {
             return Err((ErrorCode::Internal, self.fail(&e)));
         }
-        Ok(apply(&mut self.model, &event).expect("checked event must apply"))
+        self.model
+            .ingest(&event)
+            .expect("an admitted event applies");
+        Ok(category)
     }
 
     /// Forces every append so far to stable storage (a no-op when none
@@ -169,18 +177,35 @@ impl ShardEngine {
         }
     }
 
-    /// Replaces the model with `model` folded over `events` — for a
-    /// caller that drops history the log keeps (the worker's category
-    /// drop, refused adoption and rollback). The old model stays if a
-    /// fold fails. (The cache notices the new model and resets itself.)
+    /// Replaces the model with `model` folded over `history`, then
+    /// appends `new` to the log — for a caller whose model must change
+    /// more than one event at a time: the worker's rollback and category
+    /// drop (history the log keeps, nothing new), and its adoption (the
+    /// adopted events, merged into the history in tag order). A refused
+    /// fold is [`ErrorCode::Rejected`] and leaves model and log as they
+    /// were; a failed append trips the latch and keeps the old model.
+    /// (The cache notices the new model and resets itself.)
     pub fn rebuild(
         &mut self,
         mut model: IncrementalDerived,
-        events: impl IntoIterator<Item = StoreEvent>,
-        check: impl Fn(&IncrementalDerived, &StoreEvent) -> std::result::Result<(), String>,
-    ) -> std::result::Result<(), String> {
-        for event in events {
-            Self::fold(&mut model, &event, &check)?;
+        history: impl IntoIterator<Item = StoreEvent>,
+        new: &[(u64, StoreEvent)],
+    ) -> std::result::Result<(), Refusal> {
+        if let (Some(cause), false) = (&self.failed, new.is_empty()) {
+            return Err((
+                ErrorCode::Internal,
+                format!("ingest stopped after a WAL failure: {cause}"),
+            ));
+        }
+        for event in history {
+            model
+                .ingest(&event)
+                .map_err(|e| (ErrorCode::Rejected, e.to_string()))?;
+        }
+        for (tag, event) in new {
+            if let Err(e) = append(&mut self.wal, self.kind, *tag, event) {
+                return Err((ErrorCode::Internal, self.fail(&e)));
+            }
         }
         self.model = model;
         Ok(())
@@ -296,32 +321,6 @@ fn append(
     }
 }
 
-/// The apply half of the fold. Reviews go through `add_review`, which
-/// takes any unregistered id: the dense-rank rule is the flat check's,
-/// since a worker holds only a subset of the reviews.
-fn apply(model: &mut IncrementalDerived, event: &StoreEvent) -> wot_core::Result<CategoryId> {
-    match *event {
-        StoreEvent::Review {
-            writer,
-            review,
-            category,
-        } => {
-            model.add_review(writer, review, category)?;
-            Ok(category)
-        }
-        StoreEvent::Rating {
-            rater,
-            review,
-            value,
-        } => {
-            model.add_rating(rater, review, value)?;
-            Ok(model
-                .review_category(review)
-                .expect("a rated review is registered"))
-        }
-    }
-}
-
 /// An engine whose every append fails before writing a byte: a tagged
 /// log behind an engine that appends untagged events.
 #[cfg(test)]
@@ -342,9 +341,55 @@ mod tests {
     use wot_core::DeriveConfig;
 
     use super::*;
+    use crate::conformance::{assert_refuses_invalid_ingests, REFUSAL_CATEGORIES, REFUSAL_USERS};
+    use crate::{ServeError, TrustIngest, WireError};
 
-    fn check(m: &IncrementalDerived, e: &StoreEvent) -> std::result::Result<(), String> {
-        m.check_event(e).map_err(|e| e.to_string())
+    /// A bare engine as an ingest backend: the log position is the seq.
+    struct Bare {
+        engine: ShardEngine,
+        seq: u64,
+    }
+
+    impl TrustIngest for Bare {
+        fn ingest(&mut self, event: StoreEvent) -> Result<u64> {
+            self.engine
+                .admit(self.seq, event)
+                .map_err(|(code, message)| ServeError::Remote(WireError { code, message }))?;
+            self.seq += 1;
+            Ok(self.seq)
+        }
+
+        fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
+            for &event in events {
+                self.ingest(event)?;
+            }
+            Ok(self.seq)
+        }
+    }
+
+    /// The engine refuses what the daemon and the coordinator refuse,
+    /// with the same codes and words, and appends none of it.
+    #[test]
+    fn a_bare_engine_refuses_invalid_ingests() {
+        let path =
+            std::env::temp_dir().join(format!("wot-engine-refusals-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let model =
+            IncrementalDerived::new(REFUSAL_USERS, REFUSAL_CATEGORIES, &DeriveConfig::default())
+                .unwrap();
+        let (engine, ()) = ShardEngine::open(
+            &path,
+            LogKind::Events,
+            FsyncPolicy::Always,
+            model,
+            |_, _| Ok(()),
+        )
+        .unwrap();
+        let mut bare = Bare { engine, seq: 0 };
+        assert_refuses_invalid_ingests(&mut bare);
+        let logged = bare.engine.read_back().unwrap();
+        assert_eq!(logged.len(), 2, "only the two admitted events are logged");
+        let _ = std::fs::remove_file(&path);
     }
 
     /// The latch, not another append attempt, refuses the second event,
@@ -362,20 +407,27 @@ mod tests {
             category: CategoryId(0),
         };
 
-        let (code, first) = engine.admit(0, review, check).unwrap_err();
+        let (code, first) = engine.admit(0, review).unwrap_err();
         assert_eq!(code, ErrorCode::Internal);
         assert!(!first.contains("ingest stopped"), "{first}");
-        let mut checked = false;
-        let (code, latched) = engine
-            .admit(0, review, |_, _| {
-                checked = true;
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(code, ErrorCode::Internal);
+        // An event admission would refuse: the latch answers first.
+        let invalid = StoreEvent::Review {
+            writer: UserId(99),
+            review: ReviewId(0),
+            category: CategoryId(0),
+        };
+        let (code, latched) = engine.admit(0, invalid).unwrap_err();
+        assert_eq!(
+            code,
+            ErrorCode::Internal,
+            "a latched engine must not even run admission"
+        );
         assert!(latched.contains("ingest stopped") && latched.contains(&first));
-        assert!(!checked, "a latched engine must not even run admission");
-        assert_eq!(engine.model().review_category(ReviewId(0)), None);
+        assert_eq!(
+            engine.model().check_event(&review),
+            Ok(()),
+            "nothing applied"
+        );
         assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_file(&path);
     }

@@ -258,7 +258,7 @@ impl Server {
         let (mut engine, replayed) =
             ShardEngine::open(path, LogKind::Events, opts.fsync, model, |model, log| {
                 for (k, (_, event)) in log.iter().enumerate() {
-                    ShardEngine::fold(model, event, admission).map_err(|reason| {
+                    ShardEngine::fold(model, event, |_, _| Ok(())).map_err(|reason| {
                         ServeError::Config(format!(
                             "WAL {} does not fit the bootstrap model at event {k}: {reason}",
                             path.display()
@@ -375,11 +375,6 @@ impl Drop for ServerHandle {
 // Writer thread
 // ---------------------------------------------------------------------
 
-/// The flat daemon's admission: the model's own read-only check.
-fn admission(model: &IncrementalDerived, event: &StoreEvent) -> std::result::Result<(), String> {
-    model.check_event(event).map_err(|e| e.to_string())
-}
-
 fn writer_loop(
     mut engine: ShardEngine,
     mut seq: u64,
@@ -421,7 +416,7 @@ fn writer_loop(
                 )));
                 continue;
             }
-            match engine.admit(seq, event, admission) {
+            match engine.admit(seq, event) {
                 Ok(_) => {
                     seq += 1;
                     acks.push(reply);

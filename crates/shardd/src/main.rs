@@ -38,13 +38,18 @@
 //! appended behind a torn frame. Nothing that fails admission ever
 //! poisons the log.
 //!
-//! Every time the model must lose history, one path rebuilds it:
-//! [`owned_part`] of the log (entries below a cut, in tag order,
-//! deduplicated by tag, restricted to the owned categories) folded onto
-//! a fresh model — inside [`ShardEngine::open`] at the handshake, and
-//! through [`Shard::reload`] after a `Truncate`, a `DropCategory` or a
-//! refused adoption. A `DropCategory` reply is the same function with
+//! Every time the model must change by more than one event, one path
+//! rebuilds it: [`owned_part`] of the log (entries below a cut, in tag
+//! order, deduplicated by tag, restricted to the owned categories)
+//! folded onto a fresh model — inside [`ShardEngine::open`] at the
+//! handshake, through [`Shard::reload`] after a `Truncate` or a
+//! `DropCategory`, and over the log merged with the adopted history on
+//! an `AdoptCategory`. A `DropCategory` reply is the same function with
 //! the dropped category as the owned set.
+//!
+//! Admission is the model's own (`wot-core`'s one rule, with the subset
+//! id rule: a worker holds only its categories' reviews), plus one
+//! worker-only check around it: a review must open in an owned category.
 //!
 //! The handshake opens the log, since it fixes the model's shape, and
 //! reports the highest durable tag, so after `kill -9` the coordinator
@@ -62,6 +67,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use wot_community::StoreEvent;
+use wot_core::admission::IdRule;
 use wot_core::{DeriveConfig, IncrementalDerived};
 use wot_serve::engine::Refusal;
 use wot_serve::protocol::{read_frame, write_frame, ErrorCode, FrameRead};
@@ -150,57 +156,25 @@ fn owned_part(
     part
 }
 
-/// Read-only admission for this worker's category subset. Reviews can't
-/// go through the model's `check_event` (its dense-rank rule is global,
-/// and this worker only holds a category subset), so they get the
-/// equivalent subset-safe checks; ratings use the model's own admission.
-fn check(
-    owned: &BTreeSet<u32>,
-    model: &IncrementalDerived,
-    event: &StoreEvent,
-) -> Result<(), String> {
-    match *event {
-        StoreEvent::Review {
-            writer,
-            review,
-            category,
-        } => {
-            if writer.index() >= model.num_users() {
-                return Err(format!(
-                    "writer {writer} out of bounds for {} users",
-                    model.num_users()
-                ));
-            }
-            if category.index() >= model.num_categories() {
-                return Err(format!(
-                    "category {category} out of bounds for {} categories",
-                    model.num_categories()
-                ));
-            }
-            if !owned.contains(&category.0) {
-                return Err(format!("category {category} is not owned by this worker"));
-            }
-            if model.review_category(review).is_some() {
-                return Err(format!("review {review} already registered"));
-            }
-            Ok(())
-        }
-        // Ownership is implied: the rated review is known to the model,
-        // and the model only holds owned categories.
-        StoreEvent::Rating { .. } => model.check_event(event).map_err(|e| e.to_string()),
-    }
-}
-
+/// A fresh model for the owned categories' events. It holds a subset of
+/// the reviews, so a review's id must be above every id it holds: the
+/// events arrive in tag order, and tag order is id order.
 fn new_model(num_users: usize, num_categories: usize) -> Result<IncrementalDerived, Refusal> {
     IncrementalDerived::new(num_users, num_categories, &DeriveConfig::default())
+        .map(|m| m.with_id_rule(IdRule::Subset))
         .map_err(|e| internal(e.to_string()))
 }
 
 impl Shard {
-    /// Ingests one event through the engine.
+    /// Ingests one event through the engine, if it may land here: a
+    /// review must open in an owned category. (A rating's review is held,
+    /// and the model holds only owned categories.)
     fn admit(&mut self, tag: u64, event: StoreEvent) -> Result<(), Refusal> {
-        let owned = &self.owned;
-        self.engine.admit(tag, event, |m, e| check(owned, m, e))?;
+        if let Some(c) = event.category().filter(|c| !self.owned.contains(&c.0)) {
+            let refusal = format!("category {c} is not owned by this worker");
+            return Err((ErrorCode::Rejected, refusal));
+        }
+        self.engine.admit(tag, event)?;
         Ok(())
     }
 
@@ -214,14 +188,17 @@ impl Shard {
             .engine
             .read_back()
             .map_err(|e| internal(e.to_string()))?;
-        let model = self.engine.model();
-        let fresh = new_model(model.num_users(), model.num_categories())?;
-        let owned = &self.owned;
-        let events = owned_part(&log, NO_TAG, owned).into_iter().map(|(_, e)| e);
+        let events = owned_part(&log, NO_TAG, &self.owned);
         self.engine
-            .rebuild(fresh, events, |m, e| check(owned, m, e))
-            .map_err(internal)?;
+            .rebuild(self.fresh_model()?, events.into_iter().map(|(_, e)| e), &[])
+            .map_err(|(_, e)| internal(e))?;
         Ok(log)
+    }
+
+    /// An empty model of this shard's shape.
+    fn fresh_model(&self) -> Result<IncrementalDerived, Refusal> {
+        let model = self.engine.model();
+        new_model(model.num_users(), model.num_categories())
     }
 
     /// The solved tables of `categories`, each owned, in the asked order.
@@ -455,7 +432,7 @@ fn hello(
             let orphans = log.iter().any(|&(t, _)| t >= cut);
             let max_tag = log.iter().map(|&(t, _)| t).filter(|&t| t < cut).max();
             for (tag, event) in owned_part(&log, cut, &owned) {
-                ShardEngine::fold(model, &event, |m, e| check(&owned, m, e)).map_err(|e| {
+                ShardEngine::fold(model, &event, |_, _| Ok(())).map_err(|e| {
                     ServeError::Protocol(format!("log replay failed at tag {tag}: {e}"))
                 })?;
             }
@@ -517,12 +494,14 @@ fn drop_category(shard: &mut Shard, category: u32) -> HandlerResult {
     )))
 }
 
-/// Starts owning a category: ingest its history in tag order (the main
-/// loop's group sync makes it durable before the reply), and reply with
-/// the re-solved state (which the coordinator holds bit-identical
-/// against the previous owner's). A history the model refuses part-way
-/// leaves the category unowned: the reload drops whatever of it was
-/// applied, and a later adoption starts clean.
+/// Starts owning a category: rebuild the model over its history merged
+/// by tag with the owned part of the log — review ids interleave across
+/// categories, and the subset id rule wants them in tag order — then
+/// append the history (the main loop's group sync makes it durable before
+/// the reply), and reply with the re-solved state (which the coordinator
+/// holds bit-identical against the previous owner's). A history the model
+/// refuses anywhere leaves the category unowned, the model as it was and
+/// nothing appended.
 fn adopt_category(
     shard: &mut Shard,
     category: u32,
@@ -568,13 +547,18 @@ fn adopt_category(
             }
         }
     }
-    shard.owned.insert(category);
-    for (tag, event) in events {
-        if let Err(refusal) = shard.admit(tag, event) {
-            shard.owned.remove(&category);
-            shard.reload()?;
-            return Err(refusal);
-        }
-    }
+    let mut owned = shard.owned.clone();
+    owned.insert(category);
+    let mut merged = shard
+        .engine
+        .read_back()
+        .map_err(|e| internal(e.to_string()))?;
+    merged.extend_from_slice(&events);
+    let history = owned_part(&merged, NO_TAG, &owned);
+    let fresh = shard.fresh_model()?;
+    shard
+        .engine
+        .rebuild(fresh, history.into_iter().map(|(_, e)| e), &events)?;
+    shard.owned = owned;
     shard.states(&[category])
 }

@@ -11,6 +11,7 @@ use wot_community::events::replay_into_store;
 use wot_community::{CategoryId, RatingScale, ReviewId, StoreEvent, UserId};
 use wot_core::{pipeline, DeriveConfig, Derived};
 use wot_serve::conformance::{assert_backend_matches, assert_refuses_invalid_reads};
+use wot_serve::conformance::{assert_refuses_invalid_ingests, REFUSAL_CATEGORIES, REFUSAL_USERS};
 use wot_serve::{Coordinator, CoordinatorOptions, ServeError};
 use wot_synth::{generate, shuffled_event_log, SynthConfig};
 
@@ -125,6 +126,21 @@ fn a_refused_move_leaves_the_category_with_its_source() {
     coord.rebalance(category, to).unwrap();
     assert_eq!(coord.owner_of(category).unwrap(), to);
     assert_backend_matches(&mut coord, &oracle, seq);
+    coord.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Invalid ingests are refused with the daemon's code and the admission
+/// rule's own words, and none of them moves the acked seq.
+#[test]
+fn coordinator_refuses_invalid_ingests_like_the_daemon() {
+    let dir = std::env::temp_dir().join(format!("wot-refusals-ingest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut opts = CoordinatorOptions::new(&dir, 2, REFUSAL_USERS, REFUSAL_CATEGORIES);
+    opts.worker_bin = env!("CARGO_BIN_EXE_wot-shardd").into();
+    let mut coord = Coordinator::start(opts).unwrap();
+    assert_refuses_invalid_ingests(&mut coord);
     coord.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
