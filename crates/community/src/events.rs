@@ -125,12 +125,6 @@ pub enum Rejection {
         /// The highest id the state holds.
         last: ReviewId,
     },
-    /// A history adopted into a state names a review the state already
-    /// holds.
-    AlreadyHeld {
-        /// The review.
-        review: ReviewId,
-    },
     /// A rating's rater is not a user of the community.
     RaterOutOfRange {
         /// The rater.
@@ -187,7 +181,6 @@ impl std::fmt::Display for Rejection {
                     "review {review} is not above the last held review {last}"
                 )
             }
-            Rejection::AlreadyHeld { review } => write!(f, "review {review} is already held"),
             Rejection::RaterOutOfRange { rater, users } => {
                 write!(f, "rater {rater} out of bounds for {users} users")
             }

@@ -80,7 +80,11 @@
 //!   [`to_derived`](incremental::IncrementalDerived::to_derived) snapshot
 //!   is bit-identical to [`pipeline::derive`] over the folded store — the
 //!   workspace's replay-conformance suite proves it on randomized causal
-//!   event streams at several thread counts.
+//!   event streams at several thread counts. The module splits along its
+//!   seams: the API and event entry points (every one admitting under
+//!   the model's own [`admission::IdRule`]), per-category index
+//!   maintenance, the delta worklist, and the publish loop that fills a
+//!   [`DerivedCache`] from cold solves or warm buffers.
 //! * **Patched publishes.** One rating dirties one column of `E` and one
 //!   row of `A`, so a publish patches the matrices it assembled last time
 //!   ([`assemble::Assembler`], fed by the row-stamped

@@ -109,16 +109,13 @@ impl ShardEngine {
         Ok((engine, recovered))
     }
 
-    /// Admission, `gate` (a caller's check on top of it), then apply,
-    /// without the log: how recovered events reach a model. Returns the
-    /// event's category; a refusal comes back as its message.
+    /// Admission, then apply, without the log: how recovered events
+    /// reach a model. Returns the event's category; a refusal comes back
+    /// as its message.
     pub fn fold(
         model: &mut IncrementalDerived,
         event: &StoreEvent,
-        gate: impl FnOnce(&IncrementalDerived, &StoreEvent) -> std::result::Result<(), String>,
     ) -> std::result::Result<CategoryId, String> {
-        model.admit(event).map_err(|r| r.to_string())?;
-        gate(model, event)?;
         model.ingest(event).map_err(|e| e.to_string())
     }
 
@@ -428,6 +425,46 @@ mod tests {
             Ok(()),
             "nothing applied"
         );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A latched engine refuses a rebuild that would append, before it
+    /// folds or appends anything: the log's bytes and the model stay as
+    /// they were. A rebuild that appends nothing (a rollback) still runs.
+    #[test]
+    fn a_latched_rebuild_with_new_events_is_refused() {
+        let path = std::env::temp_dir().join(format!(
+            "wot-engine-latched-rebuild-{}.wal",
+            std::process::id()
+        ));
+        let fresh = || IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let mut engine = failing_engine(&path, fresh());
+        let review = StoreEvent::Review {
+            writer: UserId(0),
+            review: ReviewId(0),
+            category: CategoryId(0),
+        };
+        let (_, cause) = engine.admit(0, review).unwrap_err();
+        let before = std::fs::read(&path).unwrap();
+
+        let (code, refused) = engine
+            .rebuild(fresh(), [review], &[(0, review)])
+            .unwrap_err();
+        assert_eq!(code, ErrorCode::Internal);
+        assert!(
+            refused.contains("ingest stopped") && refused.contains(&cause),
+            "{refused}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(
+            engine.model().check_event(&review),
+            Ok(()),
+            "the refused rebuild replaced the model"
+        );
+
+        engine.rebuild(fresh(), [review], &[]).unwrap();
+        assert!(engine.model().check_event(&review).is_err());
         assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_file(&path);
     }

@@ -84,8 +84,7 @@ pub struct ServeOptions {
     /// each publish then runs the per-event worklist rather than a full
     /// category sweep — served values are within the fixed point's
     /// tolerance of the canonical snapshot rather than bit-identical to
-    /// it. The cache the writer owns stays on one path for the server's
-    /// whole lifetime, so warm and cold memoizations never mix.
+    /// it.
     ///
     /// [`refresh_and_derive_warm`]: wot_core::IncrementalDerived::refresh_and_derive_warm
     /// [`DeriveConfig::delta_refresh`]: wot_core::DeriveConfig::delta_refresh
@@ -258,7 +257,7 @@ impl Server {
         let (mut engine, replayed) =
             ShardEngine::open(path, LogKind::Events, opts.fsync, model, |model, log| {
                 for (k, (_, event)) in log.iter().enumerate() {
-                    ShardEngine::fold(model, event, |_, _| Ok(())).map_err(|reason| {
+                    ShardEngine::fold(model, event).map_err(|reason| {
                         ServeError::Config(format!(
                             "WAL {} does not fit the bootstrap model at event {k}: {reason}",
                             path.display()

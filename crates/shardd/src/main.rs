@@ -432,7 +432,7 @@ fn hello(
             let orphans = log.iter().any(|&(t, _)| t >= cut);
             let max_tag = log.iter().map(|&(t, _)| t).filter(|&t| t < cut).max();
             for (tag, event) in owned_part(&log, cut, &owned) {
-                ShardEngine::fold(model, &event, |_, _| Ok(())).map_err(|e| {
+                ShardEngine::fold(model, &event).map_err(|e| {
                     ServeError::Protocol(format!("log replay failed at tag {tag}: {e}"))
                 })?;
             }

@@ -241,8 +241,7 @@ fn recovery_survives_combined_damage_without_panicking() {
             model,
             |model, log| {
                 for (_, e) in &log {
-                    ShardEngine::fold(model, e, |m, e| m.check_event(e).map_err(|e| e.to_string()))
-                        .map_err(ServeError::Protocol)?;
+                    ShardEngine::fold(model, e).map_err(ServeError::Protocol)?;
                 }
                 Ok(())
             },
