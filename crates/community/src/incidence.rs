@@ -147,6 +147,14 @@ impl Incidence {
         self.index.len()
     }
 
+    /// Heap bytes the arena holds: its node records and both slot
+    /// buffers, at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Node>()
+            + self.index.capacity() * std::mem::size_of::<u32>()
+            + self.value.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// The footprint bound the growth and compaction rules guarantee,
     /// in slots (12 bytes each): `3/2 · (3/2 · edges + 2 · nodes)`.
     pub fn slot_bound(&self) -> usize {

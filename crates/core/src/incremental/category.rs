@@ -57,9 +57,11 @@ pub(super) struct CategoryState {
     pub(super) data_version: u64,
     /// Worklist seeds for the delta solver: the `(local rater, local
     /// review)` endpoints of every rating added or revised since the last
-    /// refresh. Cleared by every refresh (delta or full); new reviews
-    /// seed nothing (an unrated review's quality is exact at insert and
-    /// influences no rater).
+    /// refresh. Recorded only under [`DeriveConfig::delta_refresh`] —
+    /// only the delta solve reads them, and a cold-publish model never
+    /// refreshes, so it would never clear them. Cleared by every refresh;
+    /// new reviews seed nothing (an unrated review's quality is exact at
+    /// insert and influences no rater).
     pub(super) pending_seeds: Vec<(u32, u32)>,
     /// Sweep count of the last refresh (for warm snapshot assembly).
     pub(super) last_iterations: usize,
@@ -165,16 +167,24 @@ impl CategoryState {
         given.insert(lr as usize, at, local, value);
         self.rater_discount[lr as usize] = cfg.discount(given.degree(lr as usize));
         self.ratings_by_review_local.push(local as usize, lr, value);
+        self.touched(lr, local, cfg);
+    }
+
+    /// Marks the category changed by the rating `(lr, local)` and, for
+    /// the delta solve, seeds its worklist with it.
+    fn touched(&mut self, lr: u32, local: u32, cfg: &DeriveConfig) {
         self.stale = true;
         self.data_version += 1;
-        self.pending_seeds.push((lr, local));
+        if cfg.delta_refresh {
+            self.pending_seeds.push((lr, local));
+        }
     }
 
     /// Revises an **existing** rating in place in both grouped mirrors —
     /// rater `lr`'s entry at position `at` (from
     /// [`find_rating`](Self::find_rating)) and its twin under the review.
     /// Counts are untouched (a revision is not a new rating).
-    pub(super) fn revise_rating(&mut self, lr: u32, at: usize, value: f64) {
+    pub(super) fn revise_rating(&mut self, lr: u32, at: usize, value: f64, cfg: &DeriveConfig) {
         let local = self.ratings_by_rater_local.node(lr as usize).0[at];
         self.ratings_by_rater_local
             .set_value(lr as usize, at, value);
@@ -185,9 +195,7 @@ impl CategoryState {
             .expect("review-grouped mirror out of sync with rater-grouped list");
         self.ratings_by_review_local
             .set_value(local as usize, slot, value);
-        self.stale = true;
-        self.data_version += 1;
-        self.pending_seeds.push((lr, local));
+        self.touched(lr, local, cfg);
     }
 
     /// Re-solves the category **warm** and in place, starting from the

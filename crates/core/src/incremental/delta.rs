@@ -125,6 +125,10 @@ impl DeltaReport {
     }
 }
 
+/// Seed capacity a refresh keeps for the next events (8 B a seed); a
+/// larger buffer is freed.
+const SEEDS_KEPT: usize = 1024;
+
 impl CategoryState {
     /// Re-solves the category in place through whichever path
     /// [`DeriveConfig::delta_refresh`] selects — the delta solve or the
@@ -145,7 +149,13 @@ impl CategoryState {
         self.last_iterations = report.sweeps;
         self.last_converged = report.converged;
         self.stale = false;
-        self.pending_seeds.clear();
+        // A bootstrap leaves one seed per rating it applied; keep only
+        // a per-event-sized buffer resident.
+        if self.pending_seeds.capacity() > SEEDS_KEPT {
+            self.pending_seeds = Vec::new();
+        } else {
+            self.pending_seeds.clear();
+        }
         report
     }
 
@@ -417,6 +427,41 @@ mod tests {
         assert_eq!((set.len, set.iter().count()), (0, 0));
         set.insert(199);
         assert_eq!(set.iter().collect::<Vec<_>>(), [199]);
+    }
+
+    /// Seeds are the delta solve's alone: a model without delta refresh
+    /// records none, and the refresh after a bootstrap frees the
+    /// bootstrap's seed buffer rather than keep its capacity.
+    #[test]
+    fn seeds_are_kept_for_the_delta_solve_only_and_a_bootstrap_buffer_is_freed() {
+        let users = 40u32;
+        let ingest = |cfg: &DeriveConfig| {
+            let mut inc = IncrementalDerived::new(users as usize, 1, cfg).unwrap();
+            for r in 0..users {
+                inc.add_review(UserId(r), ReviewId(r), CategoryId(0))
+                    .unwrap();
+            }
+            for rater in 0..users {
+                for r in (0..users).filter(|&r| r != rater) {
+                    inc.add_rating(UserId(rater), ReviewId(r), 0.5).unwrap();
+                }
+            }
+            inc
+        };
+        let cold = ingest(&DeriveConfig::default());
+        assert_eq!(cold.categories[0].pending_seeds.capacity(), 0);
+
+        let mut delta = ingest(&delta_cfg(0.25));
+        let seeds = &delta.categories[0].pending_seeds;
+        assert_eq!(seeds.len(), (users * (users - 1)) as usize);
+        assert!(seeds.capacity() > SEEDS_KEPT);
+        delta.refresh_all();
+        assert_eq!(delta.categories[0].pending_seeds.capacity(), 0);
+        // A per-event buffer survives its refresh.
+        delta.upsert_rating(UserId(0), ReviewId(1), 0.75).unwrap();
+        delta.refresh(CategoryId(0));
+        let seeds = &delta.categories[0].pending_seeds;
+        assert!(seeds.is_empty() && seeds.capacity() > 0);
     }
 
     /// Frontier-threshold boundary semantics: at 0 every pass is dense —

@@ -150,6 +150,21 @@ impl AdmissionView for View<'_> {
     }
 }
 
+/// Heap bytes by component, summed over categories
+/// ([`IncrementalDerived::heap_bytes`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// Both rating arenas: node records and slot buffers.
+    pub arenas: usize,
+    /// What the arenas' edges alone take (12 B each): an exact pack.
+    pub arena_edges: usize,
+    /// The delta worklist's pending seeds.
+    pub seeds: usize,
+    /// The per-writer review lists (`reviews_by_writer_local`).
+    pub writer_lists: usize,
+}
+
 /// One category's warm state as of its last refresh, by local index.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
@@ -325,6 +340,29 @@ impl IncrementalDerived {
         })
     }
 
+    /// Heap bytes of the per-category components that grow with
+    /// ingest, at capacity. A window for memory probes; not part of the
+    /// API.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let mut bytes = HeapBytes::default();
+        for state in &self.categories {
+            let arenas = [
+                &state.ratings_by_review_local,
+                &state.ratings_by_rater_local,
+            ];
+            for arena in arenas {
+                bytes.arenas += arena.heap_bytes();
+                bytes.arena_edges += arena.num_edges() * (4 + 8);
+            }
+            bytes.seeds += state.pending_seeds.capacity() * std::mem::size_of::<(u32, u32)>();
+            let lists = &state.reviews_by_writer_local;
+            bytes.writer_lists += lists.capacity() * std::mem::size_of::<Vec<u32>>()
+                + lists.iter().map(|l| l.capacity() * 4).sum::<usize>();
+        }
+        bytes
+    }
+
     /// Number of users.
     pub fn num_users(&self) -> usize {
         self.num_users
@@ -394,7 +432,7 @@ impl IncrementalDerived {
                 let state = &mut self.categories[row.category.index()];
                 let lr = state.rater_local(rater).expect("a rater who rated");
                 let at = state.find_rating(lr, row.local).expect("a given rating");
-                state.revise_rating(lr, at, value);
+                state.revise_rating(lr, at, value, &self.cfg);
                 Ok(true)
             }
             Err(refusal) => Err(CoreError::Rejected(refusal)),

@@ -125,6 +125,21 @@ pub struct DerivedCache {
 }
 
 impl DerivedCache {
+    /// Heap bytes of the per-category tables the cache holds, at
+    /// capacity (shared with every published [`Derived`]). A window for
+    /// memory probes; not part of the API.
+    #[doc(hidden)]
+    pub fn table_bytes(&self) -> usize {
+        let pair = std::mem::size_of::<(UserId, f64)>();
+        self.per_category
+            .iter()
+            .map(|t| {
+                (t.rater_reputation.capacity() + t.writer_reputation.capacity()) * pair
+                    + t.review_quality.capacity() * std::mem::size_of::<(ReviewId, f64)>()
+            })
+            .sum()
+    }
+
     /// Binds the cache to `model` and `source`: a cache filled from a
     /// different instance (or none) or by the other path is reset to
     /// never-solved slots.

@@ -13,7 +13,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use wot_community::StoreEvent;
 
 use crate::protocol::{
-    self, AggregateSummary, FrameRead, OkBody, Opcode, Request, ServeStats, MAX_RESPONSE_LEN,
+    self, AggregateSummary, BatchReport, FrameRead, OkBody, Opcode, Request, ServeStats,
+    MAX_BATCH_EVENTS, MAX_RESPONSE_LEN,
 };
 use crate::{Result, ServeError};
 
@@ -142,6 +143,48 @@ impl Client {
         match self.call(&Request::Ingest(event))? {
             OkBody::Empty(Opcode::Ingest) => Ok(self.last_seq),
             other => Err(unexpected(&other, "ingest")),
+        }
+    }
+
+    /// Durably ingests `events` in order, in `IngestBatch` frames of up
+    /// to [`MAX_BATCH_EVENTS`], each admitted and published as one run.
+    /// On success the returned sequence covers the whole slice; an empty
+    /// slice acks the daemon's current seq.
+    ///
+    /// A refused event ends the call with [`ServeError::BatchRefused`]:
+    /// the events before its `index` are durable and acked at
+    /// `acked_through`, and no later frame is sent.
+    pub fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
+        let mut done = 0;
+        loop {
+            let run = &events[done..(done + MAX_BATCH_EVENTS).min(events.len())];
+            let report = match self.call(&Request::IngestBatch(run.to_vec()))? {
+                OkBody::IngestBatch(report) => report,
+                other => return Err(unexpected(&other, "ingest-batch")),
+            };
+            match report {
+                BatchReport {
+                    admitted,
+                    refused: Some(error),
+                } => {
+                    return Err(ServeError::BatchRefused {
+                        acked_through: self.last_seq,
+                        index: done + admitted as usize,
+                        error,
+                    })
+                }
+                BatchReport { admitted, .. } if admitted as usize != run.len() => {
+                    return Err(ServeError::Protocol(format!(
+                        "a batch of {} events reported {admitted} admitted and no refusal",
+                        run.len()
+                    )))
+                }
+                _ => {}
+            }
+            done += run.len();
+            if done == events.len() {
+                return Ok(self.last_seq);
+            }
         }
     }
 

@@ -135,6 +135,9 @@ pub const REFUSAL_CATEGORIES: usize = 2;
 /// one invalid event per rule must each be a [`ServeError::Remote`] with
 /// [`ErrorCode::Rejected`] and the words of its
 /// [`Rejection`](wot_core::admission::Rejection), and leave seq at 2.
+/// Then a batch `[valid, invalid, valid]` must be the typed partial
+/// report [`ServeError::BatchRefused`] — acked through 3, index 1, the
+/// same code and words — and leave seq at 3.
 pub fn assert_refuses_invalid_ingests<B: TrustIngest>(backend: &mut B) {
     let review = |writer, review, category| StoreEvent::Review {
         writer: UserId(writer),
@@ -176,6 +179,27 @@ pub fn assert_refuses_invalid_ingests<B: TrustIngest>(backend: &mut B) {
         }
         assert_eq!(backend.ingest_batch(&[]).unwrap(), 2, "{event:?} moved seq");
     }
+
+    let batch = [review(0, 1, 1), review(4, 2, 0), review(1, 2, 1)];
+    reference.ingest(&batch[0]).unwrap();
+    let why = reference.admit(&batch[1]).unwrap_err();
+    match backend.ingest_batch(&batch) {
+        Err(ServeError::BatchRefused {
+            acked_through,
+            index,
+            error,
+        }) => {
+            assert_eq!((acked_through, index), (3, 1), "{}", error.message);
+            assert_eq!(error.code, Rejected, "{}", error.message);
+            assert_eq!(error.message, why.to_string());
+        }
+        other => panic!("{batch:?}: expected a typed partial report, got {other:?}"),
+    }
+    assert_eq!(
+        backend.ingest_batch(&[]).unwrap(),
+        3,
+        "a refused batch must keep exactly its admitted prefix"
+    );
 }
 
 fn expect_refusal<T: std::fmt::Debug>(read: &str, code: ErrorCode, got: crate::Result<T>) {

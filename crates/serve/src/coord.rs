@@ -641,10 +641,14 @@ impl Coordinator {
     }
 
     /// Routes one event to its category's owner and waits for
-    /// durability. Equivalent to a one-event
-    /// [`ingest_batch`](Self::ingest_batch).
+    /// durability. A one-event [`ingest_batch`](Self::ingest_batch)
+    /// whose refusal is the bare [`ServeError::Remote`], as the daemon's
+    /// `Ingest` answers it.
     pub fn ingest(&mut self, event: StoreEvent) -> Result<u64> {
-        self.ingest_batch(std::slice::from_ref(&event))
+        match self.ingest_batch(std::slice::from_ref(&event)) {
+            Err(ServeError::BatchRefused { error, .. }) => Err(ServeError::Remote(error)),
+            acked => acked,
+        }
     }
 
     /// Routes a slice of events through the pipelined worker I/O:
@@ -654,27 +658,31 @@ impl Coordinator {
     /// returns once every owning worker has reported its run durable.
     ///
     /// On success, returns the new acked global sequence. A rejection
-    /// (the same typed errors the flat daemon produces) stops admission
+    /// (the same typed refusal the flat daemon produces) stops admission
     /// at the offending event; the admitted prefix is still flushed,
-    /// acked, and kept — the caller reads the reached horizon from
-    /// [`seq`](Self::seq). A worker failure mid-round rolls the whole
-    /// round back to its base sequence (nothing from this call is
-    /// acked) and parks the failed worker's events for restart-time
+    /// acked, and kept, and the call returns the typed partial report
+    /// [`ServeError::BatchRefused`] — the horizon the prefix reached, the
+    /// refused event's index and its refusal. A routing error (an
+    /// unowned category, a quarantined worker) stops admission the same
+    /// way and keeps the prefix too. A worker failure mid-round rolls
+    /// the whole round back to its base sequence (nothing from this call
+    /// is acked) and parks the failed worker's events for restart-time
     /// reconciliation.
     pub fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
         let base = self.seq;
         // Admission + routing, applied speculatively, grouped into
         // consecutive same-worker runs.
         let mut runs: Vec<(usize, Vec<(u64, StoreEvent)>)> = Vec::new();
+        let mut refused: Option<WireError> = None;
         let mut rejection: Option<ServeError> = None;
         for &event in events {
             let cat = match admission::admit(&self.history, &event) {
                 Ok(c) => c.0,
                 Err(why) => {
-                    rejection = Some(ServeError::Remote(WireError {
+                    refused = Some(WireError {
                         code: ErrorCode::Rejected,
                         message: why.to_string(),
-                    }));
+                    });
                     break;
                 }
             };
@@ -748,9 +756,16 @@ impl Coordinator {
             }
         }
         match failed {
-            None => match rejection {
-                None => Ok(self.seq),
-                Some(e) => Err(e),
+            // The round acked every admitted event, so the refused one
+            // sits right after them.
+            None => match (refused, rejection) {
+                (Some(error), _) => Err(ServeError::BatchRefused {
+                    acked_through: self.seq,
+                    index: (self.seq - base) as usize,
+                    error,
+                }),
+                (None, Some(e)) => Err(e),
+                (None, None) => Ok(self.seq),
             },
             Some((w, e)) => {
                 self.abort_round(base, &runs, w);

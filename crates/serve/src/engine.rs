@@ -357,8 +357,14 @@ mod tests {
         }
 
         fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
-            for &event in events {
-                self.ingest(event)?;
+            for (index, &event) in events.iter().enumerate() {
+                if let Err(ServeError::Remote(error)) = self.ingest(event) {
+                    return Err(ServeError::BatchRefused {
+                        acked_through: self.seq,
+                        index,
+                        error,
+                    });
+                }
             }
             Ok(self.seq)
         }
@@ -385,7 +391,11 @@ mod tests {
         let mut bare = Bare { engine, seq: 0 };
         assert_refuses_invalid_ingests(&mut bare);
         let logged = bare.engine.read_back().unwrap();
-        assert_eq!(logged.len(), 2, "only the two admitted events are logged");
+        assert_eq!(
+            logged.len(),
+            3,
+            "only the admitted events are logged: two, then a batch's prefix of one"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

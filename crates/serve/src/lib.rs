@@ -48,7 +48,8 @@ pub use client::{Client, ReputationTable};
 pub use coord::{Coordinator, CoordinatorOptions};
 pub use engine::ShardEngine;
 pub use protocol::{
-    AggregateSummary, ErrorCode, OkBody, Opcode, Request, Response, ServeStats, WireError,
+    AggregateSummary, BatchReport, ErrorCode, OkBody, Opcode, Request, Response, ServeStats,
+    WireError,
 };
 pub use query::{TrustIngest, TrustQuery};
 pub use server::{ServeOptions, ServeOptionsBuilder, Server, ServerHandle};
@@ -63,6 +64,18 @@ pub enum ServeError {
     Protocol(String),
     /// The server answered with a typed error frame.
     Remote(WireError),
+    /// A batch ingest stopped at a refused event. The events before
+    /// `index` are durable and acked; the one at `index` and every one
+    /// after it were not ingested. Resume from `index`, not from the
+    /// start of the batch.
+    BatchRefused {
+        /// The acked sequence horizon, which covers the admitted prefix.
+        acked_through: u64,
+        /// Position in the batch of the refused event.
+        index: usize,
+        /// Why it was refused.
+        error: WireError,
+    },
     /// The durable log refused an operation.
     Wal(wot_wal::WalError),
     /// The derivation core refused an operation.
@@ -99,6 +112,15 @@ impl std::fmt::Display for ServeError {
             ServeError::Remote(e) => {
                 write!(f, "server error ({:?}): {}", e.code, e.message)
             }
+            ServeError::BatchRefused {
+                acked_through,
+                index,
+                error,
+            } => write!(
+                f,
+                "batch event {index} refused ({:?}): {}; acked through seq {acked_through}",
+                error.code, error.message
+            ),
             ServeError::Wal(e) => write!(f, "wal error: {e}"),
             ServeError::Core(e) => write!(f, "core error: {e}"),
             ServeError::Config(m) => write!(f, "configuration rejected: {m}"),

@@ -14,10 +14,10 @@
 //! ```
 //!
 //! `len` counts the bytes after itself. Requests are capped at
-//! [`MAX_REQUEST_LEN`] (every legal request is tiny — an oversized
-//! length is an attack or a desynced client, and is refused before any
-//! allocation); responses at [`MAX_RESPONSE_LEN`]. `status` is 0 for
-//! success, 1 for a typed error frame. `seq` is the **event sequence the
+//! [`MAX_REQUEST_LEN`] (an `IngestBatch` of [`MAX_BATCH_EVENTS`] fits;
+//! an oversized length is an attack or a desynced client, and is
+//! refused before any allocation); responses at [`MAX_RESPONSE_LEN`].
+//! `status` is 0 for success, 1 for a typed error frame. `seq` is the **event sequence the
 //! serving snapshot covers** — the number of ingestion events folded
 //! into the state the answer was read from. Conformance tests use it to
 //! check a served answer against the offline oracle for the same event
@@ -36,17 +36,34 @@
 //! | 6 | `Ingest` | one `StoreEvent` in the WAL event codec |
 //! | 7 | `Stats` | — |
 //! | 8 | `Shutdown` | — |
+//! | 9 | `IngestBatch` | `count: u32`, then `count` × (`len: u32` + one `StoreEvent` in the WAL event codec) |
 //!
 //! Error payloads are `code: u8 | msg_len: u32 | msg (UTF-8)`.
+//!
+//! An `IngestBatch` is admitted in order and stops at the first refused
+//! event; the writer publishes once for the admitted prefix, then
+//! answers. Its success payload is the batch report `admitted: u32 |
+//! refused: u8`, followed by an error payload when `refused` is 1, and
+//! its `seq` is the acked horizon. Only a frame that does not decode is
+//! an error frame.
 
 use std::io::{Read, Write};
 
 use wot_community::StoreEvent;
 
-/// Largest request body the server will read. Every legal request is at
-/// most an opcode plus one WAL-encoded event (18 bytes); the cap leaves
-/// generous headroom while refusing absurd lengths before allocation.
+use crate::shard_proto::{put_event_run, read_event_run, MAX_EVENT_RECORD};
+
+/// Largest request body the server will read. Every request but
+/// `IngestBatch` is at most an opcode plus one WAL-encoded event (18
+/// bytes); a batch of up to [`MAX_BATCH_EVENTS`] events fits, and the
+/// cap refuses absurd lengths before allocation.
 pub const MAX_REQUEST_LEN: usize = 64 * 1024;
+
+/// Events one `IngestBatch` request carries at most: as many of the
+/// largest event record as fit [`MAX_REQUEST_LEN`] after the opcode and
+/// the count. [`Client::ingest_batch`](crate::Client::ingest_batch)
+/// splits a longer slice into frames of this many.
+pub const MAX_BATCH_EVENTS: usize = (MAX_REQUEST_LEN - 5) / MAX_EVENT_RECORD;
 
 /// Largest response body a client will read (top-k lists and
 /// per-category reputation tables grow with the community).
@@ -74,6 +91,9 @@ pub enum Opcode {
     Stats = 7,
     /// Graceful shutdown (flushes the WAL tail).
     Shutdown = 8,
+    /// Append a run of events durably, stopping at the first refusal,
+    /// and publish once for the admitted prefix.
+    IngestBatch = 9,
 }
 
 impl Opcode {
@@ -89,6 +109,7 @@ impl Opcode {
             6 => Opcode::Ingest,
             7 => Opcode::Stats,
             8 => Opcode::Shutdown,
+            9 => Opcode::IngestBatch,
             _ => return None,
         })
     }
@@ -127,7 +148,7 @@ impl ErrorCode {
 }
 
 /// A decoded request.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness probe.
     Ping,
@@ -165,6 +186,8 @@ pub enum Request {
     Stats,
     /// Graceful shutdown.
     Shutdown,
+    /// Durable ingest of a run of events, in order.
+    IngestBatch(Vec<StoreEvent>),
 }
 
 impl Request {
@@ -180,6 +203,7 @@ impl Request {
             Request::Ingest(_) => Opcode::Ingest,
             Request::Stats => Opcode::Stats,
             Request::Shutdown => Opcode::Shutdown,
+            Request::IngestBatch(_) => Opcode::IngestBatch,
         }
     }
 }
@@ -267,6 +291,19 @@ pub enum OkBody {
     Aggregates(AggregateSummary),
     /// `Stats`: server counters.
     Stats(ServeStats),
+    /// `IngestBatch`: how far the batch got.
+    IngestBatch(BatchReport),
+}
+
+/// What an `IngestBatch` did: the events before `admitted` are durable
+/// and published at the response's seq; the event at `admitted` was
+/// refused when `refused` is set, and none after it was tried.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchReport {
+    /// Events admitted, from the front of the batch.
+    pub admitted: u32,
+    /// Why the event at index `admitted` was refused, if one was.
+    pub refused: Option<WireError>,
 }
 
 /// A typed error frame as decoded by a client.
@@ -413,6 +450,9 @@ pub fn encode_request(out: &mut Vec<u8>, req: &Request) {
             put_u32(out, category);
         }
         Request::Ingest(ref event) => wot_wal::encode_event(out, event),
+        Request::IngestBatch(ref events) => {
+            put_event_run(out, events.iter().map(|e| ((), e)), |_, ()| {});
+        }
     }
 }
 
@@ -445,6 +485,12 @@ pub fn decode_request(body: &[u8]) -> Result<Request, String> {
         Opcode::Ingest => Request::Ingest(wot_wal::decode_event(c.rest())?),
         Opcode::Stats => Request::Stats,
         Opcode::Shutdown => Request::Shutdown,
+        Opcode::IngestBatch => Request::IngestBatch(
+            read_event_run(&mut c, 0, "ingest batch", |_| Ok(()))?
+                .into_iter()
+                .map(|((), e)| e)
+                .collect(),
+        ),
     };
     c.finish("request")?;
     Ok(req)
@@ -465,6 +511,7 @@ pub fn encode_ok(out: &mut Vec<u8>, seq: u64, body: &OkBody) {
         OkBody::CategoryReputations { .. } => Opcode::CategoryReputations,
         OkBody::Aggregates(_) => Opcode::Aggregates,
         OkBody::Stats(_) => Opcode::Stats,
+        OkBody::IngestBatch(_) => Opcode::IngestBatch,
     };
     out.push(opcode as u8);
     put_u64(out, seq);
@@ -501,6 +548,16 @@ pub fn encode_ok(out: &mut Vec<u8>, seq: u64, body: &OkBody) {
             put_u64(out, s.wal_len);
             put_u32(out, s.reader_threads);
         }
+        OkBody::IngestBatch(report) => {
+            put_u32(out, report.admitted);
+            match &report.refused {
+                Some(e) => {
+                    out.push(1);
+                    put_error(out, e.code, &e.message);
+                }
+                None => out.push(0),
+            }
+        }
     }
 }
 
@@ -510,9 +567,25 @@ pub fn encode_err(out: &mut Vec<u8>, seq: u64, opcode: Opcode, code: ErrorCode, 
     out.push(1); // status: error
     out.push(opcode as u8);
     put_u64(out, seq);
+    put_error(out, code, message);
+}
+
+/// An error payload: `code: u8 | msg_len: u32 | msg`.
+fn put_error(out: &mut Vec<u8>, code: ErrorCode, message: &str) {
     out.push(code as u8);
     put_u32(out, message.len() as u32);
     out.extend_from_slice(message.as_bytes());
+}
+
+fn read_error(c: &mut Cursor<'_>) -> Result<WireError, String> {
+    let code = c.u8("error code")?;
+    let Some(code) = ErrorCode::from_code(code) else {
+        return Err(format!("unknown error code {code}"));
+    };
+    let n = c.count(1, "error message")?;
+    let message = String::from_utf8(c.take(n, "error message")?.to_vec())
+        .map_err(|e| format!("error message not UTF-8: {e}"))?;
+    Ok(WireError { code, message })
 }
 
 /// Decodes a response body.
@@ -525,18 +598,12 @@ pub fn decode_response(body: &[u8]) -> Result<Response, String> {
     };
     let seq = c.u64("snapshot seq")?;
     if status == 1 {
-        let code = c.u8("error code")?;
-        let Some(code) = ErrorCode::from_code(code) else {
-            return Err(format!("unknown error code {code}"));
-        };
-        let n = c.count(1, "error message")?;
-        let message = String::from_utf8(c.take(n, "error message")?.to_vec())
-            .map_err(|e| format!("error message not UTF-8: {e}"))?;
+        let error = read_error(&mut c)?;
         c.finish("error response")?;
         return Ok(Response {
             opcode,
             seq,
-            body: Err(WireError { code, message }),
+            body: Err(error),
         });
     }
     if status != 0 {
@@ -580,6 +647,14 @@ pub fn decode_response(body: &[u8]) -> Result<Response, String> {
             num_categories: c.u32("num_categories")?,
             wal_len: c.u64("wal_len")?,
             reader_threads: c.u32("reader_threads")?,
+        }),
+        Opcode::IngestBatch => OkBody::IngestBatch(BatchReport {
+            admitted: c.u32("admitted")?,
+            refused: match c.u8("refusal flag")? {
+                0 => None,
+                1 => Some(read_error(&mut c)?),
+                b => return Err(format!("refusal flag must be 0 or 1, got {b}")),
+            },
         }),
     };
     c.finish("response")?;
@@ -710,7 +785,42 @@ mod tests {
             }),
             Request::Stats,
             Request::Shutdown,
+            Request::IngestBatch(vec![]),
+            Request::IngestBatch(vec![
+                StoreEvent::Review {
+                    writer: UserId(1),
+                    review: ReviewId(12),
+                    category: CategoryId(3),
+                },
+                StoreEvent::Rating {
+                    rater: UserId(4),
+                    review: ReviewId(12),
+                    value: f64::from_bits(0x3FE5_5555_5555_5555),
+                },
+            ]),
         ]
+    }
+
+    /// The largest legal batch — every event a rating, the longer record
+    /// — fits the request cap, and one more event would not.
+    #[test]
+    fn a_full_batch_fits_the_request_cap() {
+        let rating = StoreEvent::Rating {
+            rater: UserId(u32::MAX),
+            review: ReviewId(u32::MAX),
+            value: f64::MAX,
+        };
+        let full = Request::IngestBatch(vec![rating; MAX_BATCH_EVENTS]);
+        let mut body = Vec::new();
+        encode_request(&mut body, &full);
+        assert!(body.len() <= MAX_REQUEST_LEN, "{} bytes", body.len());
+        assert_eq!(decode_request(&body).unwrap(), full);
+        let mut over = Vec::new();
+        encode_request(
+            &mut over,
+            &Request::IngestBatch(vec![rating; MAX_BATCH_EVENTS + 1]),
+        );
+        assert!(over.len() > MAX_REQUEST_LEN, "{} bytes", over.len());
     }
 
     #[test]
@@ -741,6 +851,12 @@ mod tests {
         assert!(decode_request(&[Opcode::Ingest as u8, 200])
             .unwrap_err()
             .contains("unknown event tag"));
+        // A batch count more events than the body could hold.
+        let mut batch = vec![Opcode::IngestBatch as u8];
+        put_u32(&mut batch, 2);
+        assert!(decode_request(&batch)
+            .unwrap_err()
+            .contains("implausible count"));
     }
 
     #[test]
@@ -768,6 +884,23 @@ mod tests {
                     sum: 17.25,
                     max: odd,
                     histogram: vec![1, 2, 3, 0],
+                }),
+            ),
+            (
+                16,
+                OkBody::IngestBatch(BatchReport {
+                    admitted: 16,
+                    refused: None,
+                }),
+            ),
+            (
+                17,
+                OkBody::IngestBatch(BatchReport {
+                    admitted: 1,
+                    refused: Some(WireError {
+                        code: ErrorCode::Rejected,
+                        message: "user 4 out of range".into(),
+                    }),
                 }),
             ),
             (
@@ -832,6 +965,18 @@ mod tests {
         assert!(decode_response(&buf)
             .unwrap_err()
             .contains("implausible count"));
+        // A batch report's refusal flag is 0 or 1.
+        let mut buf = Vec::new();
+        encode_ok(
+            &mut buf,
+            0,
+            &OkBody::IngestBatch(BatchReport {
+                admitted: 0,
+                refused: None,
+            }),
+        );
+        *buf.last_mut().unwrap() = 2;
+        assert!(decode_response(&buf).unwrap_err().contains("refusal flag"));
     }
 
     #[test]

@@ -38,18 +38,18 @@ pub trait TrustIngest {
     /// Ingests a slice of events; acks with the new global seq once the
     /// whole slice is durable (the current seq for an empty slice).
     ///
-    /// **Retry hazard**: `Err` does *not* mean the slice left history
-    /// untouched. A typed rejection stops admission at the offending
-    /// event, but the admitted prefix may already be durably committed
-    /// and acked — the [`Client`] acks event-by-event before the
-    /// rejection surfaces, and the
-    /// [`Coordinator`](crate::coord::Coordinator) keeps the flushed
-    /// prefix rather than roll back durable state. Callers must re-read
-    /// the backend's acked seq (e.g. via
-    /// [`TrustQuery::stats`]) and resume past it instead of retrying the
-    /// same slice, or the prefix double-ingests. (Worker/transport
-    /// failures are the exception: the Coordinator rolls those rounds
-    /// back to their base seq before returning.)
+    /// **Partial batches.** Admission stops at the first refused event,
+    /// and the prefix before it stays durable and acked. That outcome
+    /// is [`ServeError::BatchRefused`]: `acked_through` is the acked
+    /// horizon covering the prefix, `index` the refused event's position
+    /// in the slice, `error` its typed refusal. Resume from `index`;
+    /// retrying the whole slice would ingest the prefix twice. Every
+    /// other `Err` from the [`Client`] or the
+    /// [`Coordinator`](crate::coord::Coordinator) acked nothing of the
+    /// call (the Coordinator rolls a round a worker failed back to its
+    /// base seq), except a Coordinator routing error, which keeps the
+    /// prefix like a refusal does; re-read the acked seq
+    /// ([`TrustQuery::stats`]) before retrying after one.
     fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64>;
 }
 
@@ -59,17 +59,7 @@ impl TrustIngest for Client {
     }
 
     fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
-        // The current seq is the daemon's to say: this connection may
-        // not have seen a response yet.
-        let Some((&last, init)) = events.split_last() else {
-            return self.ping();
-        };
-        // The wire has no batch frame; the daemon's writer batches
-        // behind its own publish cycle.
-        for &e in init {
-            Client::ingest(self, e)?;
-        }
-        Client::ingest(self, last)
+        Client::ingest_batch(self, events)
     }
 }
 

@@ -12,11 +12,13 @@
 //!   size `reader_threads` to the expected concurrent connections.
 //! * **Writer** — the only thread that touches the model or the WAL,
 //!   both owned by a [`ShardEngine`]. Drains ingest commands in small
-//!   batches; per event the engine runs `check → WAL append → apply`;
-//!   per batch the writer re-derives the dirtied categories
-//!   ([`to_derived_cached`]), publishes the new snapshot, and only then
-//!   acks — so a client that saw its ingest acknowledged will read its
-//!   own write. Idle ticks run the engine's
+//!   batches; a command is one event (`Ingest`) or a client's whole run
+//!   (`IngestBatch`), admitted in order up to its first refusal; per
+//!   event the engine runs `check → WAL append → apply`; per batch of
+//!   commands the writer re-derives the dirtied categories
+//!   ([`to_derived_cached`]), publishes the new snapshot once, and only
+//!   then acks — so a client that saw its ingest acknowledged will read
+//!   its own write. Idle ticks run the engine's
 //!   [`sync_if_due`](ShardEngine::sync_if_due) so a quiet tail still
 //!   becomes durable within the fsync policy's window; shutdown ends
 //!   with a [`sync`](ShardEngine::sync). A WAL error is **fail-stop**
@@ -54,7 +56,8 @@ use wot_wal::{FsyncPolicy, LogKind};
 
 use crate::engine::{Refusal, ShardEngine};
 use crate::protocol::{
-    self, ErrorCode, FrameRead, OkBody, Opcode, Request, ServeStats, MAX_REQUEST_LEN,
+    self, BatchReport, ErrorCode, FrameRead, OkBody, Opcode, Request, ServeStats, WireError,
+    MAX_REQUEST_LEN,
 };
 use crate::snapshot::{ReaderCache, ServeSnapshot, SnapshotCell};
 use crate::{Result, ServeError};
@@ -199,14 +202,24 @@ const READ_TICK: Duration = Duration::from_millis(50);
 
 /// Commands crossing from reader workers to the writer thread.
 enum WriteCmd {
-    /// Ingest one event; `reply` receives the covering snapshot seq
-    /// after publication, or a typed refusal.
+    /// Ingest a run of events in order, stopping at the first refusal;
+    /// `reply` receives the outcome after publication.
     Ingest {
-        event: StoreEvent,
-        reply: SyncSender<std::result::Result<u64, Refusal>>,
+        events: Vec<StoreEvent>,
+        reply: SyncSender<Ingested>,
     },
     /// Wake the writer so it notices the shutdown flag.
     Wake,
+}
+
+/// How far one ingest command got.
+struct Ingested {
+    /// The published seq, which covers the admitted events.
+    seq: u64,
+    /// Events admitted, from the front of the run.
+    admitted: usize,
+    /// Why the event at `admitted` was refused, if one was.
+    refused: Option<Refusal>,
 }
 
 /// State shared by every thread of one server.
@@ -403,43 +416,52 @@ fn writer_loop(
                 Err(_) => break,
             }
         }
-        let mut acks = Vec::new();
+        let before = seq;
+        let mut replies = Vec::new();
         for cmd in batch {
-            let WriteCmd::Ingest { event, reply } = cmd else {
+            let WriteCmd::Ingest { events, reply } = cmd else {
                 continue;
             };
-            if shared.shutting_down() {
-                let _ = reply.send(Err((
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down".into(),
-                )));
-                continue;
-            }
-            match engine.admit(seq, event) {
-                Ok(_) => {
-                    seq += 1;
-                    acks.push(reply);
+            let mut admitted = 0;
+            let mut refused = None;
+            for event in events {
+                if shared.shutting_down() {
+                    refused = Some((ErrorCode::ShuttingDown, "server is shutting down".into()));
+                    break;
                 }
-                Err(refusal) => {
-                    let _ = reply.send(Err(refusal));
+                match engine.admit(seq, event) {
+                    Ok(_) => {
+                        seq += 1;
+                        admitted += 1;
+                    }
+                    Err(refusal) => {
+                        refused = Some(refusal);
+                        break;
+                    }
                 }
             }
+            replies.push((reply, admitted, refused));
         }
-        if !acks.is_empty() {
-            // Re-derive only the categories this batch dirtied, publish,
-            // then ack: an acknowledged writer immediately reads its own
-            // write from the new snapshot. Delta mode serves the warm
-            // solver state instead of re-solving cold. The retired
-            // snapshot is dropped after the acks, so freeing it (when no
-            // reader pins it) delays no ack.
+        // Re-derive only the categories these commands dirtied, publish
+        // once, then answer: an acknowledged writer immediately reads its
+        // own write from the new snapshot, and a refusal reports the
+        // horizon its admitted prefix reached. Delta mode serves the warm
+        // solver state instead of re-solving cold. The retired snapshot
+        // is dropped after the replies, so freeing it (when no reader
+        // pins it) delays no ack.
+        let retired = (seq > before).then(|| {
             let snap = ServeSnapshot::new(seq, engine.derive(delta_publish));
-            let retired = shared.cell.publish(Arc::new(snap));
             shared.wal_len.store(engine.wal_len(), Ordering::Relaxed);
-            for reply in acks {
-                let _ = reply.send(Ok(seq));
-            }
-            drop(retired);
+            shared.cell.publish(Arc::new(snap))
+        });
+        for (reply, admitted, refused) in replies {
+            let _ = reply.send(Ingested {
+                seq,
+                admitted,
+                refused,
+            });
         }
+        drop(retired);
         if shared.shutting_down() {
             break;
         }
@@ -581,31 +603,31 @@ fn handle_request(
             Ok(body) => protocol::encode_ok(out, snap.seq, &body),
             Err(e) => refuse(out, e.code, e.message),
         },
-        Request::Ingest(event) => {
-            if shared.shutting_down() {
-                refuse(
-                    out,
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down".into(),
-                );
-                return false;
-            }
-            let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-            if write_tx
-                .send(WriteCmd::Ingest {
-                    event,
-                    reply: reply_tx,
-                })
-                .is_err()
-            {
-                refuse(out, ErrorCode::ShuttingDown, "writer has stopped".into());
-                return false;
-            }
-            match reply_rx.recv() {
-                Ok(Ok(seq)) => protocol::encode_ok(out, seq, &OkBody::Empty(Opcode::Ingest)),
-                Ok(Err((code, msg))) => refuse(out, code, msg),
-                Err(_) => refuse(out, ErrorCode::ShuttingDown, "writer has stopped".into()),
-            }
+        Request::Ingest(event) => match submit(vec![event], snap.seq, shared, write_tx) {
+            Ingested {
+                seq,
+                refused: Some((code, msg)),
+                ..
+            } => protocol::encode_err(out, seq, opcode, code, &msg),
+            Ingested { seq, .. } => protocol::encode_ok(out, seq, &OkBody::Empty(Opcode::Ingest)),
+        },
+        Request::IngestBatch(events) => {
+            let done = if events.is_empty() {
+                Ingested {
+                    seq: snap.seq,
+                    admitted: 0,
+                    refused: None,
+                }
+            } else {
+                submit(events, snap.seq, shared, write_tx)
+            };
+            let report = BatchReport {
+                admitted: done.admitted as u32,
+                refused: done
+                    .refused
+                    .map(|(code, message)| WireError { code, message }),
+            };
+            protocol::encode_ok(out, done.seq, &OkBody::IngestBatch(report));
         }
         Request::Stats => {
             let stats = ServeStats {
@@ -625,6 +647,30 @@ fn handle_request(
         }
     }
     false
+}
+
+/// Hands `events` to the writer as one command and waits for its
+/// outcome. Refused up front, at `seq`, when the server is stopping.
+fn submit(
+    events: Vec<StoreEvent>,
+    seq: u64,
+    shared: &Shared,
+    write_tx: &Sender<WriteCmd>,
+) -> Ingested {
+    let stopped = |why: &str| Ingested {
+        seq,
+        admitted: 0,
+        refused: Some((ErrorCode::ShuttingDown, why.into())),
+    };
+    if shared.shutting_down() {
+        return stopped("server is shutting down");
+    }
+    let (reply, done) = mpsc::sync_channel(1);
+    if write_tx.send(WriteCmd::Ingest { events, reply }).is_err() {
+        return stopped("writer has stopped");
+    }
+    done.recv()
+        .unwrap_or_else(|_| stopped("writer has stopped"))
 }
 
 #[cfg(test)]
@@ -762,6 +808,34 @@ mod tests {
         crate::conformance::assert_refuses_invalid_reads(&mut client, 4, 1);
         drop(client);
         server.shutdown().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A slice longer than one frame travels in frames of
+    /// `MAX_BATCH_EVENTS`, each admitted as one run and published once.
+    #[test]
+    fn a_long_batch_travels_in_frames_and_publishes_once_per_frame() {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-frames-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let server = Server::start(model, 0, &ServeOptions::local(&path)).unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        let n = 2 * protocol::MAX_BATCH_EVENTS + 1;
+        let events: Vec<StoreEvent> = (0..n as u32)
+            .map(|r| StoreEvent::Review {
+                writer: UserId(r % 4),
+                review: ReviewId(r),
+                category: CategoryId(0),
+            })
+            .collect();
+        let published = client.stats().unwrap().publishes;
+        assert_eq!(client.ingest_batch(&events).unwrap(), n as u64);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.events, stats.publishes - published), (n as u64, 3));
+        drop(client);
+        server.shutdown().unwrap();
+        assert_eq!(wot_wal::read_log(&path).unwrap().events, events);
         let _ = std::fs::remove_file(&path);
     }
 

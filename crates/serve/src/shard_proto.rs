@@ -214,11 +214,13 @@ pub enum ShardReply {
 // Request codec
 // ---------------------------------------------------------------------
 
+/// One event as a length-prefixed WAL record, written in place.
 fn put_event(out: &mut Vec<u8>, e: &StoreEvent) {
-    let mut body = Vec::with_capacity(32);
-    wot_wal::encode_event(&mut body, e);
-    put_u32(out, body.len() as u32);
-    out.extend_from_slice(&body);
+    let at = out.len();
+    put_u32(out, 0);
+    wot_wal::encode_event(out, e);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 fn read_event(c: &mut Cursor<'_>, what: &str) -> Result<StoreEvent, String> {
@@ -227,23 +229,53 @@ fn read_event(c: &mut Cursor<'_>, what: &str) -> Result<StoreEvent, String> {
     wot_wal::decode_event(bytes)
 }
 
-fn put_tagged_events(out: &mut Vec<u8>, events: &[(u64, StoreEvent)]) {
-    put_u32(out, events.len() as u32);
-    for (tag, e) in events {
-        put_u64(out, *tag);
-        put_event(out, e);
+/// Length prefix plus the smallest WAL event encoding (a review, 13
+/// bytes): the least one event of a run occupies after its head.
+const MIN_EVENT_RECORD: usize = 4 + 13;
+
+/// Length prefix plus the largest WAL event encoding (a rating, 17
+/// bytes).
+pub(crate) const MAX_EVENT_RECORD: usize = 4 + 17;
+
+/// Writes a count-prefixed run of events: the count, then per event its
+/// head (the shard form's sequence tag; nothing in the client's
+/// `IngestBatch`) and the event as a length-prefixed WAL record.
+pub(crate) fn put_event_run<'a, H: 'a>(
+    out: &mut Vec<u8>,
+    run: impl ExactSizeIterator<Item = (H, &'a StoreEvent)>,
+    put_head: impl Fn(&mut Vec<u8>, H),
+) {
+    put_u32(out, run.len() as u32);
+    for (head, event) in run {
+        put_head(out, head);
+        put_event(out, event);
     }
 }
 
-fn read_tagged_events(c: &mut Cursor<'_>, what: &str) -> Result<Vec<(u64, StoreEvent)>, String> {
-    // Tag + length prefix + the smallest event encoding.
-    let n = c.count(13, what)?;
+/// Reads a run [`put_event_run`] wrote, each head `head_len` bytes. The
+/// count is checked against what the remaining bytes could hold before
+/// anything is allocated.
+pub(crate) fn read_event_run<H>(
+    c: &mut Cursor<'_>,
+    head_len: usize,
+    what: &str,
+    read_head: impl Fn(&mut Cursor<'_>) -> Result<H, String>,
+) -> Result<Vec<(H, StoreEvent)>, String> {
+    let n = c.count(head_len + MIN_EVENT_RECORD, what)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
-        let tag = c.u64(what)?;
-        v.push((tag, read_event(c, what)?));
+        let head = read_head(c)?;
+        v.push((head, read_event(c, what)?));
     }
     Ok(v)
+}
+
+fn put_tagged_events(out: &mut Vec<u8>, events: &[(u64, StoreEvent)]) {
+    put_event_run(out, events.iter().map(|(tag, e)| (*tag, e)), put_u64);
+}
+
+fn read_tagged_events(c: &mut Cursor<'_>, what: &str) -> Result<Vec<(u64, StoreEvent)>, String> {
+    read_event_run(c, 8, what, |c| c.u64(what))
 }
 
 /// Encodes a request body (no length prefix).
@@ -584,6 +616,30 @@ mod tests {
         let mut got = Vec::new();
         encode_shard_ok(&mut got, &ShardReply::States(vec![Arc::new(state)]));
         assert_eq!(got, want);
+    }
+
+    /// The run helper's size bounds are the WAL codec's record sizes,
+    /// and the shard form's bytes are the tag, then the record.
+    #[test]
+    fn event_records_are_the_sizes_the_run_bounds_assume() {
+        let records: Vec<usize> = sample_events()
+            .iter()
+            .map(|(_, e)| {
+                let mut out = Vec::new();
+                put_event(&mut out, e);
+                assert_eq!(out[..4], ((out.len() - 4) as u32).to_le_bytes());
+                out.len()
+            })
+            .collect();
+        assert_eq!(records, [MIN_EVENT_RECORD, MAX_EVENT_RECORD]);
+        let mut run = Vec::new();
+        put_tagged_events(&mut run, &sample_events()[..1]);
+        let mut want = Vec::new();
+        put_u32(&mut want, 1);
+        put_u64(&mut want, 3);
+        put_u32(&mut want, 13);
+        wot_wal::encode_event(&mut want, &sample_events()[0].1);
+        assert_eq!(run, want);
     }
 
     #[test]

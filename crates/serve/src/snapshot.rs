@@ -179,7 +179,7 @@ impl ServeSnapshot {
                 Err(e) => return refuse(ErrorCode::Internal, e),
             },
             Request::Stats => OkBody::Stats(self.stats()),
-            Request::Ingest(_) | Request::Shutdown => {
+            Request::Ingest(_) | Request::IngestBatch(_) | Request::Shutdown => {
                 return refuse(BadRequest, format!("{:?} is not a read", req.opcode()))
             }
         })

@@ -13,7 +13,7 @@ use webtrust::core::{DeriveConfig, IncrementalDerived, ReplayEvent};
 use webtrust::serve::protocol::{
     self, ErrorCode, FrameRead, OkBody, Opcode, Request, MAX_REQUEST_LEN, MAX_RESPONSE_LEN,
 };
-use webtrust::serve::{Client, ServeOptions, Server, ServerHandle, TrustIngest};
+use webtrust::serve::{Client, ServeOptions, Server, ServerHandle};
 use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
 
 struct Rig {
@@ -23,6 +23,8 @@ struct Rig {
     categories: u32,
     /// Events the daemon was started on.
     base_seq: u64,
+    /// Reviews among them: the next dense review id.
+    reviews: u32,
 }
 
 impl Rig {
@@ -50,6 +52,7 @@ impl Rig {
             users: store.num_users() as u32,
             categories: store.num_categories() as u32,
             base_seq: log.len() as u64,
+            reviews: store.num_reviews() as u32,
         }
     }
 
@@ -297,4 +300,111 @@ fn invalid_ingest_events_are_rejected_without_poisoning_the_wal() {
         other => panic!("expected stats, got {other:?}"),
     }
     rig.finish();
+}
+
+/// The review the rig admits next: writer 0, the next dense id,
+/// category 0.
+fn next_review(rig: &Rig, offset: u32) -> webtrust::community::StoreEvent {
+    use webtrust::community::{CategoryId, ReviewId, StoreEvent, UserId};
+    StoreEvent::Review {
+        writer: UserId(0),
+        review: ReviewId(rig.reviews + offset),
+        category: CategoryId(0),
+    }
+}
+
+/// Malformed `IngestBatch` frames — a count larger than the body can
+/// hold, a truncated last event, trailing bytes — each earn a
+/// `BadRequest` error frame, ingest nothing, and spare the connection;
+/// a count of 0 acks the current seq.
+#[test]
+fn malformed_ingest_batches_get_typed_errors_and_spare_the_connection() {
+    let rig = Rig::boot("batch-malformed");
+    let mut s = rig.connect();
+    let seq0 = roundtrip(&mut s, &encode(&Request::Ping)).seq;
+    let one = encode(&Request::IngestBatch(vec![next_review(&rig, 0)]));
+
+    // The count claims far more events than the body carries.
+    let mut inflated = one.clone();
+    inflated[1..5].copy_from_slice(&1000u32.to_le_bytes());
+    let msg = expect_error(roundtrip(&mut s, &inflated), ErrorCode::BadRequest);
+    assert!(msg.contains("implausible count"), "{msg}");
+
+    // Two events promised and framed, the second cut short. (Ratings,
+    // the longer record, so what is left still passes the count check.)
+    let rating = webtrust::community::StoreEvent::Rating {
+        rater: webtrust::community::UserId(0),
+        review: webtrust::community::ReviewId(0),
+        value: 0.5,
+    };
+    let two = encode(&Request::IngestBatch(vec![rating, rating]));
+    let msg = expect_error(
+        roundtrip(&mut s, &two[..two.len() - 4]),
+        ErrorCode::BadRequest,
+    );
+    assert!(msg.contains("truncated"), "{msg}");
+
+    // A whole batch with bytes after it.
+    let mut long = one.clone();
+    long.push(0xAB);
+    let msg = expect_error(roundtrip(&mut s, &long), ErrorCode::BadRequest);
+    assert!(msg.contains("trailing"), "{msg}");
+
+    // Nothing was ingested, and an empty batch acks where things stand.
+    let resp = roundtrip(&mut s, &encode(&Request::IngestBatch(vec![])));
+    assert_eq!(resp.opcode, Opcode::IngestBatch);
+    assert_eq!(resp.seq, seq0);
+    match resp.body {
+        Ok(OkBody::IngestBatch(report)) => {
+            assert_eq!((report.admitted, report.refused), (0, None));
+        }
+        other => panic!("expected a batch report, got {other:?}"),
+    }
+
+    // The connection still ingests a well-formed batch.
+    let resp = roundtrip(&mut s, &one);
+    assert_eq!(resp.seq, seq0 + 1);
+    assert!(matches!(resp.body, Ok(OkBody::IngestBatch(ref r)) if r.admitted == 1));
+    rig.finish();
+}
+
+/// An event the model refuses in the middle of a frame stops the batch
+/// there: the report says one admitted and names the refusal, the seq is
+/// the prefix's horizon, the connection survives, and the log holds
+/// exactly the prefix.
+#[test]
+fn an_invalid_event_mid_frame_leaves_the_wal_holding_exactly_the_prefix() {
+    use webtrust::community::{CategoryId, ReviewId, StoreEvent, UserId};
+    let rig = Rig::boot("batch-refused");
+    let mut s = rig.connect();
+    let seq0 = roundtrip(&mut s, &encode(&Request::Ping)).seq;
+    let batch = vec![
+        next_review(&rig, 0),
+        StoreEvent::Review {
+            writer: UserId(rig.users),
+            review: ReviewId(rig.reviews + 1),
+            category: CategoryId(0),
+        },
+        next_review(&rig, 1),
+    ];
+    let resp = roundtrip(&mut s, &encode(&Request::IngestBatch(batch.clone())));
+    assert_eq!(resp.seq, seq0 + 1, "the horizon covers the prefix only");
+    match resp.body {
+        Ok(OkBody::IngestBatch(report)) => {
+            assert_eq!(report.admitted, 1);
+            let refused = report.refused.expect("the second event is refused");
+            assert_eq!(refused.code, ErrorCode::Rejected, "{}", refused.message);
+        }
+        other => panic!("expected a batch report, got {other:?}"),
+    }
+    let resp = roundtrip(&mut s, &encode(&Request::Ping));
+    assert_eq!(resp.seq, seq0 + 1);
+
+    let Rig { handle, dir, .. } = rig;
+    handle.shutdown().unwrap();
+    let logged = webtrust::wal::read_log(&dir.join("serve.wal"))
+        .unwrap()
+        .events;
+    assert_eq!(logged, batch[..1]);
+    std::fs::remove_dir_all(&dir).ok();
 }
