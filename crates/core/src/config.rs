@@ -38,8 +38,8 @@ pub struct DeriveConfig {
     /// **delta worklist solver**: a new rating seeds a worklist with its
     /// one review and one rater, and updates propagate through the
     /// bipartite incidence structure only while a node moves by more than
-    /// [`fixpoint_tolerance`](Self::fixpoint_tolerance). Off by default —
-    /// the full warm sweep stays the oracle; the canonical
+    /// [`delta_tolerance`](Self::delta_tolerance). Off by default — the
+    /// full warm sweep stays the oracle; the canonical
     /// [`to_derived`](crate::IncrementalDerived::to_derived) snapshot is
     /// unaffected either way (it always cold-solves).
     ///
@@ -52,11 +52,23 @@ pub struct DeriveConfig {
     /// and otherwise it drains the worklist (a wide frontier means the
     /// worklist's bookkeeping costs more than the dense loop it avoids).
     /// Each pass decides from its own frontier; none is abandoned.
-    /// Boundary semantics: at `0.0` every pass is dense, which is the full
-    /// warm sweep bit for bit (any non-empty frontier exceeds zero); at
-    /// `1.0` none is (the frontier cannot exceed the whole category).
-    /// Must be in `[0, 1]`.
+    /// Boundary semantics: at `0.0` a delta refresh *is* the full warm
+    /// sweep — it runs it at [`fixpoint_tolerance`](Self::fixpoint_tolerance),
+    /// bit for bit and whatever [`delta_tolerance`](Self::delta_tolerance)
+    /// is; at `1.0` no pass is dense (the frontier cannot exceed the whole
+    /// category). Must be in `[0, 1]`.
     pub delta_frontier_threshold: f64,
+    /// The delta solver's propagation cut-off: a node whose value moves by
+    /// more than this dirties its neighbours, and a dense pass of the
+    /// delta solve hands on the reviews of raters that moved past it.
+    /// Read by the delta solve alone — cold solves, the full warm sweep
+    /// and the canonical snapshot converge to
+    /// [`fixpoint_tolerance`](Self::fixpoint_tolerance). Looser than that
+    /// by default: the warm state only has to stay within `1e-6` of the
+    /// cold solve, and the model's residual audit re-sweeps a category
+    /// whose fixed-point residual drifts past a tenth of that. Must be
+    /// non-negative.
+    pub delta_tolerance: f64,
 }
 
 impl Default for DeriveConfig {
@@ -71,6 +83,7 @@ impl Default for DeriveConfig {
             threads: 0,
             delta_refresh: false,
             delta_frontier_threshold: 0.25,
+            delta_tolerance: 1e-8,
         }
     }
 }
@@ -122,6 +135,11 @@ impl DeriveConfig {
         if !(0.0..=1.0).contains(&self.delta_frontier_threshold) {
             return Err(CoreError::InvalidConfig(
                 "delta_frontier_threshold must be in [0, 1]".into(),
+            ));
+        }
+        if self.delta_tolerance.is_nan() || self.delta_tolerance < 0.0 {
+            return Err(CoreError::InvalidConfig(
+                "delta_tolerance must be non-negative".into(),
             ));
         }
         Ok(())
@@ -222,6 +240,12 @@ impl DeriveConfigBuilder {
         self
     }
 
+    /// The delta solver's propagation cut-off (must be non-negative).
+    pub fn delta_tolerance(mut self, tol: f64) -> Self {
+        self.cfg.delta_tolerance = tol;
+        self
+    }
+
     /// Validates and produces the config.
     pub fn build(self) -> Result<DeriveConfig> {
         self.cfg.validate()?;
@@ -249,9 +273,12 @@ mod tests {
             .thread_count(1)
             .delta_refresh(true)
             .delta_frontier_threshold(0.75)
+            .delta_tolerance(3e-8)
             .build()
             .unwrap();
         assert_eq!(cfg.fixpoint_max_iters, 10);
+        assert_eq!(cfg.delta_tolerance, 3e-8);
+        assert_eq!(cfg.fixpoint_tolerance, 1e-6);
         assert!(!cfg.experience_discount);
         assert!(!cfg.parallel);
         assert_eq!(cfg.effective_threads(), 1);
@@ -267,6 +294,10 @@ mod tests {
             .is_err());
         assert!(DeriveConfig::builder()
             .delta_frontier_threshold(1.5)
+            .build()
+            .is_err());
+        assert!(DeriveConfig::builder()
+            .delta_tolerance(-1e-8)
             .build()
             .is_err());
         // The default build equals Default::default() field for field.
@@ -312,6 +343,20 @@ mod tests {
             ..DeriveConfig::default()
         };
         assert!(c.validate().is_err());
+        for tol in [f64::NAN, -1e-8, f64::NEG_INFINITY] {
+            let c = DeriveConfig {
+                delta_tolerance: tol,
+                ..DeriveConfig::default()
+            };
+            assert!(c.validate().is_err(), "delta_tolerance {tol}");
+        }
+        // Zero is a legal cut-off: every move propagates.
+        DeriveConfig {
+            delta_tolerance: 0.0,
+            ..DeriveConfig::default()
+        }
+        .validate()
+        .unwrap();
         // Both boundary values are legal (0 = every pass dense, 1 = none).
         for t in [0.0, 1.0] {
             let c = DeriveConfig {

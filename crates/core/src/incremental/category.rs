@@ -67,6 +67,10 @@ pub(super) struct CategoryState {
     pub(super) last_iterations: usize,
     /// Convergence flag of the last refresh.
     pub(super) last_converged: bool,
+    /// Delta refreshes run so far — the residual audit's cadence
+    /// ([`AUDIT_EVERY`](super::AUDIT_EVERY)). State, not scratch: it
+    /// survives [`compact`](Self::compact) and travels with a clone.
+    pub(super) delta_refreshes: u64,
     /// The delta worklist's reusable working memory.
     pub(super) scratch: DeltaScratch,
 }

@@ -90,22 +90,46 @@ impl DeltaScratch {
     }
 }
 
+/// Delta refreshes of one category between two residual audits: every
+/// `AUDIT_EVERY`-th delta refresh of a category measures how far its warm
+/// state sits from a fixed point of Eqs. 1–2 ([`DeltaReport::residual`]).
+/// An audit costs about one dense pass, so at this cadence it stays out
+/// of the median refresh.
+pub const AUDIT_EVERY: u64 = 16;
+
+/// Residual above which an audit re-sweeps the category: the full warm
+/// sweep at [`DeriveConfig::fixpoint_tolerance`], as a refresh with delta
+/// refresh off runs it. A tenth of the `1e-6` the warm state is held to
+/// against the cold solve; the residual tracks that distance closely
+/// (within 12 % on 1 k-event paper-preset tails at cut-offs 1e-9–1e-7).
+pub const AUDIT_BOUND: f64 = 1e-7;
+
 /// What one refresh did — the worklist's audit trail, exposed by
 /// [`IncrementalDerived::refresh_traced`] so tests can prove no node was
 /// left stale (every node whose value moved must appear here).
 #[derive(Debug, Clone)]
 pub struct DeltaReport {
-    /// Passes executed, worklist and dense alike.
+    /// Passes executed, worklist and dense alike, re-sweep passes
+    /// included.
     pub sweeps: usize,
-    /// Whether the tolerance was met before the iteration cap.
+    /// Whether the tolerance was met before the iteration cap (the
+    /// re-sweep's, when one ran).
     pub converged: bool,
     /// Whether at least one pass was dense — every review, then every
     /// rater — so the visited lists hold the whole category. The delta
     /// solver runs a dense pass whenever the frontier exceeds
-    /// [`DeriveConfig::delta_frontier_threshold`]; the full warm sweep
-    /// (delta refresh off) is dense throughout. `false` when the category
-    /// had nothing to iterate.
+    /// [`DeriveConfig::delta_frontier_threshold`], and an audit's re-sweep
+    /// is dense throughout, as is the full warm sweep (delta refresh off).
+    /// `false` when the category had nothing to iterate.
     pub fell_back: bool,
+    /// The fixed-point residual after the delta solve, when this refresh
+    /// was one of the category's audited ones ([`AUDIT_EVERY`]); `None`
+    /// otherwise, and always with delta refresh off.
+    pub residual: Option<f64>,
+    /// Full warm sweeps the audit ran because the residual exceeded
+    /// [`AUDIT_BOUND`] (0 or 1); their passes count in
+    /// [`sweeps`](Self::sweeps).
+    pub resweeps: usize,
     /// Reviews the solver recomputed, as global ids.
     pub visited_reviews: Vec<ReviewId>,
     /// Raters the solver recomputed, as global user ids.
@@ -119,6 +143,8 @@ impl DeltaReport {
             sweeps: 0,
             converged: true,
             fell_back: false,
+            residual: None,
+            resweeps: 0,
             visited_reviews: Vec::new(),
             visited_raters: Vec::new(),
         }
@@ -134,9 +160,25 @@ impl CategoryState {
     /// [`DeriveConfig::delta_refresh`] selects — the delta solve or the
     /// full warm sweep — clears the staleness bookkeeping (seeds
     /// included) and reports what was done, visited lists left empty.
+    ///
+    /// A delta refresh at a frontier threshold of 0 is the full warm
+    /// sweep, run as such: every pass would be dense, and the sweep's own
+    /// [`DeriveConfig::fixpoint_tolerance`] keeps it bit for bit what a
+    /// refresh with delta refresh off computes, whatever
+    /// [`DeriveConfig::delta_tolerance`] is. Any other delta refresh is
+    /// counted, and every [`AUDIT_EVERY`]-th one audits the residual the
+    /// looser cut-off left: past [`AUDIT_BOUND`] it re-sweeps the category
+    /// and bumps its data version, so the next publish patches it. The
+    /// count lives in the category's state, so the audit lands on the same
+    /// refreshes for every thread count, arena layout and replica.
     pub(super) fn refresh(&mut self, cfg: &DeriveConfig) -> DeltaReport {
-        let report = if cfg.delta_refresh {
-            self.solve_delta(cfg)
+        let report = if cfg.delta_refresh && cfg.delta_frontier_threshold > 0.0 {
+            let mut report = self.solve_delta(cfg);
+            self.delta_refreshes += 1;
+            if self.delta_refreshes.is_multiple_of(AUDIT_EVERY) {
+                self.audit(cfg, &mut report);
+            }
+            report
         } else {
             let (sweeps, converged) = self.solve_warm(cfg);
             DeltaReport {
@@ -159,30 +201,53 @@ impl CategoryState {
         report
     }
 
+    /// Measures the warm state's residual into `report` and, past
+    /// [`AUDIT_BOUND`], re-sweeps the category warm at
+    /// [`DeriveConfig::fixpoint_tolerance`].
+    fn audit(&mut self, cfg: &DeriveConfig, report: &mut DeltaReport) {
+        let residual = riggs::residual(
+            &self.ratings_by_review_local,
+            &self.ratings_by_rater_local,
+            &self.rater_discount,
+            cfg,
+            &self.quality,
+            &self.reputation,
+        );
+        report.residual = Some(residual);
+        if residual > AUDIT_BOUND {
+            let (sweeps, converged) = self.solve_warm(cfg);
+            report.sweeps += sweeps;
+            report.converged = converged;
+            report.fell_back |= sweeps > 0;
+            report.resweeps += 1;
+            self.data_version += 1;
+        }
+    }
+
     /// The **delta solver**: starts from the pending seeds (the one
     /// review and one rater each new or revised rating touches) and
     /// propagates Eq. 1 / Eq. 2 recomputations through the bipartite
     /// incidence only while a node moves by more than
-    /// [`DeriveConfig::fixpoint_tolerance`]. Each pass picks its own kind
-    /// from its own frontier (push or pull, as in Beamer et al.'s
-    /// direction-optimising search):
+    /// [`DeriveConfig::delta_tolerance`] — the only reader of that
+    /// cut-off. Each pass picks its own kind from its own frontier (push
+    /// or pull, as in Beamer et al.'s direction-optimising search):
     ///
     /// * frontier wider than [`DeriveConfig::delta_frontier_threshold`] ×
     ///   (reviews + raters): a **dense pass** — every review, then every
     ///   rater, through [`riggs::dense_pass`], the pass the full warm
     ///   sweep runs; the reviews of every rater that moved past the
-    ///   tolerance are the next frontier;
+    ///   cut-off are the next frontier;
     /// * otherwise a **worklist pass** that drains the frontiers.
     ///
     /// Nothing is abandoned: the next pass reads the frontier the last one
     /// left. Converged means the frontier is empty, which after a dense
-    /// pass is exactly the full sweep's test (the largest rater move is
-    /// within the tolerance), and the iteration cap counts every pass.
+    /// pass is the full sweep's test at the delta cut-off (the largest
+    /// rater move is within it), and the iteration cap counts every pass.
     /// Both half-steps are Jacobi — a node reads only the other side's
     /// values — so which nodes a pass visits, and in what order, changes
-    /// no value a recomputed node lands on. At threshold 0 every pass is
-    /// dense, which is the full warm sweep bit for bit, sweep count
-    /// included; at 1 no pass is.
+    /// no value a recomputed node lands on. At threshold 1 no pass is
+    /// dense; threshold 0 never gets here ([`refresh`](Self::refresh)
+    /// runs the full warm sweep instead).
     ///
     /// Per-node arithmetic is [`riggs::quality_one`] /
     /// [`riggs::reputation_one`] over the node's arena slices — the calls
@@ -224,6 +289,7 @@ impl CategoryState {
             rat_frontier.insert(lr);
         }
         let total = (n_rev + n_rat) as f64;
+        let cut_off = cfg.delta_tolerance;
         let mut sweeps = 0usize;
         let mut converged = false;
         let mut dense = false;
@@ -237,14 +303,13 @@ impl CategoryState {
                 break;
             }
             sweeps += 1;
-            // Strict `>` gives the endpoints: at 0 any non-empty frontier
-            // runs dense, at 1 none does (a frontier is at most the whole
-            // category).
+            // Strict `>`: at 1 no frontier runs dense (a frontier is at
+            // most the whole category).
             if active as f64 > cfg.delta_frontier_threshold * total {
                 dense = true;
                 // The pass recomputes every node, so the frontier it
                 // replaces is spent; the next one is the reviews of the
-                // raters that moved.
+                // raters that moved past the cut-off.
                 rev_frontier.reset(n_rev);
                 rat_frontier.reset(n_rat);
                 riggs::dense_pass(
@@ -252,6 +317,7 @@ impl CategoryState {
                     by_rater,
                     rater_discount,
                     cfg,
+                    cut_off,
                     quality,
                     reputation,
                     |reviews| {
@@ -263,12 +329,12 @@ impl CategoryState {
                 continue;
             }
             // Eq. 1 half-sweep: recompute dirty reviews; a quality move
-            // beyond tolerance dirties every rater of that review.
+            // beyond the cut-off dirties every rater of that review.
             rev_frontier.drain(|j| {
                 rev_seen.insert(j as u32);
                 let (raters, values) = by_review.node(j);
                 let q = riggs::quality_one(raters, values, reputation, cfg);
-                let moved = (q - quality[j]).abs() > cfg.fixpoint_tolerance;
+                let moved = (q - quality[j]).abs() > cut_off;
                 quality[j] = q;
                 if moved {
                     for &lr in raters {
@@ -277,13 +343,13 @@ impl CategoryState {
                 }
             });
             // Eq. 2 half-sweep: recompute dirty raters; a reputation move
-            // beyond tolerance dirties every review they rated, for the
+            // beyond the cut-off dirties every review they rated, for the
             // next pass.
             rat_frontier.drain(|i| {
                 rat_seen.insert(i as u32);
                 let (reviews, values) = by_rater.node(i);
                 let rep = riggs::reputation_one(reviews, values, quality, rater_discount[i]);
-                let moved = (rep - reputation[i]).abs() > cfg.fixpoint_tolerance;
+                let moved = (rep - reputation[i]).abs() > cut_off;
                 reputation[i] = rep;
                 if moved {
                     for &j in reviews {

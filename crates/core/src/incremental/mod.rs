@@ -76,7 +76,7 @@ use wot_community::{CategoryId, CommunityStore, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
 use self::category::CategoryState;
-pub use self::delta::DeltaReport;
+pub use self::delta::{DeltaReport, AUDIT_BOUND, AUDIT_EVERY};
 pub use self::publish::DerivedCache;
 use crate::admission::{self, AdmissionView, IdRule, Rejection, ReviewRow, ReviewTable};
 use crate::affiliation::ActivityLedger;

@@ -138,7 +138,9 @@ pub use affiliation::ActivityLedger;
 pub use assemble::Assembler;
 pub use config::{DeriveConfig, DeriveConfigBuilder};
 pub use error::CoreError;
-pub use incremental::{DeltaReport, DerivedCache, IncrementalDerived, ReplayEvent};
+pub use incremental::{
+    DeltaReport, DerivedCache, IncrementalDerived, ReplayEvent, AUDIT_BOUND, AUDIT_EVERY,
+};
 pub use pipeline::{CategoryReputation, Derived};
 pub use trust_blocks::{BlockConfig, TrustBlock, TrustBlocks};
 pub use trust_rows::{Fig3Aggregates, TopK, TrustRows};

@@ -125,6 +125,7 @@ pub(crate) fn solve_warm(
             by_rater,
             rater_discount,
             cfg,
+            cfg.fixpoint_tolerance,
             quality,
             reputation,
             |_| {},
@@ -139,15 +140,17 @@ pub(crate) fn solve_warm(
 
 /// One Jacobi pass over the whole category: an Eq. 1 sweep of every
 /// review, then an Eq. 2 sweep of every rater. Hands `moved` the reviews
-/// of each rater whose reputation moved by more than
-/// [`DeriveConfig::fixpoint_tolerance`] — the delta solve's next frontier
-/// — and returns the largest reputation move, so "no rater moved past the
-/// tolerance" and "the largest move is within it" are one test.
+/// of each rater whose reputation moved by more than `cut_off` — the
+/// delta solve's next frontier, at [`DeriveConfig::delta_tolerance`] —
+/// and returns the largest reputation move, which [`solve_warm`] holds to
+/// [`DeriveConfig::fixpoint_tolerance`].
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn dense_pass(
     by_review: &Incidence,
     by_rater: &Incidence,
     rater_discount: &[f64],
     cfg: &DeriveConfig,
+    cut_off: f64,
     quality: &mut [f64],
     reputation: &mut [f64],
     mut moved: impl FnMut(&[u32]),
@@ -161,12 +164,39 @@ pub(crate) fn dense_pass(
     {
         let new = reputation_one(reviews, values, quality, discount);
         let step = (new - std::mem::replace(rep, new)).abs();
-        if step > cfg.fixpoint_tolerance {
+        if step > cut_off {
             moved(reviews);
         }
         max_delta = max_delta.max(step);
     }
     max_delta
+}
+
+/// How far `quality` / `reputation` sit from a fixed point of Eqs. 1–2:
+/// the largest of `|quality_one(reputation) − quality|` over every review
+/// and `|reputation_one(quality) − reputation|` over every rater. Reads
+/// one category's arenas once, writes nothing and allocates nothing —
+/// the delta solve's live audit, which costs about one dense pass.
+pub(crate) fn residual(
+    by_review: &Incidence,
+    by_rater: &Incidence,
+    rater_discount: &[f64],
+    cfg: &DeriveConfig,
+    quality: &[f64],
+    reputation: &[f64],
+) -> f64 {
+    let reviews = quality
+        .iter()
+        .zip(by_review.iter())
+        .map(|(&q, (raters, values))| (quality_one(raters, values, reputation, cfg) - q).abs());
+    let raters = reputation
+        .iter()
+        .zip(by_rater.iter())
+        .zip(rater_discount)
+        .map(|((&rep, (reviews, values)), &discount)| {
+            (reputation_one(reviews, values, quality, discount) - rep).abs()
+        });
+    reviews.chain(raters).fold(0.0, f64::max)
 }
 
 /// Solves the Eq. 1 ⇄ Eq. 2 fixed point on one category slice over

@@ -9,9 +9,9 @@
 //! counting) writes disjoint output from read-only input, so no thread
 //! count may perturb a single bit.
 
-use webtrust::community::CommunityStore;
-use webtrust::core::{pipeline, trust, DeriveConfig};
-use webtrust::synth::{generate, SynthConfig};
+use webtrust::community::{CategoryId, CommunityStore, StoreEvent};
+use webtrust::core::{pipeline, trust, DeriveConfig, IncrementalDerived, ReplayEvent};
+use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
 
 fn tiny_store() -> CommunityStore {
     generate(&SynthConfig::tiny(20080407))
@@ -81,5 +81,79 @@ fn threaded_trust_kernels_are_bit_identical() {
         let count =
             trust::support_count(&derived.affiliation, &derived.expertise, threads).unwrap();
         assert_eq!(count, count_seq, "support, threads={threads}");
+    }
+}
+
+/// The delta solve's residual audit lands on the same refreshes, and
+/// re-sweeps the same categories, at every thread count: its cadence is
+/// per-category state, so a `refresh_all` fan-out cannot reorder it. The
+/// cut-off is loose enough that audits re-sweep; per-event refreshes of
+/// one category are interleaved with fan-outs over every stale one.
+#[test]
+fn residual_audit_is_identical_at_every_thread_count() {
+    let store = tiny_store();
+    let log = shuffled_event_log(&store, 7);
+    let mut review_category = Vec::new();
+    let categories: Vec<CategoryId> = log
+        .iter()
+        .map(|e| match *e {
+            StoreEvent::Review { category, .. } => {
+                review_category.push(category);
+                category
+            }
+            StoreEvent::Rating { review, .. } => review_category[review.index()],
+        })
+        .collect();
+
+    let run = |threads: usize| {
+        let cfg = DeriveConfig::builder()
+            .thread_count(threads)
+            .delta_refresh(true)
+            .delta_tolerance(1e-5)
+            .build()
+            .unwrap();
+        let mut inc =
+            IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+        let (mut fanned, mut traced) = (Vec::new(), Vec::new());
+        for (k, (e, &cat)) in log.iter().zip(&categories).enumerate() {
+            inc.apply(&ReplayEvent::from(*e)).unwrap();
+            match k % 5 {
+                0 => {
+                    let r = inc.refresh_traced(cat);
+                    traced.push((
+                        r.sweeps,
+                        r.converged,
+                        r.fell_back,
+                        r.residual.map(f64::to_bits),
+                        r.resweeps,
+                    ));
+                }
+                4 => fanned.push(inc.refresh_all()),
+                _ => {}
+            }
+        }
+        inc.refresh_all();
+        let warm: Vec<Vec<u64>> = (0..store.num_categories())
+            .map(|c| {
+                let state = inc.warm_state(CategoryId::from_index(c)).unwrap();
+                state
+                    .quality
+                    .iter()
+                    .chain(&state.reputation)
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect();
+        (fanned, traced, warm)
+    };
+
+    let (fanned, traced, warm) = run(1);
+    let resweeps: usize = traced.iter().map(|r| r.4).sum();
+    assert!(resweeps > 0, "the audit never re-swept at a 1e-5 cut-off");
+    for threads in [2usize, 3, 8] {
+        let (f, t, w) = run(threads);
+        assert_eq!(f, fanned, "refresh_all sweeps, threads={threads}");
+        assert_eq!(t, traced, "traced reports, threads={threads}");
+        assert_eq!(w, warm, "warm bits, threads={threads}");
     }
 }
