@@ -29,9 +29,11 @@
 //! tail with `len + len/2 + 2` slots of capacity and the old range is
 //! abandoned as dead space. When dead space exceeds a third of the buffer
 //! the arena **compacts**: both buffers are rewritten in node order with
-//! `len + len/8 + 2` slots per node. Neither operation reorders a node's
-//! edges, so the per-node summation order of the sweeps — and with it
-//! every output bit — is independent of the physical layout.
+//! `len + len/8 + 2` slots per node, which a caller may also ask for
+//! ([`compact`](Incidence::compact): the serving engine re-packs its
+//! model at open). Neither operation reorders a node's edges, so the
+//! per-node summation order of the sweeps — and with it every output
+//! bit — is independent of the physical layout.
 //!
 //! Together the two rules bound the footprint: every node's capacity is
 //! at most `len + len/2 + 2` and dead space at most a third of the buffer,
@@ -145,6 +147,11 @@ impl Incidence {
     /// Never exceeds [`slot_bound`](Self::slot_bound).
     pub fn num_slots(&self) -> usize {
         self.index.len()
+    }
+
+    /// Slots abandoned by relocations, until the next compaction.
+    pub fn dead_slots(&self) -> usize {
+        self.dead
     }
 
     /// Heap bytes the arena holds: its node records and both slot
@@ -277,8 +284,8 @@ impl Incidence {
     }
 
     /// Rewrites both buffers in node order, each node with its settled
-    /// slack; drops all dead space.
-    fn compact(&mut self) {
+    /// slack; drops all dead space. Every node keeps its edge order.
+    pub fn compact(&mut self) {
         let total: usize = self.nodes.iter().map(|n| settled(n.len) as usize).sum();
         // Every offset below is under `total`, so one check covers them.
         let total = narrow(total) as usize;
@@ -383,6 +390,17 @@ mod tests {
         arena.set_value(0, 2, 0.9);
         assert_eq!(arena.node(0).1, &[0.1, 0.6, 0.9, 0.5]);
         assert!(arena.num_slots() <= arena.slot_bound());
+        // Node 1 outgrows its settled slack and leaves its range dead; an
+        // explicit compaction drops it and keeps every node's order.
+        for k in 0..3 {
+            arena.push(1, 30 + k, 0.1);
+        }
+        assert_eq!(arena.dead_slots(), settled(2) as usize);
+        let before = grouped(&arena);
+        arena.compact();
+        assert_eq!(arena.dead_slots(), 0);
+        assert_eq!(arena.num_slots(), (settled(4) + settled(5)) as usize);
+        assert_eq!(grouped(&arena), before);
     }
 
     #[test]

@@ -39,8 +39,6 @@ pub struct CategorySlice {
     pub category: CategoryId,
     /// Global review ids, indexed by local review index.
     pub reviews: Vec<ReviewId>,
-    /// Writer of each review (parallel to `reviews`).
-    pub review_writer: Vec<UserId>,
     /// Global user id of each local rater index (ascending).
     pub rater_of_local: Vec<UserId>,
     /// Ratings received, per local review index: `(local rater index,
@@ -51,8 +49,9 @@ pub struct CategorySlice {
     pub ratings_by_rater_local: Incidence,
     /// Global user id of each local writer index (ascending).
     pub writer_of_local: Vec<UserId>,
-    /// Local review indexes written, per local writer index — drives Eq. 3.
-    pub reviews_by_writer_local: Vec<Vec<u32>>,
+    /// Local writer index of each review (parallel to `reviews`) — the
+    /// column Eq. 3's one ascending pass reads.
+    pub review_writer_local: Vec<u32>,
     /// Lazy view: ratings received per local review as `(rater, value)`.
     ratings_by_review: OnceLock<Vec<Vec<(UserId, f64)>>>,
     /// Lazy view: ratings given per rater, keyed by user id.
@@ -83,27 +82,22 @@ impl CategorySlice {
         // views are lazy and cost nothing here. Inputs are the category's
         // data in canonical order — reviews ascending by global id,
         // per-review ratings in ingestion order.
-        let review_ids = store.reviews_in_category(category);
-        let mut reviews = Vec::with_capacity(review_ids.len());
-        let mut review_writer = Vec::with_capacity(review_ids.len());
-        for &rid in review_ids {
-            reviews.push(rid);
-            review_writer.push(store.reviews()[rid.index()].writer);
-        }
+        let reviews = store.reviews_in_category(category).to_vec();
+        let writer = |rid: &ReviewId| store.reviews()[rid.index()].writer;
         let ratings_per_review: Vec<&[(UserId, f64)]> = reviews
             .iter()
             .map(|&rid| store.ratings_of_review(rid))
             .collect();
 
         // Writers: sorted-unique ids, then scatter-resolved locals.
-        let mut writer_of_local = review_writer.clone();
+        let mut writer_of_local: Vec<UserId> = reviews.iter().map(writer).collect();
         writer_of_local.sort_unstable();
         writer_of_local.dedup();
         let local_of_writer = scatter_table(&writer_of_local, store.num_users());
-        let mut reviews_by_writer_local = vec![Vec::new(); writer_of_local.len()];
-        for (local, &w) in review_writer.iter().enumerate() {
-            reviews_by_writer_local[local_of_writer[w.index()] as usize].push(local as u32);
-        }
+        let review_writer_local = reviews
+            .iter()
+            .map(|rid| local_of_writer[writer(rid).index()])
+            .collect();
 
         // Ratings, grouped by review (store order) and by rater (review
         // order within each rater) — both arenas built exactly, with no
@@ -129,12 +123,11 @@ impl CategorySlice {
         Self {
             category,
             reviews,
-            review_writer,
             rater_of_local,
             ratings_by_review_local,
             ratings_by_rater_local,
             writer_of_local,
-            reviews_by_writer_local,
+            review_writer_local,
             ratings_by_review: OnceLock::new(),
             ratings_by_rater: OnceLock::new(),
             reviews_by_writer: OnceLock::new(),
@@ -192,18 +185,19 @@ impl CategorySlice {
         })
     }
 
-    /// Local review indexes written, per writer, keyed by user id.
+    /// Local review indexes written, per writer, keyed by user id, each
+    /// list ascending.
     ///
     /// Lazy view of
-    /// [`reviews_by_writer_local`](Self::reviews_by_writer_local),
+    /// [`review_writer_local`](Self::review_writer_local),
     /// materialized on first access.
     pub fn reviews_by_writer(&self) -> &HashMap<UserId, Vec<u32>> {
         self.reviews_by_writer.get_or_init(|| {
-            self.writer_of_local
-                .iter()
-                .zip(&self.reviews_by_writer_local)
-                .map(|(&u, v)| (u, v.clone()))
-                .collect()
+            let mut lists = vec![Vec::new(); self.writer_of_local.len()];
+            for (local, &w) in self.review_writer_local.iter().enumerate() {
+                lists[w as usize].push(local as u32);
+            }
+            self.writer_of_local.iter().copied().zip(lists).collect()
         })
     }
 
@@ -229,20 +223,6 @@ impl CategorySlice {
                 .map(|(l, &u)| (u, l as u32))
                 .collect()
         })
-    }
-
-    /// Raters active in the category, in ascending id order (deterministic
-    /// iteration for the fixed point). Identical to
-    /// [`rater_of_local`](Self::rater_of_local), returned by value for
-    /// backward compatibility.
-    pub fn raters(&self) -> Vec<UserId> {
-        self.rater_of_local.clone()
-    }
-
-    /// Writers active in the category, in ascending id order. Identical to
-    /// [`writer_of_local`](Self::writer_of_local).
-    pub fn writers(&self) -> Vec<UserId> {
-        self.writer_of_local.clone()
     }
 }
 
@@ -282,7 +262,7 @@ mod tests {
         assert_eq!(slice.writer_of_local.len(), 1);
         // Local review 0 is global review 0, written by u1.
         assert_eq!(slice.reviews, vec![ReviewId(0), ReviewId(1)]);
-        assert_eq!(slice.review_writer, vec![UserId(1), UserId(1)]);
+        assert_eq!(slice.writer_of_local, vec![UserId(1)]);
         assert_eq!(
             slice.ratings_by_review()[0],
             vec![(UserId(0), 0.8), (UserId(2), 0.4)]
@@ -321,7 +301,7 @@ mod tests {
         // Writers: only u1 active.
         assert_eq!(slice.writer_of_local, vec![UserId(1)]);
         assert_eq!(slice.local_of_writer()[&UserId(1)], 0);
-        assert_eq!(slice.reviews_by_writer_local, vec![vec![0, 1]]);
+        assert_eq!(slice.review_writer_local, vec![0, 0]);
     }
 
     #[test]
@@ -336,11 +316,10 @@ mod tests {
                     slice.ratings_by_rater()[&u]
                 );
             }
-            for (l, &u) in slice.writer_of_local.iter().enumerate() {
-                assert_eq!(
-                    slice.reviews_by_writer_local[l],
-                    slice.reviews_by_writer()[&u]
-                );
+            for (j, &l) in slice.review_writer_local.iter().enumerate() {
+                let u = slice.writer_of_local[l as usize];
+                assert_eq!(s.reviews()[slice.reviews[j].index()].writer, u);
+                assert!(slice.reviews_by_writer()[&u].contains(&(j as u32)));
             }
             for (j, ratings) in slice.ratings_by_review().iter().enumerate() {
                 let locals = slice.ratings_by_review_local.pairs(j);
@@ -370,7 +349,7 @@ mod tests {
         let s = sample();
         let slice = s.category_slice(CategoryId(1)).unwrap();
         assert_eq!(slice.num_reviews(), 1);
-        assert_eq!(slice.review_writer, vec![UserId(2)]);
+        assert_eq!(slice.writer_of_local, vec![UserId(2)]);
         assert_eq!(slice.num_raters(), 1);
     }
 
@@ -384,8 +363,8 @@ mod tests {
     fn deterministic_orderings() {
         let s = sample();
         let slice = s.category_slice(CategoryId(0)).unwrap();
-        assert_eq!(slice.raters(), vec![UserId(0), UserId(2)]);
-        assert_eq!(slice.writers(), vec![UserId(1)]);
+        assert_eq!(slice.rater_of_local, vec![UserId(0), UserId(2)]);
+        assert_eq!(slice.writer_of_local, vec![UserId(1)]);
     }
 
     #[test]
@@ -397,7 +376,7 @@ mod tests {
         let slice = s.category_slice(c).unwrap();
         assert_eq!(slice.num_reviews(), 0);
         assert_eq!(slice.num_ratings(), 0);
-        assert!(slice.raters().is_empty());
+        assert!(slice.rater_of_local.is_empty());
         assert!(slice.ratings_by_review().is_empty());
         assert!(slice.ratings_by_rater().is_empty());
     }

@@ -146,7 +146,8 @@ proptest! {
             rating_total += slice.num_ratings();
             for (local, &rid) in slice.reviews.iter().enumerate() {
                 prop_assert_eq!(store.review(rid).unwrap().category.index(), c);
-                prop_assert_eq!(slice.review_writer[local], store.review(rid).unwrap().writer);
+                let writer = slice.writer_of_local[slice.review_writer_local[local] as usize];
+                prop_assert_eq!(writer, store.review(rid).unwrap().writer);
             }
         }
         prop_assert_eq!(review_total, store.num_reviews());

@@ -9,12 +9,12 @@
 //! * `A`: the [`ActivityLedger`] stamps a user's row whenever one of their
 //!   counts changes; only rows stamped since the last assembly are
 //!   recomputed ([`ActivityLedger::patch`]).
-//! * `E`: the assembler remembers which table each column was written
-//!   from. A column whose table was replaced (a different `Arc`) is
-//!   **cleared, then written**: first the old table's writers go back to
-//!   zero, then the new table's are set — so a column may shrink, which
-//!   is what a coordinator rollback or rebalance does when it swaps a
-//!   category's tables wholesale.
+//! * `E`: a column always holds exactly the table it was last written
+//!   from (its writers' values, zero elsewhere), so a column whose table
+//!   was replaced (a different `Arc`) is **patched by diff**: a merge-walk
+//!   of both tables, ascending by user, writes new writers and changed
+//!   bits and zeroes dropped writers — a coordinator rollback or
+//!   rebalance swaps tables wholesale, so a column may shrink.
 //!
 //! The first assembly is the same code with everything dirty: matrices of
 //! zeros, every active user's row stamped, every column's old table
@@ -40,6 +40,7 @@
 
 use std::sync::Arc;
 
+use wot_community::UserId;
 use wot_sparse::Dense;
 
 use crate::affiliation::ActivityLedger;
@@ -71,8 +72,8 @@ impl Slot {
         }
     }
 
-    /// Clear-then-write every column whose table was replaced, and
-    /// recompute every row stamped since the last patch. A clean matrix
+    /// Patches every column whose table was replaced by diff, and
+    /// recomputes every row stamped since the last patch. A clean matrix
     /// is not taken for writing, so a shared one is not copied.
     fn patch(&mut self, counts: &ActivityLedger, tables: &[Arc<CategoryReputation>]) {
         let stride = tables.len();
@@ -82,11 +83,20 @@ impl Slot {
             }
             // Once per replaced column, not per cell (see `Dense`).
             let e = self.expertise.as_mut_slice();
-            for &(u, _) in &held.writer_reputation {
-                e[u.index() * stride + c] = 0.0;
-            }
-            for &(u, rep) in &table.writer_reputation {
-                e[u.index() * stride + c] = rep;
+            let (old, new) = (&held.writer_reputation, &table.writer_reputation);
+            debug_assert!(new.windows(2).all(|w| w[0].0 < w[1].0), "table not by user");
+            // Merge-walk by user; past its end a table reads user MAX.
+            let user = |p: Option<&(UserId, f64)>| p.map_or(usize::MAX, |p| p.0.index());
+            let (mut h, mut t) = (0, 0);
+            while h < old.len() || t < new.len() {
+                let (u, v) = (user(old.get(h)), user(new.get(t)));
+                if u < v {
+                    e[u * stride + c] = 0.0;
+                } else if u > v || old[h].1.to_bits() != new[t].1.to_bits() {
+                    e[v * stride + c] = new[t].1;
+                }
+                h += usize::from(u <= v);
+                t += usize::from(u >= v);
             }
             *held = Arc::clone(table);
         }
@@ -194,6 +204,32 @@ mod tests {
         }
     }
 
+    /// Holds column `c` of a poisoned-then-assembled `d` to the diff
+    /// contract against the table `old` it replaced: a cell stays NaN iff
+    /// its new value has the old one's bits; every other cell of a
+    /// writer is the new table's; a dropped user reads 0; a user in
+    /// neither table is not written.
+    fn assert_diff_patched(d: &Derived, c: usize, old: &CategoryReputation) {
+        let value = |t: &CategoryReputation, i: usize| {
+            let at = t
+                .writer_reputation
+                .iter()
+                .position(|&(u, _)| u.index() == i);
+            at.map(|k| t.writer_reputation[k].1)
+        };
+        for i in 0..d.expertise.nrows() {
+            let v = d.expertise.get(i, c);
+            match (value(old, i), value(&d.per_category[c], i)) {
+                (Some(x), Some(y)) if x.to_bits() == y.to_bits() => {
+                    assert!(v.is_nan(), "E[{i},{c}] rewritten unchanged")
+                }
+                (_, Some(y)) => assert_eq!(v.to_bits(), y.to_bits(), "E[{i},{c}]"),
+                (Some(_), None) => assert_eq!(v.to_bits(), 0f64.to_bits(), "E[{i},{c}] dropped"),
+                (None, None) => assert!(v.is_nan(), "E[{i},{c}] written"),
+            }
+        }
+    }
+
     /// Only replaced tables' columns and stamped users' rows are written.
     #[test]
     fn assembly_touches_only_what_changed() {
@@ -215,23 +251,55 @@ mod tests {
         // User 2 rates in category 1 and category 1's table is replaced:
         // row 2 of A, and column 1 of E at the old and new writers.
         counts.bump_ratings(2, 1, 1.0);
-        tables[1] = table(1, &[(1, 0.3), (2, 0.8)]);
+        let old = std::mem::replace(&mut tables[1], table(1, &[(1, 0.3), (2, 0.8)]));
         let d = asm.assemble(&counts, &tables);
         let good = fresh(&counts, &tables);
+        assert_diff_patched(&d, 1, &old);
         for i in 0..3 {
+            assert!(d.expertise.get(i, 0).is_nan(), "E[{i},0] written");
             for c in 0..2 {
-                let (e, a) = (d.expertise.get(i, c), d.affiliation.get(i, c));
-                if c == 1 && i != 0 {
-                    assert_eq!(e, good.expertise.get(i, c));
-                } else {
-                    assert!(e.is_nan(), "E[{i},{c}] written");
-                }
+                let a = d.affiliation.get(i, c);
                 if i == 2 {
                     assert_eq!(a, good.affiliation.get(i, c));
                 } else {
                     assert!(a.is_nan(), "A[{i},{c}] recomputed");
                 }
             }
+        }
+    }
+
+    /// A swapped-in table is patched by diff: it may drop writers (the
+    /// column shrinks to zeros there), keep a writer's bits (the cell is
+    /// not written), change a value or add a writer. An assembler that
+    /// is never poisoned builds what the from-scratch builders build.
+    #[test]
+    fn a_swapped_in_table_is_patched_by_diff() {
+        let mut counts = ActivityLedger::new(4, 1);
+        counts.bump_reviews(1, 0, 1.0);
+        let steps = [
+            table(0, &[(0, 0.1), (1, 0.25), (3, 0.75)]),
+            // Fewer writers: 0 and 1 dropped, 3 bit-equal.
+            table(0, &[(3, 0.75)]),
+            // 2 new, 3 changed.
+            table(0, &[(2, 0.5), (3, 0.8)]),
+            // Same values in a new `Arc`: nothing to write.
+            table(0, &[(2, 0.5), (3, 0.8)]),
+        ];
+        let (mut asm, mut clean) = (Assembler::default(), Assembler::default());
+        let mut tables = vec![steps[0].clone()];
+        for _ in 0..2 {
+            asm.assemble(&counts, &tables);
+            clean.assemble(&counts, &tables);
+        }
+        for step in &steps[1..] {
+            let old = std::mem::replace(&mut tables[0], step.clone());
+            poison(&mut asm);
+            let d = asm.assemble(&counts, &tables);
+            assert_diff_patched(&d, 0, &old);
+            assert!(d.affiliation.as_slice().iter().all(|v| v.is_nan()));
+            // The other slot catches up on the next publish.
+            asm.assemble(&counts, &tables);
+            assert_eq!(clean.assemble(&counts, &tables), fresh(&counts, &tables));
         }
     }
 

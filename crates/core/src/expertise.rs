@@ -25,8 +25,8 @@ pub fn expertise_matrix(num_users: usize, per_category: &[HashMap<UserId, f64>])
 }
 
 /// Assembles `E` from per-category `(writer, reputation)` pair lists — the
-/// index-dense pipeline's native output shape (see
-/// [`writer_reputation_pairs`](crate::reputation::writer_reputation_pairs)).
+/// index-dense pipeline's native output shape
+/// ([`CategoryReputation::writer_reputation`](crate::CategoryReputation)).
 pub fn expertise_matrix_from_pairs(num_users: usize, per_category: &[&[(UserId, f64)]]) -> Dense {
     let ncols = per_category.len();
     let mut e = vec![0.0; num_users * ncols];

@@ -44,8 +44,9 @@ pub(super) struct CategoryState {
     pub(super) writer_of_local: Vec<UserId>,
     /// user index → local writer index (`u32::MAX` = not a writer here).
     pub(super) writer_slot: Vec<u32>,
-    /// Local reviews per local writer (ascending local review index).
-    pub(super) reviews_by_writer_local: Vec<Vec<u32>>,
+    /// Local writer of each local review (parallel to `reviews`) — the
+    /// column Eq. 3's one ascending pass reads.
+    pub(super) review_writer_local: Vec<u32>,
     /// Current review-quality estimates (last refresh).
     pub(super) quality: Vec<f64>,
     /// Current rater reputations, by local rater (warm-start state).
@@ -92,14 +93,12 @@ impl CategoryState {
         self.ratings_by_review_local.num_edges()
     }
 
-    /// Re-packs both arenas exactly (no slack, no relocated nodes, same
-    /// per-node order) and empties the worklist scratch.
+    /// Re-packs both arenas in place through [`Incidence::compact`] —
+    /// node order, settled slack, no dead space, same per-node order —
+    /// one arena at a time, and empties the worklist scratch.
     pub(super) fn compact(&mut self) {
-        let packed = |arena: &Incidence| -> Incidence {
-            (0..arena.num_nodes()).map(|i| arena.pairs(i)).collect()
-        };
-        self.ratings_by_review_local = packed(&self.ratings_by_review_local);
-        self.ratings_by_rater_local = packed(&self.ratings_by_rater_local);
+        self.ratings_by_review_local.compact();
+        self.ratings_by_rater_local.compact();
         self.scratch = DeltaScratch::default();
     }
 
@@ -124,14 +123,13 @@ impl CategoryState {
                 let lw = self.writer_of_local.len() as u32;
                 self.writer_slot[writer.index()] = lw;
                 self.writer_of_local.push(writer);
-                self.reviews_by_writer_local.push(Vec::new());
                 lw
             }
             lw => lw,
         };
         self.reviews.push(review);
         self.ratings_by_review_local.push_node();
-        self.reviews_by_writer_local[lw as usize].push(local);
+        self.review_writer_local.push(lw);
         self.quality.push(cfg.unrated_review_quality);
         self.stale = true;
         self.data_version += 1;

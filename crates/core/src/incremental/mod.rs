@@ -7,7 +7,7 @@
 //! layout: flat `Vec<f64>` quality/reputation buffers plus the grouped
 //! local-index incidence (`ratings_by_review_local` and
 //! `ratings_by_rater_local`, each one [`Incidence`](wot_community::Incidence) arena — the type a
-//! batch `CategorySlice` holds — and `reviews_by_writer_local`) that
+//! batch `CategorySlice` holds — and the writer column `review_writer_local`) that
 //! [`riggs`](crate::riggs#)'s one and only sweep loop walks in place.
 //! There is no `HashMap` in the fixed-point state, no second solver and
 //! no copy of the ratings made for a solve:
@@ -53,8 +53,9 @@
 //! the same three groupings, in the same element order: ratings per
 //! review in ingestion order (which is exactly how `CommunityStore` groups
 //! them), ratings per rater in ascending local-review order (enforced here
-//! by sorted insertion), reviews per writer in ascending local-review
-//! order (automatic, appends only). Both hand their arenas to
+//! by sorted insertion), and each review's local writer in local-review
+//! order (appends only), which Eq. 3 reads in one ascending pass. Both
+//! hand their arenas to
 //! `riggs::solve_warm`; where a node's edges physically sit (exactly
 //! packed in a slice, relocated or compacted here) never changes their
 //! order — identical summation order means identical floating-point
@@ -161,8 +162,10 @@ pub struct HeapBytes {
     pub arena_edges: usize,
     /// The delta worklist's pending seeds.
     pub seeds: usize,
-    /// The per-writer review lists (`reviews_by_writer_local`).
-    pub writer_lists: usize,
+    /// Slots no node owns in either arena (what a re-pack drops).
+    pub arena_dead: usize,
+    /// The writer column (`review_writer_local`).
+    pub writer_column: usize,
 }
 
 /// One category's warm state as of its last refresh, by local index.
@@ -315,15 +318,21 @@ impl IncrementalDerived {
         Ok(category)
     }
 
-    /// The same state with exactly packed arenas and an empty worklist
-    /// scratch — a twin for tests that hold the physical layout to have
-    /// no effect on any answer. Like a clone, it draws a fresh instance
-    /// id.
-    pub fn compacted(&self) -> Self {
-        let mut twin = self.clone();
-        for state in &mut twin.categories {
+    /// Re-packs every rating arena in place, one at a time
+    /// ([`Incidence::compact`](wot_community::Incidence::compact)), and
+    /// empties the worklist scratch. Changes no answer.
+    pub fn compact(&mut self) {
+        for state in &mut self.categories {
             state.compact();
         }
+    }
+
+    /// A [`compact`](Self::compact)ed clone — a twin for tests that hold
+    /// the physical layout to have no effect on any answer. Like a
+    /// clone, it draws a fresh instance id.
+    pub fn compacted(&self) -> Self {
+        let mut twin = self.clone();
+        twin.compact();
         twin
     }
 
@@ -354,11 +363,10 @@ impl IncrementalDerived {
             for arena in arenas {
                 bytes.arenas += arena.heap_bytes();
                 bytes.arena_edges += arena.num_edges() * (4 + 8);
+                bytes.arena_dead += arena.dead_slots();
             }
             bytes.seeds += state.pending_seeds.capacity() * std::mem::size_of::<(u32, u32)>();
-            let lists = &state.reviews_by_writer_local;
-            bytes.writer_lists += lists.capacity() * std::mem::size_of::<Vec<u32>>()
-                + lists.iter().map(|l| l.capacity() * 4).sum::<usize>();
+            bytes.writer_column += state.review_writer_local.capacity() * 4;
         }
         bytes
     }
@@ -445,8 +453,9 @@ impl IncrementalDerived {
     pub fn expertise(&self) -> Dense {
         let mut e = Dense::zeros(self.num_users, self.categories.len());
         for (c, state) in self.categories.iter().enumerate() {
-            let reps = reputation::writer_reputation_grouped(
-                &state.reviews_by_writer_local,
+            let reps = reputation::writer_reputation_flat(
+                &state.review_writer_local,
+                state.writer_of_local.len(),
                 &state.quality,
                 &self.cfg,
             );

@@ -184,8 +184,9 @@ impl CategoryState {
         let rater_reputation = order
             .raters
             .gather(&self.rater_of_local, &solved.reputation);
-        let writer_values = reputation::writer_reputation_grouped(
-            &self.reviews_by_writer_local,
+        let writer_values = reputation::writer_reputation_flat(
+            &self.review_writer_local,
+            self.writer_of_local.len(),
             &solved.quality,
             cfg,
         );
@@ -408,10 +409,12 @@ mod tests {
     }
 
     /// Publish work tracks the dirty set, on both publish paths: one new
-    /// rating recomputes one row of `A`, rewrites only its category's
-    /// column of `E` and re-sorts nothing; an idle publish writes nothing
-    /// at all. The cached matrices are poisoned before each publish, so
-    /// every cell that still reads NaN afterwards was provably left alone.
+    /// rating recomputes one row of `A`, patches only its category's
+    /// column of `E` by diff and re-sorts nothing; an idle publish writes
+    /// nothing at all. The cached matrices are poisoned before each
+    /// publish, so every cell that still reads NaN afterwards was
+    /// provably left alone — in the dirty column, exactly the writers
+    /// whose value kept its bits.
     #[test]
     fn publish_work_tracks_the_dirty_set() {
         let store = wot_synth::generate(&wot_synth::SynthConfig::laptop(11))
@@ -452,6 +455,12 @@ mod tests {
             let d1 = publish(&mut inc, &mut cache);
             let state = &inc.categories[cat];
             let (fresh_e, fresh_a) = (inc.expertise(), inc.affiliation());
+            let value = |d: &Derived, i: usize| {
+                let table = &d.per_category[cat].writer_reputation;
+                let at = table.binary_search_by_key(&UserId::from_index(i), |&(u, _)| u);
+                at.ok().map(|k| table[k].1)
+            };
+            let mut kept = 0;
             for i in 0..store.num_users() {
                 if i == rater.index() {
                     assert_eq!(d1.affiliation.row(i), fresh_a.row(i));
@@ -463,18 +472,33 @@ mod tests {
                 }
                 for c in 0..store.num_categories() {
                     let v = d1.expertise.get(i, c);
-                    if c == cat && state.writer_slot[i] != u32::MAX {
-                        // Warm E is the live accessor's; cold E is checked
-                        // against the batch oracle elsewhere.
-                        assert!(!v.is_nan());
-                        if cfg.delta_refresh {
-                            assert_eq!(v, fresh_e.get(i, c));
-                        }
-                    } else {
+                    if c != cat {
                         assert!(v.is_nan(), "E[{i},{c}] written");
+                        continue;
+                    }
+                    // The diff contract: a cell stays NaN iff its new value
+                    // has the bits of the one it replaces; every other
+                    // cell is the new table's, and a dropped user reads 0.
+                    match (value(&d0, i), value(&d1, i)) {
+                        (Some(x), Some(y)) if x.to_bits() == y.to_bits() => {
+                            assert!(v.is_nan(), "E[{i},{c}] rewritten unchanged");
+                            kept += 1;
+                        }
+                        (_, Some(y)) => assert_eq!(v.to_bits(), y.to_bits(), "E[{i},{c}]"),
+                        (Some(_), None) => assert_eq!(v, 0.0, "E[{i},{c}] dropped"),
+                        (None, None) => assert!(v.is_nan(), "E[{i},{c}] written"),
+                    }
+                    assert_eq!(value(&d1, i).is_some(), state.writer_slot[i] != u32::MAX);
+                    // Warm E is the live accessor's; cold E is checked
+                    // against the batch oracle elsewhere.
+                    if cfg.delta_refresh && !v.is_nan() {
+                        assert_eq!(v, fresh_e.get(i, c));
                     }
                 }
             }
+            // Writers whose reviews the rating did not reach keep their
+            // bits (here about a quarter, on either path).
+            assert!(kept > 0, "no writer kept its bits");
             for c in 0..store.num_categories() {
                 assert_eq!(
                     Arc::ptr_eq(&d0.per_category[c], &d1.per_category[c]),

@@ -113,7 +113,8 @@ pub fn derive(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
 /// Eq. 3 writer aggregation — all over the slice's index-dense state.
 fn solve_slice(slice: &CategorySlice, cfg: &DeriveConfig) -> CategoryReputation {
     let fixed = riggs::solve(slice, cfg);
-    let writer_reputation = reputation::writer_reputation_pairs(slice, &fixed.review_quality, cfg);
+    let writers = reputation::writer_reputation(slice, &fixed.review_quality, cfg);
+    let writer_reputation = slice.writer_of_local.iter().copied().zip(writers).collect();
     let rater_reputation = fixed.reputation_pairs(slice);
     let review_quality: Vec<(ReviewId, f64)> = slice
         .reviews

@@ -19,8 +19,7 @@ use crate::DeriveConfig;
 /// the slice's converged review qualities (from [`riggs::solve`]).
 ///
 /// The result is indexed by **local writer index** (ascending user id);
-/// pair it with [`CategorySlice::writer_of_local`] or use
-/// [`writer_reputation_pairs`] for `(user, value)` form.
+/// pair it with [`CategorySlice::writer_of_local`].
 ///
 /// [`riggs::solve`]: crate::riggs::solve
 pub fn writer_reputation(
@@ -29,30 +28,37 @@ pub fn writer_reputation(
     cfg: &DeriveConfig,
 ) -> Vec<f64> {
     debug_assert_eq!(review_quality.len(), slice.num_reviews());
-    writer_reputation_grouped(&slice.reviews_by_writer_local, review_quality, cfg)
+    writer_reputation_flat(
+        &slice.review_writer_local,
+        slice.writer_of_local.len(),
+        review_quality,
+        cfg,
+    )
 }
 
-/// Eq. 3 over raw grouped incidence: `reviews_by_writer_local[w]` lists
-/// the local review indexes written by local writer `w`. Shared by the
-/// batch path (via [`writer_reputation`]) and the incremental model's
-/// in-place index tables, so the aggregation exists once.
-pub fn writer_reputation_grouped(
-    reviews_by_writer_local: &[Vec<u32>],
+/// Eq. 3 as one ascending pass over the writer column
+/// (`review_writer_local[j]` = local review `j`'s local writer), for the
+/// batch slice and the incremental model alike. Each writer's sum takes
+/// its own qualities in ascending review from `-0.0`: the bits
+/// `Iterator::sum` gives over that writer's own list.
+pub(crate) fn writer_reputation_flat(
+    review_writer_local: &[u32],
+    num_writers: usize,
     review_quality: &[f64],
     cfg: &DeriveConfig,
 ) -> Vec<f64> {
-    let mut out = Vec::with_capacity(reviews_by_writer_local.len());
-    for locals in reviews_by_writer_local {
-        let n = locals.len();
-        debug_assert!(n > 0, "writer entry with no reviews");
-        let mean_q: f64 = locals
-            .iter()
-            .map(|&l| review_quality[l as usize])
-            .sum::<f64>()
-            / n as f64;
-        out.push(mean_q * cfg.discount(n));
+    debug_assert_eq!(review_writer_local.len(), review_quality.len());
+    let mut sum = vec![-0.0; num_writers];
+    let mut count = vec![0u32; num_writers];
+    for (&w, &q) in review_writer_local.iter().zip(review_quality) {
+        sum[w as usize] += q;
+        count[w as usize] += 1;
     }
-    out
+    for (s, n) in sum.iter_mut().zip(count) {
+        debug_assert!(n > 0, "writer entry with no reviews");
+        *s = *s / f64::from(n) * cfg.discount(n as usize);
+    }
+    sum
 }
 
 /// The original `HashMap`-keyed formulation of Eq. 3 — the baseline
@@ -82,20 +88,6 @@ pub fn writer_reputation_map(
         .collect()
 }
 
-/// Writer reputations as `(user, value)` pairs in ascending user-id order.
-pub fn writer_reputation_pairs(
-    slice: &CategorySlice,
-    review_quality: &[f64],
-    cfg: &DeriveConfig,
-) -> Vec<(UserId, f64)> {
-    slice
-        .writer_of_local
-        .iter()
-        .copied()
-        .zip(writer_reputation(slice, review_quality, cfg))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use wot_community::{CommunityBuilder, RatingScale};
@@ -116,10 +108,10 @@ mod tests {
         let _r1 = b.add_review(w, o2).unwrap();
         b.add_rating(a, r0, 0.8).unwrap();
         let slice = b.build().category_slice(cat).unwrap();
-        let rep = writer_reputation_pairs(&slice, &[0.64, 0.6], &DeriveConfig::default());
+        let rep = writer_reputation(&slice, &[0.64, 0.6], &DeriveConfig::default());
         assert_eq!(rep.len(), 1);
-        assert_eq!(rep[0].0, w);
-        assert!((rep[0].1 - 0.62 * (2.0 / 3.0)).abs() < 1e-12);
+        assert_eq!(slice.writer_of_local, vec![w]);
+        assert!((rep[0] - 0.62 * (2.0 / 3.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -184,6 +176,38 @@ mod tests {
         assert_eq!(map.len(), dense.len());
         for (l, &u) in slice.writer_of_local.iter().enumerate() {
             assert_eq!(map[&u], dense[l]);
+        }
+    }
+
+    /// The flat pass against the reference map, bit for bit, on writers
+    /// whose reviews interleave in local order — the case where one
+    /// ascending pass accumulates several writers at once.
+    #[test]
+    fn flat_pass_is_bit_identical_to_the_map_over_interleaved_writers() {
+        let mut b = CommunityBuilder::new(RatingScale::five_step());
+        let w: Vec<UserId> = (0..4).map(|k| b.add_user(format!("w{k}"))).collect();
+        let cat = b.add_category("cat");
+        let order = [2, 0, 1, 0, 3, 2, 0, 1, 2, 0, 3, 1, 0];
+        for (k, &i) in order.iter().enumerate() {
+            let o = b.add_object(format!("o{k}"), cat).unwrap();
+            b.add_review(w[i], o).unwrap();
+        }
+        let slice = b.build().category_slice(cat).unwrap();
+        // Inexact qualities, so a change of summation order could show.
+        let q: Vec<f64> = (0..order.len())
+            .map(|k| 0.1 + 0.7 / (k as f64 + 3.0))
+            .collect();
+        for discount in [true, false] {
+            let cfg = DeriveConfig::builder()
+                .experience_discount(discount)
+                .build()
+                .unwrap();
+            let flat = writer_reputation(&slice, &q, &cfg);
+            let map = writer_reputation_map(&slice, &q, &cfg);
+            assert_eq!(map.len(), flat.len());
+            for (l, &u) in slice.writer_of_local.iter().enumerate() {
+                assert_eq!(map[&u].to_bits(), flat[l].to_bits(), "writer {u}");
+            }
         }
     }
 

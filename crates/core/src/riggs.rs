@@ -211,7 +211,7 @@ pub(crate) fn residual(
 /// [`DeriveConfig::fixpoint_tolerance`] or the
 /// [`DeriveConfig::fixpoint_max_iters`] cap is reached. The result feeds
 /// Eq. 3's writer aggregation
-/// ([`reputation`](crate::reputation::writer_reputation_pairs)).
+/// ([`reputation`](crate::reputation::writer_reputation)).
 pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResult {
     let rater_discount = rater_discounts(&slice.ratings_by_rater_local, cfg);
     let mut reputation = vec![cfg.initial_rater_reputation; slice.num_raters()];
@@ -324,7 +324,7 @@ pub mod reference {
 
     /// Runs the fixed point with `HashMap`-keyed reputation state.
     pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResultMap {
-        let raters = slice.raters();
+        let raters = &slice.rater_of_local;
         let mut reputation: HashMap<UserId, f64> = raters
             .iter()
             .map(|&u| (u, cfg.initial_rater_reputation))

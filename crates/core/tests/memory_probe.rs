@@ -7,7 +7,7 @@
 //! model and once through a delta-publish one. It prints the growth per
 //! event: the live total, and the components the model reports — both
 //! rating arenas (their slots against what their edges alone take), the
-//! delta worklist's seeds, the per-writer review lists, and the cache's
+//! delta worklist's seeds, the writer column, and the cache's
 //! published tables. The rest is the model's other indexes and the
 //! assembled matrices.
 //!
@@ -75,7 +75,7 @@ struct Reading {
     arenas: usize,
     arena_edges: usize,
     seeds: usize,
-    writer_lists: usize,
+    writer_column: usize,
     tables: usize,
 }
 
@@ -86,7 +86,7 @@ fn read(model: &IncrementalDerived, cache: &DerivedCache) -> Reading {
         arenas: heap.arenas,
         arena_edges: heap.arena_edges,
         seeds: heap.seeds,
-        writer_lists: heap.writer_lists,
+        writer_column: heap.writer_column,
         tables: cache.table_bytes(),
     }
 }
@@ -153,10 +153,7 @@ fn memory_per_event_by_component() {
             ("arenas (slots)", per(a.arenas, b.arenas)),
             ("arenas (edges)", per(a.arena_edges, b.arena_edges)),
             ("seeds", per(a.seeds, b.seeds)),
-            (
-                "reviews_by_writer_local",
-                per(a.writer_lists, b.writer_lists),
-            ),
+            ("writer column", per(a.writer_column, b.writer_column)),
             ("cache tables", per(a.tables, b.tables)),
         ];
         let mode = if delta { "delta" } else { "cold" };

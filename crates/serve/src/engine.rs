@@ -38,6 +38,13 @@
 //! file for appending, which truncates a torn tail. A log the caller
 //! refuses is therefore left byte-identical. There are no checkpoints:
 //! recovery is a cold replay of the log.
+//!
+//! **Re-pack.** A model grown by appends has its rating arenas scattered
+//! by relocations. Once recovery has folded the log — and once a
+//! [`rebuild`](ShardEngine::rebuild) has folded its history — the engine
+//! re-packs the model in place ([`IncrementalDerived::compact`]: node
+//! order, settled slack, one arena at a time), so every solve it serves
+//! reads packed memory. The re-pack changes no answer.
 
 use std::fs::File;
 use std::path::Path;
@@ -74,7 +81,8 @@ impl ShardEngine {
     /// through [`fold`](Self::fold); its result is passed through. An
     /// error from reading the log or from `recover` leaves the file
     /// byte-identical. Only after `recover` succeeds is the file reopened
-    /// for appending, which truncates a torn tail.
+    /// for appending, which truncates a torn tail, and the model
+    /// re-packed.
     pub fn open<R>(
         path: &Path,
         kind: LogKind,
@@ -98,6 +106,7 @@ impl ShardEngine {
         } else {
             WalWriter::open_append(path, policy)?.0
         };
+        model.compact();
         let engine = ShardEngine {
             wal,
             kind,
@@ -181,7 +190,8 @@ impl ShardEngine {
     /// adopted events, merged into the history in tag order). A refused
     /// fold is [`ErrorCode::Rejected`] and leaves model and log as they
     /// were; a failed append trips the latch and keeps the old model.
-    /// (The cache notices the new model and resets itself.)
+    /// The adopted model is re-packed. (The cache notices the new model
+    /// and resets itself.)
     pub fn rebuild(
         &mut self,
         mut model: IncrementalDerived,
@@ -204,6 +214,7 @@ impl ShardEngine {
                 return Err((ErrorCode::Internal, self.fail(&e)));
             }
         }
+        model.compact();
         self.model = model;
         Ok(())
     }
@@ -334,12 +345,15 @@ pub(crate) fn failing_engine(path: &Path, model: IncrementalDerived) -> ShardEng
 
 #[cfg(test)]
 mod tests {
+    use wot_community::events::replay_into_store;
     use wot_community::{ReviewId, UserId};
-    use wot_core::DeriveConfig;
+    use wot_core::{pipeline, DeriveConfig};
 
     use super::*;
-    use crate::conformance::{assert_refuses_invalid_ingests, REFUSAL_CATEGORIES, REFUSAL_USERS};
-    use crate::{ServeError, TrustIngest, WireError};
+    use crate::conformance::{
+        assert_backend_matches, assert_refuses_invalid_ingests, REFUSAL_CATEGORIES, REFUSAL_USERS,
+    };
+    use crate::{ServeError, ServeSnapshot, TrustIngest, WireError};
 
     /// A bare engine as an ingest backend: the log position is the seq.
     struct Bare {
@@ -396,6 +410,79 @@ mod tests {
             3,
             "only the admitted events are logged: two, then a batch's prefix of one"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A model handed to `open` comes out re-packed — on a fresh log and
+    /// after a replay of a written one — and its answers are still the
+    /// offline pipeline's, bit for bit.
+    #[test]
+    fn open_re_packs_the_model_fresh_and_after_a_replay() {
+        let path =
+            std::env::temp_dir().join(format!("wot-engine-repack-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = wot_synth::generate(&wot_synth::SynthConfig::tiny(7))
+            .unwrap()
+            .store;
+        let log = wot_synth::shuffled_event_log(&store, 8);
+        let (boot, cut) = (log.len() / 3, 2 * log.len() / 3);
+        let cfg = DeriveConfig::default();
+        // A bootstrap grown by appends: relocations have left dead slots.
+        let grown = || {
+            let mut model =
+                IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+            for e in &log[..boot] {
+                model.ingest(e).unwrap();
+            }
+            assert!(model.heap_bytes().arena_dead > 0, "nothing relocated");
+            model
+        };
+        let oracle = |n: usize| {
+            let folded = replay_into_store(
+                store.scale().clone(),
+                store.num_users(),
+                store.num_categories(),
+                &log[..n],
+            )
+            .unwrap();
+            pipeline::derive(&folded, &cfg).unwrap()
+        };
+        let serve = |engine: &mut ShardEngine, n: usize| {
+            assert_eq!(engine.model().heap_bytes().arena_dead, 0, "not re-packed");
+            let mut snapshot = ServeSnapshot::new(n as u64, engine.derive(false));
+            assert_backend_matches(&mut snapshot, &oracle(n), n as u64);
+        };
+
+        let (mut engine, ()) = ShardEngine::open(
+            &path,
+            LogKind::Events,
+            FsyncPolicy::Manual,
+            grown(),
+            |_, _| Ok(()),
+        )
+        .unwrap();
+        serve(&mut engine, boot);
+        for (k, e) in log[boot..cut].iter().enumerate() {
+            engine.admit(k as u64, *e).unwrap();
+        }
+        engine.sync().unwrap();
+        drop(engine);
+
+        let (mut engine, replayed) = ShardEngine::open(
+            &path,
+            LogKind::Events,
+            FsyncPolicy::Manual,
+            grown(),
+            |m, log| {
+                for (_, e) in &log {
+                    ShardEngine::fold(m, e).unwrap();
+                }
+                Ok(log.len())
+            },
+        )
+        .unwrap();
+        assert_eq!(boot + replayed, cut);
+        serve(&mut engine, cut);
         let _ = std::fs::remove_file(&path);
     }
 
