@@ -23,15 +23,14 @@ pub struct DeriveConfig {
     /// Rater reputation before the first sweep. `1.0` makes the first
     /// quality estimate the plain mean of received ratings.
     pub initial_rater_reputation: f64,
-    /// Run the per-category fixed points of [`pipeline::derive`] on worker
-    /// threads. Output is **bit-identical** to the sequential path (each
+    /// Worker threads for the per-category fixed points of
+    /// [`pipeline::derive`] and the incremental model's fan-outs: `1` runs
+    /// them sequentially on the calling thread, `0` uses all available
+    /// hardware threads. Output is **bit-identical** for every count (each
     /// category's computation is self-contained and results are assembled
     /// in category order), so this is purely a throughput knob.
     ///
     /// [`pipeline::derive`]: crate::pipeline::derive
-    pub parallel: bool,
-    /// Worker-thread count when [`parallel`](Self::parallel) is on;
-    /// `0` = all available hardware threads.
     pub threads: usize,
     /// Route [`IncrementalDerived::refresh`] /
     /// [`refresh_all`](crate::IncrementalDerived::refresh_all) through the
@@ -79,7 +78,6 @@ impl Default for DeriveConfig {
             experience_discount: true,
             unrated_review_quality: 0.0,
             initial_rater_reputation: 1.0,
-            parallel: true,
             threads: 0,
             delta_refresh: false,
             delta_frontier_threshold: 0.25,
@@ -145,15 +143,10 @@ impl DeriveConfig {
         Ok(())
     }
 
-    /// Worker threads the pipeline should use: `1` when
-    /// [`parallel`](Self::parallel) is off, otherwise
+    /// Worker threads the pipeline should use:
     /// [`threads`](Self::threads) resolved against the hardware.
     pub fn effective_threads(&self) -> usize {
-        if self.parallel {
-            wot_par::resolve_threads(self.threads)
-        } else {
-            1
-        }
+        wot_par::resolve_threads(self.threads)
     }
 
     /// The experience discount factor `1 − 1/(n+1)` for `n` contributions,
@@ -206,23 +199,9 @@ impl DeriveConfigBuilder {
         self
     }
 
-    /// Run per-category solves on worker threads (bit-identical output).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.cfg.parallel = on;
-        self
-    }
-
-    /// Worker threads when parallel (`0` = all hardware threads).
+    /// Worker threads (`1` = sequential, `0` = all hardware threads;
+    /// bit-identical output for every count).
     pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
-        self
-    }
-
-    /// Sets `parallel`/`threads` together from a single intent: `1`
-    /// means strictly sequential, anything else the parallel path with
-    /// that thread count (`0` = all hardware threads).
-    pub fn thread_count(mut self, n: usize) -> Self {
-        self.cfg.parallel = n != 1;
         self.cfg.threads = n;
         self
     }
@@ -270,7 +249,7 @@ mod tests {
             .experience_discount(false)
             .unrated_review_quality(0.5)
             .initial_rater_reputation(0.5)
-            .thread_count(1)
+            .threads(1)
             .delta_refresh(true)
             .delta_frontier_threshold(0.75)
             .delta_tolerance(3e-8)
@@ -280,7 +259,6 @@ mod tests {
         assert_eq!(cfg.delta_tolerance, 3e-8);
         assert_eq!(cfg.fixpoint_tolerance, 1e-6);
         assert!(!cfg.experience_discount);
-        assert!(!cfg.parallel);
         assert_eq!(cfg.effective_threads(), 1);
         assert!(cfg.delta_refresh);
 
@@ -371,19 +349,16 @@ mod tests {
     #[test]
     fn effective_threads_honours_knobs() {
         let seq = DeriveConfig {
-            parallel: false,
-            threads: 8,
+            threads: 1,
             ..DeriveConfig::default()
         };
         assert_eq!(seq.effective_threads(), 1);
         let fixed = DeriveConfig {
-            parallel: true,
             threads: 3,
             ..DeriveConfig::default()
         };
         assert_eq!(fixed.effective_threads(), 3);
         let auto = DeriveConfig {
-            parallel: true,
             threads: 0,
             ..DeriveConfig::default()
         };

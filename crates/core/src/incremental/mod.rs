@@ -27,7 +27,7 @@
 //!   re-converges in a small fraction of the cold-start sweeps;
 //! * [`refresh_all`](IncrementalDerived::refresh_all) fans the stale
 //!   categories out over `wot-par` worker threads
-//!   ([`DeriveConfig::parallel`] / [`DeriveConfig::threads`]) with the
+//!   ([`DeriveConfig::threads`]) with the
 //!   batch pipeline's determinism guarantee: the refreshed state does not
 //!   depend on the thread count;
 //! * [`to_derived`](IncrementalDerived::to_derived) produces the canonical

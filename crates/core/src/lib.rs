@@ -45,7 +45,7 @@
 //!   the reference the property tests prove it bit-identical to.
 //! * **Data parallelism.** Categories are independent, so
 //!   [`pipeline::derive`] fans them out across worker threads
-//!   ([`DeriveConfig::parallel`] / [`DeriveConfig::threads`]) with dynamic
+//!   ([`DeriveConfig::threads`]) with dynamic
 //!   scheduling (category sizes are heavily skewed). The Eq. 5 kernels
 //!   are row-parallel and take their thread count as an argument:
 //!   [`trust::derive_masked`] splits the mask by non-zero count,
@@ -58,11 +58,12 @@
 //!   workspace's determinism tests assert this with `==` on `f64`.
 //! * **Blocked / streaming Eq. 5.** The full `T̂` is quadratic in users
 //!   (~15.6 GB at the paper's 44,197), so [`trust_blocks::TrustBlocks`]
-//!   streams it as row-blocks — dense or mask-restricted — computed
-//!   straight from `A`/`E` in O(block) memory, with
-//!   [`trust::derive_dense`] and [`trust::derive_masked`] as thin
-//!   collectors over the same iterator (bit-identical for any block
-//!   height and thread count). [`trust::derive_dense`] refuses
+//!   streams it as row-blocks computed straight from `A`/`E` in O(block)
+//!   memory, with [`trust::derive_dense`] a thin collector over the same
+//!   iterator (bit-identical for any block height and thread count).
+//!   Values on a sparse pattern — Table 4's region `R` — come from
+//!   [`trust::derive_masked`], which computes each stored entry with
+//!   [`trust::pairwise`]'s operations. [`trust::derive_dense`] refuses
 //!   over-budget materializations with [`CoreError::Capacity`] instead
 //!   of aborting the allocator. A consumer that only reduces `T̂` stores
 //!   no block at all: [`trust_rows::TrustRows`] hands each row to a

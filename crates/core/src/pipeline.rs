@@ -2,7 +2,7 @@
 //!
 //! Categories are independent units of work (the paper computes every
 //! Step-1 quantity per category), so [`derive()`] fans them out across
-//! worker threads when [`DeriveConfig::parallel`] is set, with dynamic
+//! worker threads ([`DeriveConfig::threads`]), with dynamic
 //! scheduling to absorb the heavy skew of real category sizes. Results
 //! are assembled in category order and each category's fixed point is
 //! self-contained, so the parallel output is **bit-identical** to the
@@ -198,7 +198,8 @@ impl Derived {
         trust::pairwise(&self.affiliation, &self.expertise, i.index(), j.index())
     }
 
-    /// Eq. 5 on a sparse candidate pattern.
+    /// Eq. 5 on a sparse candidate pattern, bit-identical to
+    /// [`Self::pairwise_trust`] on every stored entry.
     pub fn trust_on_mask(&self, mask: &Csr) -> Result<Csr> {
         trust::derive_masked(&self.affiliation, &self.expertise, mask, 0)
     }
@@ -236,16 +237,6 @@ impl Derived {
     /// the fused scan ([`Self::trust_rows`]) in O(users) memory.
     pub fn trust_fig3(&self, cfg: &crate::BlockConfig) -> Result<crate::Fig3Aggregates> {
         crate::trust_rows::fig3_aggregates(self, cfg)
-    }
-
-    /// Streaming row-block iterator over `T̂` restricted to `mask`'s
-    /// stored coordinates.
-    pub fn trust_blocks_on_mask<'a>(
-        &'a self,
-        mask: &'a Csr,
-        cfg: &crate::BlockConfig,
-    ) -> Result<crate::TrustBlocks<'a>> {
-        crate::TrustBlocks::masked(&self.affiliation, &self.expertise, mask, cfg)
     }
 
     /// Non-zero count of the full `T̂` without materializing it (Fig. 3).
@@ -314,7 +305,7 @@ mod tests {
         let mask = Csr::from_triplets(3, 3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]).unwrap();
         let masked = d.trust_on_mask(&mask).unwrap();
         for (i, j, v) in masked.iter() {
-            assert!((v - dense.get(i, j)).abs() < 1e-12);
+            assert_eq!(v.to_bits(), dense.get(i, j).to_bits(), "({i},{j})");
         }
         let brute = dense.as_slice().iter().filter(|&&v| v > 0.0).count() as u64;
         assert_eq!(d.trust_support_count().unwrap(), brute);
@@ -323,19 +314,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_bitwise() {
         let store = fixture();
-        let sequential = derive(
-            &store,
-            &DeriveConfig::builder().parallel(false).build().unwrap(),
-        )
-        .unwrap();
+        let sequential =
+            derive(&store, &DeriveConfig::builder().threads(1).build().unwrap()).unwrap();
         for threads in [0usize, 2, 7] {
             let parallel = derive(
                 &store,
-                &DeriveConfig::builder()
-                    .parallel(true)
-                    .threads(threads)
-                    .build()
-                    .unwrap(),
+                &DeriveConfig::builder().threads(threads).build().unwrap(),
             )
             .unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");

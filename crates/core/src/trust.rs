@@ -17,14 +17,15 @@
 //! * [`row`] — one whole row read straight off `E`, O(U·C), one
 //!   denominator for the row;
 //! * [`derive_masked`] — values on a sparse candidate pattern (the
-//!   evaluation region of Table 4), O(nnz·C);
+//!   evaluation region of Table 4), O(nnz·C), computed per stored entry
+//!   with [`pairwise`]'s operations;
 //! * [`derive_dense`] — the full matrix for small communities, O(U²·C),
 //!   refused with [`CoreError::Capacity`] beyond a configurable byte
 //!   budget ([`dense_budget_bytes`]);
 //! * [`TrustBlocks`] — the paper-scale
 //!   shape: a streaming iterator over row-blocks of `T̂` in O(block)
-//!   memory, of which the masked and dense collectors here are thin,
-//!   bit-identical specializations;
+//!   memory, of which [`derive_dense`] is a thin, bit-identical
+//!   specialization;
 //! * [`TrustRows`](crate::trust_rows::TrustRows) — the full `T̂` handed
 //!   row by row to a visitor and never stored, for analyses that only
 //!   reduce it;
@@ -44,7 +45,9 @@ use std::collections::HashMap;
 
 use wot_sparse::{Csr, Dense};
 
-use crate::trust_blocks::{BlockConfig, TrustBlock, TrustBlocks, PAR_CELLS_THRESHOLD};
+use crate::trust_blocks::{
+    auto_threads, validate_shapes, BlockConfig, TrustBlock, TrustBlocks, PAR_CELLS_THRESHOLD,
+};
 use crate::{CoreError, Result};
 
 /// Default byte budget for materializing the full dense `T̂`
@@ -101,34 +104,51 @@ pub fn row<'a>(
 }
 
 /// Eq. 5 on every coordinate of `mask` (values of `mask` are ignored; its
-/// pattern defines the candidate set). Row-parallel on large masks.
+/// pattern defines the candidate set, explicit zeros included) — the
+/// evaluation region of Table 4. Each stored entry is `dot(A_i, E_j) /
+/// Σ_c A_ic` with the denominator computed once per row, the operations of
+/// [`pairwise`], so every value is bit-identical to it.
 ///
-/// A thin collector over [`TrustBlocks::masked`]: the streaming engine
-/// computes row-blocks, this function assembles them onto the mask's
-/// pattern. Output is bit-identical for any thread count or block height.
+/// Row-parallel on large masks, split by stored-entry count (mask rows
+/// are heavily skewed); each worker writes a disjoint slice of the one
+/// value buffer, so the output is bit-identical for any thread count.
 pub fn derive_masked(
     affiliation: &Dense,
     expertise: &Dense,
     mask: &Csr,
     threads: usize,
 ) -> Result<Csr> {
-    // One block spanning every row: the collector materializes the whole
-    // result anyway, so a single block costs no extra memory and the
-    // value buffer moves straight into the output (no copy).
-    let cfg = BlockConfig {
-        block_rows: mask.nrows().max(1),
-        threads,
-    };
-    let mut blocks = TrustBlocks::masked(affiliation, expertise, mask, &cfg)?;
-    let values = blocks
-        .next()
-        .map(TrustBlock::into_values)
-        .unwrap_or_default();
+    validate_shapes(affiliation, expertise)?;
+    let u = affiliation.nrows();
+    if mask.shape() != (u, u) {
+        return Err(CoreError::Shape(format!(
+            "trust mask must be {u}×{u}, got {:?}",
+            mask.shape()
+        )));
+    }
+    let (row_ptr, col_idx) = (mask.row_ptr(), mask.col_indices());
+    let rows = wot_par::weighted_boundaries(row_ptr, auto_threads(threads, mask.nnz()));
+    let bounds: Vec<usize> = rows.iter().map(|&r| row_ptr[r]).collect();
+    let mut values = vec![0.0f64; mask.nnz()];
+    wot_par::par_chunks_mut(&mut values, &bounds, |k, chunk| {
+        let base = row_ptr[rows[k]];
+        for i in rows[k]..rows[k + 1] {
+            let a_row = affiliation.row(i);
+            let den: f64 = a_row.iter().sum();
+            if den <= 0.0 {
+                continue;
+            }
+            for p in row_ptr[i]..row_ptr[i + 1] {
+                let e_row = expertise.row(col_idx[p] as usize);
+                chunk[p - base] = wot_sparse::dot(a_row, e_row) / den;
+            }
+        }
+    });
     Ok(Csr::from_raw_parts(
-        mask.nrows(),
-        mask.ncols(),
-        mask.row_ptr().to_vec(),
-        mask.col_indices().to_vec(),
+        u,
+        u,
+        row_ptr.to_vec(),
+        col_idx.to_vec(),
         values,
     )?)
 }
@@ -158,13 +178,7 @@ pub fn derive_dense_budgeted(
     threads: usize,
     budget_bytes: usize,
 ) -> Result<Dense> {
-    if affiliation.shape() != expertise.shape() {
-        return Err(CoreError::Shape(format!(
-            "affiliation {:?} vs expertise {:?}",
-            affiliation.shape(),
-            expertise.shape()
-        )));
-    }
+    validate_shapes(affiliation, expertise)?;
     let u = affiliation.nrows();
     let required_bytes = (u as u128) * (u as u128) * std::mem::size_of::<f64>() as u128;
     if required_bytes > budget_bytes as u128 {
@@ -173,9 +187,8 @@ pub fn derive_dense_budgeted(
             budget_bytes,
         });
     }
-    // One block spanning every row (see `derive_masked`): the
-    // buffer is the budgeted U×U allocation itself and moves into the
-    // output without a copy.
+    // One block spanning every row: the buffer is the budgeted U×U
+    // allocation itself and moves into the output without a copy.
     let cfg = BlockConfig {
         block_rows: u.max(1),
         threads,
@@ -294,7 +307,7 @@ mod tests {
         let t = derive_masked(&a, &e, &mask, 0).unwrap();
         assert_eq!(t.nnz(), mask.nnz());
         for (i, j, v) in t.iter() {
-            assert!((v - pairwise(&a, &e, i, j)).abs() < 1e-12, "({i},{j})");
+            assert_eq!(v.to_bits(), pairwise(&a, &e, i, j).to_bits(), "({i},{j})");
         }
     }
 
@@ -415,6 +428,10 @@ mod tests {
         assert!(derive_dense(&a, &e, 0).is_err());
         let mask = Csr::empty(2, 3);
         assert!(derive_masked(&a, &e, &mask, 0).is_err());
+        // Matching A/E, but the mask is not U×U.
+        let e = Dense::zeros(2, 2);
+        assert!(derive_masked(&a, &e, &mask, 0).is_err());
+        assert!(derive_masked(&a, &e, &Csr::empty(2, 2), 0).is_ok());
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl<'a> TrustRows<'a> {
     ) -> Result<Self> {
         validate_shapes(affiliation, expertise)?;
         let u = affiliation.nrows();
-        let chunk_rows = resolve_block_rows(cfg.block_rows, u, u);
+        let chunk_rows = resolve_block_rows(cfg.block_rows, u);
         Ok(Self {
             affiliation,
             panel: panel(expertise),

@@ -196,13 +196,13 @@ proptest! {
     fn parallel_derive_matches_sequential(store in community()) {
         let sequential = pipeline::derive(
             &store,
-            &DeriveConfig::builder().parallel(false).build().unwrap(),
+            &DeriveConfig::builder().threads(1).build().unwrap(),
         )
         .unwrap();
         for threads in [0usize, 2, 3] {
             let parallel = pipeline::derive(
                 &store,
-                &DeriveConfig::builder().parallel(true).threads(threads).build().unwrap(),
+                &DeriveConfig::builder().threads(threads).build().unwrap(),
             )
             .unwrap();
             prop_assert_eq!(&parallel, &sequential);
@@ -213,7 +213,7 @@ proptest! {
     /// pipeline exactly.
     #[test]
     fn pipeline_matches_baseline(store in community()) {
-        let cfg = DeriveConfig::builder().parallel(false).build().unwrap();
+        let cfg = DeriveConfig::builder().threads(1).build().unwrap();
         let dense = pipeline::derive(&store, &cfg).unwrap();
         let baseline = pipeline::derive_baseline(&store, &cfg).unwrap();
         prop_assert_eq!(&dense, &baseline);
@@ -238,7 +238,7 @@ proptest! {
         let r = store.direct_connection_matrix();
         let masked = d.trust_on_mask(&r).unwrap();
         for (i, j, v) in masked.iter() {
-            prop_assert!((v - dense.get(i, j)).abs() < 1e-12);
+            prop_assert_eq!(v.to_bits(), dense.get(i, j).to_bits());
         }
         let brute = (0..u)
             .flat_map(|i| (0..u).map(move |j| (i, j)))
@@ -341,7 +341,7 @@ proptest! {
             }
         }
         for threads in [1usize, 3] {
-            let cfg_t = cfg.to_builder().thread_count(threads).build().unwrap();
+            let cfg_t = cfg.to_builder().threads(threads).build().unwrap();
             let derived = wot_core::IncrementalDerived::replay(
                 store.num_users(),
                 store.num_categories(),

@@ -59,7 +59,7 @@ pub fn sweep_rating_noise(
 /// deterministic.
 fn divide_thread_budget(derive_cfg: &DeriveConfig, points: usize) -> DeriveConfig {
     let mut inner = derive_cfg.clone();
-    if inner.parallel {
+    if inner.threads != 1 {
         inner.threads = (wot_par::max_threads() / points.max(1)).max(1);
     }
     inner

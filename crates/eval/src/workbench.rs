@@ -108,4 +108,32 @@ mod tests {
         let base = wb.scores_baseline();
         assert_eq!(base.nnz(), wb.r.nnz());
     }
+
+    /// Table 4's scores on `R` are `pairwise` Eq. 5, bit for bit, so a
+    /// cell whose score sits exactly on its row's full-support threshold
+    /// is predicted — thresholds and scores come from one computation.
+    #[test]
+    fn scores_on_r_are_pairwise_and_keep_cells_at_the_threshold() {
+        let wb = Workbench::new(&SynthConfig::tiny(20080407), &DeriveConfig::default()).unwrap();
+        let (a, e) = (&wb.derived.affiliation, &wb.derived.expertise);
+        let scores = wb.scores_ours().unwrap();
+        assert_eq!(scores.nnz(), wb.r.nnz());
+        for (i, j, v) in scores.iter() {
+            let want = wot_core::trust::pairwise(a, e, i, j);
+            assert_eq!(v.to_bits(), want.to_bits(), "({i},{j})");
+        }
+
+        let k = binarize::trust_generosity(&wb.r, &wb.t).unwrap();
+        let tau = binarize::full_support_thresholds(a, e, &k, None).unwrap();
+        let predicted = wb.prediction_ours().unwrap();
+        let mut due = 0;
+        for (i, j, _) in wb.r.iter() {
+            let v = wot_core::trust::pairwise(a, e, i, j);
+            if tau[i] > 0.0 && v >= tau[i] {
+                due += 1;
+                assert!(predicted.contains(i, j), "({i},{j}) at {v} ≥ τ {}", tau[i]);
+            }
+        }
+        assert_eq!(predicted.nnz(), due);
+    }
 }

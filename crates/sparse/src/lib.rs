@@ -55,7 +55,6 @@ mod coo;
 mod csr;
 mod dense;
 mod error;
-mod ops;
 mod stats;
 mod vector;
 
@@ -63,7 +62,6 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use error::SparseError;
-pub use ops::masked_row_dot_block;
 pub use stats::{MatrixSummary, Quantiles};
 pub use vector::{
     argmax, dot, dot_scalar, l1_norm, l1_normalize, l2_norm, linf_distance, max, mean, min, sum,

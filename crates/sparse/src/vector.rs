@@ -7,8 +7,8 @@
 /// Dot product. Panics in debug builds if lengths differ; in release the
 /// shorter length wins (callers validate shapes at the matrix level).
 ///
-/// This is the inner kernel of every Eq. 5 form (`pairwise`,
-/// `masked_row_dot_block`, the `TrustBlocks` streaming engine), always over
+/// This is the inner kernel of the per-cell Eq. 5 forms (`wot-core`'s
+/// `trust::pairwise`, `trust::row` and `trust::derive_masked`), always over
 /// the category dimension (`C ≤ 64` in practice), so it is unrolled
 /// SIMD-style: **four independent f64 accumulators** over the
 /// `chunks_exact(4)` body — breaking the sequential add dependency so
@@ -25,7 +25,9 @@
 /// contraction). For lengths < 4 the unrolled body is empty and the
 /// result equals [`dot_scalar`] (`==`; the one representational nuance
 /// is a `-0.0` that `sum()`'s folding can surface where the tree's
-/// `+0.0` seed cannot — numerically identical).
+/// `+0.0` seed cannot — numerically identical). `wot-core`'s tiled dense
+/// Eq. 5 kernel evaluates the same tree a tile of cells at a time, so
+/// every Eq. 5 form agrees bit for bit.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");

@@ -1,9 +1,10 @@
 //! Block-streaming conformance: the `TrustBlocks` engine must reproduce
-//! the batch Eq. 5 collectors **bit for bit** — `==` on `f64`, not
+//! the batch dense Eq. 5 collector **bit for bit** — `==` on `f64`, not
 //! approximate comparison — for any block height and any thread count,
-//! and the streaming reducers (row visitors of the same kernel) must
-//! agree with dense references at laptop scale while fitting paper scale
-//! in O(users) memory.
+//! the masked form must equal `trust::pairwise` bit for bit on the
+//! paper's region `R` at every thread count, and the streaming reducers
+//! (row visitors of the dense kernel) must agree with dense references at
+//! laptop scale while fitting paper scale in O(users) memory.
 //!
 //! The paper-scale run (44k users — the dense `T̂` would be ~15.6 GB) is
 //! `#[ignore]`d by default and exercised by its own CI leg:
@@ -56,24 +57,20 @@ fn block_streamed_dense_is_bit_identical_at_laptop_scale() {
 }
 
 #[test]
-fn block_streamed_masked_is_bit_identical_at_laptop_scale() {
+fn masked_equals_pairwise_bits_at_laptop_scale() {
     let wb = laptop();
+    let (a, e) = (&wb.derived.affiliation, &wb.derived.expertise);
     // The paper's own evaluation mask: the direct-connection matrix R.
-    let full = wb.derived.trust_on_mask(&wb.r).unwrap();
-    for (block_rows, threads) in [(1usize, 2usize), (313, 1), (0, 0), (4096, 3)] {
-        let cfg = BlockConfig {
-            block_rows,
-            threads,
-        };
-        let mut flat: Vec<f64> = Vec::with_capacity(full.nnz());
-        for block in wb.derived.trust_blocks_on_mask(&wb.r, &cfg).unwrap() {
-            flat.extend_from_slice(block.values());
+    for threads in [1usize, 2, 3, 0] {
+        let masked = trust::derive_masked(a, e, &wb.r, threads).unwrap();
+        assert_eq!(masked.nnz(), wb.r.nnz(), "threads={threads}");
+        for (i, j, v) in masked.iter() {
+            assert_eq!(
+                v.to_bits(),
+                trust::pairwise(a, e, i, j).to_bits(),
+                "({i},{j}) threads={threads}"
+            );
         }
-        assert_eq!(
-            flat,
-            full.values(),
-            "block_rows={block_rows} threads={threads}"
-        );
     }
 }
 

@@ -49,7 +49,7 @@ fn frontier_thresholds() -> Vec<f64> {
 
 fn delta_cfg(threads: usize, threshold: f64) -> DeriveConfig {
     DeriveConfig::builder()
-        .thread_count(threads)
+        .threads(threads)
         .delta_refresh(true)
         .delta_frontier_threshold(threshold)
         .build()

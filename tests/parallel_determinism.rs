@@ -2,7 +2,7 @@
 //! **bit-identical** output to the sequential one — `==` on `f64`, not
 //! approximate comparison.
 //!
-//! This is the contract that makes `DeriveConfig::parallel` a pure
+//! This is the contract that makes `DeriveConfig::threads` a pure
 //! throughput knob: Jacobi sweeps are order-independent within a category,
 //! categories are independent of each other, and every parallel kernel
 //! (per-category fan-out, masked products, dense row loops, support
@@ -22,20 +22,13 @@ fn tiny_store() -> CommunityStore {
 #[test]
 fn parallel_derive_is_bit_identical_to_sequential() {
     let store = tiny_store();
-    let sequential = pipeline::derive(
-        &store,
-        &DeriveConfig::builder().parallel(false).build().unwrap(),
-    )
-    .unwrap();
+    let sequential =
+        pipeline::derive(&store, &DeriveConfig::builder().threads(1).build().unwrap()).unwrap();
 
     for threads in [0usize, 2, 3, 8] {
         let parallel = pipeline::derive(
             &store,
-            &DeriveConfig::builder()
-                .parallel(true)
-                .threads(threads)
-                .build()
-                .unwrap(),
+            &DeriveConfig::builder().threads(threads).build().unwrap(),
         )
         .unwrap();
         // Full structural equality: expertise, affiliation and every
@@ -56,7 +49,7 @@ fn parallel_derive_is_bit_identical_to_sequential() {
 #[test]
 fn baseline_pipeline_is_bit_identical_to_index_dense() {
     let store = tiny_store();
-    let cfg = DeriveConfig::builder().parallel(false).build().unwrap();
+    let cfg = DeriveConfig::builder().threads(1).build().unwrap();
     let dense = pipeline::derive(&store, &cfg).unwrap();
     let baseline = pipeline::derive_baseline(&store, &cfg).unwrap();
     assert_eq!(dense, baseline);
@@ -107,7 +100,7 @@ fn residual_audit_is_identical_at_every_thread_count() {
 
     let run = |threads: usize| {
         let cfg = DeriveConfig::builder()
-            .thread_count(threads)
+            .threads(threads)
             .delta_refresh(true)
             .delta_tolerance(1e-5)
             .build()

@@ -33,10 +33,7 @@ fn thread_counts() -> Vec<usize> {
 }
 
 fn cfg_with(threads: usize) -> DeriveConfig {
-    DeriveConfig::builder()
-        .thread_count(threads)
-        .build()
-        .unwrap()
+    DeriveConfig::builder().threads(threads).build().unwrap()
 }
 
 /// Interleaves deterministic refresh events into an ingestion log:
