@@ -4,15 +4,15 @@
 //! same machine over one log and one model:
 //!
 //! ```text
-//! check (read-only admission) → log append → apply → … sync → ack
+//! (check (read-only admission) → log append → apply)ⁿ → commit → publish → ack
 //! ```
 //!
 //! [`ShardEngine`] owns all of it: the log, the [`IncrementalDerived`]
 //! model with its [`DerivedCache`], the admission → append → apply
-//! order, the fail-stop latch, the sync the caller runs before it acks,
-//! recovery on open, and the atomic log rewrite a worker's rollback
-//! needs. Only the engine appends to a live log. Its callers are
-//! transports: the flat daemon drains a channel and publishes
+//! order, the fail-stop latch, the group commit the caller runs before
+//! it publishes or acks, recovery on open, and the atomic log rewrite a
+//! worker's rollback needs. Only the engine appends to a live log. Its
+//! callers are transports: the flat daemon drains a channel and publishes
 //! snapshots, the worker drains stdin frames and rebuilds its model from
 //! the log it [reads back](ShardEngine::read_back) whenever the model
 //! must drop history. Admission is the model's own
@@ -21,6 +21,17 @@
 //! flat daemon, a subset on a worker), and the engine runs it before
 //! every append and over every recovered event. The worker's one check
 //! of its own, category ownership, runs around the engine's.
+//!
+//! **Group commit.** A writer round — the flat daemon's drained batch of
+//! client commands, a worker's wake-group of frames — admits any number
+//! of events and then calls [`commit`](ShardEngine::commit) once. Under
+//! [`FsyncPolicy::Always`] the engine runs its log as
+//! [`FsyncPolicy::Manual`], so an admit writes but never syncs and the
+//! commit's one sync covers every event of the round; a single-event
+//! round still costs one sync. `EveryN` and `EveryMs` keep their own
+//! windows (the appends and [`sync_if_due`](ShardEngine::sync_if_due)),
+//! and the commit leaves them alone. Either way the order is durable,
+//! then visible, then acked.
 //!
 //! **Fail-stop.** After a failed append or sync the log may hold bytes
 //! the model never applied (a torn frame, or a whole frame whose policy
@@ -65,11 +76,16 @@ pub type Refusal = (ErrorCode, String);
 pub struct ShardEngine {
     wal: WalWriter,
     kind: LogKind,
+    /// The caller's policy; the log runs under [`log_policy`] of it.
     policy: FsyncPolicy,
     model: IncrementalDerived,
     cache: DerivedCache,
     /// The fail-stop latch: the first log error (see the module docs).
     failed: Option<String>,
+    /// Test seam: every sync fails with this error before reaching the
+    /// file, as `fdatasync` on a character device fails with `EINVAL`.
+    #[cfg(test)]
+    sync_fault: Option<WalError>,
 }
 
 impl ShardEngine {
@@ -82,7 +98,8 @@ impl ShardEngine {
     /// error from reading the log or from `recover` leaves the file
     /// byte-identical. Only after `recover` succeeds is the file reopened
     /// for appending, which truncates a torn tail, and the model
-    /// re-packed.
+    /// re-packed. Under [`FsyncPolicy::Always`] appends are made durable
+    /// by [`commit`](Self::commit), once per round.
     pub fn open<R>(
         path: &Path,
         kind: LogKind,
@@ -102,9 +119,9 @@ impl ShardEngine {
         };
         let recovered = recover(&mut model, log)?;
         let wal = if fresh {
-            WalWriter::create(path, kind, policy)?
+            WalWriter::create(path, kind, log_policy(policy))?
         } else {
-            WalWriter::open_append(path, policy)?.0
+            WalWriter::open_append(path, log_policy(policy))?.0
         };
         model.compact();
         let engine = ShardEngine {
@@ -114,6 +131,8 @@ impl ShardEngine {
             model,
             cache: DerivedCache::default(),
             failed: None,
+            #[cfg(test)]
+            sync_fault: None,
         };
         Ok((engine, recovered))
     }
@@ -135,9 +154,9 @@ impl ShardEngine {
     /// A refusal is [`ErrorCode::Rejected`] and changes nothing. A
     /// failed append is [`ErrorCode::Internal`] and trips the fail-stop
     /// latch, after which every admit is refused with the same code.
-    /// The append is durable only once the fsync policy or
-    /// [`sync`](Self::sync) says so; acking before that is the caller's
-    /// choice of policy.
+    /// The append is durable only once [`commit`](Self::commit) or the
+    /// fsync policy makes it so; a caller publishes or acks the round's
+    /// events only after the round's commit.
     pub fn admit(
         &mut self,
         tag: u64,
@@ -160,11 +179,31 @@ impl ShardEngine {
         Ok(category)
     }
 
+    /// The group commit, run once per writer round after its admits and
+    /// before the round publishes or acks anything: under
+    /// [`FsyncPolicy::Always`] and [`FsyncPolicy::Manual`] one
+    /// [`sync`](Self::sync) covers every append since the last one. Under
+    /// `EveryN` and `EveryMs` it does nothing: the appends and
+    /// [`sync_if_due`](Self::sync_if_due) keep those windows. A failure
+    /// trips the latch; the round's events may then be in the log without
+    /// being durable, so the caller must neither publish nor ack them.
+    pub fn commit(&mut self) -> Result<()> {
+        match self.policy {
+            FsyncPolicy::Always | FsyncPolicy::Manual => self.sync(),
+            FsyncPolicy::EveryN(_) | FsyncPolicy::EveryMs(_) => Ok(()),
+        }
+    }
+
     /// Forces every append so far to stable storage (a no-op when none
-    /// is pending). A failure trips the latch.
+    /// is pending), whatever the policy. A failure trips the latch.
     pub fn sync(&mut self) -> Result<()> {
         if self.wal.unsynced() == 0 {
             return Ok(());
+        }
+        #[cfg(test)]
+        if let Some(e) = self.sync_fault.clone() {
+            self.fail(&e);
+            return Err(e.into());
         }
         self.wal.sync().map_err(|e| {
             self.fail(&e);
@@ -265,7 +304,7 @@ impl ShardEngine {
             .filter(|p| !p.as_os_str().is_empty())
             .unwrap_or_else(|| Path::new("."));
         File::open(dir)?.sync_all()?;
-        self.wal = WalWriter::open_append(&path, self.policy)?.0;
+        self.wal = WalWriter::open_append(&path, log_policy(self.policy))?.0;
         Ok(dropped)
     }
 
@@ -295,11 +334,37 @@ impl ShardEngine {
         self.wal.len()
     }
 
+    /// Syncs of the log since it was opened or last rewritten: what tests
+    /// hold the group commit to.
+    #[doc(hidden)]
+    pub fn syncs(&self) -> u64 {
+        self.wal.syncs()
+    }
+
+    /// Makes every later sync fail before it reaches the file.
+    #[cfg(test)]
+    pub(crate) fn fail_syncs(&mut self) {
+        self.sync_fault = Some(WalError::Io {
+            path: self.wal.path().display().to_string(),
+            message: "Invalid argument (os error 22)".into(),
+        });
+    }
+
     /// Trips the latch (the first cause wins) and returns `e` as text.
     fn fail(&mut self, e: &WalError) -> String {
         let cause = e.to_string();
         self.failed.get_or_insert_with(|| cause.clone());
         cause
+    }
+}
+
+/// The policy the log itself runs under: [`FsyncPolicy::Always`] becomes
+/// [`FsyncPolicy::Manual`], so an append never syncs and the round's
+/// [`commit`](ShardEngine::commit) syncs once for all of them.
+fn log_policy(policy: FsyncPolicy) -> FsyncPolicy {
+    match policy {
+        FsyncPolicy::Always => FsyncPolicy::Manual,
+        other => other,
     }
 }
 
@@ -340,6 +405,7 @@ pub(crate) fn failing_engine(path: &Path, model: IncrementalDerived) -> ShardEng
         model,
         cache: DerivedCache::default(),
         failed: None,
+        sync_fault: None,
     }
 }
 

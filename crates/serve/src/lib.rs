@@ -8,10 +8,11 @@
 //! engine's durability ordering
 //!
 //! ```text
-//! check (read-only admission) → WAL append → apply → publish → ack
+//! (check (read-only admission) → WAL append → apply)ⁿ → commit → publish → ack
 //! ```
 //!
-//! so an acknowledged event is in the log before it is in the model, and
+//! so an acknowledged event is in the log before it is in the model,
+//! durable (one commit per writer round) before it is visible, and
 //! nothing that fails validation ever reaches the log (a poisoned log
 //! would make recovery replay fail). The `wot-shardd` worker runs the
 //! same engine behind its pipe, and both recover by reopening their log

@@ -15,17 +15,22 @@
 //!   batches; a command is one event (`Ingest`) or a client's whole run
 //!   (`IngestBatch`), admitted in order up to its first refusal; per
 //!   event the engine runs `check → WAL append → apply`; per batch of
-//!   commands the writer re-derives the dirtied categories
-//!   ([`to_derived_cached`]), publishes the new snapshot once, and only
-//!   then acks — so a client that saw its ingest acknowledged will read
-//!   its own write. Idle ticks run the engine's
-//!   [`sync_if_due`](ShardEngine::sync_if_due) so a quiet tail still
-//!   becomes durable within the fsync policy's window; shutdown ends
-//!   with a [`sync`](ShardEngine::sync). A WAL error is **fail-stop**
-//!   for ingest (the engine's latch): the failing ingest and every later
-//!   one answer `Internal` without touching log or model, and readers
-//!   keep serving the last published snapshot until the operator
-//!   restarts on the log.
+//!   commands — one writer round — the writer makes every admitted
+//!   event durable with one [`commit`](ShardEngine::commit) (one fsync
+//!   under `FsyncPolicy::Always`, for every client's commands in the
+//!   batch), re-derives the dirtied categories ([`to_derived_cached`]),
+//!   publishes the new snapshot once, and only then acks — so a client
+//!   that saw its ingest acknowledged will read its own write, and
+//!   nothing is visible before it is durable. Idle ticks run the
+//!   engine's [`sync_if_due`](ShardEngine::sync_if_due) so a quiet tail
+//!   still becomes durable within the fsync policy's window; shutdown
+//!   ends with a [`sync`](ShardEngine::sync). A WAL error is
+//!   **fail-stop** for ingest (the engine's latch): a failed append
+//!   answers its command `Internal`, a failed commit answers every
+//!   command of its round `Internal` at the pre-round seq and publishes
+//!   nothing, every later ingest is refused `Internal` without touching
+//!   log or model, and readers keep serving the last published snapshot
+//!   until the operator restarts on the log.
 //!
 //! There is no separate "refresh stale categories" step in the hot loop:
 //! `to_derived_cached` *is* that refresh — it cold-solves exactly the
@@ -79,7 +84,11 @@ pub struct ServeOptions {
     /// so a restart is a start on the same path with the same bootstrap
     /// model. The log holds only the events ingested after that model.
     pub wal_path: PathBuf,
-    /// Durability policy for ingest appends.
+    /// Durability policy for ingest appends. Under
+    /// [`FsyncPolicy::Always`] an ack means the event is durable: the
+    /// writer covers each round — every command it drained in one batch —
+    /// with one fsync before it publishes or acks. `EveryN` and `EveryMs`
+    /// ack before the sync and bound what a power loss can drop.
     pub fsync: FsyncPolicy,
     /// Publish snapshots from the writer's *warm* solver state via
     /// [`refresh_and_derive_warm`] instead of the canonical cold
@@ -416,58 +425,95 @@ fn writer_loop(
                 Err(_) => break,
             }
         }
-        let before = seq;
-        let mut replies = Vec::new();
-        for cmd in batch {
-            let WriteCmd::Ingest { events, reply } = cmd else {
-                continue;
-            };
-            let mut admitted = 0;
-            let mut refused = None;
-            for event in events {
-                if shared.shutting_down() {
-                    refused = Some((ErrorCode::ShuttingDown, "server is shutting down".into()));
-                    break;
-                }
-                match engine.admit(seq, event) {
-                    Ok(_) => {
-                        seq += 1;
-                        admitted += 1;
-                    }
-                    Err(refusal) => {
-                        refused = Some(refusal);
-                        break;
-                    }
-                }
-            }
-            replies.push((reply, admitted, refused));
-        }
-        // Re-derive only the categories these commands dirtied, publish
-        // once, then answer: an acknowledged writer immediately reads its
-        // own write from the new snapshot, and a refusal reports the
-        // horizon its admitted prefix reached. Delta mode serves the warm
-        // solver state instead of re-solving cold. The retired snapshot
-        // is dropped after the replies, so freeing it (when no reader
-        // pins it) delays no ack.
-        let retired = (seq > before).then(|| {
-            let snap = ServeSnapshot::new(seq, engine.derive(delta_publish));
-            shared.wal_len.store(engine.wal_len(), Ordering::Relaxed);
-            shared.cell.publish(Arc::new(snap))
-        });
-        for (reply, admitted, refused) in replies {
-            let _ = reply.send(Ingested {
-                seq,
-                admitted,
-                refused,
-            });
-        }
-        drop(retired);
+        round(&mut engine, &mut seq, delta_publish, batch, shared);
         if shared.shutting_down() {
             break;
         }
     }
     // Graceful exit: whatever the policy left unsynced becomes durable.
     let _ = engine.sync();
+}
+
+/// One writer round over a drained batch of commands: every command's
+/// events admitted in order, one commit for all of them, one publish,
+/// then every reply.
+fn round(
+    engine: &mut ShardEngine,
+    seq: &mut u64,
+    delta_publish: bool,
+    batch: Vec<WriteCmd>,
+    shared: &Shared,
+) {
+    let before = *seq;
+    let mut replies = Vec::new();
+    for cmd in batch {
+        let WriteCmd::Ingest { events, reply } = cmd else {
+            continue;
+        };
+        let mut admitted = 0;
+        let mut refused = None;
+        for event in events {
+            if shared.shutting_down() {
+                refused = Some((ErrorCode::ShuttingDown, "server is shutting down".into()));
+                break;
+            }
+            match engine.admit(*seq, event) {
+                Ok(_) => {
+                    *seq += 1;
+                    admitted += 1;
+                }
+                Err(refusal) => {
+                    refused = Some(refusal);
+                    break;
+                }
+            }
+        }
+        replies.push((reply, admitted, refused));
+    }
+    // Durable before visible: one commit covers every event the round
+    // appended. A failed commit is fail-stop — the engine has latched,
+    // and the round's events may be in the log without being durable —
+    // so none of them is published or acked: every command of the round
+    // is answered `Internal` at the pre-round seq.
+    let mut failed = None;
+    let mut retired = None;
+    if *seq > before {
+        match engine.commit() {
+            Err(e) => {
+                *seq = before;
+                failed = Some(format!(
+                    "the WAL sync after this round's appends failed, so the log may \
+                     hold their events without them being durable; ingest is \
+                     stopped: {e}"
+                ));
+            }
+            // Re-derive only the categories these commands dirtied,
+            // publish once, then answer: an acknowledged writer
+            // immediately reads its own write from the new snapshot, and
+            // a refusal reports the horizon its admitted prefix reached.
+            // Delta mode serves the warm solver state instead of
+            // re-solving cold.
+            Ok(()) => {
+                let snap = ServeSnapshot::new(*seq, engine.derive(delta_publish));
+                shared.wal_len.store(engine.wal_len(), Ordering::Relaxed);
+                retired = Some(shared.cell.publish(Arc::new(snap)));
+            }
+        }
+    }
+    for (reply, admitted, refused) in replies {
+        let (admitted, refused) = match &failed {
+            Some(why) => (0, Some((ErrorCode::Internal, why.clone()))),
+            None => (admitted, refused),
+        };
+        let _ = reply.send(Ingested {
+            seq: *seq,
+            admitted,
+            refused,
+        });
+    }
+    // The retired snapshot is dropped after the replies, so freeing it
+    // (when no reader pins it) delays no ack.
+    drop(retired);
 }
 
 // ---------------------------------------------------------------------
@@ -738,6 +784,208 @@ mod tests {
             assert_eq!((trust.seq, trust.body), (7, Ok(OkBody::Trust(0.0))));
             drop(tx);
         });
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn temp_wal(name: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("wot-serve-{name}-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// An engine over a fresh log at `path`: four users, one category.
+    fn open_engine(path: &std::path::Path, policy: FsyncPolicy) -> ShardEngine {
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        ShardEngine::open(path, LogKind::Events, policy, model, |_, _| Ok(()))
+            .unwrap()
+            .0
+    }
+
+    /// The writer's shared state, serving `first`.
+    fn shared_serving(first: ServeSnapshot) -> Shared {
+        Shared {
+            cell: SnapshotCell::new(Arc::new(first)),
+            shutdown: AtomicBool::new(false),
+            wal_len: AtomicU64::new(0),
+            pending: Mutex::new(VecDeque::new()),
+            available: Condvar::new(),
+            reader_threads: 1,
+        }
+    }
+
+    /// Reviews `ids` in category 0, written round-robin by four users.
+    fn reviews(ids: std::ops::Range<u32>) -> Vec<StoreEvent> {
+        ids.map(|r| StoreEvent::Review {
+            writer: UserId(r % 4),
+            review: ReviewId(r),
+            category: CategoryId(0),
+        })
+        .collect()
+    }
+
+    /// An ingest command and the receiver its outcome arrives on.
+    fn command(events: Vec<StoreEvent>) -> (WriteCmd, Receiver<Ingested>) {
+        let (reply, done) = mpsc::sync_channel(1);
+        (WriteCmd::Ingest { events, reply }, done)
+    }
+
+    /// Runs one writer round over `commands`; returns each command's
+    /// outcome as `(seq, admitted, refusal code)` and the syncs it cost.
+    fn run_round(
+        engine: &mut ShardEngine,
+        seq: &mut u64,
+        shared: &Shared,
+        commands: Vec<Vec<StoreEvent>>,
+    ) -> (Vec<(u64, usize, Option<ErrorCode>)>, u64) {
+        let syncs = engine.syncs();
+        let (batch, done): (Vec<_>, Vec<_>) = commands.into_iter().map(command).unzip();
+        round(engine, seq, false, batch, shared);
+        let outcomes = done
+            .iter()
+            .map(|rx| {
+                let d = rx.recv().unwrap();
+                (d.seq, d.admitted, d.refused.map(|(code, _)| code))
+            })
+            .collect();
+        (outcomes, engine.syncs() - syncs)
+    }
+
+    /// Under `Always` a writer round costs one sync, however many events
+    /// and commands it admitted: a 64-event batch, a single event, and
+    /// three clients' commands drained together each cost exactly one,
+    /// and a round that admitted nothing costs none. Inside an `EveryN`
+    /// window the same rounds cost none, and are published and acked all
+    /// the same.
+    #[test]
+    fn a_writer_round_syncs_once_under_always_and_not_inside_an_every_n_window() {
+        for (policy, per_round) in [(FsyncPolicy::Always, 1), (FsyncPolicy::EveryN(1000), 0)] {
+            let path = temp_wal("round-syncs");
+            let mut engine = open_engine(&path, policy);
+            let shared = shared_serving(ServeSnapshot::new(0, engine.derive(false)));
+            let mut seq = 0;
+            let mut round_of = |commands| run_round(&mut engine, &mut seq, &shared, commands);
+
+            let (done, syncs) = round_of(vec![reviews(0..64)]);
+            assert_eq!((done, syncs), (vec![(64, 64, None)], per_round));
+            let (done, syncs) = round_of(vec![reviews(64..65)]);
+            assert_eq!((done, syncs), (vec![(65, 1, None)], per_round));
+            let (done, syncs) = round_of(vec![reviews(65..66), reviews(66..76), reviews(76..77)]);
+            let acks = vec![(77, 1, None), (77, 10, None), (77, 1, None)];
+            assert_eq!((done, syncs), (acks, per_round));
+            // A review id out of arrival order is refused: nothing to commit.
+            let (done, syncs) = round_of(vec![reviews(90..91)]);
+            assert_eq!((done, syncs), (vec![(77, 0, Some(ErrorCode::Rejected))], 0));
+
+            assert_eq!(shared.cell.load().seq, 77, "{policy:?}");
+            assert_eq!(wot_wal::read_log(&path).unwrap().events, reviews(0..77));
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    /// At every ack of a daemon under `Always`, its log holds exactly the
+    /// acked prefix: single events, batches, and a batch cut short by a
+    /// refusal, whose admitted prefix is logged and nothing after it.
+    #[test]
+    fn at_every_ack_the_log_holds_exactly_the_acked_prefix() {
+        let path = temp_wal("acked-prefix");
+        let opts = ServeOptions::builder(&path)
+            .fsync(FsyncPolicy::Always)
+            .build()
+            .unwrap();
+        let model = IncrementalDerived::new(4, 1, &DeriveConfig::default()).unwrap();
+        let server = Server::start(model, 0, &opts).unwrap();
+        let mut client = crate::Client::connect(server.addr()).unwrap();
+        let logged = || wot_wal::read_log(&path).unwrap().events;
+
+        assert_eq!(client.ingest(reviews(0..1)[0]).unwrap(), 1);
+        assert_eq!(logged(), reviews(0..1));
+        assert_eq!(client.ingest_batch(&reviews(1..65)).unwrap(), 65);
+        assert_eq!(logged(), reviews(0..65));
+        assert_eq!(client.ingest(reviews(65..66)[0]).unwrap(), 66);
+        assert_eq!(logged(), reviews(0..66));
+        let mut cut_short = reviews(66..70);
+        cut_short.extend(reviews(80..81));
+        match client.ingest_batch(&cut_short) {
+            Err(ServeError::BatchRefused {
+                acked_through: 70,
+                index: 4,
+                error,
+            }) => assert_eq!(error.code, ErrorCode::Rejected),
+            other => panic!("expected a refusal at index 4, got {other:?}"),
+        }
+        assert_eq!(logged(), reviews(0..70));
+        drop(client);
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A commit whose sync fails is fail-stop for the whole round: every
+    /// command is answered `Internal` at the pre-round seq, with a message
+    /// that does not claim the events stayed out of the log (they are in
+    /// it, unsynced); nothing is published; every later ingest is refused
+    /// by the latch; reads keep serving the last published snapshot.
+    #[test]
+    fn a_failed_commit_fail_stops_the_round_and_keeps_reads_serving() {
+        let path = temp_wal("failed-commit");
+        let mut engine = open_engine(&path, FsyncPolicy::Always);
+        let shared = shared_serving(ServeSnapshot::new(7, engine.derive(false)));
+        let published = shared.cell.version();
+        let mut seq = 7;
+        engine.fail_syncs();
+
+        let (batch, done): (Vec<_>, Vec<_>) = [reviews(0..2), reviews(2..3)]
+            .into_iter()
+            .map(command)
+            .unzip();
+        round(&mut engine, &mut seq, false, batch, &shared);
+        for rx in &done {
+            let Ingested {
+                seq,
+                admitted,
+                refused,
+            } = rx.recv().unwrap();
+            let (code, message) = refused.expect("a failed commit acks nothing");
+            assert_eq!((seq, admitted, code), (7, 0, ErrorCode::Internal));
+            assert!(message.contains("may hold"), "{message}");
+            assert!(message.contains("os error 22"), "{message}");
+        }
+        assert_eq!(seq, 7, "the writer's seq is back at the pre-round value");
+        assert_eq!(shared.cell.version(), published, "nothing was published");
+        assert_eq!(shared.cell.load().seq, 7);
+        assert_eq!(
+            wot_wal::read_log(&path).unwrap().events,
+            reviews(0..3),
+            "the round's events are in the log, unsynced"
+        );
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| writer_loop(engine, seq, false, rx, &shared));
+            let mut reader = ReaderCache::new(&shared.cell);
+            let next = Request::Ingest(reviews(3..4)[0]);
+            let latched = ask(&next, &shared, &tx, &mut reader);
+            let error = latched.body.unwrap_err();
+            assert_eq!((latched.seq, error.code), (7, ErrorCode::Internal));
+            assert!(error.message.contains("ingest stopped"), "{error:?}");
+            assert!(error.message.contains("os error 22"), "{error:?}");
+            let batch = Request::IngestBatch(reviews(3..5));
+            let report = ask(&batch, &shared, &tx, &mut reader);
+            match report.body {
+                Ok(OkBody::IngestBatch(BatchReport {
+                    admitted: 0,
+                    refused: Some(error),
+                })) => assert_eq!(error.code, ErrorCode::Internal),
+                other => panic!("a latched batch must be refused whole, got {other:?}"),
+            }
+            assert_eq!(report.seq, 7);
+
+            let trust = ask(&Request::Trust { i: 0, j: 1 }, &shared, &tx, &mut reader);
+            assert_eq!((trust.seq, trust.body), (7, Ok(OkBody::Trust(0.0))));
+            drop(tx);
+        });
+        assert_eq!(shared.cell.version(), published);
+        assert_eq!(wot_wal::read_log(&path).unwrap().events, reviews(0..3));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -23,19 +23,22 @@
 //! [`ShardEngine`] over a tagged log:
 //!
 //! ```text
-//! check (read-only admission) → WAL append → apply → …group fsync… → reply
+//! (check (read-only admission) → WAL append → apply)ⁿ → commit → reply
 //! ```
 //!
 //! This file is the transport around it: framing, group draining,
 //! category ownership and rebalance. A dedicated
 //! thread reads stdin so the main loop can drain every frame already
-//! queued (up to [`GROUP_MAX`]) per wake and cover the whole group with
-//! **one** engine sync before any of the group's replies is written — an
-//! acknowledged event is durable before it is visible, at a fraction of
-//! a per-event sync's cost. A failed group sync is fatal (the worker
-//! exits without acknowledging; recovery replays the log); a failed
-//! append trips the engine's fail-stop latch, so nothing is ever
-//! appended behind a torn frame. Nothing that fails admission ever
+//! queued (up to [`GROUP_MAX`]) per wake — one writer round — and cover
+//! the whole group with **one** engine
+//! [`commit`](ShardEngine::commit) (one fsync: the log runs under
+//! [`FsyncPolicy::Manual`]) before any of the group's replies is written
+//! — an acknowledged event is durable before it is visible, at a
+//! fraction of a per-event sync's cost. This is the flat daemon's group
+//! commit, with a wake-group as the round. A failed commit is fatal
+//! (the worker exits without acknowledging; recovery replays the log);
+//! a failed append trips the engine's fail-stop latch, so nothing is
+//! ever appended behind a torn frame. Nothing that fails admission ever
 //! poisons the log.
 //!
 //! Every time the model must change by more than one event, one path
@@ -327,14 +330,14 @@ fn run(wal_path: PathBuf) -> io::Result<()> {
                 }
             }
         }
-        // Durability before acknowledgment: one sync covers every append
-        // the group staged. A failed sync is fatal — the model has
-        // already applied what the log may not hold, so the only safe
-        // exit is without acks, leaving recovery to the replay.
+        // Durability before acknowledgment: one commit covers every
+        // append the group staged. A failed commit is fatal — the model
+        // has already applied what the log may not hold, so the only
+        // safe exit is without acks, leaving recovery to the replay.
         if let Some(shard) = worker.shard.as_mut() {
             shard
                 .engine
-                .sync()
+                .commit()
                 .map_err(|e| io::Error::other(e.to_string()))?;
         }
         for reply in &replies {
@@ -424,8 +427,8 @@ fn hello(
     let (engine, (max_tag, orphans)) = ShardEngine::open(
         &worker.wal_path,
         LogKind::TaggedEvents,
-        // The main loop owns durability: one sync per processing group,
-        // before any of the group's replies.
+        // The main loop owns durability: one commit per processing
+        // group, before any of the group's replies.
         FsyncPolicy::Manual,
         model,
         |model, log| {
@@ -453,7 +456,7 @@ fn hello(
 
 /// One batched run of tagged events: admit, append, and apply each in
 /// order, acking the run's durability horizon. The actual fsync is the
-/// main loop's group sync — it lands before this reply is written.
+/// group's commit — it lands before this reply is written.
 fn ingest(shard: &mut Shard, events: Vec<(u64, StoreEvent)>) -> HandlerResult {
     if events.is_empty() {
         return Err(bad("empty ingest batch".into()));
@@ -497,8 +500,8 @@ fn drop_category(shard: &mut Shard, category: u32) -> HandlerResult {
 /// Starts owning a category: rebuild the model over its history merged
 /// by tag with the owned part of the log — review ids interleave across
 /// categories, and the subset id rule wants them in tag order — then
-/// append the history (the main loop's group sync makes it durable before
-/// the reply), and reply with the re-solved state (which the coordinator
+/// append the history (the group's commit makes it durable before the
+/// reply), and reply with the re-solved state (which the coordinator
 /// holds bit-identical against the previous owner's). A history the model
 /// refuses anywhere leaves the category unowned, the model as it was and
 /// nothing appended.
@@ -561,4 +564,73 @@ fn adopt_category(
         .rebuild(fresh, history.into_iter().map(|(_, e)| e), &events)?;
     shard.owned = owned;
     shard.states(&[category])
+}
+
+#[cfg(test)]
+mod tests {
+    use wot_community::{CategoryId, ReviewId, UserId};
+
+    use super::*;
+
+    /// Tagged reviews `tags` in category 0, written round-robin by four
+    /// users; a review's id is its tag.
+    fn ingest(tags: std::ops::Range<u32>) -> ShardRequest {
+        let events = tags
+            .map(|t| {
+                let review = StoreEvent::Review {
+                    writer: UserId(t % 4),
+                    review: ReviewId(t),
+                    category: CategoryId(0),
+                };
+                (t as u64, review)
+            })
+            .collect();
+        ShardRequest::Ingest { events }
+    }
+
+    /// Handling an `Ingest` frame appends without syncing, so the
+    /// group's one commit — the main loop's only sync — is what a
+    /// 64-event frame costs; a group of two frames costs the same one.
+    #[test]
+    fn an_ingest_frame_costs_its_group_one_sync() {
+        let wal_path =
+            std::env::temp_dir().join(format!("wot-shardd-group-{}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&wal_path);
+        let mut worker = Worker {
+            wal_path: wal_path.clone(),
+            shard: None,
+            stall: None,
+        };
+        let hello = ShardRequest::Hello {
+            num_users: 4,
+            num_categories: 1,
+            cut: NO_TAG,
+            owned: vec![0],
+        };
+        handle(&mut worker, hello).unwrap();
+        let syncs = |w: &Worker| w.shard.as_ref().unwrap().engine.syncs();
+        let commit = |w: &mut Worker| w.shard.as_mut().unwrap().engine.commit().unwrap();
+
+        let acked = handle(&mut worker, ingest(0..64)).unwrap();
+        assert_eq!(acked, ShardReply::Ingested { max_tag: 63 });
+        assert_eq!(syncs(&worker), 0, "an admit must not sync");
+        commit(&mut worker);
+        assert_eq!(syncs(&worker), 1);
+
+        handle(&mut worker, ingest(64..96)).unwrap();
+        handle(&mut worker, ingest(96..128)).unwrap();
+        commit(&mut worker);
+        assert_eq!(syncs(&worker), 2);
+        commit(&mut worker);
+        assert_eq!(
+            syncs(&worker),
+            2,
+            "a group with nothing appended costs none"
+        );
+
+        let logged = wot_wal::read_tagged_log(&wal_path).unwrap().events;
+        let tags: Vec<u64> = logged.iter().map(|&(t, _)| t).collect();
+        assert_eq!(tags, (0..128).collect::<Vec<u64>>());
+        let _ = std::fs::remove_file(&wal_path);
+    }
 }

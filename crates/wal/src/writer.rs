@@ -82,6 +82,8 @@ pub struct WalWriter {
     policy: FsyncPolicy,
     /// Frames appended since the last sync.
     unsynced: u64,
+    /// Syncs that covered appended frames, since this handle opened.
+    syncs: u64,
     last_sync: Instant,
     /// Current file length = offset of the next frame.
     len: u64,
@@ -108,6 +110,7 @@ impl WalWriter {
             kind,
             policy,
             unsynced: 0,
+            syncs: 0,
             last_sync: Instant::now(),
             len: HEADER_LEN as u64,
             frame: Vec::new(),
@@ -147,6 +150,7 @@ impl WalWriter {
                 kind,
                 policy,
                 unsynced: 0,
+                syncs: 0,
                 last_sync: Instant::now(),
                 len: end,
                 frame: Vec::new(),
@@ -183,6 +187,7 @@ impl WalWriter {
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync_data().map_err(|e| io_err(&self.path, e))?;
         self.unsynced = 0;
+        self.syncs += 1;
         self.last_sync = Instant::now();
         Ok(())
     }
@@ -218,6 +223,15 @@ impl WalWriter {
     /// still volatile).
     pub fn unsynced(&self) -> u64 {
         self.unsynced
+    }
+
+    /// Successful [`sync`](Self::sync)s since this handle was created or
+    /// opened, whether called explicitly or by the fsync policy. The
+    /// header syncs of `create` and of a torn-tail truncation are not
+    /// counted. Lets tests hold a caller to its number of syncs.
+    #[doc(hidden)]
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// Current file length (= offset of the next frame).
@@ -371,8 +385,9 @@ mod tests {
         w.append(&ev).unwrap();
         w.append(&ev).unwrap();
         // The third append synced inline; the idle path has nothing to do.
-        assert_eq!(w.unsynced(), 0);
+        assert_eq!((w.unsynced(), w.syncs()), (0, 1));
         assert!(!w.sync_if_due().unwrap());
+        assert_eq!(w.syncs(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
