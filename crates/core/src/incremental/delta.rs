@@ -455,7 +455,13 @@ impl IncrementalDerived {
             let weight = if s.stale { s.num_ratings() + 1 } else { 0 };
             cum.push(cum[cum.len() - 1] + weight);
         }
-        let runs = cfg.effective_threads().min(stale.len());
+        // Resolving the thread count can read the cgroup CPU quota; one
+        // stale category — the per-event case — is one run regardless.
+        let runs = if stale.len() > 1 {
+            cfg.effective_threads().min(stale.len())
+        } else {
+            1
+        };
         let boundaries = wot_par::weighted_boundaries(&cum, runs);
         wot_par::par_chunks_mut(&mut self.categories, &boundaries, |_, run| {
             for state in run.iter_mut().filter(|s| s.stale) {

@@ -88,9 +88,11 @@ use crate::shard_proto::{
 use crate::snapshot::ServeSnapshot;
 use crate::{Result, ServeError};
 
-/// Largest consecutive same-worker run shipped as one
-/// [`ShardRequest::Ingest`] frame — the batch ack horizon, mirroring the
-/// flat daemon's 256-deep shared publish cycle.
+/// Most events one [`ShardRequest::Ingest`] frame carries. An
+/// [`ingest_batch`](Coordinator::ingest_batch) round ships each owning
+/// worker its events of the round as one run, split only at this depth;
+/// each run's last tag is the horizon its `Ingested` ack must name.
+/// Mirrors the flat daemon's 256-deep shared publish cycle.
 const MAX_BATCH_RUN: usize = 256;
 
 /// How a [`Coordinator`] boots its cluster.
@@ -340,6 +342,8 @@ pub struct Coordinator {
     /// ascending tags; reconciled at that worker's restart.
     inflight: Vec<(u64, StoreEvent)>,
     inflight_worker: Option<usize>,
+    /// `Ingest` frames enqueued since start.
+    ingest_frames: u64,
 }
 
 /// What admission reads of the acked history: every review (the routing
@@ -448,6 +452,7 @@ impl Coordinator {
             snapshot,
             inflight: Vec::new(),
             inflight_worker: None,
+            ingest_frames: 0,
         };
         for w in 0..num_workers {
             coord.hello_worker(w, NO_TAG)?;
@@ -651,11 +656,13 @@ impl Coordinator {
         }
     }
 
-    /// Routes a slice of events through the pipelined worker I/O:
-    /// consecutive same-worker events coalesce into one
-    /// [`ShardRequest::Ingest`] frame (up to `MAX_BATCH_RUN` deep),
-    /// all frames are enqueued before any ack is awaited, and the call
-    /// returns once every owning worker has reported its run durable.
+    /// Routes a slice of events through the pipelined worker I/O: each
+    /// owning worker's events of the round go, in tag order, into one
+    /// [`ShardRequest::Ingest`] frame (split only past `MAX_BATCH_RUN`
+    /// events), all frames are enqueued before any ack is awaited, and
+    /// the call returns once every owning worker has reported its runs
+    /// durable. A round therefore costs each worker one frame — one
+    /// wake-group and one fsync — however its events interleave.
     ///
     /// On success, returns the new acked global sequence. A rejection
     /// (the same typed refusal the flat daemon produces) stops admission
@@ -670,8 +677,10 @@ impl Coordinator {
     /// reconciliation.
     pub fn ingest_batch(&mut self, events: &[StoreEvent]) -> Result<u64> {
         let base = self.seq;
-        // Admission + routing, applied speculatively, grouped into
-        // consecutive same-worker runs.
+        // Admission + routing, applied speculatively. Each event joins
+        // its worker's latest run unless that run is full. `runs` stays
+        // ordered by first tag, and each worker's runs by tag, so its
+        // FIFO pipe sees its events in tag order.
         let mut runs: Vec<(usize, Vec<(u64, StoreEvent)>)> = Vec::new();
         let mut refused: Option<WireError> = None;
         let mut rejection: Option<ServeError> = None;
@@ -701,10 +710,8 @@ impl Coordinator {
                 break;
             }
             let tag = self.seq;
-            match runs.last_mut() {
-                Some((run_w, run)) if *run_w == w && run.len() < MAX_BATCH_RUN => {
-                    run.push((tag, event));
-                }
+            match runs.iter_mut().rev().find(|(run_w, _)| *run_w == w) {
+                Some((_, run)) if run.len() < MAX_BATCH_RUN => run.push((tag, event)),
                 _ => runs.push((w, vec![(tag, event)])),
             }
             self.apply_admitted(&event, cat);
@@ -727,6 +734,7 @@ impl Coordinator {
                 }
             }
         }
+        self.ingest_frames += sent as u64;
         // Ack collection: FIFO per worker, round order overall. One
         // `Ingested` closes one run; its horizon must be the run's last
         // tag.
@@ -783,12 +791,14 @@ impl Coordinator {
     /// reconciliation. Nothing from the round was globally acked, so
     /// all-or-nothing rollback preserves the consistent cut.
     fn abort_round(&mut self, base: u64, runs: &[(usize, Vec<(u64, StoreEvent)>)], failed: usize) {
-        let round: Vec<StoreEvent> = runs
-            .iter()
-            .flat_map(|(_, r)| r.iter().map(|&(_, e)| e))
-            .collect();
-        for event in round.iter().rev() {
-            self.undo_admitted(event);
+        // Runs interleave across workers; the round's tags are exactly
+        // `base..seq`, so placing each event at its tag restores order.
+        let mut round = vec![None; (self.seq - base) as usize];
+        for &(tag, event) in runs.iter().flat_map(|(_, r)| r) {
+            round[(tag - base) as usize] = Some(event);
+        }
+        for event in round.into_iter().rev().flatten() {
+            self.undo_admitted(&event);
         }
         debug_assert_eq!(self.seq, base);
         let touched: BTreeSet<usize> = runs
@@ -914,6 +924,15 @@ impl Coordinator {
         self.publishes += 1;
         self.dirty = false;
         Ok(())
+    }
+
+    /// [`ShardRequest::Ingest`] frames enqueued since
+    /// [`start`](Self::start), across all workers. Lets tests hold
+    /// [`ingest_batch`](Self::ingest_batch) to one frame per owning
+    /// worker per round.
+    #[doc(hidden)]
+    pub fn ingest_frames(&self) -> u64 {
+        self.ingest_frames
     }
 
     /// The acked global sequence number.

@@ -35,7 +35,10 @@
 //! [`FsyncPolicy::Manual`]) before any of the group's replies is written
 //! — an acknowledged event is durable before it is visible, at a
 //! fraction of a per-event sync's cost. This is the flat daemon's group
-//! commit, with a wake-group as the round. A failed commit is fatal
+//! commit, with a wake-group as the round. The coordinator ships each
+//! worker its events of an `ingest_batch` round as one `Ingest` frame
+//! (split only past 256 events), so a round is one frame, one
+//! wake-group and one fsync per worker. A failed commit is fatal
 //! (the worker exits without acknowledging; recovery replays the log);
 //! a failed append trips the engine's fail-stop latch, so nothing is
 //! ever appended behind a torn frame. Nothing that fails admission ever

@@ -87,7 +87,8 @@ pub struct WalWriter {
     last_sync: Instant,
     /// Current file length = offset of the next frame.
     len: u64,
-    /// Reusable frame-assembly buffer.
+    /// Reusable frame-assembly buffer: `len | crc | payload`, with the
+    /// payload encoded in place behind a reserved frame header.
     frame: Vec<u8>,
 }
 
@@ -163,24 +164,14 @@ impl WalWriter {
     /// Returns the frame's byte offset.
     pub fn append(&mut self, event: &StoreEvent) -> Result<u64> {
         self.expect_kind(LogKind::Events)?;
-        self.frame.clear();
-        let mut payload = std::mem::take(&mut self.frame);
-        encode_event(&mut payload, event);
-        let off = self.write_frame(&payload);
-        self.frame = payload;
-        off
+        self.write_frame(|buf| encode_event(buf, event))
     }
 
     /// Appends one sequence-tagged event ([`LogKind::TaggedEvents`] logs
     /// only). Returns the frame's byte offset.
     pub fn append_tagged(&mut self, seq: u64, event: &StoreEvent) -> Result<u64> {
         self.expect_kind(LogKind::TaggedEvents)?;
-        self.frame.clear();
-        let mut payload = std::mem::take(&mut self.frame);
-        encode_tagged_event(&mut payload, seq, event);
-        let off = self.write_frame(&payload);
-        self.frame = payload;
-        off
+        self.write_frame(|buf| encode_tagged_event(buf, seq, event))
     }
 
     /// Forces everything appended so far to stable storage.
@@ -259,19 +250,24 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Assembles `len | crc | payload` and writes it with one `write`
-    /// call, then applies the fsync policy.
-    fn write_frame(&mut self, payload: &[u8]) -> Result<u64> {
+    /// Assembles `len | crc | payload` in the reused frame buffer, with
+    /// `encode` writing the payload straight behind a placeholder
+    /// header, and writes the frame with one `write` call, then applies
+    /// the fsync policy.
+    fn write_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64> {
         let offset = self.len;
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+        encode(&mut self.frame);
+        let payload = &self.frame[FRAME_HEADER_LEN..];
         let len_field = frame_len_field(payload.len() as u64)?;
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&len_field);
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let crc = crc32(payload).to_le_bytes();
+        self.frame[..4].copy_from_slice(&len_field);
+        self.frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc);
         self.file
-            .write_all(&frame)
+            .write_all(&self.frame)
             .map_err(|e| io_err(&self.path, e))?;
-        self.len += frame.len() as u64;
+        self.len += self.frame.len() as u64;
         self.unsynced += 1;
         let due = match self.policy {
             FsyncPolicy::Always => true,
@@ -363,6 +359,82 @@ mod tests {
         assert_eq!(w.unsynced(), 0);
         // And once clean, repeated polls are no-ops.
         assert!(!w.sync_if_due().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The writer's reused frame buffer puts exactly the documented
+    /// bytes on disk: a 3-event log of each kind equals its header plus
+    /// `len | crc | payload` frames assembled here by hand from the
+    /// codec's field layout.
+    #[test]
+    fn three_event_logs_hold_exactly_the_hand_assembled_frames() {
+        let events = [
+            StoreEvent::Review {
+                writer: wot_community::UserId(7),
+                review: wot_community::ReviewId(0),
+                category: wot_community::CategoryId(3),
+            },
+            StoreEvent::Rating {
+                rater: wot_community::UserId(1),
+                review: wot_community::ReviewId(0),
+                value: 0.75,
+            },
+            StoreEvent::Rating {
+                rater: wot_community::UserId(0x0102_0304),
+                review: wot_community::ReviewId(9),
+                value: f64::from_bits(0x3FE5_5555_5555_5555),
+            },
+        ];
+        // Event bodies: tag byte (0 review, 1 rating), then u32 LE
+        // fields and, for a rating, the value's f64 bits LE.
+        let bodies: [Vec<u8>; 3] = [
+            [&[0u8][..], &[7, 0, 0, 0], &[0, 0, 0, 0], &[3, 0, 0, 0]].concat(),
+            [
+                &[1u8][..],
+                &[1, 0, 0, 0],
+                &[0, 0, 0, 0],
+                &[0, 0, 0, 0, 0, 0, 0xE8, 0x3F],
+            ]
+            .concat(),
+            [
+                &[1u8][..],
+                &[4, 3, 2, 1],
+                &[9, 0, 0, 0],
+                &[0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0xE5, 0x3F],
+            ]
+            .concat(),
+        ];
+        let dir = std::env::temp_dir().join(format!("wot-wal-bytes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for kind in [LogKind::Events, LogKind::TaggedEvents] {
+            let path = dir.join(format!("{kind:?}.wal"));
+            let mut w = WalWriter::create(&path, kind, FsyncPolicy::Manual).unwrap();
+            let mut want: Vec<u8> = b"WOTWAL01".to_vec();
+            let kind_byte = match kind {
+                LogKind::Events => 0,
+                LogKind::TaggedEvents => 1,
+            };
+            want.extend_from_slice(&[kind_byte, 0, 0, 0]);
+            want.extend_from_slice(&crc32(&want).to_le_bytes());
+            for (i, (event, body)) in events.iter().zip(&bodies).enumerate() {
+                let tag = 40 + i as u64;
+                let payload = match kind {
+                    LogKind::Events => body.clone(),
+                    LogKind::TaggedEvents => [&tag.to_le_bytes()[..], body].concat(),
+                };
+                let offset = match kind {
+                    LogKind::Events => w.append(event).unwrap(),
+                    LogKind::TaggedEvents => w.append_tagged(tag, event).unwrap(),
+                };
+                assert_eq!(offset, want.len() as u64, "{kind:?} frame {i} offset");
+                want.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                want.extend_from_slice(&crc32(&payload).to_le_bytes());
+                want.extend_from_slice(&payload);
+            }
+            assert_eq!(w.len(), want.len() as u64);
+            w.sync().unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), want, "{kind:?} log bytes");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
