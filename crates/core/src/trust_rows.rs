@@ -77,7 +77,12 @@
 //! sum / mean / max, per-user out-support and a value histogram of the
 //! full `T̂`, folded row by row by a [`TrustRows::fold_chunks`] visitor. The
 //! support cross-checks against the bitmask
-//! [`support_count`](crate::trust::support_count).
+//! [`support_count`](crate::trust::support_count). The visitor neither
+//! stores nor branches per cell: sum and maximum go through selects, and
+//! the histogram is kept as register counts of `fl(v · N) > b` for each
+//! threshold `b`, differenced into bins once per scan. A per-cell bin
+//! index and `histogram[bin] += 1` made the reducer cost more than the
+//! kernel (`docs/ARCHITECTURE.md` § 4 has the split).
 
 use std::ops::Range;
 
@@ -560,9 +565,12 @@ pub struct Fig3Aggregates {
     /// Strictly positive entries per row — user `i`'s derived
     /// out-degree.
     pub row_support: Vec<u32>,
-    /// Histogram of positive values over `(0, 1]`:
-    /// `histogram[b]` counts `v` with `b/N < v ≤ (b+1)/N` for `N` bins
-    /// (values above 1 clamp into the last bin).
+    /// Histogram of the positive values over `N` uniform bins of
+    /// `(0, 1]`, binned on `x = fl(v · N)`: `histogram[b]` counts `v`
+    /// with `b < x ≤ b + 1`, the last bin every `x > N - 1` (values
+    /// above 1 and `+∞` included). That is `min(ceil(x), N) - 1`, and not
+    /// quite `b/N < v ≤ (b+1)/N` at the edges: the double `0.1` is a
+    /// little above `1/10`, but `fl(0.1 · 10) = 1` puts it in bin 0.
     pub histogram: Vec<u64>,
     /// Row chunks the scan's workers claimed.
     pub blocks: usize,
@@ -597,18 +605,38 @@ impl Fig3Aggregates {
 /// Histogram bins of [`Fig3Aggregates::histogram`].
 const FIG3_HIST_BINS: usize = 10;
 
-/// The bin of `v > 0` among `nbins` uniform bins over `(0, 1]`:
-/// `ceil(v · nbins) - 1`, values above 1 clamped into the last bin.
+/// One row of the Fig. 3 reduction, given the largest cell seen so far:
+/// the row's sum of positive cells, the new largest cell, and `above`,
+/// where `above[b]` counts the cells with `x = fl(v · N) > b`. `above[0]`
+/// is the row's support, and for `x > 0` the number of thresholds
+/// `1..N` that `x` passes is `min(ceil(x), N) - 1` — its bin.
 ///
-/// `f64::ceil` is a libm call per cell on a baseline x86-64 build (no
-/// SSE4.1), which was a third of the fused Fig. 3 scan; truncate-and-bump
-/// is the same function for every positive `x` (capped first, so the
-/// bump cannot overflow).
-fn bin_of(v: f64, nbins: usize) -> usize {
-    let x = (v * nbins as f64).min(nbins as f64);
-    let t = x as usize;
-    let ceil = if (t as f64) < x { t + 1 } else { t };
-    ceil.max(1) - 1
+/// Nothing per cell stores to memory or branches on its value: the sum
+/// and the maximum go through selects and the counters stay in
+/// registers. The sum keeps its serial ascending-column order; a
+/// non-positive cell adds `+0.0`, which leaves a sum that started at
+/// `+0.0` bit-unchanged, so it has the bits of the positive cells'
+/// sum.
+#[inline]
+fn fig3_row<const N: usize>(vals: &[f64], mut max: f64) -> (f64, f64, [u64; N]) {
+    let mut sum = 0.0f64;
+    let mut above = [0u64; N];
+    for &v in vals {
+        sum += if v > 0.0 { v } else { 0.0 };
+        max = if v > max { v } else { max };
+        let x = v * N as f64;
+        for (b, n) in above.iter_mut().enumerate() {
+            *n += u64::from(x > b as f64);
+        }
+    }
+    (sum, max, above)
+}
+
+/// The histogram with [`fig3_row`]'s threshold counts `above`: bin `b`
+/// is `above[b] - above[b + 1]`, the last bin `above[N - 1]`.
+fn histogram_of<const N: usize>(above: [u64; N]) -> Vec<u64> {
+    let next = above.iter().skip(1).chain([&0]);
+    above.iter().zip(next).map(|(a, b)| a - b).collect()
 }
 
 /// What one row chunk of the Fig. 3 scan reduces to.
@@ -617,7 +645,8 @@ struct Fig3Chunk {
     row_support: Vec<u32>,
     row_sum: Vec<f64>,
     max: f64,
-    histogram: [u64; FIG3_HIST_BINS],
+    /// [`fig3_row`]'s threshold counts summed over the chunk's rows.
+    above: [u64; FIG3_HIST_BINS],
 }
 
 /// Scans the full `T̂` once and reduces it to [`Fig3Aggregates`]; what
@@ -633,23 +662,16 @@ pub(crate) fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fi
             row_support: Vec::with_capacity(rows.len()),
             row_sum: Vec::with_capacity(rows.len()),
             max: 0.0,
-            histogram: [0; FIG3_HIST_BINS],
+            above: [0; FIG3_HIST_BINS],
         },
         |chunk, _i, _cols, vals| {
-            let mut row_sum = 0.0;
-            let mut row_support = 0u32;
-            for &v in vals {
-                if v > 0.0 {
-                    row_support += 1;
-                    row_sum += v;
-                    if v > chunk.max {
-                        chunk.max = v;
-                    }
-                    chunk.histogram[bin_of(v, FIG3_HIST_BINS)] += 1;
-                }
+            let (row_sum, max, above) = fig3_row::<FIG3_HIST_BINS>(vals, chunk.max);
+            for (total, n) in chunk.above.iter_mut().zip(above) {
+                *total += n;
             }
-            chunk.row_support.push(row_support);
+            chunk.row_support.push(above[0] as u32);
             chunk.row_sum.push(row_sum);
+            chunk.max = max;
         },
     );
     let users = scan.num_users();
@@ -659,24 +681,26 @@ pub(crate) fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fi
         sum: 0.0,
         max: 0.0,
         row_support: Vec::with_capacity(users),
-        histogram: vec![0u64; FIG3_HIST_BINS],
+        histogram: Vec::new(),
         blocks: chunks.len(),
         block_rows: scan.chunk_rows(),
         max_block_bytes: scan.transient_bytes(),
     };
+    let mut above = [0u64; FIG3_HIST_BINS];
     // Row sums combine in ascending row order whatever the chunking and
     // whichever worker produced them: the f64 fold has one order.
     for chunk in chunks {
         for row_sum in chunk.row_sum {
             agg.sum += row_sum;
         }
-        agg.support += chunk.row_support.iter().map(|&s| s as u64).sum::<u64>();
         agg.row_support.extend(chunk.row_support);
         agg.max = agg.max.max(chunk.max);
-        for (total, n) in agg.histogram.iter_mut().zip(chunk.histogram) {
+        for (total, n) in above.iter_mut().zip(chunk.above) {
             *total += n;
         }
     }
+    agg.support = above[0];
+    agg.histogram = histogram_of(above);
     Ok(agg)
 }
 
@@ -927,6 +951,11 @@ mod tests {
         Bench { derived }
     }
 
+    /// The bin [`Fig3Aggregates::histogram`] defines for `v > 0`.
+    fn ceil_bin(v: f64, nbins: usize) -> usize {
+        ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1
+    }
+
     #[test]
     fn aggregates_match_dense_reference() {
         let wb = bench();
@@ -937,6 +966,7 @@ mod tests {
         let mut support = 0u64;
         let mut sum = 0.0;
         let mut max = 0.0f64;
+        let mut histogram = vec![0u64; FIG3_HIST_BINS];
         for i in 0..u {
             let mut row_sum = 0.0;
             let mut row_support = 0u32;
@@ -945,6 +975,7 @@ mod tests {
                     row_support += 1;
                     row_sum += v;
                     max = max.max(v);
+                    histogram[ceil_bin(v, FIG3_HIST_BINS)] += 1;
                 }
             }
             assert_eq!(agg.row_support[i], row_support, "row {i}");
@@ -952,12 +983,12 @@ mod tests {
             sum += row_sum;
         }
         assert_eq!(agg.support, support);
-        assert_eq!(agg.sum, sum);
-        assert_eq!(agg.max, max);
+        assert_eq!(agg.sum.to_bits(), sum.to_bits());
+        assert_eq!(agg.max.to_bits(), max.to_bits());
+        assert_eq!(agg.histogram, histogram);
+        assert!(histogram.iter().filter(|&&n| n > 0).count() > 1);
         // Cross-check against the bitmask counter of Fig. 3.
         assert_eq!(agg.support, wb.derived.trust_support_count().unwrap());
-        // The histogram partitions the support.
-        assert_eq!(agg.histogram.iter().sum::<u64>(), agg.support);
         assert!(agg.density() > 0.0 && agg.density() <= 1.0);
         assert!(agg.mean_positive() > 0.0 && agg.mean_positive() <= agg.max);
     }
@@ -980,36 +1011,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bin_of_is_the_ceil_form() {
-        let ceil_form =
-            |v: f64, nbins: usize| ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1;
-        for nbins in [1usize, 4, FIG3_HIST_BINS, 64] {
-            let n = nbins as f64;
-            // Exact bin edges and their neighbours on both sides.
-            let mut values: Vec<f64> = (0..=2 * nbins)
-                .map(|b| b as f64 / n)
-                .flat_map(|e| [e, e.next_down(), e.next_up()])
-                .collect();
-            // The smallest positive values, values past 1, and a sweep.
-            values.extend([
-                f64::MIN_POSITIVE,
-                5e-324,
-                1e-300,
-                1.0,
-                1.5,
-                7.25,
-                1e9,
-                1e300,
-            ]);
-            values.extend((1..=10_000).map(|s| s as f64 / 9_973.0));
-            for v in values.into_iter().filter(|&v| v > 0.0) {
-                assert_eq!(
-                    bin_of(v, nbins),
-                    ceil_form(v, nbins),
-                    "v={v:e} nbins={nbins}"
-                );
-            }
+    /// `fig3_row::<N>` of `vals`, differenced into its histogram.
+    fn row_histogram<const N: usize>(vals: &[f64]) -> Vec<u64> {
+        histogram_of(fig3_row::<N>(vals, 0.0).2)
+    }
+
+    fn threshold_rule_is_the_ceil_form<const N: usize>() {
+        let n = N as f64;
+        // Exact bin edges and their neighbours on both sides.
+        let mut values: Vec<f64> = (0..=2 * N)
+            .map(|b| b as f64 / n)
+            .flat_map(|e| [e, e.next_down(), e.next_up()])
+            .collect();
+        // The smallest positive values, values past 1, and a sweep.
+        values.extend([
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-300,
+            1.0,
+            1.5,
+            7.25,
+            1e9,
+            1e300,
+        ]);
+        values.extend((1..=10_000).map(|s| s as f64 / 9_973.0));
+        let mut want = vec![0u64; N];
+        for &v in values.iter().filter(|&&v| v > 0.0) {
+            let mut one = vec![0u64; N];
+            one[ceil_bin(v, N)] = 1;
+            assert_eq!(row_histogram::<N>(&[v]), one, "v={v:e} N={N}");
+            want[ceil_bin(v, N)] += 1;
         }
+        // Counted nowhere: `-0.0`, negatives and NaN. `+∞` is in the last
+        // bin.
+        let nowhere = [-0.0, -f64::MIN_POSITIVE, -1.0, f64::NEG_INFINITY, f64::NAN];
+        for v in nowhere {
+            assert_eq!(row_histogram::<N>(&[v]), vec![0; N], "v={v:e} N={N}");
+        }
+        values.extend(nowhere);
+        let mut last = vec![0u64; N];
+        last[N - 1] = 1;
+        assert_eq!(row_histogram::<N>(&[f64::INFINITY]), last, "+∞ N={N}");
+        values.push(f64::INFINITY);
+        want[N - 1] += 1;
+        assert_eq!(row_histogram::<N>(&values), want, "N={N}");
+        let (_, _, above) = fig3_row::<N>(&values, 0.0);
+        assert_eq!(above[0], want.iter().sum::<u64>(), "the support");
+    }
+
+    #[test]
+    fn threshold_counts_are_the_ceil_form() {
+        threshold_rule_is_the_ceil_form::<1>();
+        threshold_rule_is_the_ceil_form::<4>();
+        threshold_rule_is_the_ceil_form::<FIG3_HIST_BINS>();
+        threshold_rule_is_the_ceil_form::<64>();
+    }
+
+    #[test]
+    fn row_sum_and_max_are_the_positive_cells_in_order() {
+        let vals = [0.25, -0.0, 0.5, f64::NAN, 0.0, -3.0, 1e-300, 0.125, 0.75];
+        let (sum, max, _) = fig3_row::<FIG3_HIST_BINS>(&vals, 0.0);
+        let want = vals.iter().filter(|&&v| v > 0.0).fold(0.0, |s, &v| s + v);
+        assert_eq!(sum.to_bits(), want.to_bits());
+        assert_eq!(max, 0.75);
+        assert_eq!(fig3_row::<FIG3_HIST_BINS>(&vals, 2.0).1, 2.0);
+        let (sum, max, _) = fig3_row::<FIG3_HIST_BINS>(&[-0.0, f64::NAN, -1.0], 0.0);
+        assert_eq!((sum.to_bits(), max.to_bits()), (0, 0), "+0.0 stays +0.0");
     }
 }

@@ -10,7 +10,7 @@
 //! count may perturb a single bit.
 
 use webtrust::community::{CategoryId, CommunityStore, StoreEvent};
-use webtrust::core::{pipeline, trust, DeriveConfig, IncrementalDerived, ReplayEvent};
+use webtrust::core::{pipeline, trust, BlockConfig, DeriveConfig, IncrementalDerived, ReplayEvent};
 use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
 
 fn tiny_store() -> CommunityStore {
@@ -74,6 +74,34 @@ fn threaded_trust_kernels_are_bit_identical() {
         let count =
             trust::support_count(&derived.affiliation, &derived.expertise, threads).unwrap();
         assert_eq!(count, count_seq, "support, threads={threads}");
+    }
+}
+
+/// The Fig. 3 scan folds each row on the worker that computed it and
+/// combines the rows in ascending order, so its `f64` sum and maximum
+/// keep their bits, and its counts their values, at every thread count
+/// and chunk height.
+#[test]
+fn fig3_aggregates_are_bit_identical_at_every_thread_count() {
+    let store = tiny_store();
+    let derived = pipeline::derive(&store, &DeriveConfig::default()).unwrap();
+    let seq = derived.trust_fig3(&BlockConfig::sequential()).unwrap();
+    assert!(seq.support > 0);
+    assert!(seq.histogram.iter().filter(|&&n| n > 0).count() > 1);
+    for block_rows in [1usize, 13] {
+        for threads in [1usize, 2, 3, 8] {
+            let cfg = BlockConfig {
+                block_rows,
+                threads,
+            };
+            let agg = derived.trust_fig3(&cfg).unwrap();
+            let at = format!("block_rows={block_rows} threads={threads}");
+            assert_eq!(agg.sum.to_bits(), seq.sum.to_bits(), "sum, {at}");
+            assert_eq!(agg.max.to_bits(), seq.max.to_bits(), "max, {at}");
+            assert_eq!(agg.support, seq.support, "support, {at}");
+            assert_eq!(agg.row_support, seq.row_support, "row support, {at}");
+            assert_eq!(agg.histogram, seq.histogram, "histogram, {at}");
+        }
     }
 }
 
