@@ -240,15 +240,32 @@ impl CommunityBuilder {
 
     /// Finalizes the store, computing all indexes.
     pub fn build(self) -> CommunityStore {
-        CommunityStore::from_parts(
-            self.scale,
-            self.users,
-            self.categories,
-            self.objects,
-            self.reviews,
-            self.ratings,
-            self.trust,
-        )
+        let Self {
+            scale,
+            users,
+            categories,
+            objects,
+            reviews,
+            ratings,
+            trust,
+            user_handles,
+            category_names,
+            object_keys,
+            review_keys,
+            rating_index,
+            trust_keys,
+        } = self;
+        // The key maps only guard insertion; free them before the store
+        // builds its indexes, so the two never coexist.
+        drop((
+            user_handles,
+            category_names,
+            object_keys,
+            review_keys,
+            rating_index,
+            trust_keys,
+        ));
+        CommunityStore::from_parts(scale, users, categories, objects, reviews, ratings, trust)
     }
 }
 

@@ -44,18 +44,15 @@ impl CommunityStore {
         ratings: Vec<Rating>,
         trust: Vec<TrustStatement>,
     ) -> Self {
-        let mut reviews_by_writer = vec![Vec::new(); users.len()];
-        let mut reviews_by_category = vec![Vec::new(); categories.len()];
-        for r in &reviews {
-            reviews_by_writer[r.writer.index()].push(r.id);
-            reviews_by_category[r.category.index()].push(r.id);
-        }
-        let mut ratings_by_review = vec![Vec::new(); reviews.len()];
-        let mut ratings_by_rater = vec![Vec::new(); users.len()];
-        for rt in &ratings {
-            ratings_by_review[rt.review.index()].push((rt.rater, rt.value));
-            ratings_by_rater[rt.rater.index()].push((rt.review, rt.value));
-        }
+        let reviews_by_writer = grouped(users.len(), &reviews, |r| (r.writer.index(), r.id));
+        let reviews_by_category =
+            grouped(categories.len(), &reviews, |r| (r.category.index(), r.id));
+        let ratings_by_review = grouped(reviews.len(), &ratings, |rt| {
+            (rt.review.index(), (rt.rater, rt.value))
+        });
+        let ratings_by_rater = grouped(users.len(), &ratings, |rt| {
+            (rt.rater.index(), (rt.review, rt.value))
+        });
         Self {
             scale,
             users,
@@ -335,6 +332,23 @@ impl CommunityStore {
     }
 }
 
+/// Groups `items` into `n` lists by the index `entry` gives each, in
+/// `items` order. Degrees are counted first, so every list is allocated
+/// at exactly its length: a list grown by doubling would carry up to as
+/// much again in slack, and the store is built once and never grows.
+fn grouped<T, V>(n: usize, items: &[T], entry: impl Fn(&T) -> (usize, V)) -> Vec<Vec<V>> {
+    let mut degree = vec![0usize; n];
+    for item in items {
+        degree[entry(item).0] += 1;
+    }
+    let mut lists: Vec<Vec<V>> = degree.into_iter().map(Vec::with_capacity).collect();
+    for item in items {
+        let (i, v) = entry(item);
+        lists[i].push(v);
+    }
+    lists
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,6 +399,45 @@ mod tests {
         );
         assert_eq!(s.ratings_by_rater(UserId(0)).len(), 2);
         assert_eq!(s.user_by_handle("u2").unwrap().id, UserId(2));
+    }
+
+    /// Every adjacency list is allocated at its length: lists of 0, 1,
+    /// 3 and 5 entries, lengths a doubling growth would over-allocate.
+    #[test]
+    fn store_lists_are_exact() {
+        let mut b = CommunityBuilder::new(RatingScale::five_step());
+        let users: Vec<UserId> = (0..6).map(|i| b.add_user(format!("u{i}"))).collect();
+        let c0 = b.add_category("c0");
+        let _empty = b.add_category("c1");
+        let mut reviews = Vec::new();
+        for (k, &writer) in users[..3].iter().enumerate() {
+            for o in 0..=k {
+                let obj = b.add_object(format!("o{k}-{o}"), c0).unwrap();
+                reviews.push(b.add_review(writer, obj).unwrap());
+            }
+        }
+        for &rater in &users[1..] {
+            for &r in &reviews {
+                // Skips the rater's own reviews.
+                let _ = b.add_rating(rater, r, 0.6);
+            }
+        }
+        let s = b.build();
+        let lens_and_caps = s
+            .reviews_by_writer
+            .iter()
+            .chain(&s.reviews_by_category)
+            .map(|l| (l.len(), l.capacity()))
+            .chain(s.ratings_by_review.iter().map(|l| (l.len(), l.capacity())))
+            .chain(s.ratings_by_rater.iter().map(|l| (l.len(), l.capacity())));
+        for (len, capacity) in lens_and_caps {
+            assert_eq!(capacity, len);
+        }
+        // The lists are the ones the accessors hand out.
+        assert_eq!(s.reviews_in_category(c0).len(), 6);
+        assert_eq!(s.reviews_by_writer(users[2]).len(), 3);
+        assert_eq!(s.ratings_by_rater(users[5]).len(), 6);
+        assert_eq!(s.ratings_of_review(reviews[0]).len(), 5);
     }
 
     #[test]

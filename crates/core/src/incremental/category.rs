@@ -56,14 +56,6 @@ pub(super) struct CategoryState {
     /// Monotone counter bumped on every mutation — the invalidation key
     /// for [`DerivedCache`](super::DerivedCache).
     pub(super) data_version: u64,
-    /// Worklist seeds for the delta solver: the `(local rater, local
-    /// review)` endpoints of every rating added or revised since the last
-    /// refresh. Recorded only under [`DeriveConfig::delta_refresh`] —
-    /// only the delta solve reads them, and a cold-publish model never
-    /// refreshes, so it would never clear them. Cleared by every refresh;
-    /// new reviews seed nothing (an unrated review's quality is exact at
-    /// insert and influences no rater).
-    pub(super) pending_seeds: Vec<(u32, u32)>,
     /// Sweep count of the last refresh (for warm snapshot assembly).
     pub(super) last_iterations: usize,
     /// Convergence flag of the last refresh.
@@ -72,7 +64,11 @@ pub(super) struct CategoryState {
     /// ([`AUDIT_EVERY`](super::AUDIT_EVERY)). State, not scratch: it
     /// survives [`compact`](Self::compact) and travels with a clone.
     pub(super) delta_refreshes: u64,
-    /// The delta worklist's reusable working memory.
+    /// The delta worklist's reusable working memory, and between
+    /// refreshes its pending seeds. Seeded only under
+    /// [`DeriveConfig::delta_refresh`]: only the delta solve reads the
+    /// seeds, and a cold-publish model never refreshes, so it would never
+    /// clear them.
     pub(super) scratch: DeltaScratch,
 }
 
@@ -95,11 +91,12 @@ impl CategoryState {
 
     /// Re-packs both arenas in place through [`Incidence::compact`] —
     /// node order, settled slack, no dead space, same per-node order —
-    /// one arena at a time, and empties the worklist scratch.
+    /// one arena at a time, and frees the worklist's visit marks. The
+    /// pending seeds stay: a stale category compacts without losing them.
     pub(super) fn compact(&mut self) {
         self.ratings_by_review_local.compact();
         self.ratings_by_rater_local.compact();
-        self.scratch = DeltaScratch::default();
+        self.scratch.compact();
     }
 
     /// Where local review `local` sits in rater `lr`'s ascending list:
@@ -178,7 +175,7 @@ impl CategoryState {
         self.stale = true;
         self.data_version += 1;
         if cfg.delta_refresh {
-            self.pending_seeds.push((lr, local));
+            self.scratch.seed(lr, local);
         }
     }
 

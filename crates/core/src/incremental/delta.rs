@@ -26,6 +26,26 @@ impl NodeSet {
         self.len = 0;
     }
 
+    /// Sizes the set for at least nodes `0..n`, keeping its members. The
+    /// words are grown exactly: a set that lives between refreshes holds
+    /// one bit per node and no slack.
+    #[inline]
+    fn fit(&mut self, n: usize) {
+        let words = n.div_ceil(64);
+        if words > self.words.len() {
+            self.words.reserve_exact(words - self.words.len());
+            self.words.resize(words, 0);
+        }
+    }
+
+    /// Empties the set, keeping its size.
+    fn clear(&mut self) {
+        if self.len > 0 {
+            self.words.fill(0);
+            self.len = 0;
+        }
+    }
+
     #[inline]
     fn insert(&mut self, i: u32) {
         let word = &mut self.words[i as usize / 64];
@@ -63,10 +83,16 @@ impl NodeSet {
 }
 
 /// The delta worklist's working memory, kept per category so a refresh
-/// allocates nothing. It carries nothing from one refresh to the next:
-/// [`begin`](Self::begin) empties all four sets, whatever the last
-/// refresh left in them (a frontier cut off by the iteration cap, its
-/// visit marks).
+/// allocates nothing.
+///
+/// Between refreshes the frontiers hold the **pending seeds**: the review
+/// and the rater of every rating added or revised since the last refresh,
+/// marked by [`seed`](Self::seed) as the event is applied (new reviews
+/// mark nothing: an unrated review's quality is exact at insert and
+/// influences no rater). The seen sets hold the last refresh's visit
+/// marks, which [`CategoryState::trace`] reads. A refresh starts from the
+/// seeds, empties the seen sets at [`begin`](Self::begin), and leaves both
+/// frontiers empty at [`finish`](Self::finish), whatever stopped it.
 #[derive(Debug, Clone, Default)]
 pub(super) struct DeltaScratch {
     /// Reviews / raters queued for recomputation. A set, so the worklist
@@ -80,13 +106,50 @@ pub(super) struct DeltaScratch {
 }
 
 impl DeltaScratch {
-    /// Empties the scratch and sizes it for a category of `n_rev` reviews
-    /// and `n_rat` raters.
+    /// Marks the rating of local review `local` by local rater `lr` for
+    /// the next delta solve, growing the frontiers to cover both.
+    #[inline]
+    pub(super) fn seed(&mut self, lr: u32, local: u32) {
+        self.rev_frontier.fit(local as usize + 1);
+        self.rev_frontier.insert(local);
+        // The seed rater must recompute even if its review's quality
+        // holds still: the rating changed the rater's own n, discount
+        // and deviation terms directly.
+        self.rat_frontier.fit(lr as usize + 1);
+        self.rat_frontier.insert(lr);
+    }
+
+    /// Sizes the scratch for a category of `n_rev` reviews and `n_rat`
+    /// raters, keeping the seeds, and empties the seen sets.
     fn begin(&mut self, n_rev: usize, n_rat: usize) {
-        self.rev_frontier.reset(n_rev);
-        self.rat_frontier.reset(n_rat);
+        self.rev_frontier.fit(n_rev);
+        self.rat_frontier.fit(n_rat);
         self.rev_seen.reset(n_rev);
         self.rat_seen.reset(n_rat);
+    }
+
+    /// Empties the frontiers at the end of a refresh: a converged delta
+    /// solve already has, but a solve cut off by the iteration cap leaves
+    /// its last frontier, and the full warm sweep never reads the seeds.
+    fn finish(&mut self) {
+        self.rev_frontier.clear();
+        self.rat_frontier.clear();
+    }
+
+    /// Keeps the pending seeds and frees the rest: the seen sets hold
+    /// the last refresh's visit marks, which the next refresh empties
+    /// anyway.
+    pub(super) fn compact(&mut self) {
+        *self = DeltaScratch {
+            rev_frontier: std::mem::take(&mut self.rev_frontier),
+            rat_frontier: std::mem::take(&mut self.rat_frontier),
+            ..DeltaScratch::default()
+        };
+    }
+
+    /// Heap bytes of the pending seeds: both frontiers, at capacity.
+    pub(super) fn seed_bytes(&self) -> usize {
+        (self.rev_frontier.words.capacity() + self.rat_frontier.words.capacity()) * 8
     }
 }
 
@@ -151,10 +214,6 @@ impl DeltaReport {
     }
 }
 
-/// Seed capacity a refresh keeps for the next events (8 B a seed); a
-/// larger buffer is freed.
-const SEEDS_KEPT: usize = 1024;
-
 impl CategoryState {
     /// Re-solves the category in place through whichever path
     /// [`DeriveConfig::delta_refresh`] selects — the delta solve or the
@@ -191,13 +250,7 @@ impl CategoryState {
         self.last_iterations = report.sweeps;
         self.last_converged = report.converged;
         self.stale = false;
-        // A bootstrap leaves one seed per rating it applied; keep only
-        // a per-event-sized buffer resident.
-        if self.pending_seeds.capacity() > SEEDS_KEPT {
-            self.pending_seeds = Vec::new();
-        } else {
-            self.pending_seeds.clear();
-        }
+        self.scratch.finish();
         report
     }
 
@@ -224,10 +277,10 @@ impl CategoryState {
         }
     }
 
-    /// The **delta solver**: starts from the pending seeds (the one
-    /// review and one rater each new or revised rating touches) and
-    /// propagates Eq. 1 / Eq. 2 recomputations through the bipartite
-    /// incidence only while a node moves by more than
+    /// The **delta solver**: starts from the pending seeds already marked
+    /// in its frontiers (the one review and one rater each new or revised
+    /// rating touches) and propagates Eq. 1 / Eq. 2 recomputations
+    /// through the bipartite incidence only while a node moves by more than
     /// [`DeriveConfig::delta_tolerance`] — the only reader of that
     /// cut-off. Each pass picks its own kind from its own frontier (push
     /// or pull, as in Beamer et al.'s direction-optimising search):
@@ -271,7 +324,6 @@ impl CategoryState {
             rater_discount,
             quality,
             reputation,
-            pending_seeds,
             scratch,
             ..
         } = self;
@@ -281,13 +333,6 @@ impl CategoryState {
             rev_seen,
             rat_seen,
         } = scratch;
-        for &(lr, local) in pending_seeds.iter() {
-            rev_frontier.insert(local);
-            // The seed rater must recompute even if its review's quality
-            // holds still: the rating changed the rater's own n, discount
-            // and deviation terms directly.
-            rat_frontier.insert(lr);
-        }
         let total = (n_rev + n_rat) as f64;
         let cut_off = cfg.delta_tolerance;
         let mut sweeps = 0usize;
@@ -501,11 +546,13 @@ mod tests {
         assert_eq!(set.iter().collect::<Vec<_>>(), [199]);
     }
 
-    /// Seeds are the delta solve's alone: a model without delta refresh
-    /// records none, and the refresh after a bootstrap frees the
-    /// bootstrap's seed buffer rather than keep its capacity.
+    /// Seeds are marks in the frontier bitmaps, the delta solve's alone:
+    /// a model without delta refresh marks nothing, and a delta model's
+    /// seeds take one bit a node per frontier however many events
+    /// arrived. A refresh leaves no mark behind, whether it converged or
+    /// the iteration cap cut it off.
     #[test]
-    fn seeds_are_kept_for_the_delta_solve_only_and_a_bootstrap_buffer_is_freed() {
+    fn seeds_are_frontier_bits_for_the_delta_solve_only() {
         let users = 40u32;
         let ingest = |cfg: &DeriveConfig| {
             let mut inc = IncrementalDerived::new(users as usize, 1, cfg).unwrap();
@@ -520,20 +567,38 @@ mod tests {
             }
             inc
         };
+        let marks = |inc: &IncrementalDerived| {
+            let scratch = &inc.categories[0].scratch;
+            (scratch.rev_frontier.len, scratch.rat_frontier.len)
+        };
         let cold = ingest(&DeriveConfig::default());
-        assert_eq!(cold.categories[0].pending_seeds.capacity(), 0);
+        assert_eq!(cold.heap_bytes().seeds, 0);
 
         let mut delta = ingest(&delta_cfg(0.25));
-        let seeds = &delta.categories[0].pending_seeds;
-        assert_eq!(seeds.len(), (users * (users - 1)) as usize);
-        assert!(seeds.capacity() > SEEDS_KEPT);
+        // 1,560 ratings mark each of the 40 reviews and 40 raters once,
+        // in one 8-byte word per frontier.
+        assert_eq!(marks(&delta), (40, 40));
+        assert_eq!(delta.heap_bytes().seeds, 2 * 8);
         delta.refresh_all();
-        assert_eq!(delta.categories[0].pending_seeds.capacity(), 0);
-        // A per-event buffer survives its refresh.
+        assert_eq!(marks(&delta), (0, 0));
+        // A revision marks its review and its rater only.
         delta.upsert_rating(UserId(0), ReviewId(1), 0.75).unwrap();
+        assert_eq!(marks(&delta), (1, 1));
         delta.refresh(CategoryId(0));
-        let seeds = &delta.categories[0].pending_seeds;
-        assert!(seeds.is_empty() && seeds.capacity() > 0);
+        assert_eq!(marks(&delta), (0, 0));
+
+        // A solve cut off by the iteration cap drops its last frontier.
+        let capped = DeriveConfig::builder()
+            .delta_refresh(true)
+            .delta_frontier_threshold(1.0)
+            .fixpoint_max_iters(1)
+            .build()
+            .unwrap();
+        let mut capped = ingest(&capped);
+        capped.upsert_rating(UserId(0), ReviewId(1), 1.0).unwrap();
+        let (_, converged) = capped.refresh(CategoryId(0));
+        assert!(!converged);
+        assert_eq!(marks(&capped), (0, 0));
     }
 
     /// Frontier-threshold boundary semantics: at 0 every pass is dense —
@@ -567,7 +632,8 @@ mod tests {
                 assert_eq!(state.reputation, twin.reputation);
             }
             assert!(!inc.categories[cat.index()].stale);
-            assert!(inc.categories[cat.index()].pending_seeds.is_empty());
+            let scratch = &inc.categories[cat.index()].scratch;
+            assert_eq!((scratch.rev_frontier.len, scratch.rat_frontier.len), (0, 0));
         }
     }
 

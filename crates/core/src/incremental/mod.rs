@@ -160,7 +160,8 @@ pub struct HeapBytes {
     pub arenas: usize,
     /// What the arenas' edges alone take (12 B each): an exact pack.
     pub arena_edges: usize,
-    /// The delta worklist's pending seeds.
+    /// The delta worklist's pending seeds: both frontier bitmaps, one
+    /// bit per node of the category.
     pub seeds: usize,
     /// Slots no node owns in either arena (what a re-pack drops).
     pub arena_dead: usize,
@@ -320,7 +321,8 @@ impl IncrementalDerived {
 
     /// Re-packs every rating arena in place, one at a time
     /// ([`Incidence::compact`](wot_community::Incidence::compact)), and
-    /// empties the worklist scratch. Changes no answer.
+    /// frees the worklist's visit marks, keeping its pending seeds.
+    /// Changes no answer, stale categories included.
     pub fn compact(&mut self) {
         for state in &mut self.categories {
             state.compact();
@@ -365,7 +367,7 @@ impl IncrementalDerived {
                 bytes.arena_edges += arena.num_edges() * (4 + 8);
                 bytes.arena_dead += arena.dead_slots();
             }
-            bytes.seeds += state.pending_seeds.capacity() * std::mem::size_of::<(u32, u32)>();
+            bytes.seeds += state.scratch.seed_bytes();
             bytes.writer_column += state.review_writer_local.capacity() * 4;
         }
         bytes

@@ -8,9 +8,15 @@
 //! scratch. Fed the same events, the two must agree bit for bit on every
 //! warm value and on everything `refresh_traced` reports — sweep counts,
 //! whether a dense pass ran, and the visited sets — at every event.
+//!
+//! The delta worklist's pending seeds live in the same scratch, as marks
+//! in its frontier bitmaps, so a compaction must keep them. The second
+//! case twins a model while its categories are still stale — once with
+//! a whole bootstrap pending, once with a round of tail events — and
+//! holds the twins' first refreshes equal the same way.
 
 use wot_community::{CategoryId, StoreEvent};
-use wot_core::{DeriveConfig, IncrementalDerived, ReplayEvent};
+use wot_core::{DeltaReport, DeriveConfig, IncrementalDerived, ReplayEvent};
 use wot_synth::{generate, shuffled_event_log, SynthConfig};
 
 /// Events the live model refreshes through before it is twinned.
@@ -99,4 +105,69 @@ fn arena_layout_and_scratch_residue_never_change_an_answer() {
         fallbacks > 0 && worklists > 0,
         "the compared stretch must exercise both paths: {fallbacks} fallbacks, {worklists} worklists"
     );
+}
+
+/// Tail rounds after the bootstrap, each twinned while still stale.
+const ROUNDS: usize = 40;
+/// Events per tail round.
+const ROUND_EVENTS: usize = 2;
+
+fn assert_same_report(a: &DeltaReport, b: &DeltaReport, at: &str) {
+    assert_eq!(a.sweeps, b.sweeps, "{at}: sweeps");
+    assert_eq!(a.converged, b.converged, "{at}: converged");
+    assert_eq!(a.fell_back, b.fell_back, "{at}: fell_back");
+    assert_eq!(a.residual, b.residual, "{at}: residual");
+    assert_eq!(a.resweeps, b.resweeps, "{at}: resweeps");
+    assert_eq!(a.visited_reviews, b.visited_reviews, "{at}: reviews");
+    assert_eq!(a.visited_raters, b.visited_raters, "{at}: raters");
+}
+
+/// Twins `live` through `compacted()` while it is stale, refreshes every
+/// category of both, and holds the reports and the warm bits equal.
+/// Returns the reports.
+fn refresh_a_stale_twin(live: &mut IncrementalDerived, at: &str) -> Vec<DeltaReport> {
+    assert!(live.is_stale(), "{at}: nothing pending to carry over");
+    let mut twin = live.compacted();
+    let reports = (0..live.num_categories())
+        .map(CategoryId::from_index)
+        .map(|c| {
+            let (a, b) = (live.refresh_traced(c), twin.refresh_traced(c));
+            assert_same_report(&a, &b, &format!("{at}, category {c}"));
+            a
+        })
+        .collect();
+    assert_same_warm_bits(live, &twin, 0);
+    reports
+}
+
+#[test]
+fn pending_seeds_survive_compaction() {
+    let store = generate(&SynthConfig::laptop(22)).unwrap().store;
+    let log = shuffled_event_log(&store, 2_022);
+    let cfg = DeriveConfig::builder().delta_refresh(true).build().unwrap();
+    let boot = log.len() - ROUNDS * ROUND_EVENTS;
+
+    let mut live =
+        IncrementalDerived::new(store.num_users(), store.num_categories(), &cfg).unwrap();
+    for e in &log[..boot] {
+        live.apply(&ReplayEvent::from(*e)).unwrap();
+    }
+    // Every bootstrap rating pending: frontiers this wide run dense.
+    let reports = refresh_a_stale_twin(&mut live, "bootstrap");
+    assert!(reports.iter().all(|r| r.fell_back && r.converged));
+
+    // A few tail events pending: narrow frontiers, some of them drained
+    // by worklist passes alone.
+    let mut worklists = 0;
+    for (k, round) in log[boot..].chunks(ROUND_EVENTS).enumerate() {
+        for e in round {
+            live.apply(&ReplayEvent::from(*e)).unwrap();
+        }
+        let reports = refresh_a_stale_twin(&mut live, &format!("tail round {k}"));
+        worklists += reports
+            .iter()
+            .filter(|r| !r.fell_back && r.sweeps > 0)
+            .count();
+    }
+    assert!(worklists > 0, "the tail rounds must run a worklist");
 }

@@ -1,69 +1,32 @@
 //! Where the incremental model's memory goes, per ingested event.
 //!
-//! A counting global allocator (std only) tracks live heap bytes. The
-//! probe bootstraps a laptop-preset model on the first 60 % of a shuffled
-//! history — the laptop workloads' split — then ingests tail events,
-//! publishing once per 64 (one client round), once through a cold-publish
-//! model and once through a delta-publish one. It prints the growth per
-//! event: the live total, and the components the model reports — both
-//! rating arenas (their slots against what their edges alone take), the
-//! delta worklist's seeds, the writer column, and the cache's
-//! published tables. The rest is the model's other indexes and the
-//! assembled matrices.
+//! A counting global allocator (`counting_alloc`) tracks live heap
+//! bytes. The probe bootstraps a laptop-preset model on the first 60 % of
+//! a shuffled history — the laptop workloads' split — then ingests tail
+//! events, publishing once per 64 (one client round), once through a
+//! cold-publish model and once through a delta-publish one. It prints the
+//! growth per event: the live total, and the components the model
+//! reports — both rating arenas (their slots against what their edges
+//! alone take), the delta worklist's seeds, the writer column, and the
+//! cache's published tables. The rest is the model's other indexes and
+//! the assembled matrices.
 //!
-//! It holds two facts: a cold-publish model keeps no seeds (0 B/event),
-//! and the refresh after a bootstrap frees the bootstrap's seed buffer.
+//! It holds two facts about the delta worklist's seeds, which are marks
+//! in per-category frontier bitmaps: a cold-publish model marks nothing
+//! (0 B), and a delta model's seeds take at most `2 · 8 · ⌈nodes/64⌉`
+//! bytes per category — one bit a node per frontier, a word's rounding
+//! included — however many events arrived since its last refresh.
 //!
 //! The run (50 k tail events) is `#[ignore]`d for the debug tier-1 suite
 //! and runs in release: `cargo test --release -p wot-core --test
 //! memory_probe -- --ignored --nocapture`. The seed facts alone are
 //! unit tests of `incremental::delta`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
 
+use wot_community::CategoryId;
 use wot_core::{DeriveConfig, DerivedCache, IncrementalDerived, ReplayEvent};
 use wot_synth::{generate, shuffled_event_log, SynthConfig};
-
-/// The system allocator, counting the bytes currently allocated.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-
-    unsafe fn realloc(&self, p: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let q = System.realloc(p, layout, new_size);
-        if !q.is_null() {
-            LIVE.fetch_add(new_size, Ordering::Relaxed);
-            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        }
-        q
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
 
 /// Events per publish: one laptop client round.
 const ROUND: usize = 64;
@@ -82,12 +45,35 @@ struct Reading {
 fn read(model: &IncrementalDerived, cache: &DerivedCache) -> Reading {
     let heap = model.heap_bytes();
     Reading {
-        live: LIVE.load(Ordering::Relaxed),
+        live: counting_alloc::live(),
         arenas: heap.arenas,
         arena_edges: heap.arena_edges,
         seeds: heap.seeds,
         writer_column: heap.writer_column,
         tables: cache.table_bytes(),
+    }
+}
+
+/// The most seed bytes the model may hold: `2 · 8 · ⌈nodes/64⌉` per
+/// category, `nodes` its reviews and raters.
+fn seed_bound(model: &IncrementalDerived) -> usize {
+    (0..model.num_categories())
+        .map(|c| {
+            let warm = model.warm_state(CategoryId::from_index(c)).unwrap();
+            2 * 8 * (warm.reviews.len() + warm.raters.len()).div_ceil(64)
+        })
+        .sum()
+}
+
+/// Holds the seed facts on `model`: none without delta refresh, at most
+/// [`seed_bound`] with it.
+fn check_seeds(model: &IncrementalDerived, delta: bool, at: &str) {
+    let seeds = model.heap_bytes().seeds;
+    if delta {
+        let bound = seed_bound(model);
+        assert!(seeds <= bound, "{at}: {seeds} B of seeds, bound {bound} B");
+    } else {
+        assert_eq!(seeds, 0, "{at}: a cold-publish model marked seeds");
     }
 }
 
@@ -111,15 +97,10 @@ fn run(delta: bool, tail: usize) -> (Reading, Reading) {
     for e in &log[..boot] {
         model.apply(&ReplayEvent::from(*e)).unwrap();
     }
-    if delta {
-        assert!(model.heap_bytes().seeds > 0, "a delta bootstrap seeds");
-    }
+    // Every bootstrap rating is pending here, none after the refresh.
+    check_seeds(&model, delta, "the bootstrap");
     model.refresh_all();
-    assert_eq!(
-        model.heap_bytes().seeds,
-        0,
-        "the bootstrap's refresh keeps its seed buffer"
-    );
+    check_seeds(&model, delta, "the bootstrap's refresh");
     drop(store);
 
     let mut cache = DerivedCache::default();
@@ -136,6 +117,7 @@ fn run(delta: bool, tail: usize) -> (Reading, Reading) {
         for e in round {
             model.apply(&ReplayEvent::from(*e)).unwrap();
         }
+        check_seeds(&model, delta, "a round");
         publish(&mut model, &mut cache);
     }
     (before, read(&model, &cache))
@@ -167,8 +149,5 @@ fn memory_per_event_by_component() {
             b.arenas as f64 / 1e6,
             b.arena_edges as f64 / 1e6
         );
-        if !delta {
-            assert_eq!(b.seeds, 0, "a cold-publish model kept seeds");
-        }
     }
 }

@@ -115,8 +115,8 @@ pub fn generate_with_threads(
     let mut reviews: Vec<ReviewInfo> = Vec::new();
     let mut reviews_by_cat: Vec<Vec<ReviewId>> = vec![Vec::new(); c];
     let mut review_counts = vec![vec![0u32; c]; u]; // n^w per user per category
-    for (i, plan) in review_plans.iter().enumerate() {
-        for &(cat, o, quality) in plan {
+    for (i, plan) in review_plans.into_iter().enumerate() {
+        for (cat, o, quality) in plan {
             let rid = b
                 .add_review(UserId::from_index(i), object_id(cat, o))
                 .expect("deduplicated per user; reviews cannot collide across users");
@@ -192,12 +192,14 @@ pub fn generate_with_threads(
         }
         out
     });
+    // The rating draws' lookup tables; nothing below reads them.
+    drop((review_popularity, reviews_by_cat));
 
     // Per user: writers they rated and the sum/count of values given —
     // the direct-experience candidate pool for trust formation.
     let mut rated_writers: Vec<HashMap<u32, (f64, u32)>> = vec![HashMap::new(); u];
-    for (i, plan) in rating_plans.iter().enumerate() {
-        for &(rid, observed) in plan {
+    for (i, plan) in rating_plans.into_iter().enumerate() {
+        for (rid, observed) in plan {
             b.add_rating(UserId::from_index(i), rid, observed)
                 .expect("deduplicated per user; on-scale by quantization");
             let entry = rated_writers[i]
@@ -307,8 +309,11 @@ pub fn generate_with_threads(
         }
         out
     });
-    for (i, plan) in trust_plans.iter().enumerate() {
-        for &(target, reciprocal) in plan {
+    // Sampling scaffolding: nothing below reads it, and the store's
+    // indexes are about to be built beside the builder's tables.
+    drop((rated_writers, visibility, review_counts));
+    for (i, plan) in trust_plans.into_iter().enumerate() {
+        for (target, reciprocal) in plan {
             let target = target as usize;
             // A duplicate here means an earlier user's reciprocity pass
             // already created the edge; the draw is simply dropped.
@@ -462,6 +467,17 @@ mod tests {
         }
         // And `generate` itself is the all-hardware spelling of the same.
         assert_eq!(digest(&generate(&cfg).unwrap()), sequential);
+    }
+
+    /// The benchmark's laptop community (its default seed), bit for bit:
+    /// a change to the generator or to the store it builds must leave
+    /// this dataset alone. `DefaultHasher::new()` is SipHash under fixed
+    /// keys, so the digest is the same on every run; were a toolchain to
+    /// change that algorithm, re-derive the constant on the parent commit.
+    #[test]
+    fn laptop_community_is_pinned() {
+        let out = generate(&SynthConfig::laptop(20080407)).unwrap();
+        assert_eq!(digest(&out), 6_087_901_436_980_525_238);
     }
 
     #[test]
