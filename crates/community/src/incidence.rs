@@ -10,15 +10,14 @@
 //! contiguous memory and a worklist visit costs one record load instead of
 //! a pointer chase into a per-node `Vec`.
 //!
-//! The same type serves the batch projection
-//! ([`CategorySlice`](crate::CategorySlice), built **exactly** — every
-//! node's capacity is its final degree, no slack, no dead space: one
-//! direction collected from its grouped lists (`FromIterator`), the other
-//! its [`transposed`](Incidence::transposed) count → prefix sum →
-//! scatter) and the growing online model (`wot-core`'s
-//! `IncrementalDerived`, which appends and inserts in place), so there is
-//! no flatten step between "the data as maintained" and "the data as
-//! solved".
+//! The same type serves both ways `wot-core` fills a category: the batch
+//! pipeline's bulk build, **exact** — every node's capacity is its final
+//! degree, no slack, no dead space: one direction collected from its
+//! grouped lists (`FromIterator`), the other its
+//! [`transposed`](Incidence::transposed) count → prefix sum → scatter —
+//! and the growing online model (`IncrementalDerived`, which appends and
+//! inserts in place), so there is no flatten step between "the data as
+//! maintained" and "the data as solved".
 //!
 //! ## Growth, relocation, compaction
 //!

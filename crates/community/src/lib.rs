@@ -12,11 +12,9 @@
 //!
 //! * [`CommunityStore`] — validated, indexed, append-only storage,
 //! * [`CommunityBuilder`] — referential-integrity-checked construction,
-//! * [`CategorySlice`] — the per-category compact projection the
-//!   reputation algorithms iterate over,
-//! * [`Incidence`] — the arena a slice (and `wot-core`'s online model)
-//!   keeps its grouped ratings in: one contiguous buffer per direction,
-//!   appended in place (see [`incidence`]),
+//! * [`Incidence`] — the arena `wot-core`'s per-category state keeps its
+//!   grouped ratings in: one contiguous buffer per direction, filled
+//!   exactly in one pass or appended in place (see [`incidence`]),
 //! * [`ShardAssignment`] and [`shard::merge_shard_logs`] — the shard
 //!   vocabulary: which shard owns a category, and how sequence-tagged
 //!   shard logs merge back into the global history (see [`shard`]),
@@ -55,7 +53,6 @@ mod ids;
 pub mod incidence;
 mod model;
 pub mod shard;
-mod slice;
 pub mod stats;
 mod store;
 pub mod tsv;
@@ -67,7 +64,6 @@ pub use ids::{CategoryId, ObjectId, ReviewId, UserId};
 pub use incidence::Incidence;
 pub use model::{Category, Object, Rating, RatingScale, Review, TrustStatement, User};
 pub use shard::{ShardAssignment, ShardId};
-pub use slice::CategorySlice;
 pub use store::CommunityStore;
 
 /// Result alias used across the crate.

@@ -3,8 +3,8 @@ use std::collections::HashMap;
 use wot_sparse::{Coo, Csr};
 
 use crate::{
-    Category, CategoryId, CategorySlice, CommunityError, Object, ObjectId, Rating, RatingScale,
-    Result, Review, ReviewId, TrustStatement, User, UserId,
+    Category, CategoryId, CommunityError, Object, ObjectId, Rating, RatingScale, Result, Review,
+    ReviewId, TrustStatement, User, UserId,
 };
 
 /// Immutable, fully indexed community dataset.
@@ -209,18 +209,6 @@ impl CommunityStore {
                     || !self.ratings_by_rater[u.index()].is_empty()
             })
             .collect()
-    }
-
-    /// The compact per-category projection consumed by the reputation
-    /// algorithms.
-    pub fn category_slice(&self, category: CategoryId) -> Result<CategorySlice> {
-        if category.index() >= self.categories.len() {
-            return Err(CommunityError::UnknownEntity {
-                kind: "category",
-                id: category.0,
-            });
-        }
-        Ok(CategorySlice::build(self, category))
     }
 
     // ---- matrix extraction ----------------------------------------------

@@ -134,26 +134,6 @@ proptest! {
         prop_assert_eq!(total_by_review, store.num_ratings());
     }
 
-    /// Category slices partition reviews and ratings.
-    #[test]
-    fn slices_partition(spec in spec()) {
-        let store = build(&spec);
-        let mut review_total = 0usize;
-        let mut rating_total = 0usize;
-        for c in 0..store.num_categories() {
-            let slice = store.category_slice(CategoryId::from_index(c)).unwrap();
-            review_total += slice.num_reviews();
-            rating_total += slice.num_ratings();
-            for (local, &rid) in slice.reviews.iter().enumerate() {
-                prop_assert_eq!(store.review(rid).unwrap().category.index(), c);
-                let writer = slice.writer_of_local[slice.review_writer_local[local] as usize];
-                prop_assert_eq!(writer, store.review(rid).unwrap().writer);
-            }
-        }
-        prop_assert_eq!(review_total, store.num_reviews());
-        prop_assert_eq!(rating_total, store.num_ratings());
-    }
-
     /// R's pattern contains the baseline matrix B's pattern exactly.
     #[test]
     fn r_and_b_have_identical_patterns(spec in spec()) {

@@ -146,6 +146,18 @@ impl ActivityLedger {
         }
     }
 
+    /// A ledger holding `counts`, every row stamped once — what the batch
+    /// pipeline assembles a whole community's `A` from, in one pass.
+    pub(crate) fn from_counts(counts: ActivityCounts) -> Self {
+        let num_users = counts.ratings.nrows();
+        Self {
+            id: next_ledger_id(),
+            counts,
+            row_stamp: (1..=num_users as u64).collect(),
+            clock: num_users as u64,
+        }
+    }
+
     /// This instance's process-unique id (never 0).
     pub(crate) fn id(&self) -> u64 {
         self.id

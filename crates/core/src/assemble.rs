@@ -18,9 +18,11 @@
 //!
 //! The first assembly is the same code with everything dirty: matrices of
 //! zeros, every active user's row stamped, every column's old table
-//! empty. There is no second, from-scratch path to keep in agreement —
-//! the batch pipeline's `affiliation_matrix` / `expertise_matrix_from_pairs`
-//! stay as the independent oracle the conformance suites compare against.
+//! empty — which is how [`pipeline::derive`](crate::pipeline::derive)
+//! assembles a whole community. There is no second, from-scratch path to
+//! keep in agreement; the from-scratch builders (`affiliation_matrix`,
+//! `expertise_matrix_from_pairs`) stay as the independent oracle the
+//! tests compare against.
 //!
 //! ## Two slots, and no copy on publish
 //!

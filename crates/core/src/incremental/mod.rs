@@ -4,11 +4,13 @@
 //! A deployed community ingests ratings continuously; re-running the whole
 //! batch pipeline per event is wasteful. [`IncrementalDerived`] keeps the
 //! per-category fixed-point state alive — and that state *is* the batch
-//! layout: flat `Vec<f64>` quality/reputation buffers plus the grouped
-//! local-index incidence (`ratings_by_review_local` and
-//! `ratings_by_rater_local`, each one [`Incidence`](wot_community::Incidence) arena — the type a
-//! batch `CategorySlice` holds — and the writer column `review_writer_local`) that
-//! [`riggs`](crate::riggs#)'s one and only sweep loop walks in place.
+//! pipeline's: [`pipeline::derive`](crate::pipeline::derive) builds the
+//! same per-category type in bulk and solves it cold. It holds flat
+//! `Vec<f64>` quality/reputation buffers plus the grouped local-index
+//! incidence (`ratings_by_review_local` and `ratings_by_rater_local`,
+//! each one [`Incidence`](wot_community::Incidence) arena) and the writer
+//! column `review_writer_local`, which [`riggs`](crate::riggs#)'s one and
+//! only sweep loop walks in place.
 //! There is no `HashMap` in the fixed-point state, no second solver and
 //! no copy of the ratings made for a solve:
 //!
@@ -43,31 +45,35 @@
 //!
 //! The module splits along the same seams: this file holds the API,
 //! construction and the event entry points; `category` one category's
-//! index maintenance and its cold and warm solves; `delta` the refresh
+//! state, its bulk build, its index maintenance and its cold and warm
+//! solves; `delta` the refresh
 //! paths (the delta worklist and the full warm sweep); `publish` the
-//! [`DerivedCache`] and the one loop that fills it.
+//! [`DerivedCache`] and the one loop that fills it, and the batch
+//! pipeline's per-category task.
 //!
 //! ## Why the snapshot is bit-identical *by construction*
 //!
-//! The batch `CategorySlice` and this module's `CategoryState` maintain
-//! the same three groupings, in the same element order: ratings per
-//! review in ingestion order (which is exactly how `CommunityStore` groups
-//! them), ratings per rater in ascending local-review order (enforced here
-//! by sorted insertion), and each review's local writer in local-review
-//! order (appends only), which Eq. 3 reads in one ascending pass. Both
-//! hand their arenas to
-//! `riggs::solve_warm`; where a node's edges physically sit (exactly
-//! packed in a slice, relocated or compacted here) never changes their
-//! order — identical summation order means identical floating-point
-//! bits, identical sweep counts and identical convergence flags, not just
-//! values "within tolerance". The paper itself is batch-only; this module
-//! is the natural production extension, with the conformance suite as its
-//! contract.
+//! Batch and online run one per-category type, `CategoryState`, through
+//! one cold solve and one table build. What differs is only how its
+//! arenas are filled: the batch pipeline builds a category in one pass
+//! (locals in ascending user order, both arenas exact), this module grows
+//! it by events (locals in arrival order, arenas appended with slack,
+//! relocated, compacted). Neither changes a node's order: ratings per
+//! review in ingestion order (exactly how `CommunityStore` groups them),
+//! ratings per rater in ascending local-review order (the bulk build's
+//! transpose gives it; sorted insertion keeps it here), and each review's
+//! local writer in local-review order, which Eq. 3 reads in one ascending
+//! pass. Rater and writer numbering never enters a sum — a node sums its
+//! own edges, and the tables are gathered by user — so identical per-node
+//! order means identical floating-point bits, identical sweep counts and
+//! identical convergence flags, not just values "within tolerance". The
+//! paper itself is batch-only; this module is the natural production
+//! extension, with the conformance suite as its contract.
 //!
 //! Memory: each category holds two `num_users`-sized `u32` scatter tables
-//! (rater and writer local-index resolution) — the same tables the batch
-//! slice builder allocates transiently, kept alive here because the
-//! incremental model must resolve locals on every event.
+//! (rater and writer local-index resolution) — the same tables a bulk
+//! build fills and drops, kept alive here because the incremental model
+//! must resolve locals on every event.
 
 mod category;
 mod delta;
@@ -78,6 +84,7 @@ use wot_sparse::Dense;
 
 use self::category::CategoryState;
 pub use self::delta::{DeltaReport, AUDIT_BOUND, AUDIT_EVERY};
+pub(crate) use self::publish::batch_table;
 pub use self::publish::DerivedCache;
 use crate::admission::{self, AdmissionView, IdRule, Rejection, ReviewRow, ReviewTable};
 use crate::affiliation::ActivityLedger;

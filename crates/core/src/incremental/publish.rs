@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use wot_community::{CategoryId, ReviewId, UserId};
+use wot_community::{CategoryId, CommunityStore, ReviewId, UserId};
 
 use super::category::{CategoryState, Solved};
 use super::IncrementalDerived;
@@ -70,6 +70,14 @@ impl SortedLocals {
 struct TableOrder {
     raters: SortedLocals,
     writers: SortedLocals,
+}
+
+impl TableOrder {
+    /// Extends both orders over every local `state` holds.
+    fn cover(&mut self, state: &CategoryState) {
+        self.raters.cover(&state.rater_of_local);
+        self.writers.cover(&state.writer_of_local);
+    }
 }
 
 /// Where a publish takes each dirty category's solved values from.
@@ -161,12 +169,6 @@ impl DerivedCache {
             assembler: Assembler::default(),
         };
     }
-
-    /// Extends category `c`'s table order over every local `state` holds.
-    fn cover(&mut self, c: usize, state: &CategoryState) {
-        self.order[c].raters.cover(&state.rater_of_local);
-        self.order[c].writers.cover(&state.writer_of_local);
-    }
 }
 
 impl CategoryState {
@@ -206,6 +208,22 @@ impl CategoryState {
             converged: solved.converged,
         }
     }
+}
+
+/// One category of [`pipeline::derive`](crate::pipeline::derive), in one
+/// task: the state built in bulk from `store`
+/// ([`CategoryState::build`]), its cold solve, and the table a publish
+/// would build from them — through a fresh [`TableOrder`], which the
+/// bulk build's ascending locals leave nothing to reorder.
+pub(crate) fn batch_table(
+    store: &CommunityStore,
+    category: CategoryId,
+    cfg: &DeriveConfig,
+) -> CategoryReputation {
+    let state = CategoryState::build(store, category, cfg);
+    let mut order = TableOrder::default();
+    order.cover(&state);
+    state.category_reputation(category.index(), state.solve_cold(cfg), &order, cfg)
 }
 
 impl IncrementalDerived {
@@ -302,7 +320,7 @@ impl IncrementalDerived {
             .filter_map(|(c, s)| (cache.versions[c] != s.data_version).then_some(c))
             .collect();
         for &c in &dirty {
-            cache.cover(c, &categories[c]);
+            cache.order[c].cover(&categories[c]);
         }
         let order = &cache.order;
         // Resolving the thread count can read the cgroup CPU quota; the

@@ -34,15 +34,17 @@
 //! reviews) and beyond:
 //!
 //! * **Index-dense hot paths.** Every per-category computation runs over
-//!   [`wot_community::CategorySlice`]'s *local indexes*: raters, writers
-//!   and reviews are renumbered `0..n`, so the Eq. 1/Eq. 2 Jacobi sweeps
+//!   one per-category state with *local indexes*: raters, writers and
+//!   reviews are renumbered `0..n`, so the Eq. 1/Eq. 2 Jacobi sweeps
 //!   (`riggs`) and the Eq. 3 aggregation (`reputation`) operate on flat
 //!   `Vec<f64>` buffers and contiguous incidence arrays — no `HashMap`
 //!   lookups inside the fixed point. One sweep costs O(ratings in the
-//!   category); slice projection costs O(reviews + ratings) once, via
-//!   O(1) scatter tables. The pre-optimization `HashMap` formulation is
-//!   preserved ([`riggs::reference`], [`pipeline::derive_baseline`]) as
-//!   the reference the property tests prove it bit-identical to.
+//!   category). [`pipeline::derive`] builds that state in bulk, in
+//!   O(reviews + ratings) via O(1) scatter tables; the online model
+//!   ([`incremental`]) grows the same type by events. A `HashMap`
+//!   formulation of Eqs. 1–3 over the store's own lists stays out of the
+//!   documented API as a test oracle (`oracle`), which the property tests
+//!   prove [`pipeline::derive`] bit-identical to.
 //! * **Data parallelism.** Categories are independent, so
 //!   [`pipeline::derive`] fans them out across worker threads
 //!   ([`DeriveConfig::threads`]) with dynamic
@@ -94,7 +96,7 @@
 //!   [`DerivedCache`] or the cluster coordinator.
 //!
 //! [`pipeline::derive`] glues the steps together — the one batch entry
-//! point (`derive_baseline` is only the reference tests compare it to):
+//! point:
 //!
 //! ```
 //! use wot_community::{CommunityBuilder, RatingScale};
@@ -128,6 +130,8 @@ mod error;
 pub mod expertise;
 pub mod incremental;
 pub mod metrics;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pipeline;
 pub mod reputation;
 pub mod riggs;

@@ -11,10 +11,11 @@
 
 use std::sync::Arc;
 
-use wot_community::{CategoryId, CategorySlice, CommunityStore, ReviewId, UserId};
+use wot_community::{CategoryId, CommunityStore, ReviewId, UserId};
 use wot_sparse::{Csr, Dense};
 
-use crate::{affiliation, expertise, reputation, riggs, trust, DeriveConfig, Result};
+use crate::affiliation::{self, ActivityLedger};
+use crate::{incremental, trust, Assembler, DeriveConfig, Result};
 
 /// Step-1 outputs for one category, in deterministic (ascending user id)
 /// order — the raw material of the paper's Tables 2 and 3.
@@ -73,113 +74,35 @@ pub struct Derived {
 }
 
 /// Runs Steps 1 and 2 on the whole community: per category, the Eq. 1 ⇄
-/// Eq. 2 quality/reputation fixed point ([`riggs::solve`]) and the Eq. 3
-/// writer aggregation assemble the expertise matrix `E`; Eq. 4's
-/// activity normalization assembles the affiliation matrix `A`. Step 3
-/// (Eq. 5, `T̂_ij = Σ_c A_ic·E_jc / Σ_c A_ic`) is exposed as methods on
-/// the returned [`Derived`].
+/// Eq. 2 quality/reputation fixed point and the Eq. 3 writer aggregation
+/// assemble the expertise matrix `E`; Eq. 4's activity normalization
+/// assembles the affiliation matrix `A`. Step 3 (Eq. 5,
+/// `T̂_ij = Σ_c A_ic·E_jc / Σ_c A_ic`) is exposed as methods on the
+/// returned [`Derived`].
 ///
-/// Per-category fixed points run on [`DeriveConfig::effective_threads`]
-/// workers; the output does not depend on the thread count.
+/// Each category is one task on [`DeriveConfig::effective_threads`]
+/// workers: the online model's per-category state, built in bulk from
+/// the store, solved cold and turned into its table — the same state,
+/// solve and table code [`IncrementalDerived::to_derived`] runs, so the
+/// two agree bit for bit. `E` and `A` come from one [`Assembler`] pass
+/// over the tables and the store's activity counts. The output does not
+/// depend on the thread count.
+///
+/// [`IncrementalDerived::to_derived`]: crate::IncrementalDerived::to_derived
 pub fn derive(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
     cfg.validate()?;
-    let num_users = store.num_users();
-    let categories = store.categories();
     // Category sizes are heavily skewed, so use dynamic scheduling: a
     // worker that drew the giant category must not serialize the rest.
-    let solved: Vec<Result<CategoryReputation>> =
-        wot_par::par_map_indexed(categories.len(), cfg.effective_threads(), |c| {
-            let slice = store.category_slice(categories[c].id)?;
-            Ok(solve_slice(&slice, cfg))
+    let tables: Vec<Arc<CategoryReputation>> =
+        wot_par::par_map_indexed(store.num_categories(), cfg.effective_threads(), |c| {
+            Arc::new(incremental::batch_table(
+                store,
+                CategoryId::from_index(c),
+                cfg,
+            ))
         });
-    let per_category: Vec<Arc<CategoryReputation>> = solved
-        .into_iter()
-        .map(|r| r.map(Arc::new))
-        .collect::<Result<Vec<_>>>()?;
-    let writer_pairs: Vec<&[(UserId, f64)]> = per_category
-        .iter()
-        .map(|cr| cr.writer_reputation.as_slice())
-        .collect();
-    let e = expertise::expertise_matrix_from_pairs(num_users, &writer_pairs);
-    let a = affiliation::affiliation_of(store);
-    Ok(Derived {
-        expertise: e,
-        affiliation: a,
-        per_category,
-    })
-}
-
-/// Solves one category over its projected slice: Eqs. 1–2 fixed point,
-/// Eq. 3 writer aggregation — all over the slice's index-dense state.
-fn solve_slice(slice: &CategorySlice, cfg: &DeriveConfig) -> CategoryReputation {
-    let fixed = riggs::solve(slice, cfg);
-    let writers = reputation::writer_reputation(slice, &fixed.review_quality, cfg);
-    let writer_reputation = slice.writer_of_local.iter().copied().zip(writers).collect();
-    let rater_reputation = fixed.reputation_pairs(slice);
-    let review_quality: Vec<(ReviewId, f64)> = slice
-        .reviews
-        .iter()
-        .zip(&fixed.review_quality)
-        .map(|(&rid, &q)| (rid, q))
-        .collect();
-    CategoryReputation {
-        category: slice.category,
-        rater_reputation,
-        writer_reputation,
-        review_quality,
-        iterations: fixed.iterations,
-        converged: fixed.converged,
-    }
-}
-
-/// The pre-optimization formulation of [`derive()`]: sequential over
-/// categories, with `HashMap`-keyed fixed-point state
-/// ([`riggs::reference`]).
-///
-/// Kept as the reference the index-dense pipeline is validated against:
-/// bit-identical output, asserted by the workspace's property and
-/// determinism tests.
-pub fn derive_baseline(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Derived> {
-    cfg.validate()?;
-    let num_users = store.num_users();
-    let mut per_category = Vec::with_capacity(store.num_categories());
-    let mut writer_maps = Vec::with_capacity(store.num_categories());
-    for c in store.categories() {
-        let slice = store.category_slice(c.id)?;
-        let fixed = riggs::reference::solve(&slice, cfg);
-        let writers = reputation::writer_reputation_map(&slice, &fixed.review_quality, cfg);
-        let mut rater_reputation: Vec<(UserId, f64)> = fixed
-            .rater_reputation
-            .iter()
-            .map(|(&u, &v)| (u, v))
-            .collect();
-        rater_reputation.sort_by_key(|&(u, _)| u);
-        let mut writer_reputation: Vec<(UserId, f64)> =
-            writers.iter().map(|(&u, &v)| (u, v)).collect();
-        writer_reputation.sort_by_key(|&(u, _)| u);
-        let review_quality: Vec<(ReviewId, f64)> = slice
-            .reviews
-            .iter()
-            .zip(&fixed.review_quality)
-            .map(|(&rid, &q)| (rid, q))
-            .collect();
-        per_category.push(Arc::new(CategoryReputation {
-            category: c.id,
-            rater_reputation,
-            writer_reputation,
-            review_quality,
-            iterations: fixed.iterations,
-            converged: fixed.converged,
-        }));
-        writer_maps.push(writers);
-    }
-    let e = expertise::expertise_matrix(num_users, &writer_maps);
-    let a = affiliation::affiliation_of(store);
-    Ok(Derived {
-        expertise: e,
-        affiliation: a,
-        per_category,
-    })
+    let counts = ActivityLedger::from_counts(affiliation::activity_counts(store));
+    Ok(Assembler::default().assemble(&counts, &tables))
 }
 
 impl Derived {
@@ -331,7 +254,7 @@ mod tests {
         let store = fixture();
         let cfg = DeriveConfig::default();
         let dense = derive(&store, &cfg).unwrap();
-        let baseline = derive_baseline(&store, &cfg).unwrap();
+        let baseline = crate::oracle::derive_baseline(&store, &cfg).unwrap();
         assert_eq!(dense, baseline);
     }
 

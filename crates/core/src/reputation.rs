@@ -7,39 +7,17 @@
 //! ū^w_i = (Σ_{j∈R(u^w_i)} r̄_j / n^w_i) · (1 − 1/(n^w_i+1))   (3)
 //! ```
 //!
-//! Like the Eqs. 1–2 fixed point, this runs over the slice's local writer
-//! indexes ([`CategorySlice::writer_of_local`]) and returns a flat
-//! `Vec<f64>` — no per-writer hashing on the hot path.
-
-use wot_community::{CategorySlice, UserId};
+//! Like the Eqs. 1–2 fixed point, this runs over a category's local
+//! writer indexes and returns a flat `Vec<f64>` — no per-writer hashing on
+//! the hot path. The `HashMap` formulation is the test oracle's
+//! ([`oracle::writer_reputation_map`](crate::oracle::writer_reputation_map)).
 
 use crate::DeriveConfig;
 
-/// Computes writer reputation for every writer active in the slice, given
-/// the slice's converged review qualities (from [`riggs::solve`]).
-///
-/// The result is indexed by **local writer index** (ascending user id);
-/// pair it with [`CategorySlice::writer_of_local`].
-///
-/// [`riggs::solve`]: crate::riggs::solve
-pub fn writer_reputation(
-    slice: &CategorySlice,
-    review_quality: &[f64],
-    cfg: &DeriveConfig,
-) -> Vec<f64> {
-    debug_assert_eq!(review_quality.len(), slice.num_reviews());
-    writer_reputation_flat(
-        &slice.review_writer_local,
-        slice.writer_of_local.len(),
-        review_quality,
-        cfg,
-    )
-}
-
 /// Eq. 3 as one ascending pass over the writer column
-/// (`review_writer_local[j]` = local review `j`'s local writer), for the
-/// batch slice and the incremental model alike. Each writer's sum takes
-/// its own qualities in ascending review from `-0.0`: the bits
+/// (`review_writer_local[j]` = local review `j`'s local writer), for a
+/// bulk-built category and the incremental model alike. Each writer's
+/// sum takes its own qualities in ascending review from `-0.0`: the bits
 /// `Iterator::sum` gives over that writer's own list.
 pub(crate) fn writer_reputation_flat(
     review_writer_local: &[u32],
@@ -61,56 +39,40 @@ pub(crate) fn writer_reputation_flat(
     sum
 }
 
-/// The original `HashMap`-keyed formulation of Eq. 3 — the baseline
-/// mirror of [`writer_reputation`], used by
-/// [`pipeline::derive_baseline`](crate::pipeline::derive_baseline) so the
-/// formula exists in exactly two audited copies (dense and reference),
-/// not scattered inline.
-pub fn writer_reputation_map(
-    slice: &CategorySlice,
-    review_quality: &[f64],
-    cfg: &DeriveConfig,
-) -> std::collections::HashMap<UserId, f64> {
-    debug_assert_eq!(review_quality.len(), slice.num_reviews());
-    slice
-        .reviews_by_writer()
-        .iter()
-        .map(|(&writer, locals)| {
-            let n = locals.len();
-            debug_assert!(n > 0, "writer entry with no reviews");
-            let mean_q: f64 = locals
-                .iter()
-                .map(|&l| review_quality[l as usize])
-                .sum::<f64>()
-                / n as f64;
-            (writer, mean_q * cfg.discount(n))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use wot_community::{CommunityBuilder, RatingScale};
+    use wot_community::{CategoryId, CommunityBuilder, CommunityStore, RatingScale, UserId};
 
     use super::*;
+    use crate::oracle;
+
+    /// Category 0's writers, ascending, and its writer column — each
+    /// review's writer as an index into that list.
+    fn writer_column(store: &CommunityStore) -> (Vec<UserId>, Vec<u32>) {
+        let reviews = store.reviews_in_category(CategoryId(0));
+        let writer = |j: usize| store.reviews()[reviews[j].index()].writer;
+        let mut writers: Vec<UserId> = (0..reviews.len()).map(writer).collect();
+        writers.sort_unstable();
+        writers.dedup();
+        let column = (0..reviews.len())
+            .map(|j| writers.binary_search(&writer(j)).unwrap() as u32)
+            .collect();
+        (writers, column)
+    }
+
+    /// Eq. 3 over category 0 of `store` by the flat pass, per writer.
+    fn flat(store: &CommunityStore, q: &[f64], cfg: &DeriveConfig) -> Vec<(UserId, f64)> {
+        let (writers, column) = writer_column(store);
+        let values = writer_reputation_flat(&column, writers.len(), q, cfg);
+        writers.into_iter().zip(values).collect()
+    }
 
     #[test]
     fn matches_hand_computation() {
         // Writer w with two reviews of quality 0.64 and 0.6:
         // ū^w = ((0.64 + 0.6)/2) · (1 − 1/3) = 0.62 · 2/3 ≈ 0.41333
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        let a = b.add_user("a");
-        let w = b.add_user("w");
-        let cat = b.add_category("cat");
-        let o1 = b.add_object("o1", cat).unwrap();
-        let o2 = b.add_object("o2", cat).unwrap();
-        let r0 = b.add_review(w, o1).unwrap();
-        let _r1 = b.add_review(w, o2).unwrap();
-        b.add_rating(a, r0, 0.8).unwrap();
-        let slice = b.build().category_slice(cat).unwrap();
-        let rep = writer_reputation(&slice, &[0.64, 0.6], &DeriveConfig::default());
+        let rep = writer_reputation_flat(&[0, 0], 1, &[0.64, 0.6], &DeriveConfig::default());
         assert_eq!(rep.len(), 1);
-        assert_eq!(slice.writer_of_local, vec![w]);
         assert!((rep[0] - 0.62 * (2.0 / 3.0)).abs() < 1e-12);
     }
 
@@ -118,41 +80,19 @@ mod tests {
     fn more_high_quality_reviews_beat_fewer() {
         // One writer with three quality-0.8 reviews vs one with a single
         // quality-0.8 review: the discount rewards the prolific writer.
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        let _a = b.add_user("a");
-        let w1 = b.add_user("w1");
-        let w2 = b.add_user("w2");
-        let cat = b.add_category("cat");
-        for (w, n) in [(w1, 3usize), (w2, 1usize)] {
-            for k in 0..n {
-                let o = b.add_object(format!("o-{w}-{k}"), cat).unwrap();
-                b.add_review(w, o).unwrap();
-            }
-        }
-        let slice = b.build().category_slice(cat).unwrap();
-        // Local review order: w1's three, then w2's one.
-        let q = vec![0.8, 0.8, 0.8, 0.8];
-        let rep = writer_reputation(&slice, &q, &DeriveConfig::default());
-        let l1 = slice.local_of_writer()[&w1] as usize;
-        let l2 = slice.local_of_writer()[&w2] as usize;
-        assert!(rep[l1] > rep[l2]);
-        assert!((rep[l1] - 0.8 * 0.75).abs() < 1e-12);
-        assert!((rep[l2] - 0.8 * 0.5).abs() < 1e-12);
+        let rep = writer_reputation_flat(&[0, 0, 0, 1], 2, &[0.8; 4], &DeriveConfig::default());
+        assert!(rep[0] > rep[1]);
+        assert!((rep[0] - 0.8 * 0.75).abs() < 1e-12);
+        assert!((rep[1] - 0.8 * 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn ablated_discount_is_pure_mean() {
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        let w = b.add_user("w");
-        let cat = b.add_category("cat");
-        let o = b.add_object("o", cat).unwrap();
-        b.add_review(w, o).unwrap();
-        let slice = b.build().category_slice(cat).unwrap();
         let cfg = DeriveConfig::builder()
             .experience_discount(false)
             .build()
             .unwrap();
-        let rep = writer_reputation(&slice, &[0.9], &cfg);
+        let rep = writer_reputation_flat(&[0], 1, &[0.9], &cfg);
         assert!((rep[0] - 0.9).abs() < 1e-12);
     }
 
@@ -168,14 +108,14 @@ mod tests {
                 b.add_review(w, o).unwrap();
             }
         }
-        let slice = b.build().category_slice(cat).unwrap();
+        let store = b.build();
         let q = vec![0.9, 0.5, 0.7];
         let cfg = DeriveConfig::default();
-        let dense = writer_reputation(&slice, &q, &cfg);
-        let map = writer_reputation_map(&slice, &q, &cfg);
+        let dense = flat(&store, &q, &cfg);
+        let map = oracle::writer_reputation_map(&store, cat, &q, &cfg);
         assert_eq!(map.len(), dense.len());
-        for (l, &u) in slice.writer_of_local.iter().enumerate() {
-            assert_eq!(map[&u], dense[l]);
+        for (u, rep) in dense {
+            assert_eq!(map[&u], rep);
         }
     }
 
@@ -192,7 +132,7 @@ mod tests {
             let o = b.add_object(format!("o{k}"), cat).unwrap();
             b.add_review(w[i], o).unwrap();
         }
-        let slice = b.build().category_slice(cat).unwrap();
+        let store = b.build();
         // Inexact qualities, so a change of summation order could show.
         let q: Vec<f64> = (0..order.len())
             .map(|k| 0.1 + 0.7 / (k as f64 + 3.0))
@@ -202,21 +142,17 @@ mod tests {
                 .experience_discount(discount)
                 .build()
                 .unwrap();
-            let flat = writer_reputation(&slice, &q, &cfg);
-            let map = writer_reputation_map(&slice, &q, &cfg);
+            let flat = flat(&store, &q, &cfg);
+            let map = oracle::writer_reputation_map(&store, cat, &q, &cfg);
             assert_eq!(map.len(), flat.len());
-            for (l, &u) in slice.writer_of_local.iter().enumerate() {
-                assert_eq!(map[&u].to_bits(), flat[l].to_bits(), "writer {u}");
+            for (u, rep) in flat {
+                assert_eq!(map[&u].to_bits(), rep.to_bits(), "writer {u}");
             }
         }
     }
 
     #[test]
     fn empty_slice_yields_empty_vec() {
-        let mut b = CommunityBuilder::new(RatingScale::five_step());
-        b.add_user("u");
-        let cat = b.add_category("cat");
-        let slice = b.build().category_slice(cat).unwrap();
-        assert!(writer_reputation(&slice, &[], &DeriveConfig::default()).is_empty());
+        assert!(writer_reputation_flat(&[], 0, &[], &DeriveConfig::default()).is_empty());
     }
 }

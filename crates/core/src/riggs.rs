@@ -10,76 +10,38 @@
 //! ū_i   = (1 − Σ_{j∈R(u_i)} |ρ_ij − r̄_j| / n_i) · (1 − 1/(n_i+1))   (2)
 //! ```
 //!
-//! The two equations are mutually recursive; [`solve`] iterates them from
-//! uniform reputations until no reputation moves by more than the
-//! configured tolerance (Jacobi-style sweeps, so the result is independent
-//! of user iteration order).
+//! The two equations are mutually recursive; [`solve_warm`] iterates them
+//! until no reputation moves by more than the configured tolerance
+//! (Jacobi-style sweeps, so the result is independent of user iteration
+//! order). A cold solve starts them from uniform reputations.
 //!
 //! ## Index-dense state
 //!
-//! The sweeps run over the slice's **local indexes**
-//! ([`CategorySlice::rater_of_local`] and friends): reputation lives in a
-//! flat `Vec<f64>` indexed by local rater, and every rating carries a
-//! pre-resolved local rater index, so the innermost loops are pure
-//! array arithmetic with no hashing. The ratings themselves live in two
-//! [`Incidence`] arenas — grouped by review for Eq. 1, by rater for
-//! Eq. 2, each one contiguous `u32` index buffer and one `f64` value
-//! buffer — which the batch slice fills exactly and the incremental model
-//! appends into in place; the sweeps and the delta worklist walk that
-//! memory directly, so nothing is flattened or copied before a solve. On
-//! Epinions-scale categories this is the difference between a
+//! The sweeps run over one category's **local indexes** — the
+//! per-category state of [`incremental`](crate::incremental), which the
+//! batch pipeline builds in bulk and the online model grows by events:
+//! reputation lives in a flat `Vec<f64>` indexed by local rater, and
+//! every rating carries a pre-resolved local rater index, so the
+//! innermost loops are pure array arithmetic with no hashing. The ratings
+//! themselves live in two [`Incidence`] arenas — grouped by review for
+//! Eq. 1, by rater for Eq. 2, each one contiguous `u32` index buffer and
+//! one `f64` value buffer — which the bulk build fills exactly and the
+//! online model appends into in place; the sweeps and the delta worklist
+//! walk that memory directly, so nothing is flattened or copied before a
+//! solve. On Epinions-scale categories this is the difference between a
 //! memory-bound hash walk and a cache-friendly linear scan. The original
-//! `HashMap`-keyed formulation is preserved in [`reference`](mod@reference) and proven
-//! bit-identical by `wot-core`'s property tests — both iterate the same
-//! Jacobi sweeps in the same arithmetic order, so even floating-point
-//! rounding agrees.
+//! `HashMap`-keyed formulation is kept as a test oracle
+//! ([`oracle`](crate::oracle)) and proven bit-identical by `wot-core`'s
+//! property tests — both iterate the same Jacobi sweeps in the same
+//! arithmetic order, so even floating-point rounding agrees.
 
-use wot_community::{CategorySlice, Incidence, UserId};
+use wot_community::Incidence;
 
 use crate::DeriveConfig;
 
-/// Converged (or iteration-capped) result of the fixed point for one
-/// category.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RiggsResult {
-    /// Review quality `r̄_j ∈ [0, 1]`, indexed by the slice's local review
-    /// index. Reviews with no ratings get
-    /// [`DeriveConfig::unrated_review_quality`].
-    pub review_quality: Vec<f64>,
-    /// Rater reputation `ū_i ∈ [0, 1]`, indexed by the slice's **local
-    /// rater index** (ascending user id; see
-    /// [`CategorySlice::rater_of_local`]).
-    pub rater_reputation: Vec<f64>,
-    /// Sweeps executed.
-    pub iterations: usize,
-    /// Whether the tolerance was met before the iteration cap.
-    pub converged: bool,
-}
-
-impl RiggsResult {
-    /// Reputation of one user, or `None` if they rated nothing in the
-    /// category.
-    pub fn reputation_of(&self, slice: &CategorySlice, user: UserId) -> Option<f64> {
-        slice
-            .local_of_rater()
-            .get(&user)
-            .map(|&l| self.rater_reputation[l as usize])
-    }
-
-    /// Reputations as `(user, value)` pairs in ascending user-id order.
-    pub fn reputation_pairs(&self, slice: &CategorySlice) -> Vec<(UserId, f64)> {
-        slice
-            .rater_of_local
-            .iter()
-            .copied()
-            .zip(self.rater_reputation.iter().copied())
-            .collect()
-    }
-}
-
 /// `discount(n_i)` of every rater of a rater-grouped incidence — hoisted
-/// out of the sweeps: computed once per batch solve and per restore, then
-/// kept current per rating by the incremental model.
+/// out of the sweeps: computed once per bulk build, then kept current per
+/// rating by the incremental model.
 pub(crate) fn rater_discounts(by_rater: &Incidence, cfg: &DeriveConfig) -> Vec<f64> {
     by_rater
         .iter()
@@ -98,13 +60,15 @@ pub(crate) fn rater_discounts(by_rater: &Incidence, cfg: &DeriveConfig) -> Vec<f
 /// previous solution. Returns `(sweeps, converged)`.
 ///
 /// Its passes are [`dense_pass`], the *only* whole-category pass in the
-/// workspace, over the *only* layout: batch [`solve`] reads a
-/// [`CategorySlice`]'s arenas, the incremental model's warm
+/// workspace, over the *only* layout: [`pipeline::derive`]'s cold solves
+/// read the arenas of a bulk-built category, the incremental model's warm
 /// [`refresh`](crate::IncrementalDerived::refresh), the dense passes of
 /// its delta solve and its canonical
 /// [`to_derived`](crate::IncrementalDerived::to_derived) snapshot read the
-/// arenas it appends into — the same memory, the same per-node order, the
+/// arenas it appends into — the same type, the same per-node order, the
 /// root of the pipeline's bit-identical replay guarantee.
+///
+/// [`pipeline::derive`]: crate::pipeline::derive
 pub(crate) fn solve_warm(
     by_review: &Incidence,
     by_rater: &Incidence,
@@ -199,39 +163,6 @@ pub(crate) fn residual(
     reviews.chain(raters).fold(0.0, f64::max)
 }
 
-/// Solves the Eq. 1 ⇄ Eq. 2 fixed point on one category slice over
-/// index-dense state.
-///
-/// Starting from uniform reputations
-/// ([`DeriveConfig::initial_rater_reputation`]), alternates Jacobi
-/// sweeps of review quality `r̄_j` (Eq. 1: the rater-reputation-weighted
-/// mean of received ratings) and rater reputation `ū_i` (Eq. 2: Riggs'
-/// consensus consistency with the `1 − 1/(n_i+1)` experience discount)
-/// until no reputation moves by more than
-/// [`DeriveConfig::fixpoint_tolerance`] or the
-/// [`DeriveConfig::fixpoint_max_iters`] cap is reached. The result feeds
-/// Eq. 3's writer aggregation
-/// ([`reputation`](crate::reputation::writer_reputation)).
-pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResult {
-    let rater_discount = rater_discounts(&slice.ratings_by_rater_local, cfg);
-    let mut reputation = vec![cfg.initial_rater_reputation; slice.num_raters()];
-    let mut quality = vec![cfg.unrated_review_quality; slice.num_reviews()];
-    let (iterations, converged) = solve_warm(
-        &slice.ratings_by_review_local,
-        &slice.ratings_by_rater_local,
-        &rater_discount,
-        cfg,
-        &mut quality,
-        &mut reputation,
-    );
-    RiggsResult {
-        review_quality: quality,
-        rater_reputation: reputation,
-        iterations,
-        converged,
-    }
-}
-
 /// One Eq. 1 sweep: recompute every review's quality from current
 /// reputations (indexed by local rater) — [`quality_one`] per node.
 fn update_quality(
@@ -298,118 +229,16 @@ pub(crate) fn reputation_one(
     (1.0 - mad).max(0.0) * discount
 }
 
-/// The original `HashMap`-keyed formulation of the fixed point.
-///
-/// Kept as the equivalence baseline: `wot-core`'s property tests assert
-/// the index-dense [`solve`] reproduces this solver's output bit-for-bit.
-pub mod reference {
-    use std::collections::HashMap;
-
-    use wot_community::{CategorySlice, UserId};
-
-    use crate::DeriveConfig;
-
-    /// Result of the reference solver, keyed by user id.
-    #[derive(Debug, Clone)]
-    pub struct RiggsResultMap {
-        /// Review quality per local review index.
-        pub review_quality: Vec<f64>,
-        /// Rater reputation for every rater active in the category.
-        pub rater_reputation: HashMap<UserId, f64>,
-        /// Sweeps executed.
-        pub iterations: usize,
-        /// Whether the tolerance was met before the iteration cap.
-        pub converged: bool,
-    }
-
-    /// Runs the fixed point with `HashMap`-keyed reputation state.
-    pub fn solve(slice: &CategorySlice, cfg: &DeriveConfig) -> RiggsResultMap {
-        let raters = &slice.rater_of_local;
-        let mut reputation: HashMap<UserId, f64> = raters
-            .iter()
-            .map(|&u| (u, cfg.initial_rater_reputation))
-            .collect();
-        let mut quality = vec![cfg.unrated_review_quality; slice.num_reviews()];
-
-        let mut iterations = 0;
-        let mut converged = false;
-        while iterations < cfg.fixpoint_max_iters {
-            iterations += 1;
-            update_quality(slice, &reputation, cfg, &mut quality);
-            let delta = update_reputation(slice, &quality, cfg, &mut reputation);
-            if delta <= cfg.fixpoint_tolerance {
-                converged = true;
-                break;
-            }
-        }
-        RiggsResultMap {
-            review_quality: quality,
-            rater_reputation: reputation,
-            iterations,
-            converged,
-        }
-    }
-
-    fn update_quality(
-        slice: &CategorySlice,
-        reputation: &HashMap<UserId, f64>,
-        cfg: &DeriveConfig,
-        quality: &mut [f64],
-    ) {
-        for (j, ratings) in slice.ratings_by_review().iter().enumerate() {
-            if ratings.is_empty() {
-                quality[j] = cfg.unrated_review_quality;
-                continue;
-            }
-            let mut num = 0.0;
-            let mut den = 0.0;
-            for &(rater, value) in ratings {
-                let w = reputation.get(&rater).copied().unwrap_or(0.0);
-                num += w * value;
-                den += w;
-            }
-            quality[j] = if den > 0.0 {
-                num / den
-            } else {
-                ratings.iter().map(|&(_, v)| v).sum::<f64>() / ratings.len() as f64
-            };
-        }
-    }
-
-    fn update_reputation(
-        slice: &CategorySlice,
-        quality: &[f64],
-        cfg: &DeriveConfig,
-        reputation: &mut HashMap<UserId, f64>,
-    ) -> f64 {
-        let mut max_delta = 0.0f64;
-        for (&rater, ratings) in slice.ratings_by_rater() {
-            let n = ratings.len();
-            debug_assert!(n > 0, "rater entry with no ratings");
-            let mad: f64 = ratings
-                .iter()
-                .map(|&(local, value)| (value - quality[local as usize]).abs())
-                .sum::<f64>()
-                / n as f64;
-            let new = (1.0 - mad).max(0.0) * cfg.discount(n);
-            let old = reputation
-                .insert(rater, new)
-                .expect("reputation map seeded with every rater");
-            max_delta = max_delta.max((new - old).abs());
-        }
-        max_delta
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use wot_community::{CommunityBuilder, RatingScale, UserId};
+    use wot_community::{CategoryId, CommunityBuilder, CommunityStore, RatingScale, UserId};
 
     use super::*;
+    use crate::{incremental, oracle, CategoryReputation};
 
     /// One writer (w), two reviews; rater A rates both (0.8, 0.6), rater B
     /// rates the first (0.4). Hand-computed in DESIGN.md's notation.
-    fn fixture() -> CategorySlice {
+    fn fixture() -> CommunityStore {
         let mut b = CommunityBuilder::new(RatingScale::five_step());
         let a = b.add_user("a");
         let bb = b.add_user("b");
@@ -422,75 +251,93 @@ mod tests {
         b.add_rating(a, r0, 0.8).unwrap();
         b.add_rating(a, r1, 0.6).unwrap();
         b.add_rating(bb, r0, 0.4).unwrap();
-        b.build().category_slice(cat).unwrap()
+        b.build()
+    }
+
+    /// Category 0 built in bulk and solved cold — one category of
+    /// `pipeline::derive`.
+    fn solve(store: &CommunityStore, cfg: &DeriveConfig) -> CategoryReputation {
+        incremental::batch_table(store, CategoryId(0), cfg)
+    }
+
+    fn quality(r: &CategoryReputation) -> Vec<f64> {
+        r.review_quality.iter().map(|&(_, q)| q).collect()
+    }
+
+    /// Reputation of one user, or `None` if they rated nothing there.
+    fn reputation_of(r: &CategoryReputation, user: UserId) -> Option<f64> {
+        let at = r.rater_reputation.binary_search_by_key(&user, |&(u, _)| u);
+        at.ok().map(|k| r.rater_reputation[k].1)
     }
 
     #[test]
     fn single_sweep_matches_hand_computation() {
-        let slice = fixture();
+        let store = fixture();
         let cfg = DeriveConfig::builder()
             .fixpoint_max_iters(1)
             .build()
             .unwrap();
-        let r = solve(&slice, &cfg);
+        let r = solve(&store, &cfg);
         assert_eq!(r.iterations, 1);
         // Initial reputations 1.0 → plain means.
-        assert!((r.review_quality[0] - 0.6).abs() < 1e-12);
-        assert!((r.review_quality[1] - 0.6).abs() < 1e-12);
+        let q = quality(&r);
+        assert!((q[0] - 0.6).abs() < 1e-12);
+        assert!((q[1] - 0.6).abs() < 1e-12);
         // A: mad = (0.2 + 0.0)/2 = 0.1, n=2 → 0.9 * 2/3 = 0.6
-        assert!((r.reputation_of(&slice, UserId(0)).unwrap() - 0.6).abs() < 1e-12);
+        assert!((reputation_of(&r, UserId(0)).unwrap() - 0.6).abs() < 1e-12);
         // B: mad = 0.2, n=1 → 0.8 * 1/2 = 0.4
-        assert!((r.reputation_of(&slice, UserId(1)).unwrap() - 0.4).abs() < 1e-12);
+        assert!((reputation_of(&r, UserId(1)).unwrap() - 0.4).abs() < 1e-12);
         // The writer rated nothing.
-        assert_eq!(r.reputation_of(&slice, UserId(2)), None);
+        assert_eq!(reputation_of(&r, UserId(2)), None);
     }
 
     #[test]
     fn second_sweep_reweights_quality() {
-        let slice = fixture();
+        let store = fixture();
         let cfg = DeriveConfig::builder()
             .fixpoint_max_iters(2)
             .fixpoint_tolerance(0.0)
             .build()
             .unwrap();
-        let r = solve(&slice, &cfg);
+        let q = quality(&solve(&store, &cfg));
         // q0 = (0.6·0.8 + 0.4·0.4) / (0.6 + 0.4) = 0.64
-        assert!((r.review_quality[0] - 0.64).abs() < 1e-12);
-        assert!((r.review_quality[1] - 0.6).abs() < 1e-12);
+        assert!((q[0] - 0.64).abs() < 1e-12);
+        assert!((q[1] - 0.6).abs() < 1e-12);
     }
 
     #[test]
     fn converges_within_cap() {
-        let slice = fixture();
-        let r = solve(&slice, &DeriveConfig::default());
-        assert!(r.converged, "fixed point should converge on a tiny slice");
+        let r = solve(&fixture(), &DeriveConfig::default());
+        assert!(
+            r.converged,
+            "fixed point should converge on a tiny category"
+        );
         assert!(r.iterations < 50);
         // Ranges hold at the fixed point.
-        for &q in &r.review_quality {
+        for q in quality(&r) {
             assert!((0.0..=1.0).contains(&q));
         }
-        for &rep in &r.rater_reputation {
+        for &(_, rep) in &r.rater_reputation {
             assert!((0.0..=1.0).contains(&rep));
         }
         // A tracks consensus better than B throughout.
-        assert!(
-            r.reputation_of(&slice, UserId(0)).unwrap()
-                > r.reputation_of(&slice, UserId(1)).unwrap()
-        );
+        assert!(reputation_of(&r, UserId(0)).unwrap() > reputation_of(&r, UserId(1)).unwrap());
     }
 
     #[test]
     fn discount_ablation_raises_reputation() {
-        let slice = fixture();
-        let with = solve(&slice, &DeriveConfig::default());
+        let store = fixture();
+        let with = solve(&store, &DeriveConfig::default());
         let without = solve(
-            &slice,
+            &store,
             &DeriveConfig::builder()
                 .experience_discount(false)
                 .build()
                 .unwrap(),
         );
-        for (rep, rep_without) in with.rater_reputation.iter().zip(&without.rater_reputation) {
+        for (&(_, rep), &(_, rep_without)) in
+            with.rater_reputation.iter().zip(&without.rater_reputation)
+        {
             assert!(rep_without >= rep);
         }
     }
@@ -503,17 +350,17 @@ mod tests {
         let cat = b.add_category("cat");
         let o = b.add_object("o", cat).unwrap();
         b.add_review(w, o).unwrap();
-        let slice = b.build().category_slice(cat).unwrap();
-        let r = solve(&slice, &DeriveConfig::default());
-        assert_eq!(r.review_quality, vec![0.0]);
+        let store = b.build();
+        let r = solve(&store, &DeriveConfig::default());
+        assert_eq!(quality(&r), vec![0.0]);
         let r = solve(
-            &slice,
+            &store,
             &DeriveConfig::builder()
                 .unrated_review_quality(0.5)
                 .build()
                 .unwrap(),
         );
-        assert_eq!(r.review_quality, vec![0.5]);
+        assert_eq!(quality(&r), vec![0.5]);
         assert!(r.rater_reputation.is_empty());
     }
 
@@ -521,9 +368,8 @@ mod tests {
     fn empty_slice_is_fine() {
         let mut b = CommunityBuilder::new(RatingScale::five_step());
         b.add_user("u");
-        let cat = b.add_category("cat");
-        let slice = b.build().category_slice(cat).unwrap();
-        let r = solve(&slice, &DeriveConfig::default());
+        b.add_category("cat");
+        let r = solve(&b.build(), &DeriveConfig::default());
         assert!(r.review_quality.is_empty());
         assert!(r.rater_reputation.is_empty());
         assert!(r.converged);
@@ -542,19 +388,18 @@ mod tests {
         let r0 = b.add_review(w, o).unwrap();
         b.add_rating(a, r0, 0.8).unwrap();
         b.add_rating(c2, r0, 0.8).unwrap();
-        let slice = b.build().category_slice(cat).unwrap();
-        let r = solve(&slice, &DeriveConfig::default());
+        let r = solve(&b.build(), &DeriveConfig::default());
         assert!(r.converged);
-        assert!((r.review_quality[0] - 0.8).abs() < 1e-12);
+        assert!((quality(&r)[0] - 0.8).abs() < 1e-12);
         // (1-0)·(1-1/2)
-        assert!((r.reputation_of(&slice, a).unwrap() - 0.5).abs() < 1e-12);
+        assert!((reputation_of(&r, a).unwrap() - 0.5).abs() < 1e-12);
     }
 
-    /// The index-dense solver and the reference HashMap solver agree
+    /// The index-dense solve and the reference HashMap solver agree
     /// bit-for-bit (also covered at scale by the crate's property tests).
     #[test]
     fn dense_matches_reference_exactly() {
-        let slice = fixture();
+        let store = fixture();
         for cfg in [
             DeriveConfig::default(),
             DeriveConfig::builder()
@@ -563,13 +408,13 @@ mod tests {
                 .build()
                 .unwrap(),
         ] {
-            let dense = solve(&slice, &cfg);
-            let map = reference::solve(&slice, &cfg);
-            assert_eq!(dense.review_quality, map.review_quality);
+            let dense = solve(&store, &cfg);
+            let map = oracle::solve(&store, CategoryId(0), &cfg);
+            assert_eq!(quality(&dense), map.review_quality);
             assert_eq!(dense.iterations, map.iterations);
             assert_eq!(dense.converged, map.converged);
             assert_eq!(dense.rater_reputation.len(), map.rater_reputation.len());
-            for (u, rep) in dense.reputation_pairs(&slice) {
+            for &(u, rep) in &dense.rater_reputation {
                 assert_eq!(rep, map.rater_reputation[&u], "user {u:?}");
             }
         }

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use wot_community::{CategoryId, CommunityBuilder, CommunityStore, ObjectId, RatingScale, UserId};
 use wot_core::trust_rows::top_k_single_row;
-use wot_core::{binarize, metrics, pipeline, riggs, BlockConfig, DeriveConfig, TrustRows};
+use wot_core::{binarize, metrics, oracle, pipeline, BlockConfig, DeriveConfig, TrustRows};
 use wot_sparse::{Csr, Dense};
 
 /// Random valid community: a handful of users, categories, objects,
@@ -164,32 +164,6 @@ proptest! {
         }
     }
 
-    /// The index-dense Riggs solver matches the original HashMap
-    /// formulation **bit for bit** on every category of every random
-    /// community — same qualities, same reputations, same iteration
-    /// count, same convergence flag.
-    #[test]
-    fn index_dense_riggs_matches_hashmap_reference(store in community()) {
-        let cfg = DeriveConfig::default();
-        for c in 0..store.num_categories() {
-            let slice = store.category_slice(CategoryId::from_index(c)).unwrap();
-            let dense = riggs::solve(&slice, &cfg);
-            let reference = riggs::reference::solve(&slice, &cfg);
-            prop_assert_eq!(&dense.review_quality, &reference.review_quality);
-            prop_assert_eq!(dense.iterations, reference.iterations);
-            prop_assert_eq!(dense.converged, reference.converged);
-            prop_assert_eq!(
-                dense.rater_reputation.len(),
-                reference.rater_reputation.len()
-            );
-            for (u, rep) in dense.reputation_pairs(&slice) {
-                // Exact f64 equality: both solvers iterate the same
-                // arithmetic in the same order.
-                prop_assert_eq!(rep, reference.rater_reputation[&u]);
-            }
-        }
-    }
-
     /// Parallel derivation is bit-identical to sequential on arbitrary
     /// community shapes, for several thread counts.
     #[test]
@@ -215,7 +189,7 @@ proptest! {
     fn pipeline_matches_baseline(store in community()) {
         let cfg = DeriveConfig::builder().threads(1).build().unwrap();
         let dense = pipeline::derive(&store, &cfg).unwrap();
-        let baseline = pipeline::derive_baseline(&store, &cfg).unwrap();
+        let baseline = oracle::derive_baseline(&store, &cfg).unwrap();
         prop_assert_eq!(&dense, &baseline);
     }
 

@@ -955,7 +955,7 @@ impl Coordinator {
     }
 
     /// OS process id of worker `w` — what a failure drill sends
-    /// `SIGKILL` to.
+    /// `SIGKILL` or `SIGSTOP` to.
     pub fn worker_pid(&self, w: usize) -> u32 {
         self.workers[w].child.id()
     }
@@ -966,19 +966,6 @@ impl Coordinator {
         self.workers[w].child.kill()?;
         self.workers[w].child.wait()?;
         Ok(())
-    }
-
-    /// Fault injection for failure drills: worker `w` sleeps `millis`
-    /// before handling each subsequent request, so tests can exercise
-    /// the `worker_timeout` quarantine-and-restart path without
-    /// patching the worker binary. Not a production surface.
-    pub fn inject_stall(&mut self, w: usize, millis: u64) -> Result<()> {
-        match self.call(w, &ShardRequest::Stall { millis })? {
-            ShardReply::Ack => Ok(()),
-            other => Err(ServeError::Protocol(format!(
-                "unexpected reply to Stall: {other:?}"
-            ))),
-        }
     }
 
     /// Respawns worker `w` over its surviving WAL and reconciles: parked

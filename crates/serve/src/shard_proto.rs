@@ -52,9 +52,10 @@ pub enum ShardOpcode {
     /// acknowledged with one durability horizon.
     Ingest = 1,
     // 2 and 3 are retired (per-category reads; the coordinator answers
-    // them from its own snapshot), as is 4 (every owned category's
-    // state; a restart asks `States` for its assignment). All three
-    // decode as unknown opcodes.
+    // them from its own snapshot), as are 4 (every owned category's
+    // state; a restart asks `States` for its assignment) and 10 (a
+    // per-request delay for failure drills, which now freeze the worker
+    // process instead). All four decode as unknown opcodes.
     /// Stop owning a category; reply with its tagged event sub-log.
     DropCategory = 5,
     /// Start owning a category, seeded with its tagged event history.
@@ -66,8 +67,6 @@ pub enum ShardOpcode {
     States = 8,
     /// Roll durable state back to a sequence cut (pipeline abort).
     Truncate = 9,
-    /// Fault injection: delay every subsequent request (drills only).
-    Stall = 10,
 }
 
 impl ShardOpcode {
@@ -81,7 +80,6 @@ impl ShardOpcode {
             7 => ShardOpcode::Shutdown,
             8 => ShardOpcode::States,
             9 => ShardOpcode::Truncate,
-            10 => ShardOpcode::Stall,
             _ => return None,
         })
     }
@@ -143,13 +141,6 @@ pub enum ShardRequest {
         /// The global sequence to roll back to.
         cut: u64,
     },
-    /// Fault injection for failure drills: sleep this long before
-    /// handling each subsequent request (0 clears the stall). Never sent
-    /// by production paths.
-    Stall {
-        /// The per-request delay, in milliseconds.
-        millis: u64,
-    },
 }
 
 impl ShardRequest {
@@ -163,7 +154,6 @@ impl ShardRequest {
             ShardRequest::Shutdown => ShardOpcode::Shutdown,
             ShardRequest::States { .. } => ShardOpcode::States,
             ShardRequest::Truncate { .. } => ShardOpcode::Truncate,
-            ShardRequest::Stall { .. } => ShardOpcode::Stall,
         }
     }
 }
@@ -206,8 +196,6 @@ pub enum ShardReply {
         /// Events removed from the log and the model.
         dropped: u64,
     },
-    /// Acknowledges [`ShardRequest::Stall`].
-    Ack,
 }
 
 // ---------------------------------------------------------------------
@@ -317,7 +305,6 @@ pub fn encode_shard_request(out: &mut Vec<u8>, req: &ShardRequest) {
             }
         }
         ShardRequest::Truncate { cut } => put_u64(out, cut),
-        ShardRequest::Stall { millis } => put_u64(out, millis),
     }
 }
 
@@ -366,9 +353,6 @@ pub fn decode_shard_request(body: &[u8]) -> Result<ShardRequest, String> {
             ShardRequest::States { categories }
         }
         ShardOpcode::Truncate => ShardRequest::Truncate { cut: c.u64("cut")? },
-        ShardOpcode::Stall => ShardRequest::Stall {
-            millis: c.u64("millis")?,
-        },
     };
     c.finish("shard request")?;
     Ok(req)
@@ -429,7 +413,6 @@ pub fn encode_shard_ok(out: &mut Vec<u8>, reply: &ShardReply) {
             out.push(ShardOpcode::Truncate as u8);
             put_u64(out, dropped);
         }
-        ShardReply::Ack => out.push(ShardOpcode::Stall as u8),
     }
 }
 
@@ -489,7 +472,6 @@ pub fn decode_shard_reply(body: &[u8]) -> Result<Result<ShardReply, WireError>, 
         ShardOpcode::Truncate => ShardReply::Truncated {
             dropped: c.u64("dropped")?,
         },
-        ShardOpcode::Stall => ShardReply::Ack,
     };
     c.finish("shard reply")?;
     Ok(Ok(reply))
@@ -549,7 +531,6 @@ mod tests {
                 categories: vec![0, 2],
             },
             ShardRequest::Truncate { cut: 9 },
-            ShardRequest::Stall { millis: 250 },
         ];
         for req in reqs {
             let mut buf = Vec::new();
@@ -576,7 +557,6 @@ mod tests {
             ShardReply::SubLog(sample_events()),
             ShardReply::Bye,
             ShardReply::Truncated { dropped: 3 },
-            ShardReply::Ack,
         ];
         for reply in replies {
             let mut buf = Vec::new();
@@ -653,9 +633,10 @@ mod tests {
 
     #[test]
     fn malformed_bodies_are_typed_errors() {
-        // Unknown opcode — including the three retired state opcodes.
-        for code in [0x66, 2, 3, 4] {
+        // Unknown opcode — including the retired state and stall opcodes.
+        for code in [0x66, 2, 3, 4, 10] {
             assert!(decode_shard_request(&[code]).is_err());
+            assert!(decode_shard_reply(&[STATUS_OK, code]).is_err());
         }
         // No reply carries the adoption opcode.
         assert!(decode_shard_reply(&[STATUS_OK, ShardOpcode::AdoptCategory as u8]).is_err());

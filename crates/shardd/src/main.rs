@@ -70,7 +70,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::Arc;
-use std::time::Duration;
 
 use wot_community::StoreEvent;
 use wot_core::admission::IdRule;
@@ -120,9 +119,6 @@ fn parse_args() -> Option<PathBuf> {
 struct Worker {
     wal_path: PathBuf,
     shard: Option<Shard>,
-    /// Fault injection ([`ShardRequest::Stall`]): sleep this long before
-    /// handling each subsequent request.
-    stall: Option<Duration>,
 }
 
 /// The post-handshake shard: the engine and the categories it owns.
@@ -248,7 +244,6 @@ fn run(wal_path: PathBuf) -> io::Result<()> {
     let mut worker = Worker {
         wal_path,
         shard: None,
-        stall: None,
     };
     // A dedicated reader thread turns stdin into a queue the main loop
     // can drain — that's what lets one wake process a whole pipelined
@@ -307,9 +302,6 @@ fn run(wal_path: PathBuf) -> io::Result<()> {
                     break;
                 }
                 Ok(Inbound::Frame(body)) => {
-                    if let Some(d) = worker.stall {
-                        std::thread::sleep(d);
-                    }
                     let mut reply = Vec::new();
                     let shutting_down = match decode_shard_request(&body) {
                         Err(msg) => {
@@ -383,10 +375,6 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
             }
             Ok(ShardReply::Bye)
         }
-        ShardRequest::Stall { millis } => {
-            worker.stall = Some(Duration::from_millis(millis));
-            Ok(ShardReply::Ack)
-        }
         other => {
             let Some(shard) = worker.shard.as_mut() else {
                 return Err(bad("request before handshake".into()));
@@ -399,11 +387,7 @@ fn handle(worker: &mut Worker, req: ShardRequest) -> HandlerResult {
                 ShardRequest::AdoptCategory { category, events } => {
                     adopt_category(shard, category, events)
                 }
-                ShardRequest::Hello { .. }
-                | ShardRequest::Shutdown
-                | ShardRequest::Stall { .. } => {
-                    unreachable!()
-                }
+                ShardRequest::Hello { .. } | ShardRequest::Shutdown => unreachable!(),
             }
         }
     }
@@ -602,7 +586,6 @@ mod tests {
         let mut worker = Worker {
             wal_path: wal_path.clone(),
             shard: None,
-            stall: None,
         };
         let hello = ShardRequest::Hello {
             num_users: 4,

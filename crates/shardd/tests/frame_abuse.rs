@@ -129,7 +129,7 @@ fn unknown_opcode_is_a_typed_error() {
 fn retired_opcodes_are_typed_errors() {
     let mut rig = Rig::boot("retired");
     hello(&mut rig);
-    for code in [2u8, 3, 4] {
+    for code in [2u8, 3, 4, 10] {
         expect_err(rig.roundtrip(&[code]), ErrorCode::BadRequest);
     }
     rig.finish();

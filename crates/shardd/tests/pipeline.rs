@@ -4,8 +4,8 @@
 //!
 //! Three properties are drilled here on top of the base cluster suite:
 //! bit-identity at every acked batch boundary under varied per-worker
-//! interleavings; a stalled worker producing a typed unresponsive error
-//! plus a clean restart instead of a coordinator hang; and a `kill -9`
+//! interleavings; a frozen worker (`kill -STOP`) producing a typed
+//! unresponsive error plus a clean restart instead of a coordinator hang; and a `kill -9`
 //! mid-pipeline with multi-worker batches in flight — the failed round
 //! rolls back whole, and an out-of-band durable tag is adopted through
 //! the restart reconciliation. A final pair of tests pins down process
@@ -96,6 +96,16 @@ fn pid_alive(pid: u32) -> bool {
         .success()
 }
 
+/// Freezes worker `w` with `SIGSTOP`: it reads, answers and syncs
+/// nothing until it is killed, and `SIGKILL` still reaps it.
+fn freeze(coord: &Coordinator, w: usize) {
+    let status = Command::new("kill")
+        .args(["-STOP", &coord.worker_pid(w).to_string()])
+        .status()
+        .unwrap();
+    assert!(status.success(), "kill -STOP failed");
+}
+
 fn assert_all_reaped(pids: &[u32]) {
     // A zombie still answers `kill -0`; only a reaped child disappears.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -129,8 +139,8 @@ fn pipelined_ingest_is_bit_identical_at_every_acked_batch() {
     }
 }
 
-/// Slow-worker fault injection: a worker that sleeps past
-/// `worker_timeout` yields a typed [`ServeError::WorkerUnresponsive`]
+/// Slow-worker fault injection: a worker frozen past `worker_timeout`
+/// yields a typed [`ServeError::WorkerUnresponsive`]
 /// within bounded time — never a hang — is quarantined (fast typed
 /// failures, no waiting) until restarted, and the cluster resumes
 /// bit-identical.
@@ -145,9 +155,9 @@ fn stalled_worker_times_out_with_a_typed_error_and_restarts() {
     coord.ingest_batch(&fx.log[..half]).unwrap();
 
     let victim = coord.owner_of(fx.category_at(half)).unwrap();
-    coord.inject_stall(victim, 2_000).unwrap();
+    freeze(&coord, victim);
 
-    // Walk the tail until an event routes to the stalled worker; events
+    // Walk the tail until an event routes to the frozen worker; events
     // owned by healthy workers must keep flowing meanwhile.
     let mut at = half;
     loop {
@@ -175,14 +185,14 @@ fn stalled_worker_times_out_with_a_typed_error_and_restarts() {
     assert!(quick.elapsed() < timeout, "quarantine must not wait");
 
     coord.restart_worker(victim).unwrap();
-    // The stalled append raced the kill: the event is either durable
-    // (adopted at restart) or lost (rolled back) — both are consistent
-    // cuts, and `seq` names which one happened.
+    // The unanswered append is either durable (adopted at restart) or
+    // lost (rolled back) — both are consistent cuts, and `seq` names
+    // which one happened.
     let seq = coord.seq() as usize;
     assert!(seq == at || seq == at + 1, "seq {seq} must sit at the cut");
     assert_backend_matches(&mut coord, &fx.batch_oracle(seq), seq as u64);
 
-    // The rest of the history ingests normally — stall state died with
+    // The rest of the history ingests normally — the freeze died with
     // the old process.
     coord.ingest_batch(&fx.log[seq..]).unwrap();
     let last = fx.log.len() as u64;
@@ -191,9 +201,9 @@ fn stalled_worker_times_out_with_a_typed_error_and_restarts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A worker that stalls during the snapshot's lazy `States` scatter
+/// A worker frozen during the snapshot's lazy `States` scatter
 /// must not strand the healthy owners' `FullState` replies in their
-/// streams: the refresh returns the stalled owner's typed unresponsive
+/// streams: the refresh returns the frozen owner's typed unresponsive
 /// error with every other outstanding reply drained, so positional
 /// correlation survives. After a restart the cluster ingests and
 /// answers bit-identically — no spurious `WorkerGone` on workers that
@@ -210,17 +220,17 @@ fn stalled_states_scatter_drains_healthy_workers() {
     let half = fx.log.len() / 2;
     coord.ingest_batch(&fx.log[..half]).unwrap();
     // The leak shape needs the scatter to cover every worker with the
-    // stalled one gathered first (owners gather in ascending order).
+    // frozen one gathered first (owners gather in ascending order).
     let owners: std::collections::BTreeSet<usize> = (0..half)
         .map(|i| coord.owner_of(fx.category_at(i)).unwrap())
         .collect();
     assert_eq!(owners.len(), 3, "fixture must dirty every worker");
 
-    coord.inject_stall(0, 2_000).unwrap();
+    freeze(&coord, 0);
     let err = coord.trust(0, 1).unwrap_err();
     assert!(
         matches!(err, ServeError::WorkerUnresponsive { worker: 0, .. }),
-        "expected the stalled owner's typed error, got {err}"
+        "expected the frozen owner's typed error, got {err}"
     );
 
     coord.restart_worker(0).unwrap();
@@ -322,7 +332,7 @@ fn failed_shutdown_still_reaps_every_worker() {
     let pids: Vec<u32> = (0..coord.num_workers())
         .map(|w| coord.worker_pid(w))
         .collect();
-    coord.inject_stall(1, 10_000).unwrap();
+    freeze(&coord, 1);
     let res = coord.shutdown();
     assert!(res.is_err(), "the wedged worker fails the goodbye");
     assert_all_reaped(&pids);

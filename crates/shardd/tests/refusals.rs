@@ -5,6 +5,7 @@
 //! category move the target cannot complete must leave the category
 //! with its source: routed, owned and answering bit-identically.
 
+use std::process::Command;
 use std::time::Duration;
 
 use wot_community::events::replay_into_store;
@@ -78,7 +79,7 @@ fn coordinator_refuses_invalid_reads_like_the_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A target stalled past `worker_timeout` fails the move. The source,
+/// A target frozen past `worker_timeout` (`kill -STOP`) fails the move. The source,
 /// which already dropped the category, gets its history back: the next
 /// event in the category acks and every answer matches the oracle, and
 /// once the target restarts the same move succeeds.
@@ -88,14 +89,18 @@ fn a_refused_move_leaves_the_category_with_its_source() {
     let (mut coord, dir) = fx.start("move", Duration::from_millis(300));
     let half = fx.log.len() / 2;
     coord.ingest_batch(&fx.log[..half]).unwrap();
-    // Settle the lazy table fetches, so the stall below meets the move
+    // Settle the lazy table fetches, so the freeze below meets the move
     // itself rather than the refresh that precedes it.
     assert_backend_matches(&mut coord, &fx.oracle(&fx.log[..half]), half as u64);
 
     let category = 0;
     let from = coord.owner_of(category).unwrap();
     let to = (from + 1) % coord.num_workers();
-    coord.inject_stall(to, 2_000).unwrap();
+    let frozen = Command::new("kill")
+        .args(["-STOP", &coord.worker_pid(to).to_string()])
+        .status()
+        .unwrap();
+    assert!(frozen.success(), "kill -STOP failed");
     let err = coord.rebalance(category, to).unwrap_err();
     assert!(
         matches!(err, ServeError::WorkerUnresponsive { worker, .. } if worker == to),
@@ -120,7 +125,7 @@ fn a_refused_move_leaves_the_category_with_its_source() {
     let oracle = fx.oracle(&history);
     assert_backend_matches(&mut coord, &oracle, seq);
 
-    // The stall died with the old target; the move now goes through.
+    // The freeze died with the old target; the move now goes through.
     coord.restart_worker(to).unwrap();
     assert_backend_matches(&mut coord, &oracle, seq);
     coord.rebalance(category, to).unwrap();

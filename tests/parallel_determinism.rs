@@ -10,7 +10,9 @@
 //! count may perturb a single bit.
 
 use webtrust::community::{CategoryId, CommunityStore, StoreEvent};
-use webtrust::core::{pipeline, trust, BlockConfig, DeriveConfig, IncrementalDerived, ReplayEvent};
+use webtrust::core::{
+    oracle, pipeline, trust, BlockConfig, DeriveConfig, IncrementalDerived, ReplayEvent,
+};
 use webtrust::synth::{generate, shuffled_event_log, SynthConfig};
 
 fn tiny_store() -> CommunityStore {
@@ -51,7 +53,7 @@ fn baseline_pipeline_is_bit_identical_to_index_dense() {
     let store = tiny_store();
     let cfg = DeriveConfig::builder().threads(1).build().unwrap();
     let dense = pipeline::derive(&store, &cfg).unwrap();
-    let baseline = pipeline::derive_baseline(&store, &cfg).unwrap();
+    let baseline = oracle::derive_baseline(&store, &cfg).unwrap();
     assert_eq!(dense, baseline);
 }
 
