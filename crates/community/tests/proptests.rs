@@ -134,6 +134,27 @@ proptest! {
         prop_assert_eq!(total_by_review, store.num_ratings());
     }
 
+    /// Category slices — each category's review list and the ratings
+    /// those reviews received — partition reviews and ratings.
+    #[test]
+    fn slices_partition(spec in spec()) {
+        let store = build(&spec);
+        let mut review_total = 0usize;
+        let mut rating_total = 0usize;
+        for c in 0..store.num_categories() {
+            let reviews = store.reviews_in_category(CategoryId::from_index(c));
+            review_total += reviews.len();
+            for &rid in reviews {
+                let review = store.review(rid).unwrap();
+                prop_assert_eq!(review.category.index(), c);
+                prop_assert!(store.reviews_by_writer(review.writer).contains(&rid));
+                rating_total += store.ratings_of_review(rid).len();
+            }
+        }
+        prop_assert_eq!(review_total, store.num_reviews());
+        prop_assert_eq!(rating_total, store.num_ratings());
+    }
+
     /// R's pattern contains the baseline matrix B's pattern exactly.
     #[test]
     fn r_and_b_have_identical_patterns(spec in spec()) {

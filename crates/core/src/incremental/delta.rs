@@ -94,7 +94,7 @@ impl NodeSet {
 /// seeds, empties the seen sets at [`begin`](Self::begin), and leaves both
 /// frontiers empty at [`finish`](Self::finish), whatever stopped it.
 #[derive(Debug, Clone, Default)]
-pub(super) struct DeltaScratch {
+pub(crate) struct DeltaScratch {
     /// Reviews / raters queued for recomputation. A set, so the worklist
     /// is duplicate-free; drained in ascending order, so a pass walks the
     /// arenas front to back instead of in discovery order.

@@ -82,7 +82,7 @@ mod publish;
 use wot_community::{CategoryId, CommunityStore, ReviewId, StoreEvent, UserId};
 use wot_sparse::Dense;
 
-use self::category::CategoryState;
+pub(crate) use self::category::CategoryState;
 pub use self::delta::{DeltaReport, AUDIT_BOUND, AUDIT_EVERY};
 pub(crate) use self::publish::batch_table;
 pub use self::publish::DerivedCache;

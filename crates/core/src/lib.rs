@@ -135,6 +135,7 @@ pub mod oracle;
 pub mod pipeline;
 pub mod reputation;
 pub mod riggs;
+mod slice;
 pub mod trust;
 pub mod trust_blocks;
 pub mod trust_rows;

@@ -10,10 +10,11 @@
 //! ū_i   = (1 − Σ_{j∈R(u_i)} |ρ_ij − r̄_j| / n_i) · (1 − 1/(n_i+1))   (2)
 //! ```
 //!
-//! The two equations are mutually recursive; [`solve_warm`] iterates them
-//! until no reputation moves by more than the configured tolerance
-//! (Jacobi-style sweeps, so the result is independent of user iteration
-//! order). A cold solve starts them from uniform reputations.
+//! The two equations are mutually recursive; the sweep loop
+//! (`solve_warm`) iterates them until no reputation moves by more than
+//! the configured tolerance (Jacobi-style sweeps, so the result is
+//! independent of user iteration order). A cold solve starts them from
+//! uniform reputations.
 //!
 //! ## Index-dense state
 //!

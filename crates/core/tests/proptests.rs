@@ -164,6 +164,33 @@ proptest! {
         }
     }
 
+    /// The index-dense Riggs solve that `pipeline::derive` runs per
+    /// category matches the HashMap formulation **bit for bit** on every
+    /// category of every random community — same qualities, same
+    /// reputations, same iteration count, same convergence flag.
+    #[test]
+    fn index_dense_riggs_matches_hashmap_reference(store in community()) {
+        let cfg = DeriveConfig::default();
+        let derived = pipeline::derive(&store, &cfg).unwrap();
+        for c in 0..store.num_categories() {
+            let dense = &derived.per_category[c];
+            let reference = oracle::solve(&store, CategoryId::from_index(c), &cfg);
+            let quality: Vec<f64> = dense.review_quality.iter().map(|&(_, q)| q).collect();
+            prop_assert_eq!(&quality, &reference.review_quality);
+            prop_assert_eq!(dense.iterations, reference.iterations);
+            prop_assert_eq!(dense.converged, reference.converged);
+            prop_assert_eq!(
+                dense.rater_reputation.len(),
+                reference.rater_reputation.len()
+            );
+            for &(u, rep) in &dense.rater_reputation {
+                // Exact f64 equality: both solvers iterate the same
+                // arithmetic in the same order.
+                prop_assert_eq!(rep, reference.rater_reputation[&u]);
+            }
+        }
+    }
+
     /// Parallel derivation is bit-identical to sequential on arbitrary
     /// community shapes, for several thread counts.
     #[test]
