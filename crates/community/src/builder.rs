@@ -368,7 +368,7 @@ mod tests {
         let store = b.build();
         assert_eq!(
             store.ratings_of_review(review),
-            &[(alice, 1.0), (carol, 0.6)]
+            (&[alice.0, carol.0][..], &[1.0, 0.6][..])
         );
     }
 

@@ -12,12 +12,14 @@
 //!
 //! The same type serves both ways `wot-core` fills a category: the batch
 //! pipeline's bulk build, **exact** — every node's capacity is its final
-//! degree, no slack, no dead space: one direction collected from its
-//! grouped lists (`FromIterator`), the other its
-//! [`transposed`](Incidence::transposed) count → prefix sum → scatter —
-//! and the growing online model (`IncrementalDerived`, which appends and
-//! inserts in place), so there is no flatten step between "the data as
-//! maintained" and "the data as solved".
+//! degree, no slack, no dead space: one direction
+//! [`relabeled`](Incidence::relabeled) from the store's per-review lists,
+//! the other its [`transposed`](Incidence::transposed) count → prefix
+//! sum → scatter — and the growing online model (`IncrementalDerived`,
+//! which appends and inserts in place), so there is no flatten step
+//! between "the data as maintained" and "the data as solved". The
+//! [`CommunityStore`](crate::CommunityStore) keeps each review's ratings
+//! in one exact arena too.
 //!
 //! ## Growth, relocation, compaction
 //!
@@ -91,7 +93,7 @@ impl Incidence {
     /// An arena of `degrees.len()` empty nodes laid out exactly: node `i`
     /// owns `degrees[i]` slots, in node order. Filling every node to its
     /// degree with [`push`](Self::push) never relocates.
-    fn with_degrees(degrees: &[u32]) -> Self {
+    pub(crate) fn with_degrees(degrees: &[u32]) -> Self {
         let mut nodes = Vec::with_capacity(degrees.len());
         let mut off = 0u32;
         for &cap in degrees {
@@ -107,6 +109,32 @@ impl Incidence {
             edges: 0,
             dead: 0,
         }
+    }
+
+    /// Builds an arena **exactly** from per-node `(neighbours, values)`
+    /// slices, in node order: each node's values are copied as one slice
+    /// and its neighbours mapped through `relabel` (a store's user
+    /// indexes to a category's locals, say), in their order.
+    ///
+    /// # Panics
+    /// Panics if a node's two slices differ in length.
+    pub fn relabeled(nodes: &[(&[u32], &[f64])], relabel: impl Fn(u32) -> u32) -> Self {
+        let edges: usize = nodes.iter().map(|(index, _)| index.len()).sum();
+        let mut arena = Self {
+            nodes: Vec::with_capacity(nodes.len()),
+            index: Vec::with_capacity(edges),
+            value: Vec::with_capacity(edges),
+            edges: narrow(edges) as usize,
+            dead: 0,
+        };
+        for &(index, value) in nodes {
+            assert_eq!(index.len(), value.len(), "one value per neighbour");
+            let (off, len) = (narrow(arena.index.len()), narrow(index.len()));
+            arena.index.extend(index.iter().map(|&k| relabel(k)));
+            arena.value.extend_from_slice(value);
+            arena.nodes.push(Node { off, len, cap: len });
+        }
+        arena
     }
 
     /// The same edges grouped the other way, built exactly: node `k` of
@@ -307,29 +335,17 @@ impl Incidence {
     }
 }
 
-/// Builds an arena **exactly** from its grouped form: one item per node,
-/// in node order, each the node's `(neighbour, value)` edges in their
-/// final order.
-impl<L: IntoIterator<Item = (u32, f64)>> FromIterator<L> for Incidence {
-    fn from_iter<I: IntoIterator<Item = L>>(lists: I) -> Self {
-        let mut arena = Self::new();
-        for list in lists {
-            let off = narrow(arena.index.len());
-            for (index, value) in list {
-                arena.index.push(index);
-                arena.value.push(value);
-            }
-            let len = narrow(arena.index.len()) - off;
-            arena.nodes.push(Node { off, len, cap: len });
-        }
-        arena.edges = arena.index.len();
-        arena
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An exact arena over `lists`, neighbours kept as they are.
+    fn exact(lists: &[Vec<(u32, f64)>]) -> Incidence {
+        let split: Vec<(Vec<u32>, Vec<f64>)> =
+            lists.iter().map(|l| l.iter().copied().unzip()).collect();
+        let nodes: Vec<(&[u32], &[f64])> = split.iter().map(|(i, v)| (&i[..], &v[..])).collect();
+        Incidence::relabeled(&nodes, |k| k)
+    }
 
     fn grouped(arena: &Incidence) -> Vec<Vec<(u32, f64)>> {
         (0..arena.num_nodes())
@@ -344,7 +360,7 @@ mod tests {
             vec![],
             vec![(0, 0.2), (2, 0.6), (3, 1.0)],
         ];
-        let arena: Incidence = lists.iter().map(|l| l.iter().copied()).collect();
+        let arena = exact(&lists);
         assert_eq!((arena.num_nodes(), arena.num_edges()), (3, 5));
         assert_eq!(arena.num_slots(), 5);
         assert_eq!(grouped(&arena), lists);
@@ -366,7 +382,7 @@ mod tests {
 
     #[test]
     fn full_nodes_relocate_and_dead_space_compacts() {
-        let mut arena: Incidence = [[(10, 0.1)], [(20, 0.2)]].into_iter().collect();
+        let mut arena = exact(&[vec![(10, 0.1)], vec![(20, 0.2)]]);
         // Node 0 is full: the next edge moves it to the tail (cap 1+0+2)
         // and leaves one dead slot — 1 of 5, under the trigger.
         arena.push(0, 11, 0.3);

@@ -61,10 +61,9 @@ impl CommunityStats {
             let mut ratings = 0usize;
             for &rid in reviews {
                 writers.insert(store.reviews()[rid.index()].writer);
-                for &(rater, _) in store.ratings_of_review(rid) {
-                    raters.insert(rater);
-                    ratings += 1;
-                }
+                let (rated_by, _) = store.ratings_of_review(rid);
+                raters.extend(rated_by.iter().map(|&r| UserId(r)));
+                ratings += rated_by.len();
             }
             per_category.push(CategoryStats {
                 category: c.id,

@@ -3,8 +3,8 @@ use std::collections::HashMap;
 use wot_sparse::{Coo, Csr};
 
 use crate::{
-    Category, CategoryId, CommunityError, Object, ObjectId, Rating, RatingScale, Result, Review,
-    ReviewId, TrustStatement, User, UserId,
+    Category, CategoryId, CommunityError, Incidence, Object, ObjectId, Rating, RatingScale, Result,
+    Review, ReviewId, TrustStatement, User, UserId,
 };
 
 /// Immutable, fully indexed community dataset.
@@ -28,10 +28,11 @@ pub struct CommunityStore {
     reviews: Vec<Review>,
     ratings: Vec<Rating>,
     trust: Vec<TrustStatement>,
-    reviews_by_writer: Vec<Vec<ReviewId>>,
-    reviews_by_category: Vec<Vec<ReviewId>>,
-    ratings_by_review: Vec<Vec<(UserId, f64)>>,
-    ratings_by_rater: Vec<Vec<(ReviewId, f64)>>,
+    reviews_by_writer: ReviewGroups,
+    reviews_by_category: ReviewGroups,
+    /// Per review, its raters' indexes and their values, in insertion
+    /// order: the store's one grouped copy of the ratings.
+    ratings_by_review: Incidence,
 }
 
 impl CommunityStore {
@@ -44,15 +45,17 @@ impl CommunityStore {
         ratings: Vec<Rating>,
         trust: Vec<TrustStatement>,
     ) -> Self {
-        let reviews_by_writer = grouped(users.len(), &reviews, |r| (r.writer.index(), r.id));
+        let reviews_by_writer = ReviewGroups::new(users.len(), &reviews, |r| r.writer.index());
         let reviews_by_category =
-            grouped(categories.len(), &reviews, |r| (r.category.index(), r.id));
-        let ratings_by_review = grouped(reviews.len(), &ratings, |rt| {
-            (rt.review.index(), (rt.rater, rt.value))
-        });
-        let ratings_by_rater = grouped(users.len(), &ratings, |rt| {
-            (rt.rater.index(), (rt.review, rt.value))
-        });
+            ReviewGroups::new(categories.len(), &reviews, |r| r.category.index());
+        let mut degrees = vec![0u32; reviews.len()];
+        for rt in &ratings {
+            degrees[rt.review.index()] += 1;
+        }
+        let mut ratings_by_review = Incidence::with_degrees(&degrees);
+        for rt in &ratings {
+            ratings_by_review.push(rt.review.index(), rt.rater.0, rt.value);
+        }
         Self {
             scale,
             users,
@@ -64,7 +67,6 @@ impl CommunityStore {
             reviews_by_writer,
             reviews_by_category,
             ratings_by_review,
-            ratings_by_rater,
         }
     }
 
@@ -181,34 +183,62 @@ impl CommunityStore {
 
     /// Reviews written by `writer`.
     pub fn reviews_by_writer(&self, writer: UserId) -> &[ReviewId] {
-        &self.reviews_by_writer[writer.index()]
+        self.reviews_by_writer.get(writer.index())
     }
 
     /// Reviews in `category`.
     pub fn reviews_in_category(&self, category: CategoryId) -> &[ReviewId] {
-        &self.reviews_by_category[category.index()]
+        self.reviews_by_category.get(category.index())
     }
 
-    /// Ratings received by `review` as `(rater, value)` pairs.
-    pub fn ratings_of_review(&self, review: ReviewId) -> &[(UserId, f64)] {
-        &self.ratings_by_review[review.index()]
-    }
-
-    /// Ratings given by `rater` as `(review, value)` pairs.
-    pub fn ratings_by_rater(&self, rater: UserId) -> &[(ReviewId, f64)] {
-        &self.ratings_by_rater[rater.index()]
+    /// Ratings received by `review` in insertion order, as parallel
+    /// slices: the raters' indexes (`UserId.0`) and the values.
+    pub fn ratings_of_review(&self, review: ReviewId) -> (&[u32], &[f64]) {
+        self.ratings_by_review.node(review.index())
     }
 
     /// Users with at least one review written or one rating given — the
     /// paper's dataset-inclusion criterion.
     pub fn active_users(&self) -> Vec<UserId> {
+        let mut active = vec![false; self.users.len()];
+        for r in &self.reviews {
+            active[r.writer.index()] = true;
+        }
+        for rt in &self.ratings {
+            active[rt.rater.index()] = true;
+        }
         (0..self.users.len())
+            .filter(|&u| active[u])
             .map(UserId::from_index)
-            .filter(|&u| {
-                !self.reviews_by_writer[u.index()].is_empty()
-                    || !self.ratings_by_rater[u.index()].is_empty()
-            })
             .collect()
+    }
+
+    /// Heap bytes the store holds, at capacity: its records (names and
+    /// keys included) and its grouped views. A window for memory probes;
+    /// not part of the API.
+    #[doc(hidden)]
+    pub fn heap_bytes(&self) -> usize {
+        fn held<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let names: usize = self
+            .users
+            .iter()
+            .map(|u| &u.handle)
+            .chain(self.categories.iter().map(|c| &c.name))
+            .chain(self.objects.iter().map(|o| &o.key))
+            .map(String::capacity)
+            .sum();
+        names
+            + held(&self.users)
+            + held(&self.categories)
+            + held(&self.objects)
+            + held(&self.reviews)
+            + held(&self.ratings)
+            + held(&self.trust)
+            + self.reviews_by_writer.heap_bytes()
+            + self.reviews_by_category.heap_bytes()
+            + self.ratings_by_review.heap_bytes()
     }
 
     // ---- matrix extraction ----------------------------------------------
@@ -320,21 +350,44 @@ impl CommunityStore {
     }
 }
 
-/// Groups `items` into `n` lists by the index `entry` gives each, in
-/// `items` order. Degrees are counted first, so every list is allocated
-/// at exactly its length: a list grown by doubling would carry up to as
-/// much again in slack, and the store is built once and never grows.
-fn grouped<T, V>(n: usize, items: &[T], entry: impl Fn(&T) -> (usize, V)) -> Vec<Vec<V>> {
-    let mut degree = vec![0usize; n];
-    for item in items {
-        degree[entry(item).0] += 1;
+/// Reviews grouped by a key (writer or category) in one flat buffer:
+/// group `i` is `ids[offsets[i]..offsets[i + 1]]`, ascending by id. Both
+/// buffers are allocated at exactly their length: the store is built once
+/// and never grows.
+#[derive(Debug, Clone)]
+struct ReviewGroups {
+    offsets: Vec<u32>,
+    ids: Vec<ReviewId>,
+}
+
+impl ReviewGroups {
+    /// Groups `reviews` into `n` groups by `key`: count, prefix sum,
+    /// scatter.
+    fn new(n: usize, reviews: &[Review], key: impl Fn(&Review) -> usize) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for r in reviews {
+            offsets[key(r) + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut ids = vec![ReviewId(0); reviews.len()];
+        for r in reviews {
+            let slot = &mut next[key(r)];
+            ids[*slot as usize] = r.id;
+            *slot += 1;
+        }
+        Self { offsets, ids }
     }
-    let mut lists: Vec<Vec<V>> = degree.into_iter().map(Vec::with_capacity).collect();
-    for item in items {
-        let (i, v) = entry(item);
-        lists[i].push(v);
+
+    fn get(&self, i: usize) -> &[ReviewId] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
-    lists
+
+    fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * 4 + self.ids.capacity() * 4
+    }
 }
 
 #[cfg(test)]
@@ -383,20 +436,21 @@ mod tests {
         assert_eq!(s.reviews_in_category(CategoryId(1)), &[ReviewId(1)]);
         assert_eq!(
             s.ratings_of_review(ReviewId(0)),
-            &[(UserId(0), 0.8), (UserId(2), 0.4)]
+            (&[0, 2][..], &[0.8, 0.4][..])
         );
-        assert_eq!(s.ratings_by_rater(UserId(0)).len(), 2);
         assert_eq!(s.user_by_handle("u2").unwrap().id, UserId(2));
     }
 
-    /// Every adjacency list is allocated at its length: lists of 0, 1,
-    /// 3 and 5 entries, lengths a doubling growth would over-allocate.
+    /// Every grouped view is allocated at its length, with lists of 0,
+    /// 1, 3 and 5 entries, lengths a doubling growth would over-allocate:
+    /// the review groups hold one id per review, the ratings one 12-byte
+    /// slot per rating.
     #[test]
     fn store_lists_are_exact() {
         let mut b = CommunityBuilder::new(RatingScale::five_step());
         let users: Vec<UserId> = (0..6).map(|i| b.add_user(format!("u{i}"))).collect();
         let c0 = b.add_category("c0");
-        let _empty = b.add_category("c1");
+        let empty = b.add_category("c1");
         let mut reviews = Vec::new();
         for (k, &writer) in users[..3].iter().enumerate() {
             for o in 0..=k {
@@ -411,21 +465,24 @@ mod tests {
             }
         }
         let s = b.build();
-        let lens_and_caps = s
-            .reviews_by_writer
-            .iter()
-            .chain(&s.reviews_by_category)
-            .map(|l| (l.len(), l.capacity()))
-            .chain(s.ratings_by_review.iter().map(|l| (l.len(), l.capacity())))
-            .chain(s.ratings_by_rater.iter().map(|l| (l.len(), l.capacity())));
-        for (len, capacity) in lens_and_caps {
-            assert_eq!(capacity, len);
+        for groups in [&s.reviews_by_writer, &s.reviews_by_category] {
+            assert_eq!(groups.ids.capacity(), s.num_reviews());
+            assert_eq!(groups.offsets.len(), groups.offsets.capacity());
         }
+        let by_review = &s.ratings_by_review;
+        assert_eq!(by_review.num_edges(), s.num_ratings());
+        assert_eq!(by_review.num_slots(), s.num_ratings());
+        assert_eq!(
+            by_review.heap_bytes(),
+            s.num_reviews() * 12 + s.num_ratings() * 12
+        );
         // The lists are the ones the accessors hand out.
         assert_eq!(s.reviews_in_category(c0).len(), 6);
+        assert_eq!(s.reviews_in_category(empty), &[]);
         assert_eq!(s.reviews_by_writer(users[2]).len(), 3);
-        assert_eq!(s.ratings_by_rater(users[5]).len(), 6);
-        assert_eq!(s.ratings_of_review(reviews[0]).len(), 5);
+        assert_eq!(s.reviews_by_writer(users[5]), &[]);
+        assert_eq!(s.ratings_of_review(reviews[0]).0.len(), 5);
+        assert_eq!(s.ratings_of_review(reviews[5]).1.len(), 4);
     }
 
     #[test]

@@ -102,7 +102,10 @@ proptest! {
         // An exact build from the grouped model equals the appended
         // arena node for node, with no slack and no dead space — and so
         // does the other direction's exact build, transposed back.
-        let exact: Incidence = model.iter().map(|node| node.iter().copied()).collect();
+        let split: Vec<(Vec<u32>, Vec<f64>)> =
+            model.iter().map(|node| node.iter().copied().unzip()).collect();
+        let nodes: Vec<(&[u32], &[f64])> = split.iter().map(|(i, v)| (&i[..], &v[..])).collect();
+        let exact = Incidence::relabeled(&nodes, |k| k);
         prop_assert_eq!(exact.num_slots(), exact.num_edges());
         assert_matches_model(&exact, &model, ops.len());
         // Transposing sorts a node's edges by neighbour, so compare the

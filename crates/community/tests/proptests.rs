@@ -121,17 +121,18 @@ proptest! {
             for &rid in store.reviews_by_writer(uid) {
                 prop_assert_eq!(store.review(rid).unwrap().writer, uid);
             }
-            for &(rid, v) in store.ratings_by_rater(uid) {
-                prop_assert!(store
-                    .ratings_of_review(rid)
-                    .iter()
-                    .any(|&(rater, value)| rater == uid && value == v));
-            }
         }
-        let total_by_review: usize = (0..store.num_reviews())
-            .map(|r| store.ratings_of_review(ReviewId::from_index(r)).len())
-            .sum();
-        prop_assert_eq!(total_by_review, store.num_ratings());
+        // Each review's ratings are the flat list's, in insertion order.
+        let mut by_review = vec![(Vec::new(), Vec::new()); store.num_reviews()];
+        for rt in store.ratings() {
+            let (raters, values) = &mut by_review[rt.review.index()];
+            raters.push(rt.rater.0);
+            values.push(rt.value);
+        }
+        for (r, (raters, values)) in by_review.iter().enumerate() {
+            let held = store.ratings_of_review(ReviewId::from_index(r));
+            prop_assert_eq!(held, (&raters[..], &values[..]));
+        }
     }
 
     /// Category slices — each category's review list and the ratings
@@ -148,7 +149,7 @@ proptest! {
                 let review = store.review(rid).unwrap();
                 prop_assert_eq!(review.category.index(), c);
                 prop_assert!(store.reviews_by_writer(review.writer).contains(&rid));
-                rating_total += store.ratings_of_review(rid).len();
+                rating_total += store.ratings_of_review(rid).0.len();
             }
         }
         prop_assert_eq!(review_total, store.num_reviews());

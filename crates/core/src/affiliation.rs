@@ -291,7 +291,7 @@ mod tests {
         b.add_category("c0");
         let store = b.build();
         let a = affiliation_of(&store);
-        assert_eq!(a.row_sums(), vec![0.0]);
+        assert_eq!(a.as_slice(), &[0.0]);
     }
 
     /// A patched `A` equals a rebuilt one after every kind of count

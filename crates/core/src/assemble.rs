@@ -21,8 +21,8 @@
 //! empty — which is how [`pipeline::derive`](crate::pipeline::derive)
 //! assembles a whole community. There is no second, from-scratch path to
 //! keep in agreement; the from-scratch builders (`affiliation_matrix`,
-//! `expertise_matrix_from_pairs`) stay as the independent oracle the
-//! tests compare against.
+//! the test oracle's `expertise_matrix`) stay as the independent oracle
+//! the tests compare against.
 //!
 //! ## Two slots, and no copy on publish
 //!
@@ -178,7 +178,7 @@ mod tests {
     use wot_community::{CategoryId, UserId};
 
     use super::*;
-    use crate::expertise::expertise_matrix_from_pairs;
+    use crate::oracle::expertise_matrix;
 
     fn table(c: usize, writers: &[(u32, f64)]) -> Arc<CategoryReputation> {
         Arc::new(CategoryReputation {
@@ -195,12 +195,12 @@ mod tests {
     }
 
     fn fresh(counts: &ActivityLedger, tables: &[Arc<CategoryReputation>]) -> Derived {
-        let pairs: Vec<&[(UserId, f64)]> = tables
+        let maps: Vec<_> = tables
             .iter()
-            .map(|t| t.writer_reputation.as_slice())
+            .map(|t| t.writer_reputation.iter().copied().collect())
             .collect();
         Derived {
-            expertise: expertise_matrix_from_pairs(counts.shape().0, &pairs),
+            expertise: expertise_matrix(counts.shape().0, &maps),
             affiliation: counts.affiliation(),
             per_category: tables.to_vec(),
         }

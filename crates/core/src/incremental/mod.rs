@@ -583,8 +583,9 @@ mod tests {
         let cat = review.category;
         let rated: std::collections::HashSet<UserId> = store
             .ratings_of_review(review.id)
+            .0
             .iter()
-            .map(|&(u, _)| u)
+            .map(|&u| UserId(u))
             .collect();
         let rater = inc.categories[cat.index()]
             .rater_of_local

@@ -5,7 +5,7 @@
 //! framework turns a review community's **rating data** into a dense,
 //! continuous **derived trust matrix** `T̂`, with no explicit trust input:
 //!
-//! 1. **Step 1 — expertise** ([`riggs`], [`reputation`], [`expertise`]):
+//! 1. **Step 1 — expertise** ([`riggs`], [`reputation`], [`assemble`]):
 //!    per category, compute review quality as the rater-reputation-weighted
 //!    mean of received ratings (Eq. 1), rater reputation as consensus
 //!    consistency with an experience discount (Eq. 2, Riggs' model), and
@@ -127,7 +127,6 @@ pub mod assemble;
 pub mod binarize;
 mod config;
 mod error;
-pub mod expertise;
 pub mod incremental;
 pub mod metrics;
 #[doc(hidden)]

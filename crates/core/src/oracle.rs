@@ -1,6 +1,9 @@
 //! The Eq. 1–3 reference oracle: the pre-optimization `HashMap`
 //! formulation of the per-category fixed point and the writer
-//! aggregation, and the batch derivation built from them.
+//! aggregation, the from-scratch builder of `E`
+//! ([`expertise_matrix`]; every shipped path assembles `E` through
+//! [`Assembler`](crate::Assembler)), and the batch derivation built from
+//! them.
 //!
 //! It reads the store's own lists — each category's reviews
 //! ([`CommunityStore::reviews_in_category`], ascending by id: the local
@@ -19,9 +22,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use wot_community::{CategoryId, CommunityStore, UserId};
+use wot_sparse::Dense;
 
 use crate::pipeline::{CategoryReputation, Derived};
-use crate::{affiliation, expertise, DeriveConfig, Result};
+use crate::{affiliation, DeriveConfig, Result};
 
 /// Result of the reference solver, keyed by user id.
 #[derive(Debug, Clone)]
@@ -44,9 +48,10 @@ fn ratings_by_rater(
 ) -> HashMap<UserId, Vec<(u32, f64)>> {
     let mut by_rater: HashMap<UserId, Vec<(u32, f64)>> = HashMap::new();
     for (local, &rid) in store.reviews_in_category(category).iter().enumerate() {
-        for &(rater, value) in store.ratings_of_review(rid) {
+        let (raters, values) = store.ratings_of_review(rid);
+        for (&rater, &value) in raters.iter().zip(values) {
             by_rater
-                .entry(rater)
+                .entry(UserId(rater))
                 .or_default()
                 .push((local as u32, value));
         }
@@ -93,22 +98,22 @@ fn update_quality(
     quality: &mut [f64],
 ) {
     for (j, &rid) in store.reviews_in_category(category).iter().enumerate() {
-        let ratings = store.ratings_of_review(rid);
-        if ratings.is_empty() {
+        let (raters, values) = store.ratings_of_review(rid);
+        if raters.is_empty() {
             quality[j] = cfg.unrated_review_quality;
             continue;
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for &(rater, value) in ratings {
-            let w = reputation.get(&rater).copied().unwrap_or(0.0);
+        for (&rater, &value) in raters.iter().zip(values) {
+            let w = reputation.get(&UserId(rater)).copied().unwrap_or(0.0);
             num += w * value;
             den += w;
         }
         quality[j] = if den > 0.0 {
             num / den
         } else {
-            ratings.iter().map(|&(_, v)| v).sum::<f64>() / ratings.len() as f64
+            values.iter().sum::<f64>() / values.len() as f64
         };
     }
 }
@@ -167,6 +172,22 @@ pub fn writer_reputation_map(
         .collect()
 }
 
+/// The Users×Category expertise matrix `E` (Step 1's output) from
+/// scratch: `E_ic` is user `i`'s writer reputation in category `c`, read
+/// from `per_category[c]` (categories indexed densely, as in
+/// [`CommunityStore::categories`]); users who wrote nothing in a category
+/// hold 0 there.
+pub fn expertise_matrix(num_users: usize, per_category: &[HashMap<UserId, f64>]) -> Dense {
+    let ncols = per_category.len();
+    let mut e = vec![0.0; num_users * ncols];
+    for (c, writers) in per_category.iter().enumerate() {
+        for (&u, &rep) in writers {
+            e[u.index() * ncols + c] = rep;
+        }
+    }
+    Dense::from_vec(num_users, ncols, e).expect("shape matches the buffer")
+}
+
 /// The reference formulation of
 /// [`pipeline::derive`](crate::pipeline::derive): sequential over
 /// categories, [`solve`] and [`writer_reputation_map`] per category, `E`
@@ -204,8 +225,33 @@ pub fn derive_baseline(store: &CommunityStore, cfg: &DeriveConfig) -> Result<Der
         writer_maps.push(writers);
     }
     Ok(Derived {
-        expertise: expertise::expertise_matrix(store.num_users(), &writer_maps),
+        expertise: expertise_matrix(store.num_users(), &writer_maps),
         affiliation: affiliation::affiliation_of(store),
         per_category,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn assembles_rows_and_columns() {
+        let c0 = HashMap::from([(UserId(1), 0.7)]);
+        let c1 = HashMap::from([(UserId(1), 0.2), (UserId(2), 0.9)]);
+        let e = expertise_matrix(3, &[c0, c1]);
+        assert_eq!(e.shape(), (3, 2));
+        assert_eq!(e.get(1, 0), 0.7);
+        assert_eq!(e.get(1, 1), 0.2);
+        assert_eq!(e.get(2, 1), 0.9);
+        assert_eq!(e.get(0, 0), 0.0); // inactive user
+        assert_eq!(e.get(2, 0), 0.0); // inactive in c0
+    }
+
+    #[test]
+    fn empty_categories_give_zero_matrix() {
+        let e = expertise_matrix(2, &[HashMap::new(), HashMap::new()]);
+        assert_eq!(e.shape(), (2, 2));
+        assert!(e.as_slice().iter().all(|&v| v == 0.0));
+    }
 }

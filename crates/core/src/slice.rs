@@ -23,7 +23,7 @@ impl CategoryState {
     pub(crate) fn build(store: &CommunityStore, category: CategoryId, cfg: &DeriveConfig) -> Self {
         let reviews = store.reviews_in_category(category).to_vec();
         let writer = |rid: &ReviewId| store.reviews()[rid.index()].writer;
-        let ratings_per_review: Vec<&[(UserId, f64)]> = reviews
+        let ratings_per_review: Vec<(&[u32], &[f64])> = reviews
             .iter()
             .map(|&rid| store.ratings_of_review(rid))
             .collect();
@@ -38,20 +38,14 @@ impl CategoryState {
             .collect();
 
         let mut rater_of_local: Vec<UserId> = Vec::new();
-        for ratings in &ratings_per_review {
-            rater_of_local.extend(ratings.iter().map(|&(rater, _)| rater));
+        for &(raters, _) in &ratings_per_review {
+            rater_of_local.extend(raters.iter().map(|&r| UserId(r)));
         }
         rater_of_local.sort_unstable();
         rater_of_local.dedup();
         let rater_slot = scatter_table(&rater_of_local, store.num_users());
-        let ratings_by_review_local: Incidence = ratings_per_review
-            .iter()
-            .map(|ratings| {
-                ratings
-                    .iter()
-                    .map(|&(rater, value)| (rater_slot[rater.index()], value))
-            })
-            .collect();
+        let ratings_by_review_local =
+            Incidence::relabeled(&ratings_per_review, |r| rater_slot[r as usize]);
         let ratings_by_rater_local = ratings_by_review_local.transposed(rater_of_local.len());
         let rater_discount = riggs::rater_discounts(&ratings_by_rater_local, cfg);
 
@@ -255,11 +249,10 @@ mod tests {
                     prop_assert_eq!(review.category.index(), c);
                     let writer = s.writer_of_local[s.review_writer_local[j] as usize];
                     prop_assert_eq!(writer, review.writer);
-                    let held: Vec<(UserId, f64)> = by_review
-                        .pairs(j)
-                        .map(|(lr, v)| (s.rater_of_local[lr as usize], v))
-                        .collect();
-                    prop_assert_eq!(&held[..], store.ratings_of_review(rid));
+                    let (locals, values) = by_review.node(j);
+                    let raters: Vec<u32> =
+                        locals.iter().map(|&lr| s.rater_of_local[lr as usize].0).collect();
+                    prop_assert_eq!((&raters[..], values), store.ratings_of_review(rid));
                     for (lr, v) in by_review.pairs(j) {
                         let given = pairs(by_rater, lr as usize);
                         prop_assert!(given.contains(&(j as u32, v)));

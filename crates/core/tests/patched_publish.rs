@@ -7,14 +7,15 @@
 //! that shortcut to two oracles, with `==` on every `f64`, on all three
 //! publish paths, through a clone and a model swap on the same cache:
 //! the same publish on a fresh cache, where everything is dirty; and —
-//! because that one runs the same assembly code — the batch pipeline's
-//! from-scratch builders, which know nothing of stamps or patches.
+//! because that one runs the same assembly code — the from-scratch
+//! builders (the reference oracle's `E`, Eq. 4 over every row for `A`),
+//! which know nothing of stamps or patches.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use wot_community::{CategoryId, StoreEvent, UserId};
-use wot_core::expertise::expertise_matrix_from_pairs;
+use wot_core::oracle::expertise_matrix;
 use wot_core::{
     ActivityLedger, Assembler, CategoryReputation, DeriveConfig, Derived, DerivedCache,
     IncrementalDerived, ReplayEvent,
@@ -147,13 +148,13 @@ fn table(c: usize, writers: &[(u32, f64)]) -> Arc<CategoryReputation> {
     })
 }
 
-/// `E` as the batch pipeline builds it from per-category tables.
+/// `E` as the reference oracle builds it from per-category tables.
 fn from_scratch(num_users: usize, tables: &[Arc<CategoryReputation>]) -> Dense {
-    let pairs: Vec<&[(UserId, f64)]> = tables
+    let maps: Vec<_> = tables
         .iter()
-        .map(|t| t.writer_reputation.as_slice())
+        .map(|t| t.writer_reputation.iter().copied().collect())
         .collect();
-    expertise_matrix_from_pairs(num_users, &pairs)
+    expertise_matrix(num_users, &maps)
 }
 
 /// The `E` patch when a column **shrinks**: a category's table is replaced

@@ -394,13 +394,6 @@ impl Csr {
         })
     }
 
-    /// Per-row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.nrows)
-            .map(|i| self.row(i).1.iter().sum())
-            .collect()
-    }
-
     /// Per-column sums.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.ncols];
@@ -408,25 +401,6 @@ impl Csr {
             sums[j] += v;
         }
         sums
-    }
-
-    /// Multiplies every row `i` by `factors[i]`.
-    pub fn scale_rows(&self, factors: &[f64]) -> Result<Csr> {
-        if factors.len() != self.nrows {
-            return Err(SparseError::VectorLengthMismatch {
-                expected: self.nrows,
-                actual: factors.len(),
-            });
-        }
-        let mut out = self.clone();
-        for (i, &factor) in factors.iter().enumerate() {
-            let lo = out.row_ptr[i];
-            let hi = out.row_ptr[i + 1];
-            for v in &mut out.values[lo..hi] {
-                *v *= factor;
-            }
-        }
-        Ok(out)
     }
 
     /// L1-normalizes every non-empty row (rows summing to zero are left
@@ -702,17 +676,10 @@ mod tests {
     #[test]
     fn row_normalize_l1_makes_rows_stochastic() {
         let m = sample().row_normalize_l1();
-        let sums = m.row_sums();
+        let sums: Vec<f64> = (0..3).map(|i| m.row(i).1.iter().sum()).collect();
         assert!((sums[0] - 1.0).abs() < 1e-12);
         assert!((sums[1] - 1.0).abs() < 1e-12);
         assert_eq!(sums[2], 0.0); // empty row untouched
-    }
-
-    #[test]
-    fn scale_rows_multiplies() {
-        let m = sample().scale_rows(&[2.0, 0.5, 1.0]).unwrap();
-        assert_eq!(m.get(0, 1), Some(4.0));
-        assert_eq!(m.get(1, 2), Some(1.5));
     }
 
     #[test]

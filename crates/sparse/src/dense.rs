@@ -132,11 +132,6 @@ impl Dense {
         Arc::make_mut(&mut self.data).as_mut_slice()
     }
 
-    /// Per-row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.nrows).map(|i| self.row(i).iter().sum()).collect()
-    }
-
     /// Per-column sums.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.ncols];
@@ -223,7 +218,8 @@ mod tests {
     #[test]
     fn sums() {
         let m = Dense::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(m.row_sums(), vec![3.0, 7.0]);
+        let row_sums: Vec<f64> = (0..2).map(|i| m.row(i).iter().sum()).collect();
+        assert_eq!(row_sums, vec![3.0, 7.0]);
         assert_eq!(m.col_sums(), vec![4.0, 6.0]);
     }
 

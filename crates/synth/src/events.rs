@@ -17,7 +17,7 @@
 //!
 //! [`CommunityBuilder`]: wot_community::CommunityBuilder
 
-use wot_community::{CommunityStore, ReviewId, StoreEvent};
+use wot_community::{CommunityStore, ReviewId, StoreEvent, UserId};
 
 use crate::rng::Xoshiro256pp;
 
@@ -32,22 +32,17 @@ use crate::rng::Xoshiro256pp;
 pub fn shuffled_event_log(store: &CommunityStore, seed: u64) -> Vec<StoreEvent> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     let reviews = store.reviews();
-    let ratings = store.ratings();
-    // Rating indexes grouped by the review they become ready with.
-    let mut ratings_of_review: Vec<Vec<usize>> = vec![Vec::new(); reviews.len()];
-    for (i, rt) in ratings.iter().enumerate() {
-        ratings_of_review[rt.review.index()].push(i);
-    }
 
-    /// One emittable item: a review (by index) or a rating (by index).
+    /// One emittable item: a review (by index) or the `at`-th rating of
+    /// a review (by index), in the store's per-review order.
     enum Item {
-        Review(usize),
-        Rating(usize),
+        Review(u32),
+        Rating { review: u32, at: u32 },
     }
-    let mut ready: Vec<Item> = (0..reviews.len()).map(Item::Review).collect();
+    let mut ready: Vec<Item> = (0..reviews.len() as u32).map(Item::Review).collect();
     let mut new_id_of: Vec<Option<ReviewId>> = vec![None; reviews.len()];
     let mut next_review = 0u32;
-    let mut log = Vec::with_capacity(reviews.len() + ratings.len());
+    let mut log = Vec::with_capacity(reviews.len() + store.num_ratings());
     while !ready.is_empty() {
         // Uniform pick from the ready pool (modulo bias over a 2^64 draw
         // is immaterial here); swap_remove keeps the pop O(1) without
@@ -55,23 +50,24 @@ pub fn shuffled_event_log(store: &CommunityStore, seed: u64) -> Vec<StoreEvent> 
         let k = (rng.next_u64_impl() % ready.len() as u64) as usize;
         match ready.swap_remove(k) {
             Item::Review(r) => {
-                let review = &reviews[r];
+                let review = &reviews[r as usize];
                 let id = ReviewId(next_review);
                 next_review += 1;
-                new_id_of[r] = Some(id);
+                new_id_of[r as usize] = Some(id);
                 log.push(StoreEvent::Review {
                     writer: review.writer,
                     review: id,
                     category: review.category,
                 });
-                ready.extend(ratings_of_review[r].iter().copied().map(Item::Rating));
+                let rated = store.ratings_of_review(review.id).0.len() as u32;
+                ready.extend((0..rated).map(|at| Item::Rating { review: r, at }));
             }
-            Item::Rating(i) => {
-                let rt = &ratings[i];
+            Item::Rating { review, at } => {
+                let (raters, values) = store.ratings_of_review(ReviewId(review));
                 log.push(StoreEvent::Rating {
-                    rater: rt.rater,
-                    review: new_id_of[rt.review.index()].expect("review emitted before rating"),
-                    value: rt.value,
+                    rater: UserId(raters[at as usize]),
+                    review: new_id_of[review as usize].expect("review emitted before rating"),
+                    value: values[at as usize],
                 });
             }
         }
@@ -109,6 +105,37 @@ mod tests {
         // Determinism: same seed, same log; different seed, different log.
         assert_eq!(log, shuffled_event_log(&store, 99));
         assert_ne!(log, shuffled_event_log(&store, 100));
+    }
+
+    /// The benchmark's laptop log (its default community and log seeds),
+    /// event for event: a change to how the shuffle reads the store must
+    /// leave every event and its position alone. `DefaultHasher::new()`
+    /// is SipHash under fixed keys; were a toolchain to change that
+    /// algorithm, re-derive the constant on the parent commit.
+    #[test]
+    fn laptop_event_log_is_pinned() {
+        use std::hash::{Hash, Hasher};
+        let store = generate(&SynthConfig::laptop(20080407)).unwrap().store;
+        let log = shuffled_event_log(&store, 20080408);
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        for e in &log {
+            match *e {
+                StoreEvent::Review {
+                    writer,
+                    review,
+                    category,
+                } => (0u8, writer.0, review.0, category.0).hash(&mut h),
+                StoreEvent::Rating {
+                    rater,
+                    review,
+                    value,
+                } => (1u8, rater.0, review.0, value.to_bits()).hash(&mut h),
+            }
+        }
+        assert_eq!(
+            (log.len(), h.finish()),
+            (160_088, 8_018_163_356_629_882_007)
+        );
     }
 
     #[test]

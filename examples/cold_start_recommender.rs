@@ -25,14 +25,18 @@ fn main() {
     let derived = pipeline::derive(store, &DeriveConfig::default()).expect("derivation");
 
     // Pick the most active rater as our target user.
+    let mut rated = vec![0usize; store.num_users()];
+    for rt in store.ratings() {
+        rated[rt.rater.index()] += 1;
+    }
     let target = (0..store.num_users())
         .map(UserId::from_index)
-        .max_by_key(|&u| store.ratings_by_rater(u).len())
+        .max_by_key(|&u| rated[u.index()])
         .expect("non-empty community");
     println!(
         "target user {} rated {} reviews; deriving their personal web of trust…\n",
         store.users()[target.index()].handle,
-        store.ratings_by_rater(target).len()
+        rated[target.index()]
     );
 
     // Rank every other user by derived trust (Eq. 5). This works even for
@@ -47,9 +51,10 @@ fn main() {
 
     println!("top 10 derived-trust writers for the target:");
     let already_rated: std::collections::HashSet<ReviewId> = store
-        .ratings_by_rater(target)
+        .ratings()
         .iter()
-        .map(|&(r, _)| r)
+        .filter(|rt| rt.rater == target)
+        .map(|rt| rt.review)
         .collect();
     let mut recommendations = Vec::new();
     for &(writer, trust) in ranked.iter().take(10) {

@@ -189,8 +189,9 @@ fn warm_refresh_after_single_rating_beats_cold_solve() {
         .clamp(0.0, 1.0);
     let already: std::collections::HashSet<UserId> = store
         .ratings_of_review(review.id)
+        .0
         .iter()
-        .map(|&(u, _)| u)
+        .map(|&u| UserId(u))
         .collect();
     let rater = store
         .ratings()
