@@ -22,7 +22,7 @@ pub struct CommunityBuilder {
     categories: Vec<Category>,
     objects: Vec<Object>,
     reviews: Vec<Review>,
-    ratings: Vec<Rating>,
+    ratings: RatingColumns,
     trust: Vec<TrustStatement>,
     user_handles: HashMap<String, UserId>,
     category_names: HashMap<String, CategoryId>,
@@ -43,7 +43,7 @@ impl CommunityBuilder {
             categories: Vec::new(),
             objects: Vec::new(),
             reviews: Vec::new(),
-            ratings: Vec::new(),
+            ratings: RatingColumns::default(),
             trust: Vec::new(),
             user_handles: HashMap::new(),
             category_names: HashMap::new(),
@@ -174,11 +174,7 @@ impl CommunityBuilder {
         }
         self.rating_index
             .insert((rater, review), self.ratings.len());
-        self.ratings.push(Rating {
-            rater,
-            review,
-            value,
-        });
+        self.ratings.push(rater, review, value);
         Ok(())
     }
 
@@ -195,16 +191,12 @@ impl CommunityBuilder {
     pub fn upsert_rating(&mut self, rater: UserId, review: ReviewId, value: f64) -> Result<bool> {
         self.validate_rating(rater, review, value)?;
         if let Some(&at) = self.rating_index.get(&(rater, review)) {
-            self.ratings[at].value = value;
+            self.ratings.values[at] = value;
             return Ok(true);
         }
         self.rating_index
             .insert((rater, review), self.ratings.len());
-        self.ratings.push(Rating {
-            rater,
-            review,
-            value,
-        });
+        self.ratings.push(rater, review, value);
         Ok(false)
     }
 
@@ -238,6 +230,22 @@ impl CommunityBuilder {
         self.reviews.len()
     }
 
+    /// Ratings recorded so far, in insertion order (a revision keeps its
+    /// rating's place). Reading them here, before [`build`](Self::build),
+    /// walks the builder's columns front to back.
+    pub fn ratings(&self) -> impl ExactSizeIterator<Item = Rating> + '_ {
+        let r = &self.ratings;
+        r.raters
+            .iter()
+            .zip(&r.reviews)
+            .zip(&r.values)
+            .map(|((&rater, &review), &value)| Rating {
+                rater,
+                review,
+                value,
+            })
+    }
+
     /// Finalizes the store, computing all indexes.
     pub fn build(self) -> CommunityStore {
         let Self {
@@ -266,6 +274,29 @@ impl CommunityBuilder {
             trust_keys,
         ));
         CommunityStore::from_parts(scale, users, categories, objects, reviews, ratings, trust)
+    }
+}
+
+/// Ratings as three parallel columns in insertion order: what the
+/// builder records and what [`CommunityStore`] is built from. The store
+/// keeps the review column as its order column and moves the raters and
+/// values into its per-review lists.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RatingColumns {
+    pub(crate) raters: Vec<UserId>,
+    pub(crate) reviews: Vec<ReviewId>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl RatingColumns {
+    pub(crate) fn len(&self) -> usize {
+        self.reviews.len()
+    }
+
+    pub(crate) fn push(&mut self, rater: UserId, review: ReviewId, value: f64) {
+        self.raters.push(rater);
+        self.reviews.push(review);
+        self.values.push(value);
     }
 }
 
@@ -348,8 +379,9 @@ mod tests {
         assert!(b.upsert_rating(alice, review, 0.8).unwrap());
         let store = b.build();
         assert_eq!(store.num_ratings(), 1);
-        assert_eq!(store.ratings()[0].value, 0.8);
-        assert_eq!(store.ratings()[0].rater, alice);
+        let first = store.ratings().iter().next().unwrap();
+        assert_eq!(first.value, 0.8);
+        assert_eq!(first.rater, alice);
     }
 
     #[test]

@@ -387,7 +387,7 @@ mod tests {
         assert_eq!(report.skipped, 0);
         assert_eq!(store.num_ratings(), 1);
         assert_eq!(
-            store.ratings()[0].value.to_bits(),
+            store.ratings().iter().next().unwrap().value.to_bits(),
             map_rating(2).unwrap().to_bits()
         );
         // Strict mode treats the same repetition as a violation.

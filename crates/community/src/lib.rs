@@ -64,7 +64,7 @@ pub use ids::{CategoryId, ObjectId, ReviewId, UserId};
 pub use incidence::Incidence;
 pub use model::{Category, Object, Rating, RatingScale, Review, TrustStatement, User};
 pub use shard::{ShardAssignment, ShardId};
-pub use store::CommunityStore;
+pub use store::{CommunityStore, Ratings, RatingsIter};
 
 /// Result alias used across the crate.
 pub type Result<T> = std::result::Result<T, CommunityError>;

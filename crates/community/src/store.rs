@@ -2,6 +2,7 @@ use std::collections::HashMap;
 
 use wot_sparse::{Coo, Csr};
 
+use crate::builder::RatingColumns;
 use crate::{
     Category, CategoryId, CommunityError, Incidence, Object, ObjectId, Rating, RatingScale, Result,
     Review, ReviewId, TrustStatement, User, UserId,
@@ -26,13 +27,16 @@ pub struct CommunityStore {
     categories: Vec<Category>,
     objects: Vec<Object>,
     reviews: Vec<Review>,
-    ratings: Vec<Rating>,
     trust: Vec<TrustStatement>,
     reviews_by_writer: ReviewGroups,
     reviews_by_category: ReviewGroups,
     /// Per review, its raters' indexes and their values, in insertion
-    /// order: the store's one grouped copy of the ratings.
+    /// order: the store's one copy of the ratings.
     ratings_by_review: Incidence,
+    /// The review of every rating, in insertion order. Each review's list
+    /// above keeps insertion order too, so the k-th rating ever added is
+    /// the next unread slot of review `rating_order[k]`.
+    rating_order: Vec<ReviewId>,
 }
 
 impl CommunityStore {
@@ -42,31 +46,40 @@ impl CommunityStore {
         categories: Vec<Category>,
         objects: Vec<Object>,
         reviews: Vec<Review>,
-        ratings: Vec<Rating>,
+        ratings: RatingColumns,
         trust: Vec<TrustStatement>,
     ) -> Self {
         let reviews_by_writer = ReviewGroups::new(users.len(), &reviews, |r| r.writer.index());
         let reviews_by_category =
             ReviewGroups::new(categories.len(), &reviews, |r| r.category.index());
+        let RatingColumns {
+            raters,
+            reviews: mut rating_order,
+            values,
+        } = ratings;
         let mut degrees = vec![0u32; reviews.len()];
-        for rt in &ratings {
-            degrees[rt.review.index()] += 1;
+        for r in &rating_order {
+            degrees[r.index()] += 1;
         }
         let mut ratings_by_review = Incidence::with_degrees(&degrees);
-        for rt in &ratings {
-            ratings_by_review.push(rt.review.index(), rt.rater.0, rt.value);
+        for ((r, rater), &value) in rating_order.iter().zip(&raters).zip(&values) {
+            ratings_by_review.push(r.index(), rater.0, value);
         }
+        // The raters and values now live in the per-review lists; the
+        // review column stays as the order column, trimmed to its length.
+        drop((degrees, raters, values));
+        rating_order.shrink_to_fit();
         Self {
             scale,
             users,
             categories,
             objects,
             reviews,
-            ratings,
             trust,
             reviews_by_writer,
             reviews_by_category,
             ratings_by_review,
+            rating_order,
         }
     }
 
@@ -97,9 +110,16 @@ impl CommunityStore {
         &self.reviews
     }
 
-    /// All ratings in insertion order.
-    pub fn ratings(&self) -> &[Rating] {
-        &self.ratings
+    /// All ratings in insertion order, a revised rating in its first
+    /// place. The store holds each rating once, in its review's list
+    /// ([`ratings_of_review`](Self::ratings_of_review)), plus a 4-byte
+    /// order entry; iterating puts the records back together. A result
+    /// that cannot depend on order reads the per-review lists instead.
+    pub fn ratings(&self) -> Ratings<'_> {
+        Ratings {
+            order: &self.rating_order,
+            by_review: &self.ratings_by_review,
+        }
     }
 
     /// All explicit trust statements in insertion order.
@@ -124,7 +144,7 @@ impl CommunityStore {
 
     /// Number of ratings.
     pub fn num_ratings(&self) -> usize {
-        self.ratings.len()
+        self.rating_order.len()
     }
 
     /// Number of trust statements.
@@ -204,8 +224,10 @@ impl CommunityStore {
         for r in &self.reviews {
             active[r.writer.index()] = true;
         }
-        for rt in &self.ratings {
-            active[rt.rater.index()] = true;
+        for (raters, _) in self.ratings_by_review.iter() {
+            for &rater in raters {
+                active[rater as usize] = true;
+            }
         }
         (0..self.users.len())
             .filter(|&u| active[u])
@@ -234,11 +256,11 @@ impl CommunityStore {
             + held(&self.categories)
             + held(&self.objects)
             + held(&self.reviews)
-            + held(&self.ratings)
             + held(&self.trust)
             + self.reviews_by_writer.heap_bytes()
             + self.reviews_by_category.heap_bytes()
             + self.ratings_by_review.heap_bytes()
+            + held(&self.rating_order)
     }
 
     // ---- matrix extraction ----------------------------------------------
@@ -260,11 +282,12 @@ impl CommunityStore {
     pub fn direct_connection_matrix(&self) -> Csr {
         let n = self.num_users();
         let mut coo = Coo::new(n, n);
-        coo.reserve(self.ratings.len());
-        for rt in &self.ratings {
-            let writer = self.reviews[rt.review.index()].writer;
-            coo.push(rt.rater.index(), writer.index(), 1.0)
-                .expect("rating ids validated at build time");
+        coo.reserve(self.num_ratings());
+        for (review, (raters, _)) in self.reviews.iter().zip(self.ratings_by_review.iter()) {
+            for &rater in raters {
+                coo.push(rater as usize, review.writer.index(), 1.0)
+                    .expect("rating ids validated at build time");
+            }
         }
         // Duplicates sum on conversion; collapse to a pattern.
         Csr::from_coo(&coo).to_pattern()
@@ -276,7 +299,9 @@ impl CommunityStore {
         let n = self.num_users();
         let mut sums = Coo::new(n, n);
         let mut counts = Coo::new(n, n);
-        for rt in &self.ratings {
+        // Each pair's sum adds its values in insertion order, which fixes
+        // B's bits.
+        for rt in self.ratings() {
             let writer = self.reviews[rt.review.index()].writer;
             sums.push(rt.rater.index(), writer.index(), rt.value)
                 .expect("rating ids validated at build time");
@@ -327,17 +352,12 @@ impl CommunityStore {
                 });
             }
         }
-        let kept_ratings: Vec<Rating> = self
-            .ratings
-            .iter()
-            .filter_map(|rt| {
-                review_map[rt.review.index()].map(|new_rev| Rating {
-                    rater: rt.rater,
-                    review: new_rev,
-                    value: rt.value,
-                })
-            })
-            .collect();
+        let mut kept_ratings = RatingColumns::default();
+        for rt in self.ratings() {
+            if let Some(new_rev) = review_map[rt.review.index()] {
+                kept_ratings.push(rt.rater, new_rev, rt.value);
+            }
+        }
         CommunityStore::from_parts(
             self.scale.clone(),
             self.users.clone(),
@@ -349,6 +369,81 @@ impl CommunityStore {
         )
     }
 }
+
+/// A store's ratings in insertion order: see
+/// [`CommunityStore::ratings`]. Iterate it (`for rt in store.ratings()`,
+/// or [`iter`](Self::iter)) to get [`Rating`] records back.
+#[derive(Debug, Clone, Copy)]
+pub struct Ratings<'a> {
+    order: &'a [ReviewId],
+    by_review: &'a Incidence,
+}
+
+impl<'a> Ratings<'a> {
+    /// Number of ratings.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Whether the store holds no rating.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The ratings in insertion order. Holds one 4-byte cursor per
+    /// review while it runs.
+    pub fn iter(&self) -> RatingsIter<'a> {
+        RatingsIter {
+            order: self.order.iter(),
+            by_review: self.by_review,
+            read: vec![0; self.by_review.num_nodes()],
+        }
+    }
+}
+
+impl<'a> IntoIterator for Ratings<'a> {
+    type Item = Rating;
+    type IntoIter = RatingsIter<'a>;
+
+    fn into_iter(self) -> RatingsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a store's ratings in insertion order
+/// ([`Ratings::iter`]): the k-th rating is the next unread slot of the
+/// k-th entry of the order column.
+#[derive(Debug, Clone)]
+pub struct RatingsIter<'a> {
+    order: std::slice::Iter<'a, ReviewId>,
+    by_review: &'a Incidence,
+    /// Per review, the slots of its list already read.
+    read: Vec<u32>,
+}
+
+impl Iterator for RatingsIter<'_> {
+    type Item = Rating;
+
+    #[inline]
+    fn next(&mut self) -> Option<Rating> {
+        let &review = self.order.next()?;
+        let at = &mut self.read[review.index()];
+        let (raters, values) = self.by_review.node(review.index());
+        let rating = Rating {
+            rater: UserId(raters[*at as usize]),
+            review,
+            value: values[*at as usize],
+        };
+        *at += 1;
+        Some(rating)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.order.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RatingsIter<'_> {}
 
 /// Reviews grouped by a key (writer or category) in one flat buffer:
 /// group `i` is `ids[offsets[i]..offsets[i + 1]]`, ascending by id. Both
@@ -444,7 +539,7 @@ mod tests {
     /// Every grouped view is allocated at its length, with lists of 0,
     /// 1, 3 and 5 entries, lengths a doubling growth would over-allocate:
     /// the review groups hold one id per review, the ratings one 12-byte
-    /// slot per rating.
+    /// slot per rating, and the order column one `ReviewId` per rating.
     #[test]
     fn store_lists_are_exact() {
         let mut b = CommunityBuilder::new(RatingScale::five_step());
@@ -476,6 +571,8 @@ mod tests {
             by_review.heap_bytes(),
             s.num_reviews() * 12 + s.num_ratings() * 12
         );
+        assert_eq!(s.rating_order.len(), s.num_ratings());
+        assert_eq!(s.rating_order.capacity(), s.num_ratings());
         // The lists are the ones the accessors hand out.
         assert_eq!(s.reviews_in_category(c0).len(), 6);
         assert_eq!(s.reviews_in_category(empty), &[]);

@@ -287,7 +287,7 @@ mod tests {
         assert_eq!(loaded.num_ratings(), 2);
         assert_eq!(loaded.num_trust(), 1);
         assert_eq!(loaded.scale().levels(), store.scale().levels());
-        assert_eq!(loaded.ratings()[0].value, 0.8);
+        assert_eq!(loaded.ratings().iter().next().unwrap().value, 0.8);
         assert_eq!(loaded.reviews()[0].writer, UserId(1));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -371,8 +371,9 @@ mod tests {
         fs::write(dir.join("ratings.tsv"), "1\t1\t0.4\n0\t0\t0.8\n").unwrap();
         let loaded = load(&dir).unwrap();
         assert_eq!(loaded.num_ratings(), 2);
-        assert_eq!(loaded.ratings()[0].rater, UserId(1));
-        assert_eq!(loaded.ratings()[1].value, 0.8);
+        let ratings: Vec<_> = loaded.ratings().iter().collect();
+        assert_eq!(ratings[0].rater, UserId(1));
+        assert_eq!(ratings[1].value, 0.8);
         fs::remove_dir_all(&dir).unwrap();
     }
 

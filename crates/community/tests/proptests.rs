@@ -1,10 +1,13 @@
 //! Property-based tests: random community construction, invariant
 //! preservation, and TSV round-trips.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use proptest::prelude::*;
+use wot_community::events::{event_log, replay_into_store};
 use wot_community::{
-    stats::CommunityStats, CategoryId, CommunityBuilder, CommunityStore, ObjectId, RatingScale,
-    ReviewId, UserId,
+    stats::CommunityStats, CategoryId, CommunityBuilder, CommunityStore, ObjectId, Rating,
+    RatingScale, ReviewId, UserId,
 };
 
 /// A compact encodable description of a random community.
@@ -85,7 +88,115 @@ fn build(spec: &Spec) -> CommunityStore {
     b.build()
 }
 
+/// A fresh scratch directory per call, unique within the process.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "wot-community-prop-{tag}-{}-{n}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Users and objects of the interleaving test's fixed cast.
+const CAST_USERS: usize = 5;
+const CAST_OBJECTS: usize = 6;
+
+/// One builder call of an interleaving: `0` = `add_review(a, object b)`,
+/// `1` = `add_rating(a, review b)`, `2` = `upsert_rating(a, review b)`;
+/// the level picks the value. Review indexes wrap over the reviews added
+/// so far; calls the builder refuses are part of the interleaving.
+type Op = (u8, usize, usize, u8);
+
+fn interleaving() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..3, 0..CAST_USERS, 0..CAST_OBJECTS * 2, 0u8..5), 0..48)
+}
+
+/// Runs `ops` on a builder and returns it with the insertion sequence it
+/// should hold: ratings in the order first added, each with its latest
+/// value.
+fn interleave(ops: &[Op]) -> (CommunityBuilder, Vec<Rating>) {
+    let mut b = CommunityBuilder::new(RatingScale::five_step());
+    let users: Vec<UserId> = (0..CAST_USERS)
+        .map(|u| b.add_user(format!("u{u}")))
+        .collect();
+    let cats = [b.add_category("c0"), b.add_category("c1")];
+    let objects: Vec<ObjectId> = (0..CAST_OBJECTS)
+        .map(|o| b.add_object(format!("o{o}"), cats[o % 2]).unwrap())
+        .collect();
+    let levels = [0.2, 0.4, 0.6, 0.8, 1.0];
+    let mut reviews = Vec::new();
+    let mut expected: Vec<Rating> = Vec::new();
+    for &(kind, a, k, level) in ops {
+        let (user, value) = (users[a], levels[level as usize]);
+        if kind == 0 {
+            if let Ok(id) = b.add_review(user, objects[k % CAST_OBJECTS]) {
+                reviews.push(id);
+            }
+            continue;
+        }
+        let Some(&review) = reviews.get(k % reviews.len().max(1)) else {
+            continue;
+        };
+        let at = expected
+            .iter()
+            .position(|rt| rt.rater == user && rt.review == review);
+        let added = if kind == 1 {
+            b.add_rating(user, review, value).is_ok()
+        } else {
+            match b.upsert_rating(user, review, value) {
+                Ok(replaced) => {
+                    assert_eq!(replaced, at.is_some(), "upsert reports a revision");
+                    !replaced
+                }
+                Err(_) => false,
+            }
+        };
+        match at {
+            // A revision keeps the rating's place.
+            Some(at) if kind == 2 => expected[at].value = value,
+            _ if added => expected.push(Rating {
+                rater: user,
+                review,
+                value,
+            }),
+            _ => {}
+        }
+    }
+    (b, expected)
+}
+
 proptest! {
+    /// Every way a store's ratings come back out keeps the builder's
+    /// insertion sequence: the store's order column, the canonical event
+    /// log folded into a new store, and the TSV files' line order.
+    #[test]
+    fn ratings_keep_insertion_order(ops in interleaving()) {
+        let (b, expected) = interleave(&ops);
+        prop_assert_eq!(b.ratings().collect::<Vec<_>>(), expected.clone());
+        let store = b.build();
+        prop_assert_eq!(store.ratings().len(), store.num_ratings());
+        prop_assert_eq!(store.ratings().iter().len(), expected.len());
+        prop_assert_eq!(store.ratings().iter().collect::<Vec<_>>(), expected.clone());
+
+        let replayed = replay_into_store(
+            store.scale().clone(),
+            store.num_users(),
+            store.num_categories(),
+            &event_log(&store),
+        )
+        .unwrap();
+        prop_assert_eq!(replayed.ratings().iter().collect::<Vec<_>>(), expected.clone());
+
+        let dir = scratch_dir("order");
+        wot_community::tsv::save(&store, &dir).unwrap();
+        let loaded = wot_community::tsv::load(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!(loaded.ratings().iter().collect::<Vec<_>>(), expected);
+    }
+
     /// Builder invariants hold on arbitrary valid stores.
     #[test]
     fn invariants_hold(spec in spec()) {
@@ -112,7 +223,7 @@ proptest! {
         }
     }
 
-    /// Index tables agree with the flat record lists.
+    /// Index tables agree with the record lists and `ratings()`.
     #[test]
     fn indexes_agree(spec in spec()) {
         let store = build(&spec);
@@ -122,7 +233,7 @@ proptest! {
                 prop_assert_eq!(store.review(rid).unwrap().writer, uid);
             }
         }
-        // Each review's ratings are the flat list's, in insertion order.
+        // Each review's ratings are those `ratings()` yields, in its order.
         let mut by_review = vec![(Vec::new(), Vec::new()); store.num_reviews()];
         for rt in store.ratings() {
             let (raters, values) = &mut by_review[rt.review.index()];

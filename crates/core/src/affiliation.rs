@@ -37,18 +37,19 @@ pub struct ActivityCounts {
     pub reviews: Dense,
 }
 
-/// Counts rating and writing activity per user per category.
+/// Counts rating and writing activity per user per category, review by
+/// review: integer counts come out the same in any order.
 pub fn activity_counts(store: &CommunityStore) -> ActivityCounts {
     let u = store.num_users();
     let c = store.num_categories();
     let mut ratings = vec![0.0; u * c];
     let mut reviews = vec![0.0; u * c];
     for review in store.reviews() {
-        reviews[review.writer.index() * c + review.category.index()] += 1.0;
-    }
-    for rating in store.ratings() {
-        let review = &store.reviews()[rating.review.index()];
-        ratings[rating.rater.index() * c + review.category.index()] += 1.0;
+        let cat = review.category.index();
+        reviews[review.writer.index() * c + cat] += 1.0;
+        for &rater in store.ratings_of_review(review.id).0 {
+            ratings[rater as usize * c + cat] += 1.0;
+        }
     }
     let dense = |data| Dense::from_vec(u, c, data).expect("shape matches the buffer");
     ActivityCounts {

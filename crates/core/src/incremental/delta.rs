@@ -612,7 +612,7 @@ mod tests {
             let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
             let mut full =
                 IncrementalDerived::from_store(&store, &DeriveConfig::default()).unwrap();
-            let rt = store.ratings()[0];
+            let rt = store.ratings().iter().next().unwrap();
             // A revision seeds the worklist without touching counts.
             assert!(inc.upsert_rating(rt.rater, rt.review, 0.55).unwrap());
             assert!(full.upsert_rating(rt.rater, rt.review, 0.55).unwrap());
@@ -644,7 +644,7 @@ mod tests {
         let store = sample_store();
         let cfg = delta_cfg(1.0);
         let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
-        let rt = store.ratings()[0];
+        let rt = store.ratings().iter().next().unwrap();
         let cat = store.reviews()[rt.review.index()].category;
         let before = inc.categories[cat.index()].clone();
         assert!(inc.upsert_rating(rt.rater, rt.review, 0.15).unwrap());

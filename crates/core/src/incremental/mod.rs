@@ -774,7 +774,7 @@ mod tests {
             assert!(inc.check_event(e).is_err(), "{e:?} must be rejected");
         }
         // Duplicate rating and self-rating from the folded store.
-        let rt = store.ratings()[0];
+        let rt = store.ratings().iter().next().unwrap();
         assert!(inc
             .check_event(&StoreEvent::Rating {
                 rater: rt.rater,
@@ -917,7 +917,7 @@ mod tests {
         let store = sample_store();
         for cfg in [DeriveConfig::default(), delta_cfg(0.5)] {
             let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
-            let rt = store.ratings()[0];
+            let rt = store.ratings().iter().next().unwrap();
             let cat = store.reviews()[rt.review.index()].category;
             let a_before = inc.affiliation();
             let n_before = inc.categories[cat.index()].num_ratings();

@@ -410,7 +410,7 @@ mod tests {
         let mut inc = IncrementalDerived::from_store(&store, &cfg).unwrap();
         // One revision and a warm refresh: the warm state now sits off
         // the cold solve, and took fewer sweeps to get there.
-        let rt = store.ratings()[0];
+        let rt = store.ratings().iter().next().unwrap();
         assert!(inc.upsert_rating(rt.rater, rt.review, 0.1).unwrap());
         inc.refresh_all();
         let mut cache = DerivedCache::default();

@@ -369,7 +369,7 @@ proptest! {
             return Ok(());
         }
         let mut inc = wot_core::IncrementalDerived::from_store(&store, &cfg).unwrap();
-        let rt = store.ratings()[pick % store.ratings().len()];
+        let rt = store.ratings().iter().nth(pick % store.ratings().len()).unwrap();
         let cat = store.reviews()[rt.review.index()].category;
         let before = inc.warm_state(cat).unwrap();
         let value = [0.2, 0.4, 0.6, 0.8, 1.0][lvl as usize];

@@ -331,20 +331,23 @@ pub fn generate_with_threads(
     // a site editor can judge it — closeness to each review's *observed*
     // crowd consensus (the latent quality is shifted by the generosity
     // ceiling, which every rater shares, so it is the wrong reference).
-    let store = b.build();
+    // The sums follow insertion order, read off the builder's own list.
     let mut obs_sum = vec![0.0f64; reviews.len()];
     let mut obs_cnt = vec![0u32; reviews.len()];
-    for rt in store.ratings() {
+    for rt in b.ratings() {
         obs_sum[rt.review.index()] += rt.value;
         obs_cnt[rt.review.index()] += 1;
     }
     let mut rating_err_sum = vec![0.0f64; u];
     let mut rating_cnt = vec![0u32; u];
-    for rt in store.ratings() {
+    for rt in b.ratings() {
         let consensus = obs_sum[rt.review.index()] / obs_cnt[rt.review.index()] as f64;
         rating_err_sum[rt.rater.index()] += (rt.value - consensus).abs();
         rating_cnt[rt.rater.index()] += 1;
     }
+    // Freed before the store's indexes are built beside the builder.
+    drop((obs_sum, obs_cnt));
+    let store = b.build();
     let mut quality_sum = vec![0.0f64; u];
     let mut written_cnt = vec![0u32; u];
     for info in &reviews {

@@ -37,7 +37,8 @@ fn main() {
             .expect("fresh review");
     }
     let cut = store.num_ratings() * 9 / 10;
-    for rating in &store.ratings()[..cut] {
+    let mut ratings = store.ratings().iter();
+    for rating in ratings.by_ref().take(cut) {
         inc.add_rating(rating.rater, rating.review, rating.value)
             .expect("valid rating");
     }
@@ -46,7 +47,7 @@ fn main() {
 
     // The live phase: refresh after every single event.
     let mut live_sweeps = 0usize;
-    for rating in &store.ratings()[cut..] {
+    for rating in ratings {
         inc.add_rating(rating.rater, rating.review, rating.value)
             .expect("valid rating");
         live_sweeps += inc.refresh_all();
