@@ -27,6 +27,8 @@
 //! `benchmark/` (see `benchmark/README.md`), declared in the root
 //! `BENCHMARK.json`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use wot_community::stats::CommunityStats;

@@ -218,6 +218,16 @@ impl Incidence {
         self.slices(self.nodes[i])
     }
 
+    /// Where node `i`'s slots start in [`slots`](Self::slots).
+    pub(crate) fn offset(&self, i: usize) -> u32 {
+        self.nodes[i].off
+    }
+
+    /// Both slot buffers whole, edges, slack and dead space alike.
+    pub(crate) fn slots(&self) -> (&[u32], &[f64]) {
+        (&self.index, &self.value)
+    }
+
     #[inline]
     fn slices(&self, node: Node) -> (&[u32], &[f64]) {
         let lo = node.off as usize;

@@ -393,10 +393,14 @@ impl<'a> Ratings<'a> {
     /// The ratings in insertion order. Holds one 4-byte cursor per
     /// review while it runs.
     pub fn iter(&self) -> RatingsIter<'a> {
+        let (raters, values) = self.by_review.slots();
         RatingsIter {
             order: self.order.iter(),
-            by_review: self.by_review,
-            read: vec![0; self.by_review.num_nodes()],
+            raters,
+            values,
+            next: (0..self.by_review.num_nodes())
+                .map(|r| self.by_review.offset(r))
+                .collect(),
         }
     }
 }
@@ -416,9 +420,11 @@ impl<'a> IntoIterator for Ratings<'a> {
 #[derive(Debug, Clone)]
 pub struct RatingsIter<'a> {
     order: std::slice::Iter<'a, ReviewId>,
-    by_review: &'a Incidence,
-    /// Per review, the slots of its list already read.
-    read: Vec<u32>,
+    /// The store's slot buffers, each review's list in insertion order.
+    raters: &'a [u32],
+    values: &'a [f64],
+    /// Per review, the slot of its next unread rating.
+    next: Vec<u32>,
 }
 
 impl Iterator for RatingsIter<'_> {
@@ -427,15 +433,14 @@ impl Iterator for RatingsIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<Rating> {
         let &review = self.order.next()?;
-        let at = &mut self.read[review.index()];
-        let (raters, values) = self.by_review.node(review.index());
-        let rating = Rating {
-            rater: UserId(raters[*at as usize]),
-            review,
-            value: values[*at as usize],
-        };
+        let at = &mut self.next[review.index()];
+        let slot = *at as usize;
         *at += 1;
-        Some(rating)
+        Some(Rating {
+            rater: UserId(self.raters[slot]),
+            review,
+            value: self.values[slot],
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

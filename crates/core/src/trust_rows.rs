@@ -70,19 +70,35 @@
 //! and combines them in that order (as the Fig. 3 reducer does, including
 //! its `f64` sums) is bit-identical for any chunk height and thread count.
 //!
+//! ## Two instruction sets
+//!
+//! The scans' three chunk loops — [`TrustRows::fold_chunks`]'s, the
+//! Fig. 3 fold and [`TrustRows::top_k`]'s walk — are one source compiled
+//! twice: for the build's baseline target (SSE2 on x86-64) and, in a
+//! `#[target_feature(enable = "avx2")]` wrapper, for AVX2, which a chunk
+//! runs where `is_x86_feature_detected!` reports it ([`kernel_isa`]).
+//! The kernel, the Fig. 3 row fold and the top-k walk are
+//! `#[inline(always)]`, so each copy holds them whole, reducer included.
+//! No bit depends on the choice: a tile's four columns fill one AVX2
+//! register instead of two SSE2 ones, and each lane runs the same IEEE
+//! operations in the same order — the `(s0 + s1) + (s2 + s3)` tree, the
+//! tail, a real division, select-based sum and maximum, exact compares.
+//! Only `avx2` is enabled, never `fma`, and rustc never contracts
+//! `a * b + c` into one rounding.
+//!
 //! ## Two reducers
 //!
 //! [`TrustRows::top_k`] is the all-users top-`k` above.
 //! [`Derived::trust_fig3`] is the Fig. 3 reducer: support, density, value
 //! sum / mean / max, per-user out-support and a value histogram of the
-//! full `T̂`, folded row by row by a [`TrustRows::fold_chunks`] visitor. The
-//! support cross-checks against the bitmask
-//! [`support_count`](crate::trust::support_count). The visitor neither
-//! stores nor branches per cell: sum and maximum go through selects, and
-//! the histogram is kept as register counts of `fl(v · N) > b` for each
-//! threshold `b`, differenced into bins once per scan. A per-cell bin
-//! index and `histogram[bin] += 1` made the reducer cost more than the
-//! kernel (`docs/ARCHITECTURE.md` § 4 has the split).
+//! full `T̂`, folded row by row in the scan's own chunk loop, beside the
+//! kernel, no visitor between them. The support cross-checks against the
+//! bitmask [`support_count`](crate::trust::support_count). The fold
+//! neither stores nor branches per cell: sum and maximum go through
+//! selects, and the histogram is kept as register counts of
+//! `fl(v · N) > b` for each threshold `b`, differenced into bins once per
+//! scan. A per-cell bin index and `histogram[bin] += 1` made the reducer
+//! cost more than the kernel (`docs/ARCHITECTURE.md` § 4 has the split).
 
 use std::ops::Range;
 
@@ -91,9 +107,78 @@ use wot_sparse::Dense;
 use crate::trust_blocks::{auto_threads, resolve_block_rows, validate_shapes, BlockConfig};
 use crate::{Derived, Result};
 
-/// Columns per kernel tile: 4 accumulators × 4 columns fill the eight
-/// SSE2 registers a baseline x86-64 build has to spare.
+/// Columns per kernel tile: 4 accumulators × 4 columns fill eight SSE2
+/// registers on a baseline x86-64 build, four `ymm` registers under AVX2.
 const TILE: usize = 4;
+
+/// The instruction sets a scan's chunk loop is compiled for (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+pub(crate) enum Isa {
+    /// The build's target.
+    Baseline,
+    /// AVX2, run only where the CPU reports it.
+    Avx2,
+}
+
+impl Isa {
+    /// The variant the scans of this process run.
+    pub(crate) fn detected() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            return Self::Avx2;
+        }
+        Self::Baseline
+    }
+}
+
+/// The instruction set the Eq. 5 scans run on in this process: `"avx2"`
+/// on an x86-64 CPU that has it, `"baseline"` otherwise.
+pub fn kernel_isa() -> &'static str {
+    match Isa::detected() {
+        Isa::Baseline => "baseline",
+        Isa::Avx2 => "avx2",
+    }
+}
+
+/// One chunk of a scan: the loop [`on_isa`] compiles once per [`Isa`].
+trait ChunkLoop: Sync {
+    type Out: Send;
+    /// Reduces rows `rows` of `scan`; `buf` is a row buffer of its panel.
+    fn run(&self, scan: &TrustRows<'_>, buf: &mut [f64], rows: Range<usize>) -> Self::Out;
+}
+
+/// Runs `job` over `rows` as code compiled for `isa`: the AVX2 copy only
+/// where the CPU has AVX2, the baseline copy otherwise.
+#[allow(unsafe_code)]
+#[inline(always)]
+fn on_isa<J: ChunkLoop>(
+    isa: Isa,
+    job: &J,
+    scan: &TrustRows<'_>,
+    buf: &mut [f64],
+    rows: Range<usize>,
+) -> J::Out {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if std::is_x86_feature_detected!("avx2") => {
+            #[target_feature(enable = "avx2")]
+            fn avx2<J: ChunkLoop>(
+                job: &J,
+                scan: &TrustRows<'_>,
+                buf: &mut [f64],
+                rows: Range<usize>,
+            ) -> J::Out {
+                job.run(scan, buf, rows)
+            }
+            // SAFETY: `avx2` needs the AVX2 instructions and nothing else,
+            // and this arm is reached only after detection reported them.
+            unsafe { avx2(job, scan, buf, rows) }
+        }
+        _ => job.run(scan, buf, rows),
+    }
+}
 
 /// `E` transposed and restricted to writer columns — the right-hand side
 /// of the Eq. 5 row kernel. See the [module docs](self).
@@ -203,6 +288,7 @@ impl ExpertisePanel {
     /// One row of `T̂`: writes `T̂_ij` for `j = writers()[w]` to `buf[w]`
     /// and returns those cells, or `None` — leaving `buf` as it was — for
     /// a user with no affiliation mass, whose whole row is zero.
+    #[inline(always)]
     pub fn fill<'b>(&self, a_row: &[f64], buf: &'b mut [f64]) -> Option<&'b [f64]> {
         assert_eq!(a_row.len(), self.ncat, "affiliation row width");
         assert_eq!(
@@ -248,6 +334,7 @@ impl ExpertisePanel {
     /// best held. `None` for a user with no affiliation mass. A row the
     /// bound does not cover (see the [module docs](self)) is filled whole
     /// into `buf`.
+    #[inline(always)]
     fn top_k(
         &self,
         i: usize,
@@ -300,7 +387,7 @@ impl ExpertisePanel {
 /// by a fifth (`docs/ARCHITECTURE.md` § 4 has the A/B);
 /// `panel_single_row_and_pairwise_are_bit_identical` pins both to
 /// [`trust::pairwise`](crate::trust::pairwise).
-#[inline]
+#[inline(always)]
 fn tile_cells(a_body: &[f64], a_tail: &[f64], tile: &[f64], den: f64) -> [f64; TILE] {
     let (body, tail) = tile.split_at(a_body.len() * TILE);
     let mut s = [[0.0f64; TILE]; 4];
@@ -452,6 +539,17 @@ impl<'a> TrustRows<'a> {
         k: usize,
         cfg: &BlockConfig,
     ) -> Result<TopK> {
+        Self::top_k_with(affiliation, expertise, k, cfg, Isa::detected())
+    }
+
+    /// [`top_k`](Self::top_k) on the chunk loop compiled for `isa`.
+    pub(crate) fn top_k_with(
+        affiliation: &'a Dense,
+        expertise: &Dense,
+        k: usize,
+        cfg: &BlockConfig,
+        isa: Isa,
+    ) -> Result<TopK> {
         let scan = Self::with_panel(affiliation, expertise, cfg, ExpertisePanel::ranked)?;
         let u = scan.num_users();
         let mut top = TopK {
@@ -463,29 +561,7 @@ impl<'a> TrustRows<'a> {
             top.lists.resize(u, Vec::new());
             return Ok(top);
         }
-        let width = scan.panel.writers().len() as u64;
-        let chunks = wot_par::par_map_indexed_with(
-            scan.num_chunks(),
-            scan.workers,
-            || scan.panel.row_buffer(),
-            |buf, chunk| {
-                let rows = scan.chunk(chunk);
-                let mut lists = Vec::with_capacity(rows.len());
-                let (mut computed, mut full) = (0u64, 0u64);
-                for i in rows {
-                    match scan.panel.top_k(i, affiliation.row(i), k, buf) {
-                        Some((list, cells)) => {
-                            lists.push(list);
-                            computed += cells as u64;
-                            full += width;
-                        }
-                        None => lists.push(Vec::new()),
-                    }
-                }
-                (lists, computed, full)
-            },
-        );
-        for (lists, computed, full) in chunks {
+        for (lists, computed, full) in scan.map_chunks(isa, &TopKChunk { k }) {
             top.lists.extend(lists);
             top.cells_computed += computed;
             top.cells_full += full;
@@ -531,22 +607,107 @@ impl<'a> TrustRows<'a> {
         I: Fn(Range<usize>) -> S + Sync,
         V: Fn(&mut S, usize, &[u32], &[f64]) + Sync,
     {
+        self.map_chunks(Isa::detected(), &Fold { init, visit })
+    }
+
+    /// Runs `job` on every chunk, chunks claimed by the scan's workers,
+    /// and returns the results in ascending row order.
+    fn map_chunks<J: ChunkLoop>(&self, isa: Isa, job: &J) -> Vec<J::Out> {
         wot_par::par_map_indexed_with(
             self.num_chunks(),
             self.workers,
             || self.panel.row_buffer(),
-            |buf, chunk| {
-                let rows = self.chunk(chunk);
-                let mut state = init(rows.clone());
-                for i in rows {
-                    match self.panel.fill(self.affiliation.row(i), buf) {
-                        Some(vals) => visit(&mut state, i, self.panel.writers(), vals),
-                        None => visit(&mut state, i, &[], &[]),
-                    }
-                }
-                state
-            },
+            |buf, chunk| on_isa(isa, job, self, buf, self.chunk(chunk)),
         )
+    }
+
+    /// The Fig. 3 reduction of the full `T̂` on the chunk loop compiled
+    /// for `isa`.
+    pub(crate) fn fig3_with(&self, isa: Isa) -> Fig3Aggregates {
+        let chunks = self.map_chunks(isa, &Fig3Fold);
+        let users = self.num_users();
+        let mut agg = Fig3Aggregates {
+            users,
+            support: 0,
+            sum: 0.0,
+            max: 0.0,
+            row_support: Vec::with_capacity(users),
+            histogram: Vec::new(),
+            blocks: chunks.len(),
+            block_rows: self.chunk_rows(),
+            max_block_bytes: self.transient_bytes(),
+        };
+        let mut above = [0u64; FIG3_HIST_BINS];
+        // Row sums combine in ascending row order whatever the chunking and
+        // whichever worker produced them: the f64 fold has one order.
+        for chunk in chunks {
+            for row_sum in chunk.row_sum {
+                agg.sum += row_sum;
+            }
+            agg.row_support.extend(chunk.row_support);
+            agg.max = agg.max.max(chunk.max);
+            for (total, n) in above.iter_mut().zip(chunk.above) {
+                *total += n;
+            }
+        }
+        agg.support = above[0];
+        agg.histogram = histogram_of(above);
+        agg
+    }
+}
+
+/// [`TrustRows::fold_chunks`]'s chunk loop: `init`, then `visit` per row.
+struct Fold<I, V> {
+    init: I,
+    visit: V,
+}
+
+impl<S, I, V> ChunkLoop for Fold<I, V>
+where
+    S: Send,
+    I: Fn(Range<usize>) -> S + Sync,
+    V: Fn(&mut S, usize, &[u32], &[f64]) + Sync,
+{
+    type Out = S;
+
+    #[inline(always)]
+    fn run(&self, scan: &TrustRows<'_>, buf: &mut [f64], rows: Range<usize>) -> S {
+        let mut state = (self.init)(rows.clone());
+        for i in rows {
+            match scan.panel.fill(scan.affiliation.row(i), buf) {
+                Some(vals) => (self.visit)(&mut state, i, scan.panel.writers(), vals),
+                None => (self.visit)(&mut state, i, &[], &[]),
+            }
+        }
+        state
+    }
+}
+
+/// [`TrustRows::top_k`]'s chunk loop: the rows' lists, the cells
+/// computed and the cells full rows would have cost.
+struct TopKChunk {
+    k: usize,
+}
+
+impl ChunkLoop for TopKChunk {
+    type Out = (Vec<Vec<(usize, f64)>>, u64, u64);
+
+    #[inline(always)]
+    fn run(&self, scan: &TrustRows<'_>, buf: &mut [f64], rows: Range<usize>) -> Self::Out {
+        let width = scan.panel.writers().len() as u64;
+        let mut lists = Vec::with_capacity(rows.len());
+        let (mut computed, mut full) = (0u64, 0u64);
+        for i in rows {
+            match scan.panel.top_k(i, scan.affiliation.row(i), self.k, buf) {
+                Some((list, cells)) => {
+                    lists.push(list);
+                    computed += cells as u64;
+                    full += width;
+                }
+                None => lists.push(Vec::new()),
+            }
+        }
+        (lists, computed, full)
     }
 }
 
@@ -617,7 +778,7 @@ const FIG3_HIST_BINS: usize = 10;
 /// non-positive cell adds `+0.0`, which leaves a sum that started at
 /// `+0.0` bit-unchanged, so it has the bits of the positive cells'
 /// sum.
-#[inline]
+#[inline(always)]
 fn fig3_row<const N: usize>(vals: &[f64], mut max: f64) -> (f64, f64, [u64; N]) {
     let mut sum = 0.0f64;
     let mut above = [0u64; N];
@@ -649,6 +810,35 @@ struct Fig3Chunk {
     above: [u64; FIG3_HIST_BINS],
 }
 
+/// The Fig. 3 scan's chunk loop: the kernel and [`fig3_row`] per row, no
+/// visitor between them.
+struct Fig3Fold;
+
+impl ChunkLoop for Fig3Fold {
+    type Out = Fig3Chunk;
+
+    #[inline(always)]
+    fn run(&self, scan: &TrustRows<'_>, buf: &mut [f64], rows: Range<usize>) -> Fig3Chunk {
+        let mut chunk = Fig3Chunk {
+            row_support: Vec::with_capacity(rows.len()),
+            row_sum: Vec::with_capacity(rows.len()),
+            max: 0.0,
+            above: [0; FIG3_HIST_BINS],
+        };
+        for i in rows {
+            let vals = scan.panel.fill(scan.affiliation.row(i), buf);
+            let (row_sum, max, above) = fig3_row::<FIG3_HIST_BINS>(vals.unwrap_or(&[]), chunk.max);
+            for (total, n) in chunk.above.iter_mut().zip(above) {
+                *total += n;
+            }
+            chunk.row_support.push(above[0] as u32);
+            chunk.row_sum.push(row_sum);
+            chunk.max = max;
+        }
+        chunk
+    }
+}
+
 /// Scans the full `T̂` once and reduces it to [`Fig3Aggregates`]; what
 /// [`Derived::trust_fig3`] runs.
 ///
@@ -656,426 +846,8 @@ struct Fig3Chunk {
 /// O(U) per-row results — at the paper's 44k users, a few megabytes
 /// instead of the ~15.6 GB dense matrix.
 pub(crate) fn fig3_aggregates(derived: &Derived, cfg: &BlockConfig) -> Result<Fig3Aggregates> {
-    let scan = derived.trust_rows(cfg)?;
-    let chunks = scan.fold_chunks(
-        |rows| Fig3Chunk {
-            row_support: Vec::with_capacity(rows.len()),
-            row_sum: Vec::with_capacity(rows.len()),
-            max: 0.0,
-            above: [0; FIG3_HIST_BINS],
-        },
-        |chunk, _i, _cols, vals| {
-            let (row_sum, max, above) = fig3_row::<FIG3_HIST_BINS>(vals, chunk.max);
-            for (total, n) in chunk.above.iter_mut().zip(above) {
-                *total += n;
-            }
-            chunk.row_support.push(above[0] as u32);
-            chunk.row_sum.push(row_sum);
-            chunk.max = max;
-        },
-    );
-    let users = scan.num_users();
-    let mut agg = Fig3Aggregates {
-        users,
-        support: 0,
-        sum: 0.0,
-        max: 0.0,
-        row_support: Vec::with_capacity(users),
-        histogram: Vec::new(),
-        blocks: chunks.len(),
-        block_rows: scan.chunk_rows(),
-        max_block_bytes: scan.transient_bytes(),
-    };
-    let mut above = [0u64; FIG3_HIST_BINS];
-    // Row sums combine in ascending row order whatever the chunking and
-    // whichever worker produced them: the f64 fold has one order.
-    for chunk in chunks {
-        for row_sum in chunk.row_sum {
-            agg.sum += row_sum;
-        }
-        agg.row_support.extend(chunk.row_support);
-        agg.max = agg.max.max(chunk.max);
-        for (total, n) in above.iter_mut().zip(chunk.above) {
-            *total += n;
-        }
-    }
-    agg.support = above[0];
-    agg.histogram = histogram_of(above);
-    Ok(agg)
+    Ok(derived.trust_rows(cfg)?.fig3_with(Isa::detected()))
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trust;
-
-    /// Deterministic `A`/`E` with the shapes the kernel must get right:
-    /// all-zero `A` rows, all-zero `E` rows, dense and sparse rows.
-    fn instance(u: usize, c: usize) -> (Dense, Dense) {
-        let mut state = 0x5EED_0005u64 ^ ((u as u64) << 20) ^ c as u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let mut a = Dense::zeros(u, c);
-        let mut e = Dense::zeros(u, c);
-        for i in 0..u {
-            let (a_live, e_live) = (next() % 5 != 0, next() % 4 != 0);
-            for k in 0..c {
-                if a_live && next() % 3 != 0 {
-                    a.set(i, k, (next() % 100_000) as f64 / 99_991.0);
-                }
-                if e_live && next() % 3 != 0 {
-                    e.set(i, k, (next() % 100_000) as f64 / 99_989.0);
-                }
-            }
-        }
-        (a, e)
-    }
-
-    fn bits(list: &[(usize, f64)]) -> Vec<(usize, u64)> {
-        list.iter().map(|&(j, v)| (j, v.to_bits())).collect()
-    }
-
-    /// Row `i` four ways: the panel kernel scattered to full width, the
-    /// single-row kernel, `pairwise` cell by cell, and the ranked panel's
-    /// walk with a `k` no row can fill — it never prunes, so every cell
-    /// of the row goes through `tile_cells`.
-    fn assert_row_kernels_agree(a: &Dense, e: &Dense) {
-        let u = a.nrows();
-        let panel = ExpertisePanel::new(e);
-        let ranked = ExpertisePanel::ranked(e);
-        let mut buf = panel.row_buffer();
-        for i in 0..u {
-            let exact = (0..u).map(|j| (j, trust::pairwise(a, e, i, j)));
-            match ranked.top_k(i, a.row(i), u + 1, &mut buf) {
-                Some((list, computed)) => {
-                    assert_eq!(computed, ranked.writers().len());
-                    assert_eq!(bits(&list), bits(&top_k_of_row(i, u + 1, exact)));
-                }
-                None => assert!(a.row(i).iter().sum::<f64>() <= 0.0),
-            }
-            let mut from_panel = vec![0.0f64; u];
-            if let Some(vals) = panel.fill(a.row(i), &mut buf) {
-                assert_eq!(vals.len(), panel.writers().len());
-                for (&j, &v) in panel.writers().iter().zip(vals) {
-                    from_panel[j as usize] = v;
-                }
-            }
-            let single: Vec<f64> = match trust::row(a, e, i) {
-                Some(row) => row.collect(),
-                None => vec![0.0; u],
-            };
-            assert_eq!(single.len(), u);
-            for j in 0..u {
-                let want = trust::pairwise(a, e, i, j).to_bits();
-                assert_eq!(from_panel[j].to_bits(), want, "panel ({i},{j})");
-                assert_eq!(single[j].to_bits(), want, "single row ({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn panel_single_row_and_pairwise_are_bit_identical() {
-        // Tail and no-tail category counts, below and above one 4-chunk.
-        for c in [1usize, 3, 4, 5, 12, 13] {
-            // 37 writers-ish: not a multiple of the tile width.
-            let (a, e) = instance(53, c);
-            let panel = ExpertisePanel::new(&e);
-            assert!(panel.writers().len() < 53, "some E rows are all zero");
-            assert!((0..53).any(|i| a.row(i).iter().all(|&v| v == 0.0)));
-            assert_row_kernels_agree(&a, &e);
-        }
-    }
-
-    #[test]
-    fn lone_writer_no_writer_and_no_category() {
-        let (a, _) = instance(9, 5);
-        let mut e = Dense::zeros(9, 5);
-        assert!(ExpertisePanel::new(&e).writers().is_empty());
-        assert_row_kernels_agree(&a, &e);
-        e.set(6, 4, 0.75);
-        assert_eq!(ExpertisePanel::new(&e).writers(), &[6]);
-        assert_row_kernels_agree(&a, &e);
-        assert_row_kernels_agree(&Dense::zeros(3, 0), &Dense::zeros(3, 0));
-    }
-
-    #[test]
-    fn fold_chunks_visits_every_row_once_in_chunk_order() {
-        let (a, e) = instance(41, 5);
-        for (block_rows, threads) in [(1usize, 1usize), (7, 2), (0, 3), (64, 0)] {
-            let cfg = BlockConfig {
-                block_rows,
-                threads,
-            };
-            let scan = TrustRows::new(&a, &e, &cfg).unwrap();
-            assert!(scan.transient_bytes() >= scan.panel.bytes());
-            let chunks = scan.fold_chunks(
-                |rows| (rows, Vec::new()),
-                |(_, seen), i, cols, vals| {
-                    assert_eq!(cols.len(), vals.len());
-                    seen.push((i, vals.iter().sum::<f64>().to_bits()));
-                },
-            );
-            assert_eq!(chunks.len(), scan.num_chunks());
-            let mut next = 0;
-            for (rows, seen) in chunks {
-                assert_eq!(rows.start, next);
-                next = rows.end;
-                for (i, (row, sum)) in rows.zip(seen) {
-                    assert_eq!(row, i);
-                    let want: f64 = (0..41)
-                        .map(|j| trust::pairwise(&a, &e, i, j))
-                        .filter(|&v| v != 0.0)
-                        .sum();
-                    assert_eq!(sum, want.to_bits(), "row {i}");
-                }
-            }
-            assert_eq!(next, 41);
-        }
-    }
-
-    /// The shapes the bound must survive: constant `E` rows (a computed
-    /// cell equals or rounds past `b_j`), quantised rows (exact ties) and
-    /// one-hot `A` rows (`T̂_ij = E_jc`).
-    fn tied_instance(u: usize, c: usize) -> (Dense, Dense) {
-        let (mut a, mut e) = instance(u, c);
-        for j in 0..u {
-            match j % 4 {
-                0 => (0..c).for_each(|k| e.set(j, k, (j % 7 + 1) as f64 / 7.1)),
-                1 => (0..c).for_each(|k| e.set(j, k, ((j + k) % 3) as f64 / 2.0)),
-                _ => {}
-            }
-            if j % 5 == 2 {
-                (0..c).for_each(|k| a.set(j, k, if k == j % c { 0.3 } else { 0.0 }));
-            }
-        }
-        (a, e)
-    }
-
-    #[test]
-    fn ranked_panel_sorts_by_bound_and_bounds_dominate_computed_cells() {
-        for c in [1usize, 3, 5, 12] {
-            let (a, e) = tied_instance(61, c);
-            let panel = ExpertisePanel::ranked(&e);
-            let mut sorted = panel.writers().to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted, ExpertisePanel::new(&e).writers(), "same columns");
-            let b = |j: u32| e.row(j as usize).iter().copied().fold(f64::MIN, f64::max);
-            for w in panel.writers().windows(2) {
-                assert!(b(w[0]) > b(w[1]) || (b(w[0]) == b(w[1]) && w[0] < w[1]));
-            }
-            assert_eq!(panel.tile_bounds.len() * TILE, panel.padded_len());
-            assert!(panel.tile_bounds.windows(2).all(|w| w[0] >= w[1]));
-            let mut buf = panel.row_buffer();
-            let mut at_bound = 0;
-            for i in 0..61 {
-                let Some(vals) = panel.fill(a.row(i), &mut buf) else {
-                    continue;
-                };
-                for (w, (&v, &j)) in vals.iter().zip(panel.writers()).enumerate() {
-                    assert!(v <= panel.tile_bounds[w / TILE], "cell ({i},{j})");
-                    at_bound += usize::from(v >= b(j));
-                }
-            }
-            assert!(at_bound > 0, "some cell reaches its column's max");
-        }
-    }
-
-    #[test]
-    fn top_k_scan_prunes_and_equals_full_rows() {
-        let (mut a, e) = tied_instance(97, 5);
-        // A row the bound does not cover is still answered — in full.
-        a.set(3, 1, -0.25);
-        a.set(3, 2, 0.75);
-        let width = ExpertisePanel::new(&e).writers().len() as u64;
-        let active = (0..97).filter(|&i| a.row(i).iter().sum::<f64>() > 0.0);
-        let full = active.count() as u64 * width;
-        for k in [0usize, 1, 4, 10, 200] {
-            let mut computed = None;
-            for (block_rows, threads) in [(1usize, 1usize), (7, 3), (0, 0)] {
-                let cfg = BlockConfig {
-                    block_rows,
-                    threads,
-                };
-                let scan = TrustRows::top_k(&a, &e, k, &cfg).unwrap();
-                assert_eq!(scan.lists.len(), 97);
-                for (i, list) in scan.lists.iter().enumerate() {
-                    assert_eq!(
-                        bits(list),
-                        bits(&top_k_single_row(&a, &e, i, k)),
-                        "k={k} row {i}"
-                    );
-                }
-                assert_eq!(scan.cells_full, if k == 0 { 0 } else { full });
-                assert_eq!(
-                    *computed.get_or_insert(scan.cells_computed),
-                    scan.cells_computed
-                );
-            }
-            let computed = computed.unwrap();
-            match k {
-                0 => assert_eq!(computed, 0),
-                200 => assert_eq!(computed, full, "no row can fill 200 slots"),
-                // At least the uncovered row is computed whole.
-                _ => assert!(
-                    (width..full * 2 / 3).contains(&computed),
-                    "k={k}: {computed} of {full}"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_orders_by_trust_then_column_and_skips_self() {
-        let cells = [(0, 0.5), (1, 0.9), (2, 0.5), (3, 0.0), (4, 0.9), (5, 0.1)];
-        let top = top_k_of_row(1, 3, cells.iter().copied());
-        assert_eq!(top, vec![(4, 0.9), (0, 0.5), (2, 0.5)]);
-        // Arrival order does not matter.
-        let top_rev = top_k_of_row(1, 3, cells.iter().rev().copied());
-        assert_eq!(top_rev, top);
-        assert!(top_k_of_row(1, 0, cells.iter().copied()).is_empty());
-        assert_eq!(top_k_of_row(9, 100, cells.iter().copied()).len(), 5);
-    }
-
-    /// The tiny preset, derived — what the Fig. 3 tests scan.
-    struct Bench {
-        derived: Derived,
-    }
-
-    fn bench() -> Bench {
-        let out = wot_synth::generate(&wot_synth::SynthConfig::tiny(31)).unwrap();
-        let derived = crate::pipeline::derive(&out.store, &crate::DeriveConfig::default()).unwrap();
-        Bench { derived }
-    }
-
-    /// The bin [`Fig3Aggregates::histogram`] defines for `v > 0`.
-    fn ceil_bin(v: f64, nbins: usize) -> usize {
-        ((v * nbins as f64).ceil() as usize).clamp(1, nbins) - 1
-    }
-
-    #[test]
-    fn aggregates_match_dense_reference() {
-        let wb = bench();
-        let dense = wb.derived.trust_dense().unwrap();
-        let agg = fig3_aggregates(&wb.derived, &BlockConfig::sequential()).unwrap();
-        let u = wb.derived.num_users();
-        // Reference fold in the exact same per-row order.
-        let mut support = 0u64;
-        let mut sum = 0.0;
-        let mut max = 0.0f64;
-        let mut histogram = vec![0u64; FIG3_HIST_BINS];
-        for i in 0..u {
-            let mut row_sum = 0.0;
-            let mut row_support = 0u32;
-            for &v in dense.row(i) {
-                if v > 0.0 {
-                    row_support += 1;
-                    row_sum += v;
-                    max = max.max(v);
-                    histogram[ceil_bin(v, FIG3_HIST_BINS)] += 1;
-                }
-            }
-            assert_eq!(agg.row_support[i], row_support, "row {i}");
-            support += row_support as u64;
-            sum += row_sum;
-        }
-        assert_eq!(agg.support, support);
-        assert_eq!(agg.sum.to_bits(), sum.to_bits());
-        assert_eq!(agg.max.to_bits(), max.to_bits());
-        assert_eq!(agg.histogram, histogram);
-        assert!(histogram.iter().filter(|&&n| n > 0).count() > 1);
-        // Cross-check against the bitmask counter of Fig. 3.
-        assert_eq!(agg.support, wb.derived.trust_support_count().unwrap());
-        assert!(agg.density() > 0.0 && agg.density() <= 1.0);
-        assert!(agg.mean_positive() > 0.0 && agg.mean_positive() <= agg.max);
-    }
-
-    #[test]
-    fn aggregates_invariant_to_blocks_and_threads() {
-        let wb = bench();
-        let reference = fig3_aggregates(&wb.derived, &BlockConfig::sequential()).unwrap();
-        for (block_rows, threads) in [(1usize, 1usize), (7, 2), (64, 0), (0, 3)] {
-            let cfg = BlockConfig {
-                block_rows,
-                threads,
-            };
-            let agg = fig3_aggregates(&wb.derived, &cfg).unwrap();
-            assert_eq!(agg.support, reference.support);
-            assert_eq!(agg.sum, reference.sum, "bit-identical sum");
-            assert_eq!(agg.max, reference.max);
-            assert_eq!(agg.row_support, reference.row_support);
-            assert_eq!(agg.histogram, reference.histogram);
-        }
-    }
-
-    /// `fig3_row::<N>` of `vals`, differenced into its histogram.
-    fn row_histogram<const N: usize>(vals: &[f64]) -> Vec<u64> {
-        histogram_of(fig3_row::<N>(vals, 0.0).2)
-    }
-
-    fn threshold_rule_is_the_ceil_form<const N: usize>() {
-        let n = N as f64;
-        // Exact bin edges and their neighbours on both sides.
-        let mut values: Vec<f64> = (0..=2 * N)
-            .map(|b| b as f64 / n)
-            .flat_map(|e| [e, e.next_down(), e.next_up()])
-            .collect();
-        // The smallest positive values, values past 1, and a sweep.
-        values.extend([
-            f64::MIN_POSITIVE,
-            5e-324,
-            1e-300,
-            1.0,
-            1.5,
-            7.25,
-            1e9,
-            1e300,
-        ]);
-        values.extend((1..=10_000).map(|s| s as f64 / 9_973.0));
-        let mut want = vec![0u64; N];
-        for &v in values.iter().filter(|&&v| v > 0.0) {
-            let mut one = vec![0u64; N];
-            one[ceil_bin(v, N)] = 1;
-            assert_eq!(row_histogram::<N>(&[v]), one, "v={v:e} N={N}");
-            want[ceil_bin(v, N)] += 1;
-        }
-        // Counted nowhere: `-0.0`, negatives and NaN. `+∞` is in the last
-        // bin.
-        let nowhere = [-0.0, -f64::MIN_POSITIVE, -1.0, f64::NEG_INFINITY, f64::NAN];
-        for v in nowhere {
-            assert_eq!(row_histogram::<N>(&[v]), vec![0; N], "v={v:e} N={N}");
-        }
-        values.extend(nowhere);
-        let mut last = vec![0u64; N];
-        last[N - 1] = 1;
-        assert_eq!(row_histogram::<N>(&[f64::INFINITY]), last, "+∞ N={N}");
-        values.push(f64::INFINITY);
-        want[N - 1] += 1;
-        assert_eq!(row_histogram::<N>(&values), want, "N={N}");
-        let (_, _, above) = fig3_row::<N>(&values, 0.0);
-        assert_eq!(above[0], want.iter().sum::<u64>(), "the support");
-    }
-
-    #[test]
-    fn threshold_counts_are_the_ceil_form() {
-        threshold_rule_is_the_ceil_form::<1>();
-        threshold_rule_is_the_ceil_form::<4>();
-        threshold_rule_is_the_ceil_form::<FIG3_HIST_BINS>();
-        threshold_rule_is_the_ceil_form::<64>();
-    }
-
-    #[test]
-    fn row_sum_and_max_are_the_positive_cells_in_order() {
-        let vals = [0.25, -0.0, 0.5, f64::NAN, 0.0, -3.0, 1e-300, 0.125, 0.75];
-        let (sum, max, _) = fig3_row::<FIG3_HIST_BINS>(&vals, 0.0);
-        let want = vals.iter().filter(|&&v| v > 0.0).fold(0.0, |s, &v| s + v);
-        assert_eq!(sum.to_bits(), want.to_bits());
-        assert_eq!(max, 0.75);
-        assert_eq!(fig3_row::<FIG3_HIST_BINS>(&vals, 2.0).1, 2.0);
-        let (sum, max, _) = fig3_row::<FIG3_HIST_BINS>(&[-0.0, f64::NAN, -1.0], 0.0);
-        assert_eq!((sum.to_bits(), max.to_bits()), (0, 0), "+0.0 stays +0.0");
-    }
-}
+mod tests;

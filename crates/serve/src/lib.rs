@@ -35,6 +35,8 @@
 //! request/response codecs and per-request error frames. [`Client`] is
 //! the blocking typed counterpart.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod conformance;
 pub mod coord;

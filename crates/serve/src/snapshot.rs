@@ -9,7 +9,7 @@
 //! from one snapshot, so a response can never mix two model states, and
 //! in-flight readers pin their snapshot alive (the old `Arc` is freed
 //! when its last reader drops it — classic RCU shape, built from safe
-//! parts because the workspace forbids `unsafe`).
+//! parts because the crate forbids `unsafe`).
 //!
 //! Every accessor reproduces its offline counterpart **bit-identically**
 //! by calling the same code: [`ServeSnapshot::trust`] *is*

@@ -64,6 +64,8 @@
 //! entries tagged at or past it are rewritten out of the WAL, so an
 //! orphan tag can never collide with a future event.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::PathBuf;

@@ -281,10 +281,12 @@ fn paper_scale_streaming_fits_2gb_budget() {
     let rss = streaming::peak_rss_bytes().expect("Linux /proc available in CI");
     println!(
         "paper-scale streaming: users={users} support={} density={:.4} \
-         fig3={fig3_ms:.0}ms fig3_kernel={fig3_kernel_ms:.0}ms top_k={topk_ms:.0}ms top_k_cells={:.1}% \
+         isa={} fig3={fig3_ms:.0}ms fig3_kernel={fig3_kernel_ms:.0}ms top_k={topk_ms:.0}ms \
+         top_k_cells={:.1}% \
          top_k_rows_checked={checked} scan_buffers={:.1}MiB peak_rss={:.2}GB",
         agg.support,
         agg.density(),
+        webtrust::core::trust_rows::kernel_isa(),
         topk_share * 100.0,
         agg.max_block_bytes as f64 / (1 << 20) as f64,
         rss as f64 / 1e9
